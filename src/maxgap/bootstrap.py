@@ -14,7 +14,6 @@ the fraction of replicates with max over A strictly above max over B.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -225,8 +224,3 @@ def from_batch(batch: SampleBatch, shift=None) -> DataMatrix:
     """Adopt a sampled batch as observation rows."""
     return DataMatrix(xi=batch.data, a=shift)
 
-
-def result_to_json(result: BootstrapResult, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

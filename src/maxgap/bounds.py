@@ -23,7 +23,7 @@ from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
                      PerfectCrossCorrelation, SingularCovariance,
                      ZeroResidualVariance)
-from .levy import DEFAULT_MC, expected_max_many
+from .levy import DEFAULT_MC, check_epsilon, expected_max_many
 
 TOL_VAR_SPREAD = 1e-9   # max relative sd spread treated as homogeneous
 TOL_SINGULAR = 1e-12    # relative eigenvalue floor for the baseline
@@ -117,13 +117,6 @@ class BoundReport:
         }
 
 
-def _check_eps(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise BadConfig(f"epsilon must be positive, got {epsilon}")
-    return epsilon
-
-
 def _common_sd(spec: CovSpec) -> float:
     sds = spec.sds
     if float(sds.max() - sds.min()) > TOL_VAR_SPREAD * float(sds.max()):
@@ -138,7 +131,7 @@ def bound_homogeneous(spec: CovSpec, part: Partition, epsilon: float,
 
     min(E max_A |X - mu|/sd, E max_B ...) * 7 eps / ((1 - rho_bar) * sd).
     """
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     sigma = _common_sd(spec)
     rbar = rho_bar(spec, part)
@@ -228,7 +221,7 @@ def corr_threshold_profile(spec: CovSpec, part: Partition, delta_grid=None,
 def bound_corr_threshold(spec: CovSpec, part: Partition, epsilon: float,
                          delta_grid=None, mc: McConfig | None = None) -> CorrThresholdBound:
     """Best threshold bound over the delta grid and both orientations."""
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     terms = corr_threshold_profile(spec, part, delta_grid, mc)
     best, best_val = None, math.inf
     for t in terms:
@@ -247,7 +240,7 @@ def bound_heterogeneous(spec: CovSpec, part: Partition, epsilon: float,
     S is the block opposite the direction that holds; when both directions
     hold the smaller of the two values is returned.
     """
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     report = check_conditions(spec, part)
     if report.has_perfect_cross_corr:
@@ -270,7 +263,7 @@ def bound_conditional(spec: CovSpec, part: Partition, epsilon: float,
     Each block's law is conditioned on the other block (Schur complement,
     centered); the sd minimum runs over all coordinates of both residuals.
     """
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     res_a, res_b = residual_cov(spec, part)
     marg = spec.variances
@@ -296,7 +289,7 @@ def bound_baseline_min_eig(spec: CovSpec, epsilon: float) -> float:
     Undefined on degenerate covariances: raises SingularCovariance instead of
     returning infinity.
     """
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     sig = explicit_cov(spec)
     lam = min_eigenvalue(sig)
     if lam <= TOL_SINGULAR * max(1.0, float(np.max(np.diag(sig)))):
@@ -308,7 +301,7 @@ def bound_baseline_min_eig(spec: CovSpec, epsilon: float) -> float:
 def bound_single_max(spec: CovSpec, epsilon: float, subset=None,
                      mc: McConfig | None = None) -> float:
     """Concentration bound for a single maximum over the subset (default all)."""
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     subset = tuple(range(spec.p)) if subset is None else tuple(int(i) for i in subset)
     (e, _), = expected_max_many(spec, [subset], mc.n_mc, mc.seed, "abs_std")
@@ -334,7 +327,7 @@ def bound_report(spec: CovSpec, part: Partition, epsilon: float,
                  mc: McConfig | None = None, delta_grid=None,
                  which=ALL_BOUNDS, overlap_k: int | None = None) -> BoundReport:
     """Evaluate the requested bounds, downgrading failures to Inapplicable."""
-    epsilon = _check_eps(epsilon)
+    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
 
     def attempt(name, fn):

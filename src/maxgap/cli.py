@@ -1,9 +1,16 @@
 """Command line front end.
 
 Subcommands: gen-design, levy, bounds-compare, scaling, bootstrap, selftest.
-Option precedence is flags > config file > built-in defaults.  Exit codes:
-0 success, 2 bad configuration, 3 every requested bound inapplicable,
-4 I/O failure.
+
+argparse resolves every option in one pass: a flag wins over the
+``--config`` file, which wins over the built-in default that ``--help``
+lists.  Config keys are the option names (``a``, ``overlap_k``, ``rho_min``,
+``p_list``, ...); keys that name no option of the subcommand are ignored and
+``null`` leaves an option unset.  Config values go through the same
+converters as flags: numbers or lists (comma-joined) for numeric options,
+strings for names and paths.  Exit codes: 0 success, 2 bad configuration
+(including a malformed flag or config value), 3 every requested bound
+inapplicable, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .cov import Partition
 from .designs import KINDS, VARIANCE_PROFILES, DesignConfig
 from .errors import BadConfig, IoError, MaxgapError, ParseError
 from .bootstrap import MULTIPLIERS, load_csv
+from .levy import DEFAULT_GRID, DEFAULT_MC
 from . import experiments
 
 EXIT_OK = 0
@@ -28,6 +36,16 @@ EXIT_INAPPLICABLE = 3
 EXIT_IO = 4
 
 _DESIGN_KEYS = tuple(DesignConfig.__dataclass_fields__)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -50,35 +68,33 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="JSON file with defaults for this command")
-    sub.add_argument("--seed", type=int, default=None, help="master seed (unsigned 64-bit)")
-    sub.add_argument("--out", default=None, help="output directory or file")
-    sub.add_argument("--threads", type=int, default=None, help="sampling threads (default 1)")
+def _add_common(sub: argparse.ArgumentParser, out: str | None = None) -> None:
+    sub.add_argument("--config", metavar="PATH", help="JSON file of option values")
+    sub.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
+    sub.add_argument("--out", default=out, help="output directory or file")
 
 
 def _add_design(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kind", choices=KINDS, default=None, help="design family")
-    sub.add_argument("--p", type=int, default=None, help="dimension (default 400)")
-    sub.add_argument("--d", type=int, default=None, help="factor rank for low-rank kinds")
-    sub.add_argument("--k", type=int, default=None, dest="overlap_k",
+    sub.add_argument("--kind", choices=KINDS, help="design family (required)")
+    sub.add_argument("--p", type=int, default=400, help="dimension")
+    sub.add_argument("--d", type=int, help="factor rank for low-rank kinds")
+    sub.add_argument("--k", type=int, dest="overlap_k",
                      help="overlap size for overlapping kinds")
-    sub.add_argument("--k0", type=int, default=None, help="size of block A for k0_split")
-    sub.add_argument("--rho", type=float, default=None, help="equicorrelation level")
-    sub.add_argument("--profile", choices=sorted(VARIANCE_PROFILES), default=None,
+    sub.add_argument("--k0", type=int, help="size of block A for k0_split")
+    sub.add_argument("--rho", type=float, help="equicorrelation level")
+    sub.add_argument("--profile", choices=sorted(VARIANCE_PROFILES),
                      dest="variance_profile", help="sd profile for heterog_violation")
 
 
-def _add_run(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--reps", type=int, default=None, help="sample replications (default 2000)")
-    sub.add_argument("--eps", type=_float_list, default=None,
+def _add_run(sub: argparse.ArgumentParser, reps: int, eps) -> None:
+    sub.add_argument("--reps", type=_positive_int, default=reps, help="sample replications")
+    sub.add_argument("--eps", type=_float_list, default=eps,
                      help="comma-separated epsilon list")
-    sub.add_argument("--grid", type=int, default=None, help="scan grid points (default 1000)")
+    sub.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID, help="scan grid points")
+    sub.add_argument("--threads", type=_positive_int, default=1, help="sampling threads")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -91,47 +107,29 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _merged(args, file_cfg: dict, key: str, default, attr: str | None = None):
-    value = getattr(args, attr or key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _config_defaults(sub: argparse.ArgumentParser, cfg: dict) -> dict:
+    """Config values of sub's options, as the text a flag would carry."""
+    defaults = {}
+    for action in sub._actions:
+        value = cfg.get(action.dest)
+        if value is None or action.dest in ("help", "config"):
+            continue
+        if isinstance(value, str) != (action.type is None):
+            expected = "a string" if action.type is None else "a number or a list"
+            raise BadConfig(f"config key {action.dest!r} must be {expected}, got {value!r}")
+        defaults[action.dest] = (",".join(map(str, value)) if isinstance(value, list)
+                                 else str(value))
+    return defaults
 
 
-def _design_from(args, file_cfg: dict) -> DesignConfig:
-    merged = {k: v for k, v in file_cfg.items() if k in _DESIGN_KEYS}
-    for key in _DESIGN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if "kind" not in merged:
+def _design_from(args) -> DesignConfig:
+    if args.kind is None:
         raise BadConfig("a design kind is required (--kind or 'kind' in --config)")
-    try:
-        return DesignConfig(**merged)
-    except TypeError as err:
-        raise BadConfig(f"bad design config: {err}") from err
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        parent = os.path.dirname(os.path.abspath(out))
-        os.makedirs(parent, exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write {out}: {err}") from err
-    print(f"wrote {out}")
+    return DesignConfig(**{key: getattr(args, key) for key in _DESIGN_KEYS})
 
 
 def cmd_gen_design(args) -> int:
-    file_cfg = _load_config(args.config)
-    cfg = _design_from(args, file_cfg)
+    cfg = _design_from(args)
     from .designs import gen_design
 
     spec, part = gen_design(cfg)
@@ -141,22 +139,16 @@ def cmd_gen_design(args) -> int:
         "spec": spec.to_json_dict(),
         "partition": part.to_json_dict(),
     }
-    _emit_json(payload, args.out)
+    experiments.write_json(args.out, payload)
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_levy(args) -> int:
-    file_cfg = _load_config(args.config)
-    cfg = _design_from(args, file_cfg)
     path, rows = experiments.run_levy_experiment(
-        cfg,
-        epsilons=_merged(args, file_cfg, "eps", list(experiments.DEFAULT_EPSILONS)),
-        n_rep=int(_merged(args, file_cfg, "reps", 2000)),
-        grid_points=int(_merged(args, file_cfg, "grid", 1000)),
-        seed=_merged(args, file_cfg, "seed", None),
-        out_dir=_merged(args, file_cfg, "out", "."),
-        n_threads=int(_merged(args, file_cfg, "threads", 1)),
-    )
+        _design_from(args), epsilons=args.eps, n_rep=args.reps, grid_points=args.grid,
+        seed=args.seed, out_dir=args.out, n_threads=args.threads)
     for row in rows:
         print(f"eps={row['epsilon']:g} levy_hat={row['levy_hat']:.6f} se={row['se']:.6f}")
     print(f"wrote {path}")
@@ -186,24 +178,10 @@ def _all_inapplicable(reports, which) -> bool:
 
 
 def cmd_bounds_compare(args) -> int:
-    file_cfg = _load_config(args.config)
-    cfg = _design_from(args, file_cfg)
-    which = tuple(_merged(args, file_cfg, "bounds", list(ALL_BOUNDS)))
-    unknown = [n for n in which if n not in ALL_BOUNDS]
-    if unknown:
-        raise BadConfig(f"unknown bounds {unknown}; choose from {ALL_BOUNDS}")
-    n_mc = _merged(args, file_cfg, "mc", None)
     path, rows, reports = experiments.run_bounds_compare(
-        cfg,
-        epsilons=_merged(args, file_cfg, "eps", [0.05]),
-        n_rep=int(_merged(args, file_cfg, "reps", 2000)),
-        n_mc=None if n_mc is None else int(n_mc),
-        grid_points=int(_merged(args, file_cfg, "grid", 1000)),
-        seed=_merged(args, file_cfg, "seed", None),
-        out_dir=_merged(args, file_cfg, "out", "."),
-        which=which,
-        n_threads=int(_merged(args, file_cfg, "threads", 1)),
-    )
+        _design_from(args), epsilons=args.eps, n_rep=args.reps, n_mc=args.mc,
+        grid_points=args.grid, seed=args.seed, out_dir=args.out, which=args.bounds,
+        n_threads=args.threads)
     for row in rows:
         ratios = {c: row[c] for c in experiments.COMPARE_COLUMNS
                   if c.startswith("ratio_") and row[c] is not None}
@@ -212,7 +190,7 @@ def cmd_bounds_compare(args) -> int:
         if row["inapplicable"]:
             print(f"  inapplicable: {row['inapplicable']}")
     print(f"wrote {path}")
-    if _all_inapplicable(reports, which):
+    if _all_inapplicable(reports, args.bounds):
         print("error: every requested bound is inapplicable for this design",
               file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -220,75 +198,42 @@ def cmd_bounds_compare(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    file_cfg = _load_config(args.config)
-    study = _merged(args, file_cfg, "study", None)
-    if study is None:
+    if args.study is None:
         raise BadConfig("a study kind is required (--study or 'study' in --config)")
-    eps = _merged(args, file_cfg, "eps", [0.05])
-    if len(eps) != 1:
-        raise BadConfig(f"scaling takes a single epsilon, got {eps}")
-    kwargs = dict(
-        out_dir=_merged(args, file_cfg, "out", "."),
-        seed=int(_merged(args, file_cfg, "seed", 0) or 0),
-        n_rep=int(_merged(args, file_cfg, "reps", 500)),
-        epsilon=float(eps[0]),
-        grid_points=int(_merged(args, file_cfg, "grid", 1000)),
-        n_threads=int(_merged(args, file_cfg, "threads", 1)),
-        n_points=int(_merged(args, file_cfg, "points", 100, attr="points")),
-        rho_min=float(_merged(args, file_cfg, "rho_min", 0.9)),
-        rho_max=float(_merged(args, file_cfg, "rho_max", 0.99)),
-        k0=int(_merged(args, file_cfg, "k0", 20)),
-        p_list=tuple(_merged(args, file_cfg, "p_list", list(experiments.K0_SWEEP_P))),
-    )
-    p = _merged(args, file_cfg, "p", None)
-    if p is not None:
-        kwargs["p"] = int(p)
-    elif study != "k0_sweep":
-        kwargs["p"] = 100
-    d = _merged(args, file_cfg, "d", None)
-    if d is not None:
-        kwargs["d"] = int(d)
-    path, rows = experiments.run_scaling_study(study, **kwargs)
+    if len(args.eps) != 1:
+        raise BadConfig(f"scaling takes a single epsilon, got {args.eps}")
+    path, rows = experiments.run_scaling_study(
+        args.study, out_dir=args.out, seed=args.seed, p=args.p, d=args.d,
+        n_points=args.points, rho_min=args.rho_min, rho_max=args.rho_max,
+        n_rep=args.reps, epsilon=args.eps[0], grid_points=args.grid, k0=args.k0,
+        p_list=args.p_list, n_threads=args.threads)
     print(f"{len(rows)} rows; wrote {path}")
     return EXIT_OK
 
 
 def cmd_bootstrap(args) -> int:
-    file_cfg = _load_config(args.config)
-    data_path = _merged(args, file_cfg, "data", None)
-    if data_path is None:
+    if args.data is None:
         raise BadConfig("a data CSV is required (--data or 'data' in --config)")
-    shift = _merged(args, file_cfg, "shift", None)
-    data = load_csv(data_path, shift=shift)
-    a_list = _merged(args, file_cfg, "a", None, attr="a_indices")
-    split = _merged(args, file_cfg, "split", None)
-    if a_list is not None:
-        a_set = tuple(sorted(int(i) for i in a_list))
+    data = load_csv(args.data, shift=args.shift)
+    if args.a is not None:
+        a_set = tuple(sorted(args.a))
         b_set = tuple(i for i in range(data.p) if i not in set(a_set))
         part = Partition(a_set=a_set, b_set=b_set, p=data.p)
-    elif split is not None:
-        part = Partition.split(data.p, int(split))
     else:
-        part = Partition.split(data.p, data.p // 2)
+        part = Partition.split(data.p, data.p // 2 if args.split is None else args.split)
     payload = experiments.run_bootstrap_demo(
-        data, part,
-        b_reps=int(_merged(args, file_cfg, "breps", 2000)),
-        seed=int(_merged(args, file_cfg, "seed", 0) or 0),
-        multiplier=_merged(args, file_cfg, "multiplier", "gaussian"),
-        out_path=args.out if args.out else None,
-    )
+        data, part, b_reps=args.breps, seed=args.seed, multiplier=args.multiplier,
+        out_path=args.out or None)
     if args.out:
         print(f"wrote {args.out}")
         print(f"prob_argmax_in_A={payload['bootstrap']['prob']:.4f}")
     else:
-        _emit_json(payload, None)
+        experiments.write_json(None, payload)
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    seed = int(args.seed) if args.seed is not None else 0
-    threads = int(args.threads) if args.threads is not None else 8
-    reps = int(args.reps) if args.reps is not None else 20000
+    seed, threads, reps = args.seed, args.threads, args.reps
     rho, sd, eps_check = 0.3, 1.0, 0.05
     cfg = DesignConfig(kind="fullrank_equicorr", p=2, rho=rho, seed=seed)
     epsilons = (0.01, eps_check, 0.2)
@@ -315,80 +260,93 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="maxgap",
         description="Concentration experiments for the difference of two Gaussian maxima.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    subs = {}
 
-    sp = subs.add_parser("gen-design", help="materialize a design as JSON")
+    def add(name: str, func, help: str) -> argparse.ArgumentParser:
+        sp = commands.add_parser(name, help=help,
+                                 formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp.set_defaults(func=func)
+        subs[name] = sp
+        return sp
+
+    sp = add("gen-design", cmd_gen_design, "materialize a design as JSON")
     _add_common(sp)
     _add_design(sp)
-    sp.set_defaults(func=cmd_gen_design)
 
-    sp = subs.add_parser("levy", help="concentration level across epsilons")
-    _add_common(sp)
+    sp = add("levy", cmd_levy, "concentration level across epsilons")
+    _add_common(sp, out=".")
     _add_design(sp)
-    _add_run(sp)
-    sp.set_defaults(func=cmd_levy)
+    _add_run(sp, reps=2000, eps=experiments.DEFAULT_EPSILONS)
 
-    sp = subs.add_parser("bounds-compare", help="empirical level against the bounds")
-    _add_common(sp)
+    sp = add("bounds-compare", cmd_bounds_compare, "empirical level against the bounds")
+    _add_common(sp, out=".")
     _add_design(sp)
-    _add_run(sp)
-    sp.add_argument("--bounds", type=_bounds_arg, default=None, dest="bounds",
+    _add_run(sp, reps=2000, eps=(0.05,))
+    sp.add_argument("--bounds", type=_bounds_arg, default=ALL_BOUNDS,
                     help="comma-separated subset of bounds to evaluate")
-    sp.add_argument("--mc", type=int, default=None,
+    sp.add_argument("--mc", type=_positive_int, default=DEFAULT_MC,
                     help="Monte Carlo size for expected maxima")
-    sp.set_defaults(func=cmd_bounds_compare)
 
-    sp = subs.add_parser("scaling", help="scaling studies over rho or block size")
-    _add_common(sp)
-    _add_run(sp)
-    sp.add_argument("--study", choices=experiments.SCALING_KINDS, default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--points", type=int, default=None, help="sweep points (default 100)")
-    sp.add_argument("--rho-min", type=float, default=None, dest="rho_min")
-    sp.add_argument("--rho-max", type=float, default=None, dest="rho_max")
-    sp.add_argument("--k0", type=int, default=None)
-    sp.add_argument("--p-list", type=_int_list, default=None, dest="p_list",
+    sp = add("scaling", cmd_scaling, "scaling studies over rho or block size")
+    _add_common(sp, out=".")
+    _add_run(sp, reps=500, eps=(0.05,))
+    sp.add_argument("--study", choices=experiments.SCALING_KINDS, help="study kind (required)")
+    sp.add_argument("--p", type=int, default=100, help="dimension of the rho sweeps")
+    sp.add_argument("--d", type=int, help="factor rank for rho_sweep_lowrank")
+    sp.add_argument("--points", type=_positive_int, default=100, help="sweep points")
+    sp.add_argument("--rho-min", type=float, default=0.9, dest="rho_min",
+                    help="first rho of rho_sweep_fullrank")
+    sp.add_argument("--rho-max", type=float, default=0.99, dest="rho_max",
+                    help="last rho of rho_sweep_fullrank")
+    sp.add_argument("--k0", type=int, default=20, help="size of block A for k0_sweep")
+    sp.add_argument("--p-list", type=_int_list, default=experiments.K0_SWEEP_P, dest="p_list",
                     help="dimensions for k0_sweep")
-    sp.set_defaults(func=cmd_scaling)
 
-    sp = subs.add_parser("bootstrap", help="multiplier bootstrap on an observed matrix")
+    sp = add("bootstrap", cmd_bootstrap, "multiplier bootstrap on an observed matrix")
     _add_common(sp)
-    sp.add_argument("--data", default=None, help="CSV of observations, one row per unit")
-    sp.add_argument("--split", type=int, default=None,
-                    help="block A is the first SPLIT coordinates")
-    sp.add_argument("--a", type=_int_list, default=None, dest="a_indices",
-                    help="explicit comma-separated indices of block A")
-    sp.add_argument("--breps", type=int, default=None, help="bootstrap draws (default 2000)")
-    sp.add_argument("--multiplier", choices=MULTIPLIERS, default=None)
-    sp.add_argument("--shift", type=_float_list, default=None,
+    sp.add_argument("--data", help="CSV of observations, one row per unit (required)")
+    sp.add_argument("--split", type=int,
+                    help="block A is the first SPLIT coordinates (half when unset)")
+    sp.add_argument("--a", type=_int_list, help="explicit comma-separated indices of block A")
+    sp.add_argument("--breps", type=_positive_int, default=2000, help="bootstrap draws")
+    sp.add_argument("--multiplier", choices=MULTIPLIERS, default="gaussian",
+                    help="multiplier weight law")
+    sp.add_argument("--shift", type=_float_list,
                     help="comma-separated location shift, one value per column")
-    sp.set_defaults(func=cmd_bootstrap)
 
-    sp = subs.add_parser("selftest", help="determinism and analytic sanity checks")
+    sp = add("selftest", cmd_selftest, "determinism and analytic sanity checks")
     _add_common(sp)
-    sp.add_argument("--reps", type=int, default=None)
-    sp.set_defaults(func=cmd_selftest)
+    sp.add_argument("--reps", type=_positive_int, default=20000, help="sample replications")
+    sp.add_argument("--threads", type=_positive_int, default=8,
+                    help="threads compared against one")
 
-    return parser
+    return parser, subs
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Resolve every option: flags, then the --config file, then the defaults."""
+    parser, subs = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        sub = subs[args.command]
+        sub.set_defaults(**_config_defaults(sub, _load_config(args.config)))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        return args.func(args)
-    except (ParseError, IoError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as err:
+    except (ParseError, IoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except MaxgapError as err:

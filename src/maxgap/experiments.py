@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -54,7 +55,7 @@ class RunManifest:
     created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def write(self, path: str) -> None:
-        payload = {
+        write_json(path, {
             "command": self.command,
             "seed": self.seed,
             "config": self.config,
@@ -62,10 +63,21 @@ class RunManifest:
             "n_rows": self.n_rows,
             "outputs": list(self.outputs),
             "created": self.created,
-        }
+        })
+
+
+def write_json(path: str | None, payload: dict) -> None:
+    """Indented, key-sorted JSON with a trailing newline; None writes to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
+    except OSError as err:
+        raise IoError(f"cannot write {path}: {err}") from err
 
 
 def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict) -> str:
@@ -120,15 +132,6 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
               config=cfg.to_json_dict())
     return path, rows
 
-
-_RATIO_COLS = {
-    "homogeneous": "ratio_homogeneous",
-    "corr_threshold": "ratio_corr_threshold",
-    "heterogeneous": "ratio_heterogeneous",
-    "conditional": "ratio_conditional",
-    "baseline": "ratio_baseline",
-    "single_max": "ratio_single_max",
-}
 
 COMPARE_COLUMNS = ("design_id", "p", "epsilon", "levy_hat", "se", "ratio_empirical",
                    "ratio_homogeneous", "ratio_corr_threshold", "ratio_heterogeneous",
@@ -286,13 +289,7 @@ def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,
                "bootstrap": result.to_json_dict()}
     payload.update(_clt_diagnostic(data, part, seed, n_mc))
     if out_path is not None:
-        try:
-            os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-            with open(out_path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as err:
-            raise IoError(f"cannot write {out_path}: {err}") from err
+        write_json(out_path, payload)
     return payload
 
 

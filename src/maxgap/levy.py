@@ -16,6 +16,7 @@ estimates under a common seed exactly monotone in the subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,43 +62,42 @@ def _as_values(x) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(-1)
 
 
-def _scan(values: np.ndarray, epsilon: float, grid_points: int) -> tuple[float, float, int]:
-    """Best count over the center grid; returns (value, argmax_t, n)."""
-    n = values.shape[0]
-    v = np.sort(values)
-    grid = np.linspace(v[0], v[-1], grid_points)
-    counts = (np.searchsorted(v, grid + epsilon, side="right")
-              - np.searchsorted(v, grid - epsilon, side="left"))
-    k = int(np.argmax(counts))
-    return counts[k] / n, float(grid[k]), n
+def check_epsilon(epsilon) -> float:
+    """A half-width as a float; it must be finite and strictly positive."""
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise BadConfig(f"epsilon must be finite and positive, got {epsilon}")
+    return epsilon
 
 
-def _scan_exact(values: np.ndarray, epsilon: float) -> tuple[float, float, int]:
-    """Exact supremum: the optimal window can start at a data point."""
-    n = values.shape[0]
-    v = np.sort(values)
-    counts = np.searchsorted(v, v + 2.0 * epsilon, side="right") - np.arange(n)
-    k = int(np.argmax(counts))
-    return counts[k] / n, float(v[k] + epsilon), n
+def _sorted_sample(values) -> np.ndarray:
+    values = _as_values(values)
+    if values.shape[0] == 0:
+        raise EmptySample("cannot estimate concentration of an empty sample")
+    return np.sort(values)
+
+
+def _estimate(epsilon: float, value, argmax_t: float, grid_points: int, n: int) -> LevyEstimate:
+    return LevyEstimate(epsilon=epsilon, value=float(value), argmax_t=argmax_t,
+                        grid_points=grid_points, n_rep=n,
+                        se_hint=float(np.sqrt(value * (1.0 - value) / n)))
 
 
 def levy_hat_single(values, epsilon: float, grid_points: int = DEFAULT_GRID,
                     exact: bool = False) -> LevyEstimate:
-    """Concentration estimate for a raw sample vector."""
-    values = _as_values(values)
-    if values.shape[0] == 0:
-        raise EmptySample("cannot estimate concentration of an empty sample")
-    if not epsilon > 0.0:
-        raise BadConfig(f"epsilon must be positive, got {epsilon}")
-    if grid_points < 1:
-        raise BadConfig(f"grid_points must be positive, got {grid_points}")
-    if exact:
-        value, t, n = _scan_exact(values, epsilon)
-    else:
-        value, t, n = _scan(values, epsilon, grid_points)
-    se = float(np.sqrt(value * (1.0 - value) / n))
-    return LevyEstimate(epsilon=float(epsilon), value=float(value), argmax_t=t,
-                        grid_points=grid_points, n_rep=n, se_hint=se)
+    """Concentration estimate for a raw sample vector.
+
+    With ``exact`` the supremum is exact: the optimal window can start at a
+    data point.
+    """
+    if not exact:
+        return levy_curve(values, [epsilon], grid_points)[0]
+    v = _sorted_sample(values)
+    epsilon = check_epsilon(epsilon)
+    n = v.shape[0]
+    counts = np.searchsorted(v, v + 2.0 * epsilon, side="right") - np.arange(n)
+    k = int(np.argmax(counts))
+    return _estimate(epsilon, counts[k] / n, float(v[k] + epsilon), grid_points, n)
 
 
 def levy_hat(diffs: DiffSample, epsilon: float, grid_points: int = DEFAULT_GRID,
@@ -111,28 +111,22 @@ def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEst
 
     Sharing the grid makes the curve nondecreasing in eps by construction.
     """
-    values = _as_values(diffs)
-    if values.shape[0] == 0:
-        raise EmptySample("cannot estimate concentration of an empty sample")
-    eps = [float(e) for e in epsilons]
+    v = _sorted_sample(diffs)
+    eps = [check_epsilon(e) for e in epsilons]
     if not eps:
         raise BadConfig("need at least one epsilon")
-    if any(e <= 0.0 for e in eps):
-        raise BadConfig("epsilons must be strictly positive")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise BadConfig("epsilons must be sorted ascending")
-    n = values.shape[0]
-    v = np.sort(values)
+    if grid_points < 1:
+        raise BadConfig(f"grid_points must be positive, got {grid_points}")
+    n = v.shape[0]
     grid = np.linspace(v[0], v[-1], grid_points)
     out = []
     for e in eps:
         counts = (np.searchsorted(v, grid + e, side="right")
                   - np.searchsorted(v, grid - e, side="left"))
         k = int(np.argmax(counts))
-        value = counts[k] / n
-        out.append(LevyEstimate(epsilon=e, value=float(value), argmax_t=float(grid[k]),
-                                grid_points=grid_points, n_rep=n,
-                                se_hint=float(np.sqrt(value * (1.0 - value) / n))))
+        out.append(_estimate(e, counts[k] / n, float(grid[k]), grid_points, n))
     return out
 
 

@@ -81,6 +81,8 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     """
     if n_rep < 1:
         raise BadConfig(f"n_rep must be positive, got {n_rep}")
+    if n_threads < 1:
+        raise BadConfig(f"n_threads must be positive, got {n_threads}")
     seed = _check_seed(seed)
     ell = sampling_factor(spec)
     p, r = ell.shape
@@ -97,7 +99,7 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
         data[lo:hi] += mu
 
     if n_threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(n_threads, n_chunks)) as pool:
             list(pool.map(fill, range(n_chunks)))
     else:
         for k in range(n_chunks):

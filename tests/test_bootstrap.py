@@ -10,7 +10,8 @@ from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
                     SmallSampleWarning, argmax_prob, clt_rate, from_batch,
                     load_csv, multiplier_replicates, observed_process,
                     run_bootstrap, sample)
-from maxgap.bootstrap import BETA_MEAN, BETA_VAR, result_to_json
+from maxgap.bootstrap import BETA_MEAN, BETA_VAR
+from maxgap.experiments import write_json
 from maxgap.sampling import chunk_rng
 
 
@@ -133,7 +134,7 @@ class TestArgmaxProb:
         assert d["multiplier"] == "beta"
         assert set(d["quantiles"]) == {"0.05", "0.25", "0.5", "0.75", "0.95"}
         path = str(tmp_path / "res.json")
-        result_to_json(res, path)
+        write_json(path, res.to_json_dict())
         assert json.load(open(path)) == d
 
 

@@ -119,6 +119,16 @@ class TestApplicabilityErrors:
         with pytest.raises(BadConfig):
             bound_baseline_min_eig(spec, -0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_epsilon_rejected(self, eps):
+        spec, part = iid_pair()
+        with pytest.raises(BadConfig):
+            bound_baseline_min_eig(spec, eps)
+        with pytest.raises(BadConfig):
+            bound_corr_threshold(spec, part, eps, mc=MC)
+        with pytest.raises(BadConfig):
+            bound_report(spec, part, eps, mc=MC)
+
     def test_delta_grid_validation(self):
         spec, part = iid_pair()
         for bad in ([], [0.0], [1.0], [0.5, 1.2]):

@@ -1,12 +1,16 @@
 import json
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxgap import SmallSampleWarning
 from maxgap.cli import (EXIT_CONFIG, EXIT_INAPPLICABLE, EXIT_IO, EXIT_OK,
-                        main)
+                        cmd_gen_design, main, parse_args)
 
 
 def run(capsys, *argv):
@@ -228,3 +232,110 @@ class TestParser:
     def test_bad_eps_list(self, capsys):
         assert run(capsys, "levy", "--kind", "fullrank_equicorr", "--p", "4",
                    "--rho", "0.3", "--eps", "a,b")[0] == 2
+
+
+DESIGN = {"kind": "fullrank_equicorr", "p": 4, "rho": 0.3}
+
+
+def write_config(tmp_path, obj, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def one_error_line(err: str) -> bool:
+    return "Traceback" not in err and sum("error:" in line for line in err.splitlines()) == 1
+
+
+class TestConfigResolution:
+    @pytest.mark.parametrize("command,bad", [
+        ("levy", {"reps": "abc"}),
+        ("levy", {"grid": "x"}),
+        ("levy", {"eps": "0.05"}),
+        ("levy", {"eps": [0.05, "x"]}),
+        ("levy", {"p": "6"}),
+        ("scaling", {"p": "6"}),
+        ("levy", {"reps": 2.5}),
+        ("levy", {"reps": True}),
+        ("levy", {"threads": 0}),
+        ("levy", {"kind": 3}),
+        ("bootstrap", {"data": ["x.csv"]}),
+    ])
+    def test_bad_value_exits_2(self, capsys, tmp_path, command, bad):
+        base = {"study": "k0_sweep"} if command == "scaling" else dict(DESIGN)
+        cfg = write_config(tmp_path, {**base, **bad})
+        code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err)
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_null_leaves_default(self, tmp_path):
+        cfg = write_config(tmp_path, {**DESIGN, "p": None, "reps": None})
+        args = parse_args(["levy", "--config", cfg])
+        assert args.p == 400 and args.reps == 2000
+
+    def test_option_names_are_keys(self, tmp_path):
+        cfg = write_config(tmp_path, {"a": [3, 1], "rho_min": 0.5, "p_list": [5, 6],
+                                      "overlap_k": 2})
+        assert parse_args(["bootstrap", "--config", cfg]).a == [3, 1]
+        scaling = parse_args(["scaling", "--config", cfg])
+        assert scaling.rho_min == 0.5 and scaling.p_list == [5, 6]
+        assert parse_args(["levy", "--config", cfg]).overlap_k == 2
+
+    def test_config_cannot_pick_handler(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {**DESIGN, "func": "cmd_selftest",
+                                      "command": "selftest", "config": "other.json"})
+        args = parse_args(["gen-design", "--config", cfg])
+        assert args.func is cmd_gen_design and args.command == "gen-design"
+        code, out, _ = run(capsys, "gen-design", "--config", cfg)
+        assert code == EXIT_OK
+        assert json.loads(out)["design_id"] == "fullrank_equicorr-p4-rho0.3-s0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(reps=st.integers(1, 10 ** 9), grid=st.integers(1, 10 ** 6),
+           eps=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_config_parses_like_flags(self, reps, grid, eps, seed):
+        flags = ["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3",
+                 "--reps", str(reps), "--grid", str(grid),
+                 "--eps", ",".join(map(repr, eps)), "--seed", str(seed)]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(pathlib.Path(tmp), {**DESIGN, "reps": reps, "grid": grid,
+                                                   "eps": eps, "seed": seed})
+            from_config = vars(parse_args(["levy", "--config", cfg]))
+        from_flags = vars(parse_args(flags))
+        from_config.pop("config")
+        from_flags.pop("config")
+        assert from_config == from_flags
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0.0"])
+    @pytest.mark.parametrize("command", ["levy", "bounds-compare"])
+    def test_non_finite_eps(self, capsys, tmp_path, command, eps):
+        code, _, err = run(capsys, command, "--kind", "fullrank_equicorr", "--p", "4",
+                           "--rho", "0.3", "--reps", "100", f"--eps={eps}",
+                           "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "epsilon" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "x"])
+    @pytest.mark.parametrize("command,flag", [
+        ("levy", "--threads"), ("levy", "--reps"), ("levy", "--grid"),
+        ("bounds-compare", "--mc"), ("scaling", "--points"), ("bootstrap", "--breps"),
+        ("selftest", "--threads"),
+    ])
+    def test_counts_must_be_positive(self, capsys, command, flag, value):
+        code, _, err = run(capsys, command, flag, value)
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "positive integer" in err
+
+    def test_large_thread_count_parses(self):
+        # Parsing only: the sampler clamps the pool to the chunk count.
+        args = parse_args(["levy", "--kind", "fullrank_equicorr", "--threads", "1000000000"])
+        assert args.threads == 10 ** 9
+
+    @pytest.mark.parametrize("command", ["bootstrap", "gen-design"])
+    def test_no_threads_option(self, capsys, command):
+        assert run(capsys, command, "--threads", "2")[0] == EXIT_CONFIG

@@ -134,6 +134,16 @@ class TestScanInvariants:
         with pytest.raises(EmptySample):
             levy_curve(np.array([]), [0.1])
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_epsilon_rejected(self, eps):
+        values = np.random.default_rng(16).standard_normal(50)
+        with pytest.raises(BadConfig):
+            levy_hat_single(values, eps)
+        with pytest.raises(BadConfig):
+            levy_hat_single(values, eps, exact=True)
+        with pytest.raises(BadConfig):
+            levy_curve(values, [0.1, eps])
+
 
 class TestDensityCurve:
     def test_standard_normal_peak(self):

@@ -5,6 +5,7 @@ import pytest
 
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition,
                     argmax_indicator, dump_batch, load_batch, max_diff, sample)
+from maxgap import sampling
 from maxgap.sampling import (CHUNK, SampleBatch, chunk_rng, emax_chunk_rows,
                              stream_std_normal)
 
@@ -51,6 +52,28 @@ class TestSampleDeterminism:
         spec = CovSpec.explicit(np.eye(2))
         with pytest.raises(BadConfig):
             sample(spec, 0, seed=1)
+
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    def test_bad_thread_count(self, n_threads):
+        spec = CovSpec.explicit(np.eye(2))
+        with pytest.raises(BadConfig):
+            sample(spec, 10, seed=1, n_threads=n_threads)
+
+    def test_pool_clamped_to_chunk_count(self, monkeypatch):
+        # A huge request must open no more workers than there are chunks;
+        # the recording stand-in checks the size before any thread starts.
+        sizes = []
+        real_pool = sampling.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording_pool)
+        spec = CovSpec.explicit(np.eye(2))
+        many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
+        assert sizes == [3]
+        assert np.array_equal(many.data, sample(spec, 2 * CHUNK + 1, seed=5).data)
 
 
 class TestSampleMoments:
