@@ -19,13 +19,12 @@ from .sampling import (DiffSample, SampleBatch, argmax_indicator, dump_batch,
                        load_batch, max_diff, sample)
 from .levy import (DensityCurve, ExpectedMax, LevyEstimate, density_curve,
                    expected_max_abs, expected_max_many, expected_max_signed,
-                   levy_curve, levy_hat, levy_hat_single)
-from .bounds import (ALL_BOUNDS, BoundReport, CorrThresholdBound,
-                     ExchangeableLower, Inapplicable, McConfig,
-                     bound_baseline_min_eig, bound_conditional,
-                     bound_corr_threshold, bound_heterogeneous,
-                     bound_homogeneous, bound_report, bound_single_max,
-                     corr_threshold_profile, lower_bound_exchangeable)
+                   levy_curve, levy_hat)
+from .bounds import (ALL_BOUNDS, BoundReport, DeltaTerm, ExchangeableLower,
+                     Inapplicable, McConfig, bound_baseline_min_eig,
+                     bound_conditional, bound_corr_threshold,
+                     bound_heterogeneous, bound_homogeneous, bound_report,
+                     bound_single_max, lower_bound_exchangeable)
 from .bootstrap import (BootstrapResult, CltRateInputs, DataMatrix,
                         argmax_prob, clt_rate, from_batch, load_csv,
                         multiplier_replicates, observed_process, run_bootstrap)
@@ -37,8 +36,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_BOUNDS", "BadConfig", "BadGeometry", "BootstrapResult", "BoundReport",
-    "CltRateInputs", "ConditionFails", "ConditionReport", "CorrThresholdBound",
-    "CovSpec", "DataMatrix", "DegenerateSample", "DensityCurve", "DesignConfig",
+    "CltRateInputs", "ConditionFails", "ConditionReport", "CovSpec",
+    "DataMatrix", "DegenerateSample", "DeltaTerm", "DensityCurve", "DesignConfig",
     "DiffSample", "DimensionMismatch", "EmptySample", "EmptySubset",
     "ExchangeableLower", "ExpectedMax", "HeterogeneousVariances", "Inapplicable",
     "IoError", "KINDS", "LevyEstimate", "MaxgapError", "McConfig",
@@ -48,13 +47,12 @@ __all__ = [
     "ZeroResidualVariance", "ZeroVariance", "argmax_indicator", "argmax_prob",
     "bound_baseline_min_eig", "bound_conditional", "bound_corr_threshold",
     "bound_heterogeneous", "bound_homogeneous", "bound_report",
-    "bound_single_max", "check_conditions", "clt_rate", "corr_threshold_profile",
-    "density_curve", "dump_batch", "expected_max_abs", "expected_max_many",
-    "expected_max_signed", "explicit_cov", "from_batch", "gen_design",
-    "levy_curve", "levy_hat", "levy_hat_single", "levy_sweep", "load_batch",
-    "load_csv", "lower_bound_exchangeable", "max_diff", "min_eigenvalue",
-    "multiplier_replicates", "observed_process", "residual_cov", "rho_bar",
-    "run_bootstrap", "run_bootstrap_demo", "run_bounds_compare",
-    "run_levy_experiment", "run_scaling_study", "sample", "sqrt_factor",
-    "violation_stats",
+    "bound_single_max", "check_conditions", "clt_rate", "density_curve",
+    "dump_batch", "expected_max_abs", "expected_max_many", "expected_max_signed",
+    "explicit_cov", "from_batch", "gen_design", "levy_curve", "levy_hat",
+    "levy_sweep", "load_batch", "load_csv", "lower_bound_exchangeable",
+    "max_diff", "min_eigenvalue", "multiplier_replicates", "observed_process",
+    "residual_cov", "rho_bar", "run_bootstrap", "run_bootstrap_demo",
+    "run_bounds_compare", "run_levy_experiment", "run_scaling_study", "sample",
+    "sqrt_factor", "violation_stats",
 ]

@@ -1,8 +1,11 @@
 """Anti-concentration bounds for the difference of two Gaussian block maxima.
 
-Every bound here is exactly linear in the half-width eps: implementations
-compute a rate and multiply by eps last, so doubling eps doubles the value
-bit for bit.  Expected-max terms are Monte Carlo estimates streamed under a
+Every bound here is eps times a factor free of eps, so each bound function
+returns that factor, its rate per unit eps, and never sees eps at all.  The
+correlation threshold bound alone adds a constant 2 * omega per threshold;
+it returns its whole profile of (rate, omega) terms.  ``BoundReport.ratio``
+applies a half-width afterwards, which makes a pure-rate ratio the same float
+at every eps.  Expected-max terms are Monte Carlo estimates streamed under a
 shared seed (common random numbers), which makes the documented algebraic
 relations between bounds exact rather than approximate.
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import (CovSpec, Partition, check_conditions, explicit_cov,
+from .cov import (CovSpec, Partition, check_conditions, cross_corr, explicit_cov,
                   min_eigenvalue, residual_cov, rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
@@ -60,16 +63,6 @@ class DeltaTerm:
 
 
 @dataclass(frozen=True)
-class CorrThresholdBound:
-    value: float
-    best_delta: float
-    omega_delta: float
-    d_delta: float
-    orientation: str
-    profile: tuple[DeltaTerm, ...]
-
-
-@dataclass(frozen=True)
 class ExchangeableLower:
     """Lower bound k/p plus the additive constant 4k/(p+k) of the upper bound."""
 
@@ -79,42 +72,35 @@ class ExchangeableLower:
 
 @dataclass(frozen=True)
 class BoundReport:
-    epsilon: float
+    """One entry per ``ALL_BOUNDS`` name: a rate, ``Inapplicable``, or None.
+
+    None marks a bound that was not requested.  ``corr_threshold`` holds its
+    tuple of ``DeltaTerm``; ``single_max`` the smaller applicable rate of the
+    two blocks, or block A's ``Inapplicable`` when neither applies.
+    """
+
     homogeneous: float | Inapplicable | None
-    corr_threshold: CorrThresholdBound | Inapplicable | None
+    corr_threshold: tuple[DeltaTerm, ...] | Inapplicable | None
     heterogeneous: float | Inapplicable | None
     conditional: float | Inapplicable | None
-    baseline_min_eig: float | Inapplicable | None
-    single_max_a: float | Inapplicable | None
-    single_max_b: float | Inapplicable | None
+    baseline: float | Inapplicable | None
+    single_max: float | Inapplicable | None
     lower_exchangeable: ExchangeableLower | None
     mc_meta: dict
 
-    def to_json_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            if isinstance(v, Inapplicable):
-                return {"inapplicable": v.reason}
-            if isinstance(v, CorrThresholdBound):
-                return {"value": v.value, "best_delta": v.best_delta,
-                        "omega_delta": v.omega_delta, "d_delta": v.d_delta}
-            if isinstance(v, ExchangeableLower):
-                return {"value": v.value, "residual": v.residual}
-            return v
+    def ratio(self, name: str, eps: float) -> float | Inapplicable | None:
+        """Bound ``name`` at half-width eps divided by eps.
 
-        return {
-            "epsilon": self.epsilon,
-            "homogeneous": enc(self.homogeneous),
-            "corr_threshold": enc(self.corr_threshold),
-            "heterogeneous": enc(self.heterogeneous),
-            "conditional": enc(self.conditional),
-            "baseline_min_eig": enc(self.baseline_min_eig),
-            "single_max_a": enc(self.single_max_a),
-            "single_max_b": enc(self.single_max_b),
-            "lower_exchangeable": enc(self.lower_exchangeable),
-            "mc_meta": dict(self.mc_meta),
-        }
+        The rate itself for every bound but ``corr_threshold``, whose omega
+        terms add 2 * omega / eps before the minimum over thresholds.
+        """
+        eps = check_epsilon(eps)
+        if name not in ALL_BOUNDS:
+            raise BadConfig(f"unknown bound {name!r}; expected one of {ALL_BOUNDS}")
+        value = getattr(self, name)
+        if not isinstance(value, tuple):
+            return value
+        return min(t.rate + 2.0 * t.omega / eps for t in value)
 
 
 def _common_sd(spec: CovSpec) -> float:
@@ -125,13 +111,11 @@ def _common_sd(spec: CovSpec) -> float:
     return float(sds[0])
 
 
-def bound_homogeneous(spec: CovSpec, part: Partition, epsilon: float,
-                      mc: McConfig | None = None) -> float:
-    """Equal-variance bound from the largest cross correlation.
+def bound_homogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
+    """Equal-variance rate from the largest cross correlation.
 
-    min(E max_A |X - mu|/sd, E max_B ...) * 7 eps / ((1 - rho_bar) * sd).
+    min(E max_A |X - mu|/sd, E max_B ...) * 7 / ((1 - rho_bar) * sd).
     """
-    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     sigma = _common_sd(spec)
     rbar = rho_bar(spec, part)
@@ -139,40 +123,35 @@ def bound_homogeneous(spec: CovSpec, part: Partition, epsilon: float,
         raise PerfectCrossCorrelation(f"largest cross correlation {rbar} too close to 1")
     (e_a, _), (e_b, _) = expected_max_many(
         spec, [part.a_set, part.b_set], mc.n_mc, mc.seed, "abs_std")
-    return min(e_a, e_b) * epsilon / ((1.0 - rbar) * sigma) * 7.0
-
-
-def _cross_corr(spec: CovSpec) -> np.ndarray:
-    sig = explicit_cov(spec)
-    sd = np.sqrt(np.diag(sig))
-    return sig / np.outer(sd, sd)
+    return min(e_a, e_b) / ((1.0 - rbar) * sigma) * 7.0
 
 
 def default_delta_grid(n: int = 50) -> np.ndarray:
     return np.geomspace(1e-3, 1.0 - 1e-3, n)
 
 
-def corr_threshold_profile(spec: CovSpec, part: Partition, delta_grid=None,
-                           mc: McConfig | None = None) -> list[DeltaTerm]:
+def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
+                         mc: McConfig | None = None) -> tuple[DeltaTerm, ...]:
     """Admissible threshold terms for both orientations of the partition.
 
     For orientation "AB", N(delta) collects the coordinates of A whose best
     correlation into B reaches 1 - delta (exact comparison); a threshold is
-    admissible while N(delta) is not all of A.  The term's first part decays
-    like 1/delta, the second is the crossover penalty 2 * omega with
+    admissible while N(delta) is not all of A.  The term's rate decays like
+    1/delta; its crossover penalty is 2 * omega with
     omega = exp(-(positive part of D)^2 / (8 sd^2)) and D the gap between the
-    expected plain maxima over A minus N and over N.
+    expected plain maxima over A minus N and over N.  The bound at eps is the
+    minimum of rate * eps + 2 * omega over the terms.
     """
     mc = mc or McConfig()
     sigma = _common_sd(spec)
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise BadConfig("delta grid must lie strictly inside (0, 1)")
-    corr = _cross_corr(spec)
+    corr_ab = cross_corr(explicit_cov(spec), part)
     plans = []  # (delta, orientation, rest, other, n_set)
-    for orientation, own, other in (("AB", part.a_idx, part.b_idx),
-                                    ("BA", part.b_idx, part.a_idx)):
-        best = corr[np.ix_(own, other)].max(axis=1)
+    for orientation, own, other, corr in (("AB", part.a_idx, part.b_idx, corr_ab),
+                                          ("BA", part.b_idx, part.a_idx, corr_ab.T)):
+        best = corr.max(axis=1)
         for delta in grid:
             captured = best >= 1.0 - float(delta)
             if captured.all():
@@ -215,32 +194,15 @@ def corr_threshold_profile(spec: CovSpec, part: Partition, delta_grid=None,
             d, omega = float("nan"), 0.0
         terms.append(DeltaTerm(delta=delta, orientation=orientation, rate=rate,
                                omega=omega, d_delta=d))
-    return terms
+    return tuple(terms)
 
 
-def bound_corr_threshold(spec: CovSpec, part: Partition, epsilon: float,
-                         delta_grid=None, mc: McConfig | None = None) -> CorrThresholdBound:
-    """Best threshold bound over the delta grid and both orientations."""
-    epsilon = check_epsilon(epsilon)
-    terms = corr_threshold_profile(spec, part, delta_grid, mc)
-    best, best_val = None, math.inf
-    for t in terms:
-        val = t.rate * epsilon + 2.0 * t.omega
-        if val < best_val:
-            best, best_val = t, val
-    return CorrThresholdBound(value=best_val, best_delta=best.delta,
-                              omega_delta=best.omega, d_delta=best.d_delta,
-                              orientation=best.orientation, profile=tuple(terms))
-
-
-def bound_heterogeneous(spec: CovSpec, part: Partition, epsilon: float,
-                        mc: McConfig | None = None) -> float:
-    """Separation-condition bound 2 * E(max over S of |X - mu|/sd) * eps / C.
+def bound_heterogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
+    """Separation-condition rate 2 * E(max over S of |X - mu|/sd) / C.
 
     S is the block opposite the direction that holds; when both directions
-    hold the smaller of the two values is returned.
+    hold the smaller of the two rates is returned.
     """
-    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     report = check_conditions(spec, part)
     if report.has_perfect_cross_corr:
@@ -253,17 +215,15 @@ def bound_heterogeneous(spec: CovSpec, part: Partition, epsilon: float,
     if not candidates:
         raise ConditionFails("neither direction of the separation condition holds")
     vals = expected_max_many(spec, [s for s, _ in candidates], mc.n_mc, mc.seed, "abs_std")
-    return min(e * epsilon / c * 2.0 for (e, _), (_, c) in zip(vals, candidates))
+    return min(e / c * 2.0 for (e, _), (_, c) in zip(vals, candidates))
 
 
-def bound_conditional(spec: CovSpec, part: Partition, epsilon: float,
-                      mc: McConfig | None = None) -> float:
-    """Residual-law bound 2 * min(E max |Xres|/sdres) * eps / min sdres.
+def bound_conditional(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
+    """Residual-law rate 2 * min(E max |Xres|/sdres) / min sdres.
 
     Each block's law is conditioned on the other block (Schur complement,
     centered); the sd minimum runs over all coordinates of both residuals.
     """
-    epsilon = check_epsilon(epsilon)
     mc = mc or McConfig()
     res_a, res_b = residual_cov(spec, part)
     marg = spec.variances
@@ -280,33 +240,30 @@ def bound_conditional(spec: CovSpec, part: Partition, epsilon: float,
         (e, _), = expected_max_many(res_spec, [range(res.shape[0])], mc.n_mc, mc.seed, "abs_std")
         e_vals.append(e)
     sd_floor = min(mins)
-    return min(e_vals) * epsilon / sd_floor * 2.0
+    return min(e_vals) / sd_floor * 2.0
 
 
-def bound_baseline_min_eig(spec: CovSpec, epsilon: float) -> float:
-    """Smallest-eigenvalue baseline 2 eps (sqrt(2 log p) + 2) / sqrt(lam_min).
+def bound_baseline_min_eig(spec: CovSpec) -> float:
+    """Smallest-eigenvalue baseline rate 2 (sqrt(2 log p) + 2) / sqrt(lam_min).
 
     Undefined on degenerate covariances: raises SingularCovariance instead of
     returning infinity.
     """
-    epsilon = check_epsilon(epsilon)
     sig = explicit_cov(spec)
     lam = min_eigenvalue(sig)
     if lam <= TOL_SINGULAR * max(1.0, float(np.max(np.diag(sig)))):
         raise SingularCovariance(f"smallest eigenvalue {lam:.3e} not positive")
     p = spec.p
-    return epsilon / math.sqrt(lam) * (math.sqrt(2.0 * math.log(p)) + 2.0) * 2.0
+    return (math.sqrt(2.0 * math.log(p)) + 2.0) * 2.0 / math.sqrt(lam)
 
 
-def bound_single_max(spec: CovSpec, epsilon: float, subset=None,
-                     mc: McConfig | None = None) -> float:
-    """Concentration bound for a single maximum over the subset (default all)."""
-    epsilon = check_epsilon(epsilon)
+def bound_single_max(spec: CovSpec, subset=None, mc: McConfig | None = None) -> float:
+    """Concentration rate of a single maximum over the subset (default all)."""
     mc = mc or McConfig()
     subset = tuple(range(spec.p)) if subset is None else tuple(int(i) for i in subset)
     (e, _), = expected_max_many(spec, [subset], mc.n_mc, mc.seed, "abs_std")
     sd_floor = float(spec.sds[list(subset)].min())
-    return e * epsilon / sd_floor * 2.0
+    return e / sd_floor * 2.0
 
 
 def lower_bound_exchangeable(k: int, p: int) -> ExchangeableLower:
@@ -323,35 +280,38 @@ def lower_bound_exchangeable(k: int, p: int) -> ExchangeableLower:
     return ExchangeableLower(value=k / p, residual=4.0 * k / (p + k))
 
 
-def bound_report(spec: CovSpec, part: Partition, epsilon: float,
-                 mc: McConfig | None = None, delta_grid=None,
-                 which=ALL_BOUNDS, overlap_k: int | None = None) -> BoundReport:
-    """Evaluate the requested bounds, downgrading failures to Inapplicable."""
-    epsilon = check_epsilon(epsilon)
+def _attempt(fn):
+    try:
+        return fn()
+    except MaxgapError as err:
+        return Inapplicable(getattr(err, "code", "error"))
+
+
+def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
+                 delta_grid=None, which=ALL_BOUNDS,
+                 overlap_k: int | None = None) -> BoundReport:
+    """Evaluate the requested bounds once, downgrading failures to Inapplicable."""
     mc = mc or McConfig()
 
-    def attempt(name, fn):
-        if name not in which:
-            return None
-        try:
-            return fn()
-        except MaxgapError as err:
-            return Inapplicable(getattr(err, "code", "error"))
+    def single_max():
+        rates = [_attempt(lambda s=s: bound_single_max(spec, s, mc))
+                 for s in (part.a_set, part.b_set)]
+        applicable = [r for r in rates if not isinstance(r, Inapplicable)]
+        return min(applicable) if applicable else rates[0]
 
-    homog = attempt("homogeneous", lambda: bound_homogeneous(spec, part, epsilon, mc))
-    thresh = attempt("corr_threshold",
-                     lambda: bound_corr_threshold(spec, part, epsilon, delta_grid, mc))
-    heterog = attempt("heterogeneous", lambda: bound_heterogeneous(spec, part, epsilon, mc))
-    cond = attempt("conditional", lambda: bound_conditional(spec, part, epsilon, mc))
-    base = attempt("baseline", lambda: bound_baseline_min_eig(spec, epsilon))
-    sm_a = attempt("single_max", lambda: bound_single_max(spec, epsilon, part.a_set, mc))
-    sm_b = attempt("single_max", lambda: bound_single_max(spec, epsilon, part.b_set, mc))
+    evaluators = {
+        "homogeneous": lambda: bound_homogeneous(spec, part, mc),
+        "corr_threshold": lambda: bound_corr_threshold(spec, part, delta_grid, mc),
+        "heterogeneous": lambda: bound_heterogeneous(spec, part, mc),
+        "conditional": lambda: bound_conditional(spec, part, mc),
+        "baseline": lambda: bound_baseline_min_eig(spec),
+        "single_max": single_max,
+    }
+    rates = {name: _attempt(fn) if name in which else None
+             for name, fn in evaluators.items()}
     lower = None
     if overlap_k is not None:
         p_under = spec.p - int(overlap_k)
         lower = lower_bound_exchangeable(int(overlap_k), p_under)
-    return BoundReport(epsilon=epsilon, homogeneous=homog, corr_threshold=thresh,
-                       heterogeneous=heterog, conditional=cond,
-                       baseline_min_eig=base, single_max_a=sm_a, single_max_b=sm_b,
-                       lower_exchangeable=lower,
+    return BoundReport(**rates, lower_exchangeable=lower,
                        mc_meta={"n_mc": mc.n_mc, "seed": mc.seed})

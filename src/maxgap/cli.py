@@ -48,6 +48,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"expected an unsigned 64-bit integer, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -70,7 +80,7 @@ def _int_list(text: str) -> list[int]:
 
 def _add_common(sub: argparse.ArgumentParser, out: str | None = None) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON file of option values")
-    sub.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed (unsigned 64-bit)")
     sub.add_argument("--out", default=out, help="output directory or file")
 
 
@@ -163,22 +173,12 @@ def _bounds_arg(text: str) -> list[str]:
     return names
 
 
-def _all_inapplicable(reports, which) -> bool:
-    for report in reports:
-        for name in which:
-            if name == "single_max":
-                fields = (report.single_max_a, report.single_max_b)
-            elif name == "baseline":
-                fields = (report.baseline_min_eig,)
-            else:
-                fields = (getattr(report, name),)
-            if any(f is not None and not isinstance(f, Inapplicable) for f in fields):
-                return False
-    return True
+def _all_inapplicable(report, which) -> bool:
+    return all(isinstance(getattr(report, name), Inapplicable) for name in which)
 
 
 def cmd_bounds_compare(args) -> int:
-    path, rows, reports = experiments.run_bounds_compare(
+    path, rows, report = experiments.run_bounds_compare(
         _design_from(args), epsilons=args.eps, n_rep=args.reps, n_mc=args.mc,
         grid_points=args.grid, seed=args.seed, out_dir=args.out, which=args.bounds,
         n_threads=args.threads)
@@ -190,7 +190,7 @@ def cmd_bounds_compare(args) -> int:
         if row["inapplicable"]:
             print(f"  inapplicable: {row['inapplicable']}")
     print(f"wrote {path}")
-    if _all_inapplicable(reports, args.bounds):
+    if _all_inapplicable(report, args.bounds):
         print("error: every requested bound is inapplicable for this design",
               file=sys.stderr)
         return EXIT_INAPPLICABLE

@@ -238,21 +238,16 @@ def explicit_cov(spec: CovSpec) -> np.ndarray:
     return sig
 
 
+def cross_corr(sig: np.ndarray, part: Partition) -> np.ndarray:
+    """Correlations between the coordinates of A (rows) and of B (columns)."""
+    sd = np.sqrt(np.diag(sig))
+    return sig[np.ix_(part.a_idx, part.b_idx)] / np.outer(sd[part.a_idx], sd[part.b_idx])
+
+
 def rho_bar(spec: CovSpec, part: Partition) -> float:
     """Largest cross-block correlation, clamped to [-1, 1]."""
     _check_part(spec, part)
-    sig = explicit_cov(spec)
-    sd = np.sqrt(np.diag(sig))
-    cross = sig[np.ix_(part.a_idx, part.b_idx)]
-    corr = cross / np.outer(sd[part.a_idx], sd[part.b_idx])
-    return float(np.clip(np.max(corr), -1.0, 1.0))
-
-
-def _max_abs_cross_corr(sig: np.ndarray, part: Partition) -> float:
-    sd = np.sqrt(np.diag(sig))
-    cross = sig[np.ix_(part.a_idx, part.b_idx)]
-    corr = cross / np.outer(sd[part.a_idx], sd[part.b_idx])
-    return float(np.min([np.max(np.abs(corr)), 1.0]))
+    return float(np.clip(np.max(cross_corr(explicit_cov(spec), part)), -1.0, 1.0))
 
 
 def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
@@ -286,9 +281,9 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
         c_ab, s_set = c_b, ("A",)
     else:
         c_ab, s_set = float("nan"), ()
-    cross = sig[np.ix_(a, b)] / np.outer(sd[a], sd[b])
+    cross = cross_corr(sig, part)
     rbar = float(np.clip(np.max(cross), -1.0, 1.0))
-    perfect = _max_abs_cross_corr(sig, part) >= 1.0 - TOL_CORR
+    perfect = float(np.max(np.abs(cross))) >= 1.0 - TOL_CORR
     return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, rbar, perfect)
 
 

@@ -74,6 +74,8 @@ def _sorted_sample(values) -> np.ndarray:
     values = _as_values(values)
     if values.shape[0] == 0:
         raise EmptySample("cannot estimate concentration of an empty sample")
+    if not np.all(np.isfinite(values)):
+        raise BadConfig("sample has non-finite values")
     return np.sort(values)
 
 
@@ -83,27 +85,21 @@ def _estimate(epsilon: float, value, argmax_t: float, grid_points: int, n: int) 
                         se_hint=float(np.sqrt(value * (1.0 - value) / n)))
 
 
-def levy_hat_single(values, epsilon: float, grid_points: int = DEFAULT_GRID,
-                    exact: bool = False) -> LevyEstimate:
-    """Concentration estimate for a raw sample vector.
+def levy_hat(diffs, epsilon: float, grid_points: int = DEFAULT_GRID,
+             exact: bool = False) -> LevyEstimate:
+    """Concentration estimate for a max-difference sample or a raw sample vector.
 
     With ``exact`` the supremum is exact: the optimal window can start at a
     data point.
     """
     if not exact:
-        return levy_curve(values, [epsilon], grid_points)[0]
-    v = _sorted_sample(values)
+        return levy_curve(diffs, [epsilon], grid_points)[0]
+    v = _sorted_sample(diffs)
     epsilon = check_epsilon(epsilon)
     n = v.shape[0]
     counts = np.searchsorted(v, v + 2.0 * epsilon, side="right") - np.arange(n)
     k = int(np.argmax(counts))
     return _estimate(epsilon, counts[k] / n, float(v[k] + epsilon), grid_points, n)
-
-
-def levy_hat(diffs: DiffSample, epsilon: float, grid_points: int = DEFAULT_GRID,
-             exact: bool = False) -> LevyEstimate:
-    """Concentration estimate for a max-difference sample."""
-    return levy_hat_single(diffs.values, epsilon, grid_points, exact)
 
 
 def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEstimate]:

@@ -30,7 +30,8 @@ _MASK64 = (1 << 64) - 1
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Stateless child stream for one chunk: Philox keyed by (seed, chunk)."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, chunk_index]))
+    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from maxgap import (CovSpec, DataMatrix, DiffSample, Inapplicable, McConfig,
-                    Partition, SingularCovariance, argmax_prob,
-                    bound_baseline_min_eig, bound_conditional,
-                    bound_corr_threshold, bound_heterogeneous,
-                    bound_homogeneous, bound_report, bound_single_max,
-                    expected_max_abs, from_batch, levy_hat, levy_hat_single,
+from maxgap import (ALL_BOUNDS, CovSpec, DataMatrix, DiffSample, Inapplicable,
+                    McConfig, Partition, SingularCovariance, argmax_prob,
+                    bound_baseline_min_eig, bound_corr_threshold, bound_report,
+                    bound_single_max, expected_max_abs, from_batch, levy_hat,
                     max_diff, multiplier_replicates, run_bounds_compare,
                     sample)
-from maxgap.bounds import CorrThresholdBound
 from maxgap.cli import main as cli_main
 from maxgap.designs import DesignConfig, gen_design
 
@@ -74,7 +71,7 @@ def test_02_degenerate_design_rate(capsys):
         spec = CovSpec.factor(footnote_factor())
         part = Partition.split(4, 2)
         with pytest.raises(SingularCovariance):
-            bound_baseline_min_eig(spec, 0.05)
+            bound_baseline_min_eig(spec)
         diffs = max_diff(sample(spec, 200000, seed=7), part)
         rate = 8.0 / math.sqrt(math.pi)
         for eps in (0.02, 0.05, 0.1):
@@ -131,25 +128,21 @@ def test_04_bound_dominance_suite(capsys):
             diffs = max_diff(batch, part)
             max_a = batch.data[:, part.a_idx].max(axis=1)
             max_b = batch.data[:, part.b_idx].max(axis=1)
+            mc = McConfig(n_mc=10000, seed=trial)
+            rep = bound_report(spec, part, mc=mc)
+            single_a = bound_single_max(spec, part.a_set, mc)
+            single_b = bound_single_max(spec, part.b_set, mc)
+            assert rep.single_max == min(single_a, single_b)
             for eps in (0.02, 0.05):
                 est = levy_hat(diffs, eps)
-                rep = bound_report(spec, part, eps,
-                                   mc=McConfig(n_mc=10000, seed=trial))
-                targets = {
-                    "homogeneous": est,
-                    "corr_threshold": est,
-                    "heterogeneous": est,
-                    "conditional": est,
-                    "baseline_min_eig": est,
-                    "single_max_a": levy_hat_single(max_a, eps),
-                    "single_max_b": levy_hat_single(max_b, eps),
-                }
-                for name, tgt in targets.items():
-                    v = getattr(rep, name)
-                    if v is None or isinstance(v, Inapplicable):
+                targets = {name: (rep.ratio(name, eps), est)
+                           for name in ALL_BOUNDS if name != "single_max"}
+                targets["single_max_a"] = (single_a, levy_hat(max_a, eps))
+                targets["single_max_b"] = (single_b, levy_hat(max_b, eps))
+                for name, (ratio, tgt) in targets.items():
+                    if ratio is None or isinstance(ratio, Inapplicable):
                         continue
-                    if isinstance(v, CorrThresholdBound):
-                        v = v.value
+                    v = ratio * eps
                     floor = tgt.value - 4.0 * tgt.se_hint
                     assert v >= floor, \
                         f"{name} on {cfg.design_id()} at eps {eps}: {v} < {floor}"
@@ -273,20 +266,11 @@ def test_09_exact_invariants(capsys):
         mc = McConfig(n_mc=100000, seed=0)
         spec, part = CovSpec.explicit(np.eye(2)), Partition.split(2, 1)
         eps = 0.05
-        assert bound_homogeneous(spec, part, 2.0 * eps, mc) \
-            == 2.0 * bound_homogeneous(spec, part, eps, mc)
-        assert bound_heterogeneous(spec, part, 2.0 * eps, mc) \
-            == 2.0 * bound_heterogeneous(spec, part, eps, mc)
-        assert bound_conditional(spec, part, 2.0 * eps, mc) \
-            == 2.0 * bound_conditional(spec, part, eps, mc)
-        assert bound_baseline_min_eig(spec, 2.0 * eps) \
-            == 2.0 * bound_baseline_min_eig(spec, eps)
-        assert bound_single_max(spec, 2.0 * eps, mc=mc) \
-            == 2.0 * bound_single_max(spec, eps, mc=mc)
-        ct_a = bound_corr_threshold(spec, part, eps, mc=mc)
-        ct_b = bound_corr_threshold(spec, part, 2.0 * eps, mc=mc)
-        assert ct_b.value == 2.0 * ct_a.value
-        for ta, tb in zip(ct_a.profile, ct_b.profile):
+        rep = bound_report(spec, part, mc=mc)
+        for name in ALL_BOUNDS:
+            assert rep.ratio(name, 2.0 * eps) * (2.0 * eps) \
+                == 2.0 * (rep.ratio(name, eps) * eps), name
+        for ta, tb in zip(bound_corr_threshold(spec, part, mc=mc), rep.corr_threshold):
             assert tb.rate == ta.rate
 
         # Common random numbers: enlarging the subset can only raise the
@@ -301,6 +285,7 @@ def test_09_exact_invariants(capsys):
         # onto the homogeneous one up to the 7:2 constants, bitwise.
         espec, epart = gen_design(DesignConfig(kind="fullrank_equicorr",
                                                p=4, rho=0.3))
-        het = bound_heterogeneous(espec, epart, eps, mc)
-        hom = bound_homogeneous(espec, epart, eps, mc)
+        erep = bound_report(espec, epart, mc=mc, which=("heterogeneous", "homogeneous"))
+        het = erep.ratio("heterogeneous", eps)
+        hom = erep.ratio("homogeneous", eps)
         assert het * 7.0 == hom * 2.0

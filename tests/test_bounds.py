@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from maxgap import (BadConfig, BadGeometry, ConditionFails, CovSpec,
-                    HeterogeneousVariances, Inapplicable, McConfig,
-                    NoAdmissibleDelta, Partition, PerfectCrossCorrelation,
-                    SingularCovariance, ZeroResidualVariance,
-                    bound_baseline_min_eig, bound_conditional,
-                    bound_corr_threshold, bound_heterogeneous,
-                    bound_homogeneous, bound_report, bound_single_max,
-                    corr_threshold_profile, lower_bound_exchangeable)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
+                    CovSpec, DeltaTerm, HeterogeneousVariances, Inapplicable,
+                    McConfig, NoAdmissibleDelta, Partition,
+                    PerfectCrossCorrelation, SingularCovariance,
+                    ZeroResidualVariance, bound_baseline_min_eig,
+                    bound_conditional, bound_corr_threshold,
+                    bound_heterogeneous, bound_homogeneous, bound_report,
+                    bound_single_max, lower_bound_exchangeable)
 from maxgap.bounds import default_delta_grid
 from maxgap.designs import DesignConfig, gen_design
 
@@ -20,8 +23,17 @@ MC = McConfig(n_mc=100000, seed=0)
 E_ABS_Z = math.sqrt(2.0 / math.pi)
 
 
+PURE_RATE_BOUNDS = tuple(b for b in ALL_BOUNDS if b != "corr_threshold")
+
+
 def iid_pair():
     return CovSpec.explicit(np.eye(2)), Partition.split(2, 1)
+
+
+def threshold_at(terms, eps):
+    """The term attaining the threshold bound at eps, and the bound's value."""
+    best = min(terms, key=lambda t: t.rate * eps + 2.0 * t.omega)
+    return best, best.rate * eps + 2.0 * best.omega
 
 
 class TestOraclesIidPair:
@@ -29,111 +41,113 @@ class TestOraclesIidPair:
 
     def test_homogeneous(self):
         spec, part = iid_pair()
-        got = bound_homogeneous(spec, part, 0.05, MC)
+        got = 0.05 * bound_homogeneous(spec, part, MC)
         assert got == pytest.approx(7.0 * 0.05 * E_ABS_Z, abs=0.003)
 
     def test_heterogeneous(self):
         spec, part = iid_pair()
-        got = bound_heterogeneous(spec, part, 0.05, MC)
+        got = 0.05 * bound_heterogeneous(spec, part, MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
     def test_conditional_independent(self):
         spec, part = iid_pair()
-        got = bound_conditional(spec, part, 0.05, MC)
+        got = 0.05 * bound_conditional(spec, part, MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
     def test_conditional_correlated(self):
         rho = 0.6
         spec = CovSpec.explicit(np.array([[1.0, rho], [rho, 1.0]]))
-        got = bound_conditional(spec, Partition.split(2, 1), 0.05, MC)
+        got = 0.05 * bound_conditional(spec, Partition.split(2, 1), MC)
         want = 2.0 * 0.05 * E_ABS_Z / math.sqrt(1.0 - rho * rho)
         assert got == pytest.approx(want, abs=0.002)
 
     def test_baseline(self):
         spec, _ = iid_pair()
-        got = bound_baseline_min_eig(spec, 0.05)
+        got = 0.05 * bound_baseline_min_eig(spec)
         assert got == pytest.approx(0.1 * (math.sqrt(2.0 * math.log(2.0)) + 2.0), rel=1e-12)
 
     def test_single_max(self):
         spec, _ = iid_pair()
-        got = bound_single_max(spec, 0.05, subset=[0], mc=MC)
+        got = 0.05 * bound_single_max(spec, subset=[0], mc=MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
     def test_corr_threshold_prefers_largest_delta(self):
         spec, part = iid_pair()
-        got = bound_corr_threshold(spec, part, 0.05, mc=MC)
+        terms = bound_corr_threshold(spec, part, mc=MC)
+        best, value = threshold_at(terms, 0.05)
         grid = default_delta_grid()
-        assert got.best_delta == grid[-1]
-        assert got.omega_delta == 0.0
-        assert math.isnan(got.d_delta)
-        assert got.value == pytest.approx(7.0 * 0.05 * E_ABS_Z / grid[-1], abs=0.003)
-        assert len(got.profile) == 2 * grid.size
+        assert best.delta == grid[-1]
+        assert best.omega == 0.0
+        assert math.isnan(best.d_delta)
+        assert value == pytest.approx(7.0 * 0.05 * E_ABS_Z / grid[-1], abs=0.003)
+        assert len(terms) == 2 * grid.size
 
 
 class TestApplicabilityErrors:
     def test_footnote_conditional(self):
         spec = CovSpec.factor(footnote_factor())
         with pytest.raises(ZeroResidualVariance):
-            bound_conditional(spec, Partition.split(4, 2), 0.05, MC)
+            bound_conditional(spec, Partition.split(4, 2), MC)
 
     def test_footnote_baseline(self):
         spec = CovSpec.factor(footnote_factor())
         with pytest.raises(SingularCovariance):
-            bound_baseline_min_eig(spec, 0.05)
+            bound_baseline_min_eig(spec)
 
     def test_footnote_other_bounds_still_work(self):
         spec = CovSpec.factor(footnote_factor())
         part = Partition.split(4, 2)
-        assert bound_homogeneous(spec, part, 0.05, MC) > 0.0
-        assert bound_heterogeneous(spec, part, 0.05, MC) > 0.0
-        assert bound_corr_threshold(spec, part, 0.05, mc=MC).value > 0.0
+        assert 0.05 * bound_homogeneous(spec, part, MC) > 0.0
+        assert 0.05 * bound_heterogeneous(spec, part, MC) > 0.0
+        assert threshold_at(bound_corr_threshold(spec, part, mc=MC), 0.05)[1] > 0.0
 
     def test_perfect_cross_pair(self):
         spec = CovSpec.factor(np.array([[1.0], [1.0]]))
         part = Partition.split(2, 1)
         with pytest.raises(PerfectCrossCorrelation):
-            bound_homogeneous(spec, part, 0.05, MC)
+            bound_homogeneous(spec, part, MC)
         with pytest.raises(PerfectCrossCorrelation):
-            bound_heterogeneous(spec, part, 0.05, MC)
+            bound_heterogeneous(spec, part, MC)
         with pytest.raises(NoAdmissibleDelta):
-            bound_corr_threshold(spec, part, 0.05, mc=MC)
+            bound_corr_threshold(spec, part, mc=MC)
 
     def test_unequal_variances(self):
         spec = CovSpec.explicit(np.diag([1.0, 4.0]))
         part = Partition.split(2, 1)
         with pytest.raises(HeterogeneousVariances):
-            bound_homogeneous(spec, part, 0.05, MC)
+            bound_homogeneous(spec, part, MC)
         with pytest.raises(HeterogeneousVariances):
-            bound_corr_threshold(spec, part, 0.05, mc=MC)
+            bound_corr_threshold(spec, part, mc=MC)
 
     def test_violation_design_fails_condition(self):
         spec, part = gen_design(
             DesignConfig(kind="heterog_violation", p=8, variance_profile="v075"))
         with pytest.raises(ConditionFails):
-            bound_heterogeneous(spec, part, 0.05, MC)
+            bound_heterogeneous(spec, part, MC)
 
     def test_epsilon_validation(self):
         spec, part = iid_pair()
+        rep = bound_report(spec, part, MC, which=("homogeneous", "baseline"))
         with pytest.raises(BadConfig):
-            bound_homogeneous(spec, part, 0.0, MC)
+            rep.ratio("homogeneous", 0.0)
         with pytest.raises(BadConfig):
-            bound_baseline_min_eig(spec, -0.1)
+            rep.ratio("baseline", -0.1)
+        with pytest.raises(BadConfig):
+            rep.ratio("lower_exchangeable", 0.05)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_epsilon_rejected(self, eps):
         spec, part = iid_pair()
-        with pytest.raises(BadConfig):
-            bound_baseline_min_eig(spec, eps)
-        with pytest.raises(BadConfig):
-            bound_corr_threshold(spec, part, eps, mc=MC)
-        with pytest.raises(BadConfig):
-            bound_report(spec, part, eps, mc=MC)
+        rep = bound_report(spec, part, mc=McConfig(n_mc=2000, seed=0))
+        for name in ALL_BOUNDS:
+            with pytest.raises(BadConfig):
+                rep.ratio(name, eps)
 
     def test_delta_grid_validation(self):
         spec, part = iid_pair()
         for bad in ([], [0.0], [1.0], [0.5, 1.2]):
             with pytest.raises(BadConfig):
-                corr_threshold_profile(spec, part, delta_grid=bad, mc=MC)
+                bound_corr_threshold(spec, part, delta_grid=bad, mc=MC)
 
 
 class TestCorrThresholdStructure:
@@ -146,7 +160,7 @@ class TestCorrThresholdStructure:
                           [0.0, 1.0, 0.0]])
         spec = CovSpec.factor(gamma)
         part = Partition.split(4, 2)
-        terms = corr_threshold_profile(spec, part, delta_grid=[0.5], mc=MC)
+        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], mc=MC)
         assert {t.orientation for t in terms} == {"AB", "BA"}
         for t in terms:
             assert t.omega > 0.0
@@ -161,21 +175,22 @@ class TestCorrThresholdStructure:
                           [0.0, 1.0, 0.0]])
         spec = CovSpec.factor(gamma, mu=[0.0, 5.0, 0.0, 5.0])
         part = Partition.split(4, 2)
-        got = bound_corr_threshold(spec, part, 0.05, mc=MC)
-        assert got.omega_delta == 1.0
-        assert got.d_delta == pytest.approx(-5.0, abs=0.05)
-        assert got.value >= 2.0
+        best, value = threshold_at(bound_corr_threshold(spec, part, mc=MC), 0.05)
+        assert best.omega == 1.0
+        assert best.d_delta == pytest.approx(-5.0, abs=0.05)
+        assert value >= 2.0
 
     def test_overlap_crosscheck_at_half(self):
         # Duplicated-coordinate exchangeable design, blocks of 8 sharing 2:
         # at delta = 0.5 the bound cannot undercut the symmetry lower bound.
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         spec, part = gen_design(cfg)
-        got = bound_corr_threshold(spec, part, 0.05, delta_grid=[0.5], mc=MC)
-        assert got.value >= 2.0 / 14.0
+        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], mc=MC)
+        _, value = threshold_at(terms, 0.05)
+        assert value >= 2.0 / 14.0
         lower = lower_bound_exchangeable(2, 14)
         assert lower.value == 2.0 / 14.0
-        assert got.value >= lower.value
+        assert value >= lower.value
 
 
 class TestExchangeableLower:
@@ -196,24 +211,26 @@ class TestExactArithmetic:
     def test_eps_linearity(self):
         spec, part = iid_pair()
         eps = 0.05
-        assert bound_homogeneous(spec, part, 2.0 * eps, MC) \
-            == 2.0 * bound_homogeneous(spec, part, eps, MC)
-        assert bound_heterogeneous(spec, part, 2.0 * eps, MC) \
-            == 2.0 * bound_heterogeneous(spec, part, eps, MC)
-        assert bound_conditional(spec, part, 2.0 * eps, MC) \
-            == 2.0 * bound_conditional(spec, part, eps, MC)
-        assert bound_baseline_min_eig(spec, 2.0 * eps) \
-            == 2.0 * bound_baseline_min_eig(spec, eps)
-        assert bound_single_max(spec, 2.0 * eps, mc=MC) \
-            == 2.0 * bound_single_max(spec, eps, mc=MC)
+        rep = bound_report(spec, part, MC)
+        for name in PURE_RATE_BOUNDS:
+            assert rep.ratio(name, 2.0 * eps) * (2.0 * eps) \
+                == 2.0 * (rep.ratio(name, eps) * eps)
+        assert rep.homogeneous == bound_homogeneous(spec, part, MC)
+        assert rep.heterogeneous == bound_heterogeneous(spec, part, MC)
+        assert rep.conditional == bound_conditional(spec, part, MC)
+        assert rep.baseline == bound_baseline_min_eig(spec)
 
     def test_threshold_linearity_without_crossover(self):
         spec, part = iid_pair()
-        a = bound_corr_threshold(spec, part, 0.05, mc=MC)
-        b = bound_corr_threshold(spec, part, 0.1, mc=MC)
-        assert b.value == 2.0 * a.value
-        assert b.best_delta == a.best_delta
-        for ta, tb in zip(a.profile, b.profile):
+        terms = bound_corr_threshold(spec, part, mc=MC)
+        best_a, a = threshold_at(terms, 0.05)
+        best_b, b = threshold_at(terms, 0.1)
+        assert b == 2.0 * a
+        assert best_b.delta == best_a.delta
+        rep = bound_report(spec, part, MC, which=("corr_threshold",))
+        assert rep.ratio("corr_threshold", 0.1) * 0.1 \
+            == 2.0 * (rep.ratio("corr_threshold", 0.05) * 0.05)
+        for ta, tb in zip(terms, rep.corr_threshold):
             assert tb.rate == ta.rate
 
     def test_factor_doubling_halves_single_max(self):
@@ -221,58 +238,92 @@ class TestExactArithmetic:
         g = rng.standard_normal((4, 2))
         base = CovSpec.factor(g)
         doubled = CovSpec.factor(2.0 * g)
-        assert bound_single_max(doubled, 0.05, mc=MC) \
-            == 0.5 * bound_single_max(base, 0.05, mc=MC)
+        assert 0.05 * bound_single_max(doubled, mc=MC) \
+            == 0.5 * (0.05 * bound_single_max(base, mc=MC))
 
     def test_heterogeneous_homogeneous_agreement(self):
         # With unit variances and equal margins both bounds share the same
         # expected-max factor, so the 7:2 constant ratio holds bitwise.
         spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=0.3))
-        a = bound_heterogeneous(spec, part, 0.05, MC)
-        b = bound_homogeneous(spec, part, 0.05, MC)
+        rep = bound_report(spec, part, MC, which=("heterogeneous", "homogeneous"))
+        a = rep.ratio("heterogeneous", 0.05)
+        b = rep.ratio("homogeneous", 0.05)
         assert a * 7.0 == b * 2.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=st.floats(1e-6, 1e3), k=st.integers(-20, 20))
+    def test_pure_rate_ratio_is_eps_free(self, equicorr_report, eps, k):
+        c = 2.0 ** k
+        for name in PURE_RATE_BOUNDS:
+            rate = equicorr_report.ratio(name, eps)
+            assert isinstance(rate, float)
+            assert equicorr_report.ratio(name, c * eps) == rate
+            assert rate * (c * eps) == c * (rate * eps)
+
+
+@pytest.fixture(scope="module")
+def equicorr_report():
+    spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5))
+    return bound_report(spec, part, McConfig(n_mc=2000, seed=3))
 
 
 class TestBoundReport:
     def test_which_filter(self):
         spec, part = iid_pair()
-        rep = bound_report(spec, part, 0.05, MC, which=("homogeneous",))
+        rep = bound_report(spec, part, MC, which=("homogeneous",))
         assert isinstance(rep.homogeneous, float)
         assert rep.corr_threshold is None
         assert rep.heterogeneous is None
-        assert rep.single_max_a is None
+        assert rep.single_max is None
+        assert rep.ratio("single_max", 0.05) is None
 
     def test_inapplicable_downgrade(self):
         spec = CovSpec.factor(footnote_factor())
-        rep = bound_report(spec, Partition.split(4, 2), 0.05, MC)
+        part = Partition.split(4, 2)
+        rep = bound_report(spec, part, MC)
         assert isinstance(rep.conditional, Inapplicable)
         assert rep.conditional.reason == "zero_residual_variance"
-        assert isinstance(rep.baseline_min_eig, Inapplicable)
-        assert rep.baseline_min_eig.reason == "singular_covariance"
+        assert isinstance(rep.baseline, Inapplicable)
+        assert rep.baseline.reason == "singular_covariance"
         assert isinstance(rep.homogeneous, float)
-        assert isinstance(rep.single_max_a, float)
-        assert isinstance(rep.single_max_b, float)
+        rate_a = bound_single_max(spec, part.a_set, MC)
+        rate_b = bound_single_max(spec, part.b_set, MC)
+        assert isinstance(rate_a, float)
+        assert isinstance(rate_b, float)
+        assert rep.single_max == min(rate_a, rate_b)
+
+    def test_single_max_inapplicable_keeps_block_a_reason(self, monkeypatch):
+        import maxgap.bounds as bounds
+
+        spec, part = iid_pair()
+
+        def fail(spec, subset=None, mc=None):
+            if subset == part.a_set:
+                raise ZeroResidualVariance("block A")
+            raise SingularCovariance("block B")
+        monkeypatch.setattr(bounds, "bound_single_max", fail)
+        rep = bound_report(spec, part, MC, which=("single_max",))
+        assert rep.single_max == Inapplicable("zero_residual_variance")
 
     def test_lower_included_on_request(self):
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         spec, part = gen_design(cfg)
-        rep = bound_report(spec, part, 0.05, MC, which=("homogeneous",), overlap_k=2)
+        rep = bound_report(spec, part, MC, which=("homogeneous",), overlap_k=2)
         assert rep.lower_exchangeable.value == 2.0 / 14.0
 
-    def test_json_shape(self):
+    def test_report_shape(self):
         spec = CovSpec.factor(footnote_factor())
-        rep = bound_report(spec, Partition.split(4, 2), 0.05, MC)
-        d = rep.to_json_dict()
-        assert d["conditional"] == {"inapplicable": "zero_residual_variance"}
-        assert isinstance(d["corr_threshold"], dict)
-        assert "value" in d["corr_threshold"]
-        assert d["mc_meta"] == {"n_mc": MC.n_mc, "seed": MC.seed}
+        rep = bound_report(spec, Partition.split(4, 2), MC)
+        assert tuple(vars(rep)) == ALL_BOUNDS + ("lower_exchangeable", "mc_meta")
+        assert rep.conditional == Inapplicable("zero_residual_variance")
+        assert all(isinstance(t, DeltaTerm) for t in rep.corr_threshold)
+        assert rep.mc_meta == {"n_mc": MC.n_mc, "seed": MC.seed}
 
     def test_mc_determinism(self):
         spec, part = iid_pair()
-        a = bound_report(spec, part, 0.05, McConfig(n_mc=20000, seed=5))
-        b = bound_report(spec, part, 0.05, McConfig(n_mc=20000, seed=5))
+        a = bound_report(spec, part, McConfig(n_mc=20000, seed=5))
+        b = bound_report(spec, part, McConfig(n_mc=20000, seed=5))
         assert a.homogeneous == b.homogeneous
-        assert a.corr_threshold.value == b.corr_threshold.value
-        c = bound_report(spec, part, 0.05, McConfig(n_mc=20000, seed=6))
+        assert a.ratio("corr_threshold", 0.05) == b.ratio("corr_threshold", 0.05)
+        c = bound_report(spec, part, McConfig(n_mc=20000, seed=6))
         assert c.homogeneous != a.homogeneous

@@ -260,6 +260,8 @@ class TestConfigResolution:
         ("levy", {"threads": 0}),
         ("levy", {"kind": 3}),
         ("bootstrap", {"data": ["x.csv"]}),
+        ("levy", {"seed": -1}),
+        ("levy", {"seed": 2 ** 64}),
     ])
     def test_bad_value_exits_2(self, capsys, tmp_path, command, bad):
         base = {"study": "k0_sweep"} if command == "scaling" else dict(DESIGN)
@@ -330,6 +332,21 @@ class TestValueChecks:
         code, _, err = run(capsys, command, flag, value)
         assert code == EXIT_CONFIG
         assert one_error_line(err) and "positive integer" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 65)])
+    @pytest.mark.parametrize("command", ["gen-design", "levy"])
+    def test_seed_out_of_range(self, capsys, tmp_path, command, seed):
+        code, _, err = run(capsys, command, "--kind", "homog_lowrank", "--p", "4", "--d", "2",
+                           f"--seed={seed}", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "unsigned 64-bit" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "gen-design", "--kind", "homog_lowrank", "--p", "4",
+                           "--d", "2", "--seed", str(2 ** 64 - 1))
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["seed"] == 2 ** 64 - 1
 
     def test_large_thread_count_parses(self):
         # Parsing only: the sampler clamps the pool to the chunk count.

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from maxgap import (CovSpec, DataMatrix, IoError, Partition,
-                    SmallSampleWarning, from_batch, levy_sweep,
+                    SmallSampleWarning, bound_report, from_batch, levy_sweep,
                     run_bootstrap_demo, run_bounds_compare, run_levy_experiment,
                     run_scaling_study, sample)
 from maxgap.designs import DesignConfig, gen_design
@@ -76,17 +76,32 @@ class TestLevyExperiment:
 class TestBoundsCompare:
     def test_ratio_semantics(self, tmp_path):
         cfg = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5, seed=4)
-        path, rows, reports = run_bounds_compare(
-            cfg, epsilons=(0.05, 0.1), n_rep=400, n_mc=20000,
+        path, rows, report = run_bounds_compare(
+            cfg, epsilons=(0.01, 0.05, 0.07), n_rep=400, n_mc=20000,
             out_dir=str(tmp_path))
-        assert len(rows) == len(reports) == 2
-        for row, rep in zip(rows, reports):
-            assert row["ratio_homogeneous"] == rep.homogeneous / rep.epsilon
+        assert len(rows) == 3
+        for row in rows:
+            assert row["ratio_homogeneous"] == report.ratio("homogeneous", row["epsilon"])
             assert row["ratio_empirical"] == row["levy_hat"] / row["epsilon"]
             assert row["inapplicable"] == ""
         # Pure-rate bounds have epsilon-free ratios, bit for bit.
-        assert rows[0]["ratio_homogeneous"] == rows[1]["ratio_homogeneous"]
-        assert rows[0]["ratio_baseline"] == rows[1]["ratio_baseline"]
+        for col in ("ratio_homogeneous", "ratio_heterogeneous", "ratio_conditional",
+                    "ratio_baseline", "ratio_single_max"):
+            assert len({row[col] for row in rows}) == 1, col
+
+    def test_bounds_evaluated_once(self, tmp_path, monkeypatch):
+        import maxgap.experiments as experiments
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bound_report(*args, **kwargs)
+        monkeypatch.setattr(experiments, "bound_report", counting)
+        cfg = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5, seed=4)
+        _, rows, _ = run_bounds_compare(cfg, epsilons=(0.01, 0.05, 0.07), n_rep=200,
+                                        n_mc=2000, out_dir=str(tmp_path))
+        assert len(rows) == 3
+        assert len(calls) == 1
 
     def test_inapplicable_flags(self, tmp_path):
         cfg = DesignConfig(kind="homog_overlap", p=4, d=2, overlap_k=1, seed=5)
@@ -104,12 +119,12 @@ class TestBoundsCompare:
 
     def test_lower_bound_on_overlap_design(self, tmp_path):
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
-        _, rows, reports = run_bounds_compare(cfg, epsilons=(0.05,), n_rep=200,
-                                              n_mc=5000, which=("corr_threshold",),
-                                              out_dir=str(tmp_path))
+        _, rows, report = run_bounds_compare(cfg, epsilons=(0.05,), n_rep=200,
+                                             n_mc=5000, which=("corr_threshold",),
+                                             out_dir=str(tmp_path))
         assert rows[0]["lower_bound"] == 2.0 / 14.0
         assert rows[0]["p"] == 16
-        assert reports[0].lower_exchangeable.residual == 0.5
+        assert report.lower_exchangeable.residual == 0.5
 
     def test_which_filter(self, tmp_path):
         cfg = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from maxgap import (BadConfig, CovSpec, DegenerateSample, EmptySample,
                     EmptySubset, Partition, density_curve, expected_max_abs,
-                    expected_max_signed, levy_curve, levy_hat, levy_hat_single,
-                    max_diff, sample)
+                    expected_max_signed, levy_curve, levy_hat, max_diff,
+                    sample)
 from maxgap.levy import expected_max_many
 
 from conftest import dyadic, phi
@@ -19,13 +21,13 @@ INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 class TestScanOracles:
     def test_point_mass(self):
-        est = levy_hat_single(np.zeros(100), 0.01)
+        est = levy_hat(np.zeros(100), 0.01)
         assert est.value == 1.0
         assert est.argmax_t == 0.0
 
     def test_epsilon_covers_range(self):
         values = np.array([0.0, 1.0, 2.0, 5.0])
-        est = levy_hat_single(values, 5.0)
+        est = levy_hat(values, 5.0)
         assert est.value == 1.0
 
     def test_gap_of_two_iid(self):
@@ -43,7 +45,7 @@ class TestScanOracles:
     def test_single_normal(self):
         spec = CovSpec.explicit(np.eye(1), mu=[1.0])
         batch = sample(spec, 200000, seed=55)
-        est = levy_hat_single(batch.data[:, 0], 0.05)
+        est = levy_hat(batch.data[:, 0], 0.05)
         truth = 2.0 * phi(0.05) - 1.0
         assert truth == pytest.approx(0.0399, abs=2e-4)
         assert est.value == pytest.approx(truth, abs=0.003)
@@ -51,7 +53,7 @@ class TestScanOracles:
 
     def test_exact_scan_on_known_sample(self):
         values = np.array([0.0, 0.1, 0.25, 0.3, 1.0])
-        est = levy_hat_single(values, 0.1, exact=True)
+        est = levy_hat(values, 0.1, exact=True)
         assert est.value == 0.6
         assert est.argmax_t == pytest.approx(0.2)
 
@@ -60,7 +62,7 @@ class TestScanOracles:
         for _ in range(20):
             values = np.sort(rng.standard_normal(40))
             eps = float(rng.uniform(0.05, 0.5))
-            est = levy_hat_single(values, eps, exact=True)
+            est = levy_hat(values, eps, exact=True)
             ts = np.linspace(values[0] - eps, values[-1] + eps, 20001)
             counts = (np.searchsorted(values, ts + eps, side="right")
                       - np.searchsorted(values, ts - eps, side="left"))
@@ -71,12 +73,12 @@ class TestScanOracles:
         rng = np.random.default_rng(4)
         values = rng.standard_normal(500)
         for eps in (0.01, 0.1, 0.5):
-            grid = levy_hat_single(values, eps).value
-            exact = levy_hat_single(values, eps, exact=True).value
+            grid = levy_hat(values, eps).value
+            exact = levy_hat(values, eps, exact=True).value
             assert exact >= grid
 
     def test_se_hint(self):
-        est = levy_hat_single(np.arange(100.0), 1.0)
+        est = levy_hat(np.arange(100.0), 1.0)
         expect = math.sqrt(est.value * (1.0 - est.value) / 100)
         assert est.se_hint == pytest.approx(expect)
 
@@ -85,8 +87,8 @@ class TestScanInvariants:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
         values = rng.standard_normal(1000)
-        a = levy_hat_single(values, 0.1)
-        b = levy_hat_single(rng.permutation(values), 0.1)
+        a = levy_hat(values, 0.1)
+        b = levy_hat(rng.permutation(values), 0.1)
         assert a.value == b.value
         assert a.argmax_t == b.argmax_t
 
@@ -105,26 +107,26 @@ class TestScanInvariants:
         values = dyadic(rng.standard_normal(4000))
         shift = 0.8125
         eps = 0.0625
-        a = levy_hat_single(values, eps, grid_points=1025)
-        b = levy_hat_single(values + shift, eps, grid_points=1025)
+        a = levy_hat(values, eps, grid_points=1025)
+        b = levy_hat(values + shift, eps, grid_points=1025)
         assert a.value == b.value
         assert b.argmax_t == a.argmax_t + shift
 
     def test_curve_matches_single(self):
         rng = np.random.default_rng(15)
         values = rng.standard_normal(500)
-        single = levy_hat_single(values, 0.25)
+        single = levy_hat(values, 0.25)
         curve, = levy_curve(values, [0.25])
         assert curve.value == single.value
         assert curve.argmax_t == single.argmax_t
 
     def test_validation(self):
         with pytest.raises(EmptySample):
-            levy_hat_single(np.array([]), 0.1)
+            levy_hat(np.array([]), 0.1)
         with pytest.raises(BadConfig):
-            levy_hat_single(np.zeros(5), 0.0)
+            levy_hat(np.zeros(5), 0.0)
         with pytest.raises(BadConfig):
-            levy_hat_single(np.zeros(5), 0.1, grid_points=0)
+            levy_hat(np.zeros(5), 0.1, grid_points=0)
         with pytest.raises(BadConfig):
             levy_curve(np.zeros(5), [])
         with pytest.raises(BadConfig):
@@ -134,13 +136,32 @@ class TestScanInvariants:
         with pytest.raises(EmptySample):
             levy_curve(np.array([]), [0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        values = np.array([bad, 1.0, 2.0])
+        with pytest.raises(BadConfig):
+            levy_hat(values, 0.1)
+        with pytest.raises(BadConfig):
+            levy_hat(values, 0.1, exact=True)
+        with pytest.raises(BadConfig):
+            levy_curve(values, [0.1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
+           eps=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+           grid_points=st.integers(1, 300))
+    def test_curve_nondecreasing_property(self, values, eps, grid_points):
+        ests = levy_curve(np.array(values), sorted(eps), grid_points=grid_points)
+        vals = [e.value for e in ests]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_epsilon_rejected(self, eps):
         values = np.random.default_rng(16).standard_normal(50)
         with pytest.raises(BadConfig):
-            levy_hat_single(values, eps)
+            levy_hat(values, eps)
         with pytest.raises(BadConfig):
-            levy_hat_single(values, eps, exact=True)
+            levy_hat(values, eps, exact=True)
         with pytest.raises(BadConfig):
             levy_curve(values, [0.1, eps])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ class TestSampleDeterminism:
         spec = CovSpec.explicit(np.eye(2))
         assert not np.array_equal(sample(spec, 100, seed=1).data,
                                   sample(spec, 100, seed=2).data)
+
+    def test_seeds_above_2_63_stay_distinct(self):
+        # A plain list key holding a seed of 2^63 or more goes through float64.
+        spec = CovSpec.explicit(np.eye(2))
+        seeds = (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [sample(spec, 4, seed=s).data for s in seeds]
+        for i in range(len(draws)):
+            for j in range(i + 1, len(draws)):
+                assert not np.array_equal(draws[i], draws[j])
 
     def test_chunk_prefix_stability(self):
         # Whole chunks are keyed by index, so a longer run extends a shorter
