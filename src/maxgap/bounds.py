@@ -7,7 +7,11 @@ it returns its whole profile of (rate, omega) terms.  ``BoundReport.ratio``
 applies a half-width afterwards, which makes a pure-rate ratio the same float
 at every eps.  Expected-max terms are Monte Carlo estimates streamed under a
 shared seed (common random numbers), which makes the documented algebraic
-relations between bounds exact rather than approximate.
+relations between bounds exact rather than approximate.  Within one
+``bound_report`` each (spec, subset, mode, n_mc, seed) request is streamed
+once and served to every bound that asks for it; the fixed column tiles of
+:func:`maxgap.levy.expected_max_many` make a served value bit-identical to a
+fresh pass.
 
 Bounds deliberately report values above 1 unclipped; a value's usefulness at
 a given eps is the caller's judgment.
@@ -16,6 +20,7 @@ a given eps is the caller's judgment.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,11 @@ TOL_RESID = 1e-10       # residual variance below TOL_RESID * marginal is zero
 
 ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
+
+# Expected maxima served so far in the running bound_report, per spec object:
+# id(spec) -> (spec, {(subset bytes, mode, n_mc, seed): mean}).  Holding the
+# spec keeps its id from being reused by a later spec of the same report.
+_SERVED: ContextVar[dict | None] = ContextVar("maxgap_served_emax", default=None)
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,22 @@ class BoundReport:
         return min(t.rate + 2.0 * t.omega / eps for t in value)
 
 
+def _emax(spec: CovSpec, subsets, mode: str, mc: McConfig) -> list[float]:
+    """Expected max of each subset; one pass for the requests not yet served.
+
+    Outside ``bound_report`` nothing is kept, so every call is one pass.
+    """
+    served = _SERVED.get()
+    memo = {} if served is None else served.setdefault(id(spec), (spec, {}))[1]
+    keys = [(np.unique(np.asarray(s, dtype=np.intp)).tobytes(), mode, mc.n_mc, mc.seed)
+            for s in subsets]
+    missing = {key: s for key, s in zip(keys, subsets) if key not in memo}
+    if missing:
+        vals = expected_max_many(spec, list(missing.values()), mc.n_mc, mc.seed, mode)
+        memo.update(zip(missing, (mean for mean, _ in vals)))
+    return [memo[key] for key in keys]
+
+
 def _common_sd(spec: CovSpec) -> float:
     sds = spec.sds
     if float(sds.max() - sds.min()) > TOL_VAR_SPREAD * float(sds.max()):
@@ -121,8 +147,7 @@ def bound_homogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = None
     rbar = rho_bar(spec, part)
     if rbar >= 1.0 - TOL_CORR:
         raise PerfectCrossCorrelation(f"largest cross correlation {rbar} too close to 1")
-    (e_a, _), (e_b, _) = expected_max_many(
-        spec, [part.a_set, part.b_set], mc.n_mc, mc.seed, "abs_std")
+    e_a, e_b = _emax(spec, [part.a_set, part.b_set], "abs_std", mc)
     return min(e_a, e_b) / ((1.0 - rbar) * sigma) * 7.0
 
 
@@ -178,17 +203,16 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
         if n_set:
             want(signed_pos, signed_subsets, rest)
             want(signed_pos, signed_subsets, n_set)
-    std_vals = expected_max_many(spec, std_subsets, mc.n_mc, mc.seed, "abs_std")
-    signed_vals = (expected_max_many(spec, signed_subsets, mc.n_mc, mc.seed, "signed")
-                   if signed_subsets else [])
+    std_vals = _emax(spec, std_subsets, "abs_std", mc)
+    signed_vals = _emax(spec, signed_subsets, "signed", mc) if signed_subsets else []
 
     terms = []
     for delta, orientation, rest, other, n_set in plans:
-        e_rest = std_vals[std_pos[rest]][0]
-        e_other = std_vals[std_pos[other]][0]
+        e_rest = std_vals[std_pos[rest]]
+        e_other = std_vals[std_pos[other]]
         rate = min(e_rest, e_other) * 7.0 / (delta * sigma)
         if n_set:
-            d = signed_vals[signed_pos[rest]][0] - signed_vals[signed_pos[n_set]][0]
+            d = signed_vals[signed_pos[rest]] - signed_vals[signed_pos[n_set]]
             omega = math.exp(-max(d, 0.0) ** 2 / (8.0 * sigma * sigma))
         else:
             d, omega = float("nan"), 0.0
@@ -214,8 +238,8 @@ def bound_heterogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = No
         candidates.append((part.a_set, report.c_b))
     if not candidates:
         raise ConditionFails("neither direction of the separation condition holds")
-    vals = expected_max_many(spec, [s for s, _ in candidates], mc.n_mc, mc.seed, "abs_std")
-    return min(e / c * 2.0 for (e, _), (_, c) in zip(vals, candidates))
+    vals = _emax(spec, [s for s, _ in candidates], "abs_std", mc)
+    return min(e / c * 2.0 for e, (_, c) in zip(vals, candidates))
 
 
 def bound_conditional(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
@@ -237,8 +261,7 @@ def bound_conditional(spec: CovSpec, part: Partition, mc: McConfig | None = None
             raise ZeroResidualVariance(f"coordinate {j} has no variance left given the other block")
         mins.append(float(np.sqrt(diag.min())))
         res_spec = CovSpec.explicit(res)
-        (e, _), = expected_max_many(res_spec, [range(res.shape[0])], mc.n_mc, mc.seed, "abs_std")
-        e_vals.append(e)
+        e_vals += _emax(res_spec, [range(res.shape[0])], "abs_std", mc)
     sd_floor = min(mins)
     return min(e_vals) / sd_floor * 2.0
 
@@ -261,7 +284,7 @@ def bound_single_max(spec: CovSpec, subset=None, mc: McConfig | None = None) -> 
     """Concentration rate of a single maximum over the subset (default all)."""
     mc = mc or McConfig()
     subset = tuple(range(spec.p)) if subset is None else tuple(int(i) for i in subset)
-    (e, _), = expected_max_many(spec, [subset], mc.n_mc, mc.seed, "abs_std")
+    e, = _emax(spec, [subset], "abs_std", mc)
     sd_floor = float(spec.sds[list(subset)].min())
     return e / sd_floor * 2.0
 
@@ -290,7 +313,11 @@ def _attempt(fn):
 def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
                  delta_grid=None, which=ALL_BOUNDS,
                  overlap_k: int | None = None) -> BoundReport:
-    """Evaluate the requested bounds once, downgrading failures to Inapplicable."""
+    """Evaluate the requested bounds once, downgrading failures to Inapplicable.
+
+    No expected-max request is streamed twice: the threshold profile goes
+    first, since its pass covers both full blocks.
+    """
     mc = mc or McConfig()
 
     def single_max():
@@ -300,15 +327,19 @@ def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
         return min(applicable) if applicable else rates[0]
 
     evaluators = {
-        "homogeneous": lambda: bound_homogeneous(spec, part, mc),
         "corr_threshold": lambda: bound_corr_threshold(spec, part, delta_grid, mc),
+        "homogeneous": lambda: bound_homogeneous(spec, part, mc),
         "heterogeneous": lambda: bound_heterogeneous(spec, part, mc),
         "conditional": lambda: bound_conditional(spec, part, mc),
         "baseline": lambda: bound_baseline_min_eig(spec),
         "single_max": single_max,
     }
-    rates = {name: _attempt(fn) if name in which else None
-             for name, fn in evaluators.items()}
+    token = _SERVED.set({})
+    try:
+        rates = {name: _attempt(fn) if name in which else None
+                 for name, fn in evaluators.items()}
+    finally:
+        _SERVED.reset(token)
     lower = None
     if overlap_k is not None:
         p_under = spec.p - int(overlap_k)

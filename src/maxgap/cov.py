@@ -8,6 +8,8 @@ separation conditions, violation statistics, Schur-complement residuals) feed
 the bound evaluators in :mod:`maxgap.bounds`.
 
 All functions are pure: they never mutate their inputs and hold no state.
+The one cache is :attr:`CovSpec.root`: each spec computes its square-root
+factor (an eigendecomposition for explicit covariances) at most once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +99,18 @@ class CovSpec:
     @property
     def sds(self) -> np.ndarray:
         return np.sqrt(self.variances)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Read-only p x r map L with L L^T the covariance, computed once per spec.
+
+        The factor itself for factor specs, else :func:`sqrt_factor` of sigma.
+        """
+        if self.gamma is not None:
+            return self.gamma
+        ell = sqrt_factor(self.sigma)
+        ell.flags.writeable = False
+        return ell
 
     def to_json_dict(self) -> dict:
         out: dict = {"form": self.form, "mu": self.mu.tolist()}

@@ -41,9 +41,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _versions() -> dict:
+    """Package and numpy versions and the BLAS build numpy links."""
+    from . import __version__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas_name = None
+    return {"maxgap": __version__, "numpy": np.__version__, "blas": blas_name}
+
+
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance sidecar for one emitted file."""
+    """Provenance sidecar for one emitted file.
+
+    Outputs are bit-identical only under one BLAS build and BLAS thread
+    count, so the sidecar records both (an unset thread variable is None).
+    """
 
     command: str
     seed: int
@@ -52,6 +70,9 @@ class RunManifest:
     n_rows: int
     outputs: tuple[str, ...]
     created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
+    versions: dict = field(default_factory=_versions)
+    blas_threads: dict = field(default_factory=lambda: {
+        name: os.environ.get(name) for name in _BLAS_THREAD_VARS})
 
     def write(self, path: str) -> None:
         write_json(path, {
@@ -62,6 +83,8 @@ class RunManifest:
             "n_rows": self.n_rows,
             "outputs": list(self.outputs),
             "created": self.created,
+            "versions": self.versions,
+            "blas_threads": self.blas_threads,
         })
 
 
@@ -203,26 +226,32 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
     rho_sweep_lowrank redraws a low-rank factor per point so rho_bar moves on
     its own; k0_sweep grows the ambient dimension at a fixed split size.
     The rho tables carry the 1/sqrt(1-rho_bar) and 1/(1-rho_bar) regressors.
+    Point i samples (and for rho_sweep_lowrank draws its design) with seed
+    seed + i, wrapped mod 2^64 so every seed the sampler accepts runs through.
     """
     if kind not in SCALING_KINDS:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {SCALING_KINDS}")
     rows = []
+
+    def point_seed(i: int) -> int:
+        return (seed + i) & (2 ** 64 - 1)
+
     if kind == "rho_sweep_fullrank":
         if not (-1.0 < rho_min <= rho_max < 1.0):
             raise BadConfig(f"need -1 < rho_min <= rho_max < 1, got [{rho_min}, {rho_max}]")
         for i, rho in enumerate(np.linspace(rho_min, rho_max, n_points)):
             cfg = DesignConfig(kind="fullrank_equicorr", p=p, rho=float(rho), seed=seed)
-            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, seed + i,
+            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, point_seed(i),
                                      grid_points, n_threads))
     elif kind == "rho_sweep_lowrank":
         for i in range(n_points):
-            cfg = DesignConfig(kind="homog_lowrank", p=p, d=d, seed=seed + i)
-            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, seed + i,
+            cfg = DesignConfig(kind="homog_lowrank", p=p, d=d, seed=point_seed(i))
+            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, point_seed(i),
                                      grid_points, n_threads))
     else:
         for i, pi in enumerate(p_list):
             cfg = DesignConfig(kind="k0_split", p=int(pi), k0=k0, seed=seed)
-            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, seed + i,
+            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, point_seed(i),
                                      grid_points, n_threads))
     config = {"kind": kind, "p": p, "d": d, "n_points": n_points, "rho_min": rho_min,
               "rho_max": rho_max, "n_rep": n_rep, "epsilon": epsilon, "k0": k0,

@@ -8,10 +8,16 @@ an exact sliding-interval maximizer is available behind ``exact=True`` for
 oracle comparisons.
 
 Expected maxima are streamed in chunks over the same counter-based child
-streams as the sampler.  Per-replicate values are computed one coordinate at
-a time, so the value a coordinate contributes never depends on which other
-coordinates are requested; together with fixed-order reduction this makes
-estimates under a common seed exactly monotone in the subset.
+streams as the sampler.  Coordinates are computed in fixed column tiles of
+``EMAX_TILE``: tile t covers columns [t * EMAX_TILE, (t + 1) * EMAX_TILE)
+clipped to p, so tile edges depend on p alone, never on the request.  Every
+tile holding a requested coordinate is one matmul of the chunk's draws with
+that tile of the factor, so a coordinate's per-replicate values come from the
+same BLAS call with the same inputs whichever subsets are requested together.
+With fixed-order reduction this makes estimates under a common seed exactly
+monotone in the subset, and a batched request equal, bit for bit, to the
+same subsets requested one at a time (for a fixed BLAS build and BLAS thread
+count).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .sampling import DiffSample, emax_chunk_rows, sampling_factor, stream_std_n
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
+EMAX_TILE = 256   # factor rows per expected-max matmul; part of the CRN contract
 
 
 @dataclass(frozen=True)
@@ -176,34 +183,41 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     mode "abs_raw": max over the subset of |X - mu|.
     mode "signed":  max over the subset of X itself.
 
-    Returns one (mean, se) pair per subset.  Subsets sharing coordinates
-    share the per-replicate coordinate values bit for bit.
+    Returns one (mean, se) pair per subset.  Each chunk computes the
+    ``EMAX_TILE`` column tiles that hold a requested coordinate, so subsets
+    sharing coordinates share the per-replicate coordinate values bit for bit.
     """
     if n_mc < 1:
         raise BadConfig(f"n_mc must be positive, got {n_mc}")
     if mode not in ("abs_std", "abs_raw", "signed"):
         raise BadConfig(f"unknown expected-max mode {mode!r}")
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
-    union = np.unique(np.concatenate(idx_sets)) if idx_sets else np.empty(0, np.intp)
-    pos = {int(c): j for j, c in enumerate(union)}
     ell = sampling_factor(spec)
-    r = ell.shape[1]
-    sds = spec.sds
-    mu = spec.mu
+    p, r = ell.shape
+    tiles = (np.unique(np.concatenate(idx_sets) // EMAX_TILE) if idx_sets
+             else np.empty(0, np.intp))
+    # The requested tiles side by side in column order: tile j fills block
+    # columns offset[j] .. offset[j + 1], and block column k holds coordinate cols[k].
+    edges = [(int(t) * EMAX_TILE, min((int(t) + 1) * EMAX_TILE, p)) for t in tiles]
+    offset = np.cumsum([0] + [hi - lo for lo, hi in edges])
+    cols = np.concatenate([np.arange(lo, hi) for lo, hi in edges]) if edges else offset[:0]
+    where = [np.searchsorted(cols, idx) for idx in idx_sets]
+    sds = spec.sds[cols]
+    mu = spec.mu[cols]
     sums = [0.0] * len(idx_sets)
     sumsq = [0.0] * len(idx_sets)
     for _, z in stream_std_normal(seed, n_mc, r, emax_chunk_rows(r)):
-        vals = np.empty((z.shape[0], union.size))
-        for j, c in enumerate(union):
-            x = z @ ell[c]
-            if mode == "signed":
-                vals[:, j] = x + mu[c]
-            elif mode == "abs_std":
-                vals[:, j] = np.abs(x) / sds[c]
-            else:
-                vals[:, j] = np.abs(x)
-        for i, idx in enumerate(idx_sets):
-            m = vals[:, [pos[int(c)] for c in idx]].max(axis=1)
+        vals = np.empty((z.shape[0], int(offset[-1])))
+        for (lo, hi), a, b in zip(edges, offset, offset[1:]):
+            np.matmul(z, ell[lo:hi].T, out=vals[:, a:b])
+        if mode == "signed":
+            vals += mu
+        else:
+            np.abs(vals, out=vals)
+            if mode == "abs_std":
+                vals /= sds
+        for i, w in enumerate(where):
+            m = vals[:, w].max(axis=1)
             sums[i] += float(np.sum(m))
             sumsq[i] += float(np.sum(m * m))
     out = []

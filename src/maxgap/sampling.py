@@ -4,7 +4,14 @@ Randomness contract: replicate rows are produced in fixed chunks of
 ``CHUNK`` rows, and chunk k draws from its own counter-based stream
 (Philox keyed by (seed, k)).  Chunk streams are stateless and independent of
 execution order, so serial and thread-parallel runs produce bit-identical
-batches, and a batch is a prefix of any longer batch with the same seed.
+batches for any sampler thread count, and a batch is a prefix of any longer
+batch with the same seed.  Bit-identity holds under a fixed BLAS build and
+BLAS thread count: each chunk is one matmul, and BLAS libraries may sum in
+another order when their own thread count changes (OpenBLAS does, in the
+last bits, between ``OPENBLAS_NUM_THREADS=1`` and ``2``).  The factor of an
+explicit covariance is an eigendecomposition, which may then also return
+another basis of a repeated eigenvalue's eigenspace, so such a spec's draws
+can differ by more than rounding.
 
 The normal generation method is numpy's ziggurat, fixed per build and
 recorded on every batch.
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovSpec, Partition, sqrt_factor
+from .cov import CovSpec, Partition
 from .errors import BadConfig, DimensionMismatch, EmptySample
 
 CHUNK = 1024
@@ -68,10 +75,11 @@ def _check_seed(seed: int) -> int:
 
 
 def sampling_factor(spec: CovSpec) -> np.ndarray:
-    """p x r map L with L L^T equal to the covariance (r = numerical rank)."""
-    if spec.gamma is not None:
-        return spec.gamma
-    return sqrt_factor(spec.sigma)
+    """p x r map L with L L^T equal to the covariance (r = numerical rank).
+
+    The spec's cached :attr:`CovSpec.root`, so each spec is factored once.
+    """
+    return spec.root
 
 
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
@@ -131,8 +139,10 @@ def stream_std_normal(seed: int, n: int, r: int, rows_per_chunk: int):
 def emax_chunk_rows(r: int) -> int:
     """Chunk height for streaming expected-max passes.
 
-    Chosen so a chunk of draws stays cache-friendly for column sweeps; a pure
-    function of r, hence deterministic for a given model.
+    About 4 MB of draws per chunk, a power of two in [256, 4096].  A pure
+    function of r, so the chunk shapes, and with the fixed ``EMAX_TILE``
+    column tiles every matmul of a pass, depend on the model alone, never on
+    which subsets are requested.
     """
     target = 4_000_000 // (8 * max(r, 1))
     if target < 256:

@@ -13,7 +13,7 @@ from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
                     ZeroResidualVariance, bound_baseline_min_eig,
                     bound_conditional, bound_corr_threshold,
                     bound_heterogeneous, bound_homogeneous, bound_report,
-                    bound_single_max, lower_bound_exchangeable)
+                    bound_single_max, lower_bound_exchangeable, sample)
 from maxgap.bounds import default_delta_grid
 from maxgap.designs import DesignConfig, gen_design
 
@@ -327,3 +327,55 @@ class TestBoundReport:
         assert a.ratio("corr_threshold", 0.05) == b.ratio("corr_threshold", 0.05)
         c = bound_report(spec, part, McConfig(n_mc=20000, seed=6))
         assert c.homogeneous != a.homogeneous
+
+
+class TestRequestReuse:
+    """bound_report streams each expected-max request once and serves it to every bound."""
+
+    CFG = DesignConfig(kind="fullrank_equicorr", p=40, rho=0.5)
+    MC = McConfig(n_mc=3000, seed=9)
+
+    def test_no_request_streamed_twice(self, monkeypatch):
+        import maxgap.bounds as bounds
+
+        spec, part = gen_design(self.CFG)
+        passes, specs = [], []
+        real = bounds.expected_max_many
+
+        def counting(spec, subsets, n_mc, seed, mode="abs_std"):
+            specs.append(spec)  # keeps each spec's id unique for the whole report
+            passes.append([(id(spec), tuple(sorted({int(i) for i in s})), mode, n_mc, seed)
+                           for s in subsets])
+            return real(spec, subsets, n_mc, seed, mode)
+        monkeypatch.setattr(bounds, "expected_max_many", counting)
+        rep = bound_report(spec, part, self.MC)
+        assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)
+        requests = [key for keys in passes for key in keys]
+        assert len(requests) == len(set(requests))
+        # One pass for the design, one for the residual law of each block.
+        assert len(passes) == 3
+
+    def test_served_values_equal_separate_calls(self):
+        spec, part = gen_design(self.CFG)
+        rep = bound_report(spec, part, self.MC)
+        assert rep.homogeneous == bound_homogeneous(spec, part, self.MC)
+        assert rep.heterogeneous == bound_heterogeneous(spec, part, self.MC)
+        assert rep.single_max == min(bound_single_max(spec, s, self.MC)
+                                     for s in (part.a_set, part.b_set))
+
+    def test_explicit_spec_factored_once(self, monkeypatch):
+        import maxgap.cov as cov
+
+        spec, part = gen_design(self.CFG)
+        assert spec.form == "explicit"
+        factored = []
+        real = cov.sqrt_factor
+
+        def counting(sigma):
+            factored.append(sigma.shape)
+            return real(sigma)
+        monkeypatch.setattr(cov, "sqrt_factor", counting)
+        sample(spec, 100, seed=1)
+        bound_report(spec, part, self.MC)
+        # The design once, then the residual law of each block once.
+        assert factored == [(40, 40), (20, 20), (20, 20)]

@@ -140,6 +140,14 @@ class TestScalingCommand:
         assert code == EXIT_OK
         assert "2 rows" in out
 
+    def test_largest_seed_wraps(self, capsys, tmp_path):
+        # Point 1 samples with seed 2^64, which wraps to 0.
+        code, out, err = run(capsys, "scaling", "--study", "k0_sweep", "--k0", "20",
+                             "--p-list", "25,30", "--reps", "100",
+                             "--seed", str(2 ** 64 - 1), "--out", str(tmp_path))
+        assert code == EXIT_OK, err
+        assert "2 rows" in out
+
     def test_multiple_epsilons_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "scaling", "--study", "k0_sweep",
                            "--eps", "0.05,0.1", "--out", str(tmp_path))

@@ -282,6 +282,15 @@ class TestSqrtFactor:
         with pytest.raises(NotPSD):
             sqrt_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_spec_root_cached_read_only(self):
+        sig = np.array([[2.0, 1.0], [1.0, 2.0]])
+        spec = CovSpec.explicit(sig)
+        assert spec.root is spec.root
+        assert np.array_equal(spec.root, sqrt_factor(sig))
+        assert not spec.root.flags.writeable
+        gamma = np.array([[1.0], [2.0]])
+        assert np.array_equal(CovSpec.factor(gamma).root, gamma)
+
 
 class TestRhoBar:
     def test_signed_maximum(self):

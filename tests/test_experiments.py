@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import maxgap
 from maxgap import (CovSpec, DataMatrix, IoError, Partition,
                     SmallSampleWarning, bound_report, from_batch, levy_sweep,
                     run_bootstrap_demo, run_bounds_compare, run_levy_experiment,
@@ -64,6 +65,20 @@ class TestLevyExperiment:
         assert meta["config"]["kind"] == "fullrank_equicorr"
         assert meta["columns"][0] == "design_id"
         assert "created" in meta
+
+    def test_sidecar_provenance(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        path, _ = run_levy_experiment(self.CFG, epsilons=(0.05,), n_rep=100,
+                                      out_dir=str(tmp_path))
+        meta = json.load(open(path + ".meta.json"))
+        assert meta["versions"]["maxgap"] == maxgap.__version__
+        assert meta["versions"]["numpy"] == np.__version__
+        assert "blas" in meta["versions"]
+        assert meta["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert meta["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert set(meta["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS"}
 
     def test_csv_cells_roundtrip_exactly(self, tmp_path):
         path, rows = run_levy_experiment(self.CFG, epsilons=(0.05,), n_rep=100,

@@ -10,7 +10,7 @@ from maxgap import (BadConfig, CovSpec, DegenerateSample, EmptySample,
                     EmptySubset, Partition, density_curve, expected_max_abs,
                     expected_max_signed, levy_curve, levy_hat, max_diff,
                     sample)
-from maxgap.levy import expected_max_many
+from maxgap.levy import EMAX_TILE, expected_max_many
 
 from conftest import dyadic, phi
 
@@ -287,3 +287,45 @@ class TestExpectedMax:
             expected_max_many(spec, [[0]], n_mc=0, seed=0)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=10, seed=0, mode="median")
+
+
+MODES = ("abs_std", "abs_raw", "signed")
+
+
+@st.composite
+def tiled_requests(draw):
+    """A factor spec over up to about 3 tiles and subsets that cross tile edges."""
+    p = draw(st.integers(1, 3 * EMAX_TILE + 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = CovSpec.factor(rng.standard_normal((p, draw(st.integers(1, 40)))),
+                          mu=rng.standard_normal(p))
+    edges = [t * EMAX_TILE for t in range(1, (p - 1) // EMAX_TILE + 1)] or [0]
+    lo = st.builds(lambda e, back: max(e - back, 0), st.sampled_from(edges),
+                   st.integers(0, 8))
+    spans = st.builds(lambda a, n: list(range(a, min(a + n, p))), lo, st.integers(1, 20))
+    scattered = st.lists(st.integers(0, p - 1), min_size=1, max_size=12)
+    subsets = draw(st.lists(st.one_of(spans, scattered), min_size=1, max_size=4))
+    return spec, subsets, draw(st.integers(1, 2000)), draw(st.integers(0, 2 ** 64 - 1))
+
+
+class TestTileContract:
+    """Fixed column tiles: a coordinate's values never depend on the request."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(req=tiled_requests(), mode=st.sampled_from(MODES))
+    def test_batched_equals_separate_property(self, req, mode):
+        spec, subsets, n_mc, seed = req
+        batched = expected_max_many(spec, subsets, n_mc, seed, mode)
+        separate = [expected_max_many(spec, [s], n_mc, seed, mode)[0] for s in subsets]
+        # Bytes, so that the NaN se of a one-draw pass compares too.
+        assert np.array(batched).tobytes() == np.array(separate).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(req=tiled_requests(), mode=st.sampled_from(MODES))
+    def test_enlarging_subset_never_lowers_property(self, req, mode):
+        spec, subsets, n_mc, seed = req
+        small = subsets[0]
+        large = sorted(set(small).union(*subsets[1:]))
+        (e_small, _), = expected_max_many(spec, [small], n_mc, seed, mode)
+        (e_large, _), = expected_max_many(spec, [large], n_mc, seed, mode)
+        assert e_large >= e_small
