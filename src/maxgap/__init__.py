@@ -16,7 +16,7 @@ from .cov import (ConditionReport, CovSpec, Partition, ViolationStats,
                   check_conditions, explicit_cov, min_eigenvalue, residual_cov,
                   rho_bar, sqrt_factor, violation_stats)
 from .sampling import (DiffSample, SampleBatch, argmax_indicator, dump_batch,
-                       load_batch, max_diff, sample)
+                       load_batch, max_diff, sample, sample_max_diff)
 from .levy import (DensityCurve, ExpectedMax, LevyEstimate, density_curve,
                    expected_max_abs, expected_max_many, expected_max_signed,
                    levy_curve, levy_hat)
@@ -54,5 +54,5 @@ __all__ = [
     "max_diff", "min_eigenvalue", "multiplier_replicates", "observed_process",
     "residual_cov", "rho_bar", "run_bootstrap", "run_bootstrap_demo",
     "run_bounds_compare", "run_levy_experiment", "run_scaling_study", "sample",
-    "sqrt_factor", "violation_stats",
+    "sample_max_diff", "sqrt_factor", "violation_stats",
 ]

@@ -9,6 +9,16 @@ replicates re-randomize the centered rows with iid multiplier weights:
 with w either standard normal or a standardized Beta(1/2, 3/2) variable.
 The probability that the argmax of Y falls inside block A is approximated by
 the fraction of replicates with max over A strictly above max over B.
+
+Replicates come in the sampler's fixed ``CHUNK``-row chunks, chunk k with
+weights from the counter-based stream keyed by (seed, k), through one chunk
+generator.  :func:`multiplier_replicates` is the batch API and keeps the
+whole B x p matrix; :func:`run_bootstrap`, which the CLI uses, reduces each
+chunk to its per-replicate M_A - M_B as it is drawn, so it holds O(CHUNK * p)
+memory, and its result equals ``argmax_prob(multiplier_replicates(...))`` bit
+for bit.  For both, a run of whole chunks is a prefix of any longer run
+with the same seed; a partial last chunk is one matmul of another height,
+which BLAS may sum in another order, so it agrees only to rounding.
 """
 
 from __future__ import annotations
@@ -115,12 +125,13 @@ def observed_process(data: DataMatrix) -> np.ndarray:
     return (data.xi + data.a).sum(axis=0) / math.sqrt(data.n)
 
 
-def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
-                          multiplier: str = "gaussian") -> np.ndarray:
-    """B x p matrix of bootstrap replicates, deterministic per seed.
+def _replicate_chunks(data: DataMatrix, b_reps: int, seed: int, multiplier: str):
+    """Iterator of (lo, hi, rows): replicates lo..hi, one sampler ``CHUNK`` at a time.
 
-    Replicates are generated in the sampler's fixed chunks with counter-based
-    child streams, so the matrix does not depend on evaluation order.
+    The arguments are checked at once; the chunks are drawn as they are
+    iterated.  Chunk k draws its weights from the counter-based child stream
+    ``chunk_rng(seed, k)``, so its rows do not depend on which other chunks
+    are drawn, or in what order.
     """
     if b_reps < 1:
         raise BadConfig(f"b_reps must be positive, got {b_reps}")
@@ -129,20 +140,45 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     centered = data.xi - data.xi.mean(axis=0)
     shift = math.sqrt(data.n) * data.a
     inv_sqrt_n = 1.0 / math.sqrt(data.n)
-    out = np.empty((b_reps, data.p))
-    n_chunks = (b_reps + CHUNK - 1) // CHUNK
-    for k in range(n_chunks):
+
+    def chunk(k: int) -> tuple[int, int, np.ndarray]:
         lo, hi = k * CHUNK, min((k + 1) * CHUNK, b_reps)
         rng = chunk_rng(seed, k)
         if multiplier == "gaussian":
             w = rng.standard_normal((hi - lo, data.n))
         else:
             w = (rng.beta(0.5, 1.5, size=(hi - lo, data.n)) - BETA_MEAN) / math.sqrt(BETA_VAR)
-        np.matmul(w, centered, out=out[lo:hi])
-        out[lo:hi] *= inv_sqrt_n
-        out[lo:hi] += shift
+        rows = w @ centered
+        rows *= inv_sqrt_n
+        rows += shift
+        return lo, hi, rows
+
+    return map(chunk, range((b_reps + CHUNK - 1) // CHUNK))
+
+
+def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
+                          multiplier: str = "gaussian") -> np.ndarray:
+    """B x p matrix of bootstrap replicates, deterministic per seed.
+
+    The batch API; :func:`run_bootstrap` reduces the same chunks without
+    keeping them.
+    """
+    chunks = _replicate_chunks(data, b_reps, seed, multiplier)
+    out = np.empty((b_reps, data.p))
+    for lo, hi, rows in chunks:
+        out[lo:hi] = rows
     out.flags.writeable = False
     return out
+
+
+def _summarize(diffs: np.ndarray, quantiles, multiplier: str, seed: int) -> BootstrapResult:
+    """Share of M_A - M_B strictly above zero, and the requested quantiles."""
+    diffs.flags.writeable = False
+    b = diffs.shape[0]
+    prob = float(np.count_nonzero(diffs > 0.0)) / b
+    qs = {float(q): float(np.quantile(diffs, q)) for q in quantiles}
+    return BootstrapResult(diffs=diffs, prob_argmax_in_a=prob, quantiles=qs,
+                           multiplier=multiplier, b_reps=b, seed=seed)
 
 
 def argmax_prob(replicates: np.ndarray, part: Partition, quantiles=DEFAULT_QUANTILES,
@@ -160,19 +196,24 @@ def argmax_prob(replicates: np.ndarray, part: Partition, quantiles=DEFAULT_QUANT
         raise DimensionMismatch(
             f"partition over {part.p} coordinates, replicates have {replicates.shape[1]}")
     diffs = replicates[:, part.a_idx].max(axis=1) - replicates[:, part.b_idx].max(axis=1)
-    diffs.flags.writeable = False
-    b = diffs.shape[0]
-    prob = float(np.count_nonzero(diffs > 0.0)) / b
-    qs = {float(q): float(np.quantile(diffs, q)) for q in quantiles}
-    return BootstrapResult(diffs=diffs, prob_argmax_in_a=prob, quantiles=qs,
-                           multiplier=multiplier, b_reps=b, seed=seed)
+    return _summarize(diffs, quantiles, multiplier, seed)
 
 
 def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
                   multiplier: str = "gaussian", quantiles=DEFAULT_QUANTILES) -> BootstrapResult:
-    """Generate replicates and summarize them in one step."""
-    reps = multiplier_replicates(data, b_reps, seed, multiplier)
-    return argmax_prob(reps, part, quantiles, multiplier=multiplier, seed=seed)
+    """Generate replicates and summarize them in one step, chunk by chunk.
+
+    Equal, bit for bit, to ``argmax_prob(multiplier_replicates(...), part, ...)``
+    but holds one chunk of replicates at a time, never the B x p matrix.
+    """
+    if part.p != data.p:
+        raise DimensionMismatch(f"partition over {part.p} coordinates, data have {data.p}")
+    chunks = _replicate_chunks(data, b_reps, seed, multiplier)
+    diffs = np.empty(b_reps)
+    a_idx, b_idx = part.a_idx, part.b_idx
+    for lo, hi, rows in chunks:
+        diffs[lo:hi] = rows[:, a_idx].max(axis=1) - rows[:, b_idx].max(axis=1)
+    return _summarize(diffs, quantiles, multiplier, seed)
 
 
 def clt_rate(inputs: CltRateInputs) -> float:

@@ -8,8 +8,9 @@ applies a half-width afterwards, which makes a pure-rate ratio the same float
 at every eps.  Expected-max terms are Monte Carlo estimates streamed under a
 shared seed (common random numbers), which makes the documented algebraic
 relations between bounds exact rather than approximate.  Within one
-``bound_report`` each (spec, subset, mode, n_mc, seed) request is streamed
-once and served to every bound that asks for it; the fixed column tiles of
+``bound_report`` each (spec content, subset, mode, n_mc, seed) request is
+streamed once and served to every bound that asks for it, also across specs
+equal in content; the fixed column tiles of
 :func:`maxgap.levy.expected_max_many` make a served value bit-identical to a
 fresh pass.
 
@@ -40,9 +41,9 @@ TOL_RESID = 1e-10       # residual variance below TOL_RESID * marginal is zero
 ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
 
-# Expected maxima served so far in the running bound_report, per spec object:
-# id(spec) -> (spec, {(subset bytes, mode, n_mc, seed): mean}).  Holding the
-# spec keeps its id from being reused by a later spec of the same report.
+# Expected maxima served so far in the running bound_report, per model content:
+# spec.content_hash() -> {(subset bytes, mode, n_mc, seed): mean}.  Specs equal
+# in content, like the two residual laws of a symmetric design, share a pass.
 _SERVED: ContextVar[dict | None] = ContextVar("maxgap_served_emax", default=None)
 
 
@@ -119,7 +120,7 @@ def _emax(spec: CovSpec, subsets, mode: str, mc: McConfig) -> list[float]:
     Outside ``bound_report`` nothing is kept, so every call is one pass.
     """
     served = _SERVED.get()
-    memo = {} if served is None else served.setdefault(id(spec), (spec, {}))[1]
+    memo = {} if served is None else served.setdefault(spec.content_hash(), {})
     keys = [(np.unique(np.asarray(s, dtype=np.intp)).tobytes(), mode, mc.n_mc, mc.seed)
             for s in subsets]
     missing = {key: s for key, s in zip(keys, subsets) if key not in memo}

@@ -138,8 +138,19 @@ class CovSpec:
         return cls.from_json_dict(json.loads(s))
 
     def content_hash(self) -> str:
-        """Stable hex digest of the model content (row-major, full precision)."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        """Stable hex digest of the model content.
+
+        sha256 over the form, then each array's shape and little-endian
+        float64 bytes (gamma or sigma, then mu), so equal content hashes
+        equal, also after a JSON round trip.  Earlier builds hashed the JSON
+        text, so ``spec_hash`` values they wrote differ from today's for the
+        same model.
+        """
+        h = hashlib.sha256(self.form.encode())
+        for arr in (self.gamma if self.gamma is not None else self.sigma, self.mu):
+            h.update(repr(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        return h.hexdigest()
 
 
 def _check_mu(mu: np.ndarray | None, p: int) -> np.ndarray:

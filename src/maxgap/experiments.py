@@ -22,7 +22,7 @@ from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
 from .levy import DEFAULT_GRID, LevyEstimate, expected_max_abs, levy_curve, levy_hat
-from .sampling import max_diff, sample
+from .sampling import RNG_METHOD, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
 K0_SWEEP_P = (25, 30, 40, 60, 80, 120)
@@ -61,6 +61,9 @@ class RunManifest:
 
     Outputs are bit-identical only under one BLAS build and BLAS thread
     count, so the sidecar records both (an unset thread variable is None).
+    ``spec_hash`` is the sampled model's :meth:`CovSpec.content_hash`, None
+    when the file covers several models; ``rng_method`` names the sampler's
+    generator.
     """
 
     command: str
@@ -69,6 +72,8 @@ class RunManifest:
     columns: tuple[str, ...]
     n_rows: int
     outputs: tuple[str, ...]
+    spec_hash: str | None = None
+    rng_method: str = RNG_METHOD
     created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     versions: dict = field(default_factory=_versions)
     blas_threads: dict = field(default_factory=lambda: {
@@ -85,6 +90,8 @@ class RunManifest:
             "created": self.created,
             "versions": self.versions,
             "blas_threads": self.blas_threads,
+            "spec_hash": self.spec_hash,
+            "rng_method": self.rng_method,
         })
 
 
@@ -102,7 +109,8 @@ def write_json(path: str | None, payload: dict) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
-def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict) -> str:
+def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict,
+              spec_hash: str | None = None) -> str:
     columns = tuple(columns)
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -113,7 +121,7 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
                 fh.write(",".join(cells) + "\n")
         manifest = RunManifest(command=command, seed=seed, config=config,
                                columns=columns, n_rows=len(rows),
-                               outputs=(os.path.basename(path),))
+                               outputs=(os.path.basename(path),), spec_hash=spec_hash)
         manifest.write(path + ".meta.json")
     except OSError as err:
         raise IoError(f"cannot write {path}: {err}") from err
@@ -123,8 +131,7 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
 def levy_sweep(spec: CovSpec, part: Partition, epsilons, n_rep: int, seed: int,
                grid_points: int = DEFAULT_GRID, n_threads: int = 1) -> list[LevyEstimate]:
     """Sample once, then estimate the concentration at each epsilon."""
-    batch = sample(spec, n_rep, seed, n_threads=n_threads)
-    diffs = max_diff(batch, part)
+    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     return levy_curve(diffs, epsilons, grid_points=grid_points)
 
 
@@ -151,7 +158,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
     } for est in estimates]
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
     write_csv(path, rows[0].keys(), rows, command="levy", seed=seed,
-              config=cfg.to_json_dict())
+              config=cfg.to_json_dict(), spec_hash=spec.content_hash())
     return path, rows
 
 
@@ -198,8 +205,7 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     seed = cfg.seed if seed is None else int(seed)
     eps_list = [float(e) for e in (epsilons if np.iterable(epsilons) else (epsilons,))]
     spec, part = gen_design(cfg)
-    batch = sample(spec, n_rep, seed, n_threads=n_threads)
-    diffs = max_diff(batch, part)
+    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     mc = McConfig(n_mc=int(n_mc), seed=seed) if n_mc is not None else McConfig(seed=seed)
     overlap = cfg.overlap_k if cfg.kind == "exchangeable_overlap" else None
     estimates = [levy_hat(diffs, eps, grid_points=grid_points) for eps in eps_list]
@@ -207,7 +213,7 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=seed,
-              config=cfg.to_json_dict())
+              config=cfg.to_json_dict(), spec_hash=spec.content_hash())
     return path, rows, report
 
 
@@ -264,8 +270,8 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
 def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
                  grid_points: int, n_threads: int) -> dict:
     spec, part = gen_design(cfg)
-    batch = sample(spec, n_rep, seed, n_threads=n_threads)
-    est = levy_hat(max_diff(batch, part), epsilon, grid_points=grid_points)
+    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
+    est = levy_hat(diffs, epsilon, grid_points=grid_points)
     rbar = rho_bar(spec, part)
     row = {
         "kind": kind,

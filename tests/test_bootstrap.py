@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
                     DimensionMismatch, ParseError, Partition,
@@ -12,7 +14,7 @@ from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
                     run_bootstrap, sample)
 from maxgap.bootstrap import BETA_MEAN, BETA_VAR
 from maxgap.experiments import write_json
-from maxgap.sampling import chunk_rng
+from maxgap.sampling import CHUNK, chunk_rng
 
 
 class TestDataMatrix:
@@ -136,6 +138,32 @@ class TestArgmaxProb:
         path = str(tmp_path / "res.json")
         write_json(path, res.to_json_dict())
         assert json.load(open(path)) == d
+
+
+class TestStreamedBootstrap:
+    @settings(max_examples=30, deadline=None)
+    @given(data_seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 30), p=st.integers(2, 8),
+           b_reps=st.sampled_from((1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)),
+           multiplier=st.sampled_from(("gaussian", "beta")),
+           seed=st.integers(0, 2 ** 64 - 1), split=st.integers(1, 7))
+    def test_equals_batch_path(self, data_seed, n, p, b_reps, multiplier, seed, split):
+        rng = np.random.default_rng(data_seed)
+        data = DataMatrix(rng.standard_normal((n, p)), a=rng.standard_normal(p) * 0.1)
+        order = rng.permutation(p)
+        k = min(split, p - 1)
+        part = Partition(tuple(order[:k]), tuple(order[k:]), p)
+        streamed = run_bootstrap(data, part, b_reps, seed, multiplier=multiplier)
+        batch = argmax_prob(multiplier_replicates(data, b_reps, seed, multiplier), part,
+                            multiplier=multiplier, seed=seed)
+        assert streamed.diffs.tobytes() == batch.diffs.tobytes()
+        assert streamed.prob_argmax_in_a == batch.prob_argmax_in_a
+        assert streamed.quantiles == batch.quantiles
+        assert streamed.to_json_dict() == batch.to_json_dict()
+
+    def test_partition_checked(self):
+        data = DataMatrix(np.arange(6.0).reshape(3, 2) ** 2)
+        with pytest.raises(DimensionMismatch):
+            run_bootstrap(data, Partition.split(3, 1), b_reps=10, seed=0)
 
 
 class TestCltRate:

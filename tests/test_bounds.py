@@ -13,7 +13,8 @@ from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
                     ZeroResidualVariance, bound_baseline_min_eig,
                     bound_conditional, bound_corr_threshold,
                     bound_heterogeneous, bound_homogeneous, bound_report,
-                    bound_single_max, lower_bound_exchangeable, sample)
+                    bound_single_max, lower_bound_exchangeable, residual_cov,
+                    sample)
 from maxgap.bounds import default_delta_grid
 from maxgap.designs import DesignConfig, gen_design
 
@@ -335,25 +336,34 @@ class TestRequestReuse:
     CFG = DesignConfig(kind="fullrank_equicorr", p=40, rho=0.5)
     MC = McConfig(n_mc=3000, seed=9)
 
-    def test_no_request_streamed_twice(self, monkeypatch):
+    def count_passes(self, monkeypatch, spec, part):
+        """Each expected-max pass of one report, as its (content, subset, ...) keys."""
         import maxgap.bounds as bounds
 
-        spec, part = gen_design(self.CFG)
-        passes, specs = [], []
+        passes = []
         real = bounds.expected_max_many
 
         def counting(spec, subsets, n_mc, seed, mode="abs_std"):
-            specs.append(spec)  # keeps each spec's id unique for the whole report
-            passes.append([(id(spec), tuple(sorted({int(i) for i in s})), mode, n_mc, seed)
-                           for s in subsets])
+            passes.append([(spec.content_hash(), tuple(sorted({int(i) for i in s})), mode,
+                            n_mc, seed) for s in subsets])
             return real(spec, subsets, n_mc, seed, mode)
         monkeypatch.setattr(bounds, "expected_max_many", counting)
         rep = bound_report(spec, part, self.MC)
         assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)
         requests = [key for keys in passes for key in keys]
         assert len(requests) == len(set(requests))
-        # One pass for the design, one for the residual law of each block.
-        assert len(passes) == 3
+        return passes
+
+    def test_no_request_streamed_twice(self, monkeypatch):
+        spec, part = gen_design(self.CFG)
+        # One pass for the design, one for the two residual laws: the split is
+        # symmetric, so they are equal in content.
+        assert len(self.count_passes(monkeypatch, spec, part)) == 2
+
+    def test_unequal_residual_laws_streamed_apart(self, monkeypatch):
+        spec, _ = gen_design(self.CFG)
+        part = Partition.split(40, 15)
+        assert len(self.count_passes(monkeypatch, spec, part)) == 3
 
     def test_served_values_equal_separate_calls(self):
         spec, part = gen_design(self.CFG)
@@ -362,6 +372,11 @@ class TestRequestReuse:
         assert rep.heterogeneous == bound_heterogeneous(spec, part, self.MC)
         assert rep.single_max == min(bound_single_max(spec, s, self.MC)
                                      for s in (part.a_set, part.b_set))
+        # The report streams the two residual laws, equal in content, once;
+        # outside a report each is streamed on its own.
+        res_a, res_b = residual_cov(spec, part)
+        assert np.array_equal(res_a, res_b)
+        assert rep.conditional == bound_conditional(spec, part, self.MC)
 
     def test_explicit_spec_factored_once(self, monkeypatch):
         import maxgap.cov as cov
@@ -377,5 +392,5 @@ class TestRequestReuse:
         monkeypatch.setattr(cov, "sqrt_factor", counting)
         sample(spec, 100, seed=1)
         bound_report(spec, part, self.MC)
-        # The design once, then the residual law of each block once.
-        assert factored == [(40, 40), (20, 20), (20, 20)]
+        # The design once, then the two residual laws, equal in content, once.
+        assert factored == [(40, 40), (20, 20)]

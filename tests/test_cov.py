@@ -79,6 +79,15 @@ class TestCovSpec:
         b = CovSpec.explicit(np.eye(2), mu=[0.0, 1e-9])
         assert a.content_hash() != b.content_hash()
 
+    def test_content_hash_separates_form_and_shape(self):
+        # The same float64 bytes in another form or another shape.
+        vals = np.arange(1.0, 7.0)
+        tall = CovSpec.factor(vals[:3].reshape(3, 1), mu=vals[3:])
+        square = CovSpec.factor(vals[:4].reshape(2, 2), mu=vals[4:])
+        assert tall.content_hash() != square.content_hash()
+        assert (CovSpec.factor(np.eye(2)).content_hash()
+                != CovSpec.explicit(np.eye(2)).content_hash())
+
     def test_inputs_are_copied_and_frozen(self):
         g = np.eye(2)
         spec = CovSpec.factor(g)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from maxgap import (CovSpec, DataMatrix, IoError, Partition,
                     run_scaling_study, sample)
 from maxgap.designs import DesignConfig, gen_design
 from maxgap.experiments import COMPARE_COLUMNS, write_csv
+from maxgap.sampling import CHUNK
 
 
 def read_rows(path):
@@ -86,6 +88,28 @@ class TestLevyExperiment:
         cells = read_rows(path)[0]
         assert float(cells["levy_hat"]) == rows[0]["levy_hat"]
         assert float(cells["norm_eps"]) == rows[0]["norm_eps"]
+
+
+class TestStreamingMemory:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("cfg", [DesignConfig(kind="homog_lowrank", p=400, d=40, seed=1),
+                                     DesignConfig(kind="fullrank_equicorr", p=400, rho=0.5)],
+                             ids=["lowrank", "fullrank"])
+    def test_levy_peak_is_per_chunk(self, cfg, n_threads, tmp_path):
+        # tracemalloc sees numpy's buffers.  Each sampler thread holds one
+        # chunk of draws, their product and the two block copies; rho_bar
+        # holds the p x p covariance and its cross correlations.
+        n_rep, p = 16 * CHUNK, cfg.p
+        tracemalloc.start()
+        try:
+            run_levy_experiment(cfg, epsilons=(0.05,), n_rep=n_rep, out_dir=str(tmp_path),
+                                n_threads=n_threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 3 * CHUNK * p * 8 * n_threads + 2 * p * p * 8
+        assert bound < n_rep * p * 8 / 2
+        assert peak < bound
 
 
 class TestBoundsCompare:

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition,
                     argmax_indicator, dump_batch, load_batch, max_diff, sample)
 from maxgap import sampling
 from maxgap.sampling import (CHUNK, SampleBatch, chunk_rng, emax_chunk_rows,
-                             stream_std_normal)
+                             sample_max_diff, stream_std_normal)
 
 from conftest import dyadic
 
@@ -86,6 +88,76 @@ class TestSampleDeterminism:
         many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
         assert sizes == [3]
         assert np.array_equal(many.data, sample(spec, 2 * CHUNK + 1, seed=5).data)
+
+
+N_REPS = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK)
+
+
+@st.composite
+def streamed_designs(draw):
+    """A factor spec with nonzero mean and a contiguous, scattered or overlap partition.
+
+    An overlap partition duplicates the shared coordinates of a base law, so
+    the partition of the stacked model stays disjoint.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = draw(st.sampled_from(("contiguous", "scattered", "overlap")))
+    q, r = draw(st.integers(2, 9)), draw(st.integers(1, 6))
+    base = rng.standard_normal((q, r))
+    if layout == "overlap":
+        k = draw(st.integers(1, q - 1))
+        a_rows = np.arange(q - k + 1)
+        b_rows = np.arange(q - k, q)
+        gamma = np.vstack([base[a_rows], base[b_rows]])
+        part = Partition.split(gamma.shape[0], a_rows.size)
+    else:
+        gamma = base
+        order = rng.permutation(q) if layout == "scattered" else np.arange(q)
+        k = draw(st.integers(1, q - 1))
+        part = Partition(tuple(order[:k]), tuple(order[k:]), q)
+    mu = rng.standard_normal(gamma.shape[0]) * 3.0
+    return CovSpec.factor(gamma, mu=mu), part
+
+
+class TestSampleMaxDiff:
+    @settings(max_examples=40, deadline=None)
+    @given(design=streamed_designs(), n_rep=st.sampled_from(N_REPS),
+           n_threads=st.integers(1, 3), seed=st.integers(0, 2 ** 64 - 1))
+    def test_equals_batch_path(self, design, n_rep, n_threads, seed):
+        spec, part = design
+        streamed = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
+        batch = max_diff(sample(spec, n_rep, seed, n_threads=n_threads), part)
+        assert streamed.values.tobytes() == batch.values.tobytes()
+        assert (streamed.mean, streamed.sd) == (batch.mean, batch.sd)
+        assert streamed.part == part
+        assert not streamed.values.flags.writeable
+
+    @settings(max_examples=30, deadline=None)
+    @given(design=streamed_designs(), n=st.sampled_from(N_REPS),
+           m=st.integers(1, 3 * CHUNK), n_threads=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_prefix_stable(self, design, n, m, n_threads, seed):
+        # Whole chunks of a shorter run equal the longer run bit for bit.  A
+        # partial last chunk is one matmul of another height, which BLAS may
+        # sum in another order, so its rows agree only to rounding.
+        spec, part = design
+        m = min(m, n)
+        long = sample_max_diff(spec, part, n, seed, n_threads=n_threads).values
+        short = sample_max_diff(spec, part, m, seed).values
+        exact = m if m == n else m // CHUNK * CHUNK
+        assert short[:exact].tobytes() == long[:exact].tobytes()
+        assert np.allclose(short, long[:m], rtol=0.0, atol=1e-12)
+
+    def test_dimension_checked(self):
+        spec = CovSpec.explicit(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            sample_max_diff(spec, Partition.split(4, 2), 10, seed=1)
+
+    @pytest.mark.parametrize("n_rep, n_threads", [(0, 1), (10, 0)])
+    def test_counts_checked(self, n_rep, n_threads):
+        spec = CovSpec.explicit(np.eye(2))
+        with pytest.raises(BadConfig):
+            sample_max_diff(spec, Partition.split(2, 1), n_rep, seed=1, n_threads=n_threads)
 
 
 class TestSampleMoments:
