@@ -6,20 +6,16 @@ maxima, evaluates the matching theoretical upper and lower bounds, and runs
 the multiplier bootstrap for argmax inference.
 """
 
-from .errors import (BadConfig, BadGeometry, ConditionFails, DegenerateSample,
-                     DimensionMismatch, EmptySample, EmptySubset,
-                     HeterogeneousVariances, IoError, MaxgapError,
-                     NoAdmissibleDelta, NotPSD, ParseError,
+from .errors import (BadConfig, BadGeometry, ConditionFails, DimensionMismatch,
+                     EmptySample, EmptySubset, HeterogeneousVariances, IoError,
+                     MaxgapError, NoAdmissibleDelta, NotPSD, ParseError,
                      PerfectCrossCorrelation, SingularBlock, SingularCovariance,
                      SmallSampleWarning, ZeroResidualVariance, ZeroVariance)
 from .cov import (ConditionReport, CovSpec, Partition, ViolationStats,
                   check_conditions, explicit_cov, min_eigenvalue, residual_cov,
                   rho_bar, sqrt_factor, violation_stats)
-from .sampling import (DiffSample, SampleBatch, argmax_indicator, dump_batch,
-                       load_batch, max_diff, sample, sample_max_diff)
-from .levy import (DensityCurve, ExpectedMax, LevyEstimate, density_curve,
-                   expected_max_abs, expected_max_many, expected_max_signed,
-                   levy_curve, levy_hat)
+from .sampling import DiffSample, SampleBatch, max_diff, sample, sample_max_diff
+from .levy import LevyEstimate, expected_max_many, levy_curve, levy_hat
 from .bounds import (ALL_BOUNDS, BoundReport, DeltaTerm, ExchangeableLower,
                      Inapplicable, McConfig, bound_baseline_min_eig,
                      bound_conditional, bound_corr_threshold,
@@ -37,21 +33,19 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_BOUNDS", "BadConfig", "BadGeometry", "BootstrapResult", "BoundReport",
     "CltRateInputs", "ConditionFails", "ConditionReport", "CovSpec",
-    "DataMatrix", "DegenerateSample", "DeltaTerm", "DensityCurve", "DesignConfig",
-    "DiffSample", "DimensionMismatch", "EmptySample", "EmptySubset",
-    "ExchangeableLower", "ExpectedMax", "HeterogeneousVariances", "Inapplicable",
-    "IoError", "KINDS", "LevyEstimate", "MaxgapError", "McConfig",
-    "NoAdmissibleDelta", "NotPSD", "ParseError", "Partition",
-    "PerfectCrossCorrelation", "SampleBatch", "SingularBlock",
-    "SingularCovariance", "SmallSampleWarning", "ViolationStats",
-    "ZeroResidualVariance", "ZeroVariance", "argmax_indicator", "argmax_prob",
+    "DataMatrix", "DeltaTerm", "DesignConfig", "DiffSample",
+    "DimensionMismatch", "EmptySample", "EmptySubset", "ExchangeableLower",
+    "HeterogeneousVariances", "Inapplicable", "IoError", "KINDS",
+    "LevyEstimate", "MaxgapError", "McConfig", "NoAdmissibleDelta", "NotPSD",
+    "ParseError", "Partition", "PerfectCrossCorrelation", "SampleBatch",
+    "SingularBlock", "SingularCovariance", "SmallSampleWarning",
+    "ViolationStats", "ZeroResidualVariance", "ZeroVariance", "argmax_prob",
     "bound_baseline_min_eig", "bound_conditional", "bound_corr_threshold",
     "bound_heterogeneous", "bound_homogeneous", "bound_report",
-    "bound_single_max", "check_conditions", "clt_rate", "density_curve",
-    "dump_batch", "expected_max_abs", "expected_max_many", "expected_max_signed",
+    "bound_single_max", "check_conditions", "clt_rate", "expected_max_many",
     "explicit_cov", "from_batch", "gen_design", "levy_curve", "levy_hat",
-    "levy_sweep", "load_batch", "load_csv", "lower_bound_exchangeable",
-    "max_diff", "min_eigenvalue", "multiplier_replicates", "observed_process",
+    "levy_sweep", "load_csv", "lower_bound_exchangeable", "max_diff",
+    "min_eigenvalue", "multiplier_replicates", "observed_process",
     "residual_cov", "rho_bar", "run_bootstrap", "run_bootstrap_demo",
     "run_bounds_compare", "run_levy_experiment", "run_scaling_study", "sample",
     "sample_max_diff", "sqrt_factor", "violation_stats",

@@ -231,10 +231,30 @@ def clt_rate(inputs: CltRateInputs) -> float:
 
 
 def load_csv(path: str, shift=None) -> DataMatrix:
-    """Read an n x p numeric CSV (header row optional) into a DataMatrix."""
+    """Read an n x p numeric UTF-8 CSV (header row optional) into a DataMatrix.
+
+    One ``np.loadtxt`` call parses a plain numeric file.  A file it rejects
+    (a header row, quoted cells, a bad or ragged row, no rows at all) is read
+    again by :func:`_parse_rows`, which accepts the header and quotes and
+    names the row and column of a bad cell.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no rows
+            xi = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+    except (ValueError, UserWarning):
+        try:
+            xi = _parse_rows(path)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path} is not UTF-8 text: {err}") from None
+    return DataMatrix(xi=xi, a=shift)
+
+
+def _parse_rows(path: str) -> np.ndarray:
+    """The rows of a CSV as floats, cell by cell, skipping blank lines and a header."""
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -258,7 +278,7 @@ def load_csv(path: str, shift=None) -> DataMatrix:
             rows.append(parsed)
     if not rows:
         raise ParseError(f"no numeric rows in {path}")
-    return DataMatrix(xi=np.asarray(rows, dtype=float), a=shift)
+    return np.asarray(rows, dtype=float)
 
 
 def from_batch(batch: SampleBatch, shift=None) -> DataMatrix:

@@ -106,12 +106,12 @@ def _add_run(sub: argparse.ArgumentParser, reps: int, eps) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as err:
         raise IoError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise BadConfig(f"config {path} is not valid JSON: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise BadConfig(f"config {path} is not valid UTF-8 JSON: {err}") from err
     if not isinstance(obj, dict):
         raise BadConfig(f"config {path} must hold a JSON object")
     return obj

@@ -15,7 +15,6 @@ factor (an eigendecomposition for explicit covariances) at most once.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,31 +119,12 @@ class CovSpec:
             out["sigma"] = self.sigma.tolist()
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CovSpec":
-        form = d.get("form")
-        mu = d.get("mu")
-        if form == "factor":
-            return cls.factor(np.asarray(d["gamma"], dtype=float), mu)
-        if form == "explicit":
-            return cls.explicit(np.asarray(d["sigma"], dtype=float), mu)
-        raise BadConfig(f"unknown covariance form {form!r}")
-
-    @classmethod
-    def from_json(cls, s: str) -> "CovSpec":
-        return cls.from_json_dict(json.loads(s))
-
     def content_hash(self) -> str:
         """Stable hex digest of the model content.
 
         sha256 over the form, then each array's shape and little-endian
         float64 bytes (gamma or sigma, then mu), so equal content hashes
-        equal, also after a JSON round trip.  Earlier builds hashed the JSON
-        text, so ``spec_hash`` values they wrote differ from today's for the
-        same model.
+        equal.
         """
         h = hashlib.sha256(self.form.encode())
         for arr in (self.gamma if self.gamma is not None else self.sigma, self.mu):
@@ -201,10 +181,6 @@ class Partition:
 
     def to_json_dict(self) -> dict:
         return {"a": list(self.a_set), "b": list(self.b_set), "p": self.p}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Partition":
-        return cls(tuple(d["a"]), tuple(d["b"]), int(d["p"]))
 
     @classmethod
     def split(cls, p: int, k: int) -> "Partition":

@@ -9,7 +9,6 @@ disjoint and the ambient dimension is p + k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -59,16 +58,6 @@ class DesignConfig:
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DesignConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise BadConfig(f"unknown design fields: {sorted(extra)}")
-        if "kind" not in d:
-            raise BadConfig("design config needs a 'kind'")
-        return cls(**d)
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -196,8 +185,3 @@ _GENERATORS = {
     "exchangeable_overlap": _exchangeable_overlap,
     "k0_split": _k0_split,
 }
-
-
-def load_design_config(path: str) -> DesignConfig:
-    with open(path) as fh:
-        return DesignConfig.from_json_dict(json.load(fh))

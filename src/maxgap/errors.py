@@ -53,16 +53,6 @@ class EmptySubset(MaxgapError):
     code = "empty_subset"
 
 
-class DegenerateSample(MaxgapError):
-    """Sample has zero spread; density estimate would be a point mass."""
-
-    code = "degenerate_sample"
-
-    def __init__(self, location: float):
-        self.location = location
-        super().__init__(f"sample is constant at {location!r}; point mass, no density curve")
-
-
 class HeterogeneousVariances(MaxgapError):
     """Bound requires equal component variances."""
 

@@ -21,7 +21,7 @@ from .bounds import ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_repor
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
-from .levy import DEFAULT_GRID, LevyEstimate, expected_max_abs, levy_curve, levy_hat
+from .levy import DEFAULT_GRID, LevyEstimate, expected_max_many, levy_curve, levy_hat
 from .sampling import RNG_METHOD, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -321,13 +321,13 @@ def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int, n_mc: int) -> 
         if not (rep.cond_a_holds or rep.cond_b_holds):
             raise ConditionFails("variance conditions fail on the sample covariance")
         subset = part.b_set if rep.s_set[0] == "B" else part.a_set
-        emax = expected_max_abs(spec_hat, subset, n_mc=n_mc, seed=seed)
+        (emax_s, _), = expected_max_many(spec_hat, [subset], n_mc, seed)
         b_n = max(1.0, float(np.abs(centered).max()))
         inputs = CltRateInputs(b_n=b_n, b0=1.0, n=data.n, p=data.p,
-                               c_ab=rep.c_ab, emax_s=emax.value)
+                               c_ab=rep.c_ab, emax_s=emax_s)
         return {"clt_rate": clt_rate(inputs),
                 "clt_inputs": {"b_n": b_n, "b0": 1.0, "c_ab": rep.c_ab,
-                               "emax_s": emax.value, "s_set": rep.s_set[0]}}
+                               "emax_s": emax_s, "s_set": rep.s_set[0]}}
     except MaxgapError as err:
         return {"clt_rate": None,
                 "clt_skipped": getattr(err, "code", "error") or str(err)}

@@ -1,4 +1,4 @@
-"""Concentration-function estimation, density curves, and expected maxima.
+"""Concentration-function estimation and expected maxima.
 
 The concentration value of a sample at half-width eps is estimated by
 scanning a fixed grid of centers t (grid endpoints are the sample min and
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cov import CovSpec
-from .errors import BadConfig, DegenerateSample, EmptySample, EmptySubset
+from .errors import BadConfig, EmptySample, EmptySubset
 from .sampling import DiffSample, emax_chunk_rows, sampling_factor, stream_std_normal
 
 DEFAULT_GRID = 1000
@@ -44,23 +44,6 @@ class LevyEstimate:
     grid_points: int
     n_rep: int
     se_hint: float
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-    normalized: bool
-
-
-@dataclass(frozen=True)
-class ExpectedMax:
-    subset: tuple[int, ...]
-    value: float
-    n_mc: int
-    standardized: bool
-    se: float
 
 
 def _as_values(x) -> np.ndarray:
@@ -133,39 +116,6 @@ def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEst
     return out
 
 
-def density_curve(diffs, normalize: bool = False, grid_points: int = 512) -> DensityCurve:
-    """Gaussian kernel density with bandwidth 1.06 * sd * n^(-1/5).
-
-    With ``normalize`` the sample is centered and scaled to unit sd first.
-    Constant samples have no density curve and raise DegenerateSample, which
-    carries the point-mass location.
-    """
-    values = _as_values(diffs)
-    n = values.shape[0]
-    if n < 30:
-        raise BadConfig(f"density estimate needs at least 30 values, got {n}")
-    sd = float(values.std(ddof=1))
-    if sd == 0.0:
-        raise DegenerateSample(float(values[0]))
-    if normalize:
-        values = (values - values.mean()) / sd
-        sd = 1.0
-    h = 1.06 * sd * n ** (-0.2)
-    lo, hi = float(values.min()) - 4.0 * h, float(values.max()) + 4.0 * h
-    grid = np.linspace(lo, hi, grid_points)
-    density = np.zeros(grid_points)
-    inv = 1.0 / h
-    norm = 1.0 / (n * h * np.sqrt(2.0 * np.pi))
-    step = max(1, 8_000_000 // grid_points)
-    for s in range(0, n, step):
-        u = (grid[None, :] - values[s:s + step, None]) * inv
-        density += norm * np.exp(-0.5 * u * u).sum(axis=0)
-    density.flags.writeable = False
-    grid.flags.writeable = False
-    return DensityCurve(grid=grid, density=density, bandwidth=float(h),
-                        normalized=bool(normalize))
-
-
 def _check_subset(subset, p: int) -> np.ndarray:
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
     if idx.size == 0:
@@ -180,7 +130,6 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     """Stream one Monte Carlo pass and reduce several subsets at once.
 
     mode "abs_std": max over the subset of |X - mu| / sd.
-    mode "abs_raw": max over the subset of |X - mu|.
     mode "signed":  max over the subset of X itself.
 
     Returns one (mean, se) pair per subset.  Each chunk computes the
@@ -189,7 +138,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     """
     if n_mc < 1:
         raise BadConfig(f"n_mc must be positive, got {n_mc}")
-    if mode not in ("abs_std", "abs_raw", "signed"):
+    if mode not in ("abs_std", "signed"):
         raise BadConfig(f"unknown expected-max mode {mode!r}")
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
     ell = sampling_factor(spec)
@@ -214,8 +163,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
             vals += mu
         else:
             np.abs(vals, out=vals)
-            if mode == "abs_std":
-                vals /= sds
+            vals /= sds
         for i, w in enumerate(where):
             m = vals[:, w].max(axis=1)
             sums[i] += float(np.sum(m))
@@ -231,17 +179,3 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
         out.append((mean, se))
     return out
 
-
-def expected_max_abs(spec: CovSpec, subset, n_mc: int = DEFAULT_MC, seed: int = 0,
-                     standardized: bool = True) -> ExpectedMax:
-    """Monte Carlo E[max over subset of |X - mu| (optionally / sd)]."""
-    mode = "abs_std" if standardized else "abs_raw"
-    (value, se), = expected_max_many(spec, [subset], n_mc, seed, mode)
-    return ExpectedMax(subset=tuple(int(i) for i in subset), value=value,
-                       n_mc=n_mc, standardized=standardized, se=se)
-
-
-def expected_max_signed(spec: CovSpec, subset, n_mc: int = DEFAULT_MC, seed: int = 0) -> float:
-    """Monte Carlo E[max over subset of X], uncentered."""
-    (value, _), = expected_max_many(spec, [subset], n_mc, seed, "signed")
-    return value

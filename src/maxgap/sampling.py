@@ -16,7 +16,7 @@ repeated eigenvalue's eigenspace, so such a spec's draws can differ by more
 than rounding.
 
 Two paths share one chunk draw and one thread pool.  :func:`sample` is the
-batch API: it keeps the whole n_rep x p matrix, for tests and batch dumps.
+batch API: it keeps the whole n_rep x p matrix, as the tests' reference.
 :func:`sample_max_diff`, which the CLI commands use, reduces each chunk to
 its per-replicate M_B - M_A as soon as it is drawn, so it holds
 O(CHUNK * p) memory per sampler thread, and its values equal
@@ -24,21 +24,19 @@ O(CHUNK * p) memory per sampler thread, and its values equal
 whole-chunk prefix bit-identity hold for both paths.
 
 The normal generation method is numpy's ziggurat, fixed per build and
-recorded on every batch.
+recorded as ``RNG_METHOD`` in every CSV sidecar.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cov import CovSpec, Partition
-from .errors import BadConfig, DimensionMismatch, EmptySample
+from .errors import BadConfig, DimensionMismatch
 
 CHUNK = 1024
 RNG_METHOD = "philox4x64-ziggurat"
@@ -53,14 +51,12 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n_rep x p matrix of draws plus the provenance needed to regenerate it."""
+    """n_rep x p matrix of draws and the seed that drew it."""
 
     n_rep: int
     p: int
     data: np.ndarray
     seed: int
-    spec_hash: str
-    rng_method: str = RNG_METHOD
 
 
 @dataclass(frozen=True)
@@ -146,8 +142,7 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     data = np.empty((n_rep, spec.p))
     _run_chunks(spec, n_rep, seed, n_threads, lambda lo, hi, fill: fill(data[lo:hi]))
     data.flags.writeable = False
-    return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=seed,
-                       spec_hash=spec.content_hash())
+    return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=seed)
 
 
 def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
@@ -216,43 +211,3 @@ def max_diff(batch: SampleBatch, part: Partition) -> DiffSample:
     values = batch.data[:, part.b_idx].max(axis=1) - batch.data[:, part.a_idx].max(axis=1)
     return _diff_sample(values, part)
 
-
-def argmax_indicator(batch: SampleBatch, subset) -> np.ndarray:
-    """1.0 where the row argmax (ties to the lowest index) lies in subset."""
-    subset = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
-    if subset.size == 0:
-        raise BadConfig("subset must be nonempty")
-    if subset[0] < 0 or subset[-1] >= batch.p:
-        raise DimensionMismatch(f"subset indices must lie in [0, {batch.p})")
-    winners = np.argmax(batch.data, axis=1)
-    return np.isin(winners, subset).astype(float)
-
-
-def dump_batch(batch: SampleBatch, path: str) -> None:
-    """Write row-major float64 binary plus a JSON sidecar."""
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(batch.data).tobytes())
-    meta = {
-        "n_rep": batch.n_rep,
-        "p": batch.p,
-        "seed": batch.seed,
-        "spec_hash": batch.spec_hash,
-        "rng_method": batch.rng_method,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_batch(path: str) -> SampleBatch:
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    n_rep, p = int(meta["n_rep"]), int(meta["p"])
-    raw = np.fromfile(path, dtype=np.float64)
-    if raw.size != n_rep * p:
-        raise EmptySample(f"expected {n_rep * p} values in {os.path.basename(path)}, found {raw.size}")
-    data = raw.reshape(n_rep, p)
-    data.flags.writeable = False
-    return SampleBatch(n_rep=n_rep, p=p, data=data, seed=int(meta["seed"]),
-                       spec_hash=str(meta["spec_hash"]),
-                       rng_method=str(meta.get("rng_method", RNG_METHOD)))

@@ -17,7 +17,7 @@ import pytest
 from maxgap import (ALL_BOUNDS, CovSpec, DataMatrix, DiffSample, Inapplicable,
                     McConfig, Partition, SingularCovariance, argmax_prob,
                     bound_baseline_min_eig, bound_corr_threshold, bound_report,
-                    bound_single_max, expected_max_abs, from_batch, levy_hat,
+                    bound_single_max, expected_max_many, from_batch, levy_hat,
                     max_diff, multiplier_replicates, run_bounds_compare,
                     sample)
 from maxgap.cli import main as cli_main
@@ -172,8 +172,8 @@ def test_05_exchangeable_sandwich(capsys):
         off_sup = counts.max() / n
         # rho_bar of the underlying equicorrelated law, not of the duplicated
         # encoding (where the shared coordinates correlate perfectly).
-        e_a = expected_max_abs(spec, part.a_set, n_mc=200000, seed=78).value
-        e_b = expected_max_abs(spec, part.b_set, n_mc=200000, seed=78).value
+        (e_a, _), (e_b, _) = expected_max_many(spec, [part.a_set, part.b_set],
+                                               n_mc=200000, seed=78)
         cap = 14.0 * eps / ((1.0 - 0.3) * 1.0) * min(e_a, e_b)
         se = math.sqrt(off_sup * (1.0 - off_sup) / n)
         assert off_sup <= cap + 4.0 * se
@@ -277,9 +277,9 @@ def test_09_exact_invariants(capsys):
         # expected-max estimate, replicate by replicate.
         g = rng.standard_normal((6, 3))
         fspec = CovSpec.factor(g)
-        small = expected_max_abs(fspec, [1, 4], n_mc=20000, seed=7)
-        large = expected_max_abs(fspec, [0, 1, 4, 5], n_mc=20000, seed=7)
-        assert large.value >= small.value
+        (small, _), = expected_max_many(fspec, [[1, 4]], n_mc=20000, seed=7)
+        (large, _), = expected_max_many(fspec, [[0, 1, 4, 5]], n_mc=20000, seed=7)
+        assert large >= small
 
         # Equal variances and equal margins collapse the heterogeneous bound
         # onto the homogeneous one up to the 7:2 constants, bitwise.

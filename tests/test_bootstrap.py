@@ -12,7 +12,7 @@ from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
                     SmallSampleWarning, argmax_prob, clt_rate, from_batch,
                     load_csv, multiplier_replicates, observed_process,
                     run_bootstrap, sample)
-from maxgap.bootstrap import BETA_MEAN, BETA_VAR
+from maxgap.bootstrap import BETA_MEAN, BETA_VAR, _parse_rows
 from maxgap.experiments import write_json
 from maxgap.sampling import CHUNK, chunk_rng
 
@@ -235,3 +235,37 @@ class TestLoadCsv:
     def test_shift_passthrough(self, tmp_path):
         data = load_csv(self.write(tmp_path, "1,2\n3,4\n"), shift=[0.5, 0.0])
         assert np.array_equal(data.a, [0.5, 0.0])
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n3,4\n",
+        "1,2\n\n3,4\n\n",
+        '"1.5",2\n3,"-4e1"\n',
+        "1,2\n3,4 # note\n",
+        "#1,2\n3,4\n5,6\n",
+        "1,2\n3\n",
+        "1\n2.5\n-3\n",
+    ], ids=["header", "blank", "quoted", "hash", "hash_first", "ragged", "one_column"])
+    def test_matches_row_parser(self, tmp_path, text):
+        # The whole-file parse agrees with the cell-by-cell reader: the same
+        # floats, or a ParseError at the same row and column.
+        path = self.write(tmp_path, text)
+
+        def outcome(read):
+            try:
+                return read(path)
+            except ParseError as err:
+                return (err.row, err.col)
+
+        got = outcome(lambda p: load_csv(p).xi)
+        want = outcome(_parse_rows)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe1,2\n3,4\n", b"x,y\n1,2\n3,\xe94\n"])
+    def test_not_utf8(self, tmp_path, raw):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_csv(str(path))

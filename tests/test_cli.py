@@ -82,6 +82,14 @@ class TestConfigFile:
         code, _, _ = run(capsys, "gen-design", "--config", str(cfg))
         assert code == EXIT_CONFIG
 
+    def test_non_utf8_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"p": 4}')
+        code, _, err = run(capsys, "gen-design", "--kind", "table1", "--p", "20",
+                           "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestLevyCommand:
     def test_happy_path(self, capsys, tmp_path):
@@ -208,6 +216,13 @@ class TestBootstrapCommand:
     def test_missing_data_file(self, capsys):
         code, _, _ = run(capsys, "bootstrap", "--data", "/no/such/data.csv")
         assert code == EXIT_IO
+
+    def test_non_utf8_data(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        code, _, err = run(capsys, "bootstrap", "--data", str(data))
+        assert code == EXIT_IO
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_json_out_file(self, capsys, tmp_path):
         data = self.write_csv(tmp_path)

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from maxgap import (BadConfig, CovSpec, DegenerateSample, EmptySample,
-                    EmptySubset, Partition, density_curve, expected_max_abs,
-                    expected_max_signed, levy_curve, levy_hat, max_diff,
-                    sample)
-from maxgap.levy import EMAX_TILE, expected_max_many
+from maxgap import (BadConfig, CovSpec, EmptySample, EmptySubset, Partition,
+                    expected_max_many, levy_curve, levy_hat, max_diff, sample)
+from maxgap.levy import EMAX_TILE
 
 from conftest import dyadic, phi
 
@@ -112,6 +110,21 @@ class TestScanInvariants:
         assert a.value == b.value
         assert b.argmax_t == a.argmax_t + shift
 
+    @settings(max_examples=60, deadline=None)
+    @given(ints=st.lists(st.integers(-2 ** 24, 2 ** 24), min_size=1, max_size=300),
+           shift=st.integers(-2 ** 26, 2 ** 26), eps=st.integers(1, 2 ** 24),
+           grid_points=st.sampled_from([1] + [2 ** j + 1 for j in range(11)]),
+           exact=st.booleans())
+    def test_shift_equivariance_property(self, ints, shift, eps, grid_points, exact):
+        # Samples, shift and eps on the 2^-20 lattice, below 2^6 in size, and a
+        # grid step of (max - min) / 2^j: every sum the scan forms is exact.
+        values = np.array(ints) * 2.0 ** -20
+        shift, eps = shift * 2.0 ** -20, eps * 2.0 ** -20
+        a = levy_hat(values, eps, grid_points=grid_points, exact=exact)
+        b = levy_hat(values + shift, eps, grid_points=grid_points, exact=exact)
+        assert b.value == a.value
+        assert b.argmax_t == a.argmax_t + shift
+
     def test_curve_matches_single(self):
         rng = np.random.default_rng(15)
         values = rng.standard_normal(500)
@@ -166,55 +179,15 @@ class TestScanInvariants:
             levy_curve(values, [0.1, eps])
 
 
-class TestDensityCurve:
-    def test_standard_normal_peak(self):
-        spec = CovSpec.explicit(np.eye(1))
-        batch = sample(spec, 100000, seed=71)
-        curve = density_curve(batch.data[:, 0], normalize=True)
-        at_zero = curve.density[np.argmin(np.abs(curve.grid))]
-        assert at_zero == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=0.03)
-
-    def test_integrates_to_one(self):
-        spec = CovSpec.explicit(np.eye(1))
-        batch = sample(spec, 50000, seed=72)
-        curve = density_curve(batch.data[:, 0])
-        total = float(np.trapezoid(curve.density, curve.grid))
-        assert 0.98 <= total <= 1.01
-
-    def test_bimodal_modes(self):
-        rng = np.random.default_rng(73)
-        values = np.concatenate([rng.normal(-3.0, 0.2, 1000),
-                                 rng.normal(3.0, 0.2, 1000)])
-        curve = density_curve(values)
-        d = curve.density
-        local_max = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])
-        assert int(local_max.sum()) >= 2
-
-    def test_degenerate_sample(self):
-        with pytest.raises(DegenerateSample) as err:
-            density_curve(np.full(50, 2.5))
-        assert err.value.location == 2.5
-
-    def test_small_sample_rejected(self):
-        with pytest.raises(BadConfig):
-            density_curve(np.arange(10.0))
-
-    def test_bandwidth_formula(self):
-        values = np.random.default_rng(74).standard_normal(1000)
-        curve = density_curve(values)
-        sd = float(values.std(ddof=1))
-        assert curve.bandwidth == pytest.approx(1.06 * sd * 1000 ** -0.2)
-
-
 class TestExpectedMax:
     def test_abs_single_normal(self):
         # E|Z| = sqrt(2/pi); quadrature confirms the constant first.
         quad, _ = integrate.quad(lambda t: 2.0 * (1.0 - phi(t)), 0.0, np.inf)
         assert quad == pytest.approx(SQRT_2_OVER_PI, abs=1e-9)
         spec = CovSpec.explicit(np.eye(1))
-        est = expected_max_abs(spec, [0], n_mc=10 ** 6, seed=0)
-        assert est.value == pytest.approx(SQRT_2_OVER_PI, abs=0.002)
-        assert est.se < 0.001
+        (value, se), = expected_max_many(spec, [[0]], n_mc=10 ** 6, seed=0)
+        assert value == pytest.approx(SQRT_2_OVER_PI, abs=0.002)
+        assert se < 0.001
 
     def test_abs_pair_iid(self):
         # E max(|Z1|, |Z2|) = 2/sqrt(pi) via P(max > t) = 1 - (2 Phi(t) - 1)^2.
@@ -222,51 +195,49 @@ class TestExpectedMax:
             lambda t: 1.0 - (2.0 * phi(t) - 1.0) ** 2, 0.0, np.inf)
         assert quad == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-9)
         spec = CovSpec.explicit(np.eye(2))
-        est = expected_max_abs(spec, [0, 1], n_mc=200000, seed=1)
-        assert est.value == pytest.approx(TWO_OVER_SQRT_PI, abs=0.003)
+        (value, _), = expected_max_many(spec, [[0, 1]], n_mc=200000, seed=1)
+        assert value == pytest.approx(TWO_OVER_SQRT_PI, abs=0.003)
 
     def test_signed_pair_iid(self):
         spec = CovSpec.explicit(np.eye(2))
-        got = expected_max_signed(spec, [0, 1], n_mc=200000, seed=2)
+        (got, _), = expected_max_many(spec, [[0, 1]], n_mc=200000, seed=2, mode="signed")
         assert got == pytest.approx(INV_SQRT_PI, abs=0.003)
 
     def test_signed_includes_mean(self):
         spec = CovSpec.explicit(np.eye(1), mu=[3.0])
-        got = expected_max_signed(spec, [0], n_mc=200000, seed=3)
+        (got, _), = expected_max_many(spec, [[0]], n_mc=200000, seed=3, mode="signed")
         assert got == pytest.approx(3.0 + 0.0, abs=0.004)
 
     def test_abs_ignores_mean(self):
         plain = CovSpec.explicit(np.eye(1))
         shifted = CovSpec.explicit(np.eye(1), mu=[100.0])
-        a = expected_max_abs(plain, [0], n_mc=5000, seed=4)
-        b = expected_max_abs(shifted, [0], n_mc=5000, seed=4)
-        assert a.value == b.value
+        a = expected_max_many(plain, [[0]], n_mc=5000, seed=4)
+        b = expected_max_many(shifted, [[0]], n_mc=5000, seed=4)
+        assert a[0][0] == b[0][0]
 
     def test_duplicated_pair_equals_single(self):
         # Same factor rank means the same normal stream, so a duplicated
         # coordinate changes nothing, down to the last bit.
         single = CovSpec.factor(np.array([[1.0]]))
         pair = CovSpec.factor(np.array([[1.0], [1.0]]))
-        a = expected_max_abs(single, [0], n_mc=50000, seed=5)
-        b = expected_max_abs(pair, [0, 1], n_mc=50000, seed=5)
-        assert a.value == b.value
-        assert a.se == b.se
+        a = expected_max_many(single, [[0]], n_mc=50000, seed=5)
+        b = expected_max_many(pair, [[0, 1]], n_mc=50000, seed=5)
+        assert a == b
 
     def test_standardization(self):
-        spec = CovSpec.factor(np.array([[2.0]]))
-        std = expected_max_abs(spec, [0], n_mc=50000, seed=6, standardized=True)
-        raw = expected_max_abs(spec, [0], n_mc=50000, seed=6, standardized=False)
-        assert std.standardized and not raw.standardized
-        assert raw.value == pytest.approx(2.0 * std.value, rel=1e-12)
+        # Doubling a coordinate is exact, and abs_std divides its sd of 2 out again.
+        one = expected_max_many(CovSpec.factor(np.array([[1.0]])), [[0]], n_mc=50000, seed=6)
+        two = expected_max_many(CovSpec.factor(np.array([[2.0]])), [[0]], n_mc=50000, seed=6)
+        assert two == one
 
     def test_crn_monotone_in_subset(self):
         # Same seed, nested subsets: the estimate can only go up, exactly.
         rng = np.random.default_rng(16)
         g = rng.standard_normal((6, 3))
         spec = CovSpec.factor(g)
-        small = expected_max_abs(spec, [1, 4], n_mc=20000, seed=7)
-        large = expected_max_abs(spec, [0, 1, 4, 5], n_mc=20000, seed=7)
-        assert large.value >= small.value
+        (small, _), = expected_max_many(spec, [[1, 4]], n_mc=20000, seed=7)
+        (large, _), = expected_max_many(spec, [[0, 1, 4, 5]], n_mc=20000, seed=7)
+        assert large >= small
 
     def test_batched_matches_separate(self):
         rng = np.random.default_rng(17)
@@ -280,16 +251,16 @@ class TestExpectedMax:
     def test_validation(self):
         spec = CovSpec.explicit(np.eye(2))
         with pytest.raises(EmptySubset):
-            expected_max_abs(spec, [], n_mc=10)
+            expected_max_many(spec, [[]], n_mc=10, seed=0)
         with pytest.raises(BadConfig):
-            expected_max_abs(spec, [2], n_mc=10)
+            expected_max_many(spec, [[2]], n_mc=10, seed=0)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=0, seed=0)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=10, seed=0, mode="median")
 
 
-MODES = ("abs_std", "abs_raw", "signed")
+MODES = ("abs_std", "signed")
 
 
 @st.composite

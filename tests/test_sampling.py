@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition,
-                    argmax_indicator, dump_batch, load_batch, max_diff, sample)
+from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, max_diff,
+                    sample)
 from maxgap import sampling
-from maxgap.sampling import (CHUNK, SampleBatch, chunk_rng, emax_chunk_rows,
-                             sample_max_diff, stream_std_normal)
-
-from conftest import dyadic
+from maxgap.sampling import (CHUNK, chunk_rng, emax_chunk_rows, sample_max_diff,
+                             stream_std_normal)
 
 
 class TestSampleDeterminism:
@@ -52,7 +50,6 @@ class TestSampleDeterminism:
         assert batch.n_rep == 10
         assert batch.p == 2
         assert batch.seed == 3
-        assert batch.spec_hash == spec.content_hash()
         assert not batch.data.flags.writeable
 
     def test_seed_validation(self):
@@ -212,15 +209,26 @@ class TestMaxDiff:
         assert diff.mean == pytest.approx(manual.mean())
         assert diff.sd == pytest.approx(manual.std(ddof=1))
 
-    def test_shift_invariance_exact(self):
-        # A common mean shift on a dyadic lattice cancels exactly in the gap.
-        rng = np.random.default_rng(0)
-        base = dyadic(rng.standard_normal((500, 4)))
-        part = Partition.split(4, 2)
-        plain = SampleBatch(500, 4, base, seed=21, spec_hash="x")
-        shifted = SampleBatch(500, 4, base + 0.375, seed=21, spec_hash="x")
-        assert np.array_equal(max_diff(plain, part).values,
-                              max_diff(shifted, part).values)
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.integers(2, 12), d=st.integers(1, 6), k=st.data(),
+           mu=st.lists(st.integers(-2 ** 27, 2 ** 27), min_size=12, max_size=12),
+           shift=st.integers(-2 ** 48, 2 ** 48), n_rep=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_shift_invariance_property(self, p, d, k, mu, shift, n_rep, seed):
+        # Doubles in [1024, 2048) form a uniform grid of step 2^-42.  Means
+        # near 1536 put every draw there, unit-variance rows keep it there,
+        # and a shift by a multiple of 4 grid steps moves each rounded draw
+        # by exactly the shift (round half to even keeps its parity); both
+        # block maxima move with it, and Sterbenz makes their gap exact.
+        rng = np.random.default_rng(seed % 2 ** 32)
+        gamma = rng.standard_normal((p, d))
+        gamma /= np.linalg.norm(gamma, axis=1, keepdims=True)
+        mu = 1536.0 + np.array(mu[:p]) * 2.0 ** -20
+        shift *= 2.0 ** -40
+        part = Partition.split(p, k.draw(st.integers(1, p - 1)))
+        plain = sample_max_diff(CovSpec.factor(gamma, mu), part, n_rep, seed)
+        moved = sample_max_diff(CovSpec.factor(gamma, mu + shift), part, n_rep, seed)
+        assert moved.values.tobytes() == plain.values.tobytes()
 
     def test_dimension_checked(self):
         spec = CovSpec.explicit(np.eye(3))
@@ -234,55 +242,3 @@ class TestMaxDiff:
         diff = max_diff(batch, Partition.split(2, 1))
         assert diff.sd == 0.0
 
-
-class TestArgmaxIndicator:
-    def test_iid_uniform_winner(self):
-        spec = CovSpec.explicit(np.eye(4))
-        batch = sample(spec, 200000, seed=31)
-        for j in range(4):
-            share = argmax_indicator(batch, [j]).mean()
-            assert share == pytest.approx(0.25, abs=0.005)
-
-    def test_subset_additivity(self):
-        spec = CovSpec.explicit(np.eye(3))
-        batch = sample(spec, 5000, seed=5)
-        total = sum(argmax_indicator(batch, [j]) for j in range(3))
-        assert np.array_equal(total, np.ones(5000))
-
-    def test_tie_goes_to_lowest_index(self):
-        spec = CovSpec.factor(np.array([[1.0], [1.0]]))
-        batch = sample(spec, 2048, seed=8)
-        assert argmax_indicator(batch, [0]).mean() == 1.0
-        assert argmax_indicator(batch, [1]).mean() == 0.0
-
-    def test_validation(self):
-        spec = CovSpec.explicit(np.eye(2))
-        batch = sample(spec, 10, seed=1)
-        with pytest.raises(BadConfig):
-            argmax_indicator(batch, [])
-        with pytest.raises(DimensionMismatch):
-            argmax_indicator(batch, [2])
-
-
-class TestDumpLoad:
-    def test_roundtrip(self, tmp_path):
-        spec = CovSpec.factor(np.array([[1.0, 0.0], [0.3, 0.4]]), mu=[0.0, 1.0])
-        batch = sample(spec, 300, seed=77)
-        path = str(tmp_path / "batch.f64")
-        dump_batch(batch, path)
-        back = load_batch(path)
-        assert np.array_equal(back.data, batch.data)
-        assert back.seed == batch.seed
-        assert back.spec_hash == batch.spec_hash
-        assert back.rng_method == batch.rng_method
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        spec = CovSpec.explicit(np.eye(2))
-        batch = sample(spec, 50, seed=1)
-        path = str(tmp_path / "batch.f64")
-        dump_batch(batch, path)
-        raw = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(raw[:-8])
-        with pytest.raises(Exception):
-            load_batch(path)
