@@ -12,8 +12,8 @@ from .errors import (BadConfig, BadGeometry, ConditionFails, DimensionMismatch,
                      PerfectCrossCorrelation, SingularBlock, SingularCovariance,
                      SmallSampleWarning, ZeroResidualVariance, ZeroVariance)
 from .cov import (ConditionReport, CovSpec, Partition, ViolationStats,
-                  check_conditions, explicit_cov, min_eigenvalue, residual_cov,
-                  rho_bar, sqrt_factor, violation_stats)
+                  check_conditions, residual_cov, rho_bar, sqrt_factor,
+                  violation_stats)
 from .sampling import DiffSample, SampleBatch, max_diff, sample, sample_max_diff
 from .levy import LevyEstimate, expected_max_many, levy_curve, levy_hat
 from .bounds import (ALL_BOUNDS, BoundReport, DeltaTerm, ExchangeableLower,
@@ -43,10 +43,10 @@ __all__ = [
     "bound_baseline_min_eig", "bound_conditional", "bound_corr_threshold",
     "bound_heterogeneous", "bound_homogeneous", "bound_report",
     "bound_single_max", "check_conditions", "clt_rate", "expected_max_many",
-    "explicit_cov", "from_batch", "gen_design", "levy_curve", "levy_hat",
-    "levy_sweep", "load_csv", "lower_bound_exchangeable", "max_diff",
-    "min_eigenvalue", "multiplier_replicates", "observed_process",
-    "residual_cov", "rho_bar", "run_bootstrap", "run_bootstrap_demo",
-    "run_bounds_compare", "run_levy_experiment", "run_scaling_study", "sample",
-    "sample_max_diff", "sqrt_factor", "violation_stats",
+    "from_batch", "gen_design", "levy_curve", "levy_hat", "levy_sweep",
+    "load_csv", "lower_bound_exchangeable", "max_diff", "multiplier_replicates",
+    "observed_process", "residual_cov", "rho_bar", "run_bootstrap",
+    "run_bootstrap_demo", "run_bounds_compare", "run_levy_experiment",
+    "run_scaling_study", "sample", "sample_max_diff", "sqrt_factor",
+    "violation_stats",
 ]

@@ -231,7 +231,7 @@ def clt_rate(inputs: CltRateInputs) -> float:
 
 
 def load_csv(path: str, shift=None) -> DataMatrix:
-    """Read an n x p numeric UTF-8 CSV (header row optional) into a DataMatrix.
+    """Read an n x p numeric UTF-8 CSV, header row and BOM optional, into a DataMatrix.
 
     One ``np.loadtxt`` call parses a plain numeric file.  A file it rejects
     (a header row, quoted cells, a bad or ragged row, no rows at all) is read
@@ -241,7 +241,7 @@ def load_csv(path: str, shift=None) -> DataMatrix:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no rows
-            xi = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+            xi = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8-sig")
     except (ValueError, UserWarning):
         try:
             xi = _parse_rows(path)
@@ -254,7 +254,7 @@ def _parse_rows(path: str) -> np.ndarray:
     """The rows of a CSV as floats, cell by cell, skipping blank lines and a header."""
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import (CovSpec, Partition, check_conditions, cross_corr, explicit_cov,
-                  min_eigenvalue, residual_cov, rho_bar, TOL_CORR)
+from .cov import (CovSpec, Partition, check_conditions, cross_corr, residual_cov,
+                  rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
                      PerfectCrossCorrelation, SingularCovariance,
@@ -173,7 +173,7 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise BadConfig("delta grid must lie strictly inside (0, 1)")
-    corr_ab = cross_corr(explicit_cov(spec), part)
+    corr_ab = cross_corr(spec, part)
     plans = []  # (delta, orientation, rest, other, n_set)
     for orientation, own, other, corr in (("AB", part.a_idx, part.b_idx, corr_ab),
                                           ("BA", part.b_idx, part.a_idx, corr_ab.T)):
@@ -273,8 +273,8 @@ def bound_baseline_min_eig(spec: CovSpec) -> float:
     Undefined on degenerate covariances: raises SingularCovariance instead of
     returning infinity.
     """
-    sig = explicit_cov(spec)
-    lam = min_eigenvalue(sig)
+    sig = spec.cov
+    lam = float(np.linalg.eigvalsh(sig)[0])
     if lam <= TOL_SINGULAR * max(1.0, float(np.max(np.diag(sig)))):
         raise SingularCovariance(f"smallest eigenvalue {lam:.3e} not positive")
     p = spec.p

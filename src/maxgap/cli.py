@@ -170,6 +170,8 @@ def _bounds_arg(text: str) -> list[str]:
     bad = [n for n in names if n not in ALL_BOUNDS]
     if bad:
         raise argparse.ArgumentTypeError(f"unknown bounds {bad}; choose from {ALL_BOUNDS}")
+    if not names:
+        raise argparse.ArgumentTypeError("empty list")
     return names
 
 

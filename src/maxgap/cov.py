@@ -8,8 +8,8 @@ separation conditions, violation statistics, Schur-complement residuals) feed
 the bound evaluators in :mod:`maxgap.bounds`.
 
 All functions are pure: they never mutate their inputs and hold no state.
-The one cache is :attr:`CovSpec.root`: each spec computes its square-root
-factor (an eigendecomposition for explicit covariances) at most once.
+The two caches, both read-only, are :attr:`CovSpec.cov` (the p x p matrix)
+and :attr:`CovSpec.root` (its square-root factor); each spec fills each once.
 """
 
 from __future__ import annotations
@@ -98,6 +98,18 @@ class CovSpec:
     @property
     def sds(self) -> np.ndarray:
         return np.sqrt(self.variances)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        """Read-only covariance matrix: sigma, or gamma gamma^T symmetrized exactly."""
+        if self.sigma is not None:
+            return self.sigma
+        sig = self.gamma @ self.gamma.T
+        sig = (sig + sig.T) * 0.5
+        for i in np.flatnonzero(np.diag(sig) <= 0.0):
+            raise ZeroVariance(int(i))
+        sig.flags.writeable = False
+        return sig
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -227,29 +239,28 @@ class ViolationStats:
     m_b: float
 
 
-def explicit_cov(spec: CovSpec) -> np.ndarray:
-    """Materialize the covariance matrix (symmetrized exactly)."""
-    if spec.sigma is not None:
-        sig = spec.sigma.copy()
-    else:
-        sig = spec.gamma @ spec.gamma.T
-        sig = (sig + sig.T) * 0.5
-    diag = np.diag(sig)
-    for i in np.flatnonzero(diag <= 0.0):
-        raise ZeroVariance(int(i))
-    return sig
-
-
-def cross_corr(sig: np.ndarray, part: Partition) -> np.ndarray:
+def cross_corr(spec: CovSpec, part: Partition) -> np.ndarray:
     """Correlations between the coordinates of A (rows) and of B (columns)."""
+    _check_part(spec, part)
+    sig = spec.cov
     sd = np.sqrt(np.diag(sig))
     return sig[np.ix_(part.a_idx, part.b_idx)] / np.outer(sd[part.a_idx], sd[part.b_idx])
 
 
+def _clamped_max(cross: np.ndarray) -> float:
+    return float(np.clip(np.max(cross), -1.0, 1.0))
+
+
 def rho_bar(spec: CovSpec, part: Partition) -> float:
     """Largest cross-block correlation, clamped to [-1, 1]."""
-    _check_part(spec, part)
-    return float(np.clip(np.max(cross_corr(explicit_cov(spec), part)), -1.0, 1.0))
+    return _clamped_max(cross_corr(spec, part))
+
+
+def _row_margins(sig: np.ndarray, own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    # Margin sd_i - max_j sigma_ij / sd_i of each i in own against other.  Rounding
+    # is monotone, so it equals the minimum over j of sd_i - sigma_ij / sd_i bit for bit.
+    sd = np.sqrt(np.diag(sig)[own])
+    return sd - np.max(sig[np.ix_(own, other)], axis=1) / sd
 
 
 def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
@@ -260,43 +271,33 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
     margin sigma_j - sigma_jj'/sigma_j for j in B, i in A to be strictly
     positive; the margin minimum is ``c_a``.  Direction B mirrors the roles.
     """
-    _check_part(spec, part)
-    sig = explicit_cov(spec)
+    cross = cross_corr(spec, part)
+    sig = spec.cov
     sd = np.sqrt(np.diag(sig))
-    a, b = part.a_idx, part.b_idx
 
     def direction(inner: np.ndarray, outer: np.ndarray) -> tuple[bool, float]:
         # inner plays the normalized block; margin is against outer.
         norm_ok = np.max(sig[np.ix_(inner, inner)] / sd[inner][:, None] ** 2) <= 1.0 + TOL_COND
-        margins = sd[inner][:, None] - sig[np.ix_(inner, outer)] / sd[inner][:, None]
-        c = float(np.min(margins))
+        c = float(np.min(_row_margins(sig, inner, outer)))
         return bool(norm_ok and c > 0.0), c
 
-    cond_a, c_a = direction(b, a)
-    cond_b, c_b = direction(a, b)
-    if cond_a and cond_b:
-        c_ab = max(c_a, c_b)
-        s_set: tuple[str, ...] = ("B", "A") if c_a >= c_b else ("A", "B")
-    elif cond_a:
-        c_ab, s_set = c_a, ("B",)
-    elif cond_b:
-        c_ab, s_set = c_b, ("A",)
-    else:
-        c_ab, s_set = float("nan"), ()
-    cross = cross_corr(sig, part)
-    rbar = float(np.clip(np.max(cross), -1.0, 1.0))
+    cond_a, c_a = direction(part.b_idx, part.a_idx)
+    cond_b, c_b = direction(part.a_idx, part.b_idx)
+    # The directions that hold, larger margin first (S = B on a tie).
+    holding = sorted(((c, s) for ok, c, s in ((cond_a, c_a, "B"), (cond_b, c_b, "A")) if ok),
+                     key=lambda t: -t[0])
+    c_ab = holding[0][0] if holding else float("nan")
+    s_set = tuple(s for _, s in holding)
     perfect = float(np.max(np.abs(cross))) >= 1.0 - TOL_CORR
-    return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, rbar, perfect)
+    return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, _clamped_max(cross), perfect)
 
 
 def violation_stats(spec: CovSpec, part: Partition) -> ViolationStats:
     """Per-coordinate margins below zero, per side."""
     _check_part(spec, part)
-    sig = explicit_cov(spec)
-    sd = np.sqrt(np.diag(sig))
 
     def side(own: np.ndarray, other: np.ndarray) -> tuple[tuple[int, ...], float, float]:
-        margins = sd[own] - np.max(sig[np.ix_(own, other)], axis=1) / sd[own]
+        margins = _row_margins(spec.cov, own, other)
         mask = margins <= 0.0
         viol = tuple(int(i) for i in own[mask])
         nu = float(mask.mean())
@@ -316,7 +317,7 @@ def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray
     SingularBlock rather than falling back to a pseudo-inverse.
     """
     _check_part(spec, part)
-    sig = explicit_cov(spec)
+    sig = spec.cov
     a, b = part.a_idx, part.b_idx
 
     def schur(keep: np.ndarray, cond_on: np.ndarray, which: str) -> np.ndarray:
@@ -346,10 +347,6 @@ def sqrt_factor(sigma: np.ndarray) -> np.ndarray:
         raise NotPSD(f"smallest eigenvalue {float(w[0]):.3e} below PSD tolerance")
     keep = w > TOL_EIG_CLIP * max(1.0, float(w[-1]))
     return v[:, keep] * np.sqrt(w[keep])
-
-
-def min_eigenvalue(sigma: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(np.asarray(sigma, dtype=float))[0])
 
 
 def _check_part(spec: CovSpec, part: Partition) -> None:

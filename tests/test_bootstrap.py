@@ -263,6 +263,18 @@ class TestLoadCsv:
         else:
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("raw, want", [
+        (b"\xef\xbb\xbf1,2\n3,4\n5,6\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        (b"\xef\xbb\xbfx,y\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["headerless", "header"])
+    def test_byte_order_mark(self, tmp_path, raw, want):
+        # The mark is not part of the first cell: a numeric first row stays
+        # data, and with a header only the header row is skipped.
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        assert np.array_equal(load_csv(str(path)).xi, want)
+        assert np.array_equal(_parse_rows(str(path)), want)
+
     @pytest.mark.parametrize("raw", [b"\xff\xfe1,2\n3,4\n", b"x,y\n1,2\n3,\xe94\n"])
     def test_not_utf8(self, tmp_path, raw):
         path = tmp_path / "data.csv"

@@ -140,6 +140,19 @@ class TestBoundsCompareCommand:
         assert code == EXIT_CONFIG
         assert "unknown bounds" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_bound_list(self, capsys, tmp_path, source):
+        # An empty request is a usage error, not "every bound inapplicable".
+        argv = ["bounds-compare", "--out", str(tmp_path)]
+        if source == "flag":
+            argv += ["--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--bounds", ""]
+        else:
+            argv += ["--config", write_config(tmp_path, {**DESIGN, "bounds": []})]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "empty list" in err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestScalingCommand:
     def test_k0_sweep(self, capsys, tmp_path):

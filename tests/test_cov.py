@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
-                    SingularBlock, ZeroVariance, check_conditions, explicit_cov,
-                    min_eigenvalue, residual_cov, rho_bar, sqrt_factor,
-                    violation_stats)
+                    SingularBlock, ZeroVariance, check_conditions, residual_cov,
+                    rho_bar, sqrt_factor, violation_stats)
+from maxgap.cov import TOL_COND, TOL_CORR
 from maxgap.designs import DesignConfig, gen_design
 
 from conftest import footnote_factor, random_psd
@@ -51,7 +53,7 @@ class TestCovSpec:
     def test_singular_explicit_allowed(self):
         sig = np.ones((3, 3))
         spec = CovSpec.explicit(sig)
-        assert min_eigenvalue(explicit_cov(spec)) == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.eigvalsh(spec.cov)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -136,7 +138,7 @@ class TestFootnoteDesign:
         assert np.allclose(self.spec.variances, 1.0, atol=1e-12)
 
     def test_rank_two(self):
-        lam = min_eigenvalue(explicit_cov(self.spec))
+        lam = np.linalg.eigvalsh(self.spec.cov)[0]
         assert abs(lam) <= 1e-12
 
     def test_rho_bar_is_inv_sqrt2(self):
@@ -317,3 +319,88 @@ class TestRhoBar:
         spec = CovSpec.explicit(np.eye(3))
         with pytest.raises(DimensionMismatch):
             rho_bar(spec, Partition.split(4, 2))
+
+
+@st.composite
+def geometry_designs(draw):
+    """A factor or explicit spec with a scattered partition.
+
+    Factor specs may be rank deficient and repeat rows, which puts perfectly
+    correlated pairs across the partition; row scales spread the variances
+    so the separation margins take both signs.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, d = draw(st.integers(2, 10)), draw(st.integers(1, 8))
+    gamma = rng.standard_normal((p, d)) * np.exp(rng.standard_normal((p, 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = rng.integers(0, p, size=2)
+        gamma[dst] = gamma[src]
+    if draw(st.booleans()):
+        spec = CovSpec.factor(gamma)
+    else:
+        sig = gamma @ gamma.T
+        spec = CovSpec.explicit((sig + sig.T) * 0.5)
+    order = rng.permutation(p)
+    k = draw(st.integers(1, p - 1))
+    return spec, Partition(tuple(order[:k]), tuple(order[k:]), p)
+
+
+def _full_margin_reference(sig, part):
+    """Conditions and violation stats read off the full margin matrices."""
+    sd = np.sqrt(np.diag(sig))
+    a, b = part.a_idx, part.b_idx
+
+    def margins(own, other):
+        return sd[own][:, None] - sig[np.ix_(own, other)] / sd[own][:, None]
+
+    def direction(inner, outer):
+        norm_ok = np.max(sig[np.ix_(inner, inner)] / sd[inner][:, None] ** 2) <= 1.0 + TOL_COND
+        c = float(np.min(margins(inner, outer)))
+        return bool(norm_ok and c > 0.0), c
+
+    def side(own, other):
+        row = np.min(margins(own, other), axis=1)
+        mask = row <= 0.0
+        m = float(row[mask].mean()) if mask.any() else float("nan")
+        return tuple(int(i) for i in own[mask]), float(mask.mean()), m
+
+    (ok_a, c_a), (ok_b, c_b) = direction(b, a), direction(a, b)
+    if ok_a and ok_b:
+        choice = (max(c_a, c_b), ("B", "A") if c_a >= c_b else ("A", "B"))
+    elif ok_a or ok_b:
+        choice = (c_a, ("B",)) if ok_a else (c_b, ("A",))
+    else:
+        choice = (float("nan"), ())
+    cross = sig[np.ix_(a, b)] / np.outer(sd[a], sd[b])
+    rbar = float(np.clip(np.max(cross), -1.0, 1.0))
+    perfect = float(np.max(np.abs(cross))) >= 1.0 - TOL_CORR
+    return (ok_a, c_a), (ok_b, c_b), choice, rbar, perfect, side(a, b), side(b, a)
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+class TestGeometryProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(design=geometry_designs())
+    def test_conditions_and_violations_match_full_margins(self, design):
+        spec, part = design
+        assert spec.cov is spec.cov
+        assert not spec.cov.flags.writeable
+        if spec.gamma is not None:
+            gg = spec.gamma @ spec.gamma.T
+            assert np.array_equal(spec.cov, (gg + gg.T) * 0.5)
+        else:
+            assert spec.cov is spec.sigma
+        (ok_a, c_a), (ok_b, c_b), (c_ab, s_set), rbar, perfect, side_a, side_b = \
+            _full_margin_reference(spec.cov, part)
+        rep = check_conditions(spec, part)
+        assert (rep.cond_a_holds, rep.cond_b_holds, rep.s_set) == (ok_a, ok_b, s_set)
+        assert _bits(rep.c_a, rep.c_b, rep.c_ab, rep.rho_bar) == _bits(c_a, c_b, c_ab, rbar)
+        assert rep.has_perfect_cross_corr == perfect
+        assert _bits(rho_bar(spec, part)) == _bits(rep.rho_bar)
+        stats = violation_stats(spec, part)
+        assert (stats.v_a, stats.v_b) == (side_a[0], side_b[0])
+        assert (_bits(stats.nu_a, stats.m_a, stats.nu_b, stats.m_b)
+                == _bits(*side_a[1:], *side_b[1:]))

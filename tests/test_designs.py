@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maxgap import BadConfig, check_conditions, explicit_cov, rho_bar
+from maxgap import BadConfig, check_conditions, rho_bar
 from maxgap.designs import KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
 
 
@@ -78,7 +78,7 @@ class TestHeterogViolation:
 
     def test_equicorrelation(self):
         spec, _ = spec_of(kind="heterog_violation", p=8)
-        sig = explicit_cov(spec)
+        sig = spec.cov
         sd = spec.sds
         corr = sig / np.outer(sd, sd)
         off = corr[~np.eye(8, dtype=bool)]
@@ -96,7 +96,7 @@ class TestHeterogViolation:
 class TestFullrankEquicorr:
     def test_structure(self):
         spec, part = spec_of(kind="fullrank_equicorr", p=6, rho=0.4)
-        sig = explicit_cov(spec)
+        sig = spec.cov
         assert np.array_equal(np.diag(sig), np.ones(6))
         assert rho_bar(spec, part) == pytest.approx(0.4)
 
@@ -128,7 +128,7 @@ class TestExchangeableOverlap:
         spec, part = spec_of(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         assert spec.p == 16
         assert len(part.a_set) == len(part.b_set) == 8
-        sig = explicit_cov(spec)
+        sig = spec.cov
         # Coordinates 6, 7 of A are the same underlying coordinates as 8, 9 of B.
         assert sig[6, 8] == 1.0
         assert sig[7, 9] == 1.0
@@ -138,7 +138,7 @@ class TestExchangeableOverlap:
 
     def test_no_rho_means_independent(self):
         spec, _ = spec_of(kind="exchangeable_overlap", p=5, overlap_k=1)
-        sig = explicit_cov(spec)
+        sig = spec.cov
         assert sig[0, 1] == 0.0
 
     def test_validation(self):
@@ -155,11 +155,11 @@ class TestK0Split:
         spec, part = spec_of(kind="k0_split", p=30, k0=20)
         assert len(part.a_set) == 20
         assert len(part.b_set) == 10
-        assert np.array_equal(explicit_cov(spec), np.eye(30))
+        assert np.array_equal(spec.cov, np.eye(30))
 
     def test_rho_passthrough(self):
         spec, _ = spec_of(kind="k0_split", p=10, k0=2, rho=0.25)
-        assert explicit_cov(spec)[0, 5] == 0.25
+        assert spec.cov[0, 5] == 0.25
 
     def test_validation(self):
         with pytest.raises(BadConfig):
