@@ -22,10 +22,10 @@ from .bounds import (ALL_BOUNDS, BoundReport, DeltaTerm, ExchangeableLower,
                      bound_heterogeneous, bound_homogeneous, bound_report,
                      bound_single_max, lower_bound_exchangeable)
 from .bootstrap import (BootstrapResult, CltRateInputs, DataMatrix,
-                        argmax_prob, clt_rate, from_batch, load_csv,
-                        multiplier_replicates, observed_process, run_bootstrap)
+                        argmax_prob, clt_rate, load_csv, multiplier_replicates,
+                        run_bootstrap)
 from .designs import KINDS, DesignConfig, gen_design
-from .experiments import (levy_sweep, run_bootstrap_demo, run_bounds_compare,
+from .experiments import (run_bootstrap_demo, run_bounds_compare,
                           run_levy_experiment, run_scaling_study)
 
 __version__ = "1.0.0"
@@ -43,9 +43,9 @@ __all__ = [
     "bound_baseline_min_eig", "bound_conditional", "bound_corr_threshold",
     "bound_heterogeneous", "bound_homogeneous", "bound_report",
     "bound_single_max", "check_conditions", "clt_rate", "expected_max_many",
-    "from_batch", "gen_design", "levy_curve", "levy_hat", "levy_sweep",
-    "load_csv", "lower_bound_exchangeable", "max_diff", "multiplier_replicates",
-    "observed_process", "residual_cov", "rho_bar", "run_bootstrap",
+    "gen_design", "levy_curve", "levy_hat", "load_csv",
+    "lower_bound_exchangeable", "max_diff", "multiplier_replicates",
+    "residual_cov", "rho_bar", "run_bootstrap",
     "run_bootstrap_demo", "run_bounds_compare", "run_levy_experiment",
     "run_scaling_study", "sample", "sample_max_diff", "sqrt_factor",
     "violation_stats",

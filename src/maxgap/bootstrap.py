@@ -11,11 +11,13 @@ The probability that the argmax of Y falls inside block A is approximated by
 the fraction of replicates with max over A strictly above max over B.
 
 Replicates come in the sampler's fixed ``CHUNK``-row chunks, chunk k with
-weights from the counter-based stream keyed by (seed, k), through one chunk
-generator.  :func:`multiplier_replicates` is the batch API and keeps the
-whole B x p matrix; :func:`run_bootstrap`, which the CLI uses, reduces each
-chunk to its per-replicate M_A - M_B as it is drawn, so it holds O(CHUNK * p)
-memory, and its result equals ``argmax_prob(multiplier_replicates(...))`` bit
+weights from the counter-based stream keyed by (seed, k).  The chunks and
+their generators come from :func:`maxgap.sampling.chunks`, the one place a
+seed meets Philox, which also checks the seed.
+:func:`multiplier_replicates` is the batch API and keeps the whole B x p
+matrix; :func:`run_bootstrap`, which the CLI uses, reduces each chunk to its
+per-replicate M_A - M_B as it is drawn, so it holds O(CHUNK * p) memory,
+and its result equals ``argmax_prob(multiplier_replicates(...))`` bit
 for bit.  For both, a run of whole chunks is a prefix of any longer run
 with the same seed; a partial last chunk is one matmul of another height,
 which BLAS may sum in another order, so it agrees only to rounding.
@@ -24,6 +26,7 @@ which BLAS may sum in another order, so it agrees only to rounding.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ import numpy as np
 from .cov import Partition
 from .errors import (BadConfig, DimensionMismatch, ParseError,
                      SmallSampleWarning)
-from .sampling import CHUNK, SampleBatch, chunk_rng
+from .sampling import chunks
 
 # Beta(1/2, 3/2) weight moments: mean a/(a+b), variance ab/((a+b)^2 (a+b+1)).
 BETA_MEAN = 0.25
@@ -120,30 +123,24 @@ class CltRateInputs:
             raise BadConfig("c_ab must be positive")
 
 
-def observed_process(data: DataMatrix) -> np.ndarray:
-    """Y_j = n^(-1/2) sum_i (xi_ij + a_j)."""
-    return (data.xi + data.a).sum(axis=0) / math.sqrt(data.n)
-
-
 def _replicate_chunks(data: DataMatrix, b_reps: int, seed: int, multiplier: str):
-    """Iterator of (lo, hi, rows): replicates lo..hi, one sampler ``CHUNK`` at a time.
+    """Iterator of (lo, hi, rows): replicates lo..hi, one sampler chunk at a time.
 
-    The arguments are checked at once; the chunks are drawn as they are
-    iterated.  Chunk k draws its weights from the counter-based child stream
-    ``chunk_rng(seed, k)``, so its rows do not depend on which other chunks
-    are drawn, or in what order.
+    The arguments, the seed included, are checked at once; the chunks are
+    drawn as they are iterated.  Chunk k draws its weights from its own
+    generator of :func:`maxgap.sampling.chunks`, so its rows do not depend on
+    which other chunks are drawn, or in what order.
     """
     if b_reps < 1:
         raise BadConfig(f"b_reps must be positive, got {b_reps}")
     if multiplier not in MULTIPLIERS:
         raise BadConfig(f"multiplier must be one of {MULTIPLIERS}, got {multiplier!r}")
+    spans = chunks(seed, b_reps)
     centered = data.xi - data.xi.mean(axis=0)
     shift = math.sqrt(data.n) * data.a
     inv_sqrt_n = 1.0 / math.sqrt(data.n)
 
-    def chunk(k: int) -> tuple[int, int, np.ndarray]:
-        lo, hi = k * CHUNK, min((k + 1) * CHUNK, b_reps)
-        rng = chunk_rng(seed, k)
+    def chunk(rng: np.random.Generator, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
         if multiplier == "gaussian":
             w = rng.standard_normal((hi - lo, data.n))
         else:
@@ -153,7 +150,7 @@ def _replicate_chunks(data: DataMatrix, b_reps: int, seed: int, multiplier: str)
         rows += shift
         return lo, hi, rows
 
-    return map(chunk, range((b_reps + CHUNK - 1) // CHUNK))
+    return itertools.starmap(chunk, spans)
 
 
 def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
@@ -163,9 +160,9 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     The batch API; :func:`run_bootstrap` reduces the same chunks without
     keeping them.
     """
-    chunks = _replicate_chunks(data, b_reps, seed, multiplier)
+    reps = _replicate_chunks(data, b_reps, seed, multiplier)
     out = np.empty((b_reps, data.p))
-    for lo, hi, rows in chunks:
+    for lo, hi, rows in reps:
         out[lo:hi] = rows
     out.flags.writeable = False
     return out
@@ -208,10 +205,10 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
     """
     if part.p != data.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, data have {data.p}")
-    chunks = _replicate_chunks(data, b_reps, seed, multiplier)
+    reps = _replicate_chunks(data, b_reps, seed, multiplier)
     diffs = np.empty(b_reps)
     a_idx, b_idx = part.a_idx, part.b_idx
-    for lo, hi, rows in chunks:
+    for lo, hi, rows in reps:
         diffs[lo:hi] = rows[:, a_idx].max(axis=1) - rows[:, b_idx].max(axis=1)
     return _summarize(diffs, quantiles, multiplier, seed)
 
@@ -279,9 +276,4 @@ def _parse_rows(path: str) -> np.ndarray:
     if not rows:
         raise ParseError(f"no numeric rows in {path}")
     return np.asarray(rows, dtype=float)
-
-
-def from_batch(batch: SampleBatch, shift=None) -> DataMatrix:
-    """Adopt a sampled batch as observation rows."""
-    return DataMatrix(xi=batch.data, a=shift)
 

@@ -125,8 +125,8 @@ def _emax(spec: CovSpec, subsets, mode: str, mc: McConfig) -> list[float]:
             for s in subsets]
     missing = {key: s for key, s in zip(keys, subsets) if key not in memo}
     if missing:
-        vals = expected_max_many(spec, list(missing.values()), mc.n_mc, mc.seed, mode)
-        memo.update(zip(missing, (mean for mean, _ in vals)))
+        memo.update(zip(missing, expected_max_many(spec, list(missing.values()),
+                                                   mc.n_mc, mc.seed, mode)))
     return [memo[key] for key in keys]
 
 
@@ -188,32 +188,17 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     if not plans:
         raise NoAdmissibleDelta("every threshold in the grid captures a full block")
 
-    std_subsets: list[tuple[int, ...]] = []
-    signed_subsets: list[tuple[int, ...]] = []
-    std_pos: dict[tuple[int, ...], int] = {}
-    signed_pos: dict[tuple[int, ...], int] = {}
-
-    def want(table: dict, order: list, s: tuple[int, ...]) -> None:
-        if s and s not in table:
-            table[s] = len(order)
-            order.append(s)
-
-    for _, _, rest, other, n_set in plans:
-        want(std_pos, std_subsets, rest)
-        want(std_pos, std_subsets, other)
-        if n_set:
-            want(signed_pos, signed_subsets, rest)
-            want(signed_pos, signed_subsets, n_set)
-    std_vals = _emax(spec, std_subsets, "abs_std", mc)
-    signed_vals = _emax(spec, signed_subsets, "signed", mc) if signed_subsets else []
-
+    # Per plan E max |X|/sd over rest and other, and E max X over rest and N
+    # when N is nonempty; _emax streams each distinct subset once.
+    std = iter(_emax(spec, [s for *_, rest, other, _ in plans for s in (rest, other)],
+                     "abs_std", mc))
+    signed = iter(_emax(spec, [s for *_, rest, _, n_set in plans if n_set
+                               for s in (rest, n_set)], "signed", mc))
     terms = []
     for delta, orientation, rest, other, n_set in plans:
-        e_rest = std_vals[std_pos[rest]]
-        e_other = std_vals[std_pos[other]]
-        rate = min(e_rest, e_other) * 7.0 / (delta * sigma)
+        rate = min(next(std), next(std)) * 7.0 / (delta * sigma)
         if n_set:
-            d = signed_vals[signed_pos[rest]] - signed_vals[signed_pos[n_set]]
+            d = next(signed) - next(signed)
             omega = math.exp(-max(d, 0.0) ** 2 / (8.0 * sigma * sigma))
         else:
             d, omega = float("nan"), 0.0

@@ -10,6 +10,9 @@ the bound evaluators in :mod:`maxgap.bounds`.
 All functions are pure: they never mutate their inputs and hold no state.
 The two caches, both read-only, are :attr:`CovSpec.cov` (the p x p matrix)
 and :attr:`CovSpec.root` (its square-root factor); each spec fills each once.
+An explicit spec is factored at construction: :func:`sqrt_factor`, whose one
+eigendecomposition both validates and factors the matrix, holds the PSD
+floor, so a matrix that constructs always samples.
 """
 
 from __future__ import annotations
@@ -64,7 +67,10 @@ class CovSpec:
 
     @classmethod
     def explicit(cls, sigma: np.ndarray, mu: np.ndarray | None = None) -> "CovSpec":
-        """Model with an explicit covariance matrix (may be rank deficient)."""
+        """Model with an explicit covariance matrix (may be rank deficient).
+
+        Factored here: :func:`sqrt_factor` raises NotPSD for an indefinite matrix.
+        """
         sigma = _readonly(np.atleast_2d(sigma))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
             raise DimensionMismatch(f"covariance must be square, got {sigma.shape}")
@@ -75,10 +81,9 @@ class CovSpec:
         diag = np.diag(sigma)
         for i in np.flatnonzero(diag <= 0.0):
             raise ZeroVariance(int(i))
-        lam_min = float(np.linalg.eigvalsh(sigma)[0])
-        if lam_min < -TOL_PSD * max(1.0, float(diag.max())):
-            raise NotPSD(f"smallest eigenvalue {lam_min:.3e} below PSD tolerance")
-        return cls(gamma=None, sigma=sigma, mu=_check_mu(mu, sigma.shape[0]))
+        spec = cls(gamma=None, sigma=sigma, mu=_check_mu(mu, sigma.shape[0]))
+        spec.root  # factoring is the PSD check
+        return spec
 
     @property
     def form(self) -> str:
@@ -337,13 +342,14 @@ def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray
 def sqrt_factor(sigma: np.ndarray) -> np.ndarray:
     """Eigenvalue square root L with L L^T reconstructing sigma.
 
-    Eigenvalues below 1e-10 * max(1, lam_max) are treated as exact zeros and
-    their columns dropped, so L has shape p x r with r the numerical rank.
+    The one PSD gate: a smallest eigenvalue below -1e-8 * max(1, max diag)
+    raises NotPSD.  Eigenvalues below 1e-10 * max(1, lam_max) are treated as
+    exact zeros and their columns dropped, so L has shape p x r with r the
+    numerical rank.
     """
     sigma = np.asarray(sigma, dtype=float)
     w, v = np.linalg.eigh(sigma)
-    diag_max = float(np.max(np.diag(sigma))) if sigma.size else 0.0
-    if w[0] < -TOL_PSD * diag_max:
+    if w[0] < -TOL_PSD * max(1.0, float(np.max(np.diag(sigma)))):
         raise NotPSD(f"smallest eigenvalue {float(w[0]):.3e} below PSD tolerance")
     keep = w > TOL_EIG_CLIP * max(1.0, float(w[-1]))
     return v[:, keep] * np.sqrt(w[keep])

@@ -128,21 +128,14 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
     return path
 
 
-def levy_sweep(spec: CovSpec, part: Partition, epsilons, n_rep: int, seed: int,
-               grid_points: int = DEFAULT_GRID, n_threads: int = 1) -> list[LevyEstimate]:
-    """Sample once, then estimate the concentration at each epsilon."""
-    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    return levy_curve(diffs, epsilons, grid_points=grid_points)
-
-
 def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int = 2000,
                         grid_points: int = DEFAULT_GRID, seed: int | None = None,
                         out_dir: str = ".", n_threads: int = 1) -> tuple[str, list[dict]]:
     """Concentration-vs-epsilon table for one design."""
     seed = cfg.seed if seed is None else int(seed)
     spec, part = gen_design(cfg)
-    estimates = levy_sweep(spec, part, sorted(float(e) for e in epsilons),
-                           n_rep, seed, grid_points, n_threads)
+    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
+    estimates = levy_curve(diffs, sorted(float(e) for e in epsilons), grid_points=grid_points)
     sigma_hat = float(np.mean(spec.sds))
     rbar = rho_bar(spec, part)
     scale = math.sqrt(math.log(spec.p)) / sigma_hat
@@ -321,7 +314,7 @@ def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int, n_mc: int) -> 
         if not (rep.cond_a_holds or rep.cond_b_holds):
             raise ConditionFails("variance conditions fail on the sample covariance")
         subset = part.b_set if rep.s_set[0] == "B" else part.a_set
-        (emax_s, _), = expected_max_many(spec_hat, [subset], n_mc, seed)
+        emax_s, = expected_max_many(spec_hat, [subset], n_mc, seed)
         b_n = max(1.0, float(np.abs(centered).max()))
         inputs = CltRateInputs(b_n=b_n, b0=1.0, n=data.n, p=data.p,
                                c_ab=rep.c_ab, emax_s=emax_s)

@@ -7,10 +7,11 @@ closed interval [t - eps, t + eps].  The grid scan is mildly downward biased;
 an exact sliding-interval maximizer is available behind ``exact=True`` for
 oracle comparisons.
 
-Expected maxima are streamed in chunks over the same counter-based child
-streams as the sampler.  Coordinates are computed in fixed column tiles of
-``EMAX_TILE``: tile t covers columns [t * EMAX_TILE, (t + 1) * EMAX_TILE)
-clipped to p, so tile edges depend on p alone, never on the request.  Every
+Expected maxima are streamed over the sampler's keyed chunk streams, from
+:func:`maxgap.sampling.chunks`.  Coordinates are computed in fixed column
+tiles of ``EMAX_TILE``: tile t covers columns [t * EMAX_TILE, (t + 1) *
+EMAX_TILE) clipped to p, so tile edges depend on p alone, never on the
+request.  Every
 tile holding a requested coordinate is one matmul of the chunk's draws with
 that tile of the factor, so a coordinate's per-replicate values come from the
 same BLAS call with the same inputs whichever subsets are requested together.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .cov import CovSpec
 from .errors import BadConfig, EmptySample, EmptySubset
-from .sampling import DiffSample, emax_chunk_rows, sampling_factor, stream_std_normal
+from .sampling import DiffSample, chunks, emax_chunk_rows, sampling_factor
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
@@ -126,13 +127,13 @@ def _check_subset(subset, p: int) -> np.ndarray:
 
 
 def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
-                      mode: str = "abs_std") -> list[tuple[float, float]]:
+                      mode: str = "abs_std") -> list[float]:
     """Stream one Monte Carlo pass and reduce several subsets at once.
 
     mode "abs_std": max over the subset of |X - mu| / sd.
     mode "signed":  max over the subset of X itself.
 
-    Returns one (mean, se) pair per subset.  Each chunk computes the
+    Returns one mean per subset.  Each chunk computes the
     ``EMAX_TILE`` column tiles that hold a requested coordinate, so subsets
     sharing coordinates share the per-replicate coordinate values bit for bit.
     """
@@ -154,28 +155,18 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     sds = spec.sds[cols]
     mu = spec.mu[cols]
     sums = [0.0] * len(idx_sets)
-    sumsq = [0.0] * len(idx_sets)
-    for _, z in stream_std_normal(seed, n_mc, r, emax_chunk_rows(r)):
-        vals = np.empty((z.shape[0], int(offset[-1])))
-        for (lo, hi), a, b in zip(edges, offset, offset[1:]):
-            np.matmul(z, ell[lo:hi].T, out=vals[:, a:b])
+    for rng, lo, hi in chunks(seed, n_mc, emax_chunk_rows(r)):
+        z = np.empty((hi - lo, r))
+        rng.standard_normal(out=z)
+        vals = np.empty((hi - lo, int(offset[-1])))
+        for (t0, t1), a, b in zip(edges, offset, offset[1:]):
+            np.matmul(z, ell[t0:t1].T, out=vals[:, a:b])
         if mode == "signed":
             vals += mu
         else:
             np.abs(vals, out=vals)
             vals /= sds
         for i, w in enumerate(where):
-            m = vals[:, w].max(axis=1)
-            sums[i] += float(np.sum(m))
-            sumsq[i] += float(np.sum(m * m))
-    out = []
-    for i in range(len(idx_sets)):
-        mean = sums[i] / n_mc
-        if n_mc > 1:
-            var = max(sumsq[i] - n_mc * mean * mean, 0.0) / (n_mc - 1)
-            se = float(np.sqrt(var / n_mc))
-        else:
-            se = float("nan")
-        out.append((mean, se))
-    return out
+            sums[i] += float(np.sum(vals[:, w].max(axis=1)))
+    return [total / n_mc for total in sums]
 

@@ -1,19 +1,21 @@
 """Deterministic Gaussian sampling and max-difference statistics.
 
 Randomness contract: replicate rows are produced in fixed chunks of
-``CHUNK`` rows, and chunk k draws from its own counter-based stream
-(Philox keyed by (seed, k)).  Chunk streams are stateless and independent of
-execution order, so serial and thread-parallel runs produce bit-identical
-values for any sampler thread count, and a run of whole chunks is a prefix
-of any longer run with the same seed.  Bit-identity holds under a fixed BLAS
-build and BLAS thread count: each chunk is one matmul, and BLAS libraries
-may sum in another order when their own thread count changes (OpenBLAS
-does, in the last bits, between ``OPENBLAS_NUM_THREADS=1`` and ``2``) or
-when the matmul height changes, so the rows of a partial last chunk agree
-with a longer run only to rounding.  The factor of an explicit covariance
-is an eigendecomposition, which may then also return another basis of a
-repeated eigenvalue's eigenspace, so such a spec's draws can differ by more
-than rounding.
+``CHUNK`` rows, and chunk k draws from its own counter-based stream (Philox
+keyed by (seed, k)).  :func:`chunks` is the one place a seed meets Philox: it
+checks the seed and hands out each chunk's span and generator, to the
+sampler, the expected-max passes and the bootstrap alike.  Chunk streams are
+stateless and independent of execution order, so serial and thread-parallel
+runs produce bit-identical values for any sampler thread count, and a run of
+whole chunks is a prefix of any longer run with the same seed.  Bit-identity
+holds under a fixed BLAS build and BLAS thread count: each chunk is one
+matmul, and BLAS libraries may sum in another order when their own thread
+count changes (OpenBLAS does, in the last bits, between
+``OPENBLAS_NUM_THREADS=1`` and ``2``) or when the matmul height changes, so
+the rows of a partial last chunk agree with a longer run only to
+rounding.  The factor of an explicit covariance is an eigendecomposition,
+which may then also return another basis of a repeated eigenvalue's
+eigenspace, so such a spec's draws can differ by more than rounding.
 
 Two paths share one chunk draw and one thread pool.  :func:`sample` is the
 batch API: it keeps the whole n_rep x p matrix, as the tests' reference.
@@ -73,13 +75,6 @@ class DiffSample:
         return int(self.values.shape[0])
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed <= _MASK64:
-        raise BadConfig(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
 def sampling_factor(spec: CovSpec) -> np.ndarray:
     """p x r map L with L L^T equal to the covariance (r = numerical rank).
 
@@ -88,47 +83,60 @@ def sampling_factor(spec: CovSpec) -> np.ndarray:
     return spec.root
 
 
-def _check_run(n_rep: int, seed: int, n_threads: int) -> int:
-    """The seed as an int, once the replicate and thread counts are checked."""
+def chunks(seed: int, n: int, rows: int = CHUNK):
+    """Iterator of (rng, lo, hi): rows lo..hi of n, ``rows`` at a time.
+
+    Chunk k covers rows [k * rows, min((k + 1) * rows, n)) and draws from
+    ``chunk_rng(seed, k)``.  The seed is checked at once, before any chunk is
+    iterated; each generator is made as its chunk is reached.
+    """
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise BadConfig(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return ((chunk_rng(seed, k), lo, min(lo + rows, n))
+            for k, lo in enumerate(range(0, n, rows)))
+
+
+def _check_run(n_rep: int, seed: int, n_threads: int) -> list:
+    """The run's :func:`chunks`, once the replicate and thread counts are checked."""
     if n_rep < 1:
         raise BadConfig(f"n_rep must be positive, got {n_rep}")
     if n_threads < 1:
         raise BadConfig(f"n_threads must be positive, got {n_threads}")
-    return _check_seed(seed)
+    return list(chunks(seed, n_rep))
 
 
-def _run_chunks(spec: CovSpec, n_rep: int, seed: int, n_threads: int, handle) -> None:
-    """Call handle(lo, hi, fill) once per chunk, on up to n_threads threads.
+def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
+    """Call handle(lo, hi, fill) once per chunk of todo, on up to n_threads threads.
 
-    fill(out) writes the chunk's rows of X = L Z + mu, drawn from
-    ``chunk_rng(seed, k)`` and multiplied as one (rows, r) @ (r, p) matmul,
-    into the (hi - lo) x p array out and returns it.  Every sampler path
-    draws through here, so they all see the same numbers.
+    fill(out) writes the chunk's rows of X = L Z + mu, drawn from the
+    chunk's generator and multiplied as one (rows, r) @ (r, p) matmul, into
+    the (hi - lo) x p array out and returns it.  Every sampler path draws
+    through here, so they all see the same numbers.
     """
     ell = sampling_factor(spec)
     r = ell.shape[1]
     lt = np.ascontiguousarray(ell.T)
     mu = spec.mu
-    n_chunks = (n_rep + CHUNK - 1) // CHUNK
 
-    def run(k: int) -> None:
-        lo, hi = k * CHUNK, min((k + 1) * CHUNK, n_rep)
+    def run(chunk) -> None:
+        rng, lo, hi = chunk
 
         def fill(out: np.ndarray) -> np.ndarray:
             z = np.empty((hi - lo, r))
-            chunk_rng(seed, k).standard_normal(out=z)
+            rng.standard_normal(out=z)
             np.matmul(z, lt, out=out)
             out += mu
             return out
 
         handle(lo, hi, fill)
 
-    if n_threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(n_threads, n_chunks)) as pool:
-            list(pool.map(run, range(n_chunks)))
+    if n_threads > 1 and len(todo) > 1:
+        with ThreadPoolExecutor(max_workers=min(n_threads, len(todo))) as pool:
+            list(pool.map(run, todo))
     else:
-        for k in range(n_chunks):
-            run(k)
+        for chunk in todo:
+            run(chunk)
 
 
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
@@ -138,11 +146,11 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     who fills which chunk, never the numbers.  Holds all n_rep x p values;
     :func:`sample_max_diff` streams them instead.
     """
-    seed = _check_run(n_rep, seed, n_threads)
+    todo = _check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
-    _run_chunks(spec, n_rep, seed, n_threads, lambda lo, hi, fill: fill(data[lo:hi]))
+    _run_chunks(spec, todo, n_threads, lambda lo, hi, fill: fill(data[lo:hi]))
     data.flags.writeable = False
-    return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=seed)
+    return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=int(seed))
 
 
 def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
@@ -154,7 +162,7 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """
     if part.p != spec.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
-    seed = _check_run(n_rep, seed, n_threads)
+    todo = _check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
     a_idx, b_idx = part.a_idx, part.b_idx
 
@@ -162,26 +170,8 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
         x = fill(np.empty((hi - lo, spec.p)))
         values[lo:hi] = x[:, b_idx].max(axis=1) - x[:, a_idx].max(axis=1)
 
-    _run_chunks(spec, n_rep, seed, n_threads, reduce)
+    _run_chunks(spec, todo, n_threads, reduce)
     return _diff_sample(values, part)
-
-
-def stream_std_normal(seed: int, n: int, r: int, rows_per_chunk: int):
-    """Yield (row_offset, Z) chunks of standard normals, deterministically.
-
-    Same chunk-keyed streams as :func:`sample`, with a caller-chosen chunk
-    height (must itself be a pure function of the model for reproducibility).
-    """
-    seed = _check_seed(seed)
-    k = 0
-    done = 0
-    while done < n:
-        rows = min(rows_per_chunk, n - done)
-        z = np.empty((rows, r))
-        chunk_rng(seed, k).standard_normal(out=z)
-        yield done, z
-        done += rows
-        k += 1
 
 
 def emax_chunk_rows(r: int) -> int:

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
                     DimensionMismatch, ParseError, Partition,
-                    SmallSampleWarning, argmax_prob, clt_rate, from_batch,
-                    load_csv, multiplier_replicates, observed_process,
-                    run_bootstrap, sample)
+                    SmallSampleWarning, argmax_prob, clt_rate, load_csv,
+                    multiplier_replicates, run_bootstrap, sample)
 from maxgap.bootstrap import BETA_MEAN, BETA_VAR, _parse_rows
 from maxgap.experiments import write_json
 from maxgap.sampling import CHUNK, chunk_rng
@@ -33,19 +32,6 @@ class TestDataMatrix:
             DataMatrix(np.zeros((3, 2)), a=[1.0])
         with pytest.raises(BadConfig):
             DataMatrix(np.zeros((3, 2)), a=[np.inf, 0.0])
-
-    def test_observed_process(self):
-        data = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), a=[1.0, 0.0])
-        got = observed_process(data)
-        want = np.array([6.0, 6.0]) / math.sqrt(2.0)
-        assert np.allclose(got, want, atol=1e-14)
-
-    def test_from_batch(self):
-        spec = CovSpec.explicit(np.eye(2))
-        batch = sample(spec, 5, seed=1)
-        data = from_batch(batch, shift=[0.0, 1.0])
-        assert np.array_equal(data.xi, batch.data)
-        assert np.array_equal(data.a, [0.0, 1.0])
 
 
 class TestReplicates:
@@ -97,6 +83,15 @@ class TestReplicates:
         with pytest.raises(BadConfig):
             multiplier_replicates(data, 10, seed=0, multiplier="poisson")
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Keyed as seed & (2^64 - 1), -1 would alias 2^64 - 1 and 2^64 alias 0.
+        data = DataMatrix(np.zeros((3, 2)) + np.arange(2))
+        with pytest.raises(BadConfig):
+            multiplier_replicates(data, 10, seed=seed)
+        with pytest.raises(BadConfig):
+            run_bootstrap(data, Partition.split(2, 1), 10, seed=seed)
+
 
 class TestArgmaxProb:
     def test_strict_inequality_at_ties(self):
@@ -116,7 +111,7 @@ class TestArgmaxProb:
         rho = 0.5
         sig = np.full((6, 6), rho) + np.eye(6) * (1.0 - rho)
         batch = sample(CovSpec.explicit(sig), 200, seed=8)
-        data = from_batch(batch)
+        data = DataMatrix(xi=batch.data)
         part = Partition.split(6, 3)
         g = run_bootstrap(data, part, b_reps=20000, seed=9, multiplier="gaussian")
         b = run_bootstrap(data, part, b_reps=20000, seed=9, multiplier="beta")

@@ -379,18 +379,21 @@ class TestRequestReuse:
         assert rep.conditional == bound_conditional(spec, part, self.MC)
 
     def test_explicit_spec_factored_once(self, monkeypatch):
-        import maxgap.cov as cov
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
 
+            def counting(a, *args, name=name, real=real, **kwargs):
+                calls.append((name, a.shape))
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
         spec, part = gen_design(self.CFG)
         assert spec.form == "explicit"
-        factored = []
-        real = cov.sqrt_factor
-
-        def counting(sigma):
-            factored.append(sigma.shape)
-            return real(sigma)
-        monkeypatch.setattr(cov, "sqrt_factor", counting)
+        assert spec.root is spec.root
         sample(spec, 100, seed=1)
         bound_report(spec, part, self.MC)
-        # The design once, then the two residual laws, equal in content, once.
-        assert factored == [(40, 40), (20, 20)]
+        # One eigh per explicit spec, at construction: the design, then each
+        # residual law; the two conditioning blocks and the baseline take
+        # their eigenvalues only.
+        assert calls == [("eigh", (40, 40)), ("eigvalsh", (20, 20)), ("eigvalsh", (20, 20)),
+                         ("eigh", (20, 20)), ("eigh", (20, 20)), ("eigvalsh", (40, 40))]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
-                    rho_bar, sqrt_factor, violation_stats)
-from maxgap.cov import TOL_COND, TOL_CORR
+                    rho_bar, sample_max_diff, sqrt_factor, violation_stats)
+from maxgap.cov import TOL_COND, TOL_CORR, TOL_PSD
 from maxgap.designs import DesignConfig, gen_design
 
 from conftest import footnote_factor, random_psd
@@ -49,6 +49,30 @@ class TestCovSpec:
         sig = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPSD):
             CovSpec.explicit(sig)
+
+    def test_small_scale_near_psd_samples(self):
+        # Smallest eigenvalue -5e-9, inside the floor -1e-8 * max(1, max diag).
+        sig = np.array([[1e-3, 1e-3 + 5e-9], [1e-3 + 5e-9, 1e-3]])
+        spec = CovSpec.explicit(sig)
+        assert sample_max_diff(spec, Partition.split(2, 1), 10, seed=0).n_rep == 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(2, 6), scale_exp=st.integers(-6, 1),
+           frac=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_constructs_exactly_when_samples_property(self, p, scale_exp, frac, seed):
+        # A rank-deficient matrix shifted down by frac times the PSD floor, so
+        # its smallest eigenvalue lands on either side of it.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((p, p - 1))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        scale = 10.0 ** scale_exp
+        sig = scale * (g @ g.T)
+        sig = (sig + sig.T) * 0.5 - np.eye(p) * frac * TOL_PSD * max(1.0, scale)
+        try:
+            spec = CovSpec.explicit(sig)
+        except NotPSD:
+            return
+        assert sample_max_diff(spec, Partition.split(p, 1), 8, seed=0).n_rep == 8
 
     def test_singular_explicit_allowed(self):
         sig = np.ones((3, 3))

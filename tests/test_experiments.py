@@ -8,9 +8,9 @@ from scipy import stats
 
 import maxgap
 from maxgap import (CovSpec, DataMatrix, IoError, Partition,
-                    SmallSampleWarning, bound_report, from_batch, levy_sweep,
+                    SmallSampleWarning, bound_report, levy_curve, max_diff,
                     run_bootstrap_demo, run_bounds_compare, run_levy_experiment,
-                    run_scaling_study, sample)
+                    run_scaling_study, sample, sample_max_diff)
 from maxgap.designs import DesignConfig, gen_design
 from maxgap.experiments import COMPARE_COLUMNS, write_csv
 from maxgap.sampling import CHUNK
@@ -23,17 +23,20 @@ def read_rows(path):
 
 
 class TestLevySweep:
+    """The levy command's sweep: one streamed sample, one curve over the epsilons."""
+
     def test_identical_blocks_concentrate_fully(self):
         rng = np.random.default_rng(0)
         g = rng.standard_normal((4, 2))
         spec = CovSpec.factor(np.vstack([g, g]))
-        ests = levy_sweep(spec, Partition.split(8, 4), [0.01, 0.05], n_rep=500, seed=1)
+        diffs = sample_max_diff(spec, Partition.split(8, 4), n_rep=500, seed=1)
+        ests = levy_curve(diffs, [0.01, 0.05])
         assert all(e.value == 1.0 for e in ests)
 
     def test_matches_direct_path(self):
         spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=0.3))
-        a = levy_sweep(spec, part, [0.05], n_rep=1000, seed=2)
-        b = levy_sweep(spec, part, [0.05], n_rep=1000, seed=2)
+        a = levy_curve(sample_max_diff(spec, part, n_rep=1000, seed=2), [0.05])
+        b = levy_curve(max_diff(sample(spec, 1000, seed=2), part), [0.05])
         assert a[0].value == b[0].value
         assert a[0].argmax_t == b[0].argmax_t
 
@@ -209,7 +212,7 @@ class TestBootstrapDemo:
     def good_data(self):
         sig = np.full((6, 6), 0.5) + np.eye(6) * 0.5
         batch = sample(CovSpec.explicit(sig), 300, seed=9)
-        return from_batch(batch)
+        return DataMatrix(xi=batch.data)
 
     def test_payload_shape(self, tmp_path):
         out = str(tmp_path / "demo.json")
@@ -227,7 +230,7 @@ class TestBootstrapDemo:
     def test_diagnostic_skipped_on_violation(self):
         spec, part = gen_design(
             DesignConfig(kind="heterog_violation", p=8, variance_profile="v075"))
-        data = from_batch(sample(spec, 400, seed=11))
+        data = DataMatrix(xi=sample(spec, 400, seed=11).data)
         payload = run_bootstrap_demo(data, part, b_reps=200, seed=11, n_mc=1000)
         assert payload["clt_rate"] is None
         assert payload["clt_skipped"] == "condition_fails"

@@ -185,9 +185,8 @@ class TestExpectedMax:
         quad, _ = integrate.quad(lambda t: 2.0 * (1.0 - phi(t)), 0.0, np.inf)
         assert quad == pytest.approx(SQRT_2_OVER_PI, abs=1e-9)
         spec = CovSpec.explicit(np.eye(1))
-        (value, se), = expected_max_many(spec, [[0]], n_mc=10 ** 6, seed=0)
+        value, = expected_max_many(spec, [[0]], n_mc=10 ** 6, seed=0)
         assert value == pytest.approx(SQRT_2_OVER_PI, abs=0.002)
-        assert se < 0.001
 
     def test_abs_pair_iid(self):
         # E max(|Z1|, |Z2|) = 2/sqrt(pi) via P(max > t) = 1 - (2 Phi(t) - 1)^2.
@@ -195,17 +194,17 @@ class TestExpectedMax:
             lambda t: 1.0 - (2.0 * phi(t) - 1.0) ** 2, 0.0, np.inf)
         assert quad == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-9)
         spec = CovSpec.explicit(np.eye(2))
-        (value, _), = expected_max_many(spec, [[0, 1]], n_mc=200000, seed=1)
+        value, = expected_max_many(spec, [[0, 1]], n_mc=200000, seed=1)
         assert value == pytest.approx(TWO_OVER_SQRT_PI, abs=0.003)
 
     def test_signed_pair_iid(self):
         spec = CovSpec.explicit(np.eye(2))
-        (got, _), = expected_max_many(spec, [[0, 1]], n_mc=200000, seed=2, mode="signed")
+        got, = expected_max_many(spec, [[0, 1]], n_mc=200000, seed=2, mode="signed")
         assert got == pytest.approx(INV_SQRT_PI, abs=0.003)
 
     def test_signed_includes_mean(self):
         spec = CovSpec.explicit(np.eye(1), mu=[3.0])
-        (got, _), = expected_max_many(spec, [[0]], n_mc=200000, seed=3, mode="signed")
+        got, = expected_max_many(spec, [[0]], n_mc=200000, seed=3, mode="signed")
         assert got == pytest.approx(3.0 + 0.0, abs=0.004)
 
     def test_abs_ignores_mean(self):
@@ -213,7 +212,7 @@ class TestExpectedMax:
         shifted = CovSpec.explicit(np.eye(1), mu=[100.0])
         a = expected_max_many(plain, [[0]], n_mc=5000, seed=4)
         b = expected_max_many(shifted, [[0]], n_mc=5000, seed=4)
-        assert a[0][0] == b[0][0]
+        assert a[0] == b[0]
 
     def test_duplicated_pair_equals_single(self):
         # Same factor rank means the same normal stream, so a duplicated
@@ -235,8 +234,8 @@ class TestExpectedMax:
         rng = np.random.default_rng(16)
         g = rng.standard_normal((6, 3))
         spec = CovSpec.factor(g)
-        (small, _), = expected_max_many(spec, [[1, 4]], n_mc=20000, seed=7)
-        (large, _), = expected_max_many(spec, [[0, 1, 4, 5]], n_mc=20000, seed=7)
+        small, = expected_max_many(spec, [[1, 4]], n_mc=20000, seed=7)
+        large, = expected_max_many(spec, [[0, 1, 4, 5]], n_mc=20000, seed=7)
         assert large >= small
 
     def test_batched_matches_separate(self):
@@ -288,7 +287,6 @@ class TestTileContract:
         spec, subsets, n_mc, seed = req
         batched = expected_max_many(spec, subsets, n_mc, seed, mode)
         separate = [expected_max_many(spec, [s], n_mc, seed, mode)[0] for s in subsets]
-        # Bytes, so that the NaN se of a one-draw pass compares too.
         assert np.array(batched).tobytes() == np.array(separate).tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -297,6 +295,6 @@ class TestTileContract:
         spec, subsets, n_mc, seed = req
         small = subsets[0]
         large = sorted(set(small).union(*subsets[1:]))
-        (e_small, _), = expected_max_many(spec, [small], n_mc, seed, mode)
-        (e_large, _), = expected_max_many(spec, [large], n_mc, seed, mode)
+        e_small, = expected_max_many(spec, [small], n_mc, seed, mode)
+        e_large, = expected_max_many(spec, [large], n_mc, seed, mode)
         assert e_large >= e_small

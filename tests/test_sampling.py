@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, max_diff,
                     sample)
 from maxgap import sampling
-from maxgap.sampling import (CHUNK, chunk_rng, emax_chunk_rows, sample_max_diff,
-                             stream_std_normal)
+from maxgap.sampling import CHUNK, chunk_rng, chunks, emax_chunk_rows, sample_max_diff
 
 
 class TestSampleDeterminism:
@@ -180,13 +179,15 @@ class TestSampleMoments:
 
 
 class TestStreamHelpers:
-    def test_stream_matches_chunk_rng(self):
-        chunks = list(stream_std_normal(seed=5, n=2100, r=3, rows_per_chunk=1024))
-        offsets = [off for off, _ in chunks]
-        assert offsets == [0, 1024, 2048]
-        assert chunks[-1][1].shape == (52, 3)
-        direct = chunk_rng(5, 1).standard_normal((1024, 3))
-        assert np.array_equal(chunks[1][1], direct)
+    def test_chunks_match_chunk_rng(self):
+        spans = list(chunks(seed=5, n=2100, rows=1024))
+        assert [(lo, hi) for _, lo, hi in spans] == [(0, 1024), (1024, 2048), (2048, 2100)]
+        for k, (rng, lo, hi) in enumerate(spans):
+            direct = chunk_rng(5, k).standard_normal((hi - lo, 3))
+            assert np.array_equal(rng.standard_normal((hi - lo, 3)), direct)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(BadConfig):
+                chunks(seed, 10)  # at the call, before any chunk is iterated
 
     def test_emax_chunk_rows_bounds(self):
         assert emax_chunk_rows(1) == 4096
