@@ -192,7 +192,8 @@ def argmax_prob(replicates: np.ndarray, part: Partition, quantiles=DEFAULT_QUANT
     if part.p != replicates.shape[1]:
         raise DimensionMismatch(
             f"partition over {part.p} coordinates, replicates have {replicates.shape[1]}")
-    diffs = replicates[:, part.a_idx].max(axis=1) - replicates[:, part.b_idx].max(axis=1)
+    a_sel, b_sel = part.blocks
+    diffs = replicates[:, a_sel].max(axis=1) - replicates[:, b_sel].max(axis=1)
     return _summarize(diffs, quantiles, multiplier, seed)
 
 
@@ -207,9 +208,9 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
         raise DimensionMismatch(f"partition over {part.p} coordinates, data have {data.p}")
     reps = _replicate_chunks(data, b_reps, seed, multiplier)
     diffs = np.empty(b_reps)
-    a_idx, b_idx = part.a_idx, part.b_idx
+    a_sel, b_sel = part.blocks
     for lo, hi, rows in reps:
-        diffs[lo:hi] = rows[:, a_idx].max(axis=1) - rows[:, b_idx].max(axis=1)
+        diffs[lo:hi] = rows[:, a_sel].max(axis=1) - rows[:, b_sel].max(axis=1)
     return _summarize(diffs, quantiles, multiplier, seed)
 
 

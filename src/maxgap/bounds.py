@@ -42,7 +42,7 @@ ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
 
 # Expected maxima served so far in the running bound_report, per model content:
-# spec.content_hash() -> {(subset bytes, mode, n_mc, seed): mean}.  Specs equal
+# spec.content_hash -> {(subset bytes, mode, n_mc, seed): mean}.  Specs equal
 # in content, like the two residual laws of a symmetric design, share a pass.
 _SERVED: ContextVar[dict | None] = ContextVar("maxgap_served_emax", default=None)
 
@@ -120,7 +120,7 @@ def _emax(spec: CovSpec, subsets, mode: str, mc: McConfig) -> list[float]:
     Outside ``bound_report`` nothing is kept, so every call is one pass.
     """
     served = _SERVED.get()
-    memo = {} if served is None else served.setdefault(spec.content_hash(), {})
+    memo = {} if served is None else served.setdefault(spec.content_hash, {})
     keys = [(np.unique(np.asarray(s, dtype=np.intp)).tobytes(), mode, mc.n_mc, mc.seed)
             for s in subsets]
     missing = {key: s for key, s in zip(keys, subsets) if key not in memo}
@@ -256,8 +256,13 @@ def bound_baseline_min_eig(spec: CovSpec) -> float:
     """Smallest-eigenvalue baseline rate 2 (sqrt(2 log p) + 2) / sqrt(lam_min).
 
     Undefined on degenerate covariances: raises SingularCovariance instead of
-    returning infinity.
+    returning infinity.  A factor spec whose rank is below p by its shape
+    alone (d columns plus its nonzero noise sds) raises without forming Sigma.
     """
+    if spec.gamma is not None:
+        rank = spec.gamma.shape[1] + (0 if spec.noise is None else np.count_nonzero(spec.noise))
+        if rank < spec.p:
+            raise SingularCovariance(f"covariance rank is at most {rank}, below p = {spec.p}")
     sig = spec.cov
     lam = float(np.linalg.eigvalsh(sig)[0])
     if lam <= TOL_SINGULAR * max(1.0, float(np.max(np.diag(sig)))):

@@ -246,15 +246,21 @@ def cmd_selftest(args) -> int:
         print(f"selftest {label}: {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
 
+    def thread_pair(design: DesignConfig, tmp: str) -> tuple[list[dict], bool]:
+        # The 1-thread levy rows, and whether the 1- and N-thread CSVs are byte-equal.
+        runs = [experiments.run_levy_experiment(
+            design, epsilons, n_rep=reps, seed=seed,
+            out_dir=os.path.join(tmp, f"{design.kind}_t{n}"), n_threads=n)
+            for n in (1, threads)]
+        with open(runs[0][0], "rb") as f1, open(runs[1][0], "rb") as f2:
+            return runs[0][1], f1.read() == f2.read()
+
     with tempfile.TemporaryDirectory(dir=args.out) as tmp:
-        path_1, rows = experiments.run_levy_experiment(
-            cfg, epsilons, n_rep=reps, seed=seed,
-            out_dir=os.path.join(tmp, "t1"), n_threads=1)
-        path_n, _ = experiments.run_levy_experiment(
-            cfg, epsilons, n_rep=reps, seed=seed,
-            out_dir=os.path.join(tmp, "tn"), n_threads=threads)
-        with open(path_1, "rb") as f1, open(path_n, "rb") as f2:
-            check(f"thread determinism (1 vs {threads} threads)", f1.read() == f2.read())
+        rows, same = thread_pair(cfg, tmp)
+        check(f"thread determinism (1 vs {threads} threads)", same)
+        # table1 is a factor plus per-coordinate noise: the noise sampler's path.
+        _, same = thread_pair(DesignConfig(kind="table1", p=40, seed=seed), tmp)
+        check(f"noise-factor thread determinism (table1, 1 vs {threads} threads)", same)
     row = next(r for r in rows if r["epsilon"] == eps_check)
     truth = math.erf(eps_check / (sd * math.sqrt(2.0 * (1.0 - rho))) / math.sqrt(2.0))
     se = max(row["se"], 1e-12)

@@ -1,18 +1,27 @@
 """Gaussian covariance specifications, partitions, and structural diagnostics.
 
-A covariance model is either a factor map (p x d matrix G, so Sigma = G G^T)
-or an explicit p x p matrix, plus a mean vector.  Degenerate (rank-deficient)
-covariances are first-class citizens here; only zero-variance coordinates are
-rejected.  The diagnostics in this module (cross-correlation maximum,
-separation conditions, violation statistics, Schur-complement residuals) feed
-the bound evaluators in :mod:`maxgap.bounds`.
+A covariance model is either a factor map (p x d matrix G, so Sigma = G G^T,
+plus diag(noise^2) when the spec carries a noise vector) or an explicit p x p
+matrix, plus a mean vector.  Degenerate (rank-deficient) covariances are
+first-class citizens here; only zero-variance coordinates are rejected.  The
+diagnostics in this module (cross-correlation maximum, separation
+conditions, violation statistics, Schur-complement residuals) feed the bound
+evaluators in :mod:`maxgap.bounds`.
+
+Every diagnostic reads Sigma through :func:`cov_block`, one block at a time.
+A factor spec never forms its p x p matrix there: each block is filled from
+fixed ``COV_TILE``-row tiles of the factor, the same tiles that assemble
+:attr:`CovSpec.cov`, so a block equals the same entries of that matrix bit
+for bit.  Of the diagnostics and bounds, only the smallest-eigenvalue
+baseline forms the matrix of a factor spec.
 
 All functions are pure: they never mutate their inputs and hold no state.
-The two caches, both read-only, are :attr:`CovSpec.cov` (the p x p matrix)
-and :attr:`CovSpec.root` (its square-root factor); each spec fills each once.
-An explicit spec is factored at construction: :func:`sqrt_factor`, whose one
-eigendecomposition both validates and factors the matrix, holds the PSD
-floor, so a matrix that constructs always samples.
+The caches, all read-only, are :attr:`CovSpec.cov` (the p x p matrix),
+:attr:`CovSpec.root` (its square-root factor) and
+:attr:`CovSpec.content_hash`; each spec fills each once.  An explicit spec is
+factored at construction: :func:`sqrt_factor`, whose one eigendecomposition
+both validates and factors the matrix, holds the PSD floor, so a matrix that
+constructs always samples.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ TOL_EIG_CLIP = 1e-10     # eigenvalues below TOL_EIG_CLIP * max(1, lam_max) are 
 TOL_CORR = 1e-9          # correlations >= 1 - TOL_CORR count as perfect
 TOL_COND = 1e-9          # slack in the within-block normalization test
 RCOND_MIN = 1e-12        # minimum relative condition number for block inversion
+COV_TILE = 256           # factor rows per Sigma tile; fixes the bits of every block
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -45,25 +55,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class CovSpec:
     """Immutable Gaussian model: covariance (factor or explicit) plus mean.
 
-    Build instances with :meth:`factor` or :meth:`explicit`.
+    Build instances with :meth:`factor` or :meth:`explicit`.  A factor spec
+    may carry ``noise``, the sds of independent per-coordinate noise, so that
+    Sigma = gamma gamma^T + diag(noise^2).
     """
 
     gamma: np.ndarray | None
     sigma: np.ndarray | None
     mu: np.ndarray
+    noise: np.ndarray | None = None
 
     @classmethod
-    def factor(cls, gamma: np.ndarray, mu: np.ndarray | None = None) -> "CovSpec":
-        """Model X = gamma @ Z + mu with Z standard normal of length d."""
+    def factor(cls, gamma: np.ndarray, mu: np.ndarray | None = None,
+               noise: np.ndarray | None = None) -> "CovSpec":
+        """Model X = gamma @ Z + noise * W + mu, Z and W standard normal of lengths d and p."""
         gamma = _readonly(np.atleast_2d(gamma))
         if gamma.ndim != 2 or gamma.shape[0] < 1 or gamma.shape[1] < 1:
             raise DimensionMismatch(f"factor matrix must be p x d, got {gamma.shape}")
         if not np.all(np.isfinite(gamma)):
             raise BadConfig("factor matrix has non-finite entries")
-        rowsq = np.einsum("ij,ij->i", gamma, gamma)
-        for i in np.flatnonzero(rowsq <= 0.0):
+        p = gamma.shape[0]
+        if noise is not None:
+            noise = _readonly(np.asarray(noise, dtype=float).reshape(-1))
+            if noise.shape != (p,):
+                raise DimensionMismatch(f"noise has length {noise.shape[0]}, expected {p}")
+            if not np.all(np.isfinite(noise) & (noise >= 0.0)):
+                raise BadConfig("noise sds must be finite and nonnegative")
+        spec = cls(gamma=gamma, sigma=None, mu=_check_mu(mu, p), noise=noise)
+        for i in np.flatnonzero(spec.variances <= 0.0):
             raise ZeroVariance(int(i))
-        return cls(gamma=gamma, sigma=None, mu=_check_mu(mu, gamma.shape[0]))
+        return spec
 
     @classmethod
     def explicit(cls, sigma: np.ndarray, mu: np.ndarray | None = None) -> "CovSpec":
@@ -96,9 +117,10 @@ class CovSpec:
 
     @property
     def variances(self) -> np.ndarray:
-        if self.gamma is not None:
-            return np.einsum("ij,ij->i", self.gamma, self.gamma)
-        return np.diag(self.sigma).copy()
+        if self.gamma is None:
+            return np.diag(self.sigma).copy()
+        rowsq = np.einsum("ij,ij->i", self.gamma, self.gamma)
+        return rowsq if self.noise is None else rowsq + self.noise ** 2
 
     @property
     def sds(self) -> np.ndarray:
@@ -106,21 +128,21 @@ class CovSpec:
 
     @cached_property
     def cov(self) -> np.ndarray:
-        """Read-only covariance matrix: sigma, or gamma gamma^T symmetrized exactly."""
+        """Read-only covariance matrix: sigma, or every :func:`cov_block` tile of a factor."""
         if self.sigma is not None:
             return self.sigma
-        sig = self.gamma @ self.gamma.T
-        sig = (sig + sig.T) * 0.5
-        for i in np.flatnonzero(np.diag(sig) <= 0.0):
-            raise ZeroVariance(int(i))
+        idx = np.arange(self.p)
+        sig = cov_block(self, idx, idx)
         sig.flags.writeable = False
         return sig
 
     @cached_property
     def root(self) -> np.ndarray:
-        """Read-only p x r map L with L L^T the covariance, computed once per spec.
+        """Read-only p x r map L, computed once per spec.
 
-        The factor itself for factor specs, else :func:`sqrt_factor` of sigma.
+        The factor itself for factor specs, so the covariance is L L^T plus
+        diag(noise^2) when the spec carries noise; else :func:`sqrt_factor`
+        of sigma, with L L^T the covariance.
         """
         if self.gamma is not None:
             return self.gamma
@@ -132,21 +154,25 @@ class CovSpec:
         out: dict = {"form": self.form, "mu": self.mu.tolist()}
         if self.gamma is not None:
             out["gamma"] = self.gamma.tolist()
+            if self.noise is not None:
+                out["noise"] = self.noise.tolist()
         else:
             out["sigma"] = self.sigma.tolist()
         return out
 
+    @cached_property
     def content_hash(self) -> str:
-        """Stable hex digest of the model content.
+        """Stable hex digest of the model content, computed once per spec.
 
         sha256 over the form, then each array's shape and little-endian
-        float64 bytes (gamma or sigma, then mu), so equal content hashes
-        equal.
+        float64 bytes (gamma, then noise when present, or sigma; then mu),
+        so equal content hashes equal.
         """
         h = hashlib.sha256(self.form.encode())
-        for arr in (self.gamma if self.gamma is not None else self.sigma, self.mu):
-            h.update(repr(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for arr in (self.gamma, self.noise, self.sigma, self.mu):
+            if arr is not None:
+                h.update(repr(arr.shape).encode())
+                h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         return h.hexdigest()
 
 
@@ -196,6 +222,21 @@ class Partition:
     def b_idx(self) -> np.ndarray:
         return np.asarray(self.b_set, dtype=np.intp)
 
+    @property
+    def blocks(self) -> tuple[slice | np.ndarray, slice | np.ndarray]:
+        """Column selectors of A and B for block maxima.
+
+        A block whose indices form a contiguous range is a slice, so
+        ``x[:, sel]`` is a view rather than a copy; any other block is its
+        index array.  Either selects the same columns, and a maximum does not
+        depend on their order.
+        """
+        def select(block: tuple[int, ...]) -> slice | np.ndarray:
+            lo, hi = min(block), max(block) + 1
+            return slice(lo, hi) if hi - lo == len(block) else np.asarray(block, dtype=np.intp)
+
+        return select(self.a_set), select(self.b_set)
+
     def to_json_dict(self) -> dict:
         return {"a": list(self.a_set), "b": list(self.b_set), "p": self.p}
 
@@ -244,12 +285,97 @@ class ViolationStats:
     m_b: float
 
 
+def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
+    """New array Sigma[rows][:, cols], equal bit for bit to ``spec.cov[np.ix_(rows, cols)]``.
+
+    An explicit spec slices sigma.  A factor spec forms no p x p matrix: the
+    block is filled from fixed ``COV_TILE`` x ``COV_TILE`` tiles of Sigma.
+    With gamma_i the rows [i * COV_TILE, (i + 1) * COV_TILE) of gamma, tile
+    (i, j) with i <= j is computed once per block as gamma_i gamma_j^T; a
+    diagonal tile is symmetrized exactly and gets noise^2 on its diagonal,
+    and tile (j, i) is the transpose of tile (i, j).  :attr:`CovSpec.cov` is
+    assembled from the same tiles, so every block reads the same bits, and
+    Sigma is exactly symmetric.
+    """
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    if spec.sigma is not None:
+        return spec.sigma[np.ix_(rows, cols)]
+    out = np.empty((rows.size, cols.size))
+    row_tiles, col_tiles = _by_tile(rows), _by_tile(cols)
+    for i, j in sorted({(min(i, j), max(i, j)) for i in row_tiles for j in col_tiles}):
+        tile = _tile(spec, i, j)
+        placements = [(i, j, tile)] if i == j else [(i, j, tile), (j, i, tile.T)]
+        for ti, tj, t in placements:
+            if ti in row_tiles and tj in col_tiles:
+                (r_pos, r_off), (c_pos, c_off) = row_tiles[ti], col_tiles[tj]
+                out[_ix(r_pos, c_pos)] = t[_ix(r_off, c_off)]
+    return out
+
+
+def _by_tile(idx: np.ndarray) -> dict:
+    # tile -> (positions in idx of its indices, their offsets within the tile),
+    # each a slice when it is an ascending run, so that the tile is copied by
+    # basic slicing rather than a gather and a scatter.
+    tile = idx // COV_TILE
+    out = {}
+    for t in np.unique(tile):
+        pos = np.flatnonzero(tile == t)
+        out[int(t)] = (_as_slice(pos), _as_slice(idx[pos] - int(t) * COV_TILE))
+    return out
+
+
+def _as_slice(a: np.ndarray) -> slice | np.ndarray:
+    return slice(int(a[0]), int(a[-1]) + 1) if np.all(np.diff(a) == 1) else a
+
+
+def _ix(rows, cols):
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
+def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
+    """Tile (i, j), i <= j, of a factor spec's Sigma."""
+    rows_i = slice(i * COV_TILE, (i + 1) * COV_TILE)
+    g_i = spec.gamma[rows_i]
+    if i != j:
+        return g_i @ spec.gamma[j * COV_TILE:(j + 1) * COV_TILE].T
+    t = g_i @ g_i.T
+    t = (t + t.T) * 0.5
+    if spec.noise is not None:
+        t[np.diag_indices_from(t)] += spec.noise[rows_i] ** 2
+    return t
+
+
+def _cov_diag(spec: CovSpec) -> np.ndarray:
+    """diag(Sigma), from the diagonal tiles of a factor spec."""
+    if spec.sigma is not None:
+        return np.diag(spec.sigma)
+    return np.concatenate([np.diag(_tile(spec, i, i))
+                           for i in range(-(-spec.p // COV_TILE))])
+
+
+def _cross_blocks(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma[A, B] and Sigma[B, A].
+
+    A factor spec's Sigma is exactly symmetric, so its B x A block is the
+    transpose of the A x B block.  An explicit sigma is symmetric only to
+    ``TOL_SYM``, so both blocks are read.
+    """
+    _check_part(spec, part)
+    a, b = part.a_idx, part.b_idx
+    ab = cov_block(spec, a, b)
+    return ab, (ab.T if spec.gamma is not None else cov_block(spec, b, a))
+
+
 def cross_corr(spec: CovSpec, part: Partition) -> np.ndarray:
     """Correlations between the coordinates of A (rows) and of B (columns)."""
     _check_part(spec, part)
-    sig = spec.cov
-    sd = np.sqrt(np.diag(sig))
-    return sig[np.ix_(part.a_idx, part.b_idx)] / np.outer(sd[part.a_idx], sd[part.b_idx])
+    a, b = part.a_idx, part.b_idx
+    sd = np.sqrt(_cov_diag(spec))
+    block = cov_block(spec, a, b)
+    return np.divide(block, np.outer(sd[a], sd[b]), out=block)
 
 
 def _clamped_max(cross: np.ndarray) -> float:
@@ -261,11 +387,11 @@ def rho_bar(spec: CovSpec, part: Partition) -> float:
     return _clamped_max(cross_corr(spec, part))
 
 
-def _row_margins(sig: np.ndarray, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # Margin sd_i - max_j sigma_ij / sd_i of each i in own against other.  Rounding
-    # is monotone, so it equals the minimum over j of sd_i - sigma_ij / sd_i bit for bit.
-    sd = np.sqrt(np.diag(sig)[own])
-    return sd - np.max(sig[np.ix_(own, other)], axis=1) / sd
+def _row_margins(sd: np.ndarray, block: np.ndarray) -> np.ndarray:
+    # Margin sd_i - max_j sigma_ij / sd_i of each row i of block, sd holding the
+    # rows' sds.  Rounding is monotone, so it equals the minimum over j of
+    # sd_i - sigma_ij / sd_i bit for bit.
+    return sd - np.max(block, axis=1) / sd
 
 
 def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
@@ -275,19 +401,22 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
     (max over j, j' in B of sigma_jj' / var_j at most 1) and every cross
     margin sigma_j - sigma_jj'/sigma_j for j in B, i in A to be strictly
     positive; the margin minimum is ``c_a``.  Direction B mirrors the roles.
+    Each block of Sigma is read once.
     """
-    cross = cross_corr(spec, part)
-    sig = spec.cov
-    sd = np.sqrt(np.diag(sig))
+    ab, ba = _cross_blocks(spec, part)
+    a, b = part.a_idx, part.b_idx
+    sd = np.sqrt(_cov_diag(spec))
+    cross = ab / np.outer(sd[a], sd[b])
 
-    def direction(inner: np.ndarray, outer: np.ndarray) -> tuple[bool, float]:
-        # inner plays the normalized block; margin is against outer.
-        norm_ok = np.max(sig[np.ix_(inner, inner)] / sd[inner][:, None] ** 2) <= 1.0 + TOL_COND
-        c = float(np.min(_row_margins(sig, inner, outer)))
+    def direction(inner: np.ndarray, margin_block: np.ndarray) -> tuple[bool, float]:
+        # inner plays the normalized block; margin_block is Sigma[inner, outer].
+        within = cov_block(spec, inner, inner)
+        norm_ok = np.max(within / sd[inner][:, None] ** 2) <= 1.0 + TOL_COND
+        c = float(np.min(_row_margins(sd[inner], margin_block)))
         return bool(norm_ok and c > 0.0), c
 
-    cond_a, c_a = direction(part.b_idx, part.a_idx)
-    cond_b, c_b = direction(part.a_idx, part.b_idx)
+    cond_a, c_a = direction(b, ba)
+    cond_b, c_b = direction(a, ab)
     # The directions that hold, larger margin first (S = B on a tie).
     holding = sorted(((c, s) for ok, c, s in ((cond_a, c_a, "B"), (cond_b, c_b, "A")) if ok),
                      key=lambda t: -t[0])
@@ -299,18 +428,19 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
 
 def violation_stats(spec: CovSpec, part: Partition) -> ViolationStats:
     """Per-coordinate margins below zero, per side."""
-    _check_part(spec, part)
+    ab, ba = _cross_blocks(spec, part)
+    sd = np.sqrt(_cov_diag(spec))
 
-    def side(own: np.ndarray, other: np.ndarray) -> tuple[tuple[int, ...], float, float]:
-        margins = _row_margins(spec.cov, own, other)
+    def side(own: np.ndarray, block: np.ndarray) -> tuple[tuple[int, ...], float, float]:
+        margins = _row_margins(sd[own], block)
         mask = margins <= 0.0
         viol = tuple(int(i) for i in own[mask])
         nu = float(mask.mean())
         m = float(margins[mask].mean()) if mask.any() else float("nan")
         return viol, nu, m
 
-    v_a, nu_a, m_a = side(part.a_idx, part.b_idx)
-    v_b, nu_b, m_b = side(part.b_idx, part.a_idx)
+    v_a, nu_a, m_a = side(part.a_idx, ab)
+    v_b, nu_b, m_b = side(part.b_idx, ba)
     return ViolationStats(v_a, v_b, nu_a, nu_b, m_a, m_b)
 
 
@@ -319,24 +449,39 @@ def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray
 
     Returns (residual of A given B, residual of B given A).  The conditioning
     block is inverted exactly; a relative condition number below 1e-12 raises
-    SingularBlock rather than falling back to a pseudo-inverse.
+    SingularBlock rather than falling back to a pseudo-inverse.  For a spec
+    with noise, the condition number is at least
+    min noise^2 / (||gamma||_F^2 + max noise^2) over the conditioning block,
+    and its eigenvalues are computed only when that bound falls below 1e-12.
     """
-    _check_part(spec, part)
-    sig = spec.cov
+    ab, ba = _cross_blocks(spec, part)
     a, b = part.a_idx, part.b_idx
+    aa, bb = cov_block(spec, a, a), cov_block(spec, b, b)
 
-    def schur(keep: np.ndarray, cond_on: np.ndarray, which: str) -> np.ndarray:
-        block = sig[np.ix_(cond_on, cond_on)]
-        w = np.linalg.eigvalsh(block)
-        wmax = float(np.max(np.abs(w)))
-        rcond = float(np.min(np.abs(w))) / wmax if wmax > 0 else 0.0
-        if rcond < RCOND_MIN:
-            raise SingularBlock(which, rcond)
-        cross = sig[np.ix_(cond_on, keep)]
-        res = sig[np.ix_(keep, keep)] - cross.T @ np.linalg.solve(block, cross)
+    def schur(keep: np.ndarray, block: np.ndarray, cross: np.ndarray, cond_on: np.ndarray,
+              which: str) -> np.ndarray:
+        # keep, block and cross are Sigma[K, K], Sigma[C, C] and Sigma[C, K]
+        # for the kept block K and the conditioning block C = cond_on.
+        if _rcond_floor(spec, cond_on) < RCOND_MIN:
+            w = np.linalg.eigvalsh(block)
+            wmax = float(np.max(np.abs(w)))
+            rcond = float(np.min(np.abs(w))) / wmax if wmax > 0 else 0.0
+            if rcond < RCOND_MIN:
+                raise SingularBlock(which, rcond)
+        cross = np.ascontiguousarray(cross)
+        res = keep - cross.T @ np.linalg.solve(block, cross)
         return (res + res.T) * 0.5
 
-    return schur(a, b, "B"), schur(b, a, "A")
+    return schur(aa, bb, ba, b, "B"), schur(bb, aa, ab, a, "A")
+
+
+def _rcond_floor(spec: CovSpec, idx: np.ndarray) -> float:
+    """A lower bound on the rcond of Sigma[idx, idx] that needs no eigensolve, else 0."""
+    if spec.noise is None:
+        return 0.0
+    nsq = spec.noise[idx] ** 2
+    g = spec.gamma[idx]
+    return float(nsq.min()) / (float(np.einsum("ij,ij->", g, g)) + float(nsq.max()))
 
 
 def sqrt_factor(sigma: np.ndarray) -> np.ndarray:

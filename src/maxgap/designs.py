@@ -150,8 +150,9 @@ def _table1(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
     rng = np.random.default_rng(cfg.seed)
     gamma = rng.standard_normal((p, d))
     scale = np.sqrt(np.einsum("ij,ij->i", gamma, gamma) + 1.0)
-    factor = np.hstack([gamma, np.eye(p)]) / scale[:, None]
-    return CovSpec.factor(factor), Partition.split(p, p // 2)
+    # The rows of [gamma, I] / scale, held as the factor gamma / scale plus noise sds 1 / scale.
+    return (CovSpec.factor(gamma / scale[:, None], noise=1.0 / scale),
+            Partition.split(p, p // 2))
 
 
 def _exchangeable_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:

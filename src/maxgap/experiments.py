@@ -61,7 +61,7 @@ class RunManifest:
 
     Outputs are bit-identical only under one BLAS build and BLAS thread
     count, so the sidecar records both (an unset thread variable is None).
-    ``spec_hash`` is the sampled model's :meth:`CovSpec.content_hash`, None
+    ``spec_hash`` is the sampled model's :attr:`CovSpec.content_hash`, None
     when the file covers several models; ``rng_method`` names the sampler's
     generator.
     """
@@ -134,10 +134,13 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
     """Concentration-vs-epsilon table for one design."""
     seed = cfg.seed if seed is None else int(seed)
     spec, part = gen_design(cfg)
+    # rho_bar reads its cross block before sampling: memory freed by the sampler
+    # threads stays in their allocator arenas, so a block read afterwards would
+    # add to the peak RSS instead of reusing it.
+    rbar = rho_bar(spec, part)
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     estimates = levy_curve(diffs, sorted(float(e) for e in epsilons), grid_points=grid_points)
     sigma_hat = float(np.mean(spec.sds))
-    rbar = rho_bar(spec, part)
     scale = math.sqrt(math.log(spec.p)) / sigma_hat
     rows = [{
         "design_id": cfg.design_id(),
@@ -151,7 +154,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
     } for est in estimates]
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
     write_csv(path, rows[0].keys(), rows, command="levy", seed=seed,
-              config=cfg.to_json_dict(), spec_hash=spec.content_hash())
+              config=cfg.to_json_dict(), spec_hash=spec.content_hash)
     return path, rows
 
 
@@ -206,7 +209,7 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=seed,
-              config=cfg.to_json_dict(), spec_hash=spec.content_hash())
+              config=cfg.to_json_dict(), spec_hash=spec.content_hash)
     return path, rows, report
 
 

@@ -13,8 +13,10 @@ tiles of ``EMAX_TILE``: tile t covers columns [t * EMAX_TILE, (t + 1) *
 EMAX_TILE) clipped to p, so tile edges depend on p alone, never on the
 request.  Every
 tile holding a requested coordinate is one matmul of the chunk's draws with
-that tile of the factor, so a coordinate's per-replicate values come from the
-same BLAS call with the same inputs whichever subsets are requested together.
+that tile of the factor (plus, for a spec with noise, the tile's own noise
+normals times its noise sds), so a coordinate's per-replicate values come
+from the same operations with the same inputs whichever subsets are
+requested together.
 With fixed-order reduction this makes estimates under a common seed exactly
 monotone in the subset, and a batched request equal, bit for bit, to the
 same subsets requested one at a time (for a fixed BLAS build and BLAS thread
@@ -30,7 +32,7 @@ import numpy as np
 
 from .cov import CovSpec
 from .errors import BadConfig, EmptySample, EmptySubset
-from .sampling import DiffSample, chunks, emax_chunk_rows, sampling_factor
+from .sampling import DiffSample, chunks, draw_width, emax_chunk_rows, sampling_factor
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
@@ -143,7 +145,8 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
         raise BadConfig(f"unknown expected-max mode {mode!r}")
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
     ell = sampling_factor(spec)
-    p, r = ell.shape
+    (p, d), r = ell.shape, draw_width(spec)
+    noise = spec.noise
     tiles = (np.unique(np.concatenate(idx_sets) // EMAX_TILE) if idx_sets
              else np.empty(0, np.intp))
     # The requested tiles side by side in column order: tile j fills block
@@ -160,7 +163,9 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
         rng.standard_normal(out=z)
         vals = np.empty((hi - lo, int(offset[-1])))
         for (t0, t1), a, b in zip(edges, offset, offset[1:]):
-            np.matmul(z, ell[t0:t1].T, out=vals[:, a:b])
+            np.matmul(z[:, :d], ell[t0:t1].T, out=vals[:, a:b])
+            if noise is not None:
+                vals[:, a:b] += z[:, d + t0:d + t1] * noise[t0:t1]
         if mode == "signed":
             vals += mu
         else:

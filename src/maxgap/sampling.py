@@ -76,11 +76,25 @@ class DiffSample:
 
 
 def sampling_factor(spec: CovSpec) -> np.ndarray:
-    """p x r map L with L L^T equal to the covariance (r = numerical rank).
+    """p x r map L that every sampler and expected-max pass multiplies draws by.
 
-    The spec's cached :attr:`CovSpec.root`, so each spec is factored once.
+    The spec's cached :attr:`CovSpec.root`, so each spec is factored once: a
+    factor spec's gamma, or the square root of an explicit matrix (r its
+    numerical rank).  L L^T is the covariance, except for a spec with noise,
+    whose covariance is L L^T + diag(noise^2); its draws carry p more normals
+    per row (see :func:`draw_width`).
     """
     return spec.root
+
+
+def draw_width(spec: CovSpec) -> int:
+    """Normals per row of a draw: the r columns of L, plus p for a spec with noise.
+
+    Columns [0, r) of a draw feed L and column r + j feeds coordinate j's
+    noise, the layout of the dense factor [L | diag(noise)], so a spec with
+    noise consumes the same normals as that factor.
+    """
+    return spec.root.shape[1] + (spec.p if spec.noise is not None else 0)
 
 
 def chunks(seed: int, n: int, rows: int = CHUNK):
@@ -109,15 +123,16 @@ def _check_run(n_rep: int, seed: int, n_threads: int) -> list:
 def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
     """Call handle(lo, hi, fill) once per chunk of todo, on up to n_threads threads.
 
-    fill(out) writes the chunk's rows of X = L Z + mu, drawn from the
-    chunk's generator and multiplied as one (rows, r) @ (r, p) matmul, into
-    the (hi - lo) x p array out and returns it.  Every sampler path draws
-    through here, so they all see the same numbers.
+    fill(out) writes the chunk's rows of X = L Z + noise * W + mu, drawn
+    from the chunk's generator and multiplied as one (rows, d) @ (d, p)
+    matmul (d the columns of L), into the (hi - lo) x p array out and
+    returns it.  Every sampler
+    path draws through here, so they all see the same numbers.
     """
     ell = sampling_factor(spec)
-    r = ell.shape[1]
+    d, r = ell.shape[1], draw_width(spec)
     lt = np.ascontiguousarray(ell.T)
-    mu = spec.mu
+    mu, noise = spec.mu, spec.noise
 
     def run(chunk) -> None:
         rng, lo, hi = chunk
@@ -125,7 +140,11 @@ def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
         def fill(out: np.ndarray) -> np.ndarray:
             z = np.empty((hi - lo, r))
             rng.standard_normal(out=z)
-            np.matmul(z, lt, out=out)
+            np.matmul(z[:, :d], lt, out=out)
+            if noise is not None:
+                w = z[:, d:]
+                w *= noise
+                out += w
             out += mu
             return out
 
@@ -140,7 +159,7 @@ def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
 
 
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
-    """Draw n_rep independent replicates of X = L Z + mu as one batch.
+    """Draw n_rep independent replicates of X = L Z + noise * W + mu as one batch.
 
     Deterministic given (spec, n_rep, seed); the thread count only changes
     who fills which chunk, never the numbers.  Holds all n_rep x p values;
@@ -164,11 +183,11 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
     todo = _check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
-    a_idx, b_idx = part.a_idx, part.b_idx
+    a_sel, b_sel = part.blocks
 
     def reduce(lo: int, hi: int, fill) -> None:
         x = fill(np.empty((hi - lo, spec.p)))
-        values[lo:hi] = x[:, b_idx].max(axis=1) - x[:, a_idx].max(axis=1)
+        values[lo:hi] = x[:, b_sel].max(axis=1) - x[:, a_sel].max(axis=1)
 
     _run_chunks(spec, todo, n_threads, reduce)
     return _diff_sample(values, part)
@@ -198,6 +217,7 @@ def max_diff(batch: SampleBatch, part: Partition) -> DiffSample:
     """Per-replicate M_B - M_A of a batch."""
     if part.p != batch.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, batch has {batch.p}")
-    values = batch.data[:, part.b_idx].max(axis=1) - batch.data[:, part.a_idx].max(axis=1)
+    a_sel, b_sel = part.blocks
+    values = batch.data[:, b_sel].max(axis=1) - batch.data[:, a_sel].max(axis=1)
     return _diff_sample(values, part)
 

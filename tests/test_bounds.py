@@ -344,7 +344,7 @@ class TestRequestReuse:
         real = bounds.expected_max_many
 
         def counting(spec, subsets, n_mc, seed, mode="abs_std"):
-            passes.append([(spec.content_hash(), tuple(sorted({int(i) for i in s})), mode,
+            passes.append([(spec.content_hash, tuple(sorted({int(i) for i in s})), mode,
                             n_mc, seed) for s in subsets])
             return real(spec, subsets, n_mc, seed, mode)
         monkeypatch.setattr(bounds, "expected_max_many", counting)
@@ -397,3 +397,65 @@ class TestRequestReuse:
         # their eigenvalues only.
         assert calls == [("eigh", (40, 40)), ("eigvalsh", (20, 20)), ("eigvalsh", (20, 20)),
                          ("eigh", (20, 20)), ("eigh", (20, 20)), ("eigvalsh", (40, 40))]
+
+
+class TestFactorSpecsFormNoMatrix:
+    """Factor specs read Sigma block by block; only the baseline forms the p x p matrix."""
+
+    SMALL_MC = McConfig(n_mc=500, seed=4)
+
+    def test_baseline_by_rank(self, monkeypatch):
+        spec, part = gen_design(DesignConfig(kind="homog_lowrank", p=400))
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rep = bound_report(spec, part, self.SMALL_MC, which=("baseline",))
+        assert rep.baseline == Inapplicable("singular_covariance")
+        with pytest.raises(SingularCovariance, match="rank is at most 40,"):
+            bound_baseline_min_eig(spec)
+        assert shapes == []
+        assert "cov" not in spec.__dict__
+
+    def test_noise_counts_toward_rank(self):
+        g = np.ones((4, 1))
+        with pytest.raises(SingularCovariance, match="rank is at most 3,"):
+            bound_baseline_min_eig(CovSpec.factor(g, noise=[1.0, 1.0, 0.0, 0.0]))
+        # 1 + 3 = p: Sigma = 1 1^T + diag(1, 1, 1, 0) is positive definite.
+        assert bound_baseline_min_eig(CovSpec.factor(g, noise=[1.0, 1.0, 1.0, 0.0])) > 0.0
+
+    def test_full_width_singular_factor_takes_eigenvalues(self):
+        # d >= p with a repeated row: singular, which only the eigenvalues show.
+        g = np.random.default_rng(0).standard_normal((4, 5))
+        g[3] = g[0]
+        spec = CovSpec.factor(g)
+        with pytest.raises(SingularCovariance, match="smallest eigenvalue"):
+            bound_baseline_min_eig(spec)
+        assert "cov" in spec.__dict__
+
+    def test_table1_report_without_baseline_forms_no_matrix(self):
+        spec, part = gen_design(DesignConfig(kind="table1", p=40, seed=3))
+        rep = bound_report(spec, part, self.SMALL_MC,
+                           which=tuple(b for b in ALL_BOUNDS if b != "baseline"))
+        assert isinstance(rep.heterogeneous, float)
+        assert isinstance(rep.conditional, float)
+        assert "cov" not in spec.__dict__
+
+    def test_design_spec_hashed_once(self, monkeypatch):
+        import hashlib
+
+        forms = []
+        real = hashlib.sha256
+
+        def counting(data=b"", *args, **kwargs):
+            forms.append(data)
+            return real(data, *args, **kwargs)
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        spec, part = gen_design(DesignConfig(kind="table1", p=40, seed=3))
+        rep = bound_report(spec, part, self.SMALL_MC)
+        assert not all(isinstance(getattr(rep, b), Inapplicable) for b in ALL_BOUNDS)
+        # The residual laws are explicit specs, hashed once each.
+        assert forms.count(b"factor") == 1

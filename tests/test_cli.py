@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgap import SmallSampleWarning
+from maxgap import SmallSampleWarning, load_csv, multiplier_replicates
+from maxgap.bootstrap import DEFAULT_QUANTILES
+from maxgap.sampling import CHUNK
 from maxgap.cli import (EXIT_CONFIG, EXIT_INAPPLICABLE, EXIT_IO, EXIT_OK,
                         cmd_gen_design, main, parse_args)
 
@@ -28,6 +30,13 @@ class TestGenDesign:
         assert payload["design_id"] == "fullrank_equicorr-p4-rho0.5-s0"
         assert payload["spec"]["form"] == "explicit"
         assert payload["partition"] == {"a": [0, 1], "b": [2, 3], "p": 4}
+
+    def test_noise_written_when_present(self, capsys):
+        code, out, _ = run(capsys, "gen-design", "--kind", "table1", "--p", "20")
+        assert code == EXIT_OK
+        spec = json.loads(out)["spec"]
+        assert np.array(spec["gamma"]).shape == (20, 2)
+        assert len(spec["noise"]) == 20
 
     def test_out_file(self, capsys, tmp_path):
         out_path = str(tmp_path / "design.json")
@@ -211,6 +220,26 @@ class TestBootstrapCommand:
         assert code == EXIT_OK
         assert json.loads(out)["a_size"] == 2
 
+    @pytest.mark.parametrize("a", ["0,1,2", "1,2", "3,0,2"])
+    def test_a_indices_match_index_array_reference(self, capsys, tmp_path, a):
+        # A contiguous block is read as a column view and any other as an
+        # index array; both give the maxima of plain index-array copies.
+        data = self.write_csv(tmp_path, n=40, p=6)
+        b_reps = 2 * CHUNK + 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSampleWarning)
+            code, out, _ = run(capsys, "bootstrap", "--data", data, "--breps", str(b_reps),
+                               "--a", a, "--seed", "3")
+        assert code == EXIT_OK
+        a_idx = sorted(int(i) for i in a.split(","))
+        b_idx = [i for i in range(6) if i not in a_idx]
+        reps = multiplier_replicates(load_csv(data), b_reps, 3)
+        diffs = reps[:, a_idx].max(axis=1) - reps[:, b_idx].max(axis=1)
+        boot = json.loads(out)["bootstrap"]
+        assert boot["prob"] == np.count_nonzero(diffs > 0.0) / b_reps
+        assert boot["quantiles"] == {str(float(q)): float(np.quantile(diffs, q))
+                                     for q in DEFAULT_QUANTILES}
+
     def test_shift_forces_block_a(self, capsys, tmp_path):
         data = self.write_csv(tmp_path)
         with warnings.catch_warnings():
@@ -254,7 +283,7 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--reps", "4000",
                            "--threads", "2", "--out", str(tmp_path))
         assert code == EXIT_OK
-        assert out.count("PASS") == 2
+        assert out.count("PASS") == 3
         assert "FAIL" not in out
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
                     rho_bar, sample_max_diff, sqrt_factor, violation_stats)
-from maxgap.cov import TOL_COND, TOL_CORR, TOL_PSD
-from maxgap.designs import DesignConfig, gen_design
+from maxgap.cov import COV_TILE, TOL_COND, TOL_CORR, TOL_PSD, cov_block
+from maxgap.designs import KINDS, DesignConfig, gen_design
 
 from conftest import footnote_factor, random_psd
 
@@ -92,7 +92,7 @@ class TestCovSpec:
         spec = CovSpec.factor(np.array([[1.0, 0.25], [0.0, 2.0]]), mu=[0.5, -1.0])
         d = json.loads(json.dumps(spec.to_json_dict()))
         assert d["form"] == "factor"
-        assert CovSpec.factor(d["gamma"], d["mu"]).content_hash() == spec.content_hash()
+        assert CovSpec.factor(d["gamma"], d["mu"]).content_hash == spec.content_hash
 
     def test_json_roundtrip_explicit(self):
         sig = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -103,16 +103,16 @@ class TestCovSpec:
     def test_content_hash_sensitive(self):
         a = CovSpec.explicit(np.eye(2))
         b = CovSpec.explicit(np.eye(2), mu=[0.0, 1e-9])
-        assert a.content_hash() != b.content_hash()
+        assert a.content_hash != b.content_hash
 
     def test_content_hash_separates_form_and_shape(self):
         # The same float64 bytes in another form or another shape.
         vals = np.arange(1.0, 7.0)
         tall = CovSpec.factor(vals[:3].reshape(3, 1), mu=vals[3:])
         square = CovSpec.factor(vals[:4].reshape(2, 2), mu=vals[4:])
-        assert tall.content_hash() != square.content_hash()
-        assert (CovSpec.factor(np.eye(2)).content_hash()
-                != CovSpec.explicit(np.eye(2)).content_hash())
+        assert tall.content_hash != square.content_hash
+        assert (CovSpec.factor(np.eye(2)).content_hash
+                != CovSpec.explicit(np.eye(2)).content_hash)
 
     def test_inputs_are_copied_and_frozen(self):
         g = np.eye(2)
@@ -121,6 +121,33 @@ class TestCovSpec:
         assert spec.gamma[0, 0] == 1.0
         with pytest.raises(ValueError):
             spec.gamma[0, 0] = 2.0
+
+    def test_noise_validated(self):
+        g = np.ones((2, 1))
+        with pytest.raises(DimensionMismatch):
+            CovSpec.factor(g, noise=[1.0])
+        for bad in ([1.0, -1.0], [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(BadConfig):
+                CovSpec.factor(g, noise=bad)
+        # Noise gives a zero factor row its variance; a zero row without it has none.
+        spec = CovSpec.factor([[1.0], [0.0]], noise=[0.0, 2.0])
+        assert np.array_equal(spec.variances, [1.0, 4.0])
+        with pytest.raises(ZeroVariance) as err:
+            CovSpec.factor([[1.0], [0.0]], noise=[1.0, 0.0])
+        assert err.value.index == 1
+
+    def test_json_roundtrip_noise(self):
+        spec = CovSpec.factor([[1.0], [0.5]], mu=[0.0, 1.0], noise=[0.25, 0.0])
+        d = json.loads(json.dumps(spec.to_json_dict()))
+        assert CovSpec.factor(d["gamma"], d["mu"], d["noise"]).content_hash == spec.content_hash
+        assert "noise" not in CovSpec.factor([[1.0]]).to_json_dict()
+
+    def test_content_hash_cached_and_covers_noise(self):
+        g = np.array([[1.0], [0.5]])
+        spec = CovSpec.factor(g, noise=[0.5, 0.5])
+        assert spec.content_hash is spec.content_hash
+        assert spec.content_hash != CovSpec.factor(g).content_hash
+        assert spec.content_hash != CovSpec.factor(g, noise=[0.5, 0.25]).content_hash
 
 
 class TestPartition:
@@ -144,6 +171,13 @@ class TestPartition:
     def test_invalid_partitions(self, a, b, p):
         with pytest.raises(BadConfig):
             Partition(a, b, p)
+
+    def test_blocks_are_views_when_contiguous(self):
+        # A = {1, 2, 3} in any order is a range; B = {0, 4, 5} is not.
+        a, b = Partition((3, 1, 2), (0, 4, 5), 6).blocks
+        assert a == slice(1, 4)
+        assert b.tolist() == [0, 4, 5]
+        assert Partition.split(6, 2).blocks == (slice(0, 2), slice(2, 6))
 
     def test_json_roundtrip(self):
         part = Partition((0, 2), (1, 3), 4)
@@ -290,6 +324,32 @@ class TestResidualCov:
             residual_cov(spec, Partition.split(4, 2))
         assert err.value.which == "B"
 
+    def test_singular_block_with_partial_noise_raises(self):
+        # Coordinates 2 and 3 are copies without noise: min noise^2 over B is 0,
+        # so the eigenvalues are computed and find the singular block.
+        gamma = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        spec = CovSpec.factor(gamma, noise=[0.5, 0.5, 0.0, 0.0])
+        with pytest.raises(SingularBlock) as err:
+            residual_cov(spec, Partition.split(4, 2))
+        assert err.value.which == "B"
+
+    def test_noise_skips_eigenvalues_not_bits(self, monkeypatch):
+        # Noise on every coordinate bounds the rcond away from 0, so no
+        # eigenvalues are computed; the residuals equal those of the same
+        # matrix given explicitly bit for bit.
+        rng = np.random.default_rng(4)
+        p = COV_TILE + 40
+        spec = CovSpec.factor(rng.standard_normal((p, 6)),
+                              noise=0.1 + np.abs(rng.standard_normal(p)))
+        part = Partition(tuple(range(0, p, 2)), tuple(range(1, p, 2)), p)
+        want = residual_cov(CovSpec.explicit(spec.cov), part)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        got = residual_cov(spec, part)
+        assert calls == []
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
     def test_independent_blocks_identity(self):
         spec = CovSpec.explicit(np.eye(4))
         res_a, res_b = residual_cov(spec, Partition.split(4, 2))
@@ -345,28 +405,63 @@ class TestRhoBar:
             rho_bar(spec, Partition.split(4, 2))
 
 
+def _noisy_factor(rng: np.random.Generator, p: int, d: int, repeats: int) -> CovSpec:
+    """Factor plus noise: gamma of rank at most d with repeated rows, some noise sds zero."""
+    gamma = (rng.standard_normal((p, d)) @ rng.standard_normal((d, d + 2))
+             * np.exp(rng.standard_normal((p, 1))))
+    for _ in range(repeats):
+        src, dst = rng.integers(0, p, size=2)
+        gamma[dst] = gamma[src]
+    noise = np.abs(rng.standard_normal(p))
+    noise[rng.random(p) < 0.3] = 0.0
+    return CovSpec.factor(gamma, noise=noise)
+
+
 @st.composite
 def geometry_designs(draw):
-    """A factor or explicit spec with a scattered partition.
+    """A factor, factor-plus-noise or explicit spec with a scattered partition.
 
     Factor specs may be rank deficient and repeat rows, which puts perfectly
     correlated pairs across the partition; row scales spread the variances
-    so the separation margins take both signs.
+    so the separation margins take both signs.  Some specs span two
+    ``COV_TILE`` tiles.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p, d = draw(st.integers(2, 10)), draw(st.integers(1, 8))
-    gamma = rng.standard_normal((p, d)) * np.exp(rng.standard_normal((p, 1)))
-    for _ in range(draw(st.integers(0, 3))):
-        src, dst = rng.integers(0, p, size=2)
-        gamma[dst] = gamma[src]
-    if draw(st.booleans()):
-        spec = CovSpec.factor(gamma)
+    p = draw(st.one_of(st.integers(2, 10), st.integers(COV_TILE + 1, COV_TILE + 40)))
+    d = draw(st.integers(1, 8))
+    repeats = draw(st.integers(0, 3))
+    form = draw(st.sampled_from(("factor", "noise", "explicit")))
+    if form == "noise":
+        spec = _noisy_factor(rng, p, d, repeats)
     else:
-        sig = gamma @ gamma.T
-        spec = CovSpec.explicit((sig + sig.T) * 0.5)
+        gamma = rng.standard_normal((p, d)) * np.exp(rng.standard_normal((p, 1)))
+        for _ in range(repeats):
+            src, dst = rng.integers(0, p, size=2)
+            gamma[dst] = gamma[src]
+        if form == "factor":
+            spec = CovSpec.factor(gamma)
+        else:
+            sig = gamma @ gamma.T
+            spec = CovSpec.explicit((sig + sig.T) * 0.5)
     order = rng.permutation(p)
     k = draw(st.integers(1, p - 1))
     return spec, Partition(tuple(order[:k]), tuple(order[k:]), p)
+
+
+def _tiled_cov(spec: CovSpec) -> np.ndarray:
+    """Sigma of a factor spec from COV_TILE-row tiles of gamma, the documented layout."""
+    g, p, t = spec.gamma, spec.p, COV_TILE
+    sig = np.empty((p, p))
+    for i in range(0, p, t):
+        for j in range(i, p, t):
+            tile = g[i:i + t] @ g[j:j + t].T
+            if i == j:
+                tile = (tile + tile.T) * 0.5
+                if spec.noise is not None:
+                    tile[np.diag_indices_from(tile)] += spec.noise[i:i + t] ** 2
+            sig[i:i + t, j:j + t] = tile
+            sig[j:j + t, i:i + t] = tile.T
+    return sig
 
 
 def _full_margin_reference(sig, part):
@@ -413,8 +508,7 @@ class TestGeometryProperty:
         assert spec.cov is spec.cov
         assert not spec.cov.flags.writeable
         if spec.gamma is not None:
-            gg = spec.gamma @ spec.gamma.T
-            assert np.array_equal(spec.cov, (gg + gg.T) * 0.5)
+            assert spec.cov.tobytes() == _tiled_cov(spec).tobytes()
         else:
             assert spec.cov is spec.sigma
         (ok_a, c_a), (ok_b, c_b), (c_ab, s_set), rbar, perfect, side_a, side_b = \
@@ -428,3 +522,50 @@ class TestGeometryProperty:
         assert (stats.v_a, stats.v_b) == (side_a[0], side_b[0])
         assert (_bits(stats.nu_a, stats.m_a, stats.nu_b, stats.m_b)
                 == _bits(*side_a[1:], *side_b[1:]))
+
+
+# Small configs of every design kind; "noise" is a factor plus noise with a
+# rank-deficient gamma and repeated rows.
+KIND_CONFIGS = {
+    "homog_lowrank": {}, "homog_overlap": {"overlap_k": 3}, "heterog_condA": {},
+    "heterog_violation": {}, "fullrank_equicorr": {"rho": 0.3}, "table1": {},
+    "exchangeable_overlap": {"overlap_k": 2}, "k0_split": {"k0": 5},
+}
+
+
+@st.composite
+def block_requests(draw):
+    """A spec over one to three tiles, and row and column index arrays for a block.
+
+    An index array is either a run that may cross tile edges or scattered
+    indices in any order, with repeats.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.sampled_from((16, COV_TILE + 16, 2 * COV_TILE + 16)))
+    kind = draw(st.sampled_from(KINDS + ("noise",)))
+    if kind == "noise":
+        spec = _noisy_factor(rng, p, draw(st.integers(1, 6)), draw(st.integers(0, 3)))
+    else:
+        spec, _ = gen_design(DesignConfig(kind=kind, p=p, seed=draw(st.integers(0, 99)),
+                                          **KIND_CONFIGS[kind]))
+
+    def index() -> np.ndarray:
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, spec.p - 1))
+            return np.arange(lo, min(lo + draw(st.integers(1, 2 * COV_TILE)), spec.p))
+        return rng.integers(0, spec.p, size=draw(st.integers(1, 40)))
+
+    return spec, index(), index()
+
+
+class TestCovBlock:
+    def test_kinds_covered(self):
+        assert set(KIND_CONFIGS) == set(KINDS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(req=block_requests())
+    def test_block_equals_matrix_entries_property(self, req):
+        spec, rows, cols = req
+        block = cov_block(spec, rows, cols)
+        assert block.shape == (rows.size, cols.size)
+        assert block.tobytes() == spec.cov[np.ix_(rows, cols)].tobytes()

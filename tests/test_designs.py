@@ -112,9 +112,22 @@ class TestFullrankEquicorr:
 class TestTable1:
     def test_unit_variances_exact_rank(self):
         spec, part = spec_of(kind="table1", p=30, seed=1)
-        assert spec.gamma.shape == (30, 33)
+        assert spec.gamma.shape == (30, 3)
+        assert spec.noise.shape == (30,)
+        assert np.all(spec.noise > 0.0)
         assert np.allclose(spec.variances, 1.0, atol=1e-12)
         assert len(part.a_set) == 15
+
+    def test_same_entries_as_dense_factor(self):
+        # The factor plus noise holds the entries of the dense factor
+        # [gamma, I] / scale bit for bit, so both draw the same normals.
+        d = 3
+        gamma = np.random.default_rng(1).standard_normal((30, d))
+        scale = np.sqrt(np.einsum("ij,ij->i", gamma, gamma) + 1.0)
+        dense = np.hstack([gamma, np.eye(30)]) / scale[:, None]
+        spec, _ = spec_of(kind="table1", p=30, seed=1)
+        assert spec.gamma.tobytes() == dense[:, :d].tobytes()
+        assert spec.noise.tobytes() == np.diag(dense[:, d:]).tobytes()
 
     def test_conditions_hold(self):
         spec, part = spec_of(kind="table1", p=30, seed=1)
@@ -177,8 +190,8 @@ class TestConfigPlumbing:
         a, _ = spec_of(kind="homog_lowrank", p=12, d=3, seed=5)
         b, _ = spec_of(kind="homog_lowrank", p=12, d=3, seed=5)
         c, _ = spec_of(kind="homog_lowrank", p=12, d=3, seed=6)
-        assert a.content_hash() == b.content_hash()
-        assert a.content_hash() != c.content_hash()
+        assert a.content_hash == b.content_hash
+        assert a.content_hash != c.content_hash
 
     def test_design_id(self):
         cfg = DesignConfig(kind="homog_overlap", p=10, d=3, overlap_k=2, seed=4)

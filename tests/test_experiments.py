@@ -254,3 +254,21 @@ class TestWriteCsv:
     def test_compare_columns_frozen(self):
         assert COMPARE_COLUMNS[0] == "design_id"
         assert "inapplicable" in COMPARE_COLUMNS
+
+
+def test_levy_on_factor_spec_forms_no_matrix(tmp_path, monkeypatch):
+    import maxgap.experiments as experiments
+
+    specs = []
+    real = experiments.gen_design
+
+    def recording(cfg):
+        spec, part = real(cfg)
+        specs.append(spec)
+        return spec, part
+    monkeypatch.setattr(experiments, "gen_design", recording)
+    cfg = DesignConfig(kind="homog_lowrank", p=400, seed=2)
+    _, rows = run_levy_experiment(cfg, epsilons=(0.05,), n_rep=200, out_dir=str(tmp_path))
+    spec, = specs
+    assert rows[0]["rho_bar"] == maxgap.rho_bar(*real(cfg))
+    assert "cov" not in spec.__dict__

@@ -91,7 +91,8 @@ N_REPS = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK)
 
 @st.composite
 def streamed_designs(draw):
-    """A factor spec with nonzero mean and a contiguous, scattered or overlap partition.
+    """A factor spec, with or without noise, with nonzero mean and a
+    contiguous, scattered or overlap partition.
 
     An overlap partition duplicates the shared coordinates of a base law, so
     the partition of the stacked model stays disjoint.
@@ -112,7 +113,8 @@ def streamed_designs(draw):
         k = draw(st.integers(1, q - 1))
         part = Partition(tuple(order[:k]), tuple(order[k:]), q)
     mu = rng.standard_normal(gamma.shape[0]) * 3.0
-    return CovSpec.factor(gamma, mu=mu), part
+    noise = np.abs(rng.standard_normal(gamma.shape[0])) if draw(st.booleans()) else None
+    return CovSpec.factor(gamma, mu=mu, noise=noise), part
 
 
 class TestSampleMaxDiff:
@@ -122,8 +124,12 @@ class TestSampleMaxDiff:
     def test_equals_batch_path(self, design, n_rep, n_threads, seed):
         spec, part = design
         streamed = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-        batch = max_diff(sample(spec, n_rep, seed, n_threads=n_threads), part)
+        data = sample(spec, n_rep, seed, n_threads=n_threads)
+        batch = max_diff(data, part)
         assert streamed.values.tobytes() == batch.values.tobytes()
+        # Contiguous blocks are read as views: the maxima of index-array copies agree.
+        copied = data.data[:, part.b_idx].max(axis=1) - data.data[:, part.a_idx].max(axis=1)
+        assert streamed.values.tobytes() == copied.tobytes()
         assert (streamed.mean, streamed.sd) == (batch.mean, batch.sd)
         assert streamed.part == part
         assert not streamed.values.flags.writeable
@@ -243,3 +249,33 @@ class TestMaxDiff:
         diff = max_diff(batch, Partition.split(2, 1))
         assert diff.sd == 0.0
 
+
+
+class TestNoiseFactor:
+    """A spec with noise draws as the dense factor [gamma | diag(noise)] does."""
+
+    def pair(self, p=300, d=5, seed=7):
+        rng = np.random.default_rng(seed)
+        gamma = rng.standard_normal((p, d))
+        noise = np.abs(rng.standard_normal(p))
+        noise[::4] = 0.0
+        mu = rng.standard_normal(p)
+        return (CovSpec.factor(gamma, mu=mu, noise=noise),
+                CovSpec.factor(np.hstack([gamma, np.diag(noise)]), mu=mu))
+
+    @staticmethod
+    def close(x, y):
+        return np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("n_rep", [CHUNK - 3, 2 * CHUNK + 5])
+    def test_sample_matches_dense_factor(self, n_rep):
+        noisy, dense = self.pair()
+        got, want = sample(noisy, n_rep, seed=11).data, sample(dense, n_rep, seed=11).data
+        assert self.close(got, want)
+
+    def test_sample_max_diff_matches_dense_factor(self):
+        noisy, dense = self.pair()
+        part = Partition(tuple(range(0, 300, 3)), tuple(i for i in range(300) if i % 3), 300)
+        got = sample_max_diff(noisy, part, 2 * CHUNK + 5, seed=12, n_threads=2).values
+        want = sample_max_diff(dense, part, 2 * CHUNK + 5, seed=12).values
+        assert self.close(got, want)
