@@ -250,8 +250,8 @@ def cmd_selftest(args) -> int:
         # The 1-thread levy rows, and whether the 1- and N-thread CSVs are byte-equal.
         runs = [experiments.run_levy_experiment(
             design, epsilons, n_rep=reps, seed=seed,
-            out_dir=os.path.join(tmp, f"{design.kind}_t{n}"), n_threads=n)
-            for n in (1, threads)]
+            out_dir=os.path.join(tmp, f"{design.kind}_run{k}"), n_threads=n)
+            for k, n in enumerate((1, threads))]
         with open(runs[0][0], "rb") as f1, open(runs[1][0], "rb") as f2:
             return runs[0][1], f1.read() == f2.read()
 

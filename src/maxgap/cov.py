@@ -309,30 +309,18 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
         for ti, tj, t in placements:
             if ti in row_tiles and tj in col_tiles:
                 (r_pos, r_off), (c_pos, c_off) = row_tiles[ti], col_tiles[tj]
-                out[_ix(r_pos, c_pos)] = t[_ix(r_off, c_off)]
+                out[np.ix_(r_pos, c_pos)] = t[np.ix_(r_off, c_off)]
     return out
 
 
 def _by_tile(idx: np.ndarray) -> dict:
-    # tile -> (positions in idx of its indices, their offsets within the tile),
-    # each a slice when it is an ascending run, so that the tile is copied by
-    # basic slicing rather than a gather and a scatter.
+    # tile -> (positions in idx of its indices, their offsets within the tile).
     tile = idx // COV_TILE
     out = {}
     for t in np.unique(tile):
         pos = np.flatnonzero(tile == t)
-        out[int(t)] = (_as_slice(pos), _as_slice(idx[pos] - int(t) * COV_TILE))
+        out[int(t)] = (pos, idx[pos] - int(t) * COV_TILE)
     return out
-
-
-def _as_slice(a: np.ndarray) -> slice | np.ndarray:
-    return slice(int(a[0]), int(a[-1]) + 1) if np.all(np.diff(a) == 1) else a
-
-
-def _ix(rows, cols):
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return rows, cols
-    return np.ix_(rows, cols)
 
 
 def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
@@ -373,9 +361,14 @@ def cross_corr(spec: CovSpec, part: Partition) -> np.ndarray:
     """Correlations between the coordinates of A (rows) and of B (columns)."""
     _check_part(spec, part)
     a, b = part.a_idx, part.b_idx
-    sd = np.sqrt(_cov_diag(spec))
     block = cov_block(spec, a, b)
-    return np.divide(block, np.outer(sd[a], sd[b]), out=block)
+    return _corr(block, np.sqrt(_cov_diag(spec)), a, b, out=block)
+
+
+def _corr(block: np.ndarray, sd: np.ndarray, a: np.ndarray, b: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    # Sigma[A, B] scaled to correlations, sd holding every coordinate's sd.
+    return np.divide(block, np.outer(sd[a], sd[b]), out=out)
 
 
 def _clamped_max(cross: np.ndarray) -> float:
@@ -406,7 +399,7 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
     ab, ba = _cross_blocks(spec, part)
     a, b = part.a_idx, part.b_idx
     sd = np.sqrt(_cov_diag(spec))
-    cross = ab / np.outer(sd[a], sd[b])
+    cross = _corr(ab, sd, a, b)
 
     def direction(inner: np.ndarray, margin_block: np.ndarray) -> tuple[bool, float]:
         # inner plays the normalized block; margin_block is Sigma[inner, outer].

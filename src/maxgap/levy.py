@@ -32,7 +32,8 @@ import numpy as np
 
 from .cov import CovSpec
 from .errors import BadConfig, EmptySample, EmptySubset
-from .sampling import DiffSample, chunks, draw_width, emax_chunk_rows, sampling_factor
+from .sampling import (DiffSample, apply_draws, chunks, draw_width, emax_chunk_rows,
+                       sampling_factor)
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
@@ -145,7 +146,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
         raise BadConfig(f"unknown expected-max mode {mode!r}")
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
     ell = sampling_factor(spec)
-    (p, d), r = ell.shape, draw_width(spec)
+    p, r = ell.shape[0], draw_width(spec)
     noise = spec.noise
     tiles = (np.unique(np.concatenate(idx_sets) // EMAX_TILE) if idx_sets
              else np.empty(0, np.intp))
@@ -163,9 +164,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
         rng.standard_normal(out=z)
         vals = np.empty((hi - lo, int(offset[-1])))
         for (t0, t1), a, b in zip(edges, offset, offset[1:]):
-            np.matmul(z[:, :d], ell[t0:t1].T, out=vals[:, a:b])
-            if noise is not None:
-                vals[:, a:b] += z[:, d + t0:d + t1] * noise[t0:t1]
+            apply_draws(z, ell[t0:t1].T, noise, t0, t1, vals[:, a:b])
         if mode == "signed":
             vals += mu
         else:

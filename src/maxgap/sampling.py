@@ -90,11 +90,29 @@ def sampling_factor(spec: CovSpec) -> np.ndarray:
 def draw_width(spec: CovSpec) -> int:
     """Normals per row of a draw: the r columns of L, plus p for a spec with noise.
 
-    Columns [0, r) of a draw feed L and column r + j feeds coordinate j's
-    noise, the layout of the dense factor [L | diag(noise)], so a spec with
-    noise consumes the same normals as that factor.
+    This is the width of the dense factor [L | diag(noise)], and
+    :func:`apply_draws` reads the columns in that factor's layout, so a spec
+    with noise consumes the same normals as that factor.
     """
     return spec.root.shape[1] + (spec.p if spec.noise is not None else 0)
+
+
+def apply_draws(z: np.ndarray, lt: np.ndarray, noise: np.ndarray | None, t0: int, t1: int,
+                out: np.ndarray) -> np.ndarray:
+    """Write coordinates t0..t1 of the draws z, before mu, into out and return it.
+
+    The one place the layout of :func:`draw_width` is read: columns [0, d)
+    of z feed L, through lt = L[t0:t1]^T (d x (t1 - t0)), and column d + j
+    feeds coordinate j's noise.  The noise columns t0..t1 of z are scaled
+    in place, so each may be applied once per draw.
+    """
+    d = lt.shape[0]
+    np.matmul(z[:, :d], lt, out=out)
+    if noise is not None:
+        w = z[:, d + t0:d + t1]
+        w *= noise[t0:t1]
+        out += w
+    return out
 
 
 def chunks(seed: int, n: int, rows: int = CHUNK):
@@ -124,14 +142,13 @@ def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
     """Call handle(lo, hi, fill) once per chunk of todo, on up to n_threads threads.
 
     fill(out) writes the chunk's rows of X = L Z + noise * W + mu, drawn
-    from the chunk's generator and multiplied as one (rows, d) @ (d, p)
-    matmul (d the columns of L), into the (hi - lo) x p array out and
-    returns it.  Every sampler
-    path draws through here, so they all see the same numbers.
+    from the chunk's generator and applied by :func:`apply_draws` as one
+    (rows, d) @ (d, p) matmul (d the columns of L), into the (hi - lo) x p
+    array out and returns it.  Every sampler path draws through here, so
+    they all see the same numbers.
     """
-    ell = sampling_factor(spec)
-    d, r = ell.shape[1], draw_width(spec)
-    lt = np.ascontiguousarray(ell.T)
+    r = draw_width(spec)
+    lt = np.ascontiguousarray(sampling_factor(spec).T)
     mu, noise = spec.mu, spec.noise
 
     def run(chunk) -> None:
@@ -140,11 +157,7 @@ def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
         def fill(out: np.ndarray) -> np.ndarray:
             z = np.empty((hi - lo, r))
             rng.standard_normal(out=z)
-            np.matmul(z[:, :d], lt, out=out)
-            if noise is not None:
-                w = z[:, d:]
-                w *= noise
-                out += w
+            apply_draws(z, lt, noise, 0, spec.p, out)
             out += mu
             return out
 

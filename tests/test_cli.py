@@ -286,6 +286,22 @@ class TestSelftest:
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
+    def test_one_thread_still_compares_two_runs(self, capsys, tmp_path, monkeypatch):
+        # With --threads 1 both runs of a determinism check share a thread
+        # count; they must still write, and be compared as, separate files.
+        from maxgap import experiments
+        real, dirs = experiments.run_levy_experiment, []
+
+        def spy(*args, **kwargs):
+            dirs.append(kwargs["out_dir"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_levy_experiment", spy)
+        code, out, _ = run(capsys, "selftest", "--reps", "4000",
+                           "--threads", "1", "--out", str(tmp_path))
+        assert code == EXIT_OK and "FAIL" not in out
+        assert len(dirs) == 4 and len(set(dirs)) == 4
+
 
 class TestParser:
     def test_unknown_subcommand(self, capsys):
