@@ -11,9 +11,8 @@ from .errors import (BadConfig, BadGeometry, ConditionFails, DimensionMismatch,
                      MaxgapError, NoAdmissibleDelta, NotPSD, ParseError,
                      PerfectCrossCorrelation, SingularBlock, SingularCovariance,
                      SmallSampleWarning, ZeroResidualVariance, ZeroVariance)
-from .cov import (ConditionReport, CovSpec, Partition, ViolationStats,
-                  check_conditions, residual_cov, rho_bar, sqrt_factor,
-                  violation_stats)
+from .cov import (ConditionReport, CovSpec, Partition, check_conditions,
+                  residual_cov, rho_bar, sqrt_factor)
 from .sampling import DiffSample, SampleBatch, max_diff, sample, sample_max_diff
 from .levy import LevyEstimate, expected_max_many, levy_curve, levy_hat
 from .bounds import (ALL_BOUNDS, BoundReport, DeltaTerm, ExchangeableLower,
@@ -39,7 +38,7 @@ __all__ = [
     "LevyEstimate", "MaxgapError", "McConfig", "NoAdmissibleDelta", "NotPSD",
     "ParseError", "Partition", "PerfectCrossCorrelation", "SampleBatch",
     "SingularBlock", "SingularCovariance", "SmallSampleWarning",
-    "ViolationStats", "ZeroResidualVariance", "ZeroVariance", "argmax_prob",
+    "ZeroResidualVariance", "ZeroVariance", "argmax_prob",
     "bound_baseline_min_eig", "bound_conditional", "bound_corr_threshold",
     "bound_heterogeneous", "bound_homogeneous", "bound_report",
     "bound_single_max", "check_conditions", "clt_rate", "expected_max_many",
@@ -48,5 +47,4 @@ __all__ = [
     "residual_cov", "rho_bar", "run_bootstrap",
     "run_bootstrap_demo", "run_bounds_compare", "run_levy_experiment",
     "run_scaling_study", "sample", "sample_max_diff", "sqrt_factor",
-    "violation_stats",
 ]

@@ -232,15 +232,18 @@ def load_csv(path: str, shift=None) -> DataMatrix:
     """Read an n x p numeric UTF-8 CSV, header row and BOM optional, into a DataMatrix.
 
     One ``np.loadtxt`` call parses a plain numeric file.  A file it rejects
-    (a header row, quoted cells, a bad or ragged row, no rows at all) is read
-    again by :func:`_parse_rows`, which accepts the header and quotes and
-    names the row and column of a bad cell.
+    (a header row, quoted cells, a bad or ragged row, no rows at all) or
+    whose values are not all finite is read again by :func:`_parse_rows`,
+    which accepts the header and quotes and names the row and column of a
+    bad or non-finite cell.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no rows
             xi = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8-sig")
     except (ValueError, UserWarning):
+        xi = None
+    if xi is None or not np.all(np.isfinite(xi)):
         try:
             xi = _parse_rows(path)
         except UnicodeDecodeError as err:
@@ -249,7 +252,7 @@ def load_csv(path: str, shift=None) -> DataMatrix:
 
 
 def _parse_rows(path: str) -> np.ndarray:
-    """The rows of a CSV as floats, cell by cell, skipping blank lines and a header."""
+    """The finite rows of a CSV as floats, cell by cell, skipping blank lines and a header."""
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -269,6 +272,10 @@ def _parse_rows(path: str) -> np.ndarray:
                                      row=lineno, col=colno) from None
             if parsed is None:
                 continue
+            for colno, value in enumerate(parsed, start=1):
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {row[colno - 1]!r}",
+                                     row=lineno, col=colno)
             if width is None:
                 width = len(parsed)
             elif len(parsed) != width:

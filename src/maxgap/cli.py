@@ -8,9 +8,10 @@ lists.  Config keys are the option names (``a``, ``overlap_k``, ``rho_min``,
 ``p_list``, ...); keys that name no option of the subcommand are ignored and
 ``null`` leaves an option unset.  Config values go through the same
 converters as flags: numbers or lists (comma-joined) for numeric options,
-strings for names and paths.  Exit codes: 0 success, 2 bad configuration
-(including a malformed flag or config value), 3 every requested bound
-inapplicable, 4 I/O failure.
+strings for names and paths.  Exit codes: 0 success, 1 a selftest check
+failed, 2 bad configuration (including a malformed flag or config value),
+3 every requested bound inapplicable, 4 I/O failure (including a malformed
+or non-finite data cell).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .levy import DEFAULT_GRID, DEFAULT_MC
 from . import experiments
 
 EXIT_OK = 0
+EXIT_SELFTEST_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INAPPLICABLE = 3
 EXIT_IO = 4
@@ -265,7 +267,7 @@ def cmd_selftest(args) -> int:
     truth = math.erf(eps_check / (sd * math.sqrt(2.0 * (1.0 - rho))) / math.sqrt(2.0))
     se = max(row["se"], 1e-12)
     check("analytic two-coordinate design (6 SE)", abs(row["levy_hat"] - truth) <= 6.0 * se)
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_SELFTEST_FAILED
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

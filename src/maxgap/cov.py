@@ -5,7 +5,7 @@ plus diag(noise^2) when the spec carries a noise vector) or an explicit p x p
 matrix, plus a mean vector.  Degenerate (rank-deficient) covariances are
 first-class citizens here; only zero-variance coordinates are rejected.  The
 diagnostics in this module (cross-correlation maximum, separation
-conditions, violation statistics, Schur-complement residuals) feed the bound
+conditions and their violators, Schur-complement residuals) feed the bound
 evaluators in :mod:`maxgap.bounds`.
 
 Every diagnostic reads Sigma through :func:`cov_block`, one block at a time.
@@ -13,15 +13,19 @@ A factor spec never forms its p x p matrix there: each block is filled from
 fixed ``COV_TILE``-row tiles of the factor, the same tiles that assemble
 :attr:`CovSpec.cov`, so a block equals the same entries of that matrix bit
 for bit.  Of the diagnostics and bounds, only the smallest-eigenvalue
-baseline forms the matrix of a factor spec.
+baseline forms the matrix of a factor spec.  Each covariance quantity has
+one definition: the diagonal of Sigma is :attr:`CovSpec.variances` for
+every spec, so the sampler, the expected-max engine, the bounds and the
+geometry share one sd per coordinate, and Sigma is stored exactly
+symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
 
 All functions are pure: they never mutate their inputs and hold no state.
-The caches, all read-only, are :attr:`CovSpec.cov` (the p x p matrix),
-:attr:`CovSpec.root` (its square-root factor) and
-:attr:`CovSpec.content_hash`; each spec fills each once.  An explicit spec is
-factored at construction: :func:`sqrt_factor`, whose one eigendecomposition
-both validates and factors the matrix, holds the PSD floor, so a matrix that
-constructs always samples.
+The caches, all read-only, are :attr:`CovSpec.variances`,
+:attr:`CovSpec.cov` (the p x p matrix), :attr:`CovSpec.root` (its
+square-root factor) and :attr:`CovSpec.content_hash`; each spec fills each
+once.  An explicit spec is factored at construction: :func:`sqrt_factor`,
+whose one eigendecomposition both validates and factors the matrix, holds
+the PSD floor, so a matrix that constructs always samples.
 """
 
 from __future__ import annotations
@@ -90,7 +94,10 @@ class CovSpec:
     def explicit(cls, sigma: np.ndarray, mu: np.ndarray | None = None) -> "CovSpec":
         """Model with an explicit covariance matrix (may be rank deficient).
 
-        Factored here: :func:`sqrt_factor` raises NotPSD for an indefinite matrix.
+        The matrix must be symmetric within ``TOL_SYM``; its symmetrization
+        (sigma + sigma^T) / 2 is stored, which leaves an exactly symmetric
+        matrix unchanged bit for bit.  Factored here: :func:`sqrt_factor`
+        raises NotPSD for an indefinite matrix.
         """
         sigma = _readonly(np.atleast_2d(sigma))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
@@ -99,8 +106,9 @@ class CovSpec:
             raise BadConfig("covariance has non-finite entries")
         if np.max(np.abs(sigma - sigma.T)) > TOL_SYM:
             raise BadConfig("covariance is not symmetric within 1e-10")
-        diag = np.diag(sigma)
-        for i in np.flatnonzero(diag <= 0.0):
+        sigma = (sigma + sigma.T) * 0.5
+        sigma.flags.writeable = False
+        for i in np.flatnonzero(np.diag(sigma) <= 0.0):
             raise ZeroVariance(int(i))
         spec = cls(gamma=None, sigma=sigma, mu=_check_mu(mu, sigma.shape[0]))
         spec.root  # factoring is the PSD check
@@ -115,12 +123,13 @@ class CovSpec:
         m = self.gamma if self.gamma is not None else self.sigma
         return int(m.shape[0])
 
-    @property
+    @cached_property
     def variances(self) -> np.ndarray:
+        """Read-only diag(Sigma), computed once per spec: the one source of every sd."""
         if self.gamma is None:
-            return np.diag(self.sigma).copy()
+            return _readonly(np.diag(self.sigma))
         rowsq = np.einsum("ij,ij->i", self.gamma, self.gamma)
-        return rowsq if self.noise is None else rowsq + self.noise ** 2
+        return _readonly(rowsq if self.noise is None else rowsq + self.noise ** 2)
 
     @property
     def sds(self) -> np.ndarray:
@@ -256,6 +265,11 @@ class ConditionReport:
     ``c_b`` the mirror image (S = A).  ``c_ab`` is the larger margin among the
     directions that hold, NaN if neither does.  ``s_set`` lists which block
     plays S for each direction that holds, in order of preference.
+
+    The violators come from the same per-coordinate margins: ``v_a`` collects
+    the coordinates of A whose margin against B is non-positive, ``nu_a``
+    their fraction of A, and ``m_a`` the mean margin over those violators
+    (NaN when there are none); ``v_b``, ``nu_b`` and ``m_b`` mirror them.
     """
 
     cond_a_holds: bool
@@ -266,17 +280,6 @@ class ConditionReport:
     s_set: tuple[str, ...]
     rho_bar: float
     has_perfect_cross_corr: bool
-
-
-@dataclass(frozen=True)
-class ViolationStats:
-    """How badly each side breaks the separation condition.
-
-    ``v_a`` collects the coordinates of A whose margin against the other
-    block is non-positive, ``nu_a`` their fraction of A, and ``m_a`` the mean
-    margin over those violators (NaN when there are none).
-    """
-
     v_a: tuple[int, ...]
     v_b: tuple[int, ...]
     nu_a: float
@@ -292,10 +295,11 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     block is filled from fixed ``COV_TILE`` x ``COV_TILE`` tiles of Sigma.
     With gamma_i the rows [i * COV_TILE, (i + 1) * COV_TILE) of gamma, tile
     (i, j) with i <= j is computed once per block as gamma_i gamma_j^T; a
-    diagonal tile is symmetrized exactly and gets noise^2 on its diagonal,
-    and tile (j, i) is the transpose of tile (i, j).  :attr:`CovSpec.cov` is
-    assembled from the same tiles, so every block reads the same bits, and
-    Sigma is exactly symmetric.
+    diagonal tile is symmetrized exactly and its diagonal is overwritten by
+    the rows' :attr:`CovSpec.variances`, and tile (j, i) is the transpose of
+    tile (i, j).  :attr:`CovSpec.cov` is assembled from the same tiles, so
+    every block reads the same bits, Sigma is exactly symmetric, and its
+    diagonal is ``spec.variances`` bit for bit.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
@@ -331,30 +335,8 @@ def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
         return g_i @ spec.gamma[j * COV_TILE:(j + 1) * COV_TILE].T
     t = g_i @ g_i.T
     t = (t + t.T) * 0.5
-    if spec.noise is not None:
-        t[np.diag_indices_from(t)] += spec.noise[rows_i] ** 2
+    t[np.diag_indices_from(t)] = spec.variances[rows_i]
     return t
-
-
-def _cov_diag(spec: CovSpec) -> np.ndarray:
-    """diag(Sigma), from the diagonal tiles of a factor spec."""
-    if spec.sigma is not None:
-        return np.diag(spec.sigma)
-    return np.concatenate([np.diag(_tile(spec, i, i))
-                           for i in range(-(-spec.p // COV_TILE))])
-
-
-def _cross_blocks(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma[A, B] and Sigma[B, A].
-
-    A factor spec's Sigma is exactly symmetric, so its B x A block is the
-    transpose of the A x B block.  An explicit sigma is symmetric only to
-    ``TOL_SYM``, so both blocks are read.
-    """
-    _check_part(spec, part)
-    a, b = part.a_idx, part.b_idx
-    ab = cov_block(spec, a, b)
-    return ab, (ab.T if spec.gamma is not None else cov_block(spec, b, a))
 
 
 def cross_corr(spec: CovSpec, part: Partition) -> np.ndarray:
@@ -362,7 +344,7 @@ def cross_corr(spec: CovSpec, part: Partition) -> np.ndarray:
     _check_part(spec, part)
     a, b = part.a_idx, part.b_idx
     block = cov_block(spec, a, b)
-    return _corr(block, np.sqrt(_cov_diag(spec)), a, b, out=block)
+    return _corr(block, spec.sds, a, b, out=block)
 
 
 def _corr(block: np.ndarray, sd: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -394,47 +376,38 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
     (max over j, j' in B of sigma_jj' / var_j at most 1) and every cross
     margin sigma_j - sigma_jj'/sigma_j for j in B, i in A to be strictly
     positive; the margin minimum is ``c_a``.  Direction B mirrors the roles.
-    Each block of Sigma is read once.
+    The same row margins give each side's violators.  Each block of Sigma
+    is read once; Sigma[B, A] is the transpose of Sigma[A, B].
     """
-    ab, ba = _cross_blocks(spec, part)
+    _check_part(spec, part)
     a, b = part.a_idx, part.b_idx
-    sd = np.sqrt(_cov_diag(spec))
+    ab = cov_block(spec, a, b)
+    sd = spec.sds
     cross = _corr(ab, sd, a, b)
 
-    def direction(inner: np.ndarray, margin_block: np.ndarray) -> tuple[bool, float]:
+    def direction(inner: np.ndarray, margin_block: np.ndarray):
         # inner plays the normalized block; margin_block is Sigma[inner, outer].
+        # Whether the direction holds, its margin, and inner's violators, their
+        # fraction of inner and their mean margin.
         within = cov_block(spec, inner, inner)
         norm_ok = np.max(within / sd[inner][:, None] ** 2) <= 1.0 + TOL_COND
-        c = float(np.min(_row_margins(sd[inner], margin_block)))
-        return bool(norm_ok and c > 0.0), c
+        margins = _row_margins(sd[inner], margin_block)
+        c = float(np.min(margins))
+        viol = margins <= 0.0
+        m = float(margins[viol].mean()) if viol.any() else float("nan")
+        return (bool(norm_ok and c > 0.0), c,
+                tuple(int(i) for i in inner[viol]), float(viol.mean()), m)
 
-    cond_a, c_a = direction(b, ba)
-    cond_b, c_b = direction(a, ab)
+    cond_a, c_a, v_b, nu_b, m_b = direction(b, ab.T)
+    cond_b, c_b, v_a, nu_a, m_a = direction(a, ab)
     # The directions that hold, larger margin first (S = B on a tie).
     holding = sorted(((c, s) for ok, c, s in ((cond_a, c_a, "B"), (cond_b, c_b, "A")) if ok),
                      key=lambda t: -t[0])
     c_ab = holding[0][0] if holding else float("nan")
     s_set = tuple(s for _, s in holding)
     perfect = float(np.max(np.abs(cross))) >= 1.0 - TOL_CORR
-    return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, _clamped_max(cross), perfect)
-
-
-def violation_stats(spec: CovSpec, part: Partition) -> ViolationStats:
-    """Per-coordinate margins below zero, per side."""
-    ab, ba = _cross_blocks(spec, part)
-    sd = np.sqrt(_cov_diag(spec))
-
-    def side(own: np.ndarray, block: np.ndarray) -> tuple[tuple[int, ...], float, float]:
-        margins = _row_margins(sd[own], block)
-        mask = margins <= 0.0
-        viol = tuple(int(i) for i in own[mask])
-        nu = float(mask.mean())
-        m = float(margins[mask].mean()) if mask.any() else float("nan")
-        return viol, nu, m
-
-    v_a, nu_a, m_a = side(part.a_idx, ab)
-    v_b, nu_b, m_b = side(part.b_idx, ba)
-    return ViolationStats(v_a, v_b, nu_a, nu_b, m_a, m_b)
+    return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, _clamped_max(cross), perfect,
+                           v_a, v_b, nu_a, nu_b, m_a, m_b)
 
 
 def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -447,9 +420,9 @@ def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray
     min noise^2 / (||gamma||_F^2 + max noise^2) over the conditioning block,
     and its eigenvalues are computed only when that bound falls below 1e-12.
     """
-    ab, ba = _cross_blocks(spec, part)
+    _check_part(spec, part)
     a, b = part.a_idx, part.b_idx
-    aa, bb = cov_block(spec, a, a), cov_block(spec, b, b)
+    ab, aa, bb = cov_block(spec, a, b), cov_block(spec, a, a), cov_block(spec, b, b)
 
     def schur(keep: np.ndarray, block: np.ndarray, cross: np.ndarray, cond_on: np.ndarray,
               which: str) -> np.ndarray:
@@ -465,7 +438,7 @@ def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray
         res = keep - cross.T @ np.linalg.solve(block, cross)
         return (res + res.T) * 0.5
 
-    return schur(aa, bb, ba, b, "B"), schur(bb, aa, ab, a, "A")
+    return schur(aa, bb, ab.T, b, "B"), schur(bb, aa, ab, a, "A")
 
 
 def _rcond_floor(spec: CovSpec, idx: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -80,19 +80,7 @@ class RunManifest:
         name: os.environ.get(name) for name in _BLAS_THREAD_VARS})
 
     def write(self, path: str) -> None:
-        write_json(path, {
-            "command": self.command,
-            "seed": self.seed,
-            "config": self.config,
-            "columns": list(self.columns),
-            "n_rows": self.n_rows,
-            "outputs": list(self.outputs),
-            "created": self.created,
-            "versions": self.versions,
-            "blas_threads": self.blas_threads,
-            "spec_hash": self.spec_hash,
-            "rng_method": self.rng_method,
-        })
+        write_json(path, asdict(self))
 
 
 def write_json(path: str | None, payload: dict) -> None:

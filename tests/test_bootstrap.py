@@ -239,7 +239,10 @@ class TestLoadCsv:
         "#1,2\n3,4\n5,6\n",
         "1,2\n3\n",
         "1\n2.5\n-3\n",
-    ], ids=["header", "blank", "quoted", "hash", "hash_first", "ragged", "one_column"])
+        "x,y\n1,2\n3,nan\n",
+        "1,2\n-inf,4\n",
+    ], ids=["header", "blank", "quoted", "hash", "hash_first", "ragged", "one_column",
+            "nan", "inf_headerless"])
     def test_matches_row_parser(self, tmp_path, text):
         # The whole-file parse agrees with the cell-by-cell reader: the same
         # floats, or a ParseError at the same row and column.

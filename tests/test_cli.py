@@ -12,7 +12,7 @@ from maxgap import SmallSampleWarning, load_csv, multiplier_replicates
 from maxgap.bootstrap import DEFAULT_QUANTILES
 from maxgap.sampling import CHUNK
 from maxgap.cli import (EXIT_CONFIG, EXIT_INAPPLICABLE, EXIT_IO, EXIT_OK,
-                        cmd_gen_design, main, parse_args)
+                        EXIT_SELFTEST_FAILED, cmd_gen_design, main, parse_args)
 
 
 def run(capsys, *argv):
@@ -266,6 +266,16 @@ class TestBootstrapCommand:
         assert code == EXIT_IO
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_position(self, capsys, tmp_path, cell):
+        # A non-finite or overflowing cell is a malformed data file, named by
+        # its position like any other bad cell.
+        data = tmp_path / "data.csv"
+        data.write_text(f"1,2,3\n4,{cell},6\n7,8,9\n")
+        code, _, err = run(capsys, "bootstrap", "--data", str(data), "--breps", "10")
+        assert code == EXIT_IO
+        assert one_error_line(err) and "at row 2, column 2" in err
+
     def test_json_out_file(self, capsys, tmp_path):
         data = self.write_csv(tmp_path)
         out_path = str(tmp_path / "boot.json")
@@ -285,6 +295,13 @@ class TestSelftest:
         assert code == EXIT_OK
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_failed_check_exits_1(self, capsys, tmp_path):
+        # One replication cannot meet the analytic check's 6 SE band.
+        code, out, _ = run(capsys, "selftest", "--reps", "1",
+                           "--threads", "2", "--out", str(tmp_path))
+        assert code == EXIT_SELFTEST_FAILED == 1
+        assert out.count("FAIL") == 1 and out.count("PASS") == 2
 
     def test_one_thread_still_compares_two_runs(self, capsys, tmp_path, monkeypatch):
         # With --threads 1 both runs of a determinism check share a thread

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
-                    rho_bar, sample_max_diff, sqrt_factor, violation_stats)
-from maxgap.cov import COV_TILE, TOL_COND, TOL_CORR, TOL_PSD, cov_block
+                    rho_bar, sample_max_diff, sqrt_factor)
+from maxgap.cov import COV_TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, cov_block
 from maxgap.designs import KINDS, DesignConfig, gen_design
 
 from conftest import footnote_factor, random_psd
@@ -263,7 +263,7 @@ class TestViolationStats:
     def test_profile_v075(self):
         cfg = DesignConfig(kind="heterog_violation", p=8, variance_profile="v075")
         spec, part = gen_design(cfg)
-        stats = violation_stats(spec, part)
+        stats = check_conditions(spec, part)
         assert stats.nu_a == pytest.approx(0.75)
         assert stats.nu_b == pytest.approx(0.75)
         assert stats.m_a == pytest.approx(-8.0667, abs=5e-4)
@@ -272,22 +272,22 @@ class TestViolationStats:
     def test_profile_v0875(self):
         cfg = DesignConfig(kind="heterog_violation", p=16, variance_profile="v0875")
         spec, part = gen_design(cfg)
-        stats = violation_stats(spec, part)
+        stats = check_conditions(spec, part)
         assert stats.nu_a == pytest.approx(0.875)
         assert stats.m_a == pytest.approx(-12.5857, abs=5e-4)
 
     def test_profile_scale_free(self):
         # The margins depend only on the profile, not on the dimension.
-        small = violation_stats(*gen_design(
+        small = check_conditions(*gen_design(
             DesignConfig(kind="heterog_violation", p=8, variance_profile="v075")))
-        large = violation_stats(*gen_design(
+        large = check_conditions(*gen_design(
             DesignConfig(kind="heterog_violation", p=64, variance_profile="v075")))
         assert small.nu_a == large.nu_a
         assert small.m_a == pytest.approx(large.m_a, abs=1e-9)
 
     def test_no_violations(self):
         spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5))
-        stats = violation_stats(spec, part)
+        stats = check_conditions(spec, part)
         assert stats.v_a == () and stats.v_b == ()
         assert stats.nu_a == 0.0
         assert math.isnan(stats.m_a)
@@ -457,8 +457,7 @@ def _tiled_cov(spec: CovSpec) -> np.ndarray:
             tile = g[i:i + t] @ g[j:j + t].T
             if i == j:
                 tile = (tile + tile.T) * 0.5
-                if spec.noise is not None:
-                    tile[np.diag_indices_from(tile)] += spec.noise[i:i + t] ** 2
+                tile[np.diag_indices_from(tile)] = spec.variances[i:i + t]
             sig[i:i + t, j:j + t] = tile
             sig[j:j + t, i:i + t] = tile.T
     return sig
@@ -518,9 +517,8 @@ class TestGeometryProperty:
         assert _bits(rep.c_a, rep.c_b, rep.c_ab, rep.rho_bar) == _bits(c_a, c_b, c_ab, rbar)
         assert rep.has_perfect_cross_corr == perfect
         assert _bits(rho_bar(spec, part)) == _bits(rep.rho_bar)
-        stats = violation_stats(spec, part)
-        assert (stats.v_a, stats.v_b) == (side_a[0], side_b[0])
-        assert (_bits(stats.nu_a, stats.m_a, stats.nu_b, stats.m_b)
+        assert (rep.v_a, rep.v_b) == (side_a[0], side_b[0])
+        assert (_bits(rep.nu_a, rep.m_a, rep.nu_b, rep.m_b)
                 == _bits(*side_a[1:], *side_b[1:]))
 
 
@@ -569,3 +567,61 @@ class TestCovBlock:
         block = cov_block(spec, rows, cols)
         assert block.shape == (rows.size, cols.size)
         assert block.tobytes() == spec.cov[np.ix_(rows, cols)].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(req=block_requests())
+    def test_diagonal_is_variances_property(self, req):
+        # Every design kind and noise specs: the diagonal of any square block
+        # is spec.variances, the one source of every sd.
+        spec, rows, _ = req
+        idx = np.arange(spec.p)
+        assert np.diag(cov_block(spec, idx, idx)).tobytes() == spec.variances.tobytes()
+        assert np.diag(cov_block(spec, rows, rows)).tobytes() == spec.variances[rows].tobytes()
+        assert np.sqrt(np.diag(spec.cov)).tobytes() == spec.sds.tobytes()
+
+
+def _schur_reference(sig: np.ndarray, keep: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Residual covariance of keep given cond, every block read off sig."""
+    cross = sig[np.ix_(cond, keep)]
+    res = sig[np.ix_(keep, keep)] - cross.T @ np.linalg.solve(sig[np.ix_(cond, cond)], cross)
+    return (res + res.T) * 0.5
+
+
+class TestExplicitSymmetry:
+    def test_exactly_symmetric_input_stored_as_is(self):
+        rng = np.random.default_rng(2)
+        for p in (2, 7, 40):
+            sig = random_psd(rng, p, rank=max(1, p // 2))
+            spec = CovSpec.explicit(sig)
+            assert spec.sigma.tobytes() == sig.tobytes()
+            assert not spec.sigma.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12))
+    def test_asymmetric_within_tolerance_symmetrized_property(self, seed, p):
+        # An input asymmetric by less than TOL_SYM is stored as its
+        # symmetrization; the geometry, which reads Sigma[B, A] as the
+        # transpose of Sigma[A, B], then matches the full-margin reference
+        # that reads every block of the stored matrix.
+        rng = np.random.default_rng(seed)
+        scale = np.exp(rng.standard_normal(p) * 0.5)
+        sig = random_psd(rng, p) * np.outer(scale, scale)
+        sig = (sig + sig.T) * 0.5
+        sig += np.triu(rng.uniform(-0.4, 0.4, (p, p)) * TOL_SYM, 1)
+        spec = CovSpec.explicit(sig)
+        assert spec.sigma.tobytes() == ((sig + sig.T) * 0.5).tobytes()
+        assert np.array_equal(spec.sigma, spec.sigma.T)
+        order = rng.permutation(p)
+        k = int(rng.integers(1, p))
+        part = Partition(tuple(order[:k]), tuple(order[k:]), p)
+        (ok_a, c_a), (ok_b, c_b), (c_ab, s_set), rbar, _, side_a, side_b = \
+            _full_margin_reference(spec.sigma, part)
+        rep = check_conditions(spec, part)
+        assert (rep.cond_a_holds, rep.cond_b_holds, rep.s_set) == (ok_a, ok_b, s_set)
+        assert _bits(rep.c_a, rep.c_b, rep.c_ab, rep.rho_bar) == _bits(c_a, c_b, c_ab, rbar)
+        assert (rep.v_a, rep.v_b) == (side_a[0], side_b[0])
+        assert _bits(rep.nu_a, rep.m_a, rep.nu_b, rep.m_b) == _bits(*side_a[1:], *side_b[1:])
+        res_a, res_b = residual_cov(spec, part)
+        a, b = part.a_idx, part.b_idx
+        assert res_a.tobytes() == _schur_reference(spec.sigma, a, b).tobytes()
+        assert res_b.tobytes() == _schur_reference(spec.sigma, b, a).tobytes()

@@ -12,8 +12,8 @@ from maxgap import (CovSpec, DataMatrix, IoError, Partition,
                     run_bootstrap_demo, run_bounds_compare, run_levy_experiment,
                     run_scaling_study, sample, sample_max_diff)
 from maxgap.designs import DesignConfig, gen_design
-from maxgap.experiments import COMPARE_COLUMNS, write_csv
-from maxgap.sampling import CHUNK
+from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv
+from maxgap.sampling import CHUNK, RNG_METHOD
 
 
 def read_rows(path):
@@ -70,6 +70,27 @@ class TestLevyExperiment:
         assert meta["config"]["kind"] == "fullrank_equicorr"
         assert meta["columns"][0] == "design_id"
         assert "created" in meta
+
+    def test_sidecar_layout(self, tmp_path, monkeypatch):
+        # The sidecar holds the manifest's eleven fields, keys sorted and
+        # tuples written as lists, in the one JSON layout of write_json.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        path = write_csv(str(tmp_path / "t.csv"), ("x", "y"), [{"x": 1, "y": 2.5}],
+                         command="levy", seed=7, config={"kind": "k", "eps": (0.05, 0.1)},
+                         spec_hash="abc")
+        text = open(path + ".meta.json").read()
+        meta = json.loads(text)
+        assert meta == {
+            "command": "levy", "seed": 7, "config": {"kind": "k", "eps": [0.05, 0.1]},
+            "columns": ["x", "y"], "n_rows": 1, "outputs": ["t.csv"],
+            "created": meta["created"], "versions": _versions(),
+            "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                             "MKL_NUM_THREADS": None},
+            "spec_hash": "abc", "rng_method": RNG_METHOD,
+        }
+        assert text == json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
     def test_sidecar_provenance(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
