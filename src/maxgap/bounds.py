@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import (CovSpec, Partition, check_conditions, cross_corr, residual_cov,
-                  rho_bar, TOL_CORR)
+from .cov import (CovSpec, Partition, check_conditions, cross_corr, min_eigenvalue,
+                  residual_cov, rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
                      PerfectCrossCorrelation, SingularCovariance,
@@ -57,9 +57,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class Inapplicable:
-    """Marker for a bound whose hypotheses fail; reason is machine readable."""
+    """Marker for a bound whose hypotheses fail.
+
+    ``reason`` is the machine-readable error code; ``detail`` keeps the error
+    message, such as the smallest eigenvalue, the rcond or the rank.  Two
+    markers with the same reason compare equal whatever their details.
+    """
 
     reason: str
+    detail: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -257,15 +263,16 @@ def bound_baseline_min_eig(spec: CovSpec) -> float:
 
     Undefined on degenerate covariances: raises SingularCovariance instead of
     returning infinity.  A factor spec whose rank is below p by its shape
-    alone (d columns plus its nonzero noise sds) raises without forming Sigma.
+    alone (d columns plus its nonzero noise sds) raises before any eigensolve;
+    any other factor spec gets lam_min from :func:`maxgap.cov.min_eigenvalue`,
+    which never forms the p x p matrix.
     """
     if spec.gamma is not None:
         rank = spec.gamma.shape[1] + (0 if spec.noise is None else np.count_nonzero(spec.noise))
         if rank < spec.p:
             raise SingularCovariance(f"covariance rank is at most {rank}, below p = {spec.p}")
-    sig = spec.cov
-    lam = float(np.linalg.eigvalsh(sig)[0])
-    if lam <= TOL_SINGULAR * max(1.0, float(np.max(np.diag(sig)))):
+    lam = min_eigenvalue(spec)
+    if lam <= TOL_SINGULAR * max(1.0, float(np.max(spec.variances))):
         raise SingularCovariance(f"smallest eigenvalue {lam:.3e} not positive")
     p = spec.p
     return (math.sqrt(2.0 * math.log(p)) + 2.0) * 2.0 / math.sqrt(lam)
@@ -298,7 +305,7 @@ def _attempt(fn):
     try:
         return fn()
     except MaxgapError as err:
-        return Inapplicable(getattr(err, "code", "error"))
+        return Inapplicable(getattr(err, "code", "error"), str(err))
 
 
 def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,

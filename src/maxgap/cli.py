@@ -177,6 +177,13 @@ def _bounds_arg(text: str) -> list[str]:
     return names
 
 
+def _inapplicable_detail(report) -> str:
+    # Each inapplicable bound as name:code (message); the CSV keeps name:code.
+    flagged = ((name, getattr(report, name)) for name in ALL_BOUNDS)
+    return "; ".join(f"{name}:{v.reason} ({v.detail})" for name, v in flagged
+                     if isinstance(v, Inapplicable))
+
+
 def _all_inapplicable(report, which) -> bool:
     return all(isinstance(getattr(report, name), Inapplicable) for name in which)
 
@@ -192,7 +199,7 @@ def cmd_bounds_compare(args) -> int:
         pretty = " ".join(f"{k[6:]}={v:.4g}" for k, v in ratios.items())
         print(f"eps={row['epsilon']:g} {pretty}")
         if row["inapplicable"]:
-            print(f"  inapplicable: {row['inapplicable']}")
+            print(f"  inapplicable: {_inapplicable_detail(report)}")
     print(f"wrote {path}")
     if _all_inapplicable(report, args.bounds):
         print("error: every requested bound is inapplicable for this design",

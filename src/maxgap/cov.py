@@ -9,28 +9,31 @@ conditions and their violators, Schur-complement residuals) feed the bound
 evaluators in :mod:`maxgap.bounds`.
 
 Every diagnostic reads Sigma through :func:`cov_block`, one block at a time.
-A factor spec never forms its p x p matrix there: each block is filled from
-fixed ``COV_TILE``-row tiles of the factor, the same tiles that assemble
-:attr:`CovSpec.cov`, so a block equals the same entries of that matrix bit
-for bit.  Of the diagnostics and bounds, only the smallest-eigenvalue
-baseline forms the matrix of a factor spec.  Each covariance quantity has
-one definition: the diagonal of Sigma is :attr:`CovSpec.variances` for
-every spec, so the sampler, the expected-max engine, the bounds and the
-geometry share one sd per coordinate, and Sigma is stored exactly
-symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
+A factor spec never forms its p x p matrix: each block is filled from fixed
+``COV_TILE``-row tiles of the factor, so an entry's bits do not depend on
+which other entries a block holds.  Two quantities of a factor spec read no
+block of Sigma at all: the residuals given a block with noise on every
+coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`) and
+the smallest eigenvalue (an inertia count on that core, or the singular
+values of the factor when it has no noise, :func:`min_eigenvalue`).  Each
+covariance quantity has one definition: the diagonal of Sigma is
+:attr:`CovSpec.variances` for every spec, so the sampler, the expected-max
+engine, the bounds and the geometry share one sd per coordinate, and Sigma
+is stored exactly symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
 
 All functions are pure: they never mutate their inputs and hold no state.
 The caches, all read-only, are :attr:`CovSpec.variances`,
-:attr:`CovSpec.cov` (the p x p matrix), :attr:`CovSpec.root` (its
-square-root factor) and :attr:`CovSpec.content_hash`; each spec fills each
-once.  An explicit spec is factored at construction: :func:`sqrt_factor`,
-whose one eigendecomposition both validates and factors the matrix, holds
-the PSD floor, so a matrix that constructs always samples.
+:attr:`CovSpec.root` (the square-root factor) and
+:attr:`CovSpec.content_hash`; each spec fills each once.  An explicit spec
+is factored at construction: :func:`sqrt_factor`, whose one
+eigendecomposition both validates and factors the matrix, holds the PSD
+floor, so a matrix that constructs always samples.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +50,9 @@ TOL_CORR = 1e-9          # correlations >= 1 - TOL_CORR count as perfect
 TOL_COND = 1e-9          # slack in the within-block normalization test
 RCOND_MIN = 1e-12        # minimum relative condition number for block inversion
 COV_TILE = 256           # factor rows per Sigma tile; fixes the bits of every block
+_SECULAR_STEPS = 200     # cap on min_eigenvalue's bracketing steps
+_EPS = float(np.finfo(float).eps)
+_NEAR = math.sqrt(_EPS)  # a pole within _NEAR * var_i of lam stays explicit in the count
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -134,16 +140,6 @@ class CovSpec:
     @property
     def sds(self) -> np.ndarray:
         return np.sqrt(self.variances)
-
-    @cached_property
-    def cov(self) -> np.ndarray:
-        """Read-only covariance matrix: sigma, or every :func:`cov_block` tile of a factor."""
-        if self.sigma is not None:
-            return self.sigma
-        idx = np.arange(self.p)
-        sig = cov_block(self, idx, idx)
-        sig.flags.writeable = False
-        return sig
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -289,7 +285,7 @@ class ConditionReport:
 
 
 def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
-    """New array Sigma[rows][:, cols], equal bit for bit to ``spec.cov[np.ix_(rows, cols)]``.
+    """New array Sigma[rows][:, cols], the same bits for any rows and cols.
 
     An explicit spec slices sigma.  A factor spec forms no p x p matrix: the
     block is filled from fixed ``COV_TILE`` x ``COV_TILE`` tiles of Sigma.
@@ -297,9 +293,9 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     (i, j) with i <= j is computed once per block as gamma_i gamma_j^T; a
     diagonal tile is symmetrized exactly and its diagonal is overwritten by
     the rows' :attr:`CovSpec.variances`, and tile (j, i) is the transpose of
-    tile (i, j).  :attr:`CovSpec.cov` is assembled from the same tiles, so
-    every block reads the same bits, Sigma is exactly symmetric, and its
-    diagonal is ``spec.variances`` bit for bit.
+    tile (i, j).  So every entry is read from the same tile whichever block
+    holds it, Sigma is exactly symmetric, and its diagonal is
+    ``spec.variances`` bit for bit.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
@@ -411,43 +407,179 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
 
 
 def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Schur complements of each block given the other.
+    """Schur complements of each block given the other, symmetrized exactly.
 
-    Returns (residual of A given B, residual of B given A).  The conditioning
-    block is inverted exactly; a relative condition number below 1e-12 raises
-    SingularBlock rather than falling back to a pseudo-inverse.  For a spec
-    with noise, the condition number is at least
-    min noise^2 / (||gamma||_F^2 + max noise^2) over the conditioning block,
-    and its eigenvalues are computed only when that bound falls below 1e-12.
+    Returns (residual of A given B, residual of B given A).  A conditioning
+    block C whose rcond floor (:func:`_rcond_floor`) reaches 1e-12, which
+    takes noise on every coordinate of C, goes through Woodbury's identity on
+    the d x d core: with F = gamma and D = diag(noise^2), the residual of the
+    kept block K is D_K + W W^T, W = F_K chol(I + F_C^T D_C^-1 F_C)^-T.  It
+    reads no block of Sigma and solves no |C| x |C| system.  Any other
+    conditioning block is read through :func:`cov_block` and inverted
+    exactly; a relative condition number below 1e-12 raises SingularBlock
+    rather than falling back to a pseudo-inverse.
     """
     _check_part(spec, part)
     a, b = part.a_idx, part.b_idx
-    ab, aa, bb = cov_block(spec, a, b), cov_block(spec, a, a), cov_block(spec, b, b)
+    woodbury = [_rcond_floor(spec, c) >= RCOND_MIN for c in (b, a)]
+    ab = None if all(woodbury) else cov_block(spec, a, b)
+    res_a = _woodbury_residual(spec, a, b) if woodbury[0] else _schur(spec, a, b, ab.T, "B")
+    res_b = _woodbury_residual(spec, b, a) if woodbury[1] else _schur(spec, b, a, ab, "A")
+    return res_a, res_b
 
-    def schur(keep: np.ndarray, block: np.ndarray, cross: np.ndarray, cond_on: np.ndarray,
-              which: str) -> np.ndarray:
-        # keep, block and cross are Sigma[K, K], Sigma[C, C] and Sigma[C, K]
-        # for the kept block K and the conditioning block C = cond_on.
-        if _rcond_floor(spec, cond_on) < RCOND_MIN:
-            w = np.linalg.eigvalsh(block)
-            wmax = float(np.max(np.abs(w)))
-            rcond = float(np.min(np.abs(w))) / wmax if wmax > 0 else 0.0
-            if rcond < RCOND_MIN:
-                raise SingularBlock(which, rcond)
-        cross = np.ascontiguousarray(cross)
-        res = keep - cross.T @ np.linalg.solve(block, cross)
-        return (res + res.T) * 0.5
 
-    return schur(aa, bb, ab.T, b, "B"), schur(bb, aa, ab, a, "A")
+def _schur(spec: CovSpec, keep: np.ndarray, cond_on: np.ndarray, cross: np.ndarray,
+           which: str) -> np.ndarray:
+    # Sigma[K, K] - Sigma[K, C] Sigma[C, C]^-1 Sigma[C, K] for K = keep and
+    # C = cond_on, with cross = Sigma[C, K].
+    block = cov_block(spec, cond_on, cond_on)
+    w = np.linalg.eigvalsh(block)
+    wmax = float(np.max(np.abs(w)))
+    rcond = float(np.min(np.abs(w))) / wmax if wmax > 0 else 0.0
+    if rcond < RCOND_MIN:
+        raise SingularBlock(which, rcond)
+    cross = np.ascontiguousarray(cross)
+    res = cov_block(spec, keep, keep) - cross.T @ np.linalg.solve(block, cross)
+    return (res + res.T) * 0.5
+
+
+def _woodbury_residual(spec: CovSpec, keep: np.ndarray, cond_on: np.ndarray) -> np.ndarray:
+    # D_K + F_K (I + F_C^T D_C^-1 F_C)^-1 F_K^T through the Cholesky factor of the core.
+    g = spec.gamma[cond_on] / spec.noise[cond_on][:, None]
+    core = g.T @ g
+    core[np.diag_indices_from(core)] += 1.0
+    w = spec.gamma[keep] @ np.linalg.inv(np.linalg.cholesky(core)).T
+    res = w @ w.T
+    res[np.diag_indices_from(res)] += spec.noise[keep] ** 2
+    return (res + res.T) * 0.5
 
 
 def _rcond_floor(spec: CovSpec, idx: np.ndarray) -> float:
-    """A lower bound on the rcond of Sigma[idx, idx] that needs no eigensolve, else 0."""
+    """A lower bound on the rcond of Sigma[idx, idx] that needs no eigensolve, else 0.
+
+    Positive only when every coordinate of idx carries noise, which is what
+    the Woodbury residual needs to invert D over idx.
+    """
     if spec.noise is None:
         return 0.0
     nsq = spec.noise[idx] ** 2
     g = spec.gamma[idx]
     return float(nsq.min()) / (float(np.einsum("ij,ij->", g, g)) + float(nsq.max()))
+
+
+def min_eigenvalue(spec: CovSpec) -> float:
+    """Smallest eigenvalue of Sigma.
+
+    An explicit spec runs ``eigvalsh`` on sigma.  A factor spec forms no
+    p x p matrix.  Without noise, Sigma = F F^T with F = gamma, and
+    lam_min is the square of F's p-th singular value (zero when d < p): one
+    SVD of F, whose relative accuracy a d x d Gram matrix would square away.
+    With noise, D = diag(noise^2), a coordinate whose row of F is zero is an
+    eigenvector with eigenvalue D_i, and :func:`_secular_min` finds lam_min
+    of the other coordinates on the d x d core.
+    """
+    if spec.sigma is not None:
+        return float(np.linalg.eigvalsh(spec.sigma)[0])
+    if spec.noise is None or not spec.noise.any():
+        if spec.gamma.shape[1] < spec.p:
+            return 0.0
+        return float(np.linalg.svd(spec.gamma, compute_uv=False)[-1]) ** 2
+    dsq = spec.noise ** 2
+    loaded = np.any(spec.gamma != 0.0, axis=1)
+    lam = float(dsq[~loaded].min(initial=np.inf))
+    if loaded.any():
+        lam = min(lam, _secular_min(spec.gamma[loaded], dsq[loaded],
+                                    spec.variances[loaded], lam))
+    return lam
+
+
+def _secular_min(f: np.ndarray, dsq: np.ndarray, var: np.ndarray, cap: float) -> float:
+    """Smallest eigenvalue of diag(dsq) + f f^T, or cap when that is smaller.
+
+    Every row of f is nonzero, and var holds the diagonal.  lam_min lies in
+    [D_(1), min(D_(d+1), min var)]: Weyl and interlacing for a rank-d
+    update, and a variance is a Rayleigh quotient.  Each step counts
+    the eigenvalues below lam (:func:`_inertia`), which moves one end of the
+    bracket to lam, and steps toward the zero of the eigenvalue that crosses
+    zero at lam_min.  The step is Newton's in t = 1 / (lam - c), c the
+    largest value of dsq at or below the bracket's lower end, where that
+    eigenvalue is close to linear (with D = 0 it is 1 - s^2 / lam, linear in
+    t).  A step that would leave the bracket, or that falls short of halving
+    the step before last, is a bisection instead.  The search ends when the
+    step is a few ulps of lam, when the crossing eigenvalue is zero to the
+    rounding of its matrix with lam at the edge of the count (at most one
+    eigenvalue below it), or when the bracket closes.
+    """
+    d = f.shape[1]
+    lo = float(dsq.min())
+    hi = lam = min(cap, float(var.min()))
+    pole = float(np.partition(dsq, d)[d]) if dsq.size > d else math.inf
+    if pole < hi:
+        hi = lam = pole
+        if np.count_nonzero(dsq == pole) == 1:
+            # lam_min < D_(d+1) when no other dsq equals it: start inside.
+            lam = 0.5 * (lo + hi)
+    # Otherwise the first count is at hi itself: when lam_min = hi, as when
+    # cap is below every eigenvalue of the rest, that ends the search.
+    last = before = hi - lo
+    for _ in range(_SECULAR_STEPS):
+        if not lo < lam <= hi:
+            break
+        below, value, slope, scale = _inertia(f, dsq, var, lam)
+        if below == 0:
+            lo = lam
+        else:
+            hi = lam
+        x = lam - float(dsq[dsq <= lo].max())
+        if slope * x + value > 0.0:
+            step = x * value / (slope * x + value)
+            at_zero = below <= 1 and abs(value) <= 8.0 * _EPS * scale
+            if at_zero or abs(step) <= 4.0 * _EPS * lam:
+                return min(max(lam - step, lo), hi)
+            if abs(step) < 0.5 * before and lo < lam - step < hi:
+                before, last = last, abs(step)
+                lam -= step
+                continue
+        before, last = last, 0.5 * (hi - lo)
+        lam = 0.5 * (lo + hi)
+    return hi
+
+
+def _inertia(f: np.ndarray, dsq: np.ndarray, var: np.ndarray,
+             lam: float) -> tuple[int, float, float, float]:
+    """The eigenvalues of diag(dsq) + f f^T below lam, and the one crossing zero.
+
+    Haynsworth's inertia additivity on M = [[D - lam I, f], [f^T, -I]]: the
+    -I pivot gives n_neg(M) = d + n_neg(Sigma - lam I).  Pivoting instead on
+    the far rows R, whose |dsq_i - lam| exceeds sqrt(eps) var_i, leaves the
+    small symmetric matrix S = [[D_N - lam I, f_N], [f_N^T, -I - f_R^T
+    (D_R - lam I)^-1 f_R]] over the near rows N and the d factor columns, so
+    n_neg(Sigma - lam I) = n_neg(D_R - lam I) + n_neg(S) - d, one ``eigh``
+    of S.  Keeping N explicit bounds the entries of S, so its eigenvalues
+    resolve their signs next to a pole, and lam may sit on one.
+
+    Returns (count, value, slope, scale): value is minus the eigenvalue of S
+    that crosses zero at lam_min (index d - n_neg(D_R - lam I)), increasing
+    in lam with derivative slope = ||u_N||^2 + ||(D_R - lam I)^-1 f_R u_d||^2
+    for its eigenvector u; scale is the largest |eigenvalue| of S.
+    """
+    d = f.shape[1]
+    near = np.abs(dsq - lam) <= _NEAR * var
+    k = int(np.count_nonzero(near))
+    far_f, far_dsq = (f, dsq) if k == 0 else (f[~near], dsq[~near])
+    fs = far_f / (far_dsq - lam)[:, None]
+    s = np.empty((k + d, k + d))
+    s[:k, :k] = np.diag(dsq[near] - lam)
+    s[:k, k:] = f[near]
+    s[k:, :k] = f[near].T
+    s[k:, k:] = -np.eye(d) - fs.T @ far_f
+    nu, u = np.linalg.eigh(s)
+    neg = int(np.count_nonzero(far_dsq < lam))
+    count = neg + int(np.count_nonzero(nu < 0.0)) - d
+    j = d - neg
+    g = fs @ u[k:, j]
+    slope = float(u[:k, j] @ u[:k, j] + g @ g)
+    return count, -float(nu[j]), slope, float(np.max(np.abs(nu)))
 
 
 def sqrt_factor(sigma: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
 from .levy import DEFAULT_GRID, LevyEstimate, expected_max_many, levy_curve, levy_hat
-from .sampling import RNG_METHOD, sample_max_diff
+from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
 K0_SWEEP_P = (25, 30, 40, 60, 80, 120)
@@ -189,11 +189,15 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     seed = cfg.seed if seed is None else int(seed)
     eps_list = [float(e) for e in (epsilons if np.iterable(epsilons) else (epsilons,))]
     spec, part = gen_design(cfg)
-    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     mc = McConfig(n_mc=int(n_mc), seed=seed) if n_mc is not None else McConfig(seed=seed)
     overlap = cfg.overlap_k if cfg.kind == "exchangeable_overlap" else None
-    estimates = [levy_hat(diffs, eps, grid_points=grid_points) for eps in eps_list]
+    # The bounds run before the sampler (once its arguments are checked), as
+    # in run_levy_experiment: memory freed by the sampler threads stays in
+    # their allocator arenas, so work done afterwards would add to the peak.
+    check_run(n_rep, seed, n_threads)
     report = bound_report(spec, part, mc=mc, which=which, overlap_k=overlap)
+    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
+    estimates = [levy_hat(diffs, eps, grid_points=grid_points) for eps in eps_list]
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=seed,
@@ -254,9 +258,9 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
 def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
                  grid_points: int, n_threads: int) -> dict:
     spec, part = gen_design(cfg)
+    rbar = rho_bar(spec, part)  # before the sampler, as in run_levy_experiment
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     est = levy_hat(diffs, epsilon, grid_points=grid_points)
-    rbar = rho_bar(spec, part)
     row = {
         "kind": kind,
         "design_id": cfg.design_id(),

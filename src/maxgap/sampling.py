@@ -129,7 +129,7 @@ def chunks(seed: int, n: int, rows: int = CHUNK):
             for k, lo in enumerate(range(0, n, rows)))
 
 
-def _check_run(n_rep: int, seed: int, n_threads: int) -> list:
+def check_run(n_rep: int, seed: int, n_threads: int) -> list:
     """The run's :func:`chunks`, once the replicate and thread counts are checked."""
     if n_rep < 1:
         raise BadConfig(f"n_rep must be positive, got {n_rep}")
@@ -178,7 +178,7 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     who fills which chunk, never the numbers.  Holds all n_rep x p values;
     :func:`sample_max_diff` streams them instead.
     """
-    todo = _check_run(n_rep, seed, n_threads)
+    todo = check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
     _run_chunks(spec, todo, n_threads, lambda lo, hi, fill: fill(data[lo:hi]))
     data.flags.writeable = False
@@ -194,7 +194,7 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """
     if part.p != spec.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
-    todo = _check_run(n_rep, seed, n_threads)
+    todo = check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
     a_sel, b_sel = part.blocks
 

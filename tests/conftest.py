@@ -28,3 +28,19 @@ def random_psd(rng: np.random.Generator, p: int, rank: int | None = None) -> np.
     sig = g @ g.T
     sig += np.eye(p) * 1e-6
     return (sig + sig.T) * 0.5
+
+
+def spy_calls(monkeypatch, module, names) -> list:
+    """Wrap ``module.<name>`` for each name.
+
+    Each call appends (name, shape of its first argument) to the returned list.
+    """
+    calls = []
+    for name in names:
+        real = getattr(module, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
                     bound_heterogeneous, bound_homogeneous, bound_report,
                     bound_single_max, lower_bound_exchangeable, residual_cov,
                     sample)
+from maxgap import bounds, cov
 from maxgap.bounds import default_delta_grid
 from maxgap.designs import DesignConfig, gen_design
 
-from conftest import footnote_factor
+from conftest import footnote_factor, spy_calls
 
 MC = McConfig(n_mc=100000, seed=0)
 E_ABS_Z = math.sqrt(2.0 / math.pi)
@@ -287,6 +289,10 @@ class TestBoundReport:
         assert isinstance(rep.baseline, Inapplicable)
         assert rep.baseline.reason == "singular_covariance"
         assert isinstance(rep.homogeneous, float)
+        # The message rides along as detail, which equality ignores.
+        assert rep.baseline.detail == "covariance rank is at most 2, below p = 4"
+        assert rep.conditional.detail.startswith("coordinate ")
+        assert rep.baseline == Inapplicable("singular_covariance")
         rate_a = bound_single_max(spec, part.a_set, MC)
         rate_b = bound_single_max(spec, part.b_set, MC)
         assert isinstance(rate_a, float)
@@ -400,7 +406,7 @@ class TestRequestReuse:
 
 
 class TestFactorSpecsFormNoMatrix:
-    """Factor specs read Sigma block by block; only the baseline forms the p x p matrix."""
+    """Factor specs read Sigma block by block and never form the p x p matrix."""
 
     SMALL_MC = McConfig(n_mc=500, seed=4)
 
@@ -418,7 +424,6 @@ class TestFactorSpecsFormNoMatrix:
         with pytest.raises(SingularCovariance, match="rank is at most 40,"):
             bound_baseline_min_eig(spec)
         assert shapes == []
-        assert "cov" not in spec.__dict__
 
     def test_noise_counts_toward_rank(self):
         g = np.ones((4, 1))
@@ -427,14 +432,17 @@ class TestFactorSpecsFormNoMatrix:
         # 1 + 3 = p: Sigma = 1 1^T + diag(1, 1, 1, 0) is positive definite.
         assert bound_baseline_min_eig(CovSpec.factor(g, noise=[1.0, 1.0, 1.0, 0.0])) > 0.0
 
-    def test_full_width_singular_factor_takes_eigenvalues(self):
-        # d >= p with a repeated row: singular, which only the eigenvalues show.
+    def test_full_width_singular_factor_takes_eigenvalues(self, monkeypatch):
+        # d >= p with a repeated row: singular, which only the eigenvalues
+        # show.  Without noise they are the squared singular values of gamma,
+        # so no eigensolver sees Sigma.
         g = np.random.default_rng(0).standard_normal((4, 5))
         g[3] = g[0]
         spec = CovSpec.factor(g)
+        calls = spy_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
         with pytest.raises(SingularCovariance, match="smallest eigenvalue"):
             bound_baseline_min_eig(spec)
-        assert "cov" in spec.__dict__
+        assert calls == [("svd", (4, 5))]
 
     def test_table1_report_without_baseline_forms_no_matrix(self):
         spec, part = gen_design(DesignConfig(kind="table1", p=40, seed=3))
@@ -442,7 +450,48 @@ class TestFactorSpecsFormNoMatrix:
                            which=tuple(b for b in ALL_BOUNDS if b != "baseline"))
         assert isinstance(rep.heterogeneous, float)
         assert isinstance(rep.conditional, float)
-        assert "cov" not in spec.__dict__
+
+    def test_table1_report_forms_no_matrix(self, monkeypatch):
+        # Every bound of a table1 report, the baseline included: lam_min comes
+        # from the d x d core and the residuals from Woodbury's identity, so
+        # the report runs no eigvalsh and no solve, reads no block of Sigma
+        # inside residual_cov, and no block as large as p x p anywhere.
+        spec, part = gen_design(DesignConfig(kind="table1", p=600, seed=3))
+        linalg = spy_calls(monkeypatch, np.linalg, ("eigvalsh", "solve"))
+        blocks, inside = [], []
+        real_block, real_residual = cov.cov_block, cov.residual_cov
+
+        def block(spec, rows, cols):
+            blocks.append((np.size(rows) * np.size(cols), bool(inside)))
+            return real_block(spec, rows, cols)
+
+        def residual(*args):
+            inside.append(True)
+            try:
+                return real_residual(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(cov, "cov_block", block)
+        monkeypatch.setattr(bounds, "residual_cov", residual)
+        rep = bound_report(spec, part, McConfig(n_mc=64, seed=1))
+        assert not any(isinstance(getattr(rep, b), Inapplicable) for b in ALL_BOUNDS)
+        assert linalg == []
+        assert blocks and not any(in_residual for _, in_residual in blocks)
+        assert max(size for size, _ in blocks) < spec.p ** 2
+        assert not hasattr(CovSpec, "cov")
+
+    def test_baseline_allocates_less_than_one_matrix(self):
+        # The baseline's working set is a few p x d arrays, under half of the
+        # 8 p^2 bytes one p x p matrix would take (table1 has d = p / 10).
+        spec, _ = gen_design(DesignConfig(kind="table1", p=600, seed=3))
+        tracemalloc.start()
+        try:
+            rate = bound_baseline_min_eig(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate > 0.0
+        assert peak < 8 * spec.p ** 2 / 2
 
     def test_design_spec_hashed_once(self, monkeypatch):
         import hashlib

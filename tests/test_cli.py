@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 import tempfile
@@ -127,6 +128,21 @@ class TestBoundsCompareCommand:
                            "--out", str(tmp_path))
         assert code == EXIT_INAPPLICABLE
         assert "inapplicable" in err
+
+    def test_inapplicable_line_carries_detail(self, capsys, tmp_path):
+        # stdout names each inapplicable bound with its message; the CSV
+        # column keeps the codes only.
+        code, out, _ = run(capsys, "bounds-compare", "--kind", "homog_lowrank",
+                           "--p", "6", "--d", "2", "--reps", "100", "--mc", "500",
+                           "--bounds", "homogeneous,baseline", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        line, = [ln for ln in out.splitlines() if "inapplicable:" in ln]
+        assert line == ("  inapplicable: baseline:singular_covariance "
+                        "(covariance rank is at most 2, below p = 6)")
+        (path,) = tmp_path.glob("bounds_*.csv")
+        with open(path, newline="") as fh:
+            row, = csv.DictReader(fh)
+        assert row["inapplicable"] == "baseline:singular_covariance"
 
     def test_single_max_rescues_overlap_design(self, capsys, tmp_path):
         code, _, _ = run(capsys, "bounds-compare", "--kind", "homog_overlap",

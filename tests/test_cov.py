@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
                     rho_bar, sample_max_diff, sqrt_factor)
-from maxgap.cov import COV_TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, cov_block
+from maxgap import cov
+from maxgap.cov import COV_TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, cov_block, min_eigenvalue
 from maxgap.designs import KINDS, DesignConfig, gen_design
 
-from conftest import footnote_factor, random_psd
+from conftest import footnote_factor, random_psd, spy_calls
 
 
 class TestCovSpec:
@@ -77,7 +79,7 @@ class TestCovSpec:
     def test_singular_explicit_allowed(self):
         sig = np.ones((3, 3))
         spec = CovSpec.explicit(sig)
-        assert np.linalg.eigvalsh(spec.cov)[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.eigvalsh(spec.sigma)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -196,7 +198,7 @@ class TestFootnoteDesign:
         assert np.allclose(self.spec.variances, 1.0, atol=1e-12)
 
     def test_rank_two(self):
-        lam = np.linalg.eigvalsh(self.spec.cov)[0]
+        lam = np.linalg.eigvalsh(_tiled_cov(self.spec))[0]
         assert abs(lam) <= 1e-12
 
     def test_rho_bar_is_inv_sqrt2(self):
@@ -333,28 +335,154 @@ class TestResidualCov:
             residual_cov(spec, Partition.split(4, 2))
         assert err.value.which == "B"
 
-    def test_noise_skips_eigenvalues_not_bits(self, monkeypatch):
-        # Noise on every coordinate bounds the rcond away from 0, so no
-        # eigenvalues are computed; the residuals equal those of the same
-        # matrix given explicitly bit for bit.
+    def test_noise_skips_eigenvalues_and_blocks(self, monkeypatch):
+        # Noise on every coordinate bounds the rcond away from 0, so the
+        # residuals come from Woodbury's identity: no eigenvalues, no solve and
+        # no block of Sigma.  They are exactly symmetric and agree with the
+        # Schur complements of the same matrix given explicitly to 1e-12 of
+        # its largest entry.
         rng = np.random.default_rng(4)
         p = COV_TILE + 40
         spec = CovSpec.factor(rng.standard_normal((p, 6)),
                               noise=0.1 + np.abs(rng.standard_normal(p)))
         part = Partition(tuple(range(0, p, 2)), tuple(range(1, p, 2)), p)
-        want = residual_cov(CovSpec.explicit(spec.cov), part)
-        calls = []
-        real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        want = residual_cov(CovSpec.explicit(_tiled_cov(spec)), part)
+        linalg = spy_calls(monkeypatch, np.linalg, ("eigvalsh", "solve"))
+        blocks = spy_calls(monkeypatch, cov, ("cov_block",))
         got = residual_cov(spec, part)
-        assert calls == []
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert linalg == [] and blocks == []
+        for g, w in zip(got, want):
+            assert np.array_equal(g, g.T)
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_independent_blocks_identity(self):
         spec = CovSpec.explicit(np.eye(4))
         res_a, res_b = residual_cov(spec, Partition.split(4, 2))
         assert np.array_equal(res_a, np.eye(2))
         assert np.array_equal(res_b, np.eye(2))
+
+
+@st.composite
+def eigen_specs(draw):
+    """Factor specs on every path of ``min_eigenvalue``.
+
+    Noise specs may have zero loading rows, spread, repeated or constant
+    noise, zero noise sds on up to d loaded rows, and d >= p.  Noise-free
+    factors are full width (d >= p), the only ones the baseline's rank gate
+    lets through.  Some specs span two ``COV_TILE`` tiles.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.one_of(st.integers(2, 12), st.integers(COV_TILE - 8, COV_TILE + 40)))
+    scale = np.exp(0.5 * rng.standard_normal((p, 1)))
+    if draw(st.booleans()):
+        return CovSpec.factor(rng.standard_normal((p, p + draw(st.integers(0, 3)))) * scale)
+    d = draw(st.integers(1, p + 2))
+    gamma = rng.standard_normal((p, d)) * scale
+    unloaded = rng.random(p) < draw(st.sampled_from((0.0, 0.2, 1.0)))
+    gamma[unloaded] = 0.0
+    style = draw(st.sampled_from(("spread", "repeated", "constant", "zeros")))
+    if style == "repeated":
+        noise = rng.choice(np.exp(rng.standard_normal(3)), size=p)
+    elif style == "constant":
+        noise = np.full(p, float(np.exp(rng.standard_normal())))
+    else:
+        noise = np.exp(0.5 * rng.standard_normal(p))
+    if style == "zeros":
+        loaded = np.flatnonzero(~unloaded)
+        k = min(loaded.size, d, draw(st.integers(1, 3)))
+        noise[rng.choice(loaded, size=k, replace=False)] = 0.0
+    return CovSpec.factor(gamma, noise=noise)
+
+
+class TestMinEigenvalue:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=eigen_specs())
+    def test_matches_eigvalsh_property(self, spec):
+        # Within 1e-10 relative of eigvalsh on the tiled reference, plus that
+        # reference's own rounding, about sqrt(p) eps lam_max: on an
+        # ill-conditioned Sigma eigvalsh resolves lam_min no more finely.
+        w = np.linalg.eigvalsh(_tiled_cov(spec))
+        tol = 1e-10 * abs(w[0]) + math.sqrt(spec.p) * np.finfo(float).eps * w[-1]
+        assert abs(min_eigenvalue(spec) - w[0]) <= tol
+
+    def test_explicit_is_eigvalsh(self):
+        sig = random_psd(np.random.default_rng(6), 7)
+        assert min_eigenvalue(CovSpec.explicit(sig)) == np.linalg.eigvalsh(sig)[0]
+
+    def test_unloaded_row_gives_its_noise_exactly(self):
+        # Coordinate 2 has no loading: e_2 is an eigenvector with eigenvalue 0.25.
+        gamma = np.array([[1.0, 0.5], [0.3, 1.0], [0.0, 0.0], [2.0, 1.0]])
+        spec = CovSpec.factor(gamma, noise=[1.0, 1.0, 0.5, 1.0])
+        assert min_eigenvalue(spec) == 0.25
+
+    def test_collapsed_bracket_is_exact(self):
+        # Constant noise with d < p: D_(1) = D_(d+1), so lam_min is that value.
+        gamma = np.random.default_rng(7).standard_normal((6, 2))
+        spec = CovSpec.factor(gamma, noise=np.full(6, 0.5))
+        assert min_eigenvalue(spec) == 0.25
+
+    def test_count_on_a_pole(self, monkeypatch):
+        # D = (1, 25, 49) with d = 2 brackets lam_min in [1, 49], whose
+        # midpoint is the pole 25.  The count there keeps that row explicit,
+        # a 3 x 3 eigh, so nothing is divided by zero; the counts away from
+        # the poles are 2 x 2.
+        gamma = np.array([[7.0, 1.0], [1.0, 5.0], [3.0, 3.0]])
+        spec = CovSpec.factor(gamma, noise=[1.0, 5.0, 7.0])
+        calls = spy_calls(monkeypatch, np.linalg, ("eigh",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = min_eigenvalue(spec)
+        assert calls[0] == ("eigh", (3, 3))
+        assert set(calls[1:]) == {("eigh", (2, 2))}
+        want = np.linalg.eigvalsh(_tiled_cov(spec))[0]
+        assert lam == pytest.approx(want, rel=1e-12)
+
+    def test_noise_free_takes_singular_values(self, monkeypatch):
+        # An ill-conditioned full-width factor: exactly the square of the
+        # smallest singular value of gamma, with no eigensolver; zero when
+        # d < p.
+        rng = np.random.default_rng(8)
+        gamma = rng.standard_normal((40, 40)) * np.exp(rng.standard_normal((40, 1)))
+        want = np.linalg.svd(gamma, compute_uv=False)[-1] ** 2
+        spec = CovSpec.factor(gamma)
+        calls = spy_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "svd"))
+        assert min_eigenvalue(spec) == want
+        assert calls == [("svd", (40, 40))]
+        assert min_eigenvalue(CovSpec.factor(gamma[:, :30])) == 0.0
+
+
+@st.composite
+def woodbury_designs(draw):
+    """A factor spec with noise on every coordinate and a scattered partition."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.one_of(st.integers(2, 12), st.integers(COV_TILE + 1, COV_TILE + 40)))
+    d = draw(st.integers(1, 8))
+    gamma = rng.standard_normal((p, d)) * np.exp(0.5 * rng.standard_normal((p, 1)))
+    noise = np.exp(0.5 * rng.standard_normal(p))
+    order = rng.permutation(p)
+    k = draw(st.integers(1, p - 1))
+    return CovSpec.factor(gamma, noise=noise), Partition(tuple(order[:k]), tuple(order[k:]), p)
+
+
+class TestWoodburyProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(design=woodbury_designs())
+    def test_matches_dense_schur_property(self, design):
+        # The Woodbury residuals against the dense Schur complements of the
+        # same matrix given explicitly: exactly symmetric, and equal within
+        # 1e-12 of the largest entry times the conditioning block's condition
+        # number over 1e3, the rounding the dense solve carries.
+        spec, part = design
+        sig = _tiled_cov(spec)
+        got = residual_cov(spec, part)
+        a, b = part.a_idx, part.b_idx
+        for res, keep, cond in ((got[0], a, b), (got[1], b, a)):
+            assert cov._rcond_floor(spec, cond) >= cov.RCOND_MIN
+            w = np.linalg.eigvalsh(sig[np.ix_(cond, cond)])
+            want = _schur_reference(sig, keep, cond)
+            assert np.array_equal(res, res.T)
+            tol = 1e-12 * max(1.0, w[-1] / w[0] / 1e3) * np.max(np.abs(want))
+            assert np.max(np.abs(res - want)) <= tol
 
 
 class TestSqrtFactor:
@@ -463,6 +591,11 @@ def _tiled_cov(spec: CovSpec) -> np.ndarray:
     return sig
 
 
+def _full_cov(spec: CovSpec) -> np.ndarray:
+    """The p x p matrix of any spec: sigma, or the tiled reference of a factor."""
+    return spec.sigma if spec.gamma is None else _tiled_cov(spec)
+
+
 def _full_margin_reference(sig, part):
     """Conditions and violation stats read off the full margin matrices."""
     sd = np.sqrt(np.diag(sig))
@@ -504,14 +637,11 @@ class TestGeometryProperty:
     @given(design=geometry_designs())
     def test_conditions_and_violations_match_full_margins(self, design):
         spec, part = design
-        assert spec.cov is spec.cov
-        assert not spec.cov.flags.writeable
-        if spec.gamma is not None:
-            assert spec.cov.tobytes() == _tiled_cov(spec).tobytes()
-        else:
-            assert spec.cov is spec.sigma
+        sig = _full_cov(spec)
+        idx = np.arange(spec.p)
+        assert cov_block(spec, idx, idx).tobytes() == sig.tobytes()
         (ok_a, c_a), (ok_b, c_b), (c_ab, s_set), rbar, perfect, side_a, side_b = \
-            _full_margin_reference(spec.cov, part)
+            _full_margin_reference(sig, part)
         rep = check_conditions(spec, part)
         assert (rep.cond_a_holds, rep.cond_b_holds, rep.s_set) == (ok_a, ok_b, s_set)
         assert _bits(rep.c_a, rep.c_b, rep.c_ab, rep.rho_bar) == _bits(c_a, c_b, c_ab, rbar)
@@ -566,7 +696,7 @@ class TestCovBlock:
         spec, rows, cols = req
         block = cov_block(spec, rows, cols)
         assert block.shape == (rows.size, cols.size)
-        assert block.tobytes() == spec.cov[np.ix_(rows, cols)].tobytes()
+        assert block.tobytes() == _full_cov(spec)[np.ix_(rows, cols)].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(req=block_requests())
@@ -577,7 +707,7 @@ class TestCovBlock:
         idx = np.arange(spec.p)
         assert np.diag(cov_block(spec, idx, idx)).tobytes() == spec.variances.tobytes()
         assert np.diag(cov_block(spec, rows, rows)).tobytes() == spec.variances[rows].tobytes()
-        assert np.sqrt(np.diag(spec.cov)).tobytes() == spec.sds.tobytes()
+        assert np.sqrt(np.diag(_full_cov(spec))).tobytes() == spec.sds.tobytes()
 
 
 def _schur_reference(sig: np.ndarray, keep: np.ndarray, cond: np.ndarray) -> np.ndarray:

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from maxgap import BadConfig, check_conditions, rho_bar
+from maxgap.cov import cov_block
 from maxgap.designs import KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
 
 
 def spec_of(**kwargs):
     return gen_design(DesignConfig(**kwargs))
+
+
+def full_cov(spec):
+    idx = np.arange(spec.p)
+    return cov_block(spec, idx, idx)
 
 
 class TestHomogLowrank:
@@ -78,7 +84,7 @@ class TestHeterogViolation:
 
     def test_equicorrelation(self):
         spec, _ = spec_of(kind="heterog_violation", p=8)
-        sig = spec.cov
+        sig = full_cov(spec)
         sd = spec.sds
         corr = sig / np.outer(sd, sd)
         off = corr[~np.eye(8, dtype=bool)]
@@ -96,7 +102,7 @@ class TestHeterogViolation:
 class TestFullrankEquicorr:
     def test_structure(self):
         spec, part = spec_of(kind="fullrank_equicorr", p=6, rho=0.4)
-        sig = spec.cov
+        sig = full_cov(spec)
         assert np.array_equal(np.diag(sig), np.ones(6))
         assert rho_bar(spec, part) == pytest.approx(0.4)
 
@@ -141,7 +147,7 @@ class TestExchangeableOverlap:
         spec, part = spec_of(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         assert spec.p == 16
         assert len(part.a_set) == len(part.b_set) == 8
-        sig = spec.cov
+        sig = full_cov(spec)
         # Coordinates 6, 7 of A are the same underlying coordinates as 8, 9 of B.
         assert sig[6, 8] == 1.0
         assert sig[7, 9] == 1.0
@@ -151,7 +157,7 @@ class TestExchangeableOverlap:
 
     def test_no_rho_means_independent(self):
         spec, _ = spec_of(kind="exchangeable_overlap", p=5, overlap_k=1)
-        sig = spec.cov
+        sig = full_cov(spec)
         assert sig[0, 1] == 0.0
 
     def test_validation(self):
@@ -168,11 +174,11 @@ class TestK0Split:
         spec, part = spec_of(kind="k0_split", p=30, k0=20)
         assert len(part.a_set) == 20
         assert len(part.b_set) == 10
-        assert np.array_equal(spec.cov, np.eye(30))
+        assert np.array_equal(full_cov(spec), np.eye(30))
 
     def test_rho_passthrough(self):
         spec, _ = spec_of(kind="k0_split", p=10, k0=2, rho=0.25)
-        assert spec.cov[0, 5] == 0.25
+        assert full_cov(spec)[0, 5] == 0.25
 
     def test_validation(self):
         with pytest.raises(BadConfig):

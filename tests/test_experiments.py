@@ -166,6 +166,22 @@ class TestBoundsCompare:
         assert len(rows) == 3
         assert len(calls) == 1
 
+    def test_bounds_before_sampler(self, tmp_path, monkeypatch):
+        # The report runs before the threaded sampler, whose freed chunk
+        # buffers would otherwise sit under it; a bad n_rep fails first.
+        import maxgap.experiments as experiments
+        order = []
+        for name in ("bound_report", "sample_max_diff"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, _real=real, _name=name, **k:
+                                order.append(_name) or _real(*a, **k))
+        cfg = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5, seed=4)
+        run_bounds_compare(cfg, n_rep=200, n_mc=500, out_dir=str(tmp_path))
+        assert order == ["bound_report", "sample_max_diff"]
+        with pytest.raises(maxgap.BadConfig, match="n_rep"):
+            run_bounds_compare(cfg, n_rep=0, n_mc=500, out_dir=str(tmp_path))
+        assert order == ["bound_report", "sample_max_diff"]
+
     def test_inapplicable_flags(self, tmp_path):
         cfg = DesignConfig(kind="homog_overlap", p=4, d=2, overlap_k=1, seed=5)
         _, rows, _ = run_bounds_compare(cfg, epsilons=(0.05,), n_rep=200,
