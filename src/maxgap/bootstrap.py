@@ -11,22 +11,21 @@ The probability that the argmax of Y falls inside block A is approximated by
 the fraction of replicates with max over A strictly above max over B.
 
 Replicates come in the sampler's fixed ``CHUNK``-row chunks, chunk k with
-weights from the counter-based stream keyed by (seed, k).  The chunks and
-their generators come from :func:`maxgap.sampling.chunks`, the one place a
-seed meets Philox, which also checks the seed.
-:func:`multiplier_replicates` is the batch API and keeps the whole B x p
-matrix; :func:`run_bootstrap`, which the CLI uses, reduces each chunk to its
-per-replicate M_A - M_B as it is drawn, so it holds O(CHUNK * p) memory,
-and its result equals ``argmax_prob(multiplier_replicates(...))`` bit
-for bit.  For both, a run of whole chunks is a prefix of any longer run
-with the same seed; a partial last chunk is one matmul of another height,
-which BLAS may sum in another order, so it agrees only to rounding.
+weights from the counter-based stream keyed by (seed, k), mapped by
+:func:`maxgap.sampling._map_chunks` under its chunk contract, which also
+checks the seed.  :func:`multiplier_replicates` is the batch API and keeps
+the whole B x p matrix; :func:`run_bootstrap`, which the CLI uses, reduces
+each chunk to its per-replicate M_A - M_B as it is drawn, so it holds
+O(CHUNK * p) memory, and its result equals
+``argmax_prob(multiplier_replicates(...))`` bit for bit.  For both, a run
+of whole chunks is a prefix of any longer run with the same seed; a partial
+last chunk is one matmul of another height, which BLAS may sum in another
+order, so it agrees only to rounding.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 from .cov import Partition
 from .errors import (BadConfig, DimensionMismatch, ParseError,
                      SmallSampleWarning)
-from .sampling import chunks
+from .sampling import _map_chunks
 
 # Beta(1/2, 3/2) weight moments: mean a/(a+b), variance ab/((a+b)^2 (a+b+1)).
 BETA_MEAN = 0.25
@@ -123,34 +122,30 @@ class CltRateInputs:
             raise BadConfig("c_ab must be positive")
 
 
-def _replicate_chunks(data: DataMatrix, b_reps: int, seed: int, multiplier: str):
-    """Iterator of (lo, hi, rows): replicates lo..hi, one sampler chunk at a time.
+def _replicates(data: DataMatrix, b_reps: int, multiplier: str):
+    """rows(rng, lo, hi): replicates lo..hi, with weights drawn from rng.
 
-    The arguments, the seed included, are checked at once; the chunks are
-    drawn as they are iterated.  Chunk k draws its weights from its own
-    generator of :func:`maxgap.sampling.chunks`, so its rows do not depend on
-    which other chunks are drawn, or in what order.
+    The replicate count and the multiplier are checked at once.
     """
     if b_reps < 1:
         raise BadConfig(f"b_reps must be positive, got {b_reps}")
     if multiplier not in MULTIPLIERS:
         raise BadConfig(f"multiplier must be one of {MULTIPLIERS}, got {multiplier!r}")
-    spans = chunks(seed, b_reps)
     centered = data.xi - data.xi.mean(axis=0)
     shift = math.sqrt(data.n) * data.a
     inv_sqrt_n = 1.0 / math.sqrt(data.n)
 
-    def chunk(rng: np.random.Generator, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    def rows(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         if multiplier == "gaussian":
             w = rng.standard_normal((hi - lo, data.n))
         else:
             w = (rng.beta(0.5, 1.5, size=(hi - lo, data.n)) - BETA_MEAN) / math.sqrt(BETA_VAR)
-        rows = w @ centered
-        rows *= inv_sqrt_n
-        rows += shift
-        return lo, hi, rows
+        x = w @ centered
+        x *= inv_sqrt_n
+        x += shift
+        return x
 
-    return itertools.starmap(chunk, spans)
+    return rows
 
 
 def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
@@ -160,10 +155,7 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     The batch API; :func:`run_bootstrap` reduces the same chunks without
     keeping them.
     """
-    reps = _replicate_chunks(data, b_reps, seed, multiplier)
-    out = np.empty((b_reps, data.p))
-    for lo, hi, rows in reps:
-        out[lo:hi] = rows
+    out = np.concatenate(_map_chunks(_replicates(data, b_reps, multiplier), seed, b_reps))
     out.flags.writeable = False
     return out
 
@@ -206,11 +198,15 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
     """
     if part.p != data.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, data have {data.p}")
-    reps = _replicate_chunks(data, b_reps, seed, multiplier)
+    rows = _replicates(data, b_reps, multiplier)
     diffs = np.empty(b_reps)
     a_sel, b_sel = part.blocks
-    for lo, hi, rows in reps:
-        diffs[lo:hi] = rows[:, a_sel].max(axis=1) - rows[:, b_sel].max(axis=1)
+
+    def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
+        x = rows(rng, lo, hi)
+        diffs[lo:hi] = x[:, a_sel].max(axis=1) - x[:, b_sel].max(axis=1)
+
+    _map_chunks(reduce, seed, b_reps)
     return _summarize(diffs, quantiles, multiplier, seed)
 
 

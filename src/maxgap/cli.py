@@ -198,8 +198,8 @@ def cmd_bounds_compare(args) -> int:
                   if c.startswith("ratio_") and row[c] is not None}
         pretty = " ".join(f"{k[6:]}={v:.4g}" for k, v in ratios.items())
         print(f"eps={row['epsilon']:g} {pretty}")
-        if row["inapplicable"]:
-            print(f"  inapplicable: {_inapplicable_detail(report)}")
+    if rows[0]["inapplicable"]:  # one report serves every row
+        print(f"  inapplicable: {_inapplicable_detail(report)}")
     print(f"wrote {path}")
     if _all_inapplicable(report, args.bounds):
         print("error: every requested bound is inapplicable for this design",
@@ -255,21 +255,24 @@ def cmd_selftest(args) -> int:
         print(f"selftest {label}: {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
 
-    def thread_pair(design: DesignConfig, tmp: str) -> tuple[list[dict], bool]:
-        # The 1-thread levy rows, and whether the 1- and N-thread CSVs are byte-equal.
-        runs = [experiments.run_levy_experiment(
-            design, epsilons, n_rep=reps, seed=seed,
-            out_dir=os.path.join(tmp, f"{design.kind}_run{k}"), n_threads=n)
-            for k, n in enumerate((1, threads))]
+    def thread_pair(run, design: DesignConfig, tmp: str, **kwargs) -> tuple[list[dict], bool]:
+        # The 1-thread rows of run, and whether its 1- and N-thread CSVs are byte-equal.
+        runs = [run(design, epsilons, n_rep=reps, seed=seed, n_threads=n,
+                    out_dir=os.path.join(tmp, f"{run.__name__}_{design.kind}_{k}"), **kwargs)
+                for k, n in enumerate((1, threads))]
         with open(runs[0][0], "rb") as f1, open(runs[1][0], "rb") as f2:
             return runs[0][1], f1.read() == f2.read()
 
+    # table1 is a factor plus per-coordinate noise: the noise sampler's path;
+    # bounds-compare adds every bound's expected-max pass.
+    table1 = DesignConfig(kind="table1", p=40, seed=seed)
     with tempfile.TemporaryDirectory(dir=args.out) as tmp:
-        rows, same = thread_pair(cfg, tmp)
+        rows, same = thread_pair(experiments.run_levy_experiment, cfg, tmp)
         check(f"thread determinism (1 vs {threads} threads)", same)
-        # table1 is a factor plus per-coordinate noise: the noise sampler's path.
-        _, same = thread_pair(DesignConfig(kind="table1", p=40, seed=seed), tmp)
+        _, same = thread_pair(experiments.run_levy_experiment, table1, tmp)
         check(f"noise-factor thread determinism (table1, 1 vs {threads} threads)", same)
+        _, same = thread_pair(experiments.run_bounds_compare, table1, tmp, n_mc=2000)
+        check(f"bounds-compare thread determinism (table1, 1 vs {threads} threads)", same)
     row = next(r for r in rows if r["epsilon"] == eps_check)
     truth = math.erf(eps_check / (sd * math.sqrt(2.0 * (1.0 - rho))) / math.sqrt(2.0))
     se = max(row["se"], 1e-12)

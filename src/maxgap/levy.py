@@ -7,16 +7,16 @@ closed interval [t - eps, t + eps].  The grid scan is mildly downward biased;
 an exact sliding-interval maximizer is available behind ``exact=True`` for
 oracle comparisons.
 
-Expected maxima are streamed over the sampler's keyed chunk streams, from
-:func:`maxgap.sampling.chunks`.  Coordinates are computed in fixed column
-tiles of ``EMAX_TILE``: tile t covers columns [t * EMAX_TILE, (t + 1) *
-EMAX_TILE) clipped to p, so tile edges depend on p alone, never on the
-request.  Every
-tile holding a requested coordinate is one matmul of the chunk's draws with
-that tile of the factor (plus, for a spec with noise, the tile's own noise
-normals times its noise sds), so a coordinate's per-replicate values come
-from the same operations with the same inputs whichever subsets are
-requested together.
+Expected maxima are streamed over the sampler's keyed chunks by
+:func:`maxgap.sampling._map_chunks`, under its chunk contract; each chunk
+returns its per-subset sums of maxima, which are added in chunk order.
+Coordinates are computed in fixed column tiles of ``EMAX_TILE``: tile t
+covers columns [t * EMAX_TILE, (t + 1) * EMAX_TILE) clipped to p, so tile
+edges depend on p alone, never on the request.  Every tile holding a
+requested coordinate is one matmul of the chunk's draws with that tile of
+the factor (plus, for a spec with noise, the tile's own noise normals times
+its noise sds), so a coordinate's per-replicate values come from the same
+operations with the same inputs whichever subsets are requested together.
 With fixed-order reduction this makes estimates under a common seed exactly
 monotone in the subset, and a batched request equal, bit for bit, to the
 same subsets requested one at a time (for a fixed BLAS build and BLAS thread
@@ -32,7 +32,7 @@ import numpy as np
 
 from .cov import CovSpec
 from .errors import BadConfig, EmptySample, EmptySubset
-from .sampling import (DiffSample, apply_draws, chunks, draw_width, emax_chunk_rows,
+from .sampling import (DiffSample, _map_chunks, apply_draws, draw_width, emax_chunk_rows,
                        sampling_factor)
 
 DEFAULT_GRID = 1000
@@ -158,11 +158,15 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     where = [np.searchsorted(cols, idx) for idx in idx_sets]
     sds = spec.sds[cols]
     mu = spec.mu[cols]
-    sums = [0.0] * len(idx_sets)
-    for rng, lo, hi in chunks(seed, n_mc, emax_chunk_rows(r)):
-        z = np.empty((hi - lo, r))
-        rng.standard_normal(out=z)
-        vals = np.empty((hi - lo, int(offset[-1])))
+    rows = min(emax_chunk_rows(r), n_mc)  # a shorter pass is one chunk either way
+    # Every chunk reuses one pair of buffers, since the pass maps its chunks
+    # on one thread; buffers freed per chunk are given back to the OS and
+    # page-faulted in again.
+    z_all, vals_all = np.empty((rows, r)), np.empty((rows, int(offset[-1])))
+
+    def chunk_sums(rng: np.random.Generator, lo: int, hi: int) -> list[float]:
+        z = rng.standard_normal(out=z_all[:hi - lo])
+        vals = vals_all[:hi - lo]
         for (t0, t1), a, b in zip(edges, offset, offset[1:]):
             apply_draws(z, ell[t0:t1].T, noise, t0, t1, vals[:, a:b])
         if mode == "signed":
@@ -170,7 +174,10 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
         else:
             np.abs(vals, out=vals)
             vals /= sds
-        for i, w in enumerate(where):
-            sums[i] += float(np.sum(vals[:, w].max(axis=1)))
+        return [float(np.sum(vals[:, w].max(axis=1))) for w in where]
+
+    sums = [0.0] * len(idx_sets)
+    for chunk in _map_chunks(chunk_sums, seed, n_mc, rows):
+        sums = [total + s for total, s in zip(sums, chunk)]
     return [total / n_mc for total in sums]
 

@@ -3,11 +3,13 @@
 Randomness contract: replicate rows are produced in fixed chunks of
 ``CHUNK`` rows, and chunk k draws from its own counter-based stream (Philox
 keyed by (seed, k)).  :func:`chunks` is the one place a seed meets Philox: it
-checks the seed and hands out each chunk's span and generator, to the
-sampler, the expected-max passes and the bootstrap alike.  Chunk streams are
-stateless and independent of execution order, so serial and thread-parallel
-runs produce bit-identical values for any sampler thread count, and a run of
-whole chunks is a prefix of any longer run with the same seed.  Bit-identity
+checks the seed and hands out each chunk's span and generator.
+:func:`_map_chunks` is the one loop over them and the one thread pool, for
+the sampler, the expected-max passes and the bootstrap alike: each chunk's
+result is a function of its own generator alone, and the caller reduces the
+results in chunk order.  So serial and thread-parallel runs produce
+bit-identical values for any thread count, and a run of whole chunks is a
+prefix of any longer run with the same seed.  Bit-identity
 holds under a fixed BLAS build and BLAS thread count: each chunk is one
 matmul, and BLAS libraries may sum in another order when their own thread
 count changes (OpenBLAS does, in the last bits, between
@@ -17,7 +19,7 @@ rounding.  The factor of an explicit covariance is an eigendecomposition,
 which may then also return another basis of a repeated eigenvalue's
 eigenspace, so such a spec's draws can differ by more than rounding.
 
-Two paths share one chunk draw and one thread pool.  :func:`sample` is the
+Two paths share one chunk draw.  :func:`sample` is the
 batch API: it keeps the whole n_rep x p matrix, as the tests' reference.
 :func:`sample_max_diff`, which the CLI commands use, reduces each chunk to
 its per-replicate M_B - M_A as soon as it is drawn, so it holds
@@ -129,46 +131,52 @@ def chunks(seed: int, n: int, rows: int = CHUNK):
             for k, lo in enumerate(range(0, n, rows)))
 
 
-def check_run(n_rep: int, seed: int, n_threads: int) -> list:
-    """The run's :func:`chunks`, once the replicate and thread counts are checked."""
+def check_run(n_rep: int, seed: int, n_threads: int) -> None:
+    """Check a sampler run's replicate count, seed and thread count."""
     if n_rep < 1:
         raise BadConfig(f"n_rep must be positive, got {n_rep}")
     if n_threads < 1:
         raise BadConfig(f"n_threads must be positive, got {n_threads}")
-    return list(chunks(seed, n_rep))
+    chunks(seed, n_rep)  # checks the seed
 
 
-def _run_chunks(spec: CovSpec, todo: list, n_threads: int, handle) -> None:
-    """Call handle(lo, hi, fill) once per chunk of todo, on up to n_threads threads.
+def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) -> list:
+    """``[fn(rng, lo, hi) for (rng, lo, hi) in chunks(seed, n, rows)]``, in chunk order.
 
-    fill(out) writes the chunk's rows of X = L Z + noise * W + mu, drawn
-    from the chunk's generator and applied by :func:`apply_draws` as one
-    (rows, d) @ (d, p) matmul (d the columns of L), into the (hi - lo) x p
-    array out and returns it.  Every sampler path draws through here, so
-    they all see the same numbers.
+    The one loop over :func:`chunks` and the one thread pool, serving the
+    sampler, the expected-max passes and the bootstrap.  The chunk contract:
+    fn may read only its own chunk's generator and write only rows lo..hi of
+    an output, so its result does not depend on which thread ran it or when;
+    the caller reduces the results in chunk order, so a reduction is the
+    same floats for any thread count.  With n_threads > 1 the chunks run on
+    a pool of at most one worker per chunk.
+    """
+    todo = chunks(seed, n, rows)
+    n_chunks = len(range(0, n, rows))
+    if n_threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=min(n_threads, n_chunks)) as pool:
+            return list(pool.map(lambda chunk: fn(*chunk), todo))
+    return [fn(*chunk) for chunk in todo]
+
+
+def _chunk_draw(spec: CovSpec):
+    """fill(rng, out): one chunk of X = L Z + noise * W + mu, drawn from rng, into out.
+
+    The draws are applied by :func:`apply_draws` as one (rows, d) @ (d, p)
+    matmul (d the columns of L) into the rows x p array out, which fill
+    returns.  Every sampler path draws through here, so they all see the
+    same numbers.
     """
     r = draw_width(spec)
     lt = np.ascontiguousarray(sampling_factor(spec).T)
-    mu, noise = spec.mu, spec.noise
 
-    def run(chunk) -> None:
-        rng, lo, hi = chunk
+    def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        z = rng.standard_normal((out.shape[0], r))
+        apply_draws(z, lt, spec.noise, 0, spec.p, out)
+        out += spec.mu
+        return out
 
-        def fill(out: np.ndarray) -> np.ndarray:
-            z = np.empty((hi - lo, r))
-            rng.standard_normal(out=z)
-            apply_draws(z, lt, noise, 0, spec.p, out)
-            out += mu
-            return out
-
-        handle(lo, hi, fill)
-
-    if n_threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=min(n_threads, len(todo))) as pool:
-            list(pool.map(run, todo))
-    else:
-        for chunk in todo:
-            run(chunk)
+    return fill
 
 
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
@@ -178,9 +186,10 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     who fills which chunk, never the numbers.  Holds all n_rep x p values;
     :func:`sample_max_diff` streams them instead.
     """
-    todo = check_run(n_rep, seed, n_threads)
+    check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
-    _run_chunks(spec, todo, n_threads, lambda lo, hi, fill: fill(data[lo:hi]))
+    fill = _chunk_draw(spec)
+    _map_chunks(lambda rng, lo, hi: fill(rng, data[lo:hi]), seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
     return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=int(seed))
 
@@ -194,15 +203,16 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """
     if part.p != spec.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
-    todo = check_run(n_rep, seed, n_threads)
+    check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
     a_sel, b_sel = part.blocks
+    fill = _chunk_draw(spec)
 
-    def reduce(lo: int, hi: int, fill) -> None:
-        x = fill(np.empty((hi - lo, spec.p)))
+    def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
+        x = fill(rng, np.empty((hi - lo, spec.p)))
         values[lo:hi] = x[:, b_sel].max(axis=1) - x[:, a_sel].max(axis=1)
 
-    _run_chunks(spec, todo, n_threads, reduce)
+    _map_chunks(reduce, seed, n_rep, n_threads=n_threads)
     return _diff_sample(values, part)
 
 

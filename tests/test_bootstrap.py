@@ -11,7 +11,7 @@ from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
                     DimensionMismatch, ParseError, Partition,
                     SmallSampleWarning, argmax_prob, clt_rate, load_csv,
                     multiplier_replicates, run_bootstrap, sample)
-from maxgap.bootstrap import BETA_MEAN, BETA_VAR, _parse_rows
+from maxgap.bootstrap import BETA_MEAN, BETA_VAR, MULTIPLIERS, _parse_rows
 from maxgap.experiments import write_json
 from maxgap.sampling import CHUNK, chunk_rng
 
@@ -154,6 +154,25 @@ class TestStreamedBootstrap:
         assert streamed.prob_argmax_in_a == batch.prob_argmax_in_a
         assert streamed.quantiles == batch.quantiles
         assert streamed.to_json_dict() == batch.to_json_dict()
+
+    @pytest.mark.parametrize("multiplier", MULTIPLIERS)
+    def test_equals_chunk_by_chunk_reference(self, multiplier):
+        # Three CHUNK-row chunks, each weighted from its own chunk_rng.
+        rng = np.random.default_rng(12)
+        data = DataMatrix(rng.standard_normal((20, 5)), a=rng.standard_normal(5) * 0.1)
+        part = Partition((3, 0), (1, 2, 4), 5)
+        b_reps, seed = 2 * CHUNK + 5, 13
+        centered = data.xi - data.xi.mean(axis=0)
+        diffs = []
+        for k, lo in enumerate(range(0, b_reps, CHUNK)):
+            shape = (min(lo + CHUNK, b_reps) - lo, data.n)
+            gen = chunk_rng(seed, k)
+            w = (gen.standard_normal(shape) if multiplier == "gaussian"
+                 else (gen.beta(0.5, 1.5, size=shape) - BETA_MEAN) / math.sqrt(BETA_VAR))
+            x = (w @ centered) * (1.0 / math.sqrt(data.n)) + math.sqrt(data.n) * data.a
+            diffs.append(x[:, [0, 3]].max(axis=1) - x[:, [1, 2, 4]].max(axis=1))
+        got = run_bootstrap(data, part, b_reps, seed, multiplier=multiplier)
+        assert got.diffs.tobytes() == np.concatenate(diffs).tobytes()
 
     def test_partition_checked(self):
         data = DataMatrix(np.arange(6.0).reshape(3, 2) ** 2)

@@ -144,6 +144,24 @@ class TestBoundsCompareCommand:
             row, = csv.DictReader(fh)
         assert row["inapplicable"] == "baseline:singular_covariance"
 
+    def test_inapplicable_line_printed_once(self, capsys, tmp_path):
+        # One report serves every epsilon: one line after the rows, while
+        # each CSV row keeps its own column.
+        code, out, _ = run(capsys, "bounds-compare", "--kind", "homog_lowrank",
+                           "--p", "6", "--d", "2", "--reps", "100", "--mc", "500",
+                           "--eps", "0.01,0.05,0.2", "--bounds", "homogeneous,baseline",
+                           "--out", str(tmp_path))
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert [ln for ln in lines if "inapplicable:" in ln] == [
+            "  inapplicable: baseline:singular_covariance "
+            "(covariance rank is at most 2, below p = 6)"]
+        assert [ln.split()[0] for ln in lines[:3]] == ["eps=0.01", "eps=0.05", "eps=0.2"]
+        (path,) = tmp_path.glob("bounds_*.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["inapplicable"] for r in rows] == ["baseline:singular_covariance"] * 3
+
     def test_single_max_rescues_overlap_design(self, capsys, tmp_path):
         code, _, _ = run(capsys, "bounds-compare", "--kind", "homog_overlap",
                          "--p", "4", "--d", "2", "--k", "1", "--reps", "100",
@@ -309,7 +327,8 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--reps", "4000",
                            "--threads", "2", "--out", str(tmp_path))
         assert code == EXIT_OK
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
+        assert "bounds-compare thread determinism" in out
         assert "FAIL" not in out
 
     def test_failed_check_exits_1(self, capsys, tmp_path):
@@ -317,7 +336,7 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--reps", "1",
                            "--threads", "2", "--out", str(tmp_path))
         assert code == EXIT_SELFTEST_FAILED == 1
-        assert out.count("FAIL") == 1 and out.count("PASS") == 2
+        assert out.count("FAIL") == 1 and out.count("PASS") == 3
 
     def test_one_thread_still_compares_two_runs(self, capsys, tmp_path, monkeypatch):
         # With --threads 1 both runs of a determinism check share a thread

@@ -9,6 +9,7 @@ from scipy import integrate
 from maxgap import (BadConfig, CovSpec, EmptySample, EmptySubset, Partition,
                     expected_max_many, levy_curve, levy_hat, max_diff, sample)
 from maxgap.levy import EMAX_TILE
+from maxgap.sampling import chunk_rng, emax_chunk_rows
 
 from conftest import dyadic, phi
 
@@ -246,6 +247,27 @@ class TestExpectedMax:
         separate = [expected_max_many(spec, [s], n_mc=10000, seed=8)[0]
                     for s in subsets]
         assert batched == separate
+
+    @pytest.mark.parametrize("mode", ["abs_std", "signed"])
+    def test_equals_chunk_by_chunk_reference(self, mode):
+        # Three chunks of emax_chunk_rows(d) rows, each drawn from its own
+        # chunk_rng and summed in chunk order, give the same floats.
+        rng = np.random.default_rng(18)
+        gamma, mu = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        spec = CovSpec.factor(gamma, mu=mu)
+        subsets = [[0, 1], [1, 2, 4]]
+        rows = emax_chunk_rows(3)
+        n_mc, seed = 2 * rows + 7, 11
+        sums = [0.0] * len(subsets)
+        for k, lo in enumerate(range(0, n_mc, rows)):
+            z = chunk_rng(seed, k).standard_normal((min(lo + rows, n_mc) - lo, 3))
+            x = z @ gamma.T
+            x = x + mu if mode == "signed" else np.abs(x) / spec.sds
+            for i, s in enumerate(subsets):
+                sums[i] += float(np.sum(x[:, s].max(axis=1)))
+        want = [total / n_mc for total in sums]
+        got = expected_max_many(spec, subsets, n_mc, seed, mode)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_validation(self):
         spec = CovSpec.explicit(np.eye(2))

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -80,10 +81,33 @@ class TestSampleDeterminism:
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording_pool)
+        spans = sampling._map_chunks(lambda rng, lo, hi: (lo, hi), seed=5, n=2 * CHUNK + 1,
+                                     n_threads=10 ** 9)
+        assert sizes == [3]
+        assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
         spec = CovSpec.explicit(np.eye(2))
         many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
-        assert sizes == [3]
+        assert sizes == [3, 3]
         assert np.array_equal(many.data, sample(spec, 2 * CHUNK + 1, seed=5).data)
+
+
+class TestChunkRunner:
+    def test_results_in_chunk_order_when_a_later_chunk_finishes_first(self):
+        # Chunk 0 waits until chunk 1 has finished, on two threads.
+        chunk1_done, finished = threading.Event(), []
+
+        def fn(rng, lo, hi):
+            if lo == 0:
+                assert chunk1_done.wait(timeout=30)
+            finished.append(lo)
+            if lo == CHUNK:
+                chunk1_done.set()
+            return lo, hi, rng.standard_normal()
+
+        got = sampling._map_chunks(fn, seed=3, n=2 * CHUNK, n_threads=2)
+        assert finished == [CHUNK, 0]
+        assert got == [(0, CHUNK, chunk_rng(3, 0).standard_normal()),
+                       (CHUNK, 2 * CHUNK, chunk_rng(3, 1).standard_normal())]
 
 
 N_REPS = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK)
