@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 from .bounds import ALL_BOUNDS, Inapplicable
 from .cov import Partition
@@ -361,17 +362,34 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    try:
-        args = parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    except (ParseError, IoError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except MaxgapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_printer(warnings.showwarning)
+        try:
+            args = parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else EXIT_OK
+        except (ParseError, IoError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_IO
+        except MaxgapError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+
+
+def _warning_printer(show):
+    """A ``warnings.showwarning`` that prints a maxgap warning as one stderr line.
+
+    ``warning: <message>``, with no source location; any other warning goes
+    to show, Python's own printer.
+    """
+    def showwarning(message, category, filename, lineno, file=None, line=None):
+        if category.__module__.partition(".")[0] == __package__:
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+
+    return showwarning
 
 
 if __name__ == "__main__":

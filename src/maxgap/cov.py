@@ -10,8 +10,9 @@ evaluators in :mod:`maxgap.bounds`.
 
 Every diagnostic reads Sigma through :func:`cov_block`, one block at a time.
 A factor spec never forms its p x p matrix: each block is filled from fixed
-``COV_TILE``-row tiles of the factor, so an entry's bits do not depend on
-which other entries a block holds.  Two quantities of a factor spec read no
+``TILE``-row tiles of the factor, so an entry's bits do not depend on
+which other entries a block holds, and :func:`rho_bar` reads Sigma[A, B]
+one tile-wide strip of B at a time.  Two quantities of a factor spec read no
 block of Sigma at all: the residuals given a block with noise on every
 coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`) and
 the smallest eigenvalue (an inertia count on that core, or the singular
@@ -49,7 +50,7 @@ TOL_EIG_CLIP = 1e-10     # eigenvalues below TOL_EIG_CLIP * max(1, lam_max) are 
 TOL_CORR = 1e-9          # correlations >= 1 - TOL_CORR count as perfect
 TOL_COND = 1e-9          # slack in the within-block normalization test
 RCOND_MIN = 1e-12        # minimum relative condition number for block inversion
-COV_TILE = 256           # factor rows per Sigma tile; fixes the bits of every block
+TILE = 256               # coordinates per tile of Sigma, of a draw and of an expected-max pass
 _SECULAR_STEPS = 200     # cap on min_eigenvalue's bracketing steps
 _EPS = float(np.finfo(float).eps)
 _NEAR = math.sqrt(_EPS)  # a pole within _NEAR * var_i of lam stays explicit in the count
@@ -192,6 +193,17 @@ def _check_mu(mu: np.ndarray | None, p: int) -> np.ndarray:
     return mu
 
 
+def column_selector(idx) -> slice | np.ndarray:
+    """Distinct indices idx as a column selector: a slice when they form a range, else an array.
+
+    ``x[:, sel]`` is then a view for a range and a copy otherwise; either
+    selects the same columns, and a maximum does not depend on their order.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    lo, hi = int(idx.min()), int(idx.max()) + 1
+    return slice(lo, hi) if hi - lo == idx.size else idx
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty index sets a_set, b_set covering range(p).
@@ -229,18 +241,8 @@ class Partition:
 
     @property
     def blocks(self) -> tuple[slice | np.ndarray, slice | np.ndarray]:
-        """Column selectors of A and B for block maxima.
-
-        A block whose indices form a contiguous range is a slice, so
-        ``x[:, sel]`` is a view rather than a copy; any other block is its
-        index array.  Either selects the same columns, and a maximum does not
-        depend on their order.
-        """
-        def select(block: tuple[int, ...]) -> slice | np.ndarray:
-            lo, hi = min(block), max(block) + 1
-            return slice(lo, hi) if hi - lo == len(block) else np.asarray(block, dtype=np.intp)
-
-        return select(self.a_set), select(self.b_set)
+        """Column selectors of A and B for block maxima (:func:`column_selector`)."""
+        return column_selector(self.a_set), column_selector(self.b_set)
 
     def to_json_dict(self) -> dict:
         return {"a": list(self.a_set), "b": list(self.b_set), "p": self.p}
@@ -284,25 +286,36 @@ class ConditionReport:
     m_b: float
 
 
+def tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
+    """Edges (t0, t1) of the listed tiles of range(p), every tile by default.
+
+    Tile t covers coordinates [t * TILE, min((t + 1) * TILE, p)), so its
+    edges depend on p alone.  The covariance blocks, the sampler and the
+    expected-max passes all cut coordinates at these edges.
+    """
+    tiles = range(-(-p // TILE)) if tiles is None else tiles
+    return [(int(t) * TILE, min((int(t) + 1) * TILE, p)) for t in tiles]
+
+
 def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     """New array Sigma[rows][:, cols], the same bits for any rows and cols.
 
     An explicit spec slices sigma.  A factor spec forms no p x p matrix: the
-    block is filled from fixed ``COV_TILE`` x ``COV_TILE`` tiles of Sigma.
-    With gamma_i the rows [i * COV_TILE, (i + 1) * COV_TILE) of gamma, tile
-    (i, j) with i <= j is computed once per block as gamma_i gamma_j^T; a
-    diagonal tile is symmetrized exactly and its diagonal is overwritten by
-    the rows' :attr:`CovSpec.variances`, and tile (j, i) is the transpose of
-    tile (i, j).  So every entry is read from the same tile whichever block
-    holds it, Sigma is exactly symmetric, and its diagonal is
-    ``spec.variances`` bit for bit.
+    block is filled from fixed ``TILE`` x ``TILE`` tiles of Sigma.  With
+    gamma_i the rows of gamma in tile i (:func:`tile_edges`), tile (i, j)
+    with i <= j is computed once per block as gamma_i gamma_j^T; a diagonal
+    tile is symmetrized exactly and its diagonal is overwritten by the rows'
+    :attr:`CovSpec.variances`, and tile (j, i) is the transpose of tile
+    (i, j).  So every entry is read from the same tile whichever block holds
+    it, Sigma is exactly symmetric, and its diagonal is ``spec.variances``
+    bit for bit.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     if spec.sigma is not None:
         return spec.sigma[np.ix_(rows, cols)]
     out = np.empty((rows.size, cols.size))
-    row_tiles, col_tiles = _by_tile(rows), _by_tile(cols)
+    row_tiles, col_tiles = by_tile(rows), by_tile(cols)
     for i, j in sorted({(min(i, j), max(i, j)) for i in row_tiles for j in col_tiles}):
         tile = _tile(spec, i, j)
         placements = [(i, j, tile)] if i == j else [(i, j, tile), (j, i, tile.T)]
@@ -313,25 +326,25 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     return out
 
 
-def _by_tile(idx: np.ndarray) -> dict:
-    # tile -> (positions in idx of its indices, their offsets within the tile).
-    tile = idx // COV_TILE
+def by_tile(idx: np.ndarray) -> dict:
+    """tile -> (positions in idx of its indices, their offsets within the tile), in tile order."""
+    tile = idx // TILE
     out = {}
     for t in np.unique(tile):
         pos = np.flatnonzero(tile == t)
-        out[int(t)] = (pos, idx[pos] - int(t) * COV_TILE)
+        out[int(t)] = (pos, idx[pos] - int(t) * TILE)
     return out
 
 
 def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
     """Tile (i, j), i <= j, of a factor spec's Sigma."""
-    rows_i = slice(i * COV_TILE, (i + 1) * COV_TILE)
-    g_i = spec.gamma[rows_i]
+    (i0, i1), (j0, j1) = tile_edges(spec.p, (i, j))
+    g_i = spec.gamma[i0:i1]
     if i != j:
-        return g_i @ spec.gamma[j * COV_TILE:(j + 1) * COV_TILE].T
+        return g_i @ spec.gamma[j0:j1].T
     t = g_i @ g_i.T
     t = (t + t.T) * 0.5
-    t[np.diag_indices_from(t)] = spec.variances[rows_i]
+    t[np.diag_indices_from(t)] = spec.variances[i0:i1]
     return t
 
 
@@ -354,8 +367,23 @@ def _clamped_max(cross: np.ndarray) -> float:
 
 
 def rho_bar(spec: CovSpec, part: Partition) -> float:
-    """Largest cross-block correlation, clamped to [-1, 1]."""
-    return _clamped_max(cross_corr(spec, part))
+    """Largest cross-block correlation, clamped to [-1, 1].
+
+    Reads Sigma[A, B] in strips: the columns of B that lie in one tile at a
+    time, so it holds |A| x ``TILE`` values, never the |A| x |B| block.  Each
+    entry comes from the same tile as in :func:`cross_corr`, and a maximum is
+    exact, so the value equals ``_clamped_max(cross_corr(spec, part))`` bit
+    for bit.
+    """
+    _check_part(spec, part)
+    a, b = part.a_idx, part.b_idx
+    sd = spec.sds
+    best = -np.inf
+    for pos, _ in by_tile(b).values():
+        strip = b[pos]
+        block = cov_block(spec, a, strip)
+        best = max(best, float(np.max(_corr(block, sd, a, strip, out=block))))
+    return float(np.clip(best, -1.0, 1.0))
 
 
 def _row_margins(sd: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -471,19 +499,21 @@ def min_eigenvalue(spec: CovSpec) -> float:
     """Smallest eigenvalue of Sigma.
 
     An explicit spec runs ``eigvalsh`` on sigma.  A factor spec forms no
-    p x p matrix.  Without noise, Sigma = F F^T with F = gamma, and
-    lam_min is the square of F's p-th singular value (zero when d < p): one
-    SVD of F, whose relative accuracy a d x d Gram matrix would square away.
-    With noise, D = diag(noise^2), a coordinate whose row of F is zero is an
+    p x p matrix.  With no noise or the same noise sd c on every coordinate,
+    Sigma = F F^T + c^2 I with F = gamma, and lam_min is c^2 plus the square
+    of F's p-th singular value (zero when d < p): one SVD of F, whose
+    relative accuracy a d x d Gram matrix would square away.  With other
+    noise, D = diag(noise^2), a coordinate whose row of F is zero is an
     eigenvector with eigenvalue D_i, and :func:`_secular_min` finds lam_min
     of the other coordinates on the d x d core.
     """
     if spec.sigma is not None:
         return float(np.linalg.eigvalsh(spec.sigma)[0])
-    if spec.noise is None or not spec.noise.any():
+    if spec.noise is None or np.all(spec.noise == spec.noise[0]):
+        shift = 0.0 if spec.noise is None else float(spec.noise[0]) ** 2
         if spec.gamma.shape[1] < spec.p:
-            return 0.0
-        return float(np.linalg.svd(spec.gamma, compute_uv=False)[-1]) ** 2
+            return shift
+        return shift + float(np.linalg.svd(spec.gamma, compute_uv=False)[-1]) ** 2
     dsq = spec.noise ** 2
     loaded = np.any(spec.gamma != 0.0, axis=1)
     lam = float(dsq[~loaded].min(initial=np.inf))

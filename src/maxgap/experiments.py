@@ -122,9 +122,10 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
     """Concentration-vs-epsilon table for one design."""
     seed = cfg.seed if seed is None else int(seed)
     spec, part = gen_design(cfg)
-    # rho_bar reads its cross block before sampling: memory freed by the sampler
-    # threads stays in their allocator arenas, so a block read afterwards would
-    # add to the peak RSS instead of reusing it.
+    # rho_bar reads Sigma[A, B] one tile-wide strip at a time, so its peak no
+    # longer depends on running before the sampler.  It stays first to keep one
+    # stage order in every command: covariance geometry, then sampling, as in
+    # run_bounds_compare.
     rbar = rho_bar(spec, part)
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     estimates = levy_curve(diffs, sorted(float(e) for e in epsilons), grid_points=grid_points)
@@ -258,7 +259,7 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
 def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
                  grid_points: int, n_threads: int) -> dict:
     spec, part = gen_design(cfg)
-    rbar = rho_bar(spec, part)  # before the sampler, as in run_levy_experiment
+    rbar = rho_bar(spec, part)  # geometry before sampling, as in run_levy_experiment
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     est = levy_hat(diffs, epsilon, grid_points=grid_points)
     row = {

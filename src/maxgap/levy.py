@@ -10,10 +10,11 @@ oracle comparisons.
 Expected maxima are streamed over the sampler's keyed chunks by
 :func:`maxgap.sampling._map_chunks`, under its chunk contract; each chunk
 returns its per-subset sums of maxima, which are added in chunk order.
-Coordinates are computed in fixed column tiles of ``EMAX_TILE``: tile t
-covers columns [t * EMAX_TILE, (t + 1) * EMAX_TILE) clipped to p, so tile
-edges depend on p alone, never on the request.  Every tile holding a
-requested coordinate is one matmul of the chunk's draws with that tile of
+Coordinates are computed in the fixed column tiles of
+:func:`maxgap.cov.tile_edges`: tile t covers columns
+[t * TILE, (t + 1) * TILE) clipped to p, so tile edges depend on p alone,
+never on the request.  Every tile holding a requested coordinate is one
+matmul of the chunk's draws with that tile of
 the factor (plus, for a spec with noise, the tile's own noise normals times
 its noise sds), so a coordinate's per-replicate values come from the same
 operations with the same inputs whichever subsets are requested together.
@@ -30,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovSpec
+from .cov import TILE, CovSpec, tile_edges
 from .errors import BadConfig, EmptySample, EmptySubset
 from .sampling import (DiffSample, _map_chunks, apply_draws, draw_width, emax_chunk_rows,
                        sampling_factor)
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
-EMAX_TILE = 256   # factor rows per expected-max matmul; part of the CRN contract
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     mode "signed":  max over the subset of X itself.
 
     Returns one mean per subset.  Each chunk computes the
-    ``EMAX_TILE`` column tiles that hold a requested coordinate, so subsets
+    ``TILE``-wide column tiles that hold a requested coordinate, so subsets
     sharing coordinates share the per-replicate coordinate values bit for bit.
     """
     if n_mc < 1:
@@ -148,11 +148,11 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     ell = sampling_factor(spec)
     p, r = ell.shape[0], draw_width(spec)
     noise = spec.noise
-    tiles = (np.unique(np.concatenate(idx_sets) // EMAX_TILE) if idx_sets
+    tiles = (np.unique(np.concatenate(idx_sets) // TILE) if idx_sets
              else np.empty(0, np.intp))
     # The requested tiles side by side in column order: tile j fills block
     # columns offset[j] .. offset[j + 1], and block column k holds coordinate cols[k].
-    edges = [(int(t) * EMAX_TILE, min((int(t) + 1) * EMAX_TILE, p)) for t in tiles]
+    edges = tile_edges(p, tiles)
     offset = np.cumsum([0] + [hi - lo for lo, hi in edges])
     cols = np.concatenate([np.arange(lo, hi) for lo, hi in edges]) if edges else offset[:0]
     where = [np.searchsorted(cols, idx) for idx in idx_sets]

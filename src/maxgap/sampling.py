@@ -10,8 +10,8 @@ result is a function of its own generator alone, and the caller reduces the
 results in chunk order.  So serial and thread-parallel runs produce
 bit-identical values for any thread count, and a run of whole chunks is a
 prefix of any longer run with the same seed.  Bit-identity
-holds under a fixed BLAS build and BLAS thread count: each chunk is one
-matmul, and BLAS libraries may sum in another order when their own thread
+holds under a fixed BLAS build and BLAS thread count: each tile of a chunk
+is one matmul, and BLAS libraries may sum in another order when their own thread
 count changes (OpenBLAS does, in the last bits, between
 ``OPENBLAS_NUM_THREADS=1`` and ``2``) or when the matmul height changes, so
 the rows of a partial last chunk agree with a longer run only to
@@ -19,12 +19,15 @@ rounding.  The factor of an explicit covariance is an eigendecomposition,
 which may then also return another basis of a repeated eigenvalue's
 eigenspace, so such a spec's draws can differ by more than rounding.
 
-Two paths share one chunk draw.  :func:`sample` is the
-batch API: it keeps the whole n_rep x p matrix, as the tests' reference.
-:func:`sample_max_diff`, which the CLI commands use, reduces each chunk to
-its per-replicate M_B - M_A as soon as it is drawn, so it holds
-O(CHUNK * p) memory per sampler thread, and its values equal
-``max_diff(sample(...))`` bit for bit (a maximum is exact).  Thread and
+Two paths share one chunk draw, which applies the chunk's normals one
+``TILE``-wide tile of coordinates at a time (:func:`maxgap.cov.tile_edges`).
+:func:`sample` is the batch API: it writes each tile into the whole
+n_rep x p matrix it keeps, as the tests' reference.
+:func:`sample_max_diff`, which the CLI commands use, folds each tile into
+running maxima of A and B as soon as it is applied, so a sampler thread
+holds the chunk's normals and O(CHUNK * TILE) values, never a CHUNK x p
+block, and its values equal ``max_diff(sample(...))`` bit for bit: both
+paths run the same matmuls, and a maximum is exact.  Thread and
 whole-chunk prefix bit-identity hold for both paths.
 
 The normal generation method is numpy's ziggurat, fixed per build and
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovSpec, Partition
+from .cov import TILE, CovSpec, Partition, by_tile, column_selector, tile_edges
 from .errors import BadConfig, DimensionMismatch
 
 CHUNK = 1024
@@ -160,23 +163,27 @@ def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) ->
 
 
 def _chunk_draw(spec: CovSpec):
-    """fill(rng, out): one chunk of X = L Z + noise * W + mu, drawn from rng, into out.
+    """draw(rng, rows, out): one chunk of X = L Z + noise * W + mu, tile by tile.
 
-    The draws are applied by :func:`apply_draws` as one (rows, d) @ (d, p)
-    matmul (d the columns of L) into the rows x p array out, which fill
-    returns.  Every sampler path draws through here, so they all see the
-    same numbers.
+    draw takes the chunk's rows x r normals from rng and yields (t, x) for
+    each tile t of :func:`maxgap.cov.tile_edges`: x = out(t0, t1), a
+    rows x (t1 - t0) array, into which :func:`apply_draws` has written the
+    tile's coordinates as one (rows, d) @ (d, t1 - t0) matmul (d the columns
+    of L), plus mu.  Every sampler path draws through here, so they all see
+    the same numbers.
     """
     r = draw_width(spec)
     lt = np.ascontiguousarray(sampling_factor(spec).T)
+    edges = tile_edges(spec.p)
 
-    def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        z = rng.standard_normal((out.shape[0], r))
-        apply_draws(z, lt, spec.noise, 0, spec.p, out)
-        out += spec.mu
-        return out
+    def draw(rng: np.random.Generator, rows: int, out):
+        z = rng.standard_normal((rows, r))
+        for t, (t0, t1) in enumerate(edges):
+            x = apply_draws(z, lt[:, t0:t1], spec.noise, t0, t1, out(t0, t1))
+            x += spec.mu[t0:t1]
+            yield t, x
 
-    return fill
+    return draw
 
 
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
@@ -188,29 +195,43 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     """
     check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
-    fill = _chunk_draw(spec)
-    _map_chunks(lambda rng, lo, hi: fill(rng, data[lo:hi]), seed, n_rep, n_threads=n_threads)
+    draw = _chunk_draw(spec)
+
+    def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+        for _ in draw(rng, hi - lo, lambda t0, t1: data[lo:hi, t0:t1]):
+            pass
+
+    _map_chunks(fill, seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
     return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=int(seed))
 
 
 def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
                     n_threads: int = 1) -> DiffSample:
-    """Per-replicate M_B - M_A of n_rep draws, reduced chunk by chunk.
+    """Per-replicate M_B - M_A of n_rep draws, reduced tile by tile.
 
     Equal, bit for bit, to ``max_diff(sample(spec, n_rep, seed, n_threads), part)``
-    but never holds more than one chunk of draws per sampler thread.
+    but holds, per sampler thread, one chunk of normals and one
+    ``CHUNK`` x ``TILE`` tile of draws, which it folds into running maxima.
     """
     if part.p != spec.p:
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
     check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
-    a_sel, b_sel = part.blocks
-    fill = _chunk_draw(spec)
+    # tile -> column selector, within the tile, of the block's coordinates there.
+    a_sel, b_sel = ({t: column_selector(off) for t, (_, off) in by_tile(idx).items()}
+                    for idx in (part.a_idx, part.b_idx))
+    draw = _chunk_draw(spec)
 
     def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
-        x = fill(rng, np.empty((hi - lo, spec.p)))
-        values[lo:hi] = x[:, b_sel].max(axis=1) - x[:, a_sel].max(axis=1)
+        rows = hi - lo
+        buf = np.empty((rows, min(TILE, spec.p)))
+        m_a, m_b = np.full(rows, -np.inf), np.full(rows, -np.inf)
+        for t, x in draw(rng, rows, lambda t0, t1: buf[:, :t1 - t0]):
+            for sel, m in ((a_sel, m_a), (b_sel, m_b)):
+                if t in sel:
+                    np.maximum(m, x[:, sel[t]].max(axis=1), out=m)
+        np.subtract(m_b, m_a, out=values[lo:hi])
 
     _map_chunks(reduce, seed, n_rep, n_threads=n_threads)
     return _diff_sample(values, part)
@@ -220,7 +241,7 @@ def emax_chunk_rows(r: int) -> int:
     """Chunk height for streaming expected-max passes.
 
     About 4 MB of draws per chunk, a power of two in [256, 4096].  A pure
-    function of r, so the chunk shapes, and with the fixed ``EMAX_TILE``
+    function of r, so the chunk shapes, and with the fixed ``TILE``-wide
     column tiles every matmul of a pass, depend on the model alone, never on
     which subsets are requested.
     """

@@ -310,6 +310,17 @@ class TestBootstrapCommand:
         assert code == EXIT_IO
         assert one_error_line(err) and "at row 2, column 2" in err
 
+    def test_small_sample_warning_is_one_line(self, capsys, tmp_path):
+        data = self.write_csv(tmp_path, n=200, p=30)
+        code, _, err = run(capsys, "bootstrap", "--data", data, "--split", "10",
+                           "--breps", "500", "--out", str(tmp_path / "boot.json"))
+        assert code == EXIT_OK
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: b_n^2 log^5(pn) = ")
+        assert lines[0].endswith("exceeds n = 200; rate is vacuous at this sample size")
+        assert ".py:" not in err
+
     def test_json_out_file(self, capsys, tmp_path):
         data = self.write_csv(tmp_path)
         out_path = str(tmp_path / "boot.json")

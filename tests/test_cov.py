@@ -11,7 +11,7 @@ from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
                     rho_bar, sample_max_diff, sqrt_factor)
 from maxgap import cov
-from maxgap.cov import COV_TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, cov_block, min_eigenvalue
+from maxgap.cov import TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, cov_block, min_eigenvalue
 from maxgap.designs import KINDS, DesignConfig, gen_design
 
 from conftest import footnote_factor, random_psd, spy_calls
@@ -342,7 +342,7 @@ class TestResidualCov:
         # Schur complements of the same matrix given explicitly to 1e-12 of
         # its largest entry.
         rng = np.random.default_rng(4)
-        p = COV_TILE + 40
+        p = TILE + 40
         spec = CovSpec.factor(rng.standard_normal((p, 6)),
                               noise=0.1 + np.abs(rng.standard_normal(p)))
         part = Partition(tuple(range(0, p, 2)), tuple(range(1, p, 2)), p)
@@ -369,10 +369,10 @@ def eigen_specs(draw):
     Noise specs may have zero loading rows, spread, repeated or constant
     noise, zero noise sds on up to d loaded rows, and d >= p.  Noise-free
     factors are full width (d >= p), the only ones the baseline's rank gate
-    lets through.  Some specs span two ``COV_TILE`` tiles.
+    lets through.  Some specs span two ``TILE`` tiles.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p = draw(st.one_of(st.integers(2, 12), st.integers(COV_TILE - 8, COV_TILE + 40)))
+    p = draw(st.one_of(st.integers(2, 12), st.integers(TILE - 8, TILE + 40)))
     scale = np.exp(0.5 * rng.standard_normal((p, 1)))
     if draw(st.booleans()):
         return CovSpec.factor(rng.standard_normal((p, p + draw(st.integers(0, 3)))) * scale)
@@ -421,6 +421,22 @@ class TestMinEigenvalue:
         spec = CovSpec.factor(gamma, noise=np.full(6, 0.5))
         assert min_eigenvalue(spec) == 0.25
 
+    def test_constant_noise_takes_singular_values(self):
+        # Sigma - c^2 I = gamma gamma^T, so lam_min is c^2 plus the square of
+        # gamma's smallest singular value.  This spec puts lam_min 1.7e-6
+        # above the pole c^2, where a count on the core loses about 1e-9.
+        rng = np.random.default_rng(262)
+        p = d = 262
+        scale = np.exp(0.5 * rng.standard_normal((p, 1)))
+        gamma = rng.standard_normal((p, d)) * scale
+        rng.random(p)
+        c = float(np.exp(rng.standard_normal()))
+        assert c == 0.42290459337195785
+        spec = CovSpec.factor(gamma, noise=np.full(p, c))
+        w = np.linalg.eigvalsh(_tiled_cov(spec))
+        tol = 1e-10 * abs(w[0]) + math.sqrt(p) * np.finfo(float).eps * w[-1]
+        assert abs(min_eigenvalue(spec) - w[0]) <= tol
+
     def test_count_on_a_pole(self, monkeypatch):
         # D = (1, 25, 49) with d = 2 brackets lam_min in [1, 49], whose
         # midpoint is the pole 25.  The count there keeps that row explicit,
@@ -455,7 +471,7 @@ class TestMinEigenvalue:
 def woodbury_designs(draw):
     """A factor spec with noise on every coordinate and a scattered partition."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p = draw(st.one_of(st.integers(2, 12), st.integers(COV_TILE + 1, COV_TILE + 40)))
+    p = draw(st.one_of(st.integers(2, 12), st.integers(TILE + 1, TILE + 40)))
     d = draw(st.integers(1, 8))
     gamma = rng.standard_normal((p, d)) * np.exp(0.5 * rng.standard_normal((p, 1)))
     noise = np.exp(0.5 * rng.standard_normal(p))
@@ -552,10 +568,10 @@ def geometry_designs(draw):
     Factor specs may be rank deficient and repeat rows, which puts perfectly
     correlated pairs across the partition; row scales spread the variances
     so the separation margins take both signs.  Some specs span two
-    ``COV_TILE`` tiles.
+    ``TILE`` tiles.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p = draw(st.one_of(st.integers(2, 10), st.integers(COV_TILE + 1, COV_TILE + 40)))
+    p = draw(st.one_of(st.integers(2, 10), st.integers(TILE + 1, TILE + 40)))
     d = draw(st.integers(1, 8))
     repeats = draw(st.integers(0, 3))
     form = draw(st.sampled_from(("factor", "noise", "explicit")))
@@ -577,8 +593,8 @@ def geometry_designs(draw):
 
 
 def _tiled_cov(spec: CovSpec) -> np.ndarray:
-    """Sigma of a factor spec from COV_TILE-row tiles of gamma, the documented layout."""
-    g, p, t = spec.gamma, spec.p, COV_TILE
+    """Sigma of a factor spec from TILE-row tiles of gamma, the documented layout."""
+    g, p, t = spec.gamma, spec.p, TILE
     sig = np.empty((p, p))
     for i in range(0, p, t):
         for j in range(i, p, t):
@@ -669,7 +685,7 @@ def block_requests(draw):
     indices in any order, with repeats.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p = draw(st.sampled_from((16, COV_TILE + 16, 2 * COV_TILE + 16)))
+    p = draw(st.sampled_from((16, TILE + 16, 2 * TILE + 16)))
     kind = draw(st.sampled_from(KINDS + ("noise",)))
     if kind == "noise":
         spec = _noisy_factor(rng, p, draw(st.integers(1, 6)), draw(st.integers(0, 3)))
@@ -680,7 +696,7 @@ def block_requests(draw):
     def index() -> np.ndarray:
         if draw(st.booleans()):
             lo = draw(st.integers(0, spec.p - 1))
-            return np.arange(lo, min(lo + draw(st.integers(1, 2 * COV_TILE)), spec.p))
+            return np.arange(lo, min(lo + draw(st.integers(1, 2 * TILE)), spec.p))
         return rng.integers(0, spec.p, size=draw(st.integers(1, 40)))
 
     return spec, index(), index()

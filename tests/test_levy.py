@@ -8,7 +8,7 @@ from scipy import integrate
 
 from maxgap import (BadConfig, CovSpec, EmptySample, EmptySubset, Partition,
                     expected_max_many, levy_curve, levy_hat, max_diff, sample)
-from maxgap.levy import EMAX_TILE
+from maxgap.cov import TILE
 from maxgap.sampling import chunk_rng, emax_chunk_rows
 
 from conftest import dyadic, phi
@@ -289,12 +289,12 @@ def tiled_requests(draw):
     """A factor spec over up to about 3 tiles, with or without noise, and
     subsets that cross tile edges.
     """
-    p = draw(st.integers(1, 3 * EMAX_TILE + 7))
+    p = draw(st.integers(1, 3 * TILE + 7))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gamma, mu = rng.standard_normal((p, draw(st.integers(1, 40)))), rng.standard_normal(p)
     noise = np.abs(rng.standard_normal(p)) if draw(st.booleans()) else None
     spec = CovSpec.factor(gamma, mu=mu, noise=noise)
-    edges = [t * EMAX_TILE for t in range(1, (p - 1) // EMAX_TILE + 1)] or [0]
+    edges = [t * TILE for t in range(1, (p - 1) // TILE + 1)] or [0]
     lo = st.builds(lambda e, back: max(e - back, 0), st.sampled_from(edges),
                    st.integers(0, 8))
     spans = st.builds(lambda a, n: list(range(a, min(a + n, p))), lo, st.integers(1, 20))
@@ -329,13 +329,13 @@ def test_noise_spec_matches_dense_factor():
     # The same normals feed gamma and the noise columns of the dense factor
     # [gamma | diag(noise)], chunk by chunk.
     rng = np.random.default_rng(3)
-    p, d = 2 * EMAX_TILE + 9, 4
+    p, d = 2 * TILE + 9, 4
     gamma = rng.standard_normal((p, d))
     noise = np.abs(rng.standard_normal(p))
     mu = rng.standard_normal(p)
     noisy = CovSpec.factor(gamma, mu=mu, noise=noise)
     dense = CovSpec.factor(np.hstack([gamma, np.diag(noise)]), mu=mu)
-    subsets = [range(p), range(EMAX_TILE - 3, EMAX_TILE + 40), [0, p - 1]]
+    subsets = [range(p), range(TILE - 3, TILE + 40), [0, p - 1]]
     for mode in MODES:
         got = np.array(expected_max_many(noisy, subsets, 3000, seed=8, mode=mode))
         want = np.array(expected_max_many(dense, subsets, 3000, seed=8, mode=mode))

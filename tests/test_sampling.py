@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, max_diff,
                     sample)
 from maxgap import sampling
+from maxgap.cov import TILE, _clamped_max, cross_corr, rho_bar, tile_edges
 from maxgap.sampling import CHUNK, chunk_rng, chunks, emax_chunk_rows, sample_max_diff
 
 
@@ -115,15 +117,19 @@ N_REPS = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK)
 
 @st.composite
 def streamed_designs(draw):
-    """A factor spec, with or without noise, with nonzero mean and a
-    contiguous, scattered or overlap partition.
+    """A factor spec, with or without noise, with nonzero mean, and a partition.
 
-    An overlap partition duplicates the shared coordinates of a base law, so
-    the partition of the stacked model stays disjoint.
+    p is small or lies across a tile edge (TILE - 1, TILE + 1, 2 * TILE + 3).
+    The partition is contiguous, scattered, interleaved (A every k-th
+    coordinate, so both blocks are index arrays within each tile), inner (A a
+    range that lies inside one tile) or overlap.  An overlap partition
+    duplicates the shared coordinates of a base law, so the partition of the
+    stacked model stays disjoint.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    layout = draw(st.sampled_from(("contiguous", "scattered", "overlap")))
-    q, r = draw(st.integers(2, 9)), draw(st.integers(1, 6))
+    layout = draw(st.sampled_from(("contiguous", "scattered", "interleaved", "inner", "overlap")))
+    q = draw(st.one_of(st.integers(2, 9), st.sampled_from((TILE - 1, TILE + 1, 2 * TILE + 3))))
+    r = draw(st.integers(1, 6))
     base = rng.standard_normal((q, r))
     if layout == "overlap":
         k = draw(st.integers(1, q - 1))
@@ -133,9 +139,18 @@ def streamed_designs(draw):
         part = Partition.split(gamma.shape[0], a_rows.size)
     else:
         gamma = base
-        order = rng.permutation(q) if layout == "scattered" else np.arange(q)
-        k = draw(st.integers(1, q - 1))
-        part = Partition(tuple(order[:k]), tuple(order[k:]), q)
+        if layout == "interleaved":
+            a = np.arange(draw(st.integers(0, min(2, q - 1))), q, draw(st.integers(2, 5)))
+        elif layout == "inner":
+            t0, t1 = draw(st.sampled_from(tile_edges(q)))
+            lo = draw(st.integers(t0, t1 - 1))
+            a = np.arange(lo, draw(st.integers(lo + 1, t1)))
+        else:
+            order = rng.permutation(q) if layout == "scattered" else np.arange(q)
+            a = order[:draw(st.integers(1, q - 1))]
+        if a.size == q:
+            a = a[:-1]
+        part = Partition(tuple(a), tuple(np.setdiff1d(np.arange(q), a)), q)
     mu = rng.standard_normal(gamma.shape[0]) * 3.0
     noise = np.abs(rng.standard_normal(gamma.shape[0])) if draw(st.booleans()) else None
     return CovSpec.factor(gamma, mu=mu, noise=noise), part
@@ -184,6 +199,63 @@ class TestSampleMaxDiff:
         spec = CovSpec.explicit(np.eye(2))
         with pytest.raises(BadConfig):
             sample_max_diff(spec, Partition.split(2, 1), n_rep, seed=1, n_threads=n_threads)
+
+
+class TestTiledMemory:
+    """Peaks of the tile-streamed paths, which do not grow with p.
+
+    tracemalloc sees numpy's buffers.  The designs are low rank with an
+    interleaved partition, so each tile's block columns are index-array copies.
+    """
+
+    D = 20
+
+    @staticmethod
+    def design(p: int, d: int):
+        rng = np.random.default_rng(p)
+        order = rng.permutation(p)
+        part = Partition(tuple(order[:p // 2]), tuple(order[p // 2:]), p)
+        return CovSpec.factor(rng.standard_normal((p, d))), part
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_sampler_holds_one_tile_per_thread(self, p, n_threads):
+        # Per thread: the chunk's normals, one CHUNK x TILE tile and a copy of
+        # its block columns; besides them the factor, its transpose and the output.
+        spec, part = self.design(p, self.D)
+        n_rep = 4 * CHUNK
+        peak = self.peak(lambda: sample_max_diff(spec, part, n_rep, seed=5, n_threads=n_threads))
+        bound = 2 * CHUNK * (TILE + self.D) * 8 * n_threads + 2 * p * self.D * 8 + n_rep * 8
+        assert peak < bound
+
+    @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
+    def test_rho_bar_holds_one_strip(self, p):
+        # One |A| x TILE strip of Sigma[A, B], its sds' outer product and the
+        # TILE x TILE tiles it is filled from; besides them the factor.
+        spec, part = self.design(p, self.D)
+        a = len(part.a_set)
+        peak = self.peak(lambda: rho_bar(spec, part))
+        bound = 4 * a * TILE * 8 + p * self.D * 8
+        assert peak < bound
+
+    def test_rho_bar_equals_cross_corr_max(self):
+        # A and B interleave within every tile, so a strip's rows and columns
+        # share their tiles, and B's last tile is partial.
+        rng = np.random.default_rng(4)
+        p = 2 * TILE + 3
+        spec = CovSpec.factor(rng.standard_normal((p, 5)), noise=np.exp(rng.standard_normal(p)))
+        part = Partition(tuple(range(0, p, 3)), tuple(i for i in range(p) if i % 3), p)
+        want = _clamped_max(cross_corr(spec, part))
+        assert np.float64(rho_bar(spec, part)).tobytes() == np.float64(want).tobytes()
 
 
 class TestSampleMoments:
