@@ -193,7 +193,7 @@ def _check_mu(mu: np.ndarray | None, p: int) -> np.ndarray:
     return mu
 
 
-def column_selector(idx) -> slice | np.ndarray:
+def _column_selector(idx) -> slice | np.ndarray:
     """Distinct indices idx as a column selector: a slice when they form a range, else an array.
 
     ``x[:, sel]`` is then a view for a range and a copy otherwise; either
@@ -241,8 +241,8 @@ class Partition:
 
     @property
     def blocks(self) -> tuple[slice | np.ndarray, slice | np.ndarray]:
-        """Column selectors of A and B for block maxima (:func:`column_selector`)."""
-        return column_selector(self.a_set), column_selector(self.b_set)
+        """Column selectors of A and B for block maxima (:func:`_column_selector`)."""
+        return _column_selector(self.a_set), _column_selector(self.b_set)
 
     def to_json_dict(self) -> dict:
         return {"a": list(self.a_set), "b": list(self.b_set), "p": self.p}
@@ -286,7 +286,7 @@ class ConditionReport:
     m_b: float
 
 
-def tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
+def _tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
     """Edges (t0, t1) of the listed tiles of range(p), every tile by default.
 
     Tile t covers coordinates [t * TILE, min((t + 1) * TILE, p)), so its
@@ -302,7 +302,7 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
 
     An explicit spec slices sigma.  A factor spec forms no p x p matrix: the
     block is filled from fixed ``TILE`` x ``TILE`` tiles of Sigma.  With
-    gamma_i the rows of gamma in tile i (:func:`tile_edges`), tile (i, j)
+    gamma_i the rows of gamma in tile i (:func:`_tile_edges`), tile (i, j)
     with i <= j is computed once per block as gamma_i gamma_j^T; a diagonal
     tile is symmetrized exactly and its diagonal is overwritten by the rows'
     :attr:`CovSpec.variances`, and tile (j, i) is the transpose of tile
@@ -315,7 +315,7 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     if spec.sigma is not None:
         return spec.sigma[np.ix_(rows, cols)]
     out = np.empty((rows.size, cols.size))
-    row_tiles, col_tiles = by_tile(rows), by_tile(cols)
+    row_tiles, col_tiles = _by_tile(rows), _by_tile(cols)
     for i, j in sorted({(min(i, j), max(i, j)) for i in row_tiles for j in col_tiles}):
         tile = _tile(spec, i, j)
         placements = [(i, j, tile)] if i == j else [(i, j, tile), (j, i, tile.T)]
@@ -326,7 +326,7 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     return out
 
 
-def by_tile(idx: np.ndarray) -> dict:
+def _by_tile(idx: np.ndarray) -> dict:
     """tile -> (positions in idx of its indices, their offsets within the tile), in tile order."""
     tile = idx // TILE
     out = {}
@@ -338,7 +338,7 @@ def by_tile(idx: np.ndarray) -> dict:
 
 def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
     """Tile (i, j), i <= j, of a factor spec's Sigma."""
-    (i0, i1), (j0, j1) = tile_edges(spec.p, (i, j))
+    (i0, i1), (j0, j1) = _tile_edges(spec.p, (i, j))
     g_i = spec.gamma[i0:i1]
     if i != j:
         return g_i @ spec.gamma[j0:j1].T
@@ -377,13 +377,8 @@ def rho_bar(spec: CovSpec, part: Partition) -> float:
     """
     _check_part(spec, part)
     a, b = part.a_idx, part.b_idx
-    sd = spec.sds
-    best = -np.inf
-    for pos, _ in by_tile(b).values():
-        strip = b[pos]
-        block = cov_block(spec, a, strip)
-        best = max(best, float(np.max(_corr(block, sd, a, strip, out=block))))
-    return float(np.clip(best, -1.0, 1.0))
+    strips = [b[pos] for pos, _ in _by_tile(b).values()]
+    return max(_clamped_max(_corr(cov_block(spec, a, s), spec.sds, a, s)) for s in strips)
 
 
 def _row_margins(sd: np.ndarray, block: np.ndarray) -> np.ndarray:

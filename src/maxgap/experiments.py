@@ -122,10 +122,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
     """Concentration-vs-epsilon table for one design."""
     seed = cfg.seed if seed is None else int(seed)
     spec, part = gen_design(cfg)
-    # rho_bar reads Sigma[A, B] one tile-wide strip at a time, so its peak no
-    # longer depends on running before the sampler.  It stays first to keep one
-    # stage order in every command: covariance geometry, then sampling, as in
-    # run_bounds_compare.
+    # Covariance geometry before sampling, the stage order of every command.
     rbar = rho_bar(spec, part)
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
     estimates = levy_curve(diffs, sorted(float(e) for e in epsilons), grid_points=grid_points)

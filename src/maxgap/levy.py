@@ -11,7 +11,7 @@ Expected maxima are streamed over the sampler's keyed chunks by
 :func:`maxgap.sampling._map_chunks`, under its chunk contract; each chunk
 returns its per-subset sums of maxima, which are added in chunk order.
 Coordinates are computed in the fixed column tiles of
-:func:`maxgap.cov.tile_edges`: tile t covers columns
+:func:`maxgap.cov._tile_edges`: tile t covers columns
 [t * TILE, (t + 1) * TILE) clipped to p, so tile edges depend on p alone,
 never on the request.  Every tile holding a requested coordinate is one
 matmul of the chunk's draws with that tile of
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import TILE, CovSpec, tile_edges
+from .cov import TILE, CovSpec, _tile_edges
 from .errors import BadConfig, EmptySample, EmptySubset
 from .sampling import (DiffSample, _map_chunks, apply_draws, draw_width, emax_chunk_rows,
                        sampling_factor)
@@ -152,7 +152,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
              else np.empty(0, np.intp))
     # The requested tiles side by side in column order: tile j fills block
     # columns offset[j] .. offset[j + 1], and block column k holds coordinate cols[k].
-    edges = tile_edges(p, tiles)
+    edges = _tile_edges(p, tiles)
     offset = np.cumsum([0] + [hi - lo for lo, hi in edges])
     cols = np.concatenate([np.arange(lo, hi) for lo, hi in edges]) if edges else offset[:0]
     where = [np.searchsorted(cols, idx) for idx in idx_sets]

@@ -20,7 +20,7 @@ which may then also return another basis of a repeated eigenvalue's
 eigenspace, so such a spec's draws can differ by more than rounding.
 
 Two paths share one chunk draw, which applies the chunk's normals one
-``TILE``-wide tile of coordinates at a time (:func:`maxgap.cov.tile_edges`).
+``TILE``-wide tile of coordinates at a time (:func:`maxgap.cov._tile_edges`).
 :func:`sample` is the batch API: it writes each tile into the whole
 n_rep x p matrix it keeps, as the tests' reference.
 :func:`sample_max_diff`, which the CLI commands use, folds each tile into
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import TILE, CovSpec, Partition, by_tile, column_selector, tile_edges
+from .cov import TILE, CovSpec, Partition, _by_tile, _column_selector, _tile_edges
 from .errors import BadConfig, DimensionMismatch
 
 CHUNK = 1024
@@ -166,7 +166,7 @@ def _chunk_draw(spec: CovSpec):
     """draw(rng, rows, out): one chunk of X = L Z + noise * W + mu, tile by tile.
 
     draw takes the chunk's rows x r normals from rng and yields (t, x) for
-    each tile t of :func:`maxgap.cov.tile_edges`: x = out(t0, t1), a
+    each tile t of :func:`maxgap.cov._tile_edges`: x = out(t0, t1), a
     rows x (t1 - t0) array, into which :func:`apply_draws` has written the
     tile's coordinates as one (rows, d) @ (d, t1 - t0) matmul (d the columns
     of L), plus mu.  Every sampler path draws through here, so they all see
@@ -174,7 +174,7 @@ def _chunk_draw(spec: CovSpec):
     """
     r = draw_width(spec)
     lt = np.ascontiguousarray(sampling_factor(spec).T)
-    edges = tile_edges(spec.p)
+    edges = _tile_edges(spec.p)
 
     def draw(rng: np.random.Generator, rows: int, out):
         z = rng.standard_normal((rows, r))
@@ -219,7 +219,7 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
     # tile -> column selector, within the tile, of the block's coordinates there.
-    a_sel, b_sel = ({t: column_selector(off) for t, (_, off) in by_tile(idx).items()}
+    a_sel, b_sel = ({t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
                     for idx in (part.a_idx, part.b_idx))
     draw = _chunk_draw(spec)
 

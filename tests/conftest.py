@@ -1,18 +1,16 @@
 """Shared helpers for the test suite.
 
-``HYPOTHESIS_PROFILE=ci`` loads the ``ci`` profile, which prints the
-reproduction blob of a falsifying example; the example counts and the
-randomness stay at each test's settings.
+Hypothesis prints the reproduction blob of every falsifying example; the
+example counts and the randomness stay at each test's settings.
 """
 
 import math
-import os
 
 import numpy as np
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("blob", print_blob=True)
+settings.load_profile("blob")
 
 GRAIN = 2.0 ** -20
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, max_diff,
                     sample)
 from maxgap import sampling
-from maxgap.cov import TILE, _clamped_max, cross_corr, rho_bar, tile_edges
+from maxgap.cov import TILE, _clamped_max, _tile_edges, cross_corr, rho_bar
 from maxgap.sampling import CHUNK, chunk_rng, chunks, emax_chunk_rows, sample_max_diff
 
 
@@ -142,7 +142,7 @@ def streamed_designs(draw):
         if layout == "interleaved":
             a = np.arange(draw(st.integers(0, min(2, q - 1))), q, draw(st.integers(2, 5)))
         elif layout == "inner":
-            t0, t1 = draw(st.sampled_from(tile_edges(q)))
+            t0, t1 = draw(st.sampled_from(_tile_edges(q)))
             lo = draw(st.integers(t0, t1 - 1))
             a = np.arange(lo, draw(st.integers(lo + 1, t1)))
         else:
