@@ -21,7 +21,8 @@ from .bounds import ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_repor
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
-from .levy import DEFAULT_GRID, LevyEstimate, expected_max_many, levy_curve, levy_hat
+from .levy import (DEFAULT_GRID, LevyEstimate, check_epsilon, expected_max_many, levy_curve,
+                   levy_hat)
 from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -121,11 +122,12 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
                         out_dir: str = ".", n_threads: int = 1) -> tuple[str, list[dict]]:
     """Concentration-vs-epsilon table for one design."""
     seed = cfg.seed if seed is None else int(seed)
+    eps_list = sorted(check_epsilon(e) for e in epsilons)
     spec, part = gen_design(cfg)
     # Covariance geometry before sampling, the stage order of every command.
     rbar = rho_bar(spec, part)
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    estimates = levy_curve(diffs, sorted(float(e) for e in epsilons), grid_points=grid_points)
+    estimates = levy_curve(diffs, eps_list, grid_points=grid_points)
     sigma_hat = float(np.mean(spec.sds))
     scale = math.sqrt(math.log(spec.p)) / sigma_hat
     rows = [{
@@ -185,7 +187,7 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
     seed = cfg.seed if seed is None else int(seed)
-    eps_list = [float(e) for e in (epsilons if np.iterable(epsilons) else (epsilons,))]
+    eps_list = [check_epsilon(e) for e in (epsilons if np.iterable(epsilons) else (epsilons,))]
     spec, part = gen_design(cfg)
     mc = McConfig(n_mc=int(n_mc), seed=seed) if n_mc is not None else McConfig(seed=seed)
     overlap = cfg.overlap_k if cfg.kind == "exchangeable_overlap" else None
@@ -223,6 +225,7 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
     """
     if kind not in SCALING_KINDS:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {SCALING_KINDS}")
+    check_epsilon(epsilon)
     rows = []
 
     def point_seed(i: int) -> int:

@@ -4,24 +4,17 @@ The concentration value of a sample at half-width eps is estimated by
 scanning a fixed grid of centers t (grid endpoints are the sample min and
 max, both included) and taking the largest empirical probability of the
 closed interval [t - eps, t + eps].  The grid scan is mildly downward biased;
-an exact sliding-interval maximizer is available behind ``exact=True`` for
-oracle comparisons.
+an exact sliding-interval maximizer is available behind ``exact=True``, the
+tests' reference that the grid scan may not exceed.
 
-Expected maxima are streamed over the sampler's keyed chunks by
-:func:`maxgap.sampling._map_chunks`, under its chunk contract; each chunk
-returns its per-subset sums of maxima, which are added in chunk order.
-Coordinates are computed in the fixed column tiles of
-:func:`maxgap.cov._tile_edges`: tile t covers columns
-[t * TILE, (t + 1) * TILE) clipped to p, so tile edges depend on p alone,
-never on the request.  Every tile holding a requested coordinate is one
-matmul of the chunk's draws with that tile of
-the factor (plus, for a spec with noise, the tile's own noise normals times
-its noise sds), so a coordinate's per-replicate values come from the same
-operations with the same inputs whichever subsets are requested together.
-With fixed-order reduction this makes estimates under a common seed exactly
-monotone in the subset, and a batched request equal, bit for bit, to the
-same subsets requested one at a time (for a fixed BLAS build and BLAS thread
-count).
+Expected maxima stream the sampler's keyed chunks and its chunk draw: each
+chunk is folded tile by tile into per-row maxima of every requested subset
+(see :mod:`maxgap.sampling`), and the chunks' sums of maxima are added in
+chunk order.  A coordinate's per-replicate values come from the same
+operations on the same inputs whichever subsets are requested together, so
+estimates under a common seed are exactly monotone in the subset, and a
+batched request equals, bit for bit, the same subsets requested one at a
+time (for a fixed BLAS build and BLAS thread count).
 """
 
 from __future__ import annotations
@@ -31,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import TILE, CovSpec, _tile_edges
+from .cov import CovSpec
 from .errors import BadConfig, EmptySample, EmptySubset
-from .sampling import (DiffSample, _map_chunks, apply_draws, draw_width, emax_chunk_rows,
-                       sampling_factor)
+from .sampling import DiffSample, _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
@@ -136,48 +128,31 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     mode "abs_std": max over the subset of |X - mu| / sd.
     mode "signed":  max over the subset of X itself.
 
-    Returns one mean per subset.  Each chunk computes the
-    ``TILE``-wide column tiles that hold a requested coordinate, so subsets
-    sharing coordinates share the per-replicate coordinate values bit for bit.
+    Returns one mean per subset.  Each chunk draws the ``TILE``-wide column
+    tiles that hold a requested coordinate, so subsets sharing coordinates
+    share the per-replicate coordinate values bit for bit.
     """
     if n_mc < 1:
         raise BadConfig(f"n_mc must be positive, got {n_mc}")
     if mode not in ("abs_std", "signed"):
         raise BadConfig(f"unknown expected-max mode {mode!r}")
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
-    ell = sampling_factor(spec)
-    p, r = ell.shape[0], draw_width(spec)
-    noise = spec.noise
-    tiles = (np.unique(np.concatenate(idx_sets) // TILE) if idx_sets
-             else np.empty(0, np.intp))
-    # The requested tiles side by side in column order: tile j fills block
-    # columns offset[j] .. offset[j + 1], and block column k holds coordinate cols[k].
-    edges = _tile_edges(p, tiles)
-    offset = np.cumsum([0] + [hi - lo for lo, hi in edges])
-    cols = np.concatenate([np.arange(lo, hi) for lo, hi in edges]) if edges else offset[:0]
-    where = [np.searchsorted(cols, idx) for idx in idx_sets]
-    sds = spec.sds[cols]
-    mu = spec.mu[cols]
-    rows = min(emax_chunk_rows(r), n_mc)  # a shorter pass is one chunk either way
-    # Every chunk reuses one pair of buffers, since the pass maps its chunks
-    # on one thread; buffers freed per chunk are given back to the OS and
-    # page-faulted in again.
-    z_all, vals_all = np.empty((rows, r)), np.empty((rows, int(offset[-1])))
+    sds = spec.sds
+
+    def post(x: np.ndarray, t0: int, t1: int) -> None:
+        if mode == "signed":
+            x += spec.mu[t0:t1]
+        else:
+            np.abs(x, out=x)
+            x /= sds[t0:t1]
+
+    fold = _chunk_maxima(spec, idx_sets, post)
+    rows = min(emax_chunk_rows(draw_width(spec)), n_mc)  # a shorter pass is one chunk either way
 
     def chunk_sums(rng: np.random.Generator, lo: int, hi: int) -> list[float]:
-        z = rng.standard_normal(out=z_all[:hi - lo])
-        vals = vals_all[:hi - lo]
-        for (t0, t1), a, b in zip(edges, offset, offset[1:]):
-            apply_draws(z, ell[t0:t1].T, noise, t0, t1, vals[:, a:b])
-        if mode == "signed":
-            vals += mu
-        else:
-            np.abs(vals, out=vals)
-            vals /= sds
-        return [float(np.sum(vals[:, w].max(axis=1))) for w in where]
+        return [float(np.sum(m)) for m in fold(rng, hi - lo)]
 
     sums = [0.0] * len(idx_sets)
     for chunk in _map_chunks(chunk_sums, seed, n_mc, rows):
         sums = [total + s for total, s in zip(sums, chunk)]
     return [total / n_mc for total in sums]
-

@@ -19,16 +19,16 @@ rounding.  The factor of an explicit covariance is an eigendecomposition,
 which may then also return another basis of a repeated eigenvalue's
 eigenspace, so such a spec's draws can differ by more than rounding.
 
-Two paths share one chunk draw, which applies the chunk's normals one
-``TILE``-wide tile of coordinates at a time (:func:`maxgap.cov._tile_edges`).
-:func:`sample` is the batch API: it writes each tile into the whole
-n_rep x p matrix it keeps, as the tests' reference.
-:func:`sample_max_diff`, which the CLI commands use, folds each tile into
-running maxima of A and B as soon as it is applied, so a sampler thread
-holds the chunk's normals and O(CHUNK * TILE) values, never a CHUNK x p
-block, and its values equal ``max_diff(sample(...))`` bit for bit: both
-paths run the same matmuls, and a maximum is exact.  Thread and
-whole-chunk prefix bit-identity hold for both paths.
+Three paths share one chunk draw, :func:`_chunk_draw`, which turns the
+chunk's normals into coordinates one ``TILE``-wide tile at a time
+(:func:`maxgap.cov._tile_edges`).  :func:`sample`, the batch API and the
+tests' reference, writes each tile into the n_rep x p matrix it keeps.
+:func:`sample_max_diff`, which the CLI commands use, and the expected-max
+passes fold each tile into running per-row maxima as soon as it is drawn
+(:func:`_chunk_maxima`), so a chunk holds its normals and O(rows * TILE)
+values, never a rows x p block.  All three run the same matmuls, and a
+maximum is exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))``
+bit for bit.  Thread and whole-chunk prefix bit-identity hold for every path.
 
 The normal generation method is numpy's ziggurat, fixed per build and
 recorded as ``RNG_METHOD`` in every CSV sidecar.
@@ -96,28 +96,10 @@ def draw_width(spec: CovSpec) -> int:
     """Normals per row of a draw: the r columns of L, plus p for a spec with noise.
 
     This is the width of the dense factor [L | diag(noise)], and
-    :func:`apply_draws` reads the columns in that factor's layout, so a spec
+    :func:`_chunk_draw` reads the columns in that factor's layout, so a spec
     with noise consumes the same normals as that factor.
     """
     return spec.root.shape[1] + (spec.p if spec.noise is not None else 0)
-
-
-def apply_draws(z: np.ndarray, lt: np.ndarray, noise: np.ndarray | None, t0: int, t1: int,
-                out: np.ndarray) -> np.ndarray:
-    """Write coordinates t0..t1 of the draws z, before mu, into out and return it.
-
-    The one place the layout of :func:`draw_width` is read: columns [0, d)
-    of z feed L, through lt = L[t0:t1]^T (d x (t1 - t0)), and column d + j
-    feeds coordinate j's noise.  The noise columns t0..t1 of z are scaled
-    in place, so each may be applied once per draw.
-    """
-    d = lt.shape[0]
-    np.matmul(z[:, :d], lt, out=out)
-    if noise is not None:
-        w = z[:, d + t0:d + t1]
-        w *= noise[t0:t1]
-        out += w
-    return out
 
 
 def chunks(seed: int, n: int, rows: int = CHUNK):
@@ -162,28 +144,59 @@ def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) ->
     return [fn(*chunk) for chunk in todo]
 
 
-def _chunk_draw(spec: CovSpec):
-    """draw(rng, rows, out): one chunk of X = L Z + noise * W + mu, tile by tile.
+def _chunk_draw(spec: CovSpec, tiles=None):
+    """draw(rng, rows, out): one chunk of X - mu = L Z + noise * W, tile by tile.
 
-    draw takes the chunk's rows x r normals from rng and yields (t, x) for
-    each tile t of :func:`maxgap.cov._tile_edges`: x = out(t0, t1), a
-    rows x (t1 - t0) array, into which :func:`apply_draws` has written the
-    tile's coordinates as one (rows, d) @ (d, t1 - t0) matmul (d the columns
-    of L), plus mu.  Every sampler path draws through here, so they all see
-    the same numbers.
+    The one place normals become coordinates.  draw takes rows x
+    :func:`draw_width` normals from rng and yields (t0, t1, x) for each listed
+    tile (every tile by default): x = out(t0, t1), a rows x (t1 - t0) array,
+    holds coordinates t0..t1 before mu.  Normal columns [0, d) feed L, in one
+    (rows, d) @ (d, t1 - t0) matmul per tile, and column d + j feeds
+    coordinate j's noise, so a tile's values do not depend on the tiles listed.
     """
-    r = draw_width(spec)
-    lt = np.ascontiguousarray(sampling_factor(spec).T)
-    edges = _tile_edges(spec.p)
+    ell, r = sampling_factor(spec), draw_width(spec)
+    d, noise = ell.shape[1], spec.noise
+    lt = np.ascontiguousarray(ell.T)
+    edges = _tile_edges(spec.p, tiles)
 
     def draw(rng: np.random.Generator, rows: int, out):
         z = rng.standard_normal((rows, r))
-        for t, (t0, t1) in enumerate(edges):
-            x = apply_draws(z, lt[:, t0:t1], spec.noise, t0, t1, out(t0, t1))
-            x += spec.mu[t0:t1]
-            yield t, x
+        for t0, t1 in edges:
+            x = np.matmul(z[:, :d], lt[:, t0:t1], out=out(t0, t1))
+            if noise is not None:
+                w = z[:, d + t0:d + t1]
+                w *= noise[t0:t1]
+                x += w
+            yield t0, t1, x
 
     return draw
+
+
+def _chunk_maxima(spec: CovSpec, subsets, post):
+    """fold(rng, rows): a chunk's per-row maxima of each subset, tile by tile.
+
+    fold draws only the tiles holding a subset coordinate, applies
+    post(x, t0, t1) to each tile x in place and folds it into one running
+    maximum per subset, so it holds the chunk's normals, one rows x ``TILE``
+    tile and, where a subset's columns in it are not a range, their copy.
+    """
+    # tile -> column selector, within the tile, of each subset's coordinates there.
+    sels = [{t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
+            for idx in subsets]
+    draw = _chunk_draw(spec, sorted(set().union(*sels)))
+
+    def fold(rng: np.random.Generator, rows: int) -> list[np.ndarray]:
+        buf = np.empty((rows, min(TILE, spec.p)))
+        maxima = [np.full(rows, -np.inf) for _ in sels]
+        for t0, t1, x in draw(rng, rows, lambda t0, t1: buf[:, :t1 - t0]):
+            post(x, t0, t1)
+            t = t0 // TILE
+            for sel, m in zip(sels, maxima):
+                if t in sel:
+                    np.maximum(m, x[:, sel[t]].max(axis=1), out=m)
+        return maxima
+
+    return fold
 
 
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
@@ -198,8 +211,8 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
     draw = _chunk_draw(spec)
 
     def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
-        for _ in draw(rng, hi - lo, lambda t0, t1: data[lo:hi, t0:t1]):
-            pass
+        for t0, t1, x in draw(rng, hi - lo, lambda t0, t1: data[lo:hi, t0:t1]):
+            x += spec.mu[t0:t1]
 
     _map_chunks(fill, seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
@@ -218,19 +231,11 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
     check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
-    # tile -> column selector, within the tile, of the block's coordinates there.
-    a_sel, b_sel = ({t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
-                    for idx in (part.a_idx, part.b_idx))
-    draw = _chunk_draw(spec)
+    fold = _chunk_maxima(spec, (part.a_idx, part.b_idx),
+                         lambda x, t0, t1: np.add(x, spec.mu[t0:t1], out=x))
 
     def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
-        rows = hi - lo
-        buf = np.empty((rows, min(TILE, spec.p)))
-        m_a, m_b = np.full(rows, -np.inf), np.full(rows, -np.inf)
-        for t, x in draw(rng, rows, lambda t0, t1: buf[:, :t1 - t0]):
-            for sel, m in ((a_sel, m_a), (b_sel, m_b)):
-                if t in sel:
-                    np.maximum(m, x[:, sel[t]].max(axis=1), out=m)
+        m_a, m_b = fold(rng, hi - lo)
         np.subtract(m_b, m_a, out=values[lo:hi])
 
     _map_chunks(reduce, seed, n_rep, n_threads=n_threads)

@@ -11,9 +11,10 @@ from maxgap import (CovSpec, DataMatrix, IoError, Partition,
                     SmallSampleWarning, bound_report, levy_curve, max_diff,
                     run_bootstrap_demo, run_bounds_compare, run_levy_experiment,
                     run_scaling_study, sample, sample_max_diff)
+from maxgap.cov import TILE
 from maxgap.designs import DesignConfig, gen_design
 from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv
-from maxgap.sampling import CHUNK, RNG_METHOD
+from maxgap.sampling import CHUNK, RNG_METHOD, draw_width
 
 
 def read_rows(path):
@@ -116,14 +117,20 @@ class TestLevyExperiment:
 
 class TestStreamingMemory:
     @pytest.mark.parametrize("n_threads", [1, 2])
-    @pytest.mark.parametrize("cfg", [DesignConfig(kind="homog_lowrank", p=400, d=40, seed=1),
+    @pytest.mark.parametrize("cfg", [DesignConfig(kind="homog_lowrank", p=4 * TILE, d=40, seed=1),
                                      DesignConfig(kind="fullrank_equicorr", p=400, rho=0.5)],
                              ids=["lowrank", "fullrank"])
     def test_levy_peak_is_per_chunk(self, cfg, n_threads, tmp_path):
-        # tracemalloc sees numpy's buffers.  Each sampler thread holds one
-        # chunk of draws, their product and the two block copies; rho_bar
-        # holds the p x p covariance and its cross correlations.
+        # tracemalloc sees numpy's buffers.  Each sampler thread holds the
+        # chunk's normals and one CHUNK x TILE tile (the blocks are ranges, so
+        # no copies); rho_bar holds one |A| x TILE strip of Sigma[A, B] and
+        # the tiles it is filled from; besides them the spec's p x r arrays
+        # (the factor, its transpose and an explicit spec's Sigma), the
+        # n_rep differences and their sorted copy.  The low-rank design spans
+        # four tiles, so a CHUNK x p block per thread would exceed the bound.
         n_rep, p = 16 * CHUNK, cfg.p
+        spec, part = gen_design(cfg)
+        r = draw_width(spec)
         tracemalloc.start()
         try:
             run_levy_experiment(cfg, epsilons=(0.05,), n_rep=n_rep, out_dir=str(tmp_path),
@@ -131,9 +138,29 @@ class TestStreamingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 3 * CHUNK * p * 8 * n_threads + 2 * p * p * 8
+        bound = (CHUNK * (r + TILE) * 8 * n_threads + 4 * len(part.a_set) * TILE * 8
+                 + 3 * p * r * 8 + 2 * n_rep * 8)
         assert bound < n_rep * p * 8 / 2
         assert peak < bound
+
+
+class TestEpsilonsCheckedFirst:
+    @pytest.mark.parametrize("argv", [
+        ["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.5", "--eps", "0.05,nan"],
+        ["bounds-compare", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.5",
+         "--mc", "500", "--eps", "0.05,nan"],
+        ["scaling", "--study", "k0_sweep", "--p-list", "25", "--eps", "nan"],
+    ], ids=["levy", "bounds-compare", "scaling"])
+    def test_before_any_monte_carlo(self, argv, tmp_path, monkeypatch, capsys):
+        # A bad epsilon exits 2 before the geometry, the bounds or the sampler run.
+        import maxgap.experiments as experiments
+        from maxgap.cli import main
+        ran = []
+        for name in ("rho_bar", "bound_report", "sample_max_diff"):
+            monkeypatch.setattr(experiments, name, lambda *a, _name=name, **k: ran.append(_name))
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "epsilon must be finite and positive, got nan" in capsys.readouterr().err
+        assert ran == []
 
 
 class TestBoundsCompare:

@@ -9,7 +9,7 @@ from scipy import integrate
 from maxgap import (BadConfig, CovSpec, EmptySample, EmptySubset, Partition,
                     expected_max_many, levy_curve, levy_hat, max_diff, sample)
 from maxgap.cov import TILE
-from maxgap.sampling import chunk_rng, emax_chunk_rows
+from maxgap.sampling import CHUNK, chunk_rng, draw_width, emax_chunk_rows
 
 from conftest import dyadic, phi
 
@@ -323,6 +323,24 @@ class TestTileContract:
         e_small, = expected_max_many(spec, [small], n_mc, seed, mode)
         e_large, = expected_max_many(spec, [large], n_mc, seed, mode)
         assert e_large >= e_small
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
+    @pytest.mark.parametrize("p, d", [(TILE, 50), (2 * TILE + 3, 7)])
+    def test_reads_the_sampler_coordinates(self, p, d, noise):
+        # A pass of one chunk draws, at every height, the coordinates that
+        # sample() returns bit for bit, so its signed estimate is the mean of
+        # their row maxima.
+        rng = np.random.default_rng(p + d)
+        spec = CovSpec.factor(rng.standard_normal((p, d)), mu=rng.standard_normal(p),
+                              noise=np.abs(rng.standard_normal(p)) if noise else None)
+        top = min(CHUNK, emax_chunk_rows(draw_width(spec)))
+        subsets = [range(p), range(TILE - 5, min(TILE + 5, p)), range(1, p, 7)]
+        for m in (1, 2, 3, 64, top - 1, top):
+            data = sample(spec, m, seed=m).data
+            for a in subsets:
+                want = float(np.sum(data[:, list(a)].max(axis=1))) / m
+                got, = expected_max_many(spec, [a], m, seed=m, mode="signed")
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (m, a)
 
 
 def test_noise_spec_matches_dense_factor():

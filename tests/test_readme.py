@@ -1,9 +1,12 @@
 """The README's examples run, or parse, against the package as it is."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import maxgap
 from maxgap.cli import parse_args
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -25,3 +28,17 @@ def test_cli_examples_parse():
     for line in commands:
         argv = shlex.split(line)[1:]
         assert parse_args(argv).command == argv[0]
+
+
+def test_module_references_resolve():
+    # Every backticked `module.name` whose head is a maxgap module names
+    # something that module has.
+    modules = {m.name for m in pkgutil.iter_modules(maxgap.__path__)}
+    refs = [(mod, path) for mod, path in re.findall(r"`(\w+)\.([\w.]+)`", README.read_text())
+            if mod in modules]
+    assert refs
+    for mod, path in refs:
+        obj = importlib.import_module(f"maxgap.{mod}")
+        for name in path.split("."):
+            assert hasattr(obj, name), f"README names `{mod}.{path}`, which does not resolve"
+            obj = getattr(obj, name)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, max_diff,
-                    sample)
+from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, expected_max_many,
+                    max_diff, sample)
 from maxgap import sampling
 from maxgap.cov import TILE, _clamped_max, _tile_edges, cross_corr, rho_bar
 from maxgap.sampling import CHUNK, chunk_rng, chunks, emax_chunk_rows, sample_max_diff
@@ -235,6 +235,18 @@ class TestTiledMemory:
         n_rep = 4 * CHUNK
         peak = self.peak(lambda: sample_max_diff(spec, part, n_rep, seed=5, n_threads=n_threads))
         bound = 2 * CHUNK * (TILE + self.D) * 8 * n_threads + 2 * p * self.D * 8 + n_rep * 8
+        assert peak < bound
+
+    @pytest.mark.parametrize("halves", [False, True], ids=["full", "halves"])
+    @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
+    def test_expected_max_holds_one_tile(self, p, halves):
+        # The chunk's normals, one rows x TILE tile and a copy of a subset's
+        # columns there; besides them the factor and its transpose.
+        spec, part = self.design(p, self.D)
+        subsets = [part.a_set, part.b_set] if halves else [range(p)]
+        rows = emax_chunk_rows(self.D)
+        peak = self.peak(lambda: expected_max_many(spec, subsets, 4096, seed=6))
+        bound = 2 * rows * (TILE + self.D) * 8 + 2 * p * self.D * 8
         assert peak < bound
 
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
