@@ -9,10 +9,10 @@ at every eps.  Expected-max terms are Monte Carlo estimates streamed under a
 shared seed (common random numbers), which makes the documented algebraic
 relations between bounds exact rather than approximate.  Within one
 ``bound_report`` each (spec content, subset, mode, n_mc, seed) request is
-streamed once and served to every bound that asks for it, also across specs
-equal in content; the fixed column tiles of
-:func:`maxgap.levy.expected_max_many` make a served value bit-identical to a
-fresh pass.
+streamed once, a bound's requests of either mode in one pass, and served to
+every bound that asks for it, also across specs equal in content; the fixed
+column tiles of :func:`maxgap.levy.expected_max_many` make a served value
+bit-identical to a fresh pass.
 
 Bounds deliberately report values above 1 unclipped; a value's usefulness at
 a given eps is the caller's judgment.
@@ -120,19 +120,19 @@ class BoundReport:
         return min(t.rate + 2.0 * t.omega / eps for t in value)
 
 
-def _emax(spec: CovSpec, subsets, mode: str, mc: McConfig) -> list[float]:
-    """Expected max of each subset; one pass for the requests not yet served.
+def _emax(spec: CovSpec, requests, mc: McConfig) -> list[float]:
+    """Expected max of each (subset, mode) request; one pass for those not yet served.
 
     Outside ``bound_report`` nothing is kept, so every call is one pass.
     """
     served = _SERVED.get()
     memo = {} if served is None else served.setdefault(spec.content_hash, {})
     keys = [(np.unique(np.asarray(s, dtype=np.intp)).tobytes(), mode, mc.n_mc, mc.seed)
-            for s in subsets]
-    missing = {key: s for key, s in zip(keys, subsets) if key not in memo}
+            for s, mode in requests]
+    missing = {key: req for key, req in zip(keys, requests) if key not in memo}
     if missing:
-        memo.update(zip(missing, expected_max_many(spec, list(missing.values()),
-                                                   mc.n_mc, mc.seed, mode)))
+        subsets, modes = zip(*missing.values())
+        memo.update(zip(missing, expected_max_many(spec, subsets, mc.n_mc, mc.seed, modes)))
     return [memo[key] for key in keys]
 
 
@@ -154,7 +154,7 @@ def bound_homogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = None
     rbar = rho_bar(spec, part)
     if rbar >= 1.0 - TOL_CORR:
         raise PerfectCrossCorrelation(f"largest cross correlation {rbar} too close to 1")
-    e_a, e_b = _emax(spec, [part.a_set, part.b_set], "abs_std", mc)
+    e_a, e_b = _emax(spec, [(part.a_set, "abs_std"), (part.b_set, "abs_std")], mc)
     return min(e_a, e_b) / ((1.0 - rbar) * sigma) * 7.0
 
 
@@ -177,10 +177,13 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     mc = mc or McConfig()
     sigma = _common_sd(spec)
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
         raise BadConfig("delta grid must lie strictly inside (0, 1)")
     corr_ab = cross_corr(spec, part)
-    plans = []  # (delta, orientation, rest, other, n_set)
+    # Per admissible (delta, orientation): E max |X|/sd over the rest of the
+    # block and over the other block, then, when N is nonempty, E max X over
+    # the rest and over N; _emax streams the distinct requests in one pass.
+    plans, requests = [], []  # plans: (delta, orientation, N nonempty)
     for orientation, own, other, corr in (("AB", part.a_idx, part.b_idx, corr_ab),
                                           ("BA", part.b_idx, part.a_idx, corr_ab.T)):
         best = corr.max(axis=1)
@@ -188,23 +191,18 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
             captured = best >= 1.0 - float(delta)
             if captured.all():
                 continue
-            rest = tuple(int(i) for i in own[~captured])
-            n_set = tuple(int(i) for i in own[captured])
-            plans.append((float(delta), orientation, rest, tuple(int(i) for i in other), n_set))
+            rest, n_set = own[~captured], own[captured]
+            plans.append((float(delta), orientation, n_set.size > 0))
+            requests += [(rest, "abs_std"), (other, "abs_std")]
+            requests += [(rest, "signed"), (n_set, "signed")] if n_set.size else []
     if not plans:
         raise NoAdmissibleDelta("every threshold in the grid captures a full block")
-
-    # Per plan E max |X|/sd over rest and other, and E max X over rest and N
-    # when N is nonempty; _emax streams each distinct subset once.
-    std = iter(_emax(spec, [s for *_, rest, other, _ in plans for s in (rest, other)],
-                     "abs_std", mc))
-    signed = iter(_emax(spec, [s for *_, rest, _, n_set in plans if n_set
-                               for s in (rest, n_set)], "signed", mc))
+    emax = iter(_emax(spec, requests, mc))
     terms = []
-    for delta, orientation, rest, other, n_set in plans:
-        rate = min(next(std), next(std)) * 7.0 / (delta * sigma)
-        if n_set:
-            d = next(signed) - next(signed)
+    for delta, orientation, has_n in plans:
+        rate = min(next(emax), next(emax)) * 7.0 / (delta * sigma)
+        if has_n:
+            d = next(emax) - next(emax)
             omega = math.exp(-max(d, 0.0) ** 2 / (8.0 * sigma * sigma))
         else:
             d, omega = float("nan"), 0.0
@@ -230,7 +228,7 @@ def bound_heterogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = No
         candidates.append((part.a_set, report.c_b))
     if not candidates:
         raise ConditionFails("neither direction of the separation condition holds")
-    vals = _emax(spec, [s for s, _ in candidates], "abs_std", mc)
+    vals = _emax(spec, [(s, "abs_std") for s, _ in candidates], mc)
     return min(e / c * 2.0 for e, (_, c) in zip(vals, candidates))
 
 
@@ -253,7 +251,7 @@ def bound_conditional(spec: CovSpec, part: Partition, mc: McConfig | None = None
             raise ZeroResidualVariance(f"coordinate {j} has no variance left given the other block")
         mins.append(float(np.sqrt(diag.min())))
         res_spec = CovSpec.explicit(res)
-        e_vals += _emax(res_spec, [range(res.shape[0])], "abs_std", mc)
+        e_vals += _emax(res_spec, [(range(res.shape[0]), "abs_std")], mc)
     sd_floor = min(mins)
     return min(e_vals) / sd_floor * 2.0
 
@@ -282,7 +280,7 @@ def bound_single_max(spec: CovSpec, subset=None, mc: McConfig | None = None) -> 
     """Concentration rate of a single maximum over the subset (default all)."""
     mc = mc or McConfig()
     subset = tuple(range(spec.p)) if subset is None else tuple(int(i) for i in subset)
-    e, = _emax(spec, [subset], "abs_std", mc)
+    e, = _emax(spec, [(subset, "abs_std")], mc)
     sd_floor = float(spec.sds[list(subset)].min())
     return e / sd_floor * 2.0
 

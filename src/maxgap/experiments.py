@@ -226,6 +226,9 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
     if kind not in SCALING_KINDS:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {SCALING_KINDS}")
     check_epsilon(epsilon)
+    n_sweep = len(p_list) if kind == "k0_sweep" else n_points
+    if n_sweep < 1:
+        raise BadConfig(f"{kind} needs at least one point, got {n_sweep}")
     rows = []
 
     def point_seed(i: int) -> int:

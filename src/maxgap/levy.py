@@ -8,13 +8,13 @@ an exact sliding-interval maximizer is available behind ``exact=True``, the
 tests' reference that the grid scan may not exceed.
 
 Expected maxima stream the sampler's keyed chunks and its chunk draw: each
-chunk is folded tile by tile into per-row maxima of every requested subset
-(see :mod:`maxgap.sampling`), and the chunks' sums of maxima are added in
-chunk order.  A coordinate's per-replicate values come from the same
-operations on the same inputs whichever subsets are requested together, so
+chunk is folded tile by tile into per-row maxima of every requested subset,
+of one statistic or both (see :mod:`maxgap.sampling`), and the chunks' sums
+are added in chunk order.  A coordinate's per-replicate values come from the
+same operations on the same inputs whichever requests go together, so
 estimates under a common seed are exactly monotone in the subset, and a
-batched request equals, bit for bit, the same subsets requested one at a
-time (for a fixed BLAS build and BLAS thread count).
+batched request equals, bit for bit, the same requests made one at a time
+(for a fixed BLAS build and BLAS thread count).
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def _check_subset(subset, p: int) -> np.ndarray:
 
 
 def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
-                      mode: str = "abs_std") -> list[float]:
+                      mode: str | tuple[str, ...] = "abs_std") -> list[float]:
     """Stream one Monte Carlo pass and reduce several subsets at once.
 
     mode "abs_std": max over the subset of |X - mu| / sd.
     mode "signed":  max over the subset of X itself.
+    One mode serves every subset; a tuple gives one mode per subset.
 
     Returns one mean per subset.  Each chunk draws the ``TILE``-wide column
     tiles that hold a requested coordinate, so subsets sharing coordinates
@@ -134,19 +135,11 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     """
     if n_mc < 1:
         raise BadConfig(f"n_mc must be positive, got {n_mc}")
-    if mode not in ("abs_std", "signed"):
-        raise BadConfig(f"unknown expected-max mode {mode!r}")
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
-    sds = spec.sds
-
-    def post(x: np.ndarray, t0: int, t1: int) -> None:
-        if mode == "signed":
-            x += spec.mu[t0:t1]
-        else:
-            np.abs(x, out=x)
-            x /= sds[t0:t1]
-
-    fold = _chunk_maxima(spec, idx_sets, post)
+    modes = mode if isinstance(mode, tuple) else (mode,) * len(idx_sets)
+    if len(modes) != len(idx_sets) or any(m not in ("abs_std", "signed") for m in modes):
+        raise BadConfig(f"need one expected-max mode, abs_std or signed, per subset; got {mode!r}")
+    fold = _chunk_maxima(spec, idx_sets, modes)
     rows = min(emax_chunk_rows(draw_width(spec)), n_mc)  # a shorter pass is one chunk either way
 
     def chunk_sums(rng: np.random.Generator, lo: int, hi: int) -> list[float]:

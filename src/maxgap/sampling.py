@@ -172,28 +172,34 @@ def _chunk_draw(spec: CovSpec, tiles=None):
     return draw
 
 
-def _chunk_maxima(spec: CovSpec, subsets, post):
+def _chunk_maxima(spec: CovSpec, subsets, modes):
     """fold(rng, rows): a chunk's per-row maxima of each subset, tile by tile.
 
-    fold draws only the tiles holding a subset coordinate, applies
-    post(x, t0, t1) to each tile x in place and folds it into one running
-    maximum per subset, so it holds the chunk's normals, one rows x ``TILE``
-    tile and, where a subset's columns in it are not a range, their copy.
+    modes names each subset's statistic: "signed" folds X, "abs_std" folds
+    |X - mu| / sd.  fold draws only the tiles holding a subset coordinate and
+    folds their statistics into one running maximum per subset, so it holds
+    the chunk's normals, a rows x ``TILE`` tile (two if the modes mix) and,
+    where a subset's columns in a tile are not a range, their copy.
     """
     # tile -> column selector, within the tile, of each subset's coordinates there.
     sels = [{t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
             for idx in subsets]
-    draw = _chunk_draw(spec, sorted(set().union(*sels)))
+    needs = {t: {m for sel, m in zip(sels, modes) if t in sel} for t in set().union(*sels)}
+    draw, sds = _chunk_draw(spec, sorted(needs)), spec.sds
 
     def fold(rng: np.random.Generator, rows: int) -> list[np.ndarray]:
         buf = np.empty((rows, min(TILE, spec.p)))
+        std_buf = np.empty_like(buf) if len(set(modes)) > 1 else buf
         maxima = [np.full(rows, -np.inf) for _ in sels]
         for t0, t1, x in draw(rng, rows, lambda t0, t1: buf[:, :t1 - t0]):
-            post(x, t0, t1)
-            t = t0 // TILE
-            for sel, m in zip(sels, maxima):
+            t, std = t0 // TILE, std_buf[:, :t1 - t0]
+            if "abs_std" in needs[t]:  # reads X - mu, so before x gains mu
+                np.divide(np.abs(x, out=std), sds[t0:t1], out=std)
+            if "signed" in needs[t]:
+                x += spec.mu[t0:t1]
+            for sel, mode, m in zip(sels, modes, maxima):
                 if t in sel:
-                    np.maximum(m, x[:, sel[t]].max(axis=1), out=m)
+                    np.maximum(m, (x if mode == "signed" else std)[:, sel[t]].max(axis=1), out=m)
         return maxima
 
     return fold
@@ -231,8 +237,7 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
         raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
     check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
-    fold = _chunk_maxima(spec, (part.a_idx, part.b_idx),
-                         lambda x, t0, t1: np.add(x, spec.mu[t0:t1], out=x))
+    fold = _chunk_maxima(spec, (part.a_idx, part.b_idx), ("signed", "signed"))
 
     def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
         m_a, m_b = fold(rng, hi - lo)

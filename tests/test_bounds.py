@@ -148,7 +148,8 @@ class TestApplicabilityErrors:
 
     def test_delta_grid_validation(self):
         spec, part = iid_pair()
-        for bad in ([], [0.0], [1.0], [0.5, 1.2]):
+        # NaN compares False both ways, so it must fail the test for (0, 1).
+        for bad in ([], [0.0], [1.0], [0.5, 1.2], [math.nan, 0.5], [0.5, math.inf]):
             with pytest.raises(BadConfig):
                 bound_corr_threshold(spec, part, delta_grid=bad, mc=MC)
 
@@ -350,8 +351,9 @@ class TestRequestReuse:
         real = bounds.expected_max_many
 
         def counting(spec, subsets, n_mc, seed, mode="abs_std"):
-            passes.append([(spec.content_hash, tuple(sorted({int(i) for i in s})), mode,
-                            n_mc, seed) for s in subsets])
+            modes = mode if isinstance(mode, tuple) else (mode,) * len(subsets)
+            passes.append([(spec.content_hash, tuple(sorted({int(i) for i in s})), m,
+                            n_mc, seed) for s, m in zip(subsets, modes)])
             return real(spec, subsets, n_mc, seed, mode)
         monkeypatch.setattr(bounds, "expected_max_many", counting)
         rep = bound_report(spec, part, self.MC)
@@ -370,6 +372,16 @@ class TestRequestReuse:
         spec, _ = gen_design(self.CFG)
         part = Partition.split(40, 15)
         assert len(self.count_passes(monkeypatch, spec, part)) == 3
+
+    def test_one_pass_per_spec_content(self, monkeypatch):
+        # table1 captures coordinates, so its threshold profile asks for both
+        # statistics of the design; one pass serves them, and the two residual
+        # laws, unequal in content, take one pass each.
+        spec, part = gen_design(DesignConfig(kind="table1", p=40))
+        passes = self.count_passes(monkeypatch, spec, part)
+        assert len(passes) == 3
+        assert {key[2] for key in passes[0]} == {"abs_std", "signed"}
+        assert len({keys[0][0] for keys in passes}) == 3
 
     def test_served_values_equal_separate_calls(self):
         spec, part = gen_design(self.CFG)

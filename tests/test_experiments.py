@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import maxgap
-from maxgap import (CovSpec, DataMatrix, IoError, Partition,
+from maxgap import (BadConfig, CovSpec, DataMatrix, IoError, Partition,
                     SmallSampleWarning, bound_report, levy_curve, max_diff,
                     run_bootstrap_demo, run_bounds_compare, run_levy_experiment,
                     run_scaling_study, sample, sample_max_diff)
@@ -270,6 +270,14 @@ class TestScalingStudy:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(Exception):
             run_scaling_study("epsilon_sweep", out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("kind, empty", [("k0_sweep", {"p_list": ()}),
+                                             ("rho_sweep_fullrank", {"n_points": 0}),
+                                             ("rho_sweep_lowrank", {"n_points": 0})])
+    def test_empty_sweep_rejected(self, tmp_path, kind, empty):
+        with pytest.raises(BadConfig):
+            run_scaling_study(kind, out_dir=str(tmp_path), **empty)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBootstrapDemo:

@@ -279,6 +279,9 @@ class TestExpectedMax:
             expected_max_many(spec, [[0]], n_mc=0, seed=0)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=10, seed=0, mode="median")
+        for modes in (("abs_std",), ("abs_std", "signed", "signed"), ("signed", "median")):
+            with pytest.raises(BadConfig):
+                expected_max_many(spec, [[0], [1]], n_mc=10, seed=0, mode=modes)
 
 
 MODES = ("abs_std", "signed")
@@ -307,11 +310,15 @@ class TestTileContract:
     """Fixed column tiles: a coordinate's values never depend on the request."""
 
     @settings(max_examples=40, deadline=None)
-    @given(req=tiled_requests(), mode=st.sampled_from(MODES))
-    def test_batched_equals_separate_property(self, req, mode):
+    @given(req=tiled_requests(), modes=st.lists(st.sampled_from(MODES), min_size=4, max_size=4))
+    def test_batched_equals_separate_property(self, req, modes):
+        # One pass, with one mode per subset, gives the floats of single-mode
+        # passes over each subset alone.
         spec, subsets, n_mc, seed = req
-        batched = expected_max_many(spec, subsets, n_mc, seed, mode)
-        separate = [expected_max_many(spec, [s], n_mc, seed, mode)[0] for s in subsets]
+        modes = tuple(modes[:len(subsets)])
+        batched = expected_max_many(spec, subsets, n_mc, seed, modes)
+        separate = [expected_max_many(spec, [s], n_mc, seed, m)[0]
+                    for s, m in zip(subsets, modes)]
         assert np.array(batched).tobytes() == np.array(separate).tobytes()
 
     @settings(max_examples=40, deadline=None)
