@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import (CovSpec, Partition, check_conditions, cross_corr, min_eigenvalue,
+from .cov import (_FOLDS, CovSpec, Partition, _fold, check_conditions, min_eigenvalue,
                   residual_cov, rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
@@ -42,8 +42,8 @@ ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
 
 # Expected maxima served so far in the running bound_report, per model content:
-# spec.content_hash -> {(subset bytes, mode, n_mc, seed): mean}.  Specs equal
-# in content, like the two residual laws of a symmetric design, share a pass.
+# spec.content_hash -> {(subset as a frozenset, mode, n_mc, seed): mean}.  Specs
+# equal in content, like the two residual laws of a symmetric design, share a pass.
 _SERVED: ContextVar[dict | None] = ContextVar("maxgap_served_emax", default=None)
 
 
@@ -127,7 +127,7 @@ def _emax(spec: CovSpec, requests, mc: McConfig) -> list[float]:
     """
     served = _SERVED.get()
     memo = {} if served is None else served.setdefault(spec.content_hash, {})
-    keys = [(np.unique(np.asarray(s, dtype=np.intp)).tobytes(), mode, mc.n_mc, mc.seed)
+    keys = [(frozenset(np.asarray(s, dtype=np.intp).tolist()), mode, mc.n_mc, mc.seed)
             for s, mode in requests]
     missing = {key: req for key, req in zip(keys, requests) if key not in memo}
     if missing:
@@ -168,7 +168,8 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
 
     For orientation "AB", N(delta) collects the coordinates of A whose best
     correlation into B reaches 1 - delta (exact comparison); a threshold is
-    admissible while N(delta) is not all of A.  The term's rate decays like
+    admissible while N(delta) is not all of A; the best correlations come from
+    :func:`maxgap.cov.rho_bar`'s tile fold.  The term's rate decays like
     1/delta; its crossover penalty is 2 * omega with
     omega = exp(-(positive part of D)^2 / (8 sd^2)) and D the gap between the
     expected plain maxima over A minus N and over N.  The bound at eps is the
@@ -179,16 +180,15 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
     if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
         raise BadConfig("delta grid must lie strictly inside (0, 1)")
-    corr_ab = cross_corr(spec, part)
+    best = _fold(spec, part, within=False)[1]
     # Per admissible (delta, orientation): E max |X|/sd over the rest of the
     # block and over the other block, then, when N is nonempty, E max X over
     # the rest and over N; _emax streams the distinct requests in one pass.
     plans, requests = [], []  # plans: (delta, orientation, N nonempty)
-    for orientation, own, other, corr in (("AB", part.a_idx, part.b_idx, corr_ab),
-                                          ("BA", part.b_idx, part.a_idx, corr_ab.T)):
-        best = corr.max(axis=1)
+    for orientation, own, other in (("AB", part.a_idx, part.b_idx),
+                                    ("BA", part.b_idx, part.a_idx)):
         for delta in grid:
-            captured = best >= 1.0 - float(delta)
+            captured = best[own] >= 1.0 - float(delta)
             if captured.all():
                 continue
             rest, n_set = own[~captured], own[captured]
@@ -312,7 +312,8 @@ def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
     """Evaluate the requested bounds once, downgrading failures to Inapplicable.
 
     No expected-max request is streamed twice: the threshold profile goes
-    first, since its pass covers both full blocks.
+    first, since its pass covers both full blocks.  The bounds share one
+    covariance geometry fold, so no tile of Sigma is formed twice.
     """
     mc = mc or McConfig()
 
@@ -330,12 +331,13 @@ def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
         "baseline": lambda: bound_baseline_min_eig(spec),
         "single_max": single_max,
     }
-    token = _SERVED.set({})
+    served, folds = _SERVED.set({}), _FOLDS.set({})
     try:
         rates = {name: _attempt(fn) if name in which else None
                  for name, fn in evaluators.items()}
     finally:
-        _SERVED.reset(token)
+        _FOLDS.reset(folds)
+        _SERVED.reset(served)
     lower = None
     if overlap_k is not None:
         p_under = spec.p - int(overlap_k)

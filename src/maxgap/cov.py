@@ -8,33 +8,33 @@ diagnostics in this module (cross-correlation maximum, separation
 conditions and their violators, Schur-complement residuals) feed the bound
 evaluators in :mod:`maxgap.bounds`.
 
-Every diagnostic reads Sigma through :func:`cov_block`, one block at a time.
-A factor spec never forms its p x p matrix: each block is filled from fixed
-``TILE``-row tiles of the factor, so an entry's bits do not depend on
-which other entries a block holds, and :func:`rho_bar` reads Sigma[A, B]
-one tile-wide strip of B at a time.  Two quantities of a factor spec read no
-block of Sigma at all: the residuals given a block with noise on every
-coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`) and
-the smallest eigenvalue (an inertia count on that core, or the singular
-values of the factor when it has no noise, :func:`min_eigenvalue`).  Each
-covariance quantity has one definition: the diagonal of Sigma is
-:attr:`CovSpec.variances` for every spec, so the sampler, the expected-max
-engine, the bounds and the geometry share one sd per coordinate, and Sigma
-is stored exactly symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
+Every diagnostic reads Sigma in fixed ``TILE`` x ``TILE`` tiles
+(:func:`_tile`), so an entry's bits do not depend on what else a read
+holds, and a factor spec never forms its p x p matrix.  The separation
+geometry is one fold of the tiles into O(p) maxima (:func:`_fold`); the
+residuals read blocks (:func:`cov_block`).  Two quantities of a factor spec
+read no entry of Sigma: the residuals given a block with noise on every
+coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`)
+and the smallest eigenvalue (an inertia count on that core, or the singular
+values of the factor when it has no noise, :func:`min_eigenvalue`).  The
+diagonal of Sigma is :attr:`CovSpec.variances` for every spec, so every
+layer shares one sd per coordinate, and Sigma is stored exactly symmetric,
+so Sigma[B, A] is the transpose of Sigma[A, B].
 
-All functions are pure: they never mutate their inputs and hold no state.
-The caches, all read-only, are :attr:`CovSpec.variances`,
-:attr:`CovSpec.root` (the square-root factor) and
-:attr:`CovSpec.content_hash`; each spec fills each once.  An explicit spec
-is factored at construction: :func:`sqrt_factor`, whose one
-eigendecomposition both validates and factors the matrix, holds the PSD
-floor, so a matrix that constructs always samples.
+All functions are pure: they never mutate their inputs and hold no state
+but the folds that a :func:`maxgap.bounds.bound_report` shares.  The
+caches, all read-only, are :attr:`CovSpec.variances`, :attr:`CovSpec.root`
+(the square-root factor) and :attr:`CovSpec.content_hash`; each spec fills
+each once.  An explicit spec is factored at construction: :func:`sqrt_factor`,
+whose one eigendecomposition both validates and factors the matrix, holds
+the PSD floor, so a matrix that constructs always samples.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,20 +101,21 @@ class CovSpec:
     def explicit(cls, sigma: np.ndarray, mu: np.ndarray | None = None) -> "CovSpec":
         """Model with an explicit covariance matrix (may be rank deficient).
 
-        The matrix must be symmetric within ``TOL_SYM``; its symmetrization
-        (sigma + sigma^T) / 2 is stored, which leaves an exactly symmetric
-        matrix unchanged bit for bit.  Factored here: :func:`sqrt_factor`
-        raises NotPSD for an indefinite matrix.
+        The matrix must be symmetric within ``TOL_SYM``; an exactly
+        symmetric matrix is stored as given, any other as its symmetrization
+        (sigma + sigma^T) / 2.  Factored here: :func:`sqrt_factor` raises
+        NotPSD for an indefinite matrix.
         """
         sigma = _readonly(np.atleast_2d(sigma))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
             raise DimensionMismatch(f"covariance must be square, got {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
             raise BadConfig("covariance has non-finite entries")
-        if np.max(np.abs(sigma - sigma.T)) > TOL_SYM:
-            raise BadConfig("covariance is not symmetric within 1e-10")
-        sigma = (sigma + sigma.T) * 0.5
-        sigma.flags.writeable = False
+        if not np.array_equal(sigma, sigma.T):
+            if np.max(np.abs(sigma - sigma.T)) > TOL_SYM:
+                raise BadConfig("covariance is not symmetric within 1e-10")
+            sigma = (sigma + sigma.T) * 0.5
+            sigma.flags.writeable = False
         for i in np.flatnonzero(np.diag(sigma) <= 0.0):
             raise ZeroVariance(int(i))
         spec = cls(gamma=None, sigma=sigma, mu=_check_mu(mu, sigma.shape[0]))
@@ -300,20 +301,13 @@ def _tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
 def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     """New array Sigma[rows][:, cols], the same bits for any rows and cols.
 
-    An explicit spec slices sigma.  A factor spec forms no p x p matrix: the
-    block is filled from fixed ``TILE`` x ``TILE`` tiles of Sigma.  With
-    gamma_i the rows of gamma in tile i (:func:`_tile_edges`), tile (i, j)
-    with i <= j is computed once per block as gamma_i gamma_j^T; a diagonal
-    tile is symmetrized exactly and its diagonal is overwritten by the rows'
-    :attr:`CovSpec.variances`, and tile (j, i) is the transpose of tile
-    (i, j).  So every entry is read from the same tile whichever block holds
-    it, Sigma is exactly symmetric, and its diagonal is ``spec.variances``
-    bit for bit.
+    Each tile (i, j), i <= j, that the block touches is formed once by
+    :func:`_tile`, and tile (j, i) is its transpose, so every entry is read
+    from the same tile whichever block holds it, and a factor spec forms no
+    p x p matrix.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    if spec.sigma is not None:
-        return spec.sigma[np.ix_(rows, cols)]
     out = np.empty((rows.size, cols.size))
     row_tiles, col_tiles = _by_tile(rows), _by_tile(cols)
     for i, j in sorted({(min(i, j), max(i, j)) for i in row_tiles for j in col_tiles}):
@@ -330,15 +324,20 @@ def _by_tile(idx: np.ndarray) -> dict:
     """tile -> (positions in idx of its indices, their offsets within the tile), in tile order."""
     tile = idx // TILE
     out = {}
-    for t in np.unique(tile):
+    for t in np.flatnonzero(np.bincount(tile)):
         pos = np.flatnonzero(tile == t)
         out[int(t)] = (pos, idx[pos] - int(t) * TILE)
     return out
 
 
 def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
-    """Tile (i, j), i <= j, of a factor spec's Sigma."""
+    """Tile (i, j), i <= j, of Sigma: a view of sigma, or gamma_i gamma_j^T of a factor spec.
+
+    A factor spec's diagonal tile is symmetrized exactly, with spec.variances as its diagonal.
+    """
     (i0, i1), (j0, j1) = _tile_edges(spec.p, (i, j))
+    if spec.sigma is not None:
+        return spec.sigma[i0:i1, j0:j1]
     g_i = spec.gamma[i0:i1]
     if i != j:
         return g_i @ spec.gamma[j0:j1].T
@@ -348,44 +347,71 @@ def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
     return t
 
 
-def cross_corr(spec: CovSpec, part: Partition) -> np.ndarray:
-    """Correlations between the coordinates of A (rows) and of B (columns)."""
-    _check_part(spec, part)
-    a, b = part.a_idx, part.b_idx
-    block = cov_block(spec, a, b)
-    return _corr(block, spec.sds, a, b, out=block)
-
-
-def _corr(block: np.ndarray, sd: np.ndarray, a: np.ndarray, b: np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    # Sigma[A, B] scaled to correlations, sd holding every coordinate's sd.
-    return np.divide(block, np.outer(sd[a], sd[b]), out=out)
+def _corr(block: np.ndarray, sd_rows: np.ndarray, sd_cols: np.ndarray) -> np.ndarray:
+    return block / np.outer(sd_rows, sd_cols)
 
 
 def _clamped_max(cross: np.ndarray) -> float:
     return float(np.clip(np.max(cross), -1.0, 1.0))
 
 
-def rho_bar(spec: CovSpec, part: Partition) -> float:
-    """Largest cross-block correlation, clamped to [-1, 1].
+# The running bound_report's folds: (spec.content_hash, part) -> _fold's result.
+_FOLDS: ContextVar[dict | None] = ContextVar("maxgap_geometry_folds", default=None)
 
-    Reads Sigma[A, B] in strips: the columns of B that lie in one tile at a
-    time, so it holds |A| x ``TILE`` values, never the |A| x |B| block.  Each
-    entry comes from the same tile as in :func:`cross_corr`, and a maximum is
-    exact, so the value equals ``_clamped_max(cross_corr(spec, part))`` bit
-    for bit.
+
+def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
+    """The separation geometry: maxima over entries of Sigma, one walk over its tiles.
+
+    Returns (cross_cov, cross_corr, abs_corr, norms): per coordinate i, its
+    largest sigma_ij and correlation over j in the other block; the largest
+    |correlation| across the blocks; with ``within``, the largest
+    sigma_jj' / sd_j^2 over j, j' in A and in B, else None.  A tile holding
+    an entry read is formed once for both placements, (i, j) and (j, i), and
+    its entries are the floats of :func:`cov_block` and :func:`_corr`.
     """
     _check_part(spec, part)
-    a, b = part.a_idx, part.b_idx
-    strips = [b[pos] for pos, _ in _by_tile(b).values()]
-    return max(_clamped_max(_corr(cov_block(spec, a, s), spec.sds, a, s)) for s in strips)
+    folds = _FOLDS.get()
+    key = None if folds is None else (spec.content_hash, part)
+    if folds is not None and key in folds:
+        return folds[key]
+    within = within or folds is not None
+    sd = spec.sds
+    sels = [{t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
+            for idx in (part.a_idx, part.b_idx)]
+    cross_cov, cross_corr = np.full(spec.p, -np.inf), np.full(spec.p, -np.inf)
+    abs_corr, norms = -np.inf, [-np.inf, -np.inf]
+    edges = _tile_edges(spec.p)
+    for i, j in [(i, j) for i in range(len(edges)) for j in range(i, len(edges))]:
+        (i0, i1), (j0, j1) = edges[i], edges[j]
+        # A's rows of tile i against B's columns of tile j, and B's against
+        # A's: on a diagonal tile the second is the first transposed.
+        cross = [(r[i], c[j]) for r, c in (sels, sels[::-1]) if i in r and j in c][:2 - (i == j)]
+        blocks = [(k, s[i], s[j]) for k, s in enumerate(sels) if within and i in s and j in s]
+        if not cross and not blocks:
+            continue
+        t = _tile(spec, i, j)
+        for rs, cs in cross:
+            cov = t[rs][:, cs]
+            corr = _corr(cov, sd[i0:i1][rs], sd[j0:j1][cs])
+            for out, x in ((cross_cov, cov), (cross_corr, corr)):
+                rows, cols = out[i0:i1], out[j0:j1]
+                rows[rs] = np.maximum(rows[rs], x.max(axis=1))
+                cols[cs] = np.maximum(cols[cs], x.max(axis=0))
+            abs_corr = max(abs_corr, float(np.max(np.abs(corr))))
+        for k, rs, cs in blocks:
+            # j the row: tile (i, j) divides by its rows' sds, (j, i) by its columns'.
+            cov = t[rs][:, cs]
+            norms[k] = max(norms[k], float(np.max(cov / sd[i0:i1][rs][:, None] ** 2)),
+                           float(np.max(cov / sd[j0:j1][cs] ** 2)))
+    out = (cross_cov, cross_corr, abs_corr, tuple(norms) if within else None)
+    if folds is not None:
+        folds[key] = out
+    return out
 
 
-def _row_margins(sd: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # Margin sd_i - max_j sigma_ij / sd_i of each row i of block, sd holding the
-    # rows' sds.  Rounding is monotone, so it equals the minimum over j of
-    # sd_i - sigma_ij / sd_i bit for bit.
-    return sd - np.max(block, axis=1) / sd
+def rho_bar(spec: CovSpec, part: Partition) -> float:
+    """Largest cross-block correlation, clamped to [-1, 1], from the tiles holding Sigma[A, B]."""
+    return _clamped_max(_fold(spec, part, within=False)[1])
 
 
 def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
@@ -395,38 +421,35 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
     (max over j, j' in B of sigma_jj' / var_j at most 1) and every cross
     margin sigma_j - sigma_jj'/sigma_j for j in B, i in A to be strictly
     positive; the margin minimum is ``c_a``.  Direction B mirrors the roles.
-    The same row margins give each side's violators.  Each block of Sigma
-    is read once; Sigma[B, A] is the transpose of Sigma[A, B].
+    The same per-coordinate margins give each side's violators.  Everything
+    comes from :func:`_fold`, which builds no block: the margin sd_i - (the
+    largest sigma_ij) / sd_i equals the minimum over j of sd_i - sigma_ij /
+    sd_i bit for bit, since rounding is monotone.
     """
-    _check_part(spec, part)
-    a, b = part.a_idx, part.b_idx
-    ab = cov_block(spec, a, b)
+    cross_cov, cross_corr, abs_corr, norms = _fold(spec, part, within=True)
     sd = spec.sds
-    cross = _corr(ab, sd, a, b)
 
-    def direction(inner: np.ndarray, margin_block: np.ndarray):
-        # inner plays the normalized block; margin_block is Sigma[inner, outer].
-        # Whether the direction holds, its margin, and inner's violators, their
-        # fraction of inner and their mean margin.
-        within = cov_block(spec, inner, inner)
-        norm_ok = np.max(within / sd[inner][:, None] ** 2) <= 1.0 + TOL_COND
-        margins = _row_margins(sd[inner], margin_block)
+    def direction(inner: np.ndarray, norm: float):
+        # inner plays the normalized block, norm its largest sigma_jj' / var_j.
+        # Whether it holds, its margin, inner's violators, their share and mean margin.
+        margins = sd[inner] - cross_cov[inner] / sd[inner]
         c = float(np.min(margins))
         viol = margins <= 0.0
         m = float(margins[viol].mean()) if viol.any() else float("nan")
-        return (bool(norm_ok and c > 0.0), c,
+        return (norm <= 1.0 + TOL_COND and c > 0.0, c,
                 tuple(int(i) for i in inner[viol]), float(viol.mean()), m)
 
-    cond_a, c_a, v_b, nu_b, m_b = direction(b, ab.T)
-    cond_b, c_b, v_a, nu_a, m_a = direction(a, ab)
+    a, b = part.a_idx, part.b_idx
+    cond_a, c_a, v_b, nu_b, m_b = direction(b, norms[1])
+    cond_b, c_b, v_a, nu_a, m_a = direction(a, norms[0])
     # The directions that hold, larger margin first (S = B on a tie).
     holding = sorted(((c, s) for ok, c, s in ((cond_a, c_a, "B"), (cond_b, c_b, "A")) if ok),
                      key=lambda t: -t[0])
     c_ab = holding[0][0] if holding else float("nan")
     s_set = tuple(s for _, s in holding)
-    perfect = float(np.max(np.abs(cross))) >= 1.0 - TOL_CORR
-    return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, _clamped_max(cross), perfect,
-                           v_a, v_b, nu_a, nu_b, m_a, m_b)
+    perfect = abs_corr >= 1.0 - TOL_CORR
+    return ConditionReport(cond_a, cond_b, c_a, c_b, c_ab, s_set, _clamped_max(cross_corr),
+                           perfect, v_a, v_b, nu_a, nu_b, m_a, m_b)
 
 
 def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray]:

@@ -383,9 +383,27 @@ class TestRequestReuse:
         assert {key[2] for key in passes[0]} == {"abs_std", "signed"}
         assert len({keys[0][0] for keys in passes}) == 3
 
+    def test_each_tile_formed_once(self, monkeypatch):
+        # The threshold profile, the homogeneous and the heterogeneous bounds
+        # read one covariance geometry fold: p = 3 TILE + 8 has 4 tiles, so
+        # 10 tile pairs (i, j), i <= j, each formed once in the report.
+        spec, part = gen_design(DesignConfig(kind="table1", p=3 * cov.TILE + 8, seed=2))
+        formed = []
+        real_tile = cov._tile
+
+        def tile(spec, i, j):
+            formed.append((i, j))
+            return real_tile(spec, i, j)
+        monkeypatch.setattr(cov, "_tile", tile)
+        rep = bound_report(spec, part, McConfig(n_mc=64, seed=1))
+        assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)
+        assert sorted(formed) == [(i, j) for i in range(4) for j in range(i, 4)]
+
     def test_served_values_equal_separate_calls(self):
         spec, part = gen_design(self.CFG)
         rep = bound_report(spec, part, self.MC)
+        # repr: a term without N carries d_delta = NaN, which never compares equal.
+        assert repr(rep.corr_threshold) == repr(bound_corr_threshold(spec, part, mc=self.MC))
         assert rep.homogeneous == bound_homogeneous(spec, part, self.MC)
         assert rep.heterogeneous == bound_heterogeneous(spec, part, self.MC)
         assert rep.single_max == min(bound_single_max(spec, s, self.MC)
@@ -465,31 +483,23 @@ class TestFactorSpecsFormNoMatrix:
 
     def test_table1_report_forms_no_matrix(self, monkeypatch):
         # Every bound of a table1 report, the baseline included: lam_min comes
-        # from the d x d core and the residuals from Woodbury's identity, so
-        # the report runs no eigvalsh and no solve, reads no block of Sigma
-        # inside residual_cov, and no block as large as p x p anywhere.
+        # from the d x d core, the residuals from Woodbury's identity and the
+        # geometry from the tile fold, so the report runs no eigvalsh and no
+        # solve, reads no block of Sigma and forms only TILE x TILE tiles.
         spec, part = gen_design(DesignConfig(kind="table1", p=600, seed=3))
         linalg = spy_calls(monkeypatch, np.linalg, ("eigvalsh", "solve"))
-        blocks, inside = [], []
-        real_block, real_residual = cov.cov_block, cov.residual_cov
+        blocks = spy_calls(monkeypatch, cov, ("cov_block",))
+        tiles = []
+        real_tile = cov._tile
 
-        def block(spec, rows, cols):
-            blocks.append((np.size(rows) * np.size(cols), bool(inside)))
-            return real_block(spec, rows, cols)
-
-        def residual(*args):
-            inside.append(True)
-            try:
-                return real_residual(*args)
-            finally:
-                inside.pop()
-        monkeypatch.setattr(cov, "cov_block", block)
-        monkeypatch.setattr(bounds, "residual_cov", residual)
+        def tile(*args):
+            tiles.append(real_tile(*args))
+            return tiles[-1]
+        monkeypatch.setattr(cov, "_tile", tile)
         rep = bound_report(spec, part, McConfig(n_mc=64, seed=1))
         assert not any(isinstance(getattr(rep, b), Inapplicable) for b in ALL_BOUNDS)
-        assert linalg == []
-        assert blocks and not any(in_residual for _, in_residual in blocks)
-        assert max(size for size, _ in blocks) < spec.p ** 2
+        assert linalg == [] and blocks == []
+        assert tiles and max(max(t.shape) for t in tiles) <= cov.TILE
         assert not hasattr(CovSpec, "cov")
 
     def test_baseline_allocates_less_than_one_matrix(self):

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxgap
 from maxgap import SmallSampleWarning, load_csv, multiplier_replicates
 from maxgap.bootstrap import DEFAULT_QUANTILES
 from maxgap.sampling import CHUNK
@@ -195,6 +200,29 @@ class TestBoundsCompareCommand:
         assert code == EXIT_CONFIG
         assert "empty list" in err
         assert not list(tmp_path.glob("*.csv"))
+
+
+class TestImports:
+    def test_monte_carlo_commands_skip_numpy_ma(self, tmp_path):
+        # Importing numpy.ma (np.unique does) costs milliseconds on every run;
+        # levy and an all-bounds bounds-compare never need it.
+        script = textwrap.dedent(f"""
+            import sys
+            from maxgap.cli import main
+            out = {str(tmp_path)!r}
+            assert main(["levy", "--kind", "table1", "--p", "40", "--reps", "500",
+                         "--out", out]) == 0
+            assert main(["bounds-compare", "--kind", "table1", "--p", "40", "--reps", "500",
+                         "--mc", "200", "--out", out]) == 0
+            print("numpy.ma" in sys.modules)
+        """)
+        src = str(pathlib.Path(maxgap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestScalingCommand:

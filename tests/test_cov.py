@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
                     rho_bar, sample_max_diff, sqrt_factor)
 from maxgap import cov
-from maxgap.cov import TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, cov_block, min_eigenvalue
+from maxgap.cov import (TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, ConditionReport, _corr,
+                        _fold, cov_block, min_eigenvalue)
 from maxgap.designs import KINDS, DesignConfig, gen_design
 
 from conftest import footnote_factor, random_psd, spy_calls
@@ -567,11 +569,12 @@ def geometry_designs(draw):
 
     Factor specs may be rank deficient and repeat rows, which puts perfectly
     correlated pairs across the partition; row scales spread the variances
-    so the separation margins take both signs.  Some specs span two
-    ``TILE`` tiles.
+    so the separation margins take both signs.  Some specs end at or just
+    past a ``TILE`` edge, spanning up to three tiles.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p = draw(st.one_of(st.integers(2, 10), st.integers(TILE + 1, TILE + 40)))
+    p = draw(st.one_of(st.integers(2, 10), st.integers(TILE - 1, TILE + 40),
+                       st.integers(2 * TILE - 1, 2 * TILE + 1)))
     d = draw(st.integers(1, 8))
     repeats = draw(st.integers(0, 3))
     form = draw(st.sampled_from(("factor", "noise", "explicit")))
@@ -667,6 +670,45 @@ class TestGeometryProperty:
         assert (_bits(rep.nu_a, rep.m_a, rep.nu_b, rep.m_b)
                 == _bits(*side_a[1:], *side_b[1:]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(design=geometry_designs())
+    def test_fold_equals_block_reference_property(self, design):
+        # The report, rho_bar and the threshold bound's best correlation of
+        # each coordinate, against blocks read through cov_block and scaled
+        # by _corr: every entry is the same float, and a maximum is exact.
+        spec, part = design
+        a, b, sd = part.a_idx, part.b_idx, spec.sds
+        ab = cov_block(spec, a, b)
+        corr = _corr(ab, sd[a], sd[b])
+        norms = [float(np.max(cov_block(spec, s, s) / sd[s][:, None] ** 2)) for s in (a, b)]
+
+        def direction(inner, margin_block):
+            norm_ok = norms[0 if inner is a else 1] <= 1.0 + TOL_COND
+            margins = sd[inner] - np.max(margin_block, axis=1) / sd[inner]
+            viol = margins <= 0.0
+            m = float(margins[viol].mean()) if viol.any() else float("nan")
+            c = float(np.min(margins))
+            return bool(norm_ok and c > 0.0), c, tuple(int(i) for i in inner[viol]), \
+                float(viol.mean()), m
+
+        cond_a, c_a, v_b, nu_b, m_b = direction(b, ab.T)
+        cond_b, c_b, v_a, nu_a, m_a = direction(a, ab)
+        holding = sorted(((c, s) for ok, c, s in ((cond_a, c_a, "B"), (cond_b, c_b, "A"))
+                          if ok), key=lambda t: -t[0])
+        rbar = float(np.clip(np.max(corr), -1.0, 1.0))
+        want = ConditionReport(cond_a, cond_b, c_a, c_b,
+                               holding[0][0] if holding else float("nan"),
+                               tuple(s for _, s in holding), rbar,
+                               float(np.max(np.abs(corr))) >= 1.0 - TOL_CORR,
+                               v_a, v_b, nu_a, nu_b, m_a, m_b)
+        assert repr(check_conditions(spec, part)) == repr(want)
+        assert _bits(rho_bar(spec, part)) == _bits(rbar)
+        best = _fold(spec, part, within=False)[1]
+        assert best[a].tobytes() == corr.max(axis=1).tobytes()
+        assert best[b].tobytes() == corr.T.max(axis=1).tobytes()
+        # The within-block maxima themselves, beyond the one bit norm_ok keeps.
+        assert _bits(*_fold(spec, part, within=True)[3]) == _bits(*norms)
+
 
 # Small configs of every design kind; "noise" is a factor plus noise with a
 # rank-deficient gamma and repeated rows.
@@ -741,6 +783,28 @@ class TestExplicitSymmetry:
             spec = CovSpec.explicit(sig)
             assert spec.sigma.tobytes() == sig.tobytes()
             assert not spec.sigma.flags.writeable
+
+    def test_symmetric_input_checked_without_float_temporaries(self, monkeypatch):
+        # An exactly symmetric matrix is checked by one comparison with its
+        # transpose: besides its stored copy, one p x p boolean mask, no
+        # difference, absolute value or symmetrization (each 8 p^2 bytes).
+        # The factoring is stubbed out, so the peak is the check's own.
+        monkeypatch.setattr(cov, "sqrt_factor", lambda sigma: sigma[:, :1])
+        sig = random_psd(np.random.default_rng(3), 300)
+        tracemalloc.start()
+        try:
+            spec = CovSpec.explicit(sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.sigma.tobytes() == sig.tobytes()
+        assert peak < 1.5 * sig.nbytes
+
+    def test_asymmetry_beyond_tolerance_rejected(self):
+        sig = random_psd(np.random.default_rng(5), 6)
+        sig[1, 4] += 1.5 * TOL_SYM
+        with pytest.raises(BadConfig):
+            CovSpec.explicit(sig)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 12))

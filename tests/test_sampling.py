@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, expected_max_many,
                     max_diff, sample)
 from maxgap import sampling
-from maxgap.cov import TILE, _clamped_max, _tile_edges, cross_corr, rho_bar
+from maxgap.cov import (TILE, _clamped_max, _corr, _tile_edges, check_conditions, cov_block,
+                        rho_bar)
 from maxgap.sampling import CHUNK, chunk_rng, chunks, emax_chunk_rows, sample_max_diff
 
 
@@ -259,14 +260,27 @@ class TestTiledMemory:
         bound = 4 * a * TILE * 8 + p * self.D * 8
         assert peak < bound
 
+    def test_geometry_holds_tiles(self):
+        # The fold holds one TILE x TILE tile of Sigma and, at a time, one
+        # copy of its entries in A x B, their sds' outer product, their
+        # correlations and the absolute values: six tiles of doubles with
+        # slack.  Besides them a few length-p vectors: the sds, the index
+        # arrays and tile selectors of A and B, and the running maxima.
+        p = 8 * TILE
+        spec, part = self.design(p, self.D)
+        bound = 6 * TILE * TILE * 8 + 16 * p * 8
+        assert self.peak(lambda: check_conditions(spec, part)) < bound
+        assert self.peak(lambda: rho_bar(spec, part)) < bound
+
     def test_rho_bar_equals_cross_corr_max(self):
-        # A and B interleave within every tile, so a strip's rows and columns
-        # share their tiles, and B's last tile is partial.
+        # A and B interleave within every tile, so a tile's rows and columns
+        # hold both blocks, and B's last tile is partial.
         rng = np.random.default_rng(4)
         p = 2 * TILE + 3
         spec = CovSpec.factor(rng.standard_normal((p, 5)), noise=np.exp(rng.standard_normal(p)))
         part = Partition(tuple(range(0, p, 3)), tuple(i for i in range(p) if i % 3), p)
-        want = _clamped_max(cross_corr(spec, part))
+        a, b, sd = part.a_idx, part.b_idx, spec.sds
+        want = _clamped_max(_corr(cov_block(spec, a, b), sd[a], sd[b]))
         assert np.float64(rho_bar(spec, part)).tobytes() == np.float64(want).tobytes()
 
 
