@@ -160,18 +160,18 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     return out
 
 
-def _summarize(diffs: np.ndarray, quantiles, multiplier: str, seed: int) -> BootstrapResult:
-    """Share of M_A - M_B strictly above zero, and the requested quantiles."""
+def _summarize(diffs: np.ndarray, multiplier: str, seed: int) -> BootstrapResult:
+    """Share of M_A - M_B strictly above zero, and its ``DEFAULT_QUANTILES``."""
     diffs.flags.writeable = False
     b = diffs.shape[0]
     prob = float(np.count_nonzero(diffs > 0.0)) / b
-    qs = {float(q): float(np.quantile(diffs, q)) for q in quantiles}
+    qs = {float(q): float(np.quantile(diffs, q)) for q in DEFAULT_QUANTILES}
     return BootstrapResult(diffs=diffs, prob_argmax_in_a=prob, quantiles=qs,
                            multiplier=multiplier, b_reps=b, seed=seed)
 
 
-def argmax_prob(replicates: np.ndarray, part: Partition, quantiles=DEFAULT_QUANTILES,
-                multiplier: str = "gaussian", seed: int = 0) -> BootstrapResult:
+def argmax_prob(replicates: np.ndarray, part: Partition, multiplier: str = "gaussian",
+                seed: int = 0) -> BootstrapResult:
     """Fraction of replicates whose block-A maximum strictly beats block B.
 
     Ties at exactly zero count as not greater.  The multiplier and seed
@@ -186,11 +186,11 @@ def argmax_prob(replicates: np.ndarray, part: Partition, quantiles=DEFAULT_QUANT
             f"partition over {part.p} coordinates, replicates have {replicates.shape[1]}")
     a_sel, b_sel = part.blocks
     diffs = replicates[:, a_sel].max(axis=1) - replicates[:, b_sel].max(axis=1)
-    return _summarize(diffs, quantiles, multiplier, seed)
+    return _summarize(diffs, multiplier, seed)
 
 
 def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
-                  multiplier: str = "gaussian", quantiles=DEFAULT_QUANTILES) -> BootstrapResult:
+                  multiplier: str = "gaussian") -> BootstrapResult:
     """Generate replicates and summarize them in one step, chunk by chunk.
 
     Equal, bit for bit, to ``argmax_prob(multiplier_replicates(...), part, ...)``
@@ -207,7 +207,7 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
         diffs[lo:hi] = x[:, a_sel].max(axis=1) - x[:, b_sel].max(axis=1)
 
     _map_chunks(reduce, seed, b_reps)
-    return _summarize(diffs, quantiles, multiplier, seed)
+    return _summarize(diffs, multiplier, seed)
 
 
 def clt_rate(inputs: CltRateInputs) -> float:

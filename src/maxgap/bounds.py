@@ -21,18 +21,18 @@ a given eps is the caller's judgment.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import (_FOLDS, CovSpec, Partition, _fold, check_conditions, min_eigenvalue,
-                  residual_cov, rho_bar, TOL_CORR)
+from .cov import (_REPORT, CovSpec, Partition, _check_part, _fold, _report_memo,
+                  check_conditions, min_eigenvalue, residual_cov, rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
                      PerfectCrossCorrelation, SingularCovariance,
                      ZeroResidualVariance)
 from .levy import DEFAULT_MC, check_epsilon, expected_max_many
+from .sampling import chunks
 
 TOL_VAR_SPREAD = 1e-9   # max relative sd spread treated as homogeneous
 TOL_SINGULAR = 1e-12    # relative eigenvalue floor for the baseline
@@ -40,11 +40,6 @@ TOL_RESID = 1e-10       # residual variance below TOL_RESID * marginal is zero
 
 ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
-
-# Expected maxima served so far in the running bound_report, per model content:
-# spec.content_hash -> {(subset as a frozenset, mode, n_mc, seed): mean}.  Specs
-# equal in content, like the two residual laws of a symmetric design, share a pass.
-_SERVED: ContextVar[dict | None] = ContextVar("maxgap_served_emax", default=None)
 
 
 @dataclass(frozen=True)
@@ -70,13 +65,13 @@ class Inapplicable:
 
 @dataclass(frozen=True)
 class DeltaTerm:
-    """One admissible threshold: bound contribution is rate * eps + 2 * omega."""
+    """One admissible threshold, contributing rate * eps + 2 * omega; d_delta is None without N."""
 
     delta: float
     orientation: str
     rate: float
     omega: float
-    d_delta: float
+    d_delta: float | None
 
 
 @dataclass(frozen=True)
@@ -91,9 +86,9 @@ class ExchangeableLower:
 class BoundReport:
     """One entry per ``ALL_BOUNDS`` name: a rate, ``Inapplicable``, or None.
 
-    None marks a bound that was not requested.  ``corr_threshold`` holds its
-    tuple of ``DeltaTerm``; ``single_max`` the smaller applicable rate of the
-    two blocks, or block A's ``Inapplicable`` when neither applies.
+    None marks a bound that was not requested, ``Inapplicable`` one whose
+    hypotheses fail on the design.  ``corr_threshold`` holds its tuple of
+    ``DeltaTerm``; ``single_max`` the smaller rate of the two blocks.
     """
 
     homogeneous: float | Inapplicable | None
@@ -103,7 +98,6 @@ class BoundReport:
     baseline: float | Inapplicable | None
     single_max: float | Inapplicable | None
     lower_exchangeable: ExchangeableLower | None
-    mc_meta: dict
 
     def ratio(self, name: str, eps: float) -> float | Inapplicable | None:
         """Bound ``name`` at half-width eps divided by eps.
@@ -125,8 +119,7 @@ def _emax(spec: CovSpec, requests, mc: McConfig) -> list[float]:
 
     Outside ``bound_report`` nothing is kept, so every call is one pass.
     """
-    served = _SERVED.get()
-    memo = {} if served is None else served.setdefault(spec.content_hash, {})
+    memo = _report_memo(spec)
     keys = [(frozenset(np.asarray(s, dtype=np.intp).tolist()), mode, mc.n_mc, mc.seed)
             for s, mode in requests]
     missing = {key: req for key, req in zip(keys, requests) if key not in memo}
@@ -162,6 +155,13 @@ def default_delta_grid(n: int = 50) -> np.ndarray:
     return np.geomspace(1e-3, 1.0 - 1e-3, n)
 
 
+def _delta_grid(delta_grid) -> np.ndarray:
+    grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
+    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
+        raise BadConfig("delta grid must lie strictly inside (0, 1)")
+    return grid
+
+
 def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
                          mc: McConfig | None = None) -> tuple[DeltaTerm, ...]:
     """Admissible threshold terms for both orientations of the partition.
@@ -177,9 +177,7 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     """
     mc = mc or McConfig()
     sigma = _common_sd(spec)
-    grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
-    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
-        raise BadConfig("delta grid must lie strictly inside (0, 1)")
+    grid = _delta_grid(delta_grid)
     best = _fold(spec, part, within=False)[1]
     # Per admissible (delta, orientation): E max |X|/sd over the rest of the
     # block and over the other block, then, when N is nonempty, E max X over
@@ -205,7 +203,7 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
             d = next(emax) - next(emax)
             omega = math.exp(-max(d, 0.0) ** 2 / (8.0 * sigma * sigma))
         else:
-            d, omega = float("nan"), 0.0
+            d, omega = None, 0.0
         terms.append(DeltaTerm(delta=delta, orientation=orientation, rate=rate,
                                omega=omega, d_delta=d))
     return tuple(terms)
@@ -309,38 +307,47 @@ def _attempt(fn):
 def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
                  delta_grid=None, which=ALL_BOUNDS,
                  overlap_k: int | None = None) -> BoundReport:
-    """Evaluate the requested bounds once, downgrading failures to Inapplicable.
+    """Evaluate the requested bounds once, downgrading failed hypotheses to Inapplicable.
 
-    No expected-max request is streamed twice: the threshold profile goes
-    first, since its pass covers both full blocks.  The bounds share one
-    covariance geometry fold, so no tile of Sigma is formed twice.
+    Caller errors raise before any fold or pass: BadConfig for a name outside
+    ``ALL_BOUNDS``, n_mc below 1, a seed outside [0, 2^64) or a delta outside
+    (0, 1), DimensionMismatch for a partition of another dimension.  The
+    bounds share one memo per spec content, so no tile of Sigma is formed
+    and no expected-max request streamed twice.  Order: the threshold
+    profile, whose pass covers both full blocks; ``single_max``, one request
+    for both blocks, so each spec content is streamed once; then the rest.
     """
     mc = mc or McConfig()
+    if not set(which) <= set(ALL_BOUNDS):
+        raise BadConfig(f"unknown bound in {which!r}; expected names from {ALL_BOUNDS}")
+    if mc.n_mc < 1:
+        raise BadConfig(f"n_mc must be positive, got {mc.n_mc}")
+    chunks(mc.seed, mc.n_mc)  # checks the seed
+    delta_grid = _delta_grid(delta_grid)
+    _check_part(spec, part)
+    blocks = (part.a_set, part.b_set)
 
     def single_max():
-        rates = [_attempt(lambda s=s: bound_single_max(spec, s, mc))
-                 for s in (part.a_set, part.b_set)]
-        applicable = [r for r in rates if not isinstance(r, Inapplicable)]
-        return min(applicable) if applicable else rates[0]
+        # One pass for both blocks; each block's rate is then served from it.
+        _emax(spec, [(s, "abs_std") for s in blocks], mc)
+        return min(bound_single_max(spec, s, mc) for s in blocks)
 
     evaluators = {
         "corr_threshold": lambda: bound_corr_threshold(spec, part, delta_grid, mc),
+        "single_max": single_max,
         "homogeneous": lambda: bound_homogeneous(spec, part, mc),
         "heterogeneous": lambda: bound_heterogeneous(spec, part, mc),
         "conditional": lambda: bound_conditional(spec, part, mc),
         "baseline": lambda: bound_baseline_min_eig(spec),
-        "single_max": single_max,
     }
-    served, folds = _SERVED.set({}), _FOLDS.set({})
+    token = _REPORT.set({})
     try:
         rates = {name: _attempt(fn) if name in which else None
                  for name, fn in evaluators.items()}
     finally:
-        _FOLDS.reset(folds)
-        _SERVED.reset(served)
+        _REPORT.reset(token)
     lower = None
     if overlap_k is not None:
         p_under = spec.p - int(overlap_k)
         lower = lower_bound_exchangeable(int(overlap_k), p_under)
-    return BoundReport(**rates, lower_exchangeable=lower,
-                       mc_meta={"n_mc": mc.n_mc, "seed": mc.seed})
+    return BoundReport(**rates, lower_exchangeable=lower)

@@ -22,7 +22,7 @@ layer shares one sd per coordinate, and Sigma is stored exactly symmetric,
 so Sigma[B, A] is the transpose of Sigma[A, B].
 
 All functions are pure: they never mutate their inputs and hold no state
-but the folds that a :func:`maxgap.bounds.bound_report` shares.  The
+but the memo that a :func:`maxgap.bounds.bound_report` shares.  The
 caches, all read-only, are :attr:`CovSpec.variances`, :attr:`CovSpec.root`
 (the square-root factor) and :attr:`CovSpec.content_hash`; each spec fills
 each once.  An explicit spec is factored at construction: :func:`sqrt_factor`,
@@ -355,8 +355,15 @@ def _clamped_max(cross: np.ndarray) -> float:
     return float(np.clip(np.max(cross), -1.0, 1.0))
 
 
-# The running bound_report's folds: (spec.content_hash, part) -> _fold's result.
-_FOLDS: ContextVar[dict | None] = ContextVar("maxgap_geometry_folds", default=None)
+# The running bound_report's memo: spec.content_hash -> {part: _fold's result,
+# (subset as a frozenset, mode, n_mc, seed): expected max}, shared by equal contents.
+_REPORT: ContextVar[dict | None] = ContextVar("maxgap_report_memo", default=None)
+
+
+def _report_memo(spec: CovSpec) -> dict:
+    """The running bound_report's memo for this spec's content; outside a report, a new dict."""
+    memo = _REPORT.get()
+    return {} if memo is None else memo.setdefault(spec.content_hash, {})
 
 
 def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
@@ -370,11 +377,10 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
     its entries are the floats of :func:`cov_block` and :func:`_corr`.
     """
     _check_part(spec, part)
-    folds = _FOLDS.get()
-    key = None if folds is None else (spec.content_hash, part)
-    if folds is not None and key in folds:
-        return folds[key]
-    within = within or folds is not None
+    memo = _report_memo(spec)
+    if part in memo:
+        return memo[part]
+    within = within or _REPORT.get() is not None  # a report's fold serves check_conditions too
     sd = spec.sds
     sels = [{t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
             for idx in (part.a_idx, part.b_idx)]
@@ -403,10 +409,8 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
             cov = t[rs][:, cs]
             norms[k] = max(norms[k], float(np.max(cov / sd[i0:i1][rs][:, None] ** 2)),
                            float(np.max(cov / sd[j0:j1][cs] ** 2)))
-    out = (cross_cov, cross_corr, abs_corr, tuple(norms) if within else None)
-    if folds is not None:
-        folds[key] = out
-    return out
+    memo[part] = (cross_cov, cross_corr, abs_corr, tuple(norms) if within else None)
+    return memo[part]
 
 
 def rho_bar(spec: CovSpec, part: Partition) -> float:

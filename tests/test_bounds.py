@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
-                    CovSpec, DeltaTerm, HeterogeneousVariances, Inapplicable,
+                    CovSpec, DeltaTerm, DimensionMismatch,
+                    HeterogeneousVariances, Inapplicable,
                     McConfig, NoAdmissibleDelta, Partition,
                     PerfectCrossCorrelation, SingularCovariance,
                     ZeroResidualVariance, bound_baseline_min_eig,
@@ -81,7 +82,7 @@ class TestOraclesIidPair:
         grid = default_delta_grid()
         assert best.delta == grid[-1]
         assert best.omega == 0.0
-        assert math.isnan(best.d_delta)
+        assert best.d_delta is None
         assert value == pytest.approx(7.0 * 0.05 * E_ABS_Z / grid[-1], abs=0.003)
         assert len(terms) == 2 * grid.size
 
@@ -322,19 +323,34 @@ class TestBoundReport:
     def test_report_shape(self):
         spec = CovSpec.factor(footnote_factor())
         rep = bound_report(spec, Partition.split(4, 2), MC)
-        assert tuple(vars(rep)) == ALL_BOUNDS + ("lower_exchangeable", "mc_meta")
+        assert tuple(vars(rep)) == ALL_BOUNDS + ("lower_exchangeable",)
         assert rep.conditional == Inapplicable("zero_residual_variance")
         assert all(isinstance(t, DeltaTerm) for t in rep.corr_threshold)
-        assert rep.mc_meta == {"n_mc": MC.n_mc, "seed": MC.seed}
 
     def test_mc_determinism(self):
         spec, part = iid_pair()
         a = bound_report(spec, part, McConfig(n_mc=20000, seed=5))
         b = bound_report(spec, part, McConfig(n_mc=20000, seed=5))
-        assert a.homogeneous == b.homogeneous
-        assert a.ratio("corr_threshold", 0.05) == b.ratio("corr_threshold", 0.05)
+        assert a == b
         c = bound_report(spec, part, McConfig(n_mc=20000, seed=6))
         assert c.homogeneous != a.homogeneous
+
+    @pytest.mark.parametrize("case,error", [
+        ({"which": ("homogenous",)}, BadConfig),
+        ({"mc": McConfig(n_mc=0)}, BadConfig),
+        ({"mc": McConfig(n_mc=100, seed=-1)}, BadConfig),
+        ({"delta_grid": [2.0]}, BadConfig),
+        ({"part": Partition.split(10, 5)}, DimensionMismatch),
+    ], ids=["which", "n_mc", "seed", "delta_grid", "partition"])
+    def test_caller_errors_raise_before_any_work(self, monkeypatch, case, error):
+        # Only a bound's own hypotheses become Inapplicable; a caller error
+        # raises before any tile of Sigma is formed or any pass streamed.
+        spec, part = gen_design(DesignConfig(kind="table1", p=20))
+        work = spy_calls(monkeypatch, cov, ("_tile",))
+        work += spy_calls(monkeypatch, bounds, ("expected_max_many",))
+        with pytest.raises(error):
+            bound_report(**{"spec": spec, "part": part, "mc": MC, **case})
+        assert work == []
 
 
 class TestRequestReuse:
@@ -344,9 +360,13 @@ class TestRequestReuse:
     MC = McConfig(n_mc=3000, seed=9)
 
     def count_passes(self, monkeypatch, spec, part):
-        """Each expected-max pass of one report, as its (content, subset, ...) keys."""
-        import maxgap.bounds as bounds
+        """Each expected-max pass of an all-bounds report where every bound applies."""
+        rep, passes = self.report_passes(monkeypatch, spec, part)
+        assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)
+        return passes
 
+    def report_passes(self, monkeypatch, spec, part):
+        """An all-bounds report, and each of its expected-max passes as (content, subset, ...) keys."""
         passes = []
         real = bounds.expected_max_many
 
@@ -357,10 +377,30 @@ class TestRequestReuse:
             return real(spec, subsets, n_mc, seed, mode)
         monkeypatch.setattr(bounds, "expected_max_many", counting)
         rep = bound_report(spec, part, self.MC)
-        assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)
         requests = [key for keys in passes for key in keys]
         assert len(requests) == len(set(requests))
-        return passes
+        return rep, passes
+
+    @pytest.mark.parametrize("cfg", [
+        DesignConfig(kind="heterog_condA", p=40),
+        DesignConfig(kind="heterog_violation", p=40, variance_profile="v075"),
+        DesignConfig(kind="heterog_violation", p=80, variance_profile="v0875"),
+        DesignConfig(kind="k0_split", p=40, k0=10, rho=0.3),
+        DesignConfig(kind="homog_lowrank", p=40),
+        DesignConfig(kind="table1", p=40),
+        DesignConfig(kind="fullrank_equicorr", p=40, rho=0.5),
+    ], ids=DesignConfig.design_id)
+    def test_each_spec_content_streamed_once(self, monkeypatch, cfg):
+        # Also where the threshold profile does not apply (heterogeneous
+        # variances) or the separation condition fails: single_max streams
+        # both blocks in one pass, which the other bounds are served from.
+        spec, part = gen_design(cfg)
+        rep, passes = self.report_passes(monkeypatch, spec, part)
+        contents = [keys[0][0] for keys in passes]
+        assert spec.content_hash in contents
+        assert len(contents) == len(set(contents))
+        assert rep.single_max == min(bound_single_max(spec, s, self.MC)
+                                     for s in (part.a_set, part.b_set))
 
     def test_no_request_streamed_twice(self, monkeypatch):
         spec, part = gen_design(self.CFG)
@@ -402,8 +442,7 @@ class TestRequestReuse:
     def test_served_values_equal_separate_calls(self):
         spec, part = gen_design(self.CFG)
         rep = bound_report(spec, part, self.MC)
-        # repr: a term without N carries d_delta = NaN, which never compares equal.
-        assert repr(rep.corr_threshold) == repr(bound_corr_threshold(spec, part, mc=self.MC))
+        assert rep.corr_threshold == bound_corr_threshold(spec, part, mc=self.MC)
         assert rep.homogeneous == bound_homogeneous(spec, part, self.MC)
         assert rep.heterogeneous == bound_heterogeneous(spec, part, self.MC)
         assert rep.single_max == min(bound_single_max(spec, s, self.MC)
