@@ -181,9 +181,7 @@ def argmax_prob(replicates: np.ndarray, part: Partition, multiplier: str = "gaus
     replicates = np.asarray(replicates, dtype=float)
     if replicates.ndim != 2:
         raise DimensionMismatch(f"replicates must be B x p, got shape {replicates.shape}")
-    if part.p != replicates.shape[1]:
-        raise DimensionMismatch(
-            f"partition over {part.p} coordinates, replicates have {replicates.shape[1]}")
+    part.check_dim(replicates.shape[1])
     a_sel, b_sel = part.blocks
     diffs = replicates[:, a_sel].max(axis=1) - replicates[:, b_sel].max(axis=1)
     return _summarize(diffs, multiplier, seed)
@@ -196,8 +194,7 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
     Equal, bit for bit, to ``argmax_prob(multiplier_replicates(...), part, ...)``
     but holds one chunk of replicates at a time, never the B x p matrix.
     """
-    if part.p != data.p:
-        raise DimensionMismatch(f"partition over {part.p} coordinates, data have {data.p}")
+    part.check_dim(data.p)
     rows = _replicates(data, b_reps, multiplier)
     diffs = np.empty(b_reps)
     a_sel, b_sel = part.blocks

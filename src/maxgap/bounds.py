@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import (_REPORT, CovSpec, Partition, _check_part, _fold, _report_memo,
+from .cov import (_REPORT, CovSpec, Partition, _fold, _report_memo,
                   check_conditions, min_eigenvalue, residual_cov, rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
@@ -324,7 +324,7 @@ def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
         raise BadConfig(f"n_mc must be positive, got {mc.n_mc}")
     chunks(mc.seed, mc.n_mc)  # checks the seed
     delta_grid = _delta_grid(delta_grid)
-    _check_part(spec, part)
+    part.check_dim(spec.p)
     blocks = (part.a_set, part.b_set)
 
     def single_max():

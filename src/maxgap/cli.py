@@ -8,10 +8,11 @@ lists.  Config keys are the option names (``a``, ``overlap_k``, ``rho_min``,
 ``p_list``, ...); keys that name no option of the subcommand are ignored and
 ``null`` leaves an option unset.  Config values go through the same
 converters as flags: numbers or lists (comma-joined) for numeric options,
-strings for names and paths.  Exit codes: 0 success, 1 a selftest check
-failed, 2 bad configuration (including a malformed flag or config value),
-3 every requested bound inapplicable, 4 I/O failure (including a malformed
-or non-finite data cell).
+strings for names and paths, a list or a comma-joined string for
+``bounds``.  Exit codes: 0 success, 1 a selftest check failed, 2 bad
+configuration (including a malformed flag or config value), 3 every
+requested bound inapplicable, 4 I/O failure (including a malformed or
+non-finite data cell).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _config_defaults(sub: argparse.ArgumentParser, cfg: dict) -> dict:
         value = cfg.get(action.dest)
         if value is None or action.dest in ("help", "config"):
             continue
-        if isinstance(value, str) != (action.type is None):
+        if isinstance(value, str) != (action.type is None) and action.type is not _bounds_arg:
             expected = "a string" if action.type is None else "a number or a list"
             raise BadConfig(f"config key {action.dest!r} must be {expected}, got {value!r}")
         defaults[action.dest] = (",".join(map(str, value)) if isinstance(value, list)

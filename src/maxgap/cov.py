@@ -245,6 +245,11 @@ class Partition:
         """Column selectors of A and B for block maxima (:func:`_column_selector`)."""
         return _column_selector(self.a_set), _column_selector(self.b_set)
 
+    def check_dim(self, p: int) -> None:
+        """DimensionMismatch unless the partition is over p coordinates."""
+        if self.p != p:
+            raise DimensionMismatch(f"partition is over {self.p} coordinates, expected {p}")
+
     def to_json_dict(self) -> dict:
         return {"a": list(self.a_set), "b": list(self.b_set), "p": self.p}
 
@@ -376,7 +381,7 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
     an entry read is formed once for both placements, (i, j) and (j, i), and
     its entries are the floats of :func:`cov_block` and :func:`_corr`.
     """
-    _check_part(spec, part)
+    part.check_dim(spec.p)
     memo = _report_memo(spec)
     if part in memo:
         return memo[part]
@@ -469,7 +474,7 @@ def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray
     exactly; a relative condition number below 1e-12 raises SingularBlock
     rather than falling back to a pseudo-inverse.
     """
-    _check_part(spec, part)
+    part.check_dim(spec.p)
     a, b = part.a_idx, part.b_idx
     woodbury = [_rcond_floor(spec, c) >= RCOND_MIN for c in (b, a)]
     ab = None if all(woodbury) else cov_block(spec, a, b)
@@ -648,8 +653,3 @@ def sqrt_factor(sigma: np.ndarray) -> np.ndarray:
         raise NotPSD(f"smallest eigenvalue {float(w[0]):.3e} below PSD tolerance")
     keep = w > TOL_EIG_CLIP * max(1.0, float(w[-1]))
     return v[:, keep] * np.sqrt(w[keep])
-
-
-def _check_part(spec: CovSpec, part: Partition) -> None:
-    if part.p != spec.p:
-        raise DimensionMismatch(f"partition is over {part.p} coordinates, model has {spec.p}")

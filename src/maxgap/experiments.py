@@ -1,8 +1,15 @@
 """Batch experiment drivers: CSV/JSON emitters around the estimation core.
 
+The sampling drivers (levy, bounds-compare, scaling) measure through
+:func:`_measure`, in one stage order: check every argument, build the
+design, run its covariance geometry (``rho_bar`` or the bound report), run
+the sampler, then scan the sample once over the sorted distinct epsilons.
+
 Every driver is deterministic given its seed.  CSV payloads carry no
 timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
-rerun with the same inputs is byte-identical on the CSV side.
+rerun with the same inputs is byte-identical on the CSV side.  The sidecar
+records the run's parameters under the CLI option names, so its ``config``
+passed back through ``--config`` replays a levy or bounds-compare run.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,8 +27,8 @@ from .bounds import ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_repor
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
-from .levy import (DEFAULT_GRID, LevyEstimate, check_epsilon, expected_max_many, levy_curve,
-                   levy_hat)
+from .levy import (DEFAULT_GRID, LevyEstimate, check_epsilon, check_scan, expected_max_many,
+                   levy_curve)
 from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -56,32 +62,14 @@ def _versions() -> dict:
     return {"maxgap": __version__, "numpy": np.__version__, "blas": blas_name}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance sidecar for one emitted file.
-
-    Outputs are bit-identical only under one BLAS build and BLAS thread
-    count, so the sidecar records both (an unset thread variable is None).
-    ``spec_hash`` is the sampled model's :attr:`CovSpec.content_hash`, None
-    when the file covers several models; ``rng_method`` names the sampler's
-    generator.
-    """
-
-    command: str
-    seed: int
-    config: dict
-    columns: tuple[str, ...]
-    n_rows: int
-    outputs: tuple[str, ...]
-    spec_hash: str | None = None
-    rng_method: str = RNG_METHOD
-    created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-    versions: dict = field(default_factory=_versions)
-    blas_threads: dict = field(default_factory=lambda: {
-        name: os.environ.get(name) for name in _BLAS_THREAD_VARS})
-
-    def write(self, path: str) -> None:
-        write_json(path, asdict(self))
+def _write_text(path: str, text: str) -> None:
+    """The one file writer: it makes the parent directories, and any OSError is an IoError."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise IoError(f"cannot write {path}: {err}") from err
 
 
 def write_json(path: str | None, payload: dict) -> None:
@@ -89,47 +77,65 @@ def write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from err
+    else:
+        _write_text(path, text)
 
 
 def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict,
               spec_hash: str | None = None) -> str:
+    """Rows under a header line, plus the provenance sidecar ``path + ".meta.json"``.
+
+    Outputs are bit-identical only under one BLAS build and BLAS thread
+    count, so the sidecar records both (an unset thread variable is None).
+    ``spec_hash`` is the sampled model's :attr:`CovSpec.content_hash`, None
+    when the file covers several models; ``rng_method`` names the sampler's
+    generator.
+    """
     columns = tuple(columns)
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                cells = [_fmt(row[c]) for c in columns]
-                fh.write(",".join(cells) + "\n")
-        manifest = RunManifest(command=command, seed=seed, config=config,
-                               columns=columns, n_rows=len(rows),
-                               outputs=(os.path.basename(path),), spec_hash=spec_hash)
-        manifest.write(path + ".meta.json")
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from err
+    lines = [columns] + [[_fmt(row[c]) for c in columns] for row in rows]
+    _write_text(path, "".join(",".join(cells) + "\n" for cells in lines))
+    write_json(path + ".meta.json", {
+        "command": command, "seed": seed, "config": config, "columns": columns,
+        "n_rows": len(rows), "outputs": [os.path.basename(path)], "spec_hash": spec_hash,
+        "rng_method": RNG_METHOD, "created": datetime.now(timezone.utc).isoformat(),
+        "versions": _versions(),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}})
     return path
+
+
+def _measure(cfg: DesignConfig, epsilons, n_rep: int, seed: int, grid_points: int,
+             n_threads: int, geometry) -> tuple[CovSpec, object, list[LevyEstimate]]:
+    """The sampling drivers' one measurement: (spec, geometry(spec, part), estimates).
+
+    epsilons is one half-width or a list of them; the estimates follow its
+    order.  Every argument is checked before the design is built.  The
+    geometry runs before the sampler: memory freed by the sampler threads
+    stays in their allocator arenas, so work done afterwards would add to
+    the peak.  One scan serves the sorted distinct epsilons.
+    """
+    eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,), grid_points)
+    check_run(n_rep, seed, n_threads)
+    spec, part = gen_design(cfg)
+    geo = geometry(spec, part)
+    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
+    curve = {est.epsilon: est for est in levy_curve(diffs, sorted(set(eps)), grid_points)}
+    return spec, geo, [curve[e] for e in eps]
+
+
+def _run_config(cfg: DesignConfig, estimates, n_rep: int, grid_points: int, **extra) -> dict:
+    """The sidecar's config: the design and run options under their CLI names."""
+    return {**cfg.to_json_dict(), "reps": int(n_rep), "grid": int(grid_points),
+            "eps": [est.epsilon for est in estimates], **extra}
 
 
 def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int = 2000,
                         grid_points: int = DEFAULT_GRID, seed: int | None = None,
                         out_dir: str = ".", n_threads: int = 1) -> tuple[str, list[dict]]:
-    """Concentration-vs-epsilon table for one design."""
+    """Concentration-vs-epsilon table for one design, rows in ascending epsilon."""
     seed = cfg.seed if seed is None else int(seed)
-    eps_list = sorted(check_epsilon(e) for e in epsilons)
-    spec, part = gen_design(cfg)
-    # Covariance geometry before sampling, the stage order of every command.
-    rbar = rho_bar(spec, part)
-    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    estimates = levy_curve(diffs, eps_list, grid_points=grid_points)
-    sigma_hat = float(np.mean(spec.sds))
-    scale = math.sqrt(math.log(spec.p)) / sigma_hat
+    spec, rbar, estimates = _measure(cfg, epsilons, n_rep, seed, grid_points, n_threads,
+                                     rho_bar)
+    scale = math.sqrt(math.log(spec.p)) / float(np.mean(spec.sds))
     rows = [{
         "design_id": cfg.design_id(),
         "p": spec.p,
@@ -139,10 +145,11 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
         "se": est.se_hint,
         "n_rep": est.n_rep,
         "rho_bar": rbar,
-    } for est in estimates]
+    } for est in sorted(estimates, key=lambda est: est.epsilon)]
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
     write_csv(path, rows[0].keys(), rows, command="levy", seed=seed,
-              config=cfg.to_json_dict(), spec_hash=spec.content_hash)
+              config=_run_config(cfg, estimates, n_rep, grid_points),
+              spec_hash=spec.content_hash)
     return path, rows
 
 
@@ -187,21 +194,17 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
     seed = cfg.seed if seed is None else int(seed)
-    eps_list = [check_epsilon(e) for e in (epsilons if np.iterable(epsilons) else (epsilons,))]
-    spec, part = gen_design(cfg)
     mc = McConfig(n_mc=int(n_mc), seed=seed) if n_mc is not None else McConfig(seed=seed)
     overlap = cfg.overlap_k if cfg.kind == "exchangeable_overlap" else None
-    # The bounds run before the sampler (once its arguments are checked), as
-    # in run_levy_experiment: memory freed by the sampler threads stays in
-    # their allocator arenas, so work done afterwards would add to the peak.
-    check_run(n_rep, seed, n_threads)
-    report = bound_report(spec, part, mc=mc, which=which, overlap_k=overlap)
-    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    estimates = [levy_hat(diffs, eps, grid_points=grid_points) for eps in eps_list]
+    spec, report, estimates = _measure(
+        cfg, epsilons, n_rep, seed, grid_points, n_threads,
+        lambda spec, part: bound_report(spec, part, mc=mc, which=which, overlap_k=overlap))
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=seed,
-              config=cfg.to_json_dict(), spec_hash=spec.content_hash)
+              config=_run_config(cfg, estimates, n_rep, grid_points, mc=mc.n_mc,
+                                 bounds=list(which)),
+              spec_hash=spec.content_hash)
     return path, rows, report
 
 
@@ -225,35 +228,25 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
     """
     if kind not in SCALING_KINDS:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {SCALING_KINDS}")
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     n_sweep = len(p_list) if kind == "k0_sweep" else n_points
     if n_sweep < 1:
         raise BadConfig(f"{kind} needs at least one point, got {n_sweep}")
-    rows = []
-
-    def point_seed(i: int) -> int:
-        return (seed + i) & (2 ** 64 - 1)
-
+    seeds = [(seed + i) % 2 ** 64 for i in range(n_sweep)]
     if kind == "rho_sweep_fullrank":
         if not (-1.0 < rho_min <= rho_max < 1.0):
             raise BadConfig(f"need -1 < rho_min <= rho_max < 1, got [{rho_min}, {rho_max}]")
-        for i, rho in enumerate(np.linspace(rho_min, rho_max, n_points)):
-            cfg = DesignConfig(kind="fullrank_equicorr", p=p, rho=float(rho), seed=seed)
-            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, point_seed(i),
-                                     grid_points, n_threads))
+        cfgs = [DesignConfig(kind="fullrank_equicorr", p=p, rho=float(rho), seed=seed)
+                for rho in np.linspace(rho_min, rho_max, n_points)]
     elif kind == "rho_sweep_lowrank":
-        for i in range(n_points):
-            cfg = DesignConfig(kind="homog_lowrank", p=p, d=d, seed=point_seed(i))
-            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, point_seed(i),
-                                     grid_points, n_threads))
+        cfgs = [DesignConfig(kind="homog_lowrank", p=p, d=d, seed=s) for s in seeds]
     else:
-        for i, pi in enumerate(p_list):
-            cfg = DesignConfig(kind="k0_split", p=int(pi), k0=k0, seed=seed)
-            rows.append(_scaling_row(kind, cfg, epsilon, n_rep, point_seed(i),
-                                     grid_points, n_threads))
+        cfgs = [DesignConfig(kind="k0_split", p=int(pi), k0=k0, seed=seed) for pi in p_list]
+    rows = [_scaling_row(kind, cfg, epsilon, n_rep, s, grid_points, n_threads)
+            for cfg, s in zip(cfgs, seeds)]
     config = {"kind": kind, "p": p, "d": d, "n_points": n_points, "rho_min": rho_min,
               "rho_max": rho_max, "n_rep": n_rep, "epsilon": epsilon, "k0": k0,
-              "p_list": list(p_list)}
+              "p_list": list(p_list), "grid": grid_points}
     path = os.path.join(out_dir, f"scaling_{kind}.csv")
     write_csv(path, rows[0].keys(), rows, command="scaling", seed=seed, config=config)
     return path, rows
@@ -261,10 +254,7 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
 
 def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
                  grid_points: int, n_threads: int) -> dict:
-    spec, part = gen_design(cfg)
-    rbar = rho_bar(spec, part)  # geometry before sampling, as in run_levy_experiment
-    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    est = levy_hat(diffs, epsilon, grid_points=grid_points)
+    spec, rbar, (est,) = _measure(cfg, epsilon, n_rep, seed, grid_points, n_threads, rho_bar)
     row = {
         "kind": kind,
         "design_id": cfg.design_id(),

@@ -56,6 +56,16 @@ def check_epsilon(epsilon) -> float:
     return epsilon
 
 
+def check_scan(epsilons, grid_points: int) -> list[float]:
+    """A scan's half-widths, at least one, each checked; and its grid size."""
+    eps = [check_epsilon(e) for e in epsilons]
+    if not eps:
+        raise BadConfig("need at least one epsilon")
+    if grid_points < 1:
+        raise BadConfig(f"grid_points must be positive, got {grid_points}")
+    return eps
+
+
 def _sorted_sample(values) -> np.ndarray:
     values = _as_values(values)
     if values.shape[0] == 0:
@@ -94,13 +104,9 @@ def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEst
     Sharing the grid makes the curve nondecreasing in eps by construction.
     """
     v = _sorted_sample(diffs)
-    eps = [check_epsilon(e) for e in epsilons]
-    if not eps:
-        raise BadConfig("need at least one epsilon")
+    eps = check_scan(epsilons, grid_points)
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise BadConfig("epsilons must be sorted ascending")
-    if grid_points < 1:
-        raise BadConfig(f"grid_points must be positive, got {grid_points}")
     n = v.shape[0]
     grid = np.linspace(v[0], v[-1], grid_points)
     out = []

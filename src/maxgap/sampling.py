@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cov import TILE, CovSpec, Partition, _by_tile, _column_selector, _tile_edges
-from .errors import BadConfig, DimensionMismatch
+from .errors import BadConfig
 
 CHUNK = 1024
 RNG_METHOD = "philox4x64-ziggurat"
@@ -233,8 +233,7 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     but holds, per sampler thread, one chunk of normals and one
     ``CHUNK`` x ``TILE`` tile of draws, which it folds into running maxima.
     """
-    if part.p != spec.p:
-        raise DimensionMismatch(f"partition over {part.p} coordinates, model has {spec.p}")
+    part.check_dim(spec.p)
     check_run(n_rep, seed, n_threads)
     values = np.empty(n_rep)
     fold = _chunk_maxima(spec, (part.a_idx, part.b_idx), ("signed", "signed"))
@@ -269,8 +268,7 @@ def _diff_sample(values: np.ndarray, part: Partition) -> DiffSample:
 
 def max_diff(batch: SampleBatch, part: Partition) -> DiffSample:
     """Per-replicate M_B - M_A of a batch."""
-    if part.p != batch.p:
-        raise DimensionMismatch(f"partition over {part.p} coordinates, batch has {batch.p}")
+    part.check_dim(batch.p)
     a_sel, b_sel = part.blocks
     values = batch.data[:, b_sel].max(axis=1) - batch.data[:, a_sel].max(axis=1)
     return _diff_sample(values, part)

@@ -202,6 +202,45 @@ class TestBoundsCompareCommand:
         assert not list(tmp_path.glob("*.csv"))
 
 
+class TestSidecarReplay:
+    @pytest.mark.parametrize("argv", [
+        ["bounds-compare", "--kind", "fullrank_equicorr", "--p", "6", "--rho", "0.4",
+         "--reps", "300", "--mc", "500", "--eps", "0.2,0.01,0.2", "--grid", "50",
+         "--bounds", "homogeneous,baseline", "--seed", "5"],
+        ["levy", "--kind", "homog_lowrank", "--p", "8", "--d", "2", "--reps", "300",
+         "--eps", "0.2,0.05", "--grid", "70", "--seed", "6"],
+    ], ids=["bounds-compare", "levy"])
+    def test_config_replays_run(self, capsys, tmp_path, argv):
+        # The sidecar's config, passed back through --config, replays the
+        # run: the same CSV, byte for byte.
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(capsys, *argv, "--out", str(first))[0] == EXIT_OK
+        (path,) = first.glob("*.csv")
+        meta = json.loads((first / (path.name + ".meta.json")).read_text())
+        cfg = write_config(tmp_path, meta["config"])
+        assert run(capsys, argv[0], "--config", cfg, "--out", str(again))[0] == EXIT_OK
+        assert (again / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("names", ["homogeneous", "homogeneous,baseline"])
+    def test_bounds_config_takes_string_or_list(self, capsys, tmp_path, names):
+        # A config's bounds take the flag's comma-joined string as well as a list.
+        base = ["bounds-compare", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3",
+                "--reps", "200", "--mc", "500"]
+        sources = {
+            "flag": ["--bounds", names],
+            "string": ["--config", write_config(tmp_path, {"bounds": names}, "s.json")],
+            "list": ["--config", write_config(tmp_path, {"bounds": names.split(",")},
+                                              "l.json")],
+        }
+        csvs = {}
+        for source, extra in sources.items():
+            out = tmp_path / source
+            assert run(capsys, *base, *extra, "--out", str(out))[0] == EXIT_OK
+            (path,) = out.glob("*.csv")
+            csvs[source] = path.read_bytes()
+        assert csvs["string"] == csvs["flag"] == csvs["list"]
+
+
 class TestImports:
     def test_monte_carlo_commands_skip_numpy_ma(self, tmp_path):
         # Importing numpy.ma (np.unique does) costs milliseconds on every run;

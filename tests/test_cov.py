@@ -188,6 +188,23 @@ class TestPartition:
         d = json.loads(json.dumps(part.to_json_dict()))
         assert Partition(tuple(d["a"]), tuple(d["b"]), d["p"]) == part
 
+    def test_one_dimension_check(self):
+        # Every layer that takes a partition raises the same DimensionMismatch.
+        from maxgap import (DataMatrix, argmax_prob, bound_report, max_diff, run_bootstrap,
+                            sample)
+        spec, part = CovSpec.explicit(np.eye(4)), Partition.split(6, 3)
+        data = np.random.default_rng(0).standard_normal((5, 4))
+        calls = [lambda: rho_bar(spec, part), lambda: residual_cov(spec, part),
+                 lambda: bound_report(spec, part),
+                 lambda: sample_max_diff(spec, part, n_rep=10, seed=0),
+                 lambda: max_diff(sample(spec, 10, seed=0), part),
+                 lambda: argmax_prob(data, part),
+                 lambda: run_bootstrap(DataMatrix(xi=data), part, b_reps=10, seed=0)]
+        for call in calls:
+            with pytest.raises(DimensionMismatch,
+                               match="^partition is over 6 coordinates, expected 4$"):
+                call()
+
 
 class TestFootnoteDesign:
     """Rank-deficient 4-coordinate design: B spans the same plane as A."""

@@ -163,6 +163,80 @@ class TestEpsilonsCheckedFirst:
         assert ran == []
 
 
+class TestArgumentsCheckedFirst:
+    """Every driver argument is checked before the design, geometry or sampler run."""
+
+    CFG = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5, seed=3)
+    MESSAGES = {"grid_points": "grid_points must be positive", "n_rep": "n_rep must be positive",
+                "n_threads": "n_threads must be positive",
+                "seed": "seed must be an unsigned 64-bit", "epsilons": "need at least one epsilon"}
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        import maxgap.experiments as experiments
+        ran = []
+        for name in ("gen_design", "rho_bar", "bound_report", "sample_max_diff"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, _real=real, _name=name, **k:
+                                ran.append(_name) or _real(*a, **k))
+        return ran
+
+    @pytest.mark.parametrize("driver, kwargs", [
+        (run_levy_experiment, {"grid_points": 0}),
+        (run_levy_experiment, {"n_rep": 0}),
+        (run_levy_experiment, {"n_threads": 0}),
+        (run_levy_experiment, {"seed": 2 ** 64}),
+        (run_levy_experiment, {"epsilons": ()}),
+        (run_bounds_compare, {"grid_points": 0}),
+        (run_bounds_compare, {"n_threads": 0}),
+        (run_bounds_compare, {"seed": -1}),
+        (run_bounds_compare, {"epsilons": ()}),
+        (run_scaling_study, {"grid_points": 0}),
+        (run_scaling_study, {"n_rep": 0}),
+        (run_scaling_study, {"n_threads": 0}),
+    ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v.__name__)
+    def test_before_any_work(self, driver, kwargs, tmp_path, monkeypatch):
+        ran = self.spy(monkeypatch)
+        if driver is run_scaling_study:
+            call = lambda: driver("k0_sweep", p_list=(25,), out_dir=str(tmp_path), **kwargs)
+        else:
+            extra = {"n_mc": 200} if driver is run_bounds_compare else {}
+            call = lambda: driver(self.CFG, out_dir=str(tmp_path), **extra, **kwargs)
+        with pytest.raises(BadConfig, match=self.MESSAGES[next(iter(kwargs))]):
+            call()
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("driver, extra", [(run_levy_experiment, {}),
+                                               (run_bounds_compare, {"n_mc": 500})],
+                             ids=["levy", "bounds-compare"])
+    def test_scalar_epsilon_is_a_list_of_one(self, driver, extra, tmp_path):
+        scalar = driver(self.CFG, epsilons=0.05, n_rep=200, out_dir=str(tmp_path / "s"), **extra)
+        listed = driver(self.CFG, epsilons=[0.05], n_rep=200, out_dir=str(tmp_path / "l"),
+                        **extra)
+        assert scalar[1] == listed[1]
+        assert open(scalar[0], "rb").read() == open(listed[0], "rb").read()
+
+    @pytest.mark.parametrize("driver, extra", [(run_levy_experiment, {}),
+                                               (run_bounds_compare, {"n_mc": 500})],
+                             ids=["levy", "bounds-compare"])
+    def test_one_scan_over_distinct_epsilons(self, driver, extra, tmp_path, monkeypatch):
+        # One levy_curve call over the sorted distinct epsilons serves every
+        # row; each estimate equals its own one-epsilon scan.
+        import maxgap.experiments as experiments
+        scans = []
+        monkeypatch.setattr(experiments, "levy_curve", lambda d, eps, *a:
+                            scans.append(list(eps)) or levy_curve(d, eps, *a))
+        _, rows, *_ = driver(self.CFG, epsilons=(0.2, 0.01, 0.2), n_rep=300,
+                             out_dir=str(tmp_path), **extra)
+        assert scans == [[0.01, 0.2]]
+        diffs = sample_max_diff(*gen_design(self.CFG), n_rep=300, seed=self.CFG.seed)
+        for row in rows:
+            assert row["levy_hat"] == maxgap.levy_hat(diffs, row["epsilon"]).value
+        want = [0.01, 0.2, 0.2] if driver is run_levy_experiment else [0.2, 0.01, 0.2]
+        assert [row["epsilon"] for row in rows] == want
+
+
 class TestBoundsCompare:
     def test_ratio_semantics(self, tmp_path):
         cfg = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5, seed=4)
