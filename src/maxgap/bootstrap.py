@@ -17,10 +17,12 @@ checks the seed.  :func:`multiplier_replicates` is the batch API and keeps
 the whole B x p matrix; :func:`run_bootstrap`, which the CLI uses, reduces
 each chunk to its per-replicate M_A - M_B as it is drawn, so it holds
 O(CHUNK * p) memory, and its result equals
-``argmax_prob(multiplier_replicates(...))`` bit for bit.  For both, a run
-of whole chunks is a prefix of any longer run with the same seed; a partial
-last chunk is one matmul of another height, which BLAS may sum in another
-order, so it agrees only to rounding.
+``argmax_prob(multiplier_replicates(...), part)`` bit for bit.  For both, a
+run of whole chunks is a prefix of any longer run with the same seed; a
+partial last chunk is one matmul of another height, which BLAS may sum in
+another order, so it agrees only to rounding.  A :class:`BootstrapResult`
+holds values only (the per-replicate M_A - M_B, the share above zero and
+its quantiles); the run's B, multiplier and seed stay with the caller.
 """
 
 from __future__ import annotations
@@ -79,47 +81,11 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class BootstrapResult:
+    """Per-replicate M_A - M_B, the share strictly above zero, and its quantiles."""
+
     diffs: np.ndarray
     prob_argmax_in_a: float
     quantiles: dict
-    multiplier: str
-    b_reps: int
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prob": self.prob_argmax_in_a,
-            "quantiles": {str(q): v for q, v in self.quantiles.items()},
-            "b_reps": self.b_reps,
-            "multiplier": self.multiplier,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
-class CltRateInputs:
-    """Inputs of the coupling-rate diagnostic.
-
-    b_n is the envelope scale (at least 1), b0 the fourth-moment constant the
-    suppressed prefactor depends on (carried for reporting, not used by the
-    rate itself), c_ab the separation margin of the target covariance, and
-    emax_s the expected standardized maximum over the bound's block S.
-    """
-
-    b_n: float
-    b0: float
-    n: int
-    p: int
-    c_ab: float
-    emax_s: float
-
-    def __post_init__(self):
-        if not self.b_n >= 1.0:
-            raise BadConfig(f"b_n must be at least 1, got {self.b_n}")
-        if self.n < 1 or self.p < 1:
-            raise BadConfig("n and p must be positive")
-        if not self.c_ab > 0.0:
-            raise BadConfig("c_ab must be positive")
 
 
 def _replicates(data: DataMatrix, b_reps: int, multiplier: str):
@@ -160,23 +126,18 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     return out
 
 
-def _summarize(diffs: np.ndarray, multiplier: str, seed: int) -> BootstrapResult:
+def _summarize(diffs: np.ndarray) -> BootstrapResult:
     """Share of M_A - M_B strictly above zero, and its ``DEFAULT_QUANTILES``."""
     diffs.flags.writeable = False
-    b = diffs.shape[0]
-    prob = float(np.count_nonzero(diffs > 0.0)) / b
+    prob = float(np.count_nonzero(diffs > 0.0)) / diffs.shape[0]
     qs = {float(q): float(np.quantile(diffs, q)) for q in DEFAULT_QUANTILES}
-    return BootstrapResult(diffs=diffs, prob_argmax_in_a=prob, quantiles=qs,
-                           multiplier=multiplier, b_reps=b, seed=seed)
+    return BootstrapResult(diffs=diffs, prob_argmax_in_a=prob, quantiles=qs)
 
 
-def argmax_prob(replicates: np.ndarray, part: Partition, multiplier: str = "gaussian",
-                seed: int = 0) -> BootstrapResult:
+def argmax_prob(replicates: np.ndarray, part: Partition) -> BootstrapResult:
     """Fraction of replicates whose block-A maximum strictly beats block B.
 
-    Ties at exactly zero count as not greater.  The multiplier and seed
-    arguments only label the result; pass them through from the generation
-    step (or use :func:`run_bootstrap`).
+    Ties at exactly zero count as not greater.
     """
     replicates = np.asarray(replicates, dtype=float)
     if replicates.ndim != 2:
@@ -184,14 +145,14 @@ def argmax_prob(replicates: np.ndarray, part: Partition, multiplier: str = "gaus
     part.check_dim(replicates.shape[1])
     a_sel, b_sel = part.blocks
     diffs = replicates[:, a_sel].max(axis=1) - replicates[:, b_sel].max(axis=1)
-    return _summarize(diffs, multiplier, seed)
+    return _summarize(diffs)
 
 
 def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
                   multiplier: str = "gaussian") -> BootstrapResult:
     """Generate replicates and summarize them in one step, chunk by chunk.
 
-    Equal, bit for bit, to ``argmax_prob(multiplier_replicates(...), part, ...)``
+    Equal, bit for bit, to ``argmax_prob(multiplier_replicates(...), part)``
     but holds one chunk of replicates at a time, never the B x p matrix.
     """
     part.check_dim(data.p)
@@ -204,21 +165,28 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
         diffs[lo:hi] = x[:, a_sel].max(axis=1) - x[:, b_sel].max(axis=1)
 
     _map_chunks(reduce, seed, b_reps)
-    return _summarize(diffs, multiplier, seed)
+    return _summarize(diffs)
 
 
-def clt_rate(inputs: CltRateInputs) -> float:
+def clt_rate(*, emax_s: float, c_ab: float, b_n: float, n: int, p: int) -> float:
     """Coupling rate emax_s / c_ab * (b_n^2 ln(pn)^3 / n)^(1/4), modulo constant.
 
-    Warns when b_n^2 ln(pn)^5 exceeds n: below that sample size the rate
-    statement carries no information.
+    emax_s is the expected standardized maximum over the bound's block S,
+    c_ab the separation margin of the target covariance, and b_n the
+    envelope scale (at least 1).  Warns when b_n^2 ln(pn)^5 exceeds n: below
+    that sample size the rate statement carries no information.
     """
-    log_pn = math.log(inputs.p * inputs.n)
-    if inputs.b_n ** 2 * log_pn ** 5 > inputs.n:
-        warnings.warn(
-            f"b_n^2 log^5(pn) = {inputs.b_n ** 2 * log_pn ** 5:.3g} exceeds n = {inputs.n}; "
-            "rate is vacuous at this sample size", SmallSampleWarning, stacklevel=2)
-    return inputs.emax_s / inputs.c_ab * (inputs.b_n ** 2 * log_pn ** 3 / inputs.n) ** 0.25
+    if not b_n >= 1.0:
+        raise BadConfig(f"b_n must be at least 1, got {b_n}")
+    if n < 1 or p < 1:
+        raise BadConfig("n and p must be positive")
+    if not c_ab > 0.0:
+        raise BadConfig("c_ab must be positive")
+    log_pn = math.log(p * n)
+    if b_n ** 2 * log_pn ** 5 > n:
+        warnings.warn(f"b_n^2 log^5(pn) = {b_n ** 2 * log_pn ** 5:.3g} exceeds n = {n}; "
+                      "rate is vacuous at this sample size", SmallSampleWarning, stacklevel=2)
+    return emax_s / c_ab * (b_n ** 2 * log_pn ** 3 / n) ** 0.25
 
 
 def load_csv(path: str, shift=None) -> DataMatrix:

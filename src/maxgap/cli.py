@@ -162,7 +162,7 @@ def cmd_gen_design(args) -> int:
 def cmd_levy(args) -> int:
     path, rows = experiments.run_levy_experiment(
         _design_from(args), epsilons=args.eps, n_rep=args.reps, grid_points=args.grid,
-        seed=args.seed, out_dir=args.out, n_threads=args.threads)
+        out_dir=args.out, n_threads=args.threads)
     for row in rows:
         print(f"eps={row['epsilon']:g} levy_hat={row['levy_hat']:.6f} se={row['se']:.6f}")
     print(f"wrote {path}")
@@ -193,8 +193,7 @@ def _all_inapplicable(report, which) -> bool:
 def cmd_bounds_compare(args) -> int:
     path, rows, report = experiments.run_bounds_compare(
         _design_from(args), epsilons=args.eps, n_rep=args.reps, n_mc=args.mc,
-        grid_points=args.grid, seed=args.seed, out_dir=args.out, which=args.bounds,
-        n_threads=args.threads)
+        grid_points=args.grid, out_dir=args.out, which=args.bounds, n_threads=args.threads)
     for row in rows:
         ratios = {c: row[c] for c in experiments.COMPARE_COLUMNS
                   if c.startswith("ratio_") and row[c] is not None}
@@ -259,7 +258,7 @@ def cmd_selftest(args) -> int:
 
     def thread_pair(run, design: DesignConfig, tmp: str, **kwargs) -> tuple[list[dict], bool]:
         # The 1-thread rows of run, and whether its 1- and N-thread CSVs are byte-equal.
-        runs = [run(design, epsilons, n_rep=reps, seed=seed, n_threads=n,
+        runs = [run(design, epsilons, n_rep=reps, n_threads=n,
                     out_dir=os.path.join(tmp, f"{run.__name__}_{design.kind}_{k}"), **kwargs)
                 for k, n in enumerate((1, threads))]
         with open(runs[0][0], "rb") as f1, open(runs[1][0], "rb") as f2:

@@ -9,7 +9,8 @@ Every driver is deterministic given its seed.  CSV payloads carry no
 timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
 rerun with the same inputs is byte-identical on the CSV side.  The sidecar
 records the run's parameters under the CLI option names, so its ``config``
-passed back through ``--config`` replays a levy or bounds-compare run.
+passed back through ``--config`` replays a levy, bounds-compare or scaling
+run.  A levy or bounds-compare run samples with its design's seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bootstrap import (CltRateInputs, DataMatrix, clt_rate, run_bootstrap)
+from .bootstrap import DataMatrix, clt_rate, run_bootstrap
 from .bounds import ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_report
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
@@ -129,11 +130,10 @@ def _run_config(cfg: DesignConfig, estimates, n_rep: int, grid_points: int, **ex
 
 
 def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int = 2000,
-                        grid_points: int = DEFAULT_GRID, seed: int | None = None,
-                        out_dir: str = ".", n_threads: int = 1) -> tuple[str, list[dict]]:
+                        grid_points: int = DEFAULT_GRID, out_dir: str = ".",
+                        n_threads: int = 1) -> tuple[str, list[dict]]:
     """Concentration-vs-epsilon table for one design, rows in ascending epsilon."""
-    seed = cfg.seed if seed is None else int(seed)
-    spec, rbar, estimates = _measure(cfg, epsilons, n_rep, seed, grid_points, n_threads,
+    spec, rbar, estimates = _measure(cfg, epsilons, n_rep, cfg.seed, grid_points, n_threads,
                                      rho_bar)
     scale = math.sqrt(math.log(spec.p)) / float(np.mean(spec.sds))
     rows = [{
@@ -147,7 +147,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
         "rho_bar": rbar,
     } for est in sorted(estimates, key=lambda est: est.epsilon)]
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
-    write_csv(path, rows[0].keys(), rows, command="levy", seed=seed,
+    write_csv(path, rows[0].keys(), rows, command="levy", seed=cfg.seed,
               config=_run_config(cfg, estimates, n_rep, grid_points),
               spec_hash=spec.content_hash)
     return path, rows
@@ -186,22 +186,20 @@ def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
 
 def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
                        n_mc: int | None = None, grid_points: int = DEFAULT_GRID,
-                       seed: int | None = None, out_dir: str = ".",
-                       which=ALL_BOUNDS, n_threads: int = 1,
+                       out_dir: str = ".", which=ALL_BOUNDS, n_threads: int = 1,
                        ) -> tuple[str, list[dict], BoundReport]:
     """Empirical concentration against every requested bound, one row per epsilon.
 
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
-    seed = cfg.seed if seed is None else int(seed)
-    mc = McConfig(n_mc=int(n_mc), seed=seed) if n_mc is not None else McConfig(seed=seed)
+    mc = McConfig(seed=cfg.seed) if n_mc is None else McConfig(n_mc=int(n_mc), seed=cfg.seed)
     overlap = cfg.overlap_k if cfg.kind == "exchangeable_overlap" else None
     spec, report, estimates = _measure(
-        cfg, epsilons, n_rep, seed, grid_points, n_threads,
+        cfg, epsilons, n_rep, cfg.seed, grid_points, n_threads,
         lambda spec, part: bound_report(spec, part, mc=mc, which=which, overlap_k=overlap))
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
-    write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=seed,
+    write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=cfg.seed,
               config=_run_config(cfg, estimates, n_rep, grid_points, mc=mc.n_mc,
                                  bounds=list(which)),
               spec_hash=spec.content_hash)
@@ -223,12 +221,13 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
     rho_sweep_lowrank redraws a low-rank factor per point so rho_bar moves on
     its own; k0_sweep grows the ambient dimension at a fixed split size.
     The rho tables carry the 1/sqrt(1-rho_bar) and 1/(1-rho_bar) regressors.
-    Point i samples (and for rho_sweep_lowrank draws its design) with seed
-    seed + i, wrapped mod 2^64 so every seed the sampler accepts runs through.
+    The seed must lie in [0, 2^64); point i samples (and for
+    rho_sweep_lowrank draws its design) with seed seed + i, wrapped mod 2^64.
     """
     if kind not in SCALING_KINDS:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {SCALING_KINDS}")
     epsilon = check_epsilon(epsilon)
+    check_run(n_rep, seed, n_threads)
     n_sweep = len(p_list) if kind == "k0_sweep" else n_points
     if n_sweep < 1:
         raise BadConfig(f"{kind} needs at least one point, got {n_sweep}")
@@ -244,9 +243,9 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
         cfgs = [DesignConfig(kind="k0_split", p=int(pi), k0=k0, seed=seed) for pi in p_list]
     rows = [_scaling_row(kind, cfg, epsilon, n_rep, s, grid_points, n_threads)
             for cfg, s in zip(cfgs, seeds)]
-    config = {"kind": kind, "p": p, "d": d, "n_points": n_points, "rho_min": rho_min,
-              "rho_max": rho_max, "n_rep": n_rep, "epsilon": epsilon, "k0": k0,
-              "p_list": list(p_list), "grid": grid_points}
+    config = {"study": kind, "p": p, "d": d, "points": n_points, "rho_min": rho_min,
+              "rho_max": rho_max, "reps": n_rep, "eps": [epsilon], "k0": k0,
+              "p_list": list(p_list), "grid": grid_points, "seed": seed}
     path = os.path.join(out_dir, f"scaling_{kind}.csv")
     write_csv(path, rows[0].keys(), rows, command="scaling", seed=seed, config=config)
     return path, rows
@@ -285,8 +284,10 @@ def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,
     reason recorded) when the variance conditions fail on the sample covariance.
     """
     result = run_bootstrap(data, part, b_reps=b_reps, seed=seed, multiplier=multiplier)
+    quantiles = {str(q): v for q, v in result.quantiles.items()}
     payload = {"n": data.n, "p": data.p, "a_size": len(part.a_set),
-               "bootstrap": result.to_json_dict()}
+               "bootstrap": {"prob": result.prob_argmax_in_a, "quantiles": quantiles,
+                             "b_reps": b_reps, "multiplier": multiplier, "seed": seed}}
     payload.update(_clt_diagnostic(data, part, seed, n_mc))
     if out_path is not None:
         write_json(out_path, payload)
@@ -305,9 +306,9 @@ def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int, n_mc: int) -> 
         subset = part.b_set if rep.s_set[0] == "B" else part.a_set
         emax_s, = expected_max_many(spec_hat, [subset], n_mc, seed)
         b_n = max(1.0, float(np.abs(centered).max()))
-        inputs = CltRateInputs(b_n=b_n, b0=1.0, n=data.n, p=data.p,
-                               c_ab=rep.c_ab, emax_s=emax_s)
-        return {"clt_rate": clt_rate(inputs),
+        rate = clt_rate(emax_s=emax_s, c_ab=rep.c_ab, b_n=b_n, n=data.n, p=data.p)
+        # b0, the fourth-moment constant of the suppressed prefactor, is reported only.
+        return {"clt_rate": rate,
                 "clt_inputs": {"b_n": b_n, "b0": 1.0, "c_ab": rep.c_ab,
                                "emax_s": emax_s, "s_set": rep.s_set[0]}}
     except MaxgapError as err:

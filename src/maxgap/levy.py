@@ -3,9 +3,11 @@
 The concentration value of a sample at half-width eps is estimated by
 scanning a fixed grid of centers t (grid endpoints are the sample min and
 max, both included) and taking the largest empirical probability of the
-closed interval [t - eps, t + eps].  The grid scan is mildly downward biased;
-an exact sliding-interval maximizer is available behind ``exact=True``, the
-tests' reference that the grid scan may not exceed.
+closed interval [t - eps, t + eps].  A sample is a 1-D array-like, such as
+the max-difference vector the sampler returns; a batch or any other shape
+raises ``DimensionMismatch``.  The grid scan is mildly downward biased;
+an exact sliding-interval maximizer is available behind ``exact=True``,
+the tests' reference that the grid scan may not exceed.
 
 Expected maxima stream the sampler's keyed chunks and its chunk draw: each
 chunk is folded tile by tile into per-row maxima of every requested subset,
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cov import CovSpec
-from .errors import BadConfig, EmptySample, EmptySubset
-from .sampling import DiffSample, _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
+from .errors import BadConfig, DimensionMismatch, EmptySample, EmptySubset
+from .sampling import _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
 
 DEFAULT_GRID = 1000
 DEFAULT_MC = 200_000
@@ -40,12 +42,6 @@ class LevyEstimate:
     grid_points: int
     n_rep: int
     se_hint: float
-
-
-def _as_values(x) -> np.ndarray:
-    if isinstance(x, DiffSample):
-        return x.values
-    return np.asarray(x, dtype=float).reshape(-1)
 
 
 def check_epsilon(epsilon) -> float:
@@ -67,7 +63,9 @@ def check_scan(epsilons, grid_points: int) -> list[float]:
 
 
 def _sorted_sample(values) -> np.ndarray:
-    values = _as_values(values)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DimensionMismatch(f"sample must be one-dimensional, got shape {values.shape}")
     if values.shape[0] == 0:
         raise EmptySample("cannot estimate concentration of an empty sample")
     if not np.all(np.isfinite(values)):
@@ -83,7 +81,7 @@ def _estimate(epsilon: float, value, argmax_t: float, grid_points: int, n: int) 
 
 def levy_hat(diffs, epsilon: float, grid_points: int = DEFAULT_GRID,
              exact: bool = False) -> LevyEstimate:
-    """Concentration estimate for a max-difference sample or a raw sample vector.
+    """Concentration estimate of a 1-D sample, such as a max-difference vector.
 
     With ``exact`` the supremum is exact: the optimal window can start at a
     data point.

@@ -22,13 +22,15 @@ eigenspace, so such a spec's draws can differ by more than rounding.
 Three paths share one chunk draw, :func:`_chunk_draw`, which turns the
 chunk's normals into coordinates one ``TILE``-wide tile at a time
 (:func:`maxgap.cov._tile_edges`).  :func:`sample`, the batch API and the
-tests' reference, writes each tile into the n_rep x p matrix it keeps.
+tests' reference, writes each tile into the n_rep x p matrix it returns.
 :func:`sample_max_diff`, which the CLI commands use, and the expected-max
 passes fold each tile into running per-row maxima as soon as it is drawn
 (:func:`_chunk_maxima`), so a chunk holds its normals and O(rows * TILE)
 values, never a rows x p block.  All three run the same matmuls, and a
 maximum is exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))``
 bit for bit.  Thread and whole-chunk prefix bit-identity hold for every path.
+The sampler returns plain read-only arrays: :func:`sample` the n_rep x p
+matrix, :func:`sample_max_diff` and :func:`max_diff` the vector M_B - M_A.
 
 The normal generation method is numpy's ziggurat, fixed per build and
 recorded as ``RNG_METHOD`` in every CSV sidecar.
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,30 +55,6 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Stateless child stream for one chunk: Philox keyed by (seed, chunk)."""
     key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """n_rep x p matrix of draws and the seed that drew it."""
-
-    n_rep: int
-    p: int
-    data: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True)
-class DiffSample:
-    """Per-replicate difference of block maxima, M_B - M_A."""
-
-    values: np.ndarray
-    mean: float
-    sd: float
-    part: Partition
-
-    @property
-    def n_rep(self) -> int:
-        return int(self.values.shape[0])
 
 
 def sampling_factor(spec: CovSpec) -> np.ndarray:
@@ -205,12 +182,13 @@ def _chunk_maxima(spec: CovSpec, subsets, modes):
     return fold
 
 
-def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBatch:
+def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> np.ndarray:
     """Draw n_rep independent replicates of X = L Z + noise * W + mu as one batch.
 
-    Deterministic given (spec, n_rep, seed); the thread count only changes
-    who fills which chunk, never the numbers.  Holds all n_rep x p values;
-    :func:`sample_max_diff` streams them instead.
+    Returns the read-only n_rep x p matrix.  Deterministic given (spec,
+    n_rep, seed); the thread count only changes who fills which chunk, never
+    the numbers.  Holds all n_rep x p values; :func:`sample_max_diff`
+    streams them instead.
     """
     check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
@@ -222,12 +200,12 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> SampleBa
 
     _map_chunks(fill, seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
-    return SampleBatch(n_rep=n_rep, p=spec.p, data=data, seed=int(seed))
+    return data
 
 
 def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
-                    n_threads: int = 1) -> DiffSample:
-    """Per-replicate M_B - M_A of n_rep draws, reduced tile by tile.
+                    n_threads: int = 1) -> np.ndarray:
+    """Read-only vector of the per-replicate M_B - M_A of n_rep draws, reduced tile by tile.
 
     Equal, bit for bit, to ``max_diff(sample(spec, n_rep, seed, n_threads), part)``
     but holds, per sampler thread, one chunk of normals and one
@@ -243,7 +221,8 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
         np.subtract(m_b, m_a, out=values[lo:hi])
 
     _map_chunks(reduce, seed, n_rep, n_threads=n_threads)
-    return _diff_sample(values, part)
+    values.flags.writeable = False
+    return values
 
 
 def emax_chunk_rows(r: int) -> int:
@@ -260,16 +239,11 @@ def emax_chunk_rows(r: int) -> int:
     return min(1 << int(math.log2(target)), 4096)
 
 
-def _diff_sample(values: np.ndarray, part: Partition) -> DiffSample:
-    values.flags.writeable = False
-    sd = float(values.std(ddof=1)) if values.shape[0] > 1 else 0.0
-    return DiffSample(values=values, mean=float(values.mean()), sd=sd, part=part)
-
-
-def max_diff(batch: SampleBatch, part: Partition) -> DiffSample:
-    """Per-replicate M_B - M_A of a batch."""
-    part.check_dim(batch.p)
+def max_diff(batch: np.ndarray, part: Partition) -> np.ndarray:
+    """Read-only vector of the per-replicate M_B - M_A of an n_rep x p batch."""
+    part.check_dim(batch.shape[1])
     a_sel, b_sel = part.blocks
-    values = batch.data[:, b_sel].max(axis=1) - batch.data[:, a_sel].max(axis=1)
-    return _diff_sample(values, part)
+    values = batch[:, b_sel].max(axis=1) - batch[:, a_sel].max(axis=1)
+    values.flags.writeable = False
+    return values
 

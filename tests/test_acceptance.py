@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from maxgap import (ALL_BOUNDS, CovSpec, DataMatrix, DiffSample, Inapplicable,
+from maxgap import (ALL_BOUNDS, CovSpec, DataMatrix, Inapplicable,
                     McConfig, Partition, SingularCovariance, argmax_prob,
                     bound_baseline_min_eig, bound_corr_threshold, bound_report,
                     bound_single_max, expected_max_many, levy_hat,
@@ -126,8 +126,8 @@ def test_04_bound_dominance_suite(capsys):
             spec, part = gen_design(cfg)
             batch = sample(spec, 4000, seed=int(rng.integers(2**32)))
             diffs = max_diff(batch, part)
-            max_a = batch.data[:, part.a_idx].max(axis=1)
-            max_b = batch.data[:, part.b_idx].max(axis=1)
+            max_a = batch[:, part.a_idx].max(axis=1)
+            max_b = batch[:, part.b_idx].max(axis=1)
             mc = McConfig(n_mc=10000, seed=trial)
             rep = bound_report(spec, part, mc=mc)
             single_a = bound_single_max(spec, part.a_set, mc)
@@ -164,7 +164,7 @@ def test_05_exchangeable_sandwich(capsys):
         est = levy_hat(diffs, eps)
         assert est.value >= 1.0 / 7.0 - 4.0 * est.se_hint
 
-        v = np.sort(diffs.values)
+        v = np.sort(diffs)
         grid = np.linspace(v[0], v[-1], 1000)
         grid = grid[np.abs(grid) > eps]
         counts = (np.searchsorted(v, grid + eps, side="right")
@@ -211,9 +211,9 @@ def test_07_bootstrap_argmax_validity(capsys):
         p = 20
         cfg = DesignConfig(kind="fullrank_equicorr", p=p, rho=0.5)
         spec, _ = gen_design(cfg)
-        data = DataMatrix(xi=sample(spec, 2000, seed=42).data)
+        data = DataMatrix(xi=sample(spec, 2000, seed=42))
         reps = multiplier_replicates(data, b_reps=5000, seed=43)
-        truth_draws = sample(spec, 100000, seed=44).data
+        truth_draws = sample(spec, 100000, seed=44)
         rng = np.random.default_rng(45)
         misses = 0
         for _ in range(20):
@@ -248,15 +248,10 @@ def test_09_exact_invariants(capsys):
         # divisor: the value is bit-identical and the center moves by the
         # exact shift.
         rng = np.random.default_rng(5)
-        part2 = Partition.split(2, 1)
         vals = dyadic(1.5 * rng.standard_normal(4096))
         shift = 0.8125
-        d0 = DiffSample(values=vals, mean=float(vals.mean()),
-                        sd=float(vals.std()), part=part2)
-        d1 = DiffSample(values=vals + shift, mean=float(vals.mean() + shift),
-                        sd=float(vals.std()), part=part2)
-        a = levy_hat(d0, 0.0625, grid_points=1025)
-        b = levy_hat(d1, 0.0625, grid_points=1025)
+        a = levy_hat(vals, 0.0625, grid_points=1025)
+        b = levy_hat(vals + shift, 0.0625, grid_points=1025)
         assert b.value == a.value
         assert b.argmax_t == a.argmax_t + shift
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxgap import (BadConfig, CltRateInputs, CovSpec, DataMatrix,
-                    DimensionMismatch, ParseError, Partition,
-                    SmallSampleWarning, argmax_prob, clt_rate, load_csv,
-                    multiplier_replicates, run_bootstrap, sample)
+from maxgap import (BadConfig, CovSpec, DataMatrix, DimensionMismatch,
+                    ParseError, Partition, SmallSampleWarning, argmax_prob,
+                    clt_rate, load_csv, multiplier_replicates, run_bootstrap,
+                    run_bootstrap_demo, sample)
 from maxgap.bootstrap import BETA_MEAN, BETA_VAR, MULTIPLIERS, _parse_rows
 from maxgap.experiments import write_json
 from maxgap.sampling import CHUNK, chunk_rng
@@ -110,8 +110,7 @@ class TestArgmaxProb:
     def test_multiplier_agreement(self):
         rho = 0.5
         sig = np.full((6, 6), rho) + np.eye(6) * (1.0 - rho)
-        batch = sample(CovSpec.explicit(sig), 200, seed=8)
-        data = DataMatrix(xi=batch.data)
+        data = DataMatrix(xi=sample(CovSpec.explicit(sig), 200, seed=8))
         part = Partition.split(6, 3)
         g = run_bootstrap(data, part, b_reps=20000, seed=9, multiplier="gaussian")
         b = run_bootstrap(data, part, b_reps=20000, seed=9, multiplier="beta")
@@ -124,14 +123,20 @@ class TestArgmaxProb:
             argmax_prob(np.zeros((5, 3)), Partition.split(2, 1))
 
     def test_json_roundtrip(self, tmp_path):
-        reps = np.array([[1.0, 0.0], [0.0, 1.0]])
-        res = argmax_prob(reps, Partition.split(2, 1), multiplier="beta", seed=4)
-        d = res.to_json_dict()
-        assert d["prob"] == 0.5
-        assert d["multiplier"] == "beta"
+        # The demo's "bootstrap" dict: the result's values and the run's labels.
+        data = DataMatrix(np.random.default_rng(4).standard_normal((30, 2)))
+        part = Partition.split(2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSampleWarning)
+            d = run_bootstrap_demo(data, part, b_reps=50, seed=4, multiplier="beta",
+                                   n_mc=200)["bootstrap"]
+        res = run_bootstrap(data, part, b_reps=50, seed=4, multiplier="beta")
+        assert d["prob"] == res.prob_argmax_in_a
+        assert (d["b_reps"], d["multiplier"], d["seed"]) == (50, "beta", 4)
+        assert d["quantiles"] == {str(q): v for q, v in res.quantiles.items()}
         assert set(d["quantiles"]) == {"0.05", "0.25", "0.5", "0.75", "0.95"}
         path = str(tmp_path / "res.json")
-        write_json(path, res.to_json_dict())
+        write_json(path, d)
         assert json.load(open(path)) == d
 
 
@@ -148,12 +153,10 @@ class TestStreamedBootstrap:
         k = min(split, p - 1)
         part = Partition(tuple(order[:k]), tuple(order[k:]), p)
         streamed = run_bootstrap(data, part, b_reps, seed, multiplier=multiplier)
-        batch = argmax_prob(multiplier_replicates(data, b_reps, seed, multiplier), part,
-                            multiplier=multiplier, seed=seed)
+        batch = argmax_prob(multiplier_replicates(data, b_reps, seed, multiplier), part)
         assert streamed.diffs.tobytes() == batch.diffs.tobytes()
         assert streamed.prob_argmax_in_a == batch.prob_argmax_in_a
         assert streamed.quantiles == batch.quantiles
-        assert streamed.to_json_dict() == batch.to_json_dict()
 
     @pytest.mark.parametrize("multiplier", MULTIPLIERS)
     def test_equals_chunk_by_chunk_reference(self, multiplier):
@@ -182,35 +185,33 @@ class TestStreamedBootstrap:
 
 class TestCltRate:
     def test_frozen_value(self):
-        inputs = CltRateInputs(b_n=1.0, b0=1.0, n=1000, p=100, c_ab=1.0, emax_s=1.0)
         with pytest.warns(SmallSampleWarning):
-            got = clt_rate(inputs)
+            got = clt_rate(emax_s=1.0, c_ab=1.0, b_n=1.0, n=1000, p=100)
         want = (math.log(100 * 1000) ** 3 / 1000) ** 0.25
         assert got == want
         assert got == pytest.approx(1.1115, abs=2e-4)
 
     def test_scaling(self):
-        base = CltRateInputs(b_n=1.0, b0=1.0, n=10 ** 7, p=2, c_ab=1.0, emax_s=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r1 = clt_rate(base)
-            r2 = clt_rate(CltRateInputs(b_n=1.0, b0=1.0, n=10 ** 7, p=2,
-                                        c_ab=2.0, emax_s=3.0))
+            r1 = clt_rate(emax_s=1.0, c_ab=1.0, b_n=1.0, n=10 ** 7, p=2)
+            r2 = clt_rate(emax_s=3.0, c_ab=2.0, b_n=1.0, n=10 ** 7, p=2)
         assert r2 == pytest.approx(1.5 * r1, rel=1e-12)
 
     def test_no_warning_when_sample_is_large(self):
-        inputs = CltRateInputs(b_n=1.0, b0=1.0, n=10 ** 7, p=2, c_ab=1.0, emax_s=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", SmallSampleWarning)
-            clt_rate(inputs)
+            clt_rate(emax_s=1.0, c_ab=1.0, b_n=1.0, n=10 ** 7, p=2)
 
     def test_validation(self):
         with pytest.raises(BadConfig):
-            CltRateInputs(b_n=0.5, b0=1.0, n=10, p=2, c_ab=1.0, emax_s=1.0)
+            clt_rate(emax_s=1.0, c_ab=1.0, b_n=0.5, n=10, p=2)
         with pytest.raises(BadConfig):
-            CltRateInputs(b_n=1.0, b0=1.0, n=0, p=2, c_ab=1.0, emax_s=1.0)
+            clt_rate(emax_s=1.0, c_ab=1.0, b_n=1.0, n=0, p=2)
         with pytest.raises(BadConfig):
-            CltRateInputs(b_n=1.0, b0=1.0, n=10, p=2, c_ab=0.0, emax_s=1.0)
+            clt_rate(emax_s=1.0, c_ab=0.0, b_n=1.0, n=10, p=2)
+        with pytest.raises(TypeError):  # keyword-only
+            clt_rate(1.0, 1.0, 1.0, 10, 2)
 
 
 class TestLoadCsv:

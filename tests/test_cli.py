@@ -209,7 +209,9 @@ class TestSidecarReplay:
          "--bounds", "homogeneous,baseline", "--seed", "5"],
         ["levy", "--kind", "homog_lowrank", "--p", "8", "--d", "2", "--reps", "300",
          "--eps", "0.2,0.05", "--grid", "70", "--seed", "6"],
-    ], ids=["bounds-compare", "levy"])
+        ["scaling", "--study", "k0_sweep", "--k0", "3", "--p-list", "5,8", "--reps", "300",
+         "--eps", "0.1", "--grid", "60", "--seed", "7"],
+    ], ids=["bounds-compare", "levy", "scaling"])
     def test_config_replays_run(self, capsys, tmp_path, argv):
         # The sidecar's config, passed back through --config, replays the
         # run: the same CSV, byte for byte.

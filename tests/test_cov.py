@@ -58,7 +58,7 @@ class TestCovSpec:
         # Smallest eigenvalue -5e-9, inside the floor -1e-8 * max(1, max diag).
         sig = np.array([[1e-3, 1e-3 + 5e-9], [1e-3 + 5e-9, 1e-3]])
         spec = CovSpec.explicit(sig)
-        assert sample_max_diff(spec, Partition.split(2, 1), 10, seed=0).n_rep == 10
+        assert sample_max_diff(spec, Partition.split(2, 1), 10, seed=0).shape == (10,)
 
     @settings(max_examples=100, deadline=None)
     @given(p=st.integers(2, 6), scale_exp=st.integers(-6, 1),
@@ -76,7 +76,7 @@ class TestCovSpec:
             spec = CovSpec.explicit(sig)
         except NotPSD:
             return
-        assert sample_max_diff(spec, Partition.split(p, 1), 8, seed=0).n_rep == 8
+        assert sample_max_diff(spec, Partition.split(p, 1), 8, seed=0).shape == (8,)
 
     def test_singular_explicit_allowed(self):
         sig = np.ones((3, 3))

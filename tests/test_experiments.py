@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -194,15 +195,20 @@ class TestArgumentsCheckedFirst:
         (run_scaling_study, {"grid_points": 0}),
         (run_scaling_study, {"n_rep": 0}),
         (run_scaling_study, {"n_threads": 0}),
+        pytest.param(run_scaling_study, {"seed": -1}, id="run_scaling_study-seed-negative"),
+        pytest.param(run_scaling_study, {"seed": 2 ** 64}, id="run_scaling_study-seed-2^64"),
     ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v.__name__)
     def test_before_any_work(self, driver, kwargs, tmp_path, monkeypatch):
-        ran = self.spy(monkeypatch)
+        # levy and bounds-compare sample with the design's seed.
+        ran, message = self.spy(monkeypatch), self.MESSAGES[next(iter(kwargs))]
         if driver is run_scaling_study:
             call = lambda: driver("k0_sweep", p_list=(25,), out_dir=str(tmp_path), **kwargs)
         else:
             extra = {"n_mc": 200} if driver is run_bounds_compare else {}
-            call = lambda: driver(self.CFG, out_dir=str(tmp_path), **extra, **kwargs)
-        with pytest.raises(BadConfig, match=self.MESSAGES[next(iter(kwargs))]):
+            cfg = dataclasses.replace(self.CFG, seed=kwargs.get("seed", self.CFG.seed))
+            kwargs = {k: v for k, v in kwargs.items() if k != "seed"}
+            call = lambda: driver(cfg, out_dir=str(tmp_path), **extra, **kwargs)
+        with pytest.raises(BadConfig, match=message):
             call()
         assert ran == []
         assert list(tmp_path.iterdir()) == []
@@ -357,8 +363,7 @@ class TestScalingStudy:
 class TestBootstrapDemo:
     def good_data(self):
         sig = np.full((6, 6), 0.5) + np.eye(6) * 0.5
-        batch = sample(CovSpec.explicit(sig), 300, seed=9)
-        return DataMatrix(xi=batch.data)
+        return DataMatrix(xi=sample(CovSpec.explicit(sig), 300, seed=9))
 
     def test_payload_shape(self, tmp_path):
         out = str(tmp_path / "demo.json")
@@ -376,7 +381,7 @@ class TestBootstrapDemo:
     def test_diagnostic_skipped_on_violation(self):
         spec, part = gen_design(
             DesignConfig(kind="heterog_violation", p=8, variance_profile="v075"))
-        data = DataMatrix(xi=sample(spec, 400, seed=11).data)
+        data = DataMatrix(xi=sample(spec, 400, seed=11))
         payload = run_bootstrap_demo(data, part, b_reps=200, seed=11, n_mc=1000)
         assert payload["clt_rate"] is None
         assert payload["clt_skipped"] == "condition_fails"

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from maxgap import (BadConfig, CovSpec, EmptySample, EmptySubset, Partition,
-                    expected_max_many, levy_curve, levy_hat, max_diff, sample)
+from maxgap import (BadConfig, CovSpec, DimensionMismatch, EmptySample, EmptySubset,
+                    Partition, expected_max_many, levy_curve, levy_hat, max_diff, sample)
 from maxgap.cov import TILE
 from maxgap.sampling import CHUNK, chunk_rng, draw_width, emax_chunk_rows
 
@@ -44,7 +44,7 @@ class TestScanOracles:
     def test_single_normal(self):
         spec = CovSpec.explicit(np.eye(1), mu=[1.0])
         batch = sample(spec, 200000, seed=55)
-        est = levy_hat(batch.data[:, 0], 0.05)
+        est = levy_hat(batch[:, 0], 0.05)
         truth = 2.0 * phi(0.05) - 1.0
         assert truth == pytest.approx(0.0399, abs=2e-4)
         assert est.value == pytest.approx(truth, abs=0.003)
@@ -149,6 +149,8 @@ class TestScanInvariants:
             levy_curve(np.zeros(5), [-0.1, 0.2])
         with pytest.raises(EmptySample):
             levy_curve(np.array([]), [0.1])
+        with pytest.raises(DimensionMismatch):  # a batch, not a vector of differences
+            levy_hat(np.zeros((5, 2)), 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -343,7 +345,7 @@ class TestTileContract:
         top = min(CHUNK, emax_chunk_rows(draw_width(spec)))
         subsets = [range(p), range(TILE - 5, min(TILE + 5, p)), range(1, p, 7)]
         for m in (1, 2, 3, 64, top - 1, top):
-            data = sample(spec, m, seed=m).data
+            data = sample(spec, m, seed=m)
             for a in subsets:
                 want = float(np.sum(data[:, list(a)].max(axis=1))) / m
                 got, = expected_max_many(spec, [a], m, seed=m, mode="signed")

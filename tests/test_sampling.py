@@ -21,12 +21,11 @@ class TestSampleDeterminism:
         spec = CovSpec.factor(np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.9]]))
         one = sample(spec, 5000, seed=42, n_threads=1)
         four = sample(spec, 5000, seed=42, n_threads=4)
-        assert np.array_equal(one.data, four.data)
+        assert np.array_equal(one, four)
 
     def test_seed_changes_numbers(self):
         spec = CovSpec.explicit(np.eye(2))
-        assert not np.array_equal(sample(spec, 100, seed=1).data,
-                                  sample(spec, 100, seed=2).data)
+        assert not np.array_equal(sample(spec, 100, seed=1), sample(spec, 100, seed=2))
 
     def test_seeds_above_2_63_stay_distinct(self):
         # A plain list key holding a seed of 2^63 or more goes through float64.
@@ -34,7 +33,7 @@ class TestSampleDeterminism:
         seeds = (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = [sample(spec, 4, seed=s).data for s in seeds]
+            draws = [sample(spec, 4, seed=s) for s in seeds]
         for i in range(len(draws)):
             for j in range(i + 1, len(draws)):
                 assert not np.array_equal(draws[i], draws[j])
@@ -45,15 +44,13 @@ class TestSampleDeterminism:
         spec = CovSpec.explicit(np.eye(3))
         short = sample(spec, 2 * CHUNK, seed=7)
         long = sample(spec, 3 * CHUNK, seed=7)
-        assert np.array_equal(short.data, long.data[: 2 * CHUNK])
+        assert np.array_equal(short, long[: 2 * CHUNK])
 
     def test_metadata(self):
         spec = CovSpec.explicit(np.eye(2))
         batch = sample(spec, 10, seed=3)
-        assert batch.n_rep == 10
-        assert batch.p == 2
-        assert batch.seed == 3
-        assert not batch.data.flags.writeable
+        assert batch.shape == (10, 2)
+        assert not batch.flags.writeable
 
     def test_seed_validation(self):
         spec = CovSpec.explicit(np.eye(2))
@@ -91,7 +88,7 @@ class TestSampleDeterminism:
         spec = CovSpec.explicit(np.eye(2))
         many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
         assert sizes == [3, 3]
-        assert np.array_equal(many.data, sample(spec, 2 * CHUNK + 1, seed=5).data)
+        assert np.array_equal(many, sample(spec, 2 * CHUNK + 1, seed=5))
 
 
 class TestChunkRunner:
@@ -166,13 +163,11 @@ class TestSampleMaxDiff:
         streamed = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
         data = sample(spec, n_rep, seed, n_threads=n_threads)
         batch = max_diff(data, part)
-        assert streamed.values.tobytes() == batch.values.tobytes()
+        assert streamed.tobytes() == batch.tobytes()
         # Contiguous blocks are read as views: the maxima of index-array copies agree.
-        copied = data.data[:, part.b_idx].max(axis=1) - data.data[:, part.a_idx].max(axis=1)
-        assert streamed.values.tobytes() == copied.tobytes()
-        assert (streamed.mean, streamed.sd) == (batch.mean, batch.sd)
-        assert streamed.part == part
-        assert not streamed.values.flags.writeable
+        copied = data[:, part.b_idx].max(axis=1) - data[:, part.a_idx].max(axis=1)
+        assert streamed.tobytes() == copied.tobytes()
+        assert not streamed.flags.writeable
 
     @settings(max_examples=30, deadline=None)
     @given(design=streamed_designs(), n=st.sampled_from(N_REPS),
@@ -184,8 +179,8 @@ class TestSampleMaxDiff:
         # sum in another order, so its rows agree only to rounding.
         spec, part = design
         m = min(m, n)
-        long = sample_max_diff(spec, part, n, seed, n_threads=n_threads).values
-        short = sample_max_diff(spec, part, m, seed).values
+        long = sample_max_diff(spec, part, n, seed, n_threads=n_threads)
+        short = sample_max_diff(spec, part, m, seed)
         exact = m if m == n else m // CHUNK * CHUNK
         assert short[:exact].tobytes() == long[:exact].tobytes()
         assert np.allclose(short, long[:m], rtol=0.0, atol=1e-12)
@@ -288,7 +283,7 @@ class TestSampleMoments:
     def test_mean_and_sd(self):
         spec = CovSpec.factor(np.array([[math.sqrt(2.0)]]), mu=[5.0])
         batch = sample(spec, 10 ** 6, seed=123)
-        x = batch.data[:, 0]
+        x = batch[:, 0]
         assert x.mean() == pytest.approx(5.0, abs=0.004)
         assert x.std(ddof=1) == pytest.approx(math.sqrt(2.0), abs=0.01)
 
@@ -296,14 +291,14 @@ class TestSampleMoments:
         rho = 0.7
         spec = CovSpec.explicit(np.array([[1.0, rho], [rho, 1.0]]))
         batch = sample(spec, 200000, seed=9)
-        got = np.corrcoef(batch.data.T)[0, 1]
+        got = np.corrcoef(batch.T)[0, 1]
         assert got == pytest.approx(rho, abs=0.01)
 
     def test_degenerate_pair_identical(self):
         # A duplicated factor row yields bitwise identical columns.
         spec = CovSpec.factor(np.array([[1.0], [1.0]]))
         batch = sample(spec, 4096, seed=11)
-        assert np.array_equal(batch.data[:, 0], batch.data[:, 1])
+        assert np.array_equal(batch[:, 0], batch[:, 1])
 
 
 class TestStreamHelpers:
@@ -332,11 +327,9 @@ class TestMaxDiff:
         batch = sample(spec, 256, seed=2)
         part = Partition.split(4, 2)
         diff = max_diff(batch, part)
-        manual = batch.data[:, 2:].max(axis=1) - batch.data[:, :2].max(axis=1)
-        assert np.array_equal(diff.values, manual)
-        assert diff.n_rep == 256
-        assert diff.mean == pytest.approx(manual.mean())
-        assert diff.sd == pytest.approx(manual.std(ddof=1))
+        manual = batch[:, 2:].max(axis=1) - batch[:, :2].max(axis=1)
+        assert np.array_equal(diff, manual)
+        assert not diff.flags.writeable
 
     @settings(max_examples=30, deadline=None)
     @given(p=st.integers(2, 12), d=st.integers(1, 6), k=st.data(),
@@ -357,7 +350,7 @@ class TestMaxDiff:
         part = Partition.split(p, k.draw(st.integers(1, p - 1)))
         plain = sample_max_diff(CovSpec.factor(gamma, mu), part, n_rep, seed)
         moved = sample_max_diff(CovSpec.factor(gamma, mu + shift), part, n_rep, seed)
-        assert moved.values.tobytes() == plain.values.tobytes()
+        assert moved.tobytes() == plain.tobytes()
 
     def test_dimension_checked(self):
         spec = CovSpec.explicit(np.eye(3))
@@ -365,11 +358,11 @@ class TestMaxDiff:
         with pytest.raises(DimensionMismatch):
             max_diff(batch, Partition.split(4, 2))
 
-    def test_sd_zero_for_single_row(self):
+    def test_single_row(self):
         spec = CovSpec.explicit(np.eye(2))
         batch = sample(spec, 1, seed=1)
         diff = max_diff(batch, Partition.split(2, 1))
-        assert diff.sd == 0.0
+        assert diff.tolist() == [batch[0, 1] - batch[0, 0]]
 
 
 
@@ -392,12 +385,12 @@ class TestNoiseFactor:
     @pytest.mark.parametrize("n_rep", [CHUNK - 3, 2 * CHUNK + 5])
     def test_sample_matches_dense_factor(self, n_rep):
         noisy, dense = self.pair()
-        got, want = sample(noisy, n_rep, seed=11).data, sample(dense, n_rep, seed=11).data
+        got, want = sample(noisy, n_rep, seed=11), sample(dense, n_rep, seed=11)
         assert self.close(got, want)
 
     def test_sample_max_diff_matches_dense_factor(self):
         noisy, dense = self.pair()
         part = Partition(tuple(range(0, 300, 3)), tuple(i for i in range(300) if i % 3), 300)
-        got = sample_max_diff(noisy, part, 2 * CHUNK + 5, seed=12, n_threads=2).values
-        want = sample_max_diff(dense, part, 2 * CHUNK + 5, seed=12).values
+        got = sample_max_diff(noisy, part, 2 * CHUNK + 5, seed=12, n_threads=2)
+        want = sample_max_diff(dense, part, 2 * CHUNK + 5, seed=12)
         assert self.close(got, want)
