@@ -15,7 +15,10 @@ column tiles of :func:`maxgap.levy.expected_max_many` make a served value
 bit-identical to a fresh pass.
 
 Bounds deliberately report values above 1 unclipped; a value's usefulness at
-a given eps is the caller's judgment.
+a given eps is the caller's judgment.  ``bound_report`` reads only the spec
+and the partition; the exchangeable lower bound k/p takes the overlap size
+and the number of distinct coordinates from its caller
+(:func:`lower_bound_exchangeable`).
 """
 
 from __future__ import annotations
@@ -97,7 +100,6 @@ class BoundReport:
     conditional: float | Inapplicable | None
     baseline: float | Inapplicable | None
     single_max: float | Inapplicable | None
-    lower_exchangeable: ExchangeableLower | None
 
     def ratio(self, name: str, eps: float) -> float | Inapplicable | None:
         """Bound ``name`` at half-width eps divided by eps.
@@ -301,12 +303,11 @@ def _attempt(fn):
     try:
         return fn()
     except MaxgapError as err:
-        return Inapplicable(getattr(err, "code", "error"), str(err))
+        return Inapplicable(err.code, str(err))
 
 
 def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
-                 delta_grid=None, which=ALL_BOUNDS,
-                 overlap_k: int | None = None) -> BoundReport:
+                 delta_grid=None, which=ALL_BOUNDS) -> BoundReport:
     """Evaluate the requested bounds once, downgrading failed hypotheses to Inapplicable.
 
     Caller errors raise before any fold or pass: BadConfig for a name outside
@@ -346,8 +347,4 @@ def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
                  for name, fn in evaluators.items()}
     finally:
         _REPORT.reset(token)
-    lower = None
-    if overlap_k is not None:
-        p_under = spec.p - int(overlap_k)
-        lower = lower_bound_exchangeable(int(overlap_k), p_under)
-    return BoundReport(**rates, lower_exchangeable=lower)
+    return BoundReport(**rates)

@@ -27,7 +27,7 @@ import warnings
 
 from .bounds import ALL_BOUNDS, Inapplicable
 from .cov import Partition
-from .designs import KINDS, VARIANCE_PROFILES, DesignConfig
+from .designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig
 from .errors import BadConfig, IoError, MaxgapError, ParseError
 from .bootstrap import MULTIPLIERS, load_csv
 from .levy import DEFAULT_GRID, DEFAULT_MC
@@ -91,13 +91,15 @@ def _add_common(sub: argparse.ArgumentParser, out: str | None = None) -> None:
 def _add_design(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=KINDS, help="design family (required)")
     sub.add_argument("--p", type=int, default=400, help="dimension")
-    sub.add_argument("--d", type=int, help="factor rank for low-rank kinds")
-    sub.add_argument("--k", type=int, dest="overlap_k",
-                     help="overlap size for overlapping kinds")
-    sub.add_argument("--k0", type=int, help="size of block A for k0_split")
-    sub.add_argument("--rho", type=float, help="equicorrelation level")
-    sub.add_argument("--profile", choices=sorted(VARIANCE_PROFILES),
-                     dest="variance_profile", help="sd profile for heterog_violation")
+    options = (sub.add_argument("--d", type=int, help="factor rank"),
+               sub.add_argument("--k", type=int, dest="overlap_k", help="overlap size"),
+               sub.add_argument("--k0", type=int, help="size of block A"),
+               sub.add_argument("--rho", type=float, help="equicorrelation level"),
+               sub.add_argument("--profile", choices=sorted(VARIANCE_PROFILES),
+                                dest="variance_profile", help="sd profile"))
+    for action in options:
+        action.help += "; read by " + ", ".join(
+            kind for kind, (_, reads) in DESIGNS.items() if action.dest in reads)
 
 
 def _add_run(sub: argparse.ArgumentParser, reps: int, eps) -> None:
@@ -234,13 +236,11 @@ def cmd_bootstrap(args) -> int:
     else:
         part = Partition.split(data.p, data.p // 2 if args.split is None else args.split)
     payload = experiments.run_bootstrap_demo(
-        data, part, b_reps=args.breps, seed=args.seed, multiplier=args.multiplier,
-        out_path=args.out or None)
+        data, part, b_reps=args.breps, seed=args.seed, multiplier=args.multiplier)
+    experiments.write_json(args.out or None, payload)
     if args.out:
         print(f"wrote {args.out}")
         print(f"prob_argmax_in_A={payload['bootstrap']['prob']:.4f}")
-    else:
-        experiments.write_json(None, payload)
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Design generators for the simulation studies.
 
-Each kind maps a small config to a (CovSpec, Partition) pair, deterministic
-in the seed.  The first block is always A.  Overlapping-block designs are
-emitted in the duplication encoding: the shared coordinates appear twice in
-the covariance (perfectly correlated copies), so the partition itself stays
-disjoint and the ambient dimension is p + k.
+``DESIGNS`` is the one table of kinds: each kind's generator and the options
+it reads besides p and seed; ``gen_design`` rejects any other set option
+before any work.  A kind maps its config to a (CovSpec, Partition) pair,
+deterministic in the seed, with block A first.  Overlapping blocks are
+encoded by duplication: the shared coordinates appear twice in the
+covariance (perfectly correlated copies), so the partition stays disjoint;
+``exchangeable_overlap`` samples p + k coordinates for its p distinct ones.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 from .cov import CovSpec, Partition
 from .errors import BadConfig
 
-KINDS = ("homog_lowrank", "homog_overlap", "heterog_condA", "heterog_violation",
-         "fullrank_equicorr", "table1", "exchangeable_overlap", "k0_split")
+# The options a kind may read besides p and seed, with their design_id formats.
+_OPTIONS = {"d": "d{}", "overlap_k": "k{}", "k0": "k0_{}", "rho": "rho{:g}",
+            "variance_profile": "{}"}
 
 # Per-side sd profiles of the condition-violation designs, as fractions of
 # the side length.  The values are used as standard deviations; that is the
@@ -42,19 +45,9 @@ class DesignConfig:
     seed: int = 0
 
     def design_id(self) -> str:
-        bits = [self.kind, f"p{self.p}"]
-        if self.d is not None:
-            bits.append(f"d{self.d}")
-        if self.overlap_k is not None:
-            bits.append(f"k{self.overlap_k}")
-        if self.k0 is not None:
-            bits.append(f"k0_{self.k0}")
-        if self.rho is not None:
-            bits.append(f"rho{self.rho:g}")
-        if self.variance_profile is not None:
-            bits.append(self.variance_profile)
-        bits.append(f"s{self.seed}")
-        return "-".join(bits)
+        bits = [fmt.format(getattr(self, name)) for name, fmt in _OPTIONS.items()
+                if getattr(self, name) is not None]
+        return "-".join([self.kind, f"p{self.p}", *bits, f"s{self.seed}"])
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -72,7 +65,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 def _equicorr(p: int, rho: float, sds: np.ndarray | None = None) -> np.ndarray:
     _need(-1.0 / (p - 1) < rho < 1.0 if p > 1 else True,
           f"equicorrelation {rho} not positive semidefinite at p={p}")
-    sig = np.full((p, p), rho)
+    sig = np.full((p, p), float(rho))
     np.fill_diagonal(sig, 1.0)
     if sds is not None:
         sig = sig * np.outer(sds, sds)
@@ -80,44 +73,49 @@ def _equicorr(p: int, rho: float, sds: np.ndarray | None = None) -> np.ndarray:
 
 
 def gen_design(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    if cfg.kind not in KINDS:
+    """The (spec, partition) of cfg; BadConfig for an unknown kind or an option it does not read."""
+    if cfg.kind not in DESIGNS:
         raise BadConfig(f"unknown design kind {cfg.kind!r}; expected one of {KINDS}")
-    return _GENERATORS[cfg.kind](cfg)
+    generate, reads = DESIGNS[cfg.kind]
+    unread = [name for name in _OPTIONS if getattr(cfg, name) is not None and name not in reads]
+    if unread:
+        raise BadConfig(f"{cfg.kind} does not read {', '.join(unread)}")
+    return generate(cfg)
+
+
+def _halves(cfg: DesignConfig) -> int:
+    _need(cfg.p >= 2 and cfg.p % 2 == 0, f"{cfg.kind} needs even p >= 2, got {cfg.p}")
+    return cfg.p // 2
+
+
+def _rank(cfg: DesignConfig, low: int = 1) -> int:
+    d = cfg.d if cfg.d is not None else max(cfg.p // 10, 1 if cfg.kind == "table1" else 2)
+    _need(low <= d <= cfg.p, f"{cfg.kind} needs {low} <= d <= p, got d={d}")
+    return d
 
 
 def _homog_lowrank(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p, d = cfg.p, cfg.d if cfg.d is not None else max(cfg.p // 10, 2)
-    _need(p >= 2 and p % 2 == 0, f"homog_lowrank needs even p >= 2, got {p}")
-    _need(1 <= d <= p, f"homog_lowrank needs 1 <= d <= p, got d={d}")
-    rng = np.random.default_rng(cfg.seed)
-    gamma = _unit_rows(rng.standard_normal((p, d)))
-    return CovSpec.factor(gamma), Partition.split(p, p // 2)
+    half, d = _halves(cfg), _rank(cfg)
+    gamma = _unit_rows(np.random.default_rng(cfg.seed).standard_normal((cfg.p, d)))
+    return CovSpec.factor(gamma), Partition.split(cfg.p, half)
 
 
 def _homog_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p, d = cfg.p, cfg.d if cfg.d is not None else max(cfg.p // 10, 2)
-    k = cfg.overlap_k
-    _need(p >= 2 and p % 2 == 0, f"homog_overlap needs even p >= 2, got {p}")
-    _need(1 <= d <= p, f"homog_overlap needs 1 <= d <= p, got d={d}")
-    _need(k is not None and 1 <= k <= p // 2,
+    half, d, k = _halves(cfg), _rank(cfg), cfg.overlap_k
+    _need(k is not None and 1 <= k <= half,
           f"homog_overlap needs 1 <= overlap_k <= p/2, got {k}")
-    rng = np.random.default_rng(cfg.seed)
-    gamma = _unit_rows(rng.standard_normal((p, d)))
-    half = p // 2
+    gamma = _unit_rows(np.random.default_rng(cfg.seed).standard_normal((cfg.p, d)))
     gamma[half:half + k] = gamma[:k]
-    return CovSpec.factor(gamma), Partition.split(p, half)
+    return CovSpec.factor(gamma), Partition.split(cfg.p, half)
 
 
 def _heterog_cond_a(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p, d = cfg.p, cfg.d if cfg.d is not None else max(cfg.p // 10, 2)
-    _need(p >= 2 and p % 2 == 0, f"heterog_condA needs even p >= 2, got {p}")
-    _need(2 <= d <= p, f"heterog_condA needs 2 <= d <= p, got d={d}")
+    half, d = _halves(cfg), _rank(cfg, low=2)
     rng = np.random.default_rng(cfg.seed)
-    half = p // 2
     gamma_a = rng.standard_normal((half, d))
     gamma_b = _unit_rows(rng.standard_normal((half, d)))
     gamma_a = gamma_a / np.linalg.norm(gamma_a, axis=1).max()
-    return CovSpec.factor(np.vstack([gamma_a, gamma_b])), Partition.split(p, half)
+    return CovSpec.factor(np.vstack([gamma_a, gamma_b])), Partition.split(cfg.p, half)
 
 
 def _heterog_violation(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
@@ -136,23 +134,18 @@ def _heterog_violation(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
 
 
 def _fullrank_equicorr(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p = cfg.p
-    _need(p >= 2 and p % 2 == 0, f"fullrank_equicorr needs even p >= 2, got {p}")
+    half = _halves(cfg)
     _need(cfg.rho is not None, "fullrank_equicorr needs rho")
-    return CovSpec.explicit(_equicorr(p, float(cfg.rho))), Partition.split(p, p // 2)
+    return CovSpec.explicit(_equicorr(cfg.p, cfg.rho)), Partition.split(cfg.p, half)
 
 
 def _table1(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p = cfg.p
-    d = cfg.d if cfg.d is not None else max(p // 10, 1)
-    _need(p >= 2 and p % 2 == 0, f"table1 needs even p >= 2, got {p}")
-    _need(1 <= d <= p, f"table1 needs 1 <= d <= p, got d={d}")
-    rng = np.random.default_rng(cfg.seed)
-    gamma = rng.standard_normal((p, d))
+    half, d = _halves(cfg), _rank(cfg)
+    gamma = np.random.default_rng(cfg.seed).standard_normal((cfg.p, d))
     scale = np.sqrt(np.einsum("ij,ij->i", gamma, gamma) + 1.0)
     # The rows of [gamma, I] / scale, held as the factor gamma / scale plus noise sds 1 / scale.
     return (CovSpec.factor(gamma / scale[:, None], noise=1.0 / scale),
-            Partition.split(p, p // 2))
+            Partition.split(cfg.p, half))
 
 
 def _exchangeable_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
@@ -160,9 +153,8 @@ def _exchangeable_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
     _need(k is not None and k >= 1, f"exchangeable_overlap needs overlap_k >= 1, got {k}")
     _need(p > k and (p + k) % 2 == 0,
           f"exchangeable_overlap needs p > k with p + k even, got p={p}, k={k}")
-    rho = float(cfg.rho) if cfg.rho is not None else 0.0
     m = (p + k) // 2
-    sig = _equicorr(p, rho)
+    sig = _equicorr(p, cfg.rho or 0.0)
     # Blocks of size m sharing k coordinates: A reads 0..m-1, B reads m-k..p-1.
     index_map = np.concatenate([np.arange(m), np.arange(m - k, p)])
     sig_dup = sig[np.ix_(index_map, index_map)]
@@ -172,17 +164,18 @@ def _exchangeable_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
 def _k0_split(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
     p, k0 = cfg.p, cfg.k0
     _need(k0 is not None and 1 <= k0 < p, f"k0_split needs 1 <= k0 < p, got k0={k0}, p={p}")
-    rho = float(cfg.rho) if cfg.rho is not None else 0.0
-    return CovSpec.explicit(_equicorr(p, rho)), Partition.split(p, k0)
+    return CovSpec.explicit(_equicorr(p, cfg.rho or 0.0)), Partition.split(p, k0)
 
 
-_GENERATORS = {
-    "homog_lowrank": _homog_lowrank,
-    "homog_overlap": _homog_overlap,
-    "heterog_condA": _heterog_cond_a,
-    "heterog_violation": _heterog_violation,
-    "fullrank_equicorr": _fullrank_equicorr,
-    "table1": _table1,
-    "exchangeable_overlap": _exchangeable_overlap,
-    "k0_split": _k0_split,
+# Each kind's generator and the options it reads besides p and seed.
+DESIGNS = {
+    "homog_lowrank": (_homog_lowrank, ("d",)),
+    "homog_overlap": (_homog_overlap, ("d", "overlap_k")),
+    "heterog_condA": (_heterog_cond_a, ("d",)),
+    "heterog_violation": (_heterog_violation, ("variance_profile",)),
+    "fullrank_equicorr": (_fullrank_equicorr, ("rho",)),
+    "table1": (_table1, ("d",)),
+    "exchangeable_overlap": (_exchangeable_overlap, ("overlap_k", "rho")),
+    "k0_split": (_k0_split, ("k0", "rho")),
 }
+KINDS = tuple(DESIGNS)

@@ -10,7 +10,9 @@ timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
 rerun with the same inputs is byte-identical on the CSV side.  The sidecar
 records the run's parameters under the CLI option names, so its ``config``
 passed back through ``--config`` replays a levy, bounds-compare or scaling
-run.  A levy or bounds-compare run samples with its design's seed.
+run.  A levy or bounds-compare run samples with its design's seed.  A
+bounds-compare row takes ``lower_bound`` from the design's config, not the
+report.  ``run_bootstrap_demo`` returns its payload for ``write_json``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bootstrap import DataMatrix, clt_rate, run_bootstrap
-from .bounds import ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_report
+from .bounds import (ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_report,
+                     lower_bound_exchangeable)
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
@@ -34,6 +37,7 @@ from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
 K0_SWEEP_P = (25, 30, 40, 60, 80, 120)
+CLT_MC = 20000   # Monte Carlo size of the bootstrap's coupling-rate diagnostic
 
 
 def _fmt(x) -> str:
@@ -178,8 +182,8 @@ def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
             flagged.append(f"{name}:{value.reason}")
         elif value is not None:
             row["ratio_" + name] = value
-    if report.lower_exchangeable is not None:
-        row["lower_bound"] = report.lower_exchangeable.value
+    if cfg.kind == "exchangeable_overlap":
+        row["lower_bound"] = lower_bound_exchangeable(cfg.overlap_k, cfg.p).value
     row["inapplicable"] = ";".join(flagged)
     return row
 
@@ -193,10 +197,9 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
     mc = McConfig(seed=cfg.seed) if n_mc is None else McConfig(n_mc=int(n_mc), seed=cfg.seed)
-    overlap = cfg.overlap_k if cfg.kind == "exchangeable_overlap" else None
     spec, report, estimates = _measure(
         cfg, epsilons, n_rep, cfg.seed, grid_points, n_threads,
-        lambda spec, part: bound_report(spec, part, mc=mc, which=which, overlap_k=overlap))
+        lambda spec, part: bound_report(spec, part, mc=mc, which=which))
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=cfg.seed,
@@ -275,26 +278,25 @@ def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed:
 
 
 def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,
-                       seed: int = 0, multiplier: str = "gaussian",
-                       out_path: str | None = None, n_mc: int = 20000) -> dict:
-    """Argmax-probability bootstrap on observed rows, plus a rate diagnostic.
+                       seed: int = 0, multiplier: str = "gaussian") -> dict:
+    """Argmax-probability bootstrap on observed rows, plus a rate diagnostic, as a JSON payload.
 
     The diagnostic plugs the sample covariance and a crude bounded-envelope
-    estimate of b_n into the coupling-rate formula; it is omitted (with the
-    reason recorded) when the variance conditions fail on the sample covariance.
+    estimate of b_n into the coupling-rate formula, with a CLT_MC-draw
+    expected maximum.  When the variance conditions fail on the sample
+    covariance it is omitted: ``clt_skipped`` holds the error code and
+    ``clt_skipped_detail`` its message.
     """
     result = run_bootstrap(data, part, b_reps=b_reps, seed=seed, multiplier=multiplier)
     quantiles = {str(q): v for q, v in result.quantiles.items()}
     payload = {"n": data.n, "p": data.p, "a_size": len(part.a_set),
                "bootstrap": {"prob": result.prob_argmax_in_a, "quantiles": quantiles,
                              "b_reps": b_reps, "multiplier": multiplier, "seed": seed}}
-    payload.update(_clt_diagnostic(data, part, seed, n_mc))
-    if out_path is not None:
-        write_json(out_path, payload)
+    payload.update(_clt_diagnostic(data, part, seed))
     return payload
 
 
-def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int, n_mc: int) -> dict:
+def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int) -> dict:
     centered = data.xi - data.xi.mean(axis=0)
     sig_hat = (centered.T @ centered) / data.n
     sig_hat = (sig_hat + sig_hat.T) * 0.5
@@ -304,7 +306,7 @@ def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int, n_mc: int) -> 
         if not (rep.cond_a_holds or rep.cond_b_holds):
             raise ConditionFails("variance conditions fail on the sample covariance")
         subset = part.b_set if rep.s_set[0] == "B" else part.a_set
-        emax_s, = expected_max_many(spec_hat, [subset], n_mc, seed)
+        emax_s, = expected_max_many(spec_hat, [subset], CLT_MC, seed)
         b_n = max(1.0, float(np.abs(centered).max()))
         rate = clt_rate(emax_s=emax_s, c_ab=rep.c_ab, b_n=b_n, n=data.n, p=data.p)
         # b0, the fourth-moment constant of the suppressed prefactor, is reported only.
@@ -312,5 +314,4 @@ def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int, n_mc: int) -> 
                 "clt_inputs": {"b_n": b_n, "b0": 1.0, "c_ab": rep.c_ab,
                                "emax_s": emax_s, "s_set": rep.s_set[0]}}
     except MaxgapError as err:
-        return {"clt_rate": None,
-                "clt_skipped": getattr(err, "code", "error") or str(err)}
+        return {"clt_rate": None, "clt_skipped": err.code, "clt_skipped_detail": str(err)}

@@ -128,8 +128,7 @@ class TestArgmaxProb:
         part = Partition.split(2, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
-            d = run_bootstrap_demo(data, part, b_reps=50, seed=4, multiplier="beta",
-                                   n_mc=200)["bootstrap"]
+            d = run_bootstrap_demo(data, part, b_reps=50, seed=4, multiplier="beta")["bootstrap"]
         res = run_bootstrap(data, part, b_reps=50, seed=4, multiplier="beta")
         assert d["prob"] == res.prob_argmax_in_a
         assert (d["b_reps"], d["multiplier"], d["seed"]) == (50, "beta", 4)

@@ -314,16 +314,20 @@ class TestBoundReport:
         rep = bound_report(spec, part, MC, which=("single_max",))
         assert rep.single_max == Inapplicable("zero_residual_variance")
 
-    def test_lower_included_on_request(self):
+    def test_lower_bound_reads_the_config(self):
+        # The report reads only the spec; the lower bound takes k and the
+        # distinct p from the design's config, not the duplicated dimension.
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         spec, part = gen_design(cfg)
-        rep = bound_report(spec, part, MC, which=("homogeneous",), overlap_k=2)
-        assert rep.lower_exchangeable.value == 2.0 / 14.0
+        assert spec.p == 16
+        assert lower_bound_exchangeable(cfg.overlap_k, cfg.p).value == 2.0 / 14.0
+        with pytest.raises(TypeError):
+            bound_report(spec, part, MC, which=("homogeneous",), overlap_k=2)
 
     def test_report_shape(self):
         spec = CovSpec.factor(footnote_factor())
         rep = bound_report(spec, Partition.split(4, 2), MC)
-        assert tuple(vars(rep)) == ALL_BOUNDS + ("lower_exchangeable",)
+        assert tuple(vars(rep)) == ALL_BOUNDS
         assert rep.conditional == Inapplicable("zero_residual_variance")
         assert all(isinstance(t, DeltaTerm) for t in rep.corr_threshold)
 

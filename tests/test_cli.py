@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -116,6 +117,59 @@ class TestLevyCommand:
         assert "wrote" in out
         csvs = list(tmp_path.glob("levy_*.csv"))
         assert len(csvs) == 1
+
+
+# The kinds that read each design option, by its flag.
+READERS = {
+    "--d": {"homog_lowrank", "homog_overlap", "heterog_condA", "table1"},
+    "--k": {"homog_overlap", "exchangeable_overlap"},
+    "--k0": {"k0_split"},
+    "--rho": {"fullrank_equicorr", "exchangeable_overlap", "k0_split"},
+    "--profile": {"heterog_violation"},
+}
+
+
+def option_help(text: str, flag: str) -> str:
+    """The entry of flag in --help output, its wrapped lines joined."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"  {flag} "))
+    end = next(i for i in range(start + 1, len(lines) + 1)
+               if i == len(lines) or not lines[i].startswith("    "))
+    return " ".join(lines[start:end])
+
+
+class TestDesignOptions:
+    def test_unread_option_exits_2_before_any_file(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "levy", "--kind", "table1", "--p", "40", "--rho", "0.5",
+                           "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "does not read rho" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_unread_option_from_config(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"kind": "table1", "p": 40, "rho": 0.5})
+        code, _, err = run(capsys, "levy", "--config", cfg, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "table1 does not read rho" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_key_of_no_option_still_ignored(self, capsys, tmp_path):
+        # "mc" is an option of bounds-compare only, "study" of scaling only.
+        cfg = write_config(tmp_path, {"kind": "table1", "p": 20, "mc": 7, "study": "k0_sweep"})
+        code, out, _ = run(capsys, "gen-design", "--config", cfg)
+        assert code == EXIT_OK
+        assert json.loads(out)["design_id"] == "table1-p20-s0"
+
+    @pytest.mark.parametrize("command", ["gen-design", "levy", "bounds-compare"])
+    def test_help_names_the_kinds_that_read_each_option(self, capsys, command):
+        code, text, _ = run(capsys, command, "--help")
+        assert code == EXIT_OK
+        for flag, kinds in READERS.items():
+            entry = option_help(text, flag)
+            named = {kind for kind in maxgap.KINDS if re.search(rf"\b{kind}\b", entry)}
+            assert named == kinds, (flag, entry)
 
 
 class TestBoundsCompareCommand:

@@ -6,11 +6,35 @@ import pytest
 
 from maxgap import BadConfig, check_conditions, rho_bar
 from maxgap.cov import cov_block
-from maxgap.designs import KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
+from maxgap.designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
 
 
 def spec_of(**kwargs):
     return gen_design(DesignConfig(**kwargs))
+
+
+# The options each kind reads besides p and seed, and a valid config of each kind.
+READS = {
+    "homog_lowrank": {"d"},
+    "homog_overlap": {"d", "overlap_k"},
+    "heterog_condA": {"d"},
+    "heterog_violation": {"variance_profile"},
+    "fullrank_equicorr": {"rho"},
+    "table1": {"d"},
+    "exchangeable_overlap": {"overlap_k", "rho"},
+    "k0_split": {"k0", "rho"},
+}
+SMOKE = {
+    "homog_lowrank": dict(p=8),
+    "homog_overlap": dict(p=8, overlap_k=1),
+    "heterog_condA": dict(p=8),
+    "heterog_violation": dict(p=8),
+    "fullrank_equicorr": dict(p=8, rho=0.2),
+    "table1": dict(p=8),
+    "exchangeable_overlap": dict(p=7, overlap_k=1),
+    "k0_split": dict(p=8, k0=3),
+}
+OPTION_VALUES = {"d": 2, "overlap_k": 1, "k0": 3, "rho": 0.2, "variance_profile": "v075"}
 
 
 def full_cov(spec):
@@ -214,17 +238,25 @@ class TestConfigPlumbing:
         assert "d" not in cfg.to_json_dict()
 
     def test_all_kinds_have_generators(self):
-        smoke = {
-            "homog_lowrank": dict(p=8),
-            "homog_overlap": dict(p=8, overlap_k=1),
-            "heterog_condA": dict(p=8),
-            "heterog_violation": dict(p=8),
-            "fullrank_equicorr": dict(p=8, rho=0.2),
-            "table1": dict(p=8),
-            "exchangeable_overlap": dict(p=7, overlap_k=1),
-            "k0_split": dict(p=8, k0=3),
-        }
-        assert set(smoke) == set(KINDS)
-        for kind, kwargs in smoke.items():
+        assert set(SMOKE) == set(KINDS)
+        for kind, kwargs in SMOKE.items():
             spec, part = spec_of(kind=kind, **kwargs)
             assert spec.p == len(part.a_set) + len(part.b_set)
+
+    def test_table_lists_the_options_each_kind_reads(self):
+        assert {kind: set(reads) for kind, (_, reads) in DESIGNS.items()} == READS
+        for kind, reads in READS.items():
+            # Every option a kind reads is accepted.
+            spec_of(kind=kind, **{**{name: OPTION_VALUES[name] for name in reads},
+                                  **SMOKE[kind]})
+
+    @pytest.mark.parametrize("kind,option", [(kind, option) for kind in READS
+                                             for option in OPTION_VALUES
+                                             if option not in READS[kind]])
+    def test_unread_option_rejected(self, kind, option):
+        with pytest.raises(BadConfig, match=f"^{kind} does not read {option}$"):
+            spec_of(kind=kind, **SMOKE[kind], **{option: OPTION_VALUES[option]})
+
+    def test_unread_options_named_together(self):
+        with pytest.raises(BadConfig, match="^table1 does not read k0, rho$"):
+            spec_of(kind="table1", p=40, rho=0.5, k0=7)

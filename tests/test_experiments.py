@@ -14,7 +14,7 @@ from maxgap import (BadConfig, CovSpec, DataMatrix, IoError, Partition,
                     run_scaling_study, sample, sample_max_diff)
 from maxgap.cov import TILE
 from maxgap.designs import DesignConfig, gen_design
-from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv
+from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv, write_json
 from maxgap.sampling import CHUNK, RNG_METHOD, draw_width
 
 
@@ -310,7 +310,12 @@ class TestBoundsCompare:
                                              out_dir=str(tmp_path))
         assert rows[0]["lower_bound"] == 2.0 / 14.0
         assert rows[0]["p"] == 16
-        assert report.lower_exchangeable.residual == 0.5
+        assert tuple(vars(report)) == maxgap.ALL_BOUNDS
+        # Only the exchangeable design has the k/p lower bound.
+        cfg = DesignConfig(kind="homog_overlap", p=14, d=3, overlap_k=2)
+        _, rows, _ = run_bounds_compare(cfg, n_rep=200, n_mc=500, which=("corr_threshold",),
+                                        out_dir=str(tmp_path))
+        assert rows[0]["lower_bound"] is None
 
     def test_which_filter(self, tmp_path):
         cfg = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5)
@@ -370,21 +375,24 @@ class TestBootstrapDemo:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
             payload = run_bootstrap_demo(self.good_data(), Partition.split(6, 3),
-                                         b_reps=500, seed=10, n_mc=2000,
-                                         out_path=out)
+                                         b_reps=500, seed=10)
         assert payload["n"] == 300 and payload["p"] == 6
         assert 0.0 <= payload["bootstrap"]["prob"] <= 1.0
         assert payload["clt_rate"] > 0.0
         assert set(payload["clt_inputs"]) == {"b_n", "b0", "c_ab", "emax_s", "s_set"}
+        assert "clt_skipped" not in payload
+        write_json(out, payload)
         assert json.load(open(out)) == payload
 
     def test_diagnostic_skipped_on_violation(self):
         spec, part = gen_design(
             DesignConfig(kind="heterog_violation", p=8, variance_profile="v075"))
         data = DataMatrix(xi=sample(spec, 400, seed=11))
-        payload = run_bootstrap_demo(data, part, b_reps=200, seed=11, n_mc=1000)
+        payload = run_bootstrap_demo(data, part, b_reps=200, seed=11)
         assert payload["clt_rate"] is None
         assert payload["clt_skipped"] == "condition_fails"
+        assert payload["clt_skipped_detail"] == (
+            "variance conditions fail on the sample covariance")
 
 
 class TestWriteCsv:
