@@ -16,10 +16,10 @@ from .cov import (ConditionReport, CovSpec, Partition, check_conditions,
 from .sampling import max_diff, sample, sample_max_diff
 from .levy import LevyEstimate, expected_max_many, levy_curve, levy_hat
 from .bounds import (ALL_BOUNDS, BoundReport, DeltaTerm, ExchangeableLower,
-                     Inapplicable, McConfig, bound_baseline_min_eig,
-                     bound_conditional, bound_corr_threshold,
-                     bound_heterogeneous, bound_homogeneous, bound_report,
-                     bound_single_max, lower_bound_exchangeable)
+                     Inapplicable, bound_baseline_min_eig, bound_conditional,
+                     bound_corr_threshold, bound_heterogeneous,
+                     bound_homogeneous, bound_report, bound_single_max,
+                     lower_bound_exchangeable)
 from .bootstrap import (BootstrapResult, DataMatrix, argmax_prob, clt_rate,
                         load_csv, multiplier_replicates, run_bootstrap)
 from .designs import KINDS, DesignConfig, gen_design
@@ -34,7 +34,7 @@ __all__ = [
     "DataMatrix", "DeltaTerm", "DesignConfig", "DimensionMismatch",
     "EmptySample", "EmptySubset", "ExchangeableLower",
     "HeterogeneousVariances", "Inapplicable", "IoError", "KINDS",
-    "LevyEstimate", "MaxgapError", "McConfig", "NoAdmissibleDelta", "NotPSD",
+    "LevyEstimate", "MaxgapError", "NoAdmissibleDelta", "NotPSD",
     "ParseError", "Partition", "PerfectCrossCorrelation", "SingularBlock",
     "SingularCovariance", "SmallSampleWarning", "ZeroResidualVariance",
     "ZeroVariance", "argmax_prob", "bound_baseline_min_eig",

@@ -7,12 +7,13 @@ it returns its whole profile of (rate, omega) terms.  ``BoundReport.ratio``
 applies a half-width afterwards, which makes a pure-rate ratio the same float
 at every eps.  Expected-max terms are Monte Carlo estimates streamed under a
 shared seed (common random numbers), which makes the documented algebraic
-relations between bounds exact rather than approximate.  Within one
-``bound_report`` each (spec content, subset, mode, n_mc, seed) request is
-streamed once, a bound's requests of either mode in one pass, and served to
-every bound that asks for it, also across specs equal in content; the fixed
-column tiles of :func:`maxgap.levy.expected_max_many` make a served value
-bit-identical to a fresh pass.
+relations between bounds exact rather than approximate; each bound that
+runs a pass takes its size and seed as the keywords ``n_mc`` and ``seed``.
+Within one ``bound_report`` each (spec content, subset, mode, n_mc, seed)
+request is streamed once, a bound's requests of either mode in one pass,
+and served to every bound that asks for it, also across specs equal in
+content; the fixed column tiles of :func:`maxgap.levy.expected_max_many`
+make a served value bit-identical to a fresh pass.
 
 Bounds deliberately report values above 1 unclipped; a value's usefulness at
 a given eps is the caller's judgment.  ``bound_report`` reads only the spec
@@ -43,14 +44,6 @@ TOL_RESID = 1e-10       # residual variance below TOL_RESID * marginal is zero
 
 ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Size and seed of the expected-max Monte Carlo."""
-
-    n_mc: int = DEFAULT_MC
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,18 +109,18 @@ class BoundReport:
         return min(t.rate + 2.0 * t.omega / eps for t in value)
 
 
-def _emax(spec: CovSpec, requests, mc: McConfig) -> list[float]:
+def _emax(spec: CovSpec, requests, *, n_mc, seed) -> list[float]:
     """Expected max of each (subset, mode) request; one pass for those not yet served.
 
     Outside ``bound_report`` nothing is kept, so every call is one pass.
     """
     memo = _report_memo(spec)
-    keys = [(frozenset(np.asarray(s, dtype=np.intp).tolist()), mode, mc.n_mc, mc.seed)
+    keys = [(frozenset(np.asarray(s, dtype=np.intp).tolist()), mode, n_mc, seed)
             for s, mode in requests]
     missing = {key: req for key, req in zip(keys, requests) if key not in memo}
     if missing:
         subsets, modes = zip(*missing.values())
-        memo.update(zip(missing, expected_max_many(spec, subsets, mc.n_mc, mc.seed, modes)))
+        memo.update(zip(missing, expected_max_many(spec, subsets, n_mc, seed, modes)))
     return [memo[key] for key in keys]
 
 
@@ -139,17 +132,17 @@ def _common_sd(spec: CovSpec) -> float:
     return float(sds[0])
 
 
-def bound_homogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
+def bound_homogeneous(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0) -> float:
     """Equal-variance rate from the largest cross correlation.
 
     min(E max_A |X - mu|/sd, E max_B ...) * 7 / ((1 - rho_bar) * sd).
     """
-    mc = mc or McConfig()
     sigma = _common_sd(spec)
     rbar = rho_bar(spec, part)
     if rbar >= 1.0 - TOL_CORR:
         raise PerfectCrossCorrelation(f"largest cross correlation {rbar} too close to 1")
-    e_a, e_b = _emax(spec, [(part.a_set, "abs_std"), (part.b_set, "abs_std")], mc)
+    e_a, e_b = _emax(spec, [(part.a_set, "abs_std"), (part.b_set, "abs_std")],
+                     n_mc=n_mc, seed=seed)
     return min(e_a, e_b) / ((1.0 - rbar) * sigma) * 7.0
 
 
@@ -164,8 +157,8 @@ def _delta_grid(delta_grid) -> np.ndarray:
     return grid
 
 
-def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
-                         mc: McConfig | None = None) -> tuple[DeltaTerm, ...]:
+def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None, *,
+                         n_mc=DEFAULT_MC, seed=0) -> tuple[DeltaTerm, ...]:
     """Admissible threshold terms for both orientations of the partition.
 
     For orientation "AB", N(delta) collects the coordinates of A whose best
@@ -177,7 +170,6 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     expected plain maxima over A minus N and over N.  The bound at eps is the
     minimum of rate * eps + 2 * omega over the terms.
     """
-    mc = mc or McConfig()
     sigma = _common_sd(spec)
     grid = _delta_grid(delta_grid)
     best = _fold(spec, part, within=False)[1]
@@ -197,7 +189,7 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
             requests += [(rest, "signed"), (n_set, "signed")] if n_set.size else []
     if not plans:
         raise NoAdmissibleDelta("every threshold in the grid captures a full block")
-    emax = iter(_emax(spec, requests, mc))
+    emax = iter(_emax(spec, requests, n_mc=n_mc, seed=seed))
     terms = []
     for delta, orientation, has_n in plans:
         rate = min(next(emax), next(emax)) * 7.0 / (delta * sigma)
@@ -211,13 +203,12 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None,
     return tuple(terms)
 
 
-def bound_heterogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
+def bound_heterogeneous(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0) -> float:
     """Separation-condition rate 2 * E(max over S of |X - mu|/sd) / C.
 
     S is the block opposite the direction that holds; when both directions
     hold the smaller of the two rates is returned.
     """
-    mc = mc or McConfig()
     report = check_conditions(spec, part)
     if report.has_perfect_cross_corr:
         raise PerfectCrossCorrelation("a cross pair is perfectly correlated")
@@ -228,17 +219,16 @@ def bound_heterogeneous(spec: CovSpec, part: Partition, mc: McConfig | None = No
         candidates.append((part.a_set, report.c_b))
     if not candidates:
         raise ConditionFails("neither direction of the separation condition holds")
-    vals = _emax(spec, [(s, "abs_std") for s, _ in candidates], mc)
+    vals = _emax(spec, [(s, "abs_std") for s, _ in candidates], n_mc=n_mc, seed=seed)
     return min(e / c * 2.0 for e, (_, c) in zip(vals, candidates))
 
 
-def bound_conditional(spec: CovSpec, part: Partition, mc: McConfig | None = None) -> float:
+def bound_conditional(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0) -> float:
     """Residual-law rate 2 * min(E max |Xres|/sdres) / min sdres.
 
     Each block's law is conditioned on the other block (Schur complement,
     centered); the sd minimum runs over all coordinates of both residuals.
     """
-    mc = mc or McConfig()
     res_a, res_b = residual_cov(spec, part)
     marg = spec.variances
     mins = []
@@ -251,7 +241,7 @@ def bound_conditional(spec: CovSpec, part: Partition, mc: McConfig | None = None
             raise ZeroResidualVariance(f"coordinate {j} has no variance left given the other block")
         mins.append(float(np.sqrt(diag.min())))
         res_spec = CovSpec.explicit(res)
-        e_vals += _emax(res_spec, [(range(res.shape[0]), "abs_std")], mc)
+        e_vals += _emax(res_spec, [(range(res.shape[0]), "abs_std")], n_mc=n_mc, seed=seed)
     sd_floor = min(mins)
     return min(e_vals) / sd_floor * 2.0
 
@@ -276,11 +266,10 @@ def bound_baseline_min_eig(spec: CovSpec) -> float:
     return (math.sqrt(2.0 * math.log(p)) + 2.0) * 2.0 / math.sqrt(lam)
 
 
-def bound_single_max(spec: CovSpec, subset=None, mc: McConfig | None = None) -> float:
+def bound_single_max(spec: CovSpec, subset=None, *, n_mc=DEFAULT_MC, seed=0) -> float:
     """Concentration rate of a single maximum over the subset (default all)."""
-    mc = mc or McConfig()
     subset = tuple(range(spec.p)) if subset is None else tuple(int(i) for i in subset)
-    e, = _emax(spec, [(subset, "abs_std")], mc)
+    e, = _emax(spec, [(subset, "abs_std")], n_mc=n_mc, seed=seed)
     sd_floor = float(spec.sds[list(subset)].min())
     return e / sd_floor * 2.0
 
@@ -306,7 +295,7 @@ def _attempt(fn):
         return Inapplicable(err.code, str(err))
 
 
-def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
+def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
                  delta_grid=None, which=ALL_BOUNDS) -> BoundReport:
     """Evaluate the requested bounds once, downgrading failed hypotheses to Inapplicable.
 
@@ -318,27 +307,27 @@ def bound_report(spec: CovSpec, part: Partition, mc: McConfig | None = None,
     profile, whose pass covers both full blocks; ``single_max``, one request
     for both blocks, so each spec content is streamed once; then the rest.
     """
-    mc = mc or McConfig()
     if not set(which) <= set(ALL_BOUNDS):
         raise BadConfig(f"unknown bound in {which!r}; expected names from {ALL_BOUNDS}")
-    if mc.n_mc < 1:
-        raise BadConfig(f"n_mc must be positive, got {mc.n_mc}")
-    chunks(mc.seed, mc.n_mc)  # checks the seed
+    if n_mc < 1:
+        raise BadConfig(f"n_mc must be positive, got {n_mc}")
+    chunks(seed, n_mc)  # checks the seed
+    mc = {"n_mc": n_mc, "seed": seed}
     delta_grid = _delta_grid(delta_grid)
     part.check_dim(spec.p)
     blocks = (part.a_set, part.b_set)
 
     def single_max():
         # One pass for both blocks; each block's rate is then served from it.
-        _emax(spec, [(s, "abs_std") for s in blocks], mc)
-        return min(bound_single_max(spec, s, mc) for s in blocks)
+        _emax(spec, [(s, "abs_std") for s in blocks], **mc)
+        return min(bound_single_max(spec, s, **mc) for s in blocks)
 
     evaluators = {
-        "corr_threshold": lambda: bound_corr_threshold(spec, part, delta_grid, mc),
+        "corr_threshold": lambda: bound_corr_threshold(spec, part, delta_grid, **mc),
         "single_max": single_max,
-        "homogeneous": lambda: bound_homogeneous(spec, part, mc),
-        "heterogeneous": lambda: bound_heterogeneous(spec, part, mc),
-        "conditional": lambda: bound_conditional(spec, part, mc),
+        "homogeneous": lambda: bound_homogeneous(spec, part, **mc),
+        "heterogeneous": lambda: bound_heterogeneous(spec, part, **mc),
+        "conditional": lambda: bound_conditional(spec, part, **mc),
         "baseline": lambda: bound_baseline_min_eig(spec),
     }
     token = _REPORT.set({})

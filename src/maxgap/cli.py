@@ -6,13 +6,13 @@ argparse resolves every option in one pass: a flag wins over the
 ``--config`` file, which wins over the built-in default that ``--help``
 lists.  Config keys are the option names (``a``, ``overlap_k``, ``rho_min``,
 ``p_list``, ...); keys that name no option of the subcommand are ignored and
-``null`` leaves an option unset.  Config values go through the same
-converters as flags: numbers or lists (comma-joined) for numeric options,
-strings for names and paths, a list or a comma-joined string for
-``bounds``.  Exit codes: 0 success, 1 a selftest check failed, 2 bad
-configuration (including a malformed flag or config value), 3 every
-requested bound inapplicable, 4 I/O failure (including a malformed or
-non-finite data cell).
+``null`` leaves an option unset; a set design or study option that the kind
+or study does not read exits 2.  Config values go through the flags'
+converters: numbers or lists (comma-joined) for numeric options, strings
+for names and paths, a list or a comma-joined string for ``bounds``.  Exit
+codes: 0 success, 1 a selftest check failed, 2 bad configuration (including
+a malformed flag or config value), 3 every requested bound inapplicable, 4
+I/O failure (including a malformed or non-finite data cell).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import warnings
 
 from .bounds import ALL_BOUNDS, Inapplicable
 from .cov import Partition
-from .designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig
+from .designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
 from .errors import BadConfig, IoError, MaxgapError, ParseError
 from .bootstrap import MULTIPLIERS, load_csv
 from .levy import DEFAULT_GRID, DEFAULT_MC
@@ -62,24 +62,20 @@ def _seed(text: str) -> int:
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {err}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(convert, name: str):
+    """The converter of a comma-separated list of ``convert`` values, called ``name``."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {name}: {err}")
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+_float_list, _int_list = _list_of(float, "floats"), _list_of(int, "integers")
 
 
 def _add_common(sub: argparse.ArgumentParser, out: str | None = None) -> None:
@@ -88,18 +84,23 @@ def _add_common(sub: argparse.ArgumentParser, out: str | None = None) -> None:
     sub.add_argument("--out", default=out, help="output directory or file")
 
 
+def _read_by(table: dict, actions) -> None:
+    """Name in each option's help the ``table`` entries (name -> (_, reads)) that read it."""
+    for action in actions:
+        action.help += "; read by " + ", ".join(
+            name for name, (_, reads) in table.items() if action.dest in reads)
+
+
 def _add_design(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=KINDS, help="design family (required)")
     sub.add_argument("--p", type=int, default=400, help="dimension")
-    options = (sub.add_argument("--d", type=int, help="factor rank"),
-               sub.add_argument("--k", type=int, dest="overlap_k", help="overlap size"),
-               sub.add_argument("--k0", type=int, help="size of block A"),
-               sub.add_argument("--rho", type=float, help="equicorrelation level"),
-               sub.add_argument("--profile", choices=sorted(VARIANCE_PROFILES),
-                                dest="variance_profile", help="sd profile"))
-    for action in options:
-        action.help += "; read by " + ", ".join(
-            kind for kind, (_, reads) in DESIGNS.items() if action.dest in reads)
+    _read_by(DESIGNS, (
+        sub.add_argument("--d", type=int, help="factor rank"),
+        sub.add_argument("--k", type=int, dest="overlap_k", help="overlap size"),
+        sub.add_argument("--k0", type=int, help="size of block A"),
+        sub.add_argument("--rho", type=float, help="equicorrelation level"),
+        sub.add_argument("--profile", choices=sorted(VARIANCE_PROFILES),
+                         dest="variance_profile", help="sd profile")))
 
 
 def _add_run(sub: argparse.ArgumentParser, reps: int, eps) -> None:
@@ -146,8 +147,6 @@ def _design_from(args) -> DesignConfig:
 
 def cmd_gen_design(args) -> int:
     cfg = _design_from(args)
-    from .designs import gen_design
-
     spec, part = gen_design(cfg)
     payload = {
         "design_id": cfg.design_id(),
@@ -216,11 +215,10 @@ def cmd_scaling(args) -> int:
         raise BadConfig("a study kind is required (--study or 'study' in --config)")
     if len(args.eps) != 1:
         raise BadConfig(f"scaling takes a single epsilon, got {args.eps}")
+    options = {k: v for k, v in vars(args).items() if k in experiments.STUDY_OPTIONS}
     path, rows = experiments.run_scaling_study(
-        args.study, out_dir=args.out, seed=args.seed, p=args.p, d=args.d,
-        n_points=args.points, rho_min=args.rho_min, rho_max=args.rho_max,
-        n_rep=args.reps, epsilon=args.eps[0], grid_points=args.grid, k0=args.k0,
-        p_list=args.p_list, n_threads=args.threads)
+        args.study, out_dir=args.out, seed=args.seed, n_rep=args.reps, epsilon=args.eps[0],
+        grid_points=args.grid, n_threads=args.threads, **options)
     print(f"{len(rows)} rows; wrote {path}")
     return EXIT_OK
 
@@ -317,17 +315,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = add("scaling", cmd_scaling, "scaling studies over rho or block size")
     _add_common(sp, out=".")
     _add_run(sp, reps=500, eps=(0.05,))
-    sp.add_argument("--study", choices=experiments.SCALING_KINDS, help="study kind (required)")
-    sp.add_argument("--p", type=int, default=100, help="dimension of the rho sweeps")
-    sp.add_argument("--d", type=int, help="factor rank for rho_sweep_lowrank")
-    sp.add_argument("--points", type=_positive_int, default=100, help="sweep points")
-    sp.add_argument("--rho-min", type=float, default=0.9, dest="rho_min",
-                    help="first rho of rho_sweep_fullrank")
-    sp.add_argument("--rho-max", type=float, default=0.99, dest="rho_max",
-                    help="last rho of rho_sweep_fullrank")
-    sp.add_argument("--k0", type=int, default=20, help="size of block A for k0_sweep")
-    sp.add_argument("--p-list", type=_int_list, default=experiments.K0_SWEEP_P, dest="p_list",
-                    help="dimensions for k0_sweep")
+    sp.add_argument("--study", choices=tuple(experiments.STUDIES), help="study kind (required)")
+    study_options = (
+        sp.add_argument("--p", type=int, help="dimension"),
+        sp.add_argument("--d", type=int, help="factor rank"),
+        sp.add_argument("--points", type=_positive_int, help="sweep points"),
+        sp.add_argument("--rho-min", type=float, dest="rho_min", help="first rho"),
+        sp.add_argument("--rho-max", type=float, dest="rho_max", help="last rho"),
+        sp.add_argument("--k0", type=int, help="size of block A"),
+        sp.add_argument("--p-list", type=_int_list, dest="p_list", help="dimensions"))
+    _read_by(experiments.STUDIES, study_options)
+    for action in study_options:
+        # Unset unless given, so only the options the study reads reach it.
+        action.default = argparse.SUPPRESS
+        action.help += f" (default: {experiments.STUDY_OPTIONS[action.dest]})"
 
     sp = add("bootstrap", cmd_bootstrap, "multiplier bootstrap on an observed matrix")
     _add_common(sp)

@@ -12,7 +12,9 @@ records the run's parameters under the CLI option names, so its ``config``
 passed back through ``--config`` replays a levy, bounds-compare or scaling
 run.  A levy or bounds-compare run samples with its design's seed.  A
 bounds-compare row takes ``lower_bound`` from the design's config, not the
-report.  ``run_bootstrap_demo`` returns its payload for ``write_json``.
+report.  ``STUDIES`` maps each scaling study to its point designs and the
+options it reads, the only ones its sidecar records.  ``run_bootstrap_demo``
+returns its payload for ``write_json``.
 """
 
 from __future__ import annotations
@@ -26,17 +28,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bootstrap import DataMatrix, clt_rate, run_bootstrap
-from .bounds import (ALL_BOUNDS, BoundReport, Inapplicable, McConfig, bound_report,
+from .bounds import (ALL_BOUNDS, BoundReport, Inapplicable, bound_report,
                      lower_bound_exchangeable)
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
-from .levy import (DEFAULT_GRID, LevyEstimate, check_epsilon, check_scan, expected_max_many,
-                   levy_curve)
+from .levy import (DEFAULT_GRID, DEFAULT_MC, LevyEstimate, check_epsilon, check_scan,
+                   expected_max_many, levy_curve)
 from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
-K0_SWEEP_P = (25, 30, 40, 60, 80, 120)
 CLT_MC = 20000   # Monte Carlo size of the bootstrap's coupling-rate diagnostic
 
 
@@ -147,7 +148,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
         "norm_eps": est.epsilon * scale,
         "levy_hat": est.value,
         "se": est.se_hint,
-        "n_rep": est.n_rep,
+        "n_rep": n_rep,
         "rho_bar": rbar,
     } for est in sorted(estimates, key=lambda est: est.epsilon)]
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
@@ -189,66 +190,79 @@ def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
 
 
 def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
-                       n_mc: int | None = None, grid_points: int = DEFAULT_GRID,
+                       n_mc: int = DEFAULT_MC, grid_points: int = DEFAULT_GRID,
                        out_dir: str = ".", which=ALL_BOUNDS, n_threads: int = 1,
                        ) -> tuple[str, list[dict], BoundReport]:
     """Empirical concentration against every requested bound, one row per epsilon.
 
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
-    mc = McConfig(seed=cfg.seed) if n_mc is None else McConfig(n_mc=int(n_mc), seed=cfg.seed)
     spec, report, estimates = _measure(
         cfg, epsilons, n_rep, cfg.seed, grid_points, n_threads,
-        lambda spec, part: bound_report(spec, part, mc=mc, which=which))
+        lambda spec, part: bound_report(spec, part, n_mc=n_mc, seed=cfg.seed, which=which))
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=cfg.seed,
-              config=_run_config(cfg, estimates, n_rep, grid_points, mc=mc.n_mc,
+              config=_run_config(cfg, estimates, n_rep, grid_points, mc=n_mc,
                                  bounds=list(which)),
               spec_hash=spec.content_hash)
     return path, rows, report
 
 
-SCALING_KINDS = ("rho_sweep_fullrank", "rho_sweep_lowrank", "k0_sweep")
+# Each scaling study option's default; a study reads only those STUDIES lists for it.
+STUDY_OPTIONS = {"p": 100, "d": None, "points": 100, "rho_min": 0.9, "rho_max": 0.99,
+                 "k0": 20, "p_list": (25, 30, 40, 60, 80, 120)}
 
 
-def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
-                      p: int = 100, d: int | None = None, n_points: int = 100,
-                      rho_min: float = 0.9, rho_max: float = 0.99,
-                      n_rep: int = 500, epsilon: float = 0.05,
-                      grid_points: int = DEFAULT_GRID, k0: int = 20,
-                      p_list=K0_SWEEP_P, n_threads: int = 1) -> tuple[str, list[dict]]:
+def _rho_sweep_fullrank(o: dict, seed: int) -> list[DesignConfig]:
+    if not (-1.0 < o["rho_min"] <= o["rho_max"] < 1.0):
+        raise BadConfig(f"need -1 < rho_min <= rho_max < 1, got [{o['rho_min']}, {o['rho_max']}]")
+    return [DesignConfig(kind="fullrank_equicorr", p=o["p"], rho=float(rho), seed=seed)
+            for rho in np.linspace(o["rho_min"], o["rho_max"], max(o["points"], 0))]
+
+
+# Each study's point designs, from its options and seed, and the options it reads.
+STUDIES = {
+    "rho_sweep_fullrank": (_rho_sweep_fullrank, ("p", "points", "rho_min", "rho_max")),
+    "rho_sweep_lowrank": (lambda o, seed: [
+        DesignConfig(kind="homog_lowrank", p=o["p"], d=o["d"], seed=(seed + i) % 2 ** 64)
+        for i in range(o["points"])], ("p", "d", "points")),
+    "k0_sweep": (lambda o, seed: [DesignConfig(kind="k0_split", p=int(p), k0=o["k0"], seed=seed)
+                                  for p in o["p_list"]], ("k0", "p_list")),
+}
+
+
+def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: int = 500,
+                      epsilon: float = 0.05, grid_points: int = DEFAULT_GRID,
+                      n_threads: int = 1, **options) -> tuple[str, list[dict]]:
     """Scaling tables: concentration against the correlation gap or block size.
 
     rho_sweep_fullrank walks equicorrelated designs over [rho_min, rho_max];
     rho_sweep_lowrank redraws a low-rank factor per point so rho_bar moves on
     its own; k0_sweep grows the ambient dimension at a fixed split size.
     The rho tables carry the 1/sqrt(1-rho_bar) and 1/(1-rho_bar) regressors.
-    The seed must lie in [0, 2^64); point i samples (and for
-    rho_sweep_lowrank draws its design) with seed seed + i, wrapped mod 2^64.
+    A set option (not None) the study does not read raises BadConfig.  The
+    seed must lie in [0, 2^64); point i samples (and for rho_sweep_lowrank
+    draws its design) with seed seed + i, wrapped mod 2^64.
     """
-    if kind not in SCALING_KINDS:
-        raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {SCALING_KINDS}")
+    if kind not in STUDIES:
+        raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {tuple(STUDIES)}")
+    points, reads = STUDIES[kind]
+    unread = [name for name in {**STUDY_OPTIONS, **options}
+              if options.get(name) is not None and name not in reads]
+    if unread:
+        raise BadConfig(f"{kind} does not read {', '.join(unread)}")
+    opts = {k: STUDY_OPTIONS[k] if options.get(k) is None else options[k] for k in reads}
     epsilon = check_epsilon(epsilon)
     check_run(n_rep, seed, n_threads)
-    n_sweep = len(p_list) if kind == "k0_sweep" else n_points
-    if n_sweep < 1:
-        raise BadConfig(f"{kind} needs at least one point, got {n_sweep}")
-    seeds = [(seed + i) % 2 ** 64 for i in range(n_sweep)]
-    if kind == "rho_sweep_fullrank":
-        if not (-1.0 < rho_min <= rho_max < 1.0):
-            raise BadConfig(f"need -1 < rho_min <= rho_max < 1, got [{rho_min}, {rho_max}]")
-        cfgs = [DesignConfig(kind="fullrank_equicorr", p=p, rho=float(rho), seed=seed)
-                for rho in np.linspace(rho_min, rho_max, n_points)]
-    elif kind == "rho_sweep_lowrank":
-        cfgs = [DesignConfig(kind="homog_lowrank", p=p, d=d, seed=s) for s in seeds]
-    else:
-        cfgs = [DesignConfig(kind="k0_split", p=int(pi), k0=k0, seed=seed) for pi in p_list]
-    rows = [_scaling_row(kind, cfg, epsilon, n_rep, s, grid_points, n_threads)
-            for cfg, s in zip(cfgs, seeds)]
-    config = {"study": kind, "p": p, "d": d, "points": n_points, "rho_min": rho_min,
-              "rho_max": rho_max, "reps": n_rep, "eps": [epsilon], "k0": k0,
-              "p_list": list(p_list), "grid": grid_points, "seed": seed}
+    cfgs = points(opts, seed)
+    if not cfgs:
+        size = opts["points"] if "points" in opts else len(opts["p_list"])
+        raise BadConfig(f"{kind} needs at least one point, got {size}")
+    rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, grid_points, n_threads)
+            for i, cfg in enumerate(cfgs)]
+    config = {"study": kind, **opts, "reps": n_rep, "eps": [epsilon], "grid": grid_points,
+              "seed": seed}
     path = os.path.join(out_dir, f"scaling_{kind}.csv")
     write_csv(path, rows[0].keys(), rows, command="scaling", seed=seed, config=config)
     return path, rows
@@ -257,7 +271,7 @@ def run_scaling_study(kind: str, out_dir: str = ".", seed: int = 0,
 def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
                  grid_points: int, n_threads: int) -> dict:
     spec, rbar, (est,) = _measure(cfg, epsilon, n_rep, seed, grid_points, n_threads, rho_bar)
-    row = {
+    return {
         "kind": kind,
         "design_id": cfg.design_id(),
         "p": spec.p,
@@ -267,14 +281,10 @@ def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed:
         "epsilon": epsilon,
         "levy_hat": est.value,
         "se": est.se_hint,
-        "n_rep": est.n_rep,
-        "inv_sqrt_gap": None,
-        "inv_gap": None,
+        "n_rep": n_rep,
+        "inv_sqrt_gap": 1.0 / math.sqrt(1.0 - rbar) if rbar < 1.0 else None,
+        "inv_gap": 1.0 / (1.0 - rbar) if rbar < 1.0 else None,
     }
-    if rbar < 1.0:
-        row["inv_sqrt_gap"] = 1.0 / math.sqrt(1.0 - rbar)
-        row["inv_gap"] = 1.0 / (1.0 - rbar)
-    return row
 
 
 def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,

@@ -39,8 +39,6 @@ class LevyEstimate:
     epsilon: float
     value: float
     argmax_t: float
-    grid_points: int
-    n_rep: int
     se_hint: float
 
 
@@ -73,9 +71,8 @@ def _sorted_sample(values) -> np.ndarray:
     return np.sort(values)
 
 
-def _estimate(epsilon: float, value, argmax_t: float, grid_points: int, n: int) -> LevyEstimate:
+def _estimate(epsilon: float, value, argmax_t: float, n: int) -> LevyEstimate:
     return LevyEstimate(epsilon=epsilon, value=float(value), argmax_t=argmax_t,
-                        grid_points=grid_points, n_rep=n,
                         se_hint=float(np.sqrt(value * (1.0 - value) / n)))
 
 
@@ -93,7 +90,7 @@ def levy_hat(diffs, epsilon: float, grid_points: int = DEFAULT_GRID,
     n = v.shape[0]
     counts = np.searchsorted(v, v + 2.0 * epsilon, side="right") - np.arange(n)
     k = int(np.argmax(counts))
-    return _estimate(epsilon, counts[k] / n, float(v[k] + epsilon), grid_points, n)
+    return _estimate(epsilon, counts[k] / n, float(v[k] + epsilon), n)
 
 
 def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEstimate]:
@@ -112,7 +109,7 @@ def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEst
         counts = (np.searchsorted(v, grid + e, side="right")
                   - np.searchsorted(v, grid - e, side="left"))
         k = int(np.argmax(counts))
-        out.append(_estimate(e, counts[k] / n, float(grid[k]), grid_points, n))
+        out.append(_estimate(e, counts[k] / n, float(grid[k]), n))
     return out
 
 

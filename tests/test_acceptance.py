@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from maxgap import (ALL_BOUNDS, CovSpec, DataMatrix, Inapplicable,
-                    McConfig, Partition, SingularCovariance, argmax_prob,
+                    Partition, SingularCovariance, argmax_prob,
                     bound_baseline_min_eig, bound_corr_threshold, bound_report,
                     bound_single_max, expected_max_many, levy_hat,
                     max_diff, multiplier_replicates, run_bounds_compare,
@@ -128,10 +128,10 @@ def test_04_bound_dominance_suite(capsys):
             diffs = max_diff(batch, part)
             max_a = batch[:, part.a_idx].max(axis=1)
             max_b = batch[:, part.b_idx].max(axis=1)
-            mc = McConfig(n_mc=10000, seed=trial)
-            rep = bound_report(spec, part, mc=mc)
-            single_a = bound_single_max(spec, part.a_set, mc)
-            single_b = bound_single_max(spec, part.b_set, mc)
+            mc = {"n_mc": 10000, "seed": trial}
+            rep = bound_report(spec, part, **mc)
+            single_a = bound_single_max(spec, part.a_set, **mc)
+            single_b = bound_single_max(spec, part.b_set, **mc)
             assert rep.single_max == min(single_a, single_b)
             for eps in (0.02, 0.05):
                 est = levy_hat(diffs, eps)
@@ -257,14 +257,14 @@ def test_09_exact_invariants(capsys):
 
         # Every bound is exactly linear in epsilon (doubling a float is
         # exact), including the threshold bound's value and per-delta rates.
-        mc = McConfig(n_mc=100000, seed=0)
+        mc = {"n_mc": 100000, "seed": 0}
         spec, part = CovSpec.explicit(np.eye(2)), Partition.split(2, 1)
         eps = 0.05
-        rep = bound_report(spec, part, mc=mc)
+        rep = bound_report(spec, part, **mc)
         for name in ALL_BOUNDS:
             assert rep.ratio(name, 2.0 * eps) * (2.0 * eps) \
                 == 2.0 * (rep.ratio(name, eps) * eps), name
-        for ta, tb in zip(bound_corr_threshold(spec, part, mc=mc), rep.corr_threshold):
+        for ta, tb in zip(bound_corr_threshold(spec, part, **mc), rep.corr_threshold):
             assert tb.rate == ta.rate
 
         # Common random numbers: enlarging the subset can only raise the
@@ -279,7 +279,7 @@ def test_09_exact_invariants(capsys):
         # onto the homogeneous one up to the 7:2 constants, bitwise.
         espec, epart = gen_design(DesignConfig(kind="fullrank_equicorr",
                                                p=4, rho=0.3))
-        erep = bound_report(espec, epart, mc=mc, which=("heterogeneous", "homogeneous"))
+        erep = bound_report(espec, epart, **mc, which=("heterogeneous", "homogeneous"))
         het = erep.ratio("heterogeneous", eps)
         hom = erep.ratio("homogeneous", eps)
         assert het * 7.0 == hom * 2.0

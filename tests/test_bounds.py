@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
                     CovSpec, DeltaTerm, DimensionMismatch,
                     HeterogeneousVariances, Inapplicable,
-                    McConfig, NoAdmissibleDelta, Partition,
+                    NoAdmissibleDelta, Partition,
                     PerfectCrossCorrelation, SingularCovariance,
                     ZeroResidualVariance, bound_baseline_min_eig,
                     bound_conditional, bound_corr_threshold,
@@ -23,7 +23,7 @@ from maxgap.designs import DesignConfig, gen_design
 
 from conftest import footnote_factor, spy_calls
 
-MC = McConfig(n_mc=100000, seed=0)
+MC = {"n_mc": 100000, "seed": 0}
 E_ABS_Z = math.sqrt(2.0 / math.pi)
 
 
@@ -45,23 +45,23 @@ class TestOraclesIidPair:
 
     def test_homogeneous(self):
         spec, part = iid_pair()
-        got = 0.05 * bound_homogeneous(spec, part, MC)
+        got = 0.05 * bound_homogeneous(spec, part, **MC)
         assert got == pytest.approx(7.0 * 0.05 * E_ABS_Z, abs=0.003)
 
     def test_heterogeneous(self):
         spec, part = iid_pair()
-        got = 0.05 * bound_heterogeneous(spec, part, MC)
+        got = 0.05 * bound_heterogeneous(spec, part, **MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
     def test_conditional_independent(self):
         spec, part = iid_pair()
-        got = 0.05 * bound_conditional(spec, part, MC)
+        got = 0.05 * bound_conditional(spec, part, **MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
     def test_conditional_correlated(self):
         rho = 0.6
         spec = CovSpec.explicit(np.array([[1.0, rho], [rho, 1.0]]))
-        got = 0.05 * bound_conditional(spec, Partition.split(2, 1), MC)
+        got = 0.05 * bound_conditional(spec, Partition.split(2, 1), **MC)
         want = 2.0 * 0.05 * E_ABS_Z / math.sqrt(1.0 - rho * rho)
         assert got == pytest.approx(want, abs=0.002)
 
@@ -72,12 +72,12 @@ class TestOraclesIidPair:
 
     def test_single_max(self):
         spec, _ = iid_pair()
-        got = 0.05 * bound_single_max(spec, subset=[0], mc=MC)
+        got = 0.05 * bound_single_max(spec, subset=[0], **MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
     def test_corr_threshold_prefers_largest_delta(self):
         spec, part = iid_pair()
-        terms = bound_corr_threshold(spec, part, mc=MC)
+        terms = bound_corr_threshold(spec, part, **MC)
         best, value = threshold_at(terms, 0.05)
         grid = default_delta_grid()
         assert best.delta == grid[-1]
@@ -91,7 +91,7 @@ class TestApplicabilityErrors:
     def test_footnote_conditional(self):
         spec = CovSpec.factor(footnote_factor())
         with pytest.raises(ZeroResidualVariance):
-            bound_conditional(spec, Partition.split(4, 2), MC)
+            bound_conditional(spec, Partition.split(4, 2), **MC)
 
     def test_footnote_baseline(self):
         spec = CovSpec.factor(footnote_factor())
@@ -101,37 +101,37 @@ class TestApplicabilityErrors:
     def test_footnote_other_bounds_still_work(self):
         spec = CovSpec.factor(footnote_factor())
         part = Partition.split(4, 2)
-        assert 0.05 * bound_homogeneous(spec, part, MC) > 0.0
-        assert 0.05 * bound_heterogeneous(spec, part, MC) > 0.0
-        assert threshold_at(bound_corr_threshold(spec, part, mc=MC), 0.05)[1] > 0.0
+        assert 0.05 * bound_homogeneous(spec, part, **MC) > 0.0
+        assert 0.05 * bound_heterogeneous(spec, part, **MC) > 0.0
+        assert threshold_at(bound_corr_threshold(spec, part, **MC), 0.05)[1] > 0.0
 
     def test_perfect_cross_pair(self):
         spec = CovSpec.factor(np.array([[1.0], [1.0]]))
         part = Partition.split(2, 1)
         with pytest.raises(PerfectCrossCorrelation):
-            bound_homogeneous(spec, part, MC)
+            bound_homogeneous(spec, part, **MC)
         with pytest.raises(PerfectCrossCorrelation):
-            bound_heterogeneous(spec, part, MC)
+            bound_heterogeneous(spec, part, **MC)
         with pytest.raises(NoAdmissibleDelta):
-            bound_corr_threshold(spec, part, mc=MC)
+            bound_corr_threshold(spec, part, **MC)
 
     def test_unequal_variances(self):
         spec = CovSpec.explicit(np.diag([1.0, 4.0]))
         part = Partition.split(2, 1)
         with pytest.raises(HeterogeneousVariances):
-            bound_homogeneous(spec, part, MC)
+            bound_homogeneous(spec, part, **MC)
         with pytest.raises(HeterogeneousVariances):
-            bound_corr_threshold(spec, part, mc=MC)
+            bound_corr_threshold(spec, part, **MC)
 
     def test_violation_design_fails_condition(self):
         spec, part = gen_design(
             DesignConfig(kind="heterog_violation", p=8, variance_profile="v075"))
         with pytest.raises(ConditionFails):
-            bound_heterogeneous(spec, part, MC)
+            bound_heterogeneous(spec, part, **MC)
 
     def test_epsilon_validation(self):
         spec, part = iid_pair()
-        rep = bound_report(spec, part, MC, which=("homogeneous", "baseline"))
+        rep = bound_report(spec, part, **MC, which=("homogeneous", "baseline"))
         with pytest.raises(BadConfig):
             rep.ratio("homogeneous", 0.0)
         with pytest.raises(BadConfig):
@@ -142,7 +142,7 @@ class TestApplicabilityErrors:
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_epsilon_rejected(self, eps):
         spec, part = iid_pair()
-        rep = bound_report(spec, part, mc=McConfig(n_mc=2000, seed=0))
+        rep = bound_report(spec, part, n_mc=2000, seed=0)
         for name in ALL_BOUNDS:
             with pytest.raises(BadConfig):
                 rep.ratio(name, eps)
@@ -152,7 +152,7 @@ class TestApplicabilityErrors:
         # NaN compares False both ways, so it must fail the test for (0, 1).
         for bad in ([], [0.0], [1.0], [0.5, 1.2], [math.nan, 0.5], [0.5, math.inf]):
             with pytest.raises(BadConfig):
-                bound_corr_threshold(spec, part, delta_grid=bad, mc=MC)
+                bound_corr_threshold(spec, part, delta_grid=bad, **MC)
 
 
 class TestCorrThresholdStructure:
@@ -165,7 +165,7 @@ class TestCorrThresholdStructure:
                           [0.0, 1.0, 0.0]])
         spec = CovSpec.factor(gamma)
         part = Partition.split(4, 2)
-        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], mc=MC)
+        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], **MC)
         assert {t.orientation for t in terms} == {"AB", "BA"}
         for t in terms:
             assert t.omega > 0.0
@@ -180,7 +180,7 @@ class TestCorrThresholdStructure:
                           [0.0, 1.0, 0.0]])
         spec = CovSpec.factor(gamma, mu=[0.0, 5.0, 0.0, 5.0])
         part = Partition.split(4, 2)
-        best, value = threshold_at(bound_corr_threshold(spec, part, mc=MC), 0.05)
+        best, value = threshold_at(bound_corr_threshold(spec, part, **MC), 0.05)
         assert best.omega == 1.0
         assert best.d_delta == pytest.approx(-5.0, abs=0.05)
         assert value >= 2.0
@@ -190,7 +190,7 @@ class TestCorrThresholdStructure:
         # at delta = 0.5 the bound cannot undercut the symmetry lower bound.
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         spec, part = gen_design(cfg)
-        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], mc=MC)
+        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], **MC)
         _, value = threshold_at(terms, 0.05)
         assert value >= 2.0 / 14.0
         lower = lower_bound_exchangeable(2, 14)
@@ -216,23 +216,23 @@ class TestExactArithmetic:
     def test_eps_linearity(self):
         spec, part = iid_pair()
         eps = 0.05
-        rep = bound_report(spec, part, MC)
+        rep = bound_report(spec, part, **MC)
         for name in PURE_RATE_BOUNDS:
             assert rep.ratio(name, 2.0 * eps) * (2.0 * eps) \
                 == 2.0 * (rep.ratio(name, eps) * eps)
-        assert rep.homogeneous == bound_homogeneous(spec, part, MC)
-        assert rep.heterogeneous == bound_heterogeneous(spec, part, MC)
-        assert rep.conditional == bound_conditional(spec, part, MC)
+        assert rep.homogeneous == bound_homogeneous(spec, part, **MC)
+        assert rep.heterogeneous == bound_heterogeneous(spec, part, **MC)
+        assert rep.conditional == bound_conditional(spec, part, **MC)
         assert rep.baseline == bound_baseline_min_eig(spec)
 
     def test_threshold_linearity_without_crossover(self):
         spec, part = iid_pair()
-        terms = bound_corr_threshold(spec, part, mc=MC)
+        terms = bound_corr_threshold(spec, part, **MC)
         best_a, a = threshold_at(terms, 0.05)
         best_b, b = threshold_at(terms, 0.1)
         assert b == 2.0 * a
         assert best_b.delta == best_a.delta
-        rep = bound_report(spec, part, MC, which=("corr_threshold",))
+        rep = bound_report(spec, part, **MC, which=("corr_threshold",))
         assert rep.ratio("corr_threshold", 0.1) * 0.1 \
             == 2.0 * (rep.ratio("corr_threshold", 0.05) * 0.05)
         for ta, tb in zip(terms, rep.corr_threshold):
@@ -243,14 +243,14 @@ class TestExactArithmetic:
         g = rng.standard_normal((4, 2))
         base = CovSpec.factor(g)
         doubled = CovSpec.factor(2.0 * g)
-        assert 0.05 * bound_single_max(doubled, mc=MC) \
-            == 0.5 * (0.05 * bound_single_max(base, mc=MC))
+        assert 0.05 * bound_single_max(doubled, **MC) \
+            == 0.5 * (0.05 * bound_single_max(base, **MC))
 
     def test_heterogeneous_homogeneous_agreement(self):
         # With unit variances and equal margins both bounds share the same
         # expected-max factor, so the 7:2 constant ratio holds bitwise.
         spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=0.3))
-        rep = bound_report(spec, part, MC, which=("heterogeneous", "homogeneous"))
+        rep = bound_report(spec, part, **MC, which=("heterogeneous", "homogeneous"))
         a = rep.ratio("heterogeneous", 0.05)
         b = rep.ratio("homogeneous", 0.05)
         assert a * 7.0 == b * 2.0
@@ -269,13 +269,13 @@ class TestExactArithmetic:
 @pytest.fixture(scope="module")
 def equicorr_report():
     spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5))
-    return bound_report(spec, part, McConfig(n_mc=2000, seed=3))
+    return bound_report(spec, part, n_mc=2000, seed=3)
 
 
 class TestBoundReport:
     def test_which_filter(self):
         spec, part = iid_pair()
-        rep = bound_report(spec, part, MC, which=("homogeneous",))
+        rep = bound_report(spec, part, **MC, which=("homogeneous",))
         assert isinstance(rep.homogeneous, float)
         assert rep.corr_threshold is None
         assert rep.heterogeneous is None
@@ -285,7 +285,7 @@ class TestBoundReport:
     def test_inapplicable_downgrade(self):
         spec = CovSpec.factor(footnote_factor())
         part = Partition.split(4, 2)
-        rep = bound_report(spec, part, MC)
+        rep = bound_report(spec, part, **MC)
         assert isinstance(rep.conditional, Inapplicable)
         assert rep.conditional.reason == "zero_residual_variance"
         assert isinstance(rep.baseline, Inapplicable)
@@ -295,8 +295,8 @@ class TestBoundReport:
         assert rep.baseline.detail == "covariance rank is at most 2, below p = 4"
         assert rep.conditional.detail.startswith("coordinate ")
         assert rep.baseline == Inapplicable("singular_covariance")
-        rate_a = bound_single_max(spec, part.a_set, MC)
-        rate_b = bound_single_max(spec, part.b_set, MC)
+        rate_a = bound_single_max(spec, part.a_set, **MC)
+        rate_b = bound_single_max(spec, part.b_set, **MC)
         assert isinstance(rate_a, float)
         assert isinstance(rate_b, float)
         assert rep.single_max == min(rate_a, rate_b)
@@ -306,12 +306,12 @@ class TestBoundReport:
 
         spec, part = iid_pair()
 
-        def fail(spec, subset=None, mc=None):
+        def fail(spec, subset=None, **mc):
             if subset == part.a_set:
                 raise ZeroResidualVariance("block A")
             raise SingularCovariance("block B")
         monkeypatch.setattr(bounds, "bound_single_max", fail)
-        rep = bound_report(spec, part, MC, which=("single_max",))
+        rep = bound_report(spec, part, **MC, which=("single_max",))
         assert rep.single_max == Inapplicable("zero_residual_variance")
 
     def test_lower_bound_reads_the_config(self):
@@ -322,27 +322,37 @@ class TestBoundReport:
         assert spec.p == 16
         assert lower_bound_exchangeable(cfg.overlap_k, cfg.p).value == 2.0 / 14.0
         with pytest.raises(TypeError):
-            bound_report(spec, part, MC, which=("homogeneous",), overlap_k=2)
+            bound_report(spec, part, **MC, which=("homogeneous",), overlap_k=2)
+
+    def test_monte_carlo_options_are_plain_keywords(self):
+        spec, part = iid_pair()
+        with pytest.raises(TypeError):
+            bound_report(spec, part, mc=MC)
+        with pytest.raises(TypeError):
+            bound_report(spec, part, 2000)
+        assert bound_report(spec, part, n_mc=2000, seed=1) \
+            == bound_report(spec, part, **{"n_mc": 2000, "seed": 1})
+        assert not hasattr(bounds, "McConfig")
 
     def test_report_shape(self):
         spec = CovSpec.factor(footnote_factor())
-        rep = bound_report(spec, Partition.split(4, 2), MC)
+        rep = bound_report(spec, Partition.split(4, 2), **MC)
         assert tuple(vars(rep)) == ALL_BOUNDS
         assert rep.conditional == Inapplicable("zero_residual_variance")
         assert all(isinstance(t, DeltaTerm) for t in rep.corr_threshold)
 
     def test_mc_determinism(self):
         spec, part = iid_pair()
-        a = bound_report(spec, part, McConfig(n_mc=20000, seed=5))
-        b = bound_report(spec, part, McConfig(n_mc=20000, seed=5))
+        a = bound_report(spec, part, n_mc=20000, seed=5)
+        b = bound_report(spec, part, n_mc=20000, seed=5)
         assert a == b
-        c = bound_report(spec, part, McConfig(n_mc=20000, seed=6))
+        c = bound_report(spec, part, n_mc=20000, seed=6)
         assert c.homogeneous != a.homogeneous
 
     @pytest.mark.parametrize("case,error", [
         ({"which": ("homogenous",)}, BadConfig),
-        ({"mc": McConfig(n_mc=0)}, BadConfig),
-        ({"mc": McConfig(n_mc=100, seed=-1)}, BadConfig),
+        ({"n_mc": 0}, BadConfig),
+        ({"n_mc": 100, "seed": -1}, BadConfig),
         ({"delta_grid": [2.0]}, BadConfig),
         ({"part": Partition.split(10, 5)}, DimensionMismatch),
     ], ids=["which", "n_mc", "seed", "delta_grid", "partition"])
@@ -353,7 +363,7 @@ class TestBoundReport:
         work = spy_calls(monkeypatch, cov, ("_tile",))
         work += spy_calls(monkeypatch, bounds, ("expected_max_many",))
         with pytest.raises(error):
-            bound_report(**{"spec": spec, "part": part, "mc": MC, **case})
+            bound_report(**{"spec": spec, "part": part, **MC, **case})
         assert work == []
 
 
@@ -361,7 +371,7 @@ class TestRequestReuse:
     """bound_report streams each expected-max request once and serves it to every bound."""
 
     CFG = DesignConfig(kind="fullrank_equicorr", p=40, rho=0.5)
-    MC = McConfig(n_mc=3000, seed=9)
+    MC = {"n_mc": 3000, "seed": 9}
 
     def count_passes(self, monkeypatch, spec, part):
         """Each expected-max pass of an all-bounds report where every bound applies."""
@@ -380,7 +390,7 @@ class TestRequestReuse:
                             n_mc, seed) for s, m in zip(subsets, modes)])
             return real(spec, subsets, n_mc, seed, mode)
         monkeypatch.setattr(bounds, "expected_max_many", counting)
-        rep = bound_report(spec, part, self.MC)
+        rep = bound_report(spec, part, **self.MC)
         requests = [key for keys in passes for key in keys]
         assert len(requests) == len(set(requests))
         return rep, passes
@@ -403,7 +413,7 @@ class TestRequestReuse:
         contents = [keys[0][0] for keys in passes]
         assert spec.content_hash in contents
         assert len(contents) == len(set(contents))
-        assert rep.single_max == min(bound_single_max(spec, s, self.MC)
+        assert rep.single_max == min(bound_single_max(spec, s, **self.MC)
                                      for s in (part.a_set, part.b_set))
 
     def test_no_request_streamed_twice(self, monkeypatch):
@@ -439,23 +449,23 @@ class TestRequestReuse:
             formed.append((i, j))
             return real_tile(spec, i, j)
         monkeypatch.setattr(cov, "_tile", tile)
-        rep = bound_report(spec, part, McConfig(n_mc=64, seed=1))
+        rep = bound_report(spec, part, n_mc=64, seed=1)
         assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)
         assert sorted(formed) == [(i, j) for i in range(4) for j in range(i, 4)]
 
     def test_served_values_equal_separate_calls(self):
         spec, part = gen_design(self.CFG)
-        rep = bound_report(spec, part, self.MC)
-        assert rep.corr_threshold == bound_corr_threshold(spec, part, mc=self.MC)
-        assert rep.homogeneous == bound_homogeneous(spec, part, self.MC)
-        assert rep.heterogeneous == bound_heterogeneous(spec, part, self.MC)
-        assert rep.single_max == min(bound_single_max(spec, s, self.MC)
+        rep = bound_report(spec, part, **self.MC)
+        assert rep.corr_threshold == bound_corr_threshold(spec, part, **self.MC)
+        assert rep.homogeneous == bound_homogeneous(spec, part, **self.MC)
+        assert rep.heterogeneous == bound_heterogeneous(spec, part, **self.MC)
+        assert rep.single_max == min(bound_single_max(spec, s, **self.MC)
                                      for s in (part.a_set, part.b_set))
         # The report streams the two residual laws, equal in content, once;
         # outside a report each is streamed on its own.
         res_a, res_b = residual_cov(spec, part)
         assert np.array_equal(res_a, res_b)
-        assert rep.conditional == bound_conditional(spec, part, self.MC)
+        assert rep.conditional == bound_conditional(spec, part, **self.MC)
 
     def test_explicit_spec_factored_once(self, monkeypatch):
         calls = []
@@ -470,7 +480,7 @@ class TestRequestReuse:
         assert spec.form == "explicit"
         assert spec.root is spec.root
         sample(spec, 100, seed=1)
-        bound_report(spec, part, self.MC)
+        bound_report(spec, part, **self.MC)
         # One eigh per explicit spec, at construction: the design, then each
         # residual law; the two conditioning blocks and the baseline take
         # their eigenvalues only.
@@ -481,7 +491,7 @@ class TestRequestReuse:
 class TestFactorSpecsFormNoMatrix:
     """Factor specs read Sigma block by block and never form the p x p matrix."""
 
-    SMALL_MC = McConfig(n_mc=500, seed=4)
+    SMALL_MC = {"n_mc": 500, "seed": 4}
 
     def test_baseline_by_rank(self, monkeypatch):
         spec, part = gen_design(DesignConfig(kind="homog_lowrank", p=400))
@@ -492,7 +502,7 @@ class TestFactorSpecsFormNoMatrix:
             shapes.append(a.shape)
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        rep = bound_report(spec, part, self.SMALL_MC, which=("baseline",))
+        rep = bound_report(spec, part, **self.SMALL_MC, which=("baseline",))
         assert rep.baseline == Inapplicable("singular_covariance")
         with pytest.raises(SingularCovariance, match="rank is at most 40,"):
             bound_baseline_min_eig(spec)
@@ -519,7 +529,7 @@ class TestFactorSpecsFormNoMatrix:
 
     def test_table1_report_without_baseline_forms_no_matrix(self):
         spec, part = gen_design(DesignConfig(kind="table1", p=40, seed=3))
-        rep = bound_report(spec, part, self.SMALL_MC,
+        rep = bound_report(spec, part, **self.SMALL_MC,
                            which=tuple(b for b in ALL_BOUNDS if b != "baseline"))
         assert isinstance(rep.heterogeneous, float)
         assert isinstance(rep.conditional, float)
@@ -539,7 +549,7 @@ class TestFactorSpecsFormNoMatrix:
             tiles.append(real_tile(*args))
             return tiles[-1]
         monkeypatch.setattr(cov, "_tile", tile)
-        rep = bound_report(spec, part, McConfig(n_mc=64, seed=1))
+        rep = bound_report(spec, part, n_mc=64, seed=1)
         assert not any(isinstance(getattr(rep, b), Inapplicable) for b in ALL_BOUNDS)
         assert linalg == [] and blocks == []
         assert tiles and max(max(t.shape) for t in tiles) <= cov.TILE
@@ -569,7 +579,7 @@ class TestFactorSpecsFormNoMatrix:
             return real(data, *args, **kwargs)
         monkeypatch.setattr(hashlib, "sha256", counting)
         spec, part = gen_design(DesignConfig(kind="table1", p=40, seed=3))
-        rep = bound_report(spec, part, self.SMALL_MC)
+        rep = bound_report(spec, part, **self.SMALL_MC)
         assert not all(isinstance(getattr(rep, b), Inapplicable) for b in ALL_BOUNDS)
         # The residual laws are explicit specs, hashed once each.
         assert forms.count(b"factor") == 1

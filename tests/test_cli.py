@@ -320,7 +320,44 @@ class TestImports:
         assert done.stdout.splitlines()[-1] == "False"
 
 
+# The studies that read each scaling option, by its flag, and the default its help shows.
+STUDY_READERS = {
+    "--p": ({"rho_sweep_fullrank", "rho_sweep_lowrank"}, "100"),
+    "--d": ({"rho_sweep_lowrank"}, "None"),
+    "--points": ({"rho_sweep_fullrank", "rho_sweep_lowrank"}, "100"),
+    "--rho-min": ({"rho_sweep_fullrank"}, "0.9"),
+    "--rho-max": ({"rho_sweep_fullrank"}, "0.99"),
+    "--k0": ({"k0_sweep"}, "20"),
+    "--p-list": ({"k0_sweep"}, "(25, 30, 40, 60, 80, 120)"),
+}
+
+
 class TestScalingCommand:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unread_options_exit_2_before_any_file(self, capsys, tmp_path, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ["--study", "k0_sweep", "--p-list", "25,30", "--reps", "100", "--d", "5",
+                    "--rho-min", "0.5", "--points", "7"]
+        else:
+            argv = ["--config", write_config(tmp_path, {
+                "study": "k0_sweep", "p_list": [25, 30], "reps": 100, "d": 5, "rho_min": 0.5,
+                "points": 7})]
+        code, _, err = run(capsys, "scaling", *argv, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "error: k0_sweep does not read d, points, rho_min\n" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_help_names_the_studies_that_read_each_option(self, capsys):
+        code, text, _ = run(capsys, "scaling", "--help")
+        assert code == EXIT_OK
+        for flag, (studies, default) in STUDY_READERS.items():
+            entry = " ".join(option_help(text, flag).split())
+            named = {study for study in ("rho_sweep_fullrank", "rho_sweep_lowrank", "k0_sweep")
+                     if re.search(rf"\b{study}\b", entry)}
+            assert named == studies, (flag, entry)
+            assert entry.endswith(f"(default: {default})"), (flag, entry)
+
     def test_k0_sweep(self, capsys, tmp_path):
         code, out, _ = run(capsys, "scaling", "--study", "k0_sweep", "--k0", "3",
                            "--p-list", "5,6", "--reps", "100", "--out", str(tmp_path))

@@ -327,10 +327,18 @@ class TestBoundsCompare:
         assert rows[0]["ratio_single_max"] is None
 
 
+# The options each scaling study reads, and a valid value of every study option.
+READS = {"rho_sweep_fullrank": {"p", "points", "rho_min", "rho_max"},
+         "rho_sweep_lowrank": {"p", "d", "points"},
+         "k0_sweep": {"k0", "p_list"}}
+VALUES = {"p": 8, "d": 2, "points": 2, "rho_min": 0.5, "rho_max": 0.6, "k0": 3,
+          "p_list": (5, 6)}
+
+
 class TestScalingStudy:
     def test_rho_sweep_tracks_gap(self, tmp_path):
         path, rows = run_scaling_study("rho_sweep_fullrank", out_dir=str(tmp_path),
-                                       p=16, n_points=10, n_rep=2000, seed=6)
+                                       p=16, points=10, n_rep=2000, seed=6)
         levy = [r["levy_hat"] for r in rows]
         regressor = [r["inv_sqrt_gap"] for r in rows]
         corr, _ = stats.spearmanr(levy, regressor)
@@ -348,7 +356,7 @@ class TestScalingStudy:
 
     def test_lowrank_sweep_reseeds_designs(self, tmp_path):
         _, rows = run_scaling_study("rho_sweep_lowrank", out_dir=str(tmp_path),
-                                    p=12, d=3, n_points=3, n_rep=100, seed=8)
+                                    p=12, d=3, points=3, n_rep=100, seed=8)
         ids = [r["design_id"] for r in rows]
         assert len(set(ids)) == 3
 
@@ -356,11 +364,51 @@ class TestScalingStudy:
         with pytest.raises(Exception):
             run_scaling_study("epsilon_sweep", out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("kind, option", [(kind, option) for kind, reads in READS.items()
+                                              for option in VALUES if option not in reads])
+    def test_unread_option_rejected_before_any_work(self, tmp_path, monkeypatch, kind, option):
+        ran = TestArgumentsCheckedFirst.spy(monkeypatch)
+        with pytest.raises(BadConfig, match=f"^{kind} does not read {option}$"):
+            run_scaling_study(kind, out_dir=str(tmp_path), n_rep=100,
+                              **{option: VALUES[option]})
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unread_options_named_in_table_order(self, tmp_path):
+        with pytest.raises(BadConfig, match="^k0_sweep does not read d, points, rho_min$"):
+            run_scaling_study("k0_sweep", out_dir=str(tmp_path), rho_min=0.5, points=7, d=5)
+
+    def test_unset_option_is_not_read(self, tmp_path):
+        # None leaves an option unset, as in a design config.
+        path, rows = run_scaling_study("k0_sweep", out_dir=str(tmp_path), k0=3, p_list=(5,),
+                                       n_rep=100, d=None, points=None)
+        assert len(rows) == 1
+
+    def test_unknown_option_name(self, tmp_path):
+        with pytest.raises(BadConfig, match="^rho_sweep_fullrank does not read n_points$"):
+            run_scaling_study("rho_sweep_fullrank", out_dir=str(tmp_path), n_points=3)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_options_are_keywords(self, tmp_path):
+        # An old positional call (p fourth) must fail rather than run with p as n_rep.
+        with pytest.raises(TypeError):
+            run_scaling_study("k0_sweep", str(tmp_path), 0, 100)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_sidecar_config_holds_the_options_read(self, tmp_path, kind):
+        options = {name: VALUES[name] for name in READS[kind]}
+        path, _ = run_scaling_study(kind, out_dir=str(tmp_path), n_rep=100, epsilon=0.1,
+                                    grid_points=50, seed=4, **options)
+        config = json.load(open(path + ".meta.json"))["config"]
+        assert config == {"study": kind, **json.loads(json.dumps(options)), "reps": 100,
+                          "eps": [0.1], "grid": 50, "seed": 4}
+
     @pytest.mark.parametrize("kind, empty", [("k0_sweep", {"p_list": ()}),
-                                             ("rho_sweep_fullrank", {"n_points": 0}),
-                                             ("rho_sweep_lowrank", {"n_points": 0})])
+                                             ("rho_sweep_fullrank", {"points": 0}),
+                                             ("rho_sweep_lowrank", {"points": 0})])
     def test_empty_sweep_rejected(self, tmp_path, kind, empty):
-        with pytest.raises(BadConfig):
+        with pytest.raises(BadConfig, match=f"^{kind} needs at least one point, got 0$"):
             run_scaling_study(kind, out_dir=str(tmp_path), **empty)
         assert list(tmp_path.iterdir()) == []
 
