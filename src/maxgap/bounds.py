@@ -17,9 +17,9 @@ make a served value bit-identical to a fresh pass.
 
 Bounds deliberately report values above 1 unclipped; a value's usefulness at
 a given eps is the caller's judgment.  ``bound_report`` reads only the spec
-and the partition; the exchangeable lower bound k/p takes the overlap size
-and the number of distinct coordinates from its caller
-(:func:`lower_bound_exchangeable`).
+and the partition; the thresholds are the fixed grid ``DELTA_GRID``, and the
+exchangeable lower bound k/p takes the overlap size and the number of
+distinct coordinates from its caller (:func:`lower_bound_exchangeable`).
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ TOL_RESID = 1e-10       # residual variance below TOL_RESID * marginal is zero
 ALL_BOUNDS = ("homogeneous", "corr_threshold", "heterogeneous", "conditional",
               "baseline", "single_max")
 
+DELTA_GRID = np.geomspace(1e-3, 1.0 - 1e-3, 50)  # thresholds of the correlation threshold bound
+DELTA_GRID.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Inapplicable:
@@ -68,14 +71,6 @@ class DeltaTerm:
     rate: float
     omega: float
     d_delta: float | None
-
-
-@dataclass(frozen=True)
-class ExchangeableLower:
-    """Lower bound k/p plus the additive constant 4k/(p+k) of the upper bound."""
-
-    value: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -146,20 +141,9 @@ def bound_homogeneous(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0
     return min(e_a, e_b) / ((1.0 - rbar) * sigma) * 7.0
 
 
-def default_delta_grid(n: int = 50) -> np.ndarray:
-    return np.geomspace(1e-3, 1.0 - 1e-3, n)
-
-
-def _delta_grid(delta_grid) -> np.ndarray:
-    grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, dtype=float)
-    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
-        raise BadConfig("delta grid must lie strictly inside (0, 1)")
-    return grid
-
-
-def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None, *,
+def bound_corr_threshold(spec: CovSpec, part: Partition, *,
                          n_mc=DEFAULT_MC, seed=0) -> tuple[DeltaTerm, ...]:
-    """Admissible threshold terms for both orientations of the partition.
+    """Admissible threshold terms, over ``DELTA_GRID``, for both orientations of the partition.
 
     For orientation "AB", N(delta) collects the coordinates of A whose best
     correlation into B reaches 1 - delta (exact comparison); a threshold is
@@ -171,7 +155,6 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None, *,
     minimum of rate * eps + 2 * omega over the terms.
     """
     sigma = _common_sd(spec)
-    grid = _delta_grid(delta_grid)
     best = _fold(spec, part, within=False)[1]
     # Per admissible (delta, orientation): E max |X|/sd over the rest of the
     # block and over the other block, then, when N is nonempty, E max X over
@@ -179,7 +162,7 @@ def bound_corr_threshold(spec: CovSpec, part: Partition, delta_grid=None, *,
     plans, requests = [], []  # plans: (delta, orientation, N nonempty)
     for orientation, own, other in (("AB", part.a_idx, part.b_idx),
                                     ("BA", part.b_idx, part.a_idx)):
-        for delta in grid:
+        for delta in DELTA_GRID:
             captured = best[own] >= 1.0 - float(delta)
             if captured.all():
                 continue
@@ -231,9 +214,8 @@ def bound_conditional(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0
     """
     res_a, res_b = residual_cov(spec, part)
     marg = spec.variances
-    mins = []
-    e_vals = []
-    for res, idx, name in ((res_a, part.a_idx, "A"), (res_b, part.b_idx, "B")):
+    mins, e_vals = [], []
+    for res, idx in ((res_a, part.a_idx), (res_b, part.b_idx)):
         diag = np.diag(res)
         bad = diag <= TOL_RESID * marg[idx]
         if bad.any():
@@ -242,8 +224,7 @@ def bound_conditional(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0
         mins.append(float(np.sqrt(diag.min())))
         res_spec = CovSpec.explicit(res)
         e_vals += _emax(res_spec, [(range(res.shape[0]), "abs_std")], n_mc=n_mc, seed=seed)
-    sd_floor = min(mins)
-    return min(e_vals) / sd_floor * 2.0
+    return min(e_vals) / min(mins) * 2.0
 
 
 def bound_baseline_min_eig(spec: CovSpec) -> float:
@@ -266,26 +247,24 @@ def bound_baseline_min_eig(spec: CovSpec) -> float:
     return (math.sqrt(2.0 * math.log(p)) + 2.0) * 2.0 / math.sqrt(lam)
 
 
-def bound_single_max(spec: CovSpec, subset=None, *, n_mc=DEFAULT_MC, seed=0) -> float:
-    """Concentration rate of a single maximum over the subset (default all)."""
-    subset = tuple(range(spec.p)) if subset is None else tuple(int(i) for i in subset)
+def bound_single_max(spec: CovSpec, subset, *, n_mc=DEFAULT_MC, seed=0) -> float:
+    """Concentration rate of a single maximum over the subset."""
+    subset = tuple(int(i) for i in subset)
     e, = _emax(spec, [(subset, "abs_std")], n_mc=n_mc, seed=seed)
-    sd_floor = float(spec.sds[list(subset)].min())
-    return e / sd_floor * 2.0
+    return e / float(spec.sds[list(subset)].min()) * 2.0
 
 
-def lower_bound_exchangeable(k: int, p: int) -> ExchangeableLower:
+def lower_bound_exchangeable(k: int, p: int) -> float:
     """Symmetry lower bound k/p for an exchangeable overlap design.
 
     Valid when the overlap size k and ambient dimension p arise from two
     blocks of a common size m sharing k coordinates, i.e. p = 2m - k with
-    1 <= k < m.  Also returns the constant 4k/(p + k) that the matching upper
-    bound adds on top of its threshold term.
+    1 <= k < m.
     """
     k, p = int(k), int(p)
     if k < 1 or p <= k or (p + k) % 2 != 0:
         raise BadGeometry(f"no integer m with p = 2m - k and 1 <= k < m for k={k}, p={p}")
-    return ExchangeableLower(value=k / p, residual=4.0 * k / (p + k))
+    return k / p
 
 
 def _attempt(fn):
@@ -296,12 +275,12 @@ def _attempt(fn):
 
 
 def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
-                 delta_grid=None, which=ALL_BOUNDS) -> BoundReport:
+                 which=ALL_BOUNDS) -> BoundReport:
     """Evaluate the requested bounds once, downgrading failed hypotheses to Inapplicable.
 
     Caller errors raise before any fold or pass: BadConfig for a name outside
-    ``ALL_BOUNDS``, n_mc below 1, a seed outside [0, 2^64) or a delta outside
-    (0, 1), DimensionMismatch for a partition of another dimension.  The
+    ``ALL_BOUNDS``, n_mc below 1 or a seed outside [0, 2^64), DimensionMismatch
+    for a partition of another dimension.  The
     bounds share one memo per spec content, so no tile of Sigma is formed
     and no expected-max request streamed twice.  Order: the threshold
     profile, whose pass covers both full blocks; ``single_max``, one request
@@ -313,7 +292,6 @@ def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
         raise BadConfig(f"n_mc must be positive, got {n_mc}")
     chunks(seed, n_mc)  # checks the seed
     mc = {"n_mc": n_mc, "seed": seed}
-    delta_grid = _delta_grid(delta_grid)
     part.check_dim(spec.p)
     blocks = (part.a_set, part.b_set)
 
@@ -323,7 +301,7 @@ def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
         return min(bound_single_max(spec, s, **mc) for s in blocks)
 
     evaluators = {
-        "corr_threshold": lambda: bound_corr_threshold(spec, part, delta_grid, **mc),
+        "corr_threshold": lambda: bound_corr_threshold(spec, part, **mc),
         "single_max": single_max,
         "homogeneous": lambda: bound_homogeneous(spec, part, **mc),
         "heterogeneous": lambda: bound_heterogeneous(spec, part, **mc),

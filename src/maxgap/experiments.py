@@ -3,7 +3,7 @@
 The sampling drivers (levy, bounds-compare, scaling) measure through
 :func:`_measure`, in one stage order: check every argument, build the
 design, run its covariance geometry (``rho_bar`` or the bound report), run
-the sampler, then scan the sample once over the sorted distinct epsilons.
+the sampler, then scan the sample once over the caller's epsilons.
 
 Every driver is deterministic given its seed.  CSV payloads carry no
 timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
@@ -78,9 +78,14 @@ def _write_text(path: str, text: str) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
+def _json_text(payload: dict) -> str:
+    """The one JSON format: indented, key-sorted, with a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str | None, payload: dict) -> None:
-    """Indented, key-sorted JSON with a trailing newline; None writes to stdout."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``payload`` in the one JSON format; None writes to stdout."""
+    text = _json_text(payload)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -95,17 +100,22 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
     count, so the sidecar records both (an unset thread variable is None).
     ``spec_hash`` is the sampled model's :attr:`CovSpec.content_hash`, None
     when the file covers several models; ``rng_method`` names the sampler's
-    generator.
+    generator.  The sidecar is serialized first: a config value JSON cannot
+    hold raises BadConfig and writes neither file.
     """
     columns = tuple(columns)
+    try:
+        meta = _json_text({
+            "command": command, "seed": seed, "config": config, "columns": columns,
+            "n_rows": len(rows), "outputs": [os.path.basename(path)], "spec_hash": spec_hash,
+            "rng_method": RNG_METHOD, "created": datetime.now(timezone.utc).isoformat(),
+            "versions": _versions(),
+            "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}})
+    except TypeError as err:
+        raise BadConfig(f"run config is not JSON: {err}") from err
     lines = [columns] + [[_fmt(row[c]) for c in columns] for row in rows]
     _write_text(path, "".join(",".join(cells) + "\n" for cells in lines))
-    write_json(path + ".meta.json", {
-        "command": command, "seed": seed, "config": config, "columns": columns,
-        "n_rows": len(rows), "outputs": [os.path.basename(path)], "spec_hash": spec_hash,
-        "rng_method": RNG_METHOD, "created": datetime.now(timezone.utc).isoformat(),
-        "versions": _versions(),
-        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}})
+    _write_text(path + ".meta.json", meta)
     return path
 
 
@@ -117,15 +127,14 @@ def _measure(cfg: DesignConfig, epsilons, n_rep: int, seed: int, grid_points: in
     order.  Every argument is checked before the design is built.  The
     geometry runs before the sampler: memory freed by the sampler threads
     stays in their allocator arenas, so work done afterwards would add to
-    the peak.  One scan serves the sorted distinct epsilons.
+    the peak.
     """
     eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,), grid_points)
     check_run(n_rep, seed, n_threads)
     spec, part = gen_design(cfg)
     geo = geometry(spec, part)
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    curve = {est.epsilon: est for est in levy_curve(diffs, sorted(set(eps)), grid_points)}
-    return spec, geo, [curve[e] for e in eps]
+    return spec, geo, levy_curve(diffs, eps, grid_points)
 
 
 def _run_config(cfg: DesignConfig, estimates, n_rep: int, grid_points: int, **extra) -> dict:
@@ -159,9 +168,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
 
 
 COMPARE_COLUMNS = ("design_id", "p", "epsilon", "levy_hat", "se", "ratio_empirical",
-                   "ratio_homogeneous", "ratio_corr_threshold", "ratio_heterogeneous",
-                   "ratio_conditional", "ratio_baseline", "ratio_single_max",
-                   "lower_bound", "inapplicable")
+                   *("ratio_" + name for name in ALL_BOUNDS), "lower_bound", "inapplicable")
 
 
 def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
@@ -184,7 +191,7 @@ def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
         elif value is not None:
             row["ratio_" + name] = value
     if cfg.kind == "exchangeable_overlap":
-        row["lower_bound"] = lower_bound_exchangeable(cfg.overlap_k, cfg.p).value
+        row["lower_bound"] = lower_bound_exchangeable(cfg.overlap_k, cfg.p)
     row["inapplicable"] = ";".join(flagged)
     return row
 
@@ -227,7 +234,7 @@ STUDIES = {
     "rho_sweep_lowrank": (lambda o, seed: [
         DesignConfig(kind="homog_lowrank", p=o["p"], d=o["d"], seed=(seed + i) % 2 ** 64)
         for i in range(o["points"])], ("p", "d", "points")),
-    "k0_sweep": (lambda o, seed: [DesignConfig(kind="k0_split", p=int(p), k0=o["k0"], seed=seed)
+    "k0_sweep": (lambda o, seed: [DesignConfig(kind="k0_split", p=p, k0=o["k0"], seed=seed)
                                   for p in o["p_list"]], ("k0", "p_list")),
 }
 
@@ -253,6 +260,8 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
     if unread:
         raise BadConfig(f"{kind} does not read {', '.join(unread)}")
     opts = {k: STUDY_OPTIONS[k] if options.get(k) is None else options[k] for k in reads}
+    if "p_list" in opts:
+        opts["p_list"] = [int(p) for p in opts["p_list"]]
     epsilon = check_epsilon(epsilon)
     check_run(n_rep, seed, n_threads)
     cfgs = points(opts, seed)

@@ -96,12 +96,12 @@ def levy_hat(diffs, epsilon: float, grid_points: int = DEFAULT_GRID,
 def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEstimate]:
     """Estimates for several half-widths over one common center grid.
 
-    Sharing the grid makes the curve nondecreasing in eps by construction.
+    The epsilons come in any order, repeats included, and the estimates
+    follow it.  Sharing the grid makes the curve nondecreasing in eps by
+    construction.
     """
     v = _sorted_sample(diffs)
     eps = check_scan(epsilons, grid_points)
-    if any(b < a for a, b in zip(eps, eps[1:])):
-        raise BadConfig("epsilons must be sorted ascending")
     n = v.shape[0]
     grid = np.linspace(v[0], v[-1], grid_points)
     out = []

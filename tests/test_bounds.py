@@ -18,7 +18,6 @@ from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
                     bound_single_max, lower_bound_exchangeable, residual_cov,
                     sample)
 from maxgap import bounds, cov
-from maxgap.bounds import default_delta_grid
 from maxgap.designs import DesignConfig, gen_design
 
 from conftest import footnote_factor, spy_calls
@@ -79,7 +78,7 @@ class TestOraclesIidPair:
         spec, part = iid_pair()
         terms = bound_corr_threshold(spec, part, **MC)
         best, value = threshold_at(terms, 0.05)
-        grid = default_delta_grid()
+        grid = bounds.DELTA_GRID
         assert best.delta == grid[-1]
         assert best.omega == 0.0
         assert best.d_delta is None
@@ -147,25 +146,29 @@ class TestApplicabilityErrors:
             with pytest.raises(BadConfig):
                 rep.ratio(name, eps)
 
-    def test_delta_grid_validation(self):
+    def test_delta_grid_is_fixed(self):
         spec, part = iid_pair()
-        # NaN compares False both ways, so it must fail the test for (0, 1).
-        for bad in ([], [0.0], [1.0], [0.5, 1.2], [math.nan, 0.5], [0.5, math.inf]):
-            with pytest.raises(BadConfig):
-                bound_corr_threshold(spec, part, delta_grid=bad, **MC)
+        with pytest.raises(TypeError):
+            bound_corr_threshold(spec, part, delta_grid=[0.5], **MC)
+        with pytest.raises(TypeError):
+            bound_report(spec, part, **MC, delta_grid=[0.5])
+        assert not bounds.DELTA_GRID.flags.writeable
+        assert np.array_equal(bounds.DELTA_GRID, np.geomspace(1e-3, 1.0 - 1e-3, 50))
 
 
 class TestCorrThresholdStructure:
-    def test_orientations_and_admissibility(self):
+    def test_orientations_and_admissibility(self, monkeypatch):
         # One A coordinate is duplicated into B, so for large delta the set N
         # is that single coordinate and the term stays admissible.
+        monkeypatch.setattr(bounds, "DELTA_GRID", np.array([0.5]))
         gamma = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
                           [0.0, 0.0, 1.0],
                           [0.0, 1.0, 0.0]])
         spec = CovSpec.factor(gamma)
         part = Partition.split(4, 2)
-        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], **MC)
+        terms = bound_corr_threshold(spec, part, **MC)
+        assert [t.delta for t in terms] == [0.5, 0.5]
         assert {t.orientation for t in terms} == {"AB", "BA"}
         for t in terms:
             assert t.omega > 0.0
@@ -185,24 +188,24 @@ class TestCorrThresholdStructure:
         assert best.d_delta == pytest.approx(-5.0, abs=0.05)
         assert value >= 2.0
 
-    def test_overlap_crosscheck_at_half(self):
+    def test_overlap_crosscheck_at_half(self, monkeypatch):
         # Duplicated-coordinate exchangeable design, blocks of 8 sharing 2:
         # at delta = 0.5 the bound cannot undercut the symmetry lower bound.
+        monkeypatch.setattr(bounds, "DELTA_GRID", np.array([0.5]))
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         spec, part = gen_design(cfg)
-        terms = bound_corr_threshold(spec, part, delta_grid=[0.5], **MC)
-        _, value = threshold_at(terms, 0.05)
-        assert value >= 2.0 / 14.0
-        lower = lower_bound_exchangeable(2, 14)
-        assert lower.value == 2.0 / 14.0
-        assert value >= lower.value
+        terms = bound_corr_threshold(spec, part, **MC)
+        assert {t.delta for t in terms} == {0.5}
+        best, value = threshold_at(terms, 0.05)
+        assert best.delta == 0.5
+        assert value >= lower_bound_exchangeable(2, 14) == 2.0 / 14.0
 
 
 class TestExchangeableLower:
     def test_known_values(self):
         got = lower_bound_exchangeable(2, 14)
-        assert got.value == 2.0 / 14.0
-        assert got.residual == 0.5
+        assert type(got) is float
+        assert got == 2 / 14
 
     @pytest.mark.parametrize("k,p", [(0, 10), (5, 5), (2, 13), (3, 8)])
     def test_bad_geometry(self, k, p):
@@ -243,8 +246,8 @@ class TestExactArithmetic:
         g = rng.standard_normal((4, 2))
         base = CovSpec.factor(g)
         doubled = CovSpec.factor(2.0 * g)
-        assert 0.05 * bound_single_max(doubled, **MC) \
-            == 0.5 * (0.05 * bound_single_max(base, **MC))
+        assert 0.05 * bound_single_max(doubled, range(4), **MC) \
+            == 0.5 * (0.05 * bound_single_max(base, range(4), **MC))
 
     def test_heterogeneous_homogeneous_agreement(self):
         # With unit variances and equal margins both bounds share the same
@@ -306,7 +309,7 @@ class TestBoundReport:
 
         spec, part = iid_pair()
 
-        def fail(spec, subset=None, **mc):
+        def fail(spec, subset, **mc):
             if subset == part.a_set:
                 raise ZeroResidualVariance("block A")
             raise SingularCovariance("block B")
@@ -320,7 +323,7 @@ class TestBoundReport:
         cfg = DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3)
         spec, part = gen_design(cfg)
         assert spec.p == 16
-        assert lower_bound_exchangeable(cfg.overlap_k, cfg.p).value == 2.0 / 14.0
+        assert lower_bound_exchangeable(cfg.overlap_k, cfg.p) == 2.0 / 14.0
         with pytest.raises(TypeError):
             bound_report(spec, part, **MC, which=("homogeneous",), overlap_k=2)
 
@@ -353,9 +356,8 @@ class TestBoundReport:
         ({"which": ("homogenous",)}, BadConfig),
         ({"n_mc": 0}, BadConfig),
         ({"n_mc": 100, "seed": -1}, BadConfig),
-        ({"delta_grid": [2.0]}, BadConfig),
         ({"part": Partition.split(10, 5)}, DimensionMismatch),
-    ], ids=["which", "n_mc", "seed", "delta_grid", "partition"])
+    ], ids=["which", "n_mc", "seed", "partition"])
     def test_caller_errors_raise_before_any_work(self, monkeypatch, case, error):
         # Only a bound's own hypotheses become Inapplicable; a caller error
         # raises before any tile of Sigma is formed or any pass streamed.

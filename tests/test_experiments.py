@@ -226,16 +226,16 @@ class TestArgumentsCheckedFirst:
     @pytest.mark.parametrize("driver, extra", [(run_levy_experiment, {}),
                                                (run_bounds_compare, {"n_mc": 500})],
                              ids=["levy", "bounds-compare"])
-    def test_one_scan_over_distinct_epsilons(self, driver, extra, tmp_path, monkeypatch):
-        # One levy_curve call over the sorted distinct epsilons serves every
-        # row; each estimate equals its own one-epsilon scan.
+    def test_one_scan_in_caller_order(self, driver, extra, tmp_path, monkeypatch):
+        # One levy_curve call over the caller's epsilons, in their order,
+        # serves every row; each estimate equals its own one-epsilon scan.
         import maxgap.experiments as experiments
         scans = []
         monkeypatch.setattr(experiments, "levy_curve", lambda d, eps, *a:
                             scans.append(list(eps)) or levy_curve(d, eps, *a))
         _, rows, *_ = driver(self.CFG, epsilons=(0.2, 0.01, 0.2), n_rep=300,
                              out_dir=str(tmp_path), **extra)
-        assert scans == [[0.01, 0.2]]
+        assert scans == [[0.2, 0.01, 0.2]]
         diffs = sample_max_diff(*gen_design(self.CFG), n_rep=300, seed=self.CFG.seed)
         for row in rows:
             assert row["levy_hat"] == maxgap.levy_hat(diffs, row["epsilon"]).value
@@ -404,6 +404,18 @@ class TestScalingStudy:
         assert config == {"study": kind, **json.loads(json.dumps(options)), "reps": 100,
                           "eps": [0.1], "grid": 50, "seed": 4}
 
+    def test_array_p_list_recorded_as_ints(self, tmp_path):
+        # A numpy p_list resolves to Python ints: both files are written, and
+        # they match the run given the same dimensions as a tuple.
+        arr, _ = run_scaling_study("k0_sweep", out_dir=str(tmp_path / "a"), k0=3,
+                                   p_list=np.array([5, 6]), n_rep=100)
+        tup, _ = run_scaling_study("k0_sweep", out_dir=str(tmp_path / "t"), k0=3,
+                                   p_list=(5, 6), n_rep=100)
+        config = json.load(open(arr + ".meta.json"))["config"]
+        assert config["p_list"] == [5, 6]
+        assert config == json.load(open(tup + ".meta.json"))["config"]
+        assert open(arr, "rb").read() == open(tup, "rb").read()
+
     @pytest.mark.parametrize("kind, empty", [("k0_sweep", {"p_list": ()}),
                                              ("rho_sweep_fullrank", {"points": 0}),
                                              ("rho_sweep_lowrank", {"points": 0})])
@@ -458,9 +470,19 @@ class TestWriteCsv:
             write_csv("/proc/nope/out.csv", ("x",), [], command="test",
                       seed=0, config={})
 
+    def test_config_json_cannot_hold_writes_no_file(self, tmp_path):
+        # The sidecar is serialized before either file is written.
+        with pytest.raises(BadConfig, match="not JSON"):
+            write_csv(str(tmp_path / "t.csv"), ("x",), [{"x": 1}], command="test",
+                      seed=0, config={"p_list": np.array([5, 6])})
+        assert list(tmp_path.iterdir()) == []
+
     def test_compare_columns_frozen(self):
-        assert COMPARE_COLUMNS[0] == "design_id"
-        assert "inapplicable" in COMPARE_COLUMNS
+        assert COMPARE_COLUMNS == (
+            "design_id", "p", "epsilon", "levy_hat", "se", "ratio_empirical",
+            "ratio_homogeneous", "ratio_corr_threshold", "ratio_heterogeneous",
+            "ratio_conditional", "ratio_baseline", "ratio_single_max",
+            "lower_bound", "inapplicable")
 
 
 def test_levy_on_factor_spec_forms_no_matrix(tmp_path, monkeypatch):
