@@ -59,7 +59,9 @@ def _need(cond: bool, msg: str) -> None:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    """rows scaled to unit length, in place: the callers pass a fresh array."""
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
 
 
 def _equicorr(p: int, rho: float, sds: np.ndarray | None = None) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from datetime import datetime, timezone
@@ -83,6 +84,14 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _meta_text(meta: dict) -> str:
+    """A sidecar in the one JSON format; a value JSON cannot hold is a BadConfig."""
+    try:
+        return _json_text(meta)
+    except TypeError as err:
+        raise BadConfig(f"run config is not JSON: {err}") from err
+
+
 def write_json(path: str | None, payload: dict) -> None:
     """``payload`` in the one JSON format; None writes to stdout."""
     text = _json_text(payload)
@@ -104,15 +113,12 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
     hold raises BadConfig and writes neither file.
     """
     columns = tuple(columns)
-    try:
-        meta = _json_text({
-            "command": command, "seed": seed, "config": config, "columns": columns,
-            "n_rows": len(rows), "outputs": [os.path.basename(path)], "spec_hash": spec_hash,
-            "rng_method": RNG_METHOD, "created": datetime.now(timezone.utc).isoformat(),
-            "versions": _versions(),
-            "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}})
-    except TypeError as err:
-        raise BadConfig(f"run config is not JSON: {err}") from err
+    meta = _meta_text({
+        "command": command, "seed": seed, "config": config, "columns": columns,
+        "n_rows": len(rows), "outputs": [os.path.basename(path)], "spec_hash": spec_hash,
+        "rng_method": RNG_METHOD, "created": datetime.now(timezone.utc).isoformat(),
+        "versions": _versions(),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}})
     lines = [columns] + [[_fmt(row[c]) for c in columns] for row in rows]
     _write_text(path, "".join(",".join(cells) + "\n" for cells in lines))
     _write_text(path + ".meta.json", meta)
@@ -125,9 +131,10 @@ def _measure(cfg: DesignConfig, epsilons, n_rep: int, seed: int, grid_points: in
 
     epsilons is one half-width or a list of them; the estimates follow its
     order.  Every argument is checked before the design is built.  The
-    geometry runs before the sampler: memory freed by the sampler threads
-    stays in their allocator arenas, so work done afterwards would add to
-    the peak.
+    geometry runs before the sampler: memory freed by the helper sampler
+    threads stays in their allocator arenas, so work done afterwards would
+    add to the peak.  The calling thread samples too, reusing the heap the
+    design and geometry freed, so a run on n threads adds n - 1 arenas.
     """
     eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,), grid_points)
     check_run(n_rep, seed, n_threads)
@@ -221,6 +228,18 @@ STUDY_OPTIONS = {"p": 100, "d": None, "points": 100, "rho_min": 0.9, "rho_max": 
                  "k0": 20, "p_list": (25, 30, 40, 60, 80, 120)}
 
 
+def _plain(name: str, value):
+    """A set study option as a plain Python value, or BadConfig naming it: a
+    float for rho_min and rho_max, a list of ints for p_list, an int for the rest."""
+    want = {"rho_min": "a number", "rho_max": "a number", "p_list": "a list of integers"}
+    try:
+        if name == "p_list":
+            return [operator.index(p) for p in value]
+        return float(value) if name in want else operator.index(value)
+    except (TypeError, ValueError):
+        raise BadConfig(f"{name} must be {want.get(name, 'an integer')}, got {value!r}") from None
+
+
 def _rho_sweep_fullrank(o: dict, seed: int) -> list[DesignConfig]:
     if not (-1.0 < o["rho_min"] <= o["rho_max"] < 1.0):
         raise BadConfig(f"need -1 < rho_min <= rho_max < 1, got [{o['rho_min']}, {o['rho_max']}]")
@@ -248,9 +267,12 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
     rho_sweep_lowrank redraws a low-rank factor per point so rho_bar moves on
     its own; k0_sweep grows the ambient dimension at a fixed split size.
     The rho tables carry the 1/sqrt(1-rho_bar) and 1/(1-rho_bar) regressors.
-    A set option (not None) the study does not read raises BadConfig.  The
-    seed must lie in [0, 2^64); point i samples (and for rho_sweep_lowrank
-    draws its design) with seed seed + i, wrapped mod 2^64.
+    A set option (not None) the study does not read raises BadConfig.  Before
+    the first point, the options read become plain values (:func:`_plain`)
+    and the sidecar config is serialized, so a non-integer dimension or a
+    config JSON cannot hold raises BadConfig before any sampling.  The seed
+    must lie in [0, 2^64); point i samples (and for rho_sweep_lowrank draws
+    its design) with seed seed + i, wrapped mod 2^64.
     """
     if kind not in STUDIES:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {tuple(STUDIES)}")
@@ -259,19 +281,19 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
               if options.get(name) is not None and name not in reads]
     if unread:
         raise BadConfig(f"{kind} does not read {', '.join(unread)}")
-    opts = {k: STUDY_OPTIONS[k] if options.get(k) is None else options[k] for k in reads}
-    if "p_list" in opts:
-        opts["p_list"] = [int(p) for p in opts["p_list"]]
+    opts = {k: STUDY_OPTIONS[k] if options.get(k) is None else _plain(k, options[k])
+            for k in reads}
     epsilon = check_epsilon(epsilon)
     check_run(n_rep, seed, n_threads)
     cfgs = points(opts, seed)
     if not cfgs:
         size = opts["points"] if "points" in opts else len(opts["p_list"])
         raise BadConfig(f"{kind} needs at least one point, got {size}")
-    rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, grid_points, n_threads)
-            for i, cfg in enumerate(cfgs)]
     config = {"study": kind, **opts, "reps": n_rep, "eps": [epsilon], "grid": grid_points,
               "seed": seed}
+    _meta_text(config)  # a config JSON cannot hold fails before the first point
+    rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, grid_points, n_threads)
+            for i, cfg in enumerate(cfgs)]
     path = os.path.join(out_dir, f"scaling_{kind}.csv")
     write_csv(path, rows[0].keys(), rows, command="scaling", seed=seed, config=config)
     return path, rows

@@ -7,15 +7,15 @@ checks the seed and hands out each chunk's span and generator.
 :func:`_map_chunks` is the one loop over them and the one thread pool, for
 the sampler, the expected-max passes and the bootstrap alike: each chunk's
 result is a function of its own generator alone, and the caller reduces the
-results in chunk order.  So serial and thread-parallel runs produce
-bit-identical values for any thread count, and a run of whole chunks is a
-prefix of any longer run with the same seed.  Bit-identity
-holds under a fixed BLAS build and BLAS thread count: each tile of a chunk
-is one matmul, and BLAS libraries may sum in another order when their own thread
-count changes (OpenBLAS does, in the last bits, between
+results in chunk order.  The calling thread is one of the n_threads workers,
+so a run on n threads opens n - 1 helper threads.  So serial and
+thread-parallel runs produce bit-identical values for any thread count, and
+a run of whole chunks is a prefix of any longer run with the same seed.
+Bit-identity holds under a fixed BLAS build and BLAS thread count: each tile
+of a chunk is one matmul, and BLAS libraries may sum in another order when
+their own thread count changes (OpenBLAS does, in the last bits, between
 ``OPENBLAS_NUM_THREADS=1`` and ``2``) or when the matmul height changes, so
-the rows of a partial last chunk agree with a longer run only to
-rounding.  The factor of an explicit covariance is an eigendecomposition,
+the rows of a partial last chunk agree with a longer run only to rounding.  The factor of an explicit covariance is an eigendecomposition,
 which may then also return another basis of a repeated eigenvalue's
 eigenspace, so such a spec's draws can differ by more than rounding.
 
@@ -26,9 +26,10 @@ tests' reference, writes each tile into the n_rep x p matrix it returns.
 :func:`sample_max_diff`, which the CLI commands use, and the expected-max
 passes fold each tile into running per-row maxima as soon as it is drawn
 (:func:`_chunk_maxima`), so a chunk holds its normals and O(rows * TILE)
-values, never a rows x p block.  All three run the same matmuls, and a
-maximum is exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))``
-bit for bit.  Thread and whole-chunk prefix bit-identity hold for every path.
+values, never a rows x p block.  Every tile multiplies by a view of the
+spec's factor, so the paths hold one copy of it, the spec's own.  All three
+run the same matmuls, and a maximum is exact, so :func:`sample_max_diff`
+equals ``max_diff(sample(...))`` bit for bit.  Thread and whole-chunk prefix bit-identity hold for every path.
 The sampler returns plain read-only arrays: :func:`sample` the n_rep x p
 matrix, :func:`sample_max_diff` and :func:`max_diff` the vector M_B - M_A.
 
@@ -39,6 +40,7 @@ recorded as ``RNG_METHOD`` in every CSV sidecar.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -110,15 +112,32 @@ def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) ->
     fn may read only its own chunk's generator and write only rows lo..hi of
     an output, so its result does not depend on which thread ran it or when;
     the caller reduces the results in chunk order, so a reduction is the
-    same floats for any thread count.  With n_threads > 1 the chunks run on
-    a pool of at most one worker per chunk.
+    same floats for any thread count.  The caller is one of the n_threads
+    workers: with n_threads > 1 and more than one chunk, it and a pool of
+    ``min(n_threads, chunks) - 1`` helper threads take chunks from one
+    shared iterator until it runs out.
     """
     todo = chunks(seed, n, rows)
     n_chunks = len(range(0, n, rows))
-    if n_threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(n_threads, n_chunks)) as pool:
-            return list(pool.map(lambda chunk: fn(*chunk), todo))
-    return [fn(*chunk) for chunk in todo]
+    workers = min(n_threads, n_chunks)
+    if workers < 2:
+        return [fn(*chunk) for chunk in todo]
+    numbered, lock, results = enumerate(todo), threading.Lock(), [None] * n_chunks
+
+    def work() -> None:
+        while True:
+            with lock:
+                k, chunk = next(numbered, (None, None))
+            if chunk is None:
+                return
+            results[k] = fn(*chunk)
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _chunk_draw(spec: CovSpec, tiles=None):
@@ -130,16 +149,17 @@ def _chunk_draw(spec: CovSpec, tiles=None):
     holds coordinates t0..t1 before mu.  Normal columns [0, d) feed L, in one
     (rows, d) @ (d, t1 - t0) matmul per tile, and column d + j feeds
     coordinate j's noise, so a tile's values do not depend on the tiles listed.
+    Each tile multiplies by a transposed view of L's rows t0..t1, so a draw
+    holds no copy of the factor.
     """
     ell, r = sampling_factor(spec), draw_width(spec)
     d, noise = ell.shape[1], spec.noise
-    lt = np.ascontiguousarray(ell.T)
     edges = _tile_edges(spec.p, tiles)
 
     def draw(rng: np.random.Generator, rows: int, out):
         z = rng.standard_normal((rows, r))
         for t0, t1 in edges:
-            x = np.matmul(z[:, :d], lt[:, t0:t1], out=out(t0, t1))
+            x = np.matmul(z[:, :d], ell[t0:t1].T, out=out(t0, t1))
             if noise is not None:
                 w = z[:, d + t0:d + t1]
                 w *= noise[t0:t1]
@@ -208,8 +228,9 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """Read-only vector of the per-replicate M_B - M_A of n_rep draws, reduced tile by tile.
 
     Equal, bit for bit, to ``max_diff(sample(spec, n_rep, seed, n_threads), part)``
-    but holds, per sampler thread, one chunk of normals and one
-    ``CHUNK`` x ``TILE`` tile of draws, which it folds into running maxima.
+    but holds, per sampler thread (the calling thread is one of the
+    n_threads), one chunk of normals and one ``CHUNK`` x ``TILE`` tile of
+    draws, which it folds into running maxima; the factor is read in place.
     """
     part.check_dim(spec.p)
     check_run(n_rep, seed, n_threads)

@@ -416,6 +416,31 @@ class TestScalingStudy:
         assert config == json.load(open(tup + ".meta.json"))["config"]
         assert open(arr, "rb").read() == open(tup, "rb").read()
 
+    def test_numpy_k0_runs_as_int(self, tmp_path):
+        path, rows = run_scaling_study("k0_sweep", out_dir=str(tmp_path), k0=np.int64(3),
+                                       p_list=(5, 6), n_rep=100)
+        assert [row["k0"] for row in rows] == [3, 3]
+        assert json.load(open(path + ".meta.json"))["config"]["k0"] == 3
+
+    @pytest.mark.parametrize("options, message", [
+        ({"k0": 3, "p_list": [5.7, 6]}, r"^p_list must be a list of integers, got \[5.7, 6\]$"),
+        ({"k0": 3.0, "p_list": (5,)}, "^k0 must be an integer, got 3.0$"),
+        ({"k0": 3, "p_list": 5}, "^p_list must be a list of integers, got 5$"),
+        ({"k0": 3, "p_list": (5,), "n_rep": np.int64(100)}, "^run config is not JSON"),
+    ], ids=["fractional-p", "float-k0", "scalar-p_list", "numpy-reps"])
+    def test_bad_option_rejected_before_any_point(self, tmp_path, monkeypatch, options,
+                                                  message):
+        import maxgap.experiments as experiments
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the options were checked")
+
+        monkeypatch.setattr(experiments, "sample_max_diff", no_sampling)
+        options = {"n_rep": 100, **options}
+        with pytest.raises(BadConfig, match=message):
+            run_scaling_study("k0_sweep", out_dir=str(tmp_path), **options)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind, empty", [("k0_sweep", {"p_list": ()}),
                                              ("rho_sweep_fullrank", {"points": 0}),
                                              ("rho_sweep_lowrank", {"points": 0})])

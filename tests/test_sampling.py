@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -71,8 +72,9 @@ class TestSampleDeterminism:
             sample(spec, 10, seed=1, n_threads=n_threads)
 
     def test_pool_clamped_to_chunk_count(self, monkeypatch):
-        # A huge request must open no more workers than there are chunks;
-        # the recording stand-in checks the size before any thread starts.
+        # A huge request must open no more workers than there are chunks: the
+        # caller is one of them, so the pool holds one helper fewer.  The
+        # recording stand-in checks the size before any thread starts.
         sizes = []
         real_pool = sampling.ThreadPoolExecutor
 
@@ -83,11 +85,11 @@ class TestSampleDeterminism:
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording_pool)
         spans = sampling._map_chunks(lambda rng, lo, hi: (lo, hi), seed=5, n=2 * CHUNK + 1,
                                      n_threads=10 ** 9)
-        assert sizes == [3]
+        assert sizes == [2]
         assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
         spec = CovSpec.explicit(np.eye(2))
         many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
-        assert sizes == [3, 3]
+        assert sizes == [2, 2]
         assert np.array_equal(many, sample(spec, 2 * CHUNK + 1, seed=5))
 
 
@@ -108,6 +110,53 @@ class TestChunkRunner:
         assert finished == [CHUNK, 0]
         assert got == [(0, CHUNK, chunk_rng(3, 0).standard_normal()),
                        (CHUNK, 2 * CHUNK, chunk_rng(3, 1).standard_normal())]
+
+    @pytest.mark.parametrize("n_threads", [2, 3])
+    def test_caller_is_one_of_the_workers(self, n_threads):
+        # The first n_threads chunks each wait until all of them have started,
+        # so each runs on its own worker; with fewer workers the barrier times out.
+        started, idents = threading.Barrier(n_threads, timeout=30), []
+
+        def draw(rng, lo, hi):
+            return lo, hi, rng.standard_normal(3).tolist()
+
+        def fn(rng, lo, hi):
+            idents.append(threading.get_ident())
+            if lo < n_threads * CHUNK:
+                started.wait()
+            return draw(rng, lo, hi)
+
+        n = 2 * n_threads * CHUNK + 5
+        got = sampling._map_chunks(fn, seed=4, n=n, n_threads=n_threads)
+        assert got == sampling._map_chunks(draw, seed=4, n=n)
+        assert len(idents) == len(got)
+        assert threading.get_ident() in idents
+        assert len(set(idents) - {threading.get_ident()}) <= n_threads - 1
+
+    def test_every_chunk_taken_once_under_contention(self):
+        # More workers than cores take 2000 one-row chunks from the shared
+        # iterator with a short switch interval: a chunk taken twice or lost
+        # changes the call count or the results.
+        calls, got = [], []
+
+        def fn(rng, lo, hi):
+            calls.append(lo)
+            return lo, hi
+
+        def run():
+            got.append(sampling._map_chunks(fn, seed=2, n=2000, rows=1, n_threads=8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert got == [[(lo, lo + 1) for lo in range(2000)]]
+        assert sorted(calls) == list(range(2000))
 
 
 N_REPS = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK)
@@ -226,7 +275,7 @@ class TestTiledMemory:
     @pytest.mark.parametrize("n_threads", [1, 2])
     def test_sampler_holds_one_tile_per_thread(self, p, n_threads):
         # Per thread: the chunk's normals, one CHUNK x TILE tile and a copy of
-        # its block columns; besides them the factor, its transpose and the output.
+        # its block columns; besides them the output and the block selectors.
         spec, part = self.design(p, self.D)
         n_rep = 4 * CHUNK
         peak = self.peak(lambda: sample_max_diff(spec, part, n_rep, seed=5, n_threads=n_threads))
@@ -237,13 +286,27 @@ class TestTiledMemory:
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
     def test_expected_max_holds_one_tile(self, p, halves):
         # The chunk's normals, one rows x TILE tile and a copy of a subset's
-        # columns there; besides them the factor and its transpose.
+        # columns there; besides them the subsets' selectors.
         spec, part = self.design(p, self.D)
         subsets = [part.a_set, part.b_set] if halves else [range(p)]
         rows = emax_chunk_rows(self.D)
         peak = self.peak(lambda: expected_max_many(spec, subsets, 4096, seed=6))
         bound = 2 * rows * (TILE + self.D) * 8 + 2 * p * self.D * 8
         assert peak < bound
+
+    @pytest.mark.parametrize("path", ["sampler", "expected_max"])
+    def test_no_copy_of_the_factor(self, path):
+        # The 8 MiB factor is made before tracing starts.  A pass on one thread
+        # holds one chunk workspace, its normals and two TILE-wide tiles (the
+        # expected-max modes mix), plus slack: no p x d term.
+        p, d = 16 * TILE, 256
+        spec = CovSpec.factor(np.random.default_rng(1).standard_normal((p, d)))
+        part = Partition.split(p, p // 2)
+        rows = CHUNK if path == "sampler" else emax_chunk_rows(d)
+        runs = {"sampler": lambda: sample_max_diff(spec, part, 2 * rows, seed=1),
+                "expected_max": lambda: expected_max_many(
+                    spec, [part.a_set, part.b_set], 2 * rows, seed=1, mode=("abs_std", "signed"))}
+        assert self.peak(runs[path]) < rows * (d + 2 * TILE) * 8 + 2 ** 20
 
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
     def test_rho_bar_holds_one_strip(self, p):
