@@ -194,11 +194,12 @@ def _check_mu(mu: np.ndarray | None, p: int) -> np.ndarray:
     return mu
 
 
-def _column_selector(idx) -> slice | np.ndarray:
-    """Distinct indices idx as a column selector: a slice when they form a range, else an array.
+def _selector(idx) -> slice | np.ndarray:
+    """Distinct indices idx as a selector on one axis: a slice for a range, else an array.
 
-    ``x[:, sel]`` is then a view for a range and a copy otherwise; either
-    selects the same columns, and a maximum does not depend on their order.
+    ``x[sel]`` or ``x[:, sel]`` is then a view for a range and a copy
+    otherwise; either selects the same rows or columns, and a maximum does
+    not depend on their order.
     """
     idx = np.asarray(idx, dtype=np.intp)
     lo, hi = int(idx.min()), int(idx.max()) + 1
@@ -242,8 +243,8 @@ class Partition:
 
     @property
     def blocks(self) -> tuple[slice | np.ndarray, slice | np.ndarray]:
-        """Column selectors of A and B for block maxima (:func:`_column_selector`)."""
-        return _column_selector(self.a_set), _column_selector(self.b_set)
+        """Column selectors of A and B for block maxima (:func:`_selector`)."""
+        return _selector(self.a_set), _selector(self.b_set)
 
     def check_dim(self, p: int) -> None:
         """DimensionMismatch unless the partition is over p coordinates."""
@@ -387,7 +388,7 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
         return memo[part]
     within = within or _REPORT.get() is not None  # a report's fold serves check_conditions too
     sd = spec.sds
-    sels = [{t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
+    sels = [{t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
             for idx in (part.a_idx, part.b_idx)]
     cross_cov, cross_corr = np.full(spec.p, -np.inf), np.full(spec.p, -np.inf)
     abs_corr, norms = -np.inf, [-np.inf, -np.inf]

@@ -1,16 +1,20 @@
 """Design generators for the simulation studies.
 
 ``DESIGNS`` is the one table of kinds: each kind's generator and the options
-it reads besides p and seed; ``gen_design`` rejects any other set option
-before any work.  A kind maps its config to a (CovSpec, Partition) pair,
-deterministic in the seed, with block A first.  Overlapping blocks are
-encoded by duplication: the shared coordinates appear twice in the
-covariance (perfectly correlated copies), so the partition stays disjoint;
+it reads besides p and seed.  A generator checks its config, reading nothing
+else, and returns the zero-argument build of the design, so
+:func:`check_design` rejects a config before any work and :func:`gen_design`
+builds it.  A build returns a (CovSpec, Partition) pair, deterministic in
+the seed, with block A first.  Overlapping blocks are encoded by
+duplication: the shared coordinates appear twice in the covariance
+(perfectly correlated copies), so the partition stays disjoint;
 ``exchangeable_overlap`` samples p + k coordinates for its p distinct ones.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -33,7 +37,12 @@ VARIANCE_PROFILES = {
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Parameters of one simulation design."""
+    """Parameters of one simulation design, held as plain Python values.
+
+    p, seed and each integer option set become ints and rho a float, so a
+    numpy scalar is recorded as the number it holds; any other value raises
+    BadConfig.
+    """
 
     kind: str
     p: int = 400
@@ -44,6 +53,13 @@ class DesignConfig:
     variance_profile: str | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("p", "d", "overlap_k", "k0", "rho", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, plain_option(
+                    name, value, float if name == "rho" else operator.index))
+
     def design_id(self) -> str:
         bits = [fmt.format(getattr(self, name)) for name, fmt in _OPTIONS.items()
                 if getattr(self, name) is not None]
@@ -51,6 +67,15 @@ class DesignConfig:
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+def plain_option(name: str, value, cast=operator.index):
+    """cast(value), an int by default, or BadConfig naming the option."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        want = "a number" if cast is float else "an integer"
+        raise BadConfig(f"{name} must be {want}, got {value!r}") from None
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -64,9 +89,12 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _equicorr(p: int, rho: float, sds: np.ndarray | None = None) -> np.ndarray:
+def _check_equicorr(p: int, rho: float) -> None:
     _need(-1.0 / (p - 1) < rho < 1.0 if p > 1 else True,
           f"equicorrelation {rho} not positive semidefinite at p={p}")
+
+
+def _equicorr(p: int, rho: float, sds: np.ndarray | None = None) -> np.ndarray:
     sig = np.full((p, p), float(rho))
     np.fill_diagonal(sig, 1.0)
     if sds is not None:
@@ -74,8 +102,12 @@ def _equicorr(p: int, rho: float, sds: np.ndarray | None = None) -> np.ndarray:
     return sig
 
 
-def gen_design(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    """The (spec, partition) of cfg; BadConfig for an unknown kind or an option it does not read."""
+def check_design(cfg: DesignConfig) -> Callable[[], tuple[CovSpec, Partition]]:
+    """The zero-argument build of cfg's design, after checking cfg alone.
+
+    BadConfig for an unknown kind, an option it does not read or a value it
+    cannot build; nothing is generated until the build is called.
+    """
     if cfg.kind not in DESIGNS:
         raise BadConfig(f"unknown design kind {cfg.kind!r}; expected one of {KINDS}")
     generate, reads = DESIGNS[cfg.kind]
@@ -83,6 +115,11 @@ def gen_design(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
     if unread:
         raise BadConfig(f"{cfg.kind} does not read {', '.join(unread)}")
     return generate(cfg)
+
+
+def gen_design(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+    """The (spec, partition) of cfg; BadConfig as :func:`check_design` raises it."""
+    return check_design(cfg)()
 
 
 def _halves(cfg: DesignConfig) -> int:
@@ -96,31 +133,40 @@ def _rank(cfg: DesignConfig, low: int = 1) -> int:
     return d
 
 
-def _homog_lowrank(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+def _normals(cfg: DesignConfig, d: int) -> np.ndarray:
+    return np.random.default_rng(cfg.seed).standard_normal((cfg.p, d))
+
+
+def _homog_lowrank(cfg: DesignConfig):
     half, d = _halves(cfg), _rank(cfg)
-    gamma = _unit_rows(np.random.default_rng(cfg.seed).standard_normal((cfg.p, d)))
-    return CovSpec.factor(gamma), Partition.split(cfg.p, half)
+    return lambda: (CovSpec.factor(_unit_rows(_normals(cfg, d))), Partition.split(cfg.p, half))
 
 
-def _homog_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+def _homog_overlap(cfg: DesignConfig):
     half, d, k = _halves(cfg), _rank(cfg), cfg.overlap_k
     _need(k is not None and 1 <= k <= half,
           f"homog_overlap needs 1 <= overlap_k <= p/2, got {k}")
-    gamma = _unit_rows(np.random.default_rng(cfg.seed).standard_normal((cfg.p, d)))
-    gamma[half:half + k] = gamma[:k]
-    return CovSpec.factor(gamma), Partition.split(cfg.p, half)
+
+    def build():
+        gamma = _unit_rows(_normals(cfg, d))
+        gamma[half:half + k] = gamma[:k]
+        return CovSpec.factor(gamma), Partition.split(cfg.p, half)
+    return build
 
 
-def _heterog_cond_a(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+def _heterog_cond_a(cfg: DesignConfig):
     half, d = _halves(cfg), _rank(cfg, low=2)
-    rng = np.random.default_rng(cfg.seed)
-    gamma_a = rng.standard_normal((half, d))
-    gamma_b = _unit_rows(rng.standard_normal((half, d)))
-    gamma_a = gamma_a / np.linalg.norm(gamma_a, axis=1).max()
-    return CovSpec.factor(np.vstack([gamma_a, gamma_b])), Partition.split(cfg.p, half)
+
+    def build():
+        rng = np.random.default_rng(cfg.seed)
+        gamma_a = rng.standard_normal((half, d))
+        gamma_b = _unit_rows(rng.standard_normal((half, d)))
+        gamma_a = gamma_a / np.linalg.norm(gamma_a, axis=1).max()
+        return CovSpec.factor(np.vstack([gamma_a, gamma_b])), Partition.split(cfg.p, half)
+    return build
 
 
-def _heterog_violation(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+def _heterog_violation(cfg: DesignConfig):
     p = cfg.p
     profile = cfg.variance_profile or "v075"
     _need(profile in VARIANCE_PROFILES,
@@ -130,46 +176,58 @@ def _heterog_violation(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
     _need(p >= denom and p % denom == 0,
           f"profile {profile} needs p divisible by {denom}, got {p}")
     half = p // 2
-    side = np.concatenate([np.full(int(round(frac * half)), sd) for sd, frac in parts])
-    sds = np.concatenate([side, side])
-    return CovSpec.explicit(_equicorr(p, 0.9, sds)), Partition.split(p, half)
+
+    def build():
+        side = np.concatenate([np.full(int(round(frac * half)), sd) for sd, frac in parts])
+        sds = np.concatenate([side, side])
+        return CovSpec.explicit(_equicorr(p, 0.9, sds)), Partition.split(p, half)
+    return build
 
 
-def _fullrank_equicorr(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+def _fullrank_equicorr(cfg: DesignConfig):
     half = _halves(cfg)
     _need(cfg.rho is not None, "fullrank_equicorr needs rho")
-    return CovSpec.explicit(_equicorr(cfg.p, cfg.rho)), Partition.split(cfg.p, half)
+    _check_equicorr(cfg.p, cfg.rho)
+    return lambda: (CovSpec.explicit(_equicorr(cfg.p, cfg.rho)), Partition.split(cfg.p, half))
 
 
-def _table1(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
+def _table1(cfg: DesignConfig):
     half, d = _halves(cfg), _rank(cfg)
-    gamma = np.random.default_rng(cfg.seed).standard_normal((cfg.p, d))
-    scale = np.sqrt(np.einsum("ij,ij->i", gamma, gamma) + 1.0)
-    # The rows of [gamma, I] / scale, held as the factor gamma / scale plus noise sds 1 / scale.
-    return (CovSpec.factor(gamma / scale[:, None], noise=1.0 / scale),
-            Partition.split(cfg.p, half))
+
+    def build():
+        gamma = _normals(cfg, d)
+        scale = np.sqrt(np.einsum("ij,ij->i", gamma, gamma) + 1.0)
+        # The rows of [gamma, I] / scale, held as the factor gamma / scale plus
+        # noise sds 1 / scale.
+        return (CovSpec.factor(gamma / scale[:, None], noise=1.0 / scale),
+                Partition.split(cfg.p, half))
+    return build
 
 
-def _exchangeable_overlap(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p, k = cfg.p, cfg.overlap_k
+def _exchangeable_overlap(cfg: DesignConfig):
+    p, k, rho = cfg.p, cfg.overlap_k, cfg.rho or 0.0
     _need(k is not None and k >= 1, f"exchangeable_overlap needs overlap_k >= 1, got {k}")
     _need(p > k and (p + k) % 2 == 0,
           f"exchangeable_overlap needs p > k with p + k even, got p={p}, k={k}")
+    _check_equicorr(p, rho)
     m = (p + k) // 2
-    sig = _equicorr(p, cfg.rho or 0.0)
-    # Blocks of size m sharing k coordinates: A reads 0..m-1, B reads m-k..p-1.
-    index_map = np.concatenate([np.arange(m), np.arange(m - k, p)])
-    sig_dup = sig[np.ix_(index_map, index_map)]
-    return CovSpec.explicit(sig_dup), Partition.split(2 * m, m)
+
+    def build():
+        # Blocks of size m sharing k coordinates: A reads 0..m-1, B reads m-k..p-1.
+        index_map = np.concatenate([np.arange(m), np.arange(m - k, p)])
+        sig_dup = _equicorr(p, rho)[np.ix_(index_map, index_map)]
+        return CovSpec.explicit(sig_dup), Partition.split(2 * m, m)
+    return build
 
 
-def _k0_split(cfg: DesignConfig) -> tuple[CovSpec, Partition]:
-    p, k0 = cfg.p, cfg.k0
+def _k0_split(cfg: DesignConfig):
+    p, k0, rho = cfg.p, cfg.k0, cfg.rho or 0.0
     _need(k0 is not None and 1 <= k0 < p, f"k0_split needs 1 <= k0 < p, got k0={k0}, p={p}")
-    return CovSpec.explicit(_equicorr(p, cfg.rho or 0.0)), Partition.split(p, k0)
+    _check_equicorr(p, rho)
+    return lambda: (CovSpec.explicit(_equicorr(p, rho)), Partition.split(p, k0))
 
 
-# Each kind's generator and the options it reads besides p and seed.
+# Each kind's generator (config -> build) and the options it reads besides p and seed.
 DESIGNS = {
     "homog_lowrank": (_homog_lowrank, ("d",)),
     "homog_overlap": (_homog_overlap, ("d", "overlap_k")),

@@ -32,7 +32,7 @@ from .bootstrap import DataMatrix, clt_rate, run_bootstrap
 from .bounds import (ALL_BOUNDS, BoundReport, Inapplicable, bound_report,
                      lower_bound_exchangeable)
 from .cov import CovSpec, Partition, check_conditions, rho_bar
-from .designs import DesignConfig, gen_design
+from .designs import DesignConfig, check_design, gen_design, plain_option
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
 from .levy import (DEFAULT_GRID, DEFAULT_MC, LevyEstimate, check_epsilon, check_scan,
                    expected_max_many, levy_curve)
@@ -144,17 +144,25 @@ def _measure(cfg: DesignConfig, epsilons, n_rep: int, seed: int, grid_points: in
     return spec, geo, levy_curve(diffs, eps, grid_points)
 
 
-def _run_config(cfg: DesignConfig, estimates, n_rep: int, grid_points: int, **extra) -> dict:
-    """The sidecar's config: the design and run options under their CLI names."""
-    return {**cfg.to_json_dict(), "reps": int(n_rep), "grid": int(grid_points),
-            "eps": [est.epsilon for est in estimates], **extra}
+def _run_config(cfg: DesignConfig, epsilons, n_rep: int, grid_points: int, **extra) -> dict:
+    """The sidecar's config: the design and run options under their CLI names.
+
+    The epsilons are checked and the config serialized here, so a value JSON
+    cannot hold raises BadConfig before the design is built.
+    """
+    eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,), grid_points)
+    config = {**cfg.to_json_dict(), "reps": int(n_rep), "grid": int(grid_points), "eps": eps,
+              **extra}
+    _meta_text(config)
+    return config
 
 
 def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int = 2000,
                         grid_points: int = DEFAULT_GRID, out_dir: str = ".",
                         n_threads: int = 1) -> tuple[str, list[dict]]:
     """Concentration-vs-epsilon table for one design, rows in ascending epsilon."""
-    spec, rbar, estimates = _measure(cfg, epsilons, n_rep, cfg.seed, grid_points, n_threads,
+    config = _run_config(cfg, epsilons, n_rep, grid_points)
+    spec, rbar, estimates = _measure(cfg, config["eps"], n_rep, cfg.seed, grid_points, n_threads,
                                      rho_bar)
     scale = math.sqrt(math.log(spec.p)) / float(np.mean(spec.sds))
     rows = [{
@@ -168,8 +176,7 @@ def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int
         "rho_bar": rbar,
     } for est in sorted(estimates, key=lambda est: est.epsilon)]
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
-    write_csv(path, rows[0].keys(), rows, command="levy", seed=cfg.seed,
-              config=_run_config(cfg, estimates, n_rep, grid_points),
+    write_csv(path, rows[0].keys(), rows, command="levy", seed=cfg.seed, config=config,
               spec_hash=spec.content_hash)
     return path, rows
 
@@ -211,15 +218,14 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
 
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
+    config = _run_config(cfg, epsilons, n_rep, grid_points, mc=n_mc, bounds=list(which))
     spec, report, estimates = _measure(
-        cfg, epsilons, n_rep, cfg.seed, grid_points, n_threads,
+        cfg, config["eps"], n_rep, cfg.seed, grid_points, n_threads,
         lambda spec, part: bound_report(spec, part, n_mc=n_mc, seed=cfg.seed, which=which))
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
     write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=cfg.seed,
-              config=_run_config(cfg, estimates, n_rep, grid_points, mc=n_mc,
-                                 bounds=list(which)),
-              spec_hash=spec.content_hash)
+              config=config, spec_hash=spec.content_hash)
     return path, rows, report
 
 
@@ -231,13 +237,14 @@ STUDY_OPTIONS = {"p": 100, "d": None, "points": 100, "rho_min": 0.9, "rho_max": 
 def _plain(name: str, value):
     """A set study option as a plain Python value, or BadConfig naming it: a
     float for rho_min and rho_max, a list of ints for p_list, an int for the rest."""
-    want = {"rho_min": "a number", "rho_max": "a number", "p_list": "a list of integers"}
+    if name in ("rho_min", "rho_max"):
+        return plain_option(name, value, float)
+    if name != "p_list":
+        return plain_option(name, value)
     try:
-        if name == "p_list":
-            return [operator.index(p) for p in value]
-        return float(value) if name in want else operator.index(value)
+        return [operator.index(p) for p in value]
     except (TypeError, ValueError):
-        raise BadConfig(f"{name} must be {want.get(name, 'an integer')}, got {value!r}") from None
+        raise BadConfig(f"p_list must be a list of integers, got {value!r}") from None
 
 
 def _rho_sweep_fullrank(o: dict, seed: int) -> list[DesignConfig]:
@@ -269,8 +276,10 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
     The rho tables carry the 1/sqrt(1-rho_bar) and 1/(1-rho_bar) regressors.
     A set option (not None) the study does not read raises BadConfig.  Before
     the first point, the options read become plain values (:func:`_plain`)
-    and the sidecar config is serialized, so a non-integer dimension or a
-    config JSON cannot hold raises BadConfig before any sampling.  The seed
+    and the sidecar config is serialized, and every point's design is checked
+    (:func:`check_design`, which builds nothing), so a non-integer dimension,
+    a config JSON cannot hold or an option one point cannot build raises
+    BadConfig before any sampling.  The seed
     must lie in [0, 2^64); point i samples (and for rho_sweep_lowrank draws
     its design) with seed seed + i, wrapped mod 2^64.
     """
@@ -292,6 +301,8 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
     config = {"study": kind, **opts, "reps": n_rep, "eps": [epsilon], "grid": grid_points,
               "seed": seed}
     _meta_text(config)  # a config JSON cannot hold fails before the first point
+    for cfg in cfgs:
+        check_design(cfg)
     rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, grid_points, n_threads)
             for i, cfg in enumerate(cfgs)]
     path = os.path.join(out_dir, f"scaling_{kind}.csv")

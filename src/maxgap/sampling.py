@@ -15,21 +15,26 @@ Bit-identity holds under a fixed BLAS build and BLAS thread count: each tile
 of a chunk is one matmul, and BLAS libraries may sum in another order when
 their own thread count changes (OpenBLAS does, in the last bits, between
 ``OPENBLAS_NUM_THREADS=1`` and ``2``) or when the matmul height changes, so
-the rows of a partial last chunk agree with a longer run only to rounding.  The factor of an explicit covariance is an eigendecomposition,
-which may then also return another basis of a repeated eigenvalue's
-eigenspace, so such a spec's draws can differ by more than rounding.
+the rows of a partial last chunk agree with a longer run only to rounding.
+The factor of an explicit covariance is an eigendecomposition, which may
+then also return another basis of a repeated eigenvalue's eigenspace, so
+such a spec's draws can differ by more than rounding.
 
 Three paths share one chunk draw, :func:`_chunk_draw`, which turns the
 chunk's normals into coordinates one ``TILE``-wide tile at a time
-(:func:`maxgap.cov._tile_edges`).  :func:`sample`, the batch API and the
-tests' reference, writes each tile into the n_rep x p matrix it returns.
+(:func:`maxgap.cov._tile_edges`).  A tile is coordinate-major, one
+coordinate per row: the product of L's rows t0..t1 with the transposed
+normals.  :func:`sample`, the batch API and the tests' reference, transposes
+each tile into the n_rep x p matrix it returns as it adds mu.
 :func:`sample_max_diff`, which the CLI commands use, and the expected-max
 passes fold each tile into running per-row maxima as soon as it is drawn
-(:func:`_chunk_maxima`), so a chunk holds its normals and O(rows * TILE)
-values, never a rows x p block.  Every tile multiplies by a view of the
-spec's factor, so the paths hold one copy of it, the spec's own.  All three
-run the same matmuls, and a maximum is exact, so :func:`sample_max_diff`
-equals ``max_diff(sample(...))`` bit for bit.  Thread and whole-chunk prefix bit-identity hold for every path.
+(:func:`_chunk_maxima`), so a chunk holds its normals and O(TILE * rows)
+values, never a rows x p block; they add mu only when it is not all zero.
+Every tile multiplies by a view of the spec's factor, so the paths hold one
+copy of it, the spec's own.  All three run the same matmuls, and a maximum
+is exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))`` bit
+for bit (adding a zero mean could only flip the sign of an exact zero).
+Thread and whole-chunk prefix bit-identity hold for every path.
 The sampler returns plain read-only arrays: :func:`sample` the n_rep x p
 matrix, :func:`sample_max_diff` and :func:`max_diff` the vector M_B - M_A.
 
@@ -45,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .cov import TILE, CovSpec, Partition, _by_tile, _column_selector, _tile_edges
+from .cov import TILE, CovSpec, Partition, _by_tile, _selector, _tile_edges
 from .errors import BadConfig
 
 CHUNK = 1024
@@ -145,12 +150,13 @@ def _chunk_draw(spec: CovSpec, tiles=None):
 
     The one place normals become coordinates.  draw takes rows x
     :func:`draw_width` normals from rng and yields (t0, t1, x) for each listed
-    tile (every tile by default): x = out(t0, t1), a rows x (t1 - t0) array,
-    holds coordinates t0..t1 before mu.  Normal columns [0, d) feed L, in one
-    (rows, d) @ (d, t1 - t0) matmul per tile, and column d + j feeds
-    coordinate j's noise, so a tile's values do not depend on the tiles listed.
-    Each tile multiplies by a transposed view of L's rows t0..t1, so a draw
-    holds no copy of the factor.
+    tile (every tile by default): x = out(t0, t1), a (t1 - t0) x rows array,
+    holds coordinates t0..t1 before mu, one coordinate per row.  Normal
+    columns [0, d) feed L, in one (t1 - t0, d) @ (d, rows) matmul per tile,
+    and column d + j feeds coordinate j's noise, so a tile's values do not
+    depend on the tiles listed.  Each tile multiplies a view of L's rows
+    t0..t1 by a transposed view of the normals, so a draw holds no copy of
+    the factor.
     """
     ell, r = sampling_factor(spec), draw_width(spec)
     d, noise = ell.shape[1], spec.noise
@@ -159,10 +165,10 @@ def _chunk_draw(spec: CovSpec, tiles=None):
     def draw(rng: np.random.Generator, rows: int, out):
         z = rng.standard_normal((rows, r))
         for t0, t1 in edges:
-            x = np.matmul(z[:, :d], ell[t0:t1].T, out=out(t0, t1))
+            x = np.matmul(ell[t0:t1], z[:, :d].T, out=out(t0, t1))
             if noise is not None:
-                w = z[:, d + t0:d + t1]
-                w *= noise[t0:t1]
+                w = z[:, d + t0:d + t1].T
+                w *= noise[t0:t1, None]
                 x += w
             yield t0, t1, x
 
@@ -175,28 +181,31 @@ def _chunk_maxima(spec: CovSpec, subsets, modes):
     modes names each subset's statistic: "signed" folds X, "abs_std" folds
     |X - mu| / sd.  fold draws only the tiles holding a subset coordinate and
     folds their statistics into one running maximum per subset, so it holds
-    the chunk's normals, a rows x ``TILE`` tile (two if the modes mix) and,
-    where a subset's columns in a tile are not a range, their copy.
+    the chunk's normals, a ``TILE`` x rows tile (two if the modes mix) and,
+    where a subset's coordinates in a tile are not a range, their copy.  A
+    zero mean is not added: adding 0.0 changes no maximum but the sign of an
+    exact zero.
     """
-    # tile -> column selector, within the tile, of each subset's coordinates there.
-    sels = [{t: _column_selector(off) for t, (_, off) in _by_tile(idx).items()}
+    # tile -> row selector, within the tile, of each subset's coordinates there.
+    sels = [{t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
             for idx in subsets]
     needs = {t: {m for sel, m in zip(sels, modes) if t in sel} for t in set().union(*sels)}
     draw, sds = _chunk_draw(spec, sorted(needs)), spec.sds
+    mu = spec.mu if spec.mu.any() else None
 
     def fold(rng: np.random.Generator, rows: int) -> list[np.ndarray]:
-        buf = np.empty((rows, min(TILE, spec.p)))
+        buf = np.empty((min(TILE, spec.p), rows))
         std_buf = np.empty_like(buf) if len(set(modes)) > 1 else buf
         maxima = [np.full(rows, -np.inf) for _ in sels]
-        for t0, t1, x in draw(rng, rows, lambda t0, t1: buf[:, :t1 - t0]):
-            t, std = t0 // TILE, std_buf[:, :t1 - t0]
+        for t0, t1, x in draw(rng, rows, lambda t0, t1: buf[:t1 - t0]):
+            t, std = t0 // TILE, std_buf[:t1 - t0]
             if "abs_std" in needs[t]:  # reads X - mu, so before x gains mu
-                np.divide(np.abs(x, out=std), sds[t0:t1], out=std)
-            if "signed" in needs[t]:
-                x += spec.mu[t0:t1]
+                np.divide(np.abs(x, out=std), sds[t0:t1, None], out=std)
+            if "signed" in needs[t] and mu is not None:
+                x += mu[t0:t1, None]
             for sel, mode, m in zip(sels, modes, maxima):
                 if t in sel:
-                    np.maximum(m, (x if mode == "signed" else std)[:, sel[t]].max(axis=1), out=m)
+                    np.maximum(m, (x if mode == "signed" else std)[sel[t]].max(axis=0), out=m)
         return maxima
 
     return fold
@@ -207,16 +216,18 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> np.ndarr
 
     Returns the read-only n_rep x p matrix.  Deterministic given (spec,
     n_rep, seed); the thread count only changes who fills which chunk, never
-    the numbers.  Holds all n_rep x p values; :func:`sample_max_diff`
-    streams them instead.
+    the numbers.  Holds all n_rep x p values and, per sampler thread, one
+    ``TILE`` x ``CHUNK`` tile, which it transposes into them;
+    :func:`sample_max_diff` streams them instead.
     """
     check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
     draw = _chunk_draw(spec)
 
     def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
-        for t0, t1, x in draw(rng, hi - lo, lambda t0, t1: data[lo:hi, t0:t1]):
-            x += spec.mu[t0:t1]
+        buf = np.empty((min(TILE, spec.p), hi - lo))
+        for t0, t1, x in draw(rng, hi - lo, lambda t0, t1: buf[:t1 - t0]):
+            np.add(x.T, spec.mu[t0:t1], out=data[lo:hi, t0:t1])
 
     _map_chunks(fill, seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
@@ -229,8 +240,9 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
 
     Equal, bit for bit, to ``max_diff(sample(spec, n_rep, seed, n_threads), part)``
     but holds, per sampler thread (the calling thread is one of the
-    n_threads), one chunk of normals and one ``CHUNK`` x ``TILE`` tile of
-    draws, which it folds into running maxima; the factor is read in place.
+    n_threads), one chunk of normals and one ``TILE`` x ``CHUNK`` tile of
+    draws, one coordinate per row, which it folds into running maxima; the
+    factor is read in place.
     """
     part.check_dim(spec.p)
     check_run(n_rep, seed, n_threads)

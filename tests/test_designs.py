@@ -6,7 +6,9 @@ import pytest
 
 from maxgap import BadConfig, check_conditions, rho_bar
 from maxgap.cov import cov_block
-from maxgap.designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
+from maxgap import designs
+from maxgap.designs import (DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, check_design,
+                            gen_design)
 
 
 def spec_of(**kwargs):
@@ -260,3 +262,55 @@ class TestConfigPlumbing:
     def test_unread_options_named_together(self):
         with pytest.raises(BadConfig, match="^table1 does not read k0, rho$"):
             spec_of(kind="table1", p=40, rho=0.5, k0=7)
+
+    def test_numpy_options_become_plain(self):
+        cfg = DesignConfig(kind="k0_split", p=np.int64(30), k0=np.int16(20),
+                           rho=np.float64(0.25), seed=np.uint64(7))
+        assert cfg == DesignConfig(kind="k0_split", p=30, k0=20, rho=0.25, seed=7)
+        assert [type(getattr(cfg, name)) for name in ("p", "k0", "rho", "seed")] == \
+            [int, int, float, int]
+        assert json.loads(json.dumps(cfg.to_json_dict()))["p"] == 30
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("p", 5.7, "^p must be an integer, got 5.7$"),
+        ("d", np.float64(2.0), r"^d must be an integer, got (np\.float64\()?2\.0\)?$"),
+        ("rho", "high", "^rho must be a number, got 'high'$"),
+    ])
+    def test_non_plain_option_rejected(self, option, value, message):
+        with pytest.raises(BadConfig, match=message):
+            DesignConfig(kind="homog_lowrank", **{"p": 8, option: value})
+
+
+class TestCheckDesign:
+    """check_design checks a config alone and builds nothing until its build is called."""
+
+    @pytest.mark.parametrize("kind", sorted(SMOKE))
+    def test_builds_nothing(self, kind, monkeypatch):
+        cfg = DesignConfig(kind=kind, **SMOKE[kind])
+        monkeypatch.setattr(designs, "CovSpec", None)
+        monkeypatch.setattr(designs, "np", None)
+        build = check_design(cfg)
+        monkeypatch.undo()
+        spec, part = build()
+        want_spec, want_part = gen_design(cfg)
+        assert spec.content_hash == want_spec.content_hash
+        assert part == want_part
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="homog_lowrank", p=7),
+        dict(kind="homog_lowrank", p=4, d=9),
+        dict(kind="homog_overlap", p=8, overlap_k=5),
+        dict(kind="heterog_condA", p=8, d=1),
+        dict(kind="heterog_violation", p=12),
+        dict(kind="fullrank_equicorr", p=8),
+        dict(kind="fullrank_equicorr", p=8, rho=-0.5),
+        dict(kind="exchangeable_overlap", p=14, overlap_k=3),
+        dict(kind="exchangeable_overlap", p=7, overlap_k=1, rho=-0.5),
+        dict(kind="k0_split", p=10, k0=10),
+        dict(kind="k0_split", p=10, k0=3, rho=1.0),
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects_before_any_work(self, kwargs, monkeypatch):
+        monkeypatch.setattr(designs, "CovSpec", None)
+        monkeypatch.setattr(designs, "np", None)
+        with pytest.raises(BadConfig):
+            check_design(DesignConfig(**kwargs))

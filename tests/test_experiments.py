@@ -214,6 +214,32 @@ class TestArgumentsCheckedFirst:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("driver, extra", [(run_levy_experiment, {}),
+                                               (run_bounds_compare, {"n_mc": 200})],
+                             ids=["levy", "bounds-compare"])
+    def test_numpy_design_options_run_as_ints(self, driver, extra, tmp_path, monkeypatch):
+        # Numpy scalars in a design config become the Python numbers they
+        # hold: the run samples once and its sidecar records plain ints.
+        ran = self.spy(monkeypatch)
+        cfg = DesignConfig(kind="homog_lowrank", p=np.int64(200), d=np.int32(4),
+                           seed=np.uint64(1))
+        path, *_ = driver(cfg, n_rep=300, out_dir=str(tmp_path), **extra)
+        assert ran.count("sample_max_diff") == 1
+        config = json.load(open(path + ".meta.json"))["config"]
+        assert (config["p"], config["d"], config["seed"]) == (200, 4, 1)
+        assert path.endswith("homog_lowrank-p200-d4-s1.csv")
+        plain = driver(DesignConfig(kind="homog_lowrank", p=200, d=4, seed=1), n_rep=300,
+                       out_dir=str(tmp_path / "plain"), **extra)[0]
+        assert open(path, "rb").read() == open(plain, "rb").read()
+
+    def test_config_json_cannot_hold_fails_before_any_work(self, tmp_path, monkeypatch):
+        # The sidecar config is serialized before the design is built.
+        ran = self.spy(monkeypatch)
+        with pytest.raises(BadConfig, match="^run config is not JSON"):
+            run_bounds_compare(self.CFG, n_mc=np.int64(200), n_rep=300, out_dir=str(tmp_path))
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("driver, extra", [(run_levy_experiment, {}),
                                                (run_bounds_compare, {"n_mc": 500})],
                              ids=["levy", "bounds-compare"])
     def test_scalar_epsilon_is_a_list_of_one(self, driver, extra, tmp_path):
@@ -427,7 +453,8 @@ class TestScalingStudy:
         ({"k0": 3.0, "p_list": (5,)}, "^k0 must be an integer, got 3.0$"),
         ({"k0": 3, "p_list": 5}, "^p_list must be a list of integers, got 5$"),
         ({"k0": 3, "p_list": (5,), "n_rep": np.int64(100)}, "^run config is not JSON"),
-    ], ids=["fractional-p", "float-k0", "scalar-p_list", "numpy-reps"])
+        ({"k0": 3, "p_list": [4, 3]}, r"^k0_split needs 1 <= k0 < p, got k0=3, p=3$"),
+    ], ids=["fractional-p", "float-k0", "scalar-p_list", "numpy-reps", "unbuildable-point"])
     def test_bad_option_rejected_before_any_point(self, tmp_path, monkeypatch, options,
                                                   message):
         import maxgap.experiments as experiments

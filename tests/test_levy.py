@@ -341,7 +341,8 @@ class TestTileContract:
         assert e_large >= e_small
 
     @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
-    @pytest.mark.parametrize("p, d", [(TILE, 50), (2 * TILE + 3, 7)])
+    @pytest.mark.parametrize("p, d", [(TILE, 50), (2 * TILE + 3, 7), (TILE - 1, 20),
+                                      (TILE + 1, 20)])
     def test_reads_the_sampler_coordinates(self, p, d, noise):
         # A pass of one chunk draws, at every height, the coordinates that
         # sample() returns bit for bit, so its signed estimate is the mean of

@@ -234,6 +234,24 @@ class TestSampleMaxDiff:
         assert short[:exact].tobytes() == long[:exact].tobytes()
         assert np.allclose(short, long[:m], rtol=0.0, atol=1e-12)
 
+    def test_mean_added_unless_all_zero(self):
+        # The fold skips the mean only when every entry is zero: a nonzero,
+        # non-constant mean moves the signed expected maxima, and both specs'
+        # streamed maxima equal the batch path's, which always adds the mean.
+        rng = np.random.default_rng(21)
+        p = 2 * TILE + 3
+        gamma = rng.standard_normal((p, 4))
+        shifted = CovSpec.factor(gamma, mu=np.linspace(-1.0, 2.0, p))
+        centered = CovSpec.factor(gamma)
+        part = Partition.split(p, TILE + 1)
+        for spec in (shifted, centered):
+            streamed = sample_max_diff(spec, part, CHUNK + 5, seed=3, n_threads=2)
+            batch = max_diff(sample(spec, CHUNK + 5, seed=3), part)
+            assert streamed.tobytes() == batch.tobytes()
+        subsets = [part.a_set, part.b_set]
+        moved = expected_max_many(shifted, subsets, 3000, seed=4, mode="signed")
+        assert moved != expected_max_many(centered, subsets, 3000, seed=4, mode="signed")
+
     def test_dimension_checked(self):
         spec = CovSpec.explicit(np.eye(3))
         with pytest.raises(DimensionMismatch):
