@@ -653,4 +653,5 @@ def sqrt_factor(sigma: np.ndarray) -> np.ndarray:
     if w[0] < -TOL_PSD * max(1.0, float(np.max(np.diag(sigma)))):
         raise NotPSD(f"smallest eigenvalue {float(w[0]):.3e} below PSD tolerance")
     keep = w > TOL_EIG_CLIP * max(1.0, float(w[-1]))
-    return v[:, keep] * np.sqrt(w[keep])
+    # Row-major, like a factor spec's gamma: the sampler multiplies row tiles.
+    return np.multiply(v[:, keep], np.sqrt(w[keep]), order="C")

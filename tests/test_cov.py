@@ -536,6 +536,14 @@ class TestSqrtFactor:
         ell = sqrt_factor(sig)
         assert ell.shape == (3, 1)
 
+    def test_row_major(self):
+        # The sampler multiplies row tiles of the factor, as of a factor
+        # spec's gamma; eigh's column-major basis would slow those products.
+        g = np.random.default_rng(6).standard_normal((40, 25))
+        ell = sqrt_factor(g @ g.T)  # rank 25: eigh's other columns are dropped
+        assert ell.shape == (40, 25)
+        assert ell.flags.c_contiguous
+
     def test_indefinite_raises(self):
         with pytest.raises(NotPSD):
             sqrt_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
