@@ -12,11 +12,11 @@ the fraction of replicates with max over A strictly above max over B.
 
 Replicates come in the sampler's fixed ``CHUNK``-row chunks, chunk k with
 weights from the counter-based stream keyed by (seed, k), mapped by
-:func:`maxgap.sampling._map_chunks` under its chunk contract, which also
-checks the seed.  :func:`multiplier_replicates` is the batch API and keeps
-the whole B x p matrix; :func:`run_bootstrap`, which the CLI uses, reduces
-each chunk to its per-replicate M_A - M_B as it is drawn, so it holds
-O(CHUNK * p) memory, and its result equals
+:func:`maxgap.sampling._map_chunks` under its chunk contract once
+:func:`check_replicates` has passed.  :func:`multiplier_replicates` is the
+batch API and keeps the whole B x p matrix; :func:`run_bootstrap`, which
+the CLI uses, reduces each chunk to its per-replicate M_A - M_B as it is
+drawn, so it holds O(CHUNK * p) memory, and its result equals
 ``argmax_prob(multiplier_replicates(...), part)`` bit for bit.  For both, a
 run of whole chunks is a prefix of any longer run with the same seed; a
 partial last chunk is one matmul of another height, which BLAS may sum in
@@ -37,7 +37,7 @@ import numpy as np
 from .cov import Partition
 from .errors import (BadConfig, DimensionMismatch, ParseError,
                      SmallSampleWarning)
-from .sampling import _map_chunks
+from .sampling import _map_chunks, check_seed
 
 # Beta(1/2, 3/2) weight moments: mean a/(a+b), variance ab/((a+b)^2 (a+b+1)).
 BETA_MEAN = 0.25
@@ -88,15 +88,18 @@ class BootstrapResult:
     quantiles: dict
 
 
-def _replicates(data: DataMatrix, b_reps: int, multiplier: str):
-    """rows(rng, lo, hi): replicates lo..hi, with weights drawn from rng.
-
-    The replicate count and the multiplier are checked at once.
-    """
+def check_replicates(b_reps: int, seed: int, multiplier: str) -> None:
+    """Check a bootstrap run's replicate count, seed and multiplier."""
     if b_reps < 1:
         raise BadConfig(f"b_reps must be positive, got {b_reps}")
     if multiplier not in MULTIPLIERS:
         raise BadConfig(f"multiplier must be one of {MULTIPLIERS}, got {multiplier!r}")
+    check_seed(seed)
+
+
+def _replicates(data: DataMatrix, b_reps: int, seed: int, multiplier: str):
+    """rows(rng, lo, hi): replicates lo..hi, with weights drawn from rng; checks at once."""
+    check_replicates(b_reps, seed, multiplier)
     centered = data.xi - data.xi.mean(axis=0)
     shift = math.sqrt(data.n) * data.a
     inv_sqrt_n = 1.0 / math.sqrt(data.n)
@@ -121,7 +124,7 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     The batch API; :func:`run_bootstrap` reduces the same chunks without
     keeping them.
     """
-    out = np.concatenate(_map_chunks(_replicates(data, b_reps, multiplier), seed, b_reps))
+    out = np.concatenate(_map_chunks(_replicates(data, b_reps, seed, multiplier), seed, b_reps))
     out.flags.writeable = False
     return out
 
@@ -156,16 +159,14 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
     but holds one chunk of replicates at a time, never the B x p matrix.
     """
     part.check_dim(data.p)
-    rows = _replicates(data, b_reps, multiplier)
-    diffs = np.empty(b_reps)
+    rows = _replicates(data, b_reps, seed, multiplier)
     a_sel, b_sel = part.blocks
 
-    def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
+    def diff(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         x = rows(rng, lo, hi)
-        diffs[lo:hi] = x[:, a_sel].max(axis=1) - x[:, b_sel].max(axis=1)
+        return x[:, a_sel].max(axis=1) - x[:, b_sel].max(axis=1)
 
-    _map_chunks(reduce, seed, b_reps)
-    return _summarize(diffs)
+    return _summarize(np.concatenate(_map_chunks(diff, seed, b_reps)))
 
 
 def clt_rate(*, emax_s: float, c_ab: float, b_n: float, n: int, p: int) -> float:

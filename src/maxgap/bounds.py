@@ -36,7 +36,7 @@ from .errors import (BadConfig, BadGeometry, ConditionFails,
                      PerfectCrossCorrelation, SingularCovariance,
                      ZeroResidualVariance)
 from .levy import DEFAULT_MC, check_epsilon, expected_max_many
-from .sampling import chunks
+from .sampling import check_seed
 
 TOL_VAR_SPREAD = 1e-9   # max relative sd spread treated as homogeneous
 TOL_SINGULAR = 1e-12    # relative eigenvalue floor for the baseline
@@ -212,18 +212,20 @@ def bound_conditional(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0
     Each block's law is conditioned on the other block (Schur complement,
     centered); the sd minimum runs over all coordinates of both residuals.
     """
-    res_a, res_b = residual_cov(spec, part)
+    residuals = list(residual_cov(spec, part))
     marg = spec.variances
     mins, e_vals = [], []
-    for res, idx in ((res_a, part.a_idx), (res_b, part.b_idx)):
+    for idx in (part.a_idx, part.b_idx):
+        res = residuals.pop(0)
         diag = np.diag(res)
         bad = diag <= TOL_RESID * marg[idx]
         if bad.any():
             j = int(idx[int(np.argmax(bad))])
             raise ZeroResidualVariance(f"coordinate {j} has no variance left given the other block")
         mins.append(float(np.sqrt(diag.min())))
-        res_spec = CovSpec.explicit(res)
-        e_vals += _emax(res_spec, [(range(res.shape[0]), "abs_std")], n_mc=n_mc, seed=seed)
+        # Handed over uncopied; the residual and its spec go before the next eigh.
+        res.flags.writeable = False
+        e_vals += _emax(CovSpec.explicit(res), [(range(idx.size), "abs_std")], n_mc=n_mc, seed=seed)
     return min(e_vals) / min(mins) * 2.0
 
 
@@ -290,7 +292,7 @@ def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
         raise BadConfig(f"unknown bound in {which!r}; expected names from {ALL_BOUNDS}")
     if n_mc < 1:
         raise BadConfig(f"n_mc must be positive, got {n_mc}")
-    chunks(seed, n_mc)  # checks the seed
+    check_seed(seed)
     mc = {"n_mc": n_mc, "seed": seed}
     part.check_dim(spec.p)
     blocks = (part.a_set, part.b_set)

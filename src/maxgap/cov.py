@@ -28,6 +28,11 @@ caches, all read-only, are :attr:`CovSpec.variances`, :attr:`CovSpec.root`
 each once.  An explicit spec is factored at construction: :func:`sqrt_factor`,
 whose one eigendecomposition both validates and factors the matrix, holds
 the PSD floor, so a matrix that constructs always samples.
+
+Ownership: a spec keeps a read-only float64 ndarray that owns its data as
+it is, so a matrix handed over (a residual, a sample covariance) is held
+once; it copies anything else (a writable array, a view, a list, another
+dtype), so a later write to the caller's input leaves the spec unchanged.
 """
 
 from __future__ import annotations
@@ -56,9 +61,11 @@ _EPS = float(np.finfo(float).eps)
 _NEAR = math.sqrt(_EPS)  # a pole within _NEAR * var_i of lam stays explicit in the count
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
+def _readonly(a) -> np.ndarray:
+    """a if it is a read-only float64 ndarray owning its data, else a read-only copy."""
+    if not (type(a) is np.ndarray and a.dtype == float and a.flags.owndata) or a.flags.writeable:
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
     return a
 
 
@@ -505,9 +512,9 @@ def _woodbury_residual(spec: CovSpec, keep: np.ndarray, cond_on: np.ndarray) -> 
     core = g.T @ g
     core[np.diag_indices_from(core)] += 1.0
     w = spec.gamma[keep] @ np.linalg.inv(np.linalg.cholesky(core)).T
-    res = w @ w.T
+    res = w @ w.T  # a Gram product, exactly symmetric, as the added diagonal keeps it
     res[np.diag_indices_from(res)] += spec.noise[keep] ** 2
-    return (res + res.T) * 0.5
+    return res
 
 
 def _rcond_floor(spec: CovSpec, idx: np.ndarray) -> float:

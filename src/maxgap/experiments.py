@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bootstrap import DataMatrix, clt_rate, run_bootstrap
+from .bootstrap import DataMatrix, check_replicates, clt_rate, run_bootstrap
 from .bounds import (ALL_BOUNDS, BoundReport, Inapplicable, bound_report,
                      lower_bound_exchangeable)
 from .cov import CovSpec, Partition, check_conditions, rho_bar
@@ -337,21 +337,29 @@ def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,
     estimate of b_n into the coupling-rate formula, with a CLT_MC-draw
     expected maximum.  When the variance conditions fail on the sample
     covariance it is omitted: ``clt_skipped`` holds the error code and
-    ``clt_skipped_detail`` its message.
+    ``clt_skipped_detail`` its message.  The arguments are checked, then the
+    diagnostic runs before the replicates, whose freed chunk buffers stay in
+    the heap, so an eigendecomposition run after them would add to the peak.
     """
+    part.check_dim(data.p)
+    check_replicates(b_reps, seed, multiplier)
+    clt = _clt_diagnostic(data, part, seed)
     result = run_bootstrap(data, part, b_reps=b_reps, seed=seed, multiplier=multiplier)
     quantiles = {str(q): v for q, v in result.quantiles.items()}
-    payload = {"n": data.n, "p": data.p, "a_size": len(part.a_set),
-               "bootstrap": {"prob": result.prob_argmax_in_a, "quantiles": quantiles,
-                             "b_reps": b_reps, "multiplier": multiplier, "seed": seed}}
-    payload.update(_clt_diagnostic(data, part, seed))
-    return payload
+    return {"n": data.n, "p": data.p, "a_size": len(part.a_set),
+            "bootstrap": {"prob": result.prob_argmax_in_a, "quantiles": quantiles,
+                          "b_reps": b_reps, "multiplier": multiplier, "seed": seed}, **clt}
 
 
 def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int) -> dict:
     centered = data.xi - data.xi.mean(axis=0)
-    sig_hat = (centered.T @ centered) / data.n
-    sig_hat = (sig_hat + sig_hat.T) * 0.5
+    b_n = max(1.0, float(np.abs(centered).max()))
+    # A Gram product, exactly symmetric, handed over read-only: the spec holds
+    # Sigma-hat uncopied, and no centered rows stay beside its eigendecomposition.
+    sig_hat = centered.T @ centered
+    del centered
+    sig_hat /= data.n
+    sig_hat.flags.writeable = False
     try:
         spec_hat = CovSpec.explicit(sig_hat)
         rep = check_conditions(spec_hat, part)
@@ -359,7 +367,6 @@ def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int) -> dict:
             raise ConditionFails("variance conditions fail on the sample covariance")
         subset = part.b_set if rep.s_set[0] == "B" else part.a_set
         emax_s, = expected_max_many(spec_hat, [subset], CLT_MC, seed)
-        b_n = max(1.0, float(np.abs(centered).max()))
         rate = clt_rate(emax_s=emax_s, c_ab=rep.c_ab, b_n=b_n, n=data.n, p=data.p)
         # b0, the fourth-moment constant of the suppressed prefactor, is reported only.
         return {"clt_rate": rate,

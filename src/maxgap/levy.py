@@ -5,9 +5,10 @@ scanning a fixed grid of centers t (grid endpoints are the sample min and
 max, both included) and taking the largest empirical probability of the
 closed interval [t - eps, t + eps].  A sample is a 1-D array-like, such as
 the max-difference vector the sampler returns; a batch or any other shape
-raises ``DimensionMismatch``.  The grid scan is mildly downward biased;
-an exact sliding-interval maximizer is available behind ``exact=True``,
-the tests' reference that the grid scan may not exceed.
+raises ``DimensionMismatch``.  The grid scan never exceeds the in-sample
+supremum, the exact sliding-interval maximizer behind ``exact=True`` and
+the tests' reference; against the true concentration both overshoot (at
+eps = 0.05 the grid scan by +1.0 to +1.7 se on average, the exact scan more).
 
 Expected maxima stream the sampler's keyed chunks and its chunk draw: each
 chunk is folded tile by tile into per-row maxima of every requested subset,

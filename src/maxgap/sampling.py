@@ -2,15 +2,14 @@
 
 Randomness contract: replicate rows are produced in fixed chunks of
 ``CHUNK`` rows, and chunk k draws from its own counter-based stream (Philox
-keyed by (seed, k)).  :func:`chunks` is the one place a seed meets Philox: it
-checks the seed and hands out each chunk's span and generator.
-:func:`_map_chunks` is the one loop over them and the one thread pool, for
-the sampler, the expected-max passes and the bootstrap alike: each chunk's
-result is a function of its own generator alone, and the caller reduces the
-results in chunk order.  The calling thread is one of the n_threads workers,
-so a run on n threads opens n - 1 helper threads.  So serial and
-thread-parallel runs produce bit-identical values for any thread count, and
-a run of whole chunks is a prefix of any longer run with the same seed.
+keyed by (seed, k)).  :func:`_map_chunks` is the one place a seed meets
+Philox and the one loop over chunks, for the sampler, the expected-max
+passes and the bootstrap alike: it checks the seed, makes each chunk's span
+and generator itself, and runs its work loop on the calling thread and
+n_threads - 1 helpers (none on one thread).  Each chunk's result is a
+function of its own generator alone and the caller reduces the results in
+chunk order, so any thread count gives bit-identical values, and a run of
+whole chunks is a prefix of any longer run with the same seed.
 Bit-identity holds under a fixed BLAS build and BLAS thread count: each tile
 of a chunk is one matmul, and BLAS libraries may sum in another order when
 their own thread count changes (OpenBLAS does, in the last bits, between
@@ -20,23 +19,17 @@ The factor of an explicit covariance is an eigendecomposition, which may
 then also return another basis of a repeated eigenvalue's eigenspace, so
 such a spec's draws can differ by more than rounding.
 
-Three paths share one chunk draw, :func:`_chunk_draw`, which turns the
-chunk's normals into coordinates one ``TILE``-wide tile at a time
-(:func:`maxgap.cov._tile_edges`).  A tile is coordinate-major, one
-coordinate per row: the product of L's rows t0..t1 with the transposed
-normals.  :func:`sample`, the batch API and the tests' reference, transposes
-each tile into the n_rep x p matrix it returns as it adds mu.
+Three paths share one chunk draw, :func:`_chunk_draw`, which computes a
+chunk one coordinate-major ``TILE``-wide tile at a time in one buffer.
+:func:`sample`, the batch API and the tests' reference, transposes each
+tile into the read-only n_rep x p matrix it returns as it adds mu.
 :func:`sample_max_diff`, which the CLI commands use, and the expected-max
 passes fold each tile into running per-row maxima as soon as it is drawn
 (:func:`_chunk_maxima`), so a chunk holds its normals and O(TILE * rows)
-values, never a rows x p block; they add mu only when it is not all zero.
-Every tile multiplies by a view of the spec's factor, so the paths hold one
-copy of it, the spec's own.  All three run the same matmuls, and a maximum
-is exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))`` bit
-for bit (adding a zero mean could only flip the sign of an exact zero).
-Thread and whole-chunk prefix bit-identity hold for every path.
-The sampler returns plain read-only arrays: :func:`sample` the n_rep x p
-matrix, :func:`sample_max_diff` and :func:`max_diff` the vector M_B - M_A.
+values, never a rows x p block, nor a copy of the factor; they add mu only
+when it is not all zero.  All three run the same matmuls, and a maximum is
+exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))`` bit for
+bit (adding a zero mean could only flip the sign of an exact zero).
 
 The normal generation method is numpy's ziggurat, fixed per build and
 recorded as ``RNG_METHOD`` in every CSV sidecar.
@@ -86,18 +79,12 @@ def draw_width(spec: CovSpec) -> int:
     return spec.root.shape[1] + (spec.p if spec.noise is not None else 0)
 
 
-def chunks(seed: int, n: int, rows: int = CHUNK):
-    """Iterator of (rng, lo, hi): rows lo..hi of n, ``rows`` at a time.
-
-    Chunk k covers rows [k * rows, min((k + 1) * rows, n)) and draws from
-    ``chunk_rng(seed, k)``.  The seed is checked at once, before any chunk is
-    iterated; each generator is made as its chunk is reached.
-    """
+def check_seed(seed: int) -> int:
+    """The seed as an int; BadConfig outside [0, 2^64)."""
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
         raise BadConfig(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return ((chunk_rng(seed, k), lo, min(lo + rows, n))
-            for k, lo in enumerate(range(0, n, rows)))
+    return seed
 
 
 def check_run(n_rep: int, seed: int, n_threads: int) -> None:
@@ -106,66 +93,65 @@ def check_run(n_rep: int, seed: int, n_threads: int) -> None:
         raise BadConfig(f"n_rep must be positive, got {n_rep}")
     if n_threads < 1:
         raise BadConfig(f"n_threads must be positive, got {n_threads}")
-    chunks(seed, n_rep)  # checks the seed
+    check_seed(seed)
 
 
 def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) -> list:
-    """``[fn(rng, lo, hi) for (rng, lo, hi) in chunks(seed, n, rows)]``, in chunk order.
+    """``[fn(chunk_rng(seed, k), lo, hi) for each chunk k]`` in chunk order, the seed checked first.
 
-    The one loop over :func:`chunks` and the one thread pool, serving the
-    sampler, the expected-max passes and the bootstrap.  The chunk contract:
-    fn may read only its own chunk's generator and write only rows lo..hi of
-    an output, so its result does not depend on which thread ran it or when;
-    the caller reduces the results in chunk order, so a reduction is the
-    same floats for any thread count.  The caller is one of the n_threads
-    workers: with n_threads > 1 and more than one chunk, it and a pool of
-    ``min(n_threads, chunks) - 1`` helper threads take chunks from one
-    shared iterator until it runs out.
+    Chunk k covers rows lo..hi = [k * rows, min((k + 1) * rows, n)).  The
+    chunk contract: fn may read only its own chunk's generator and write only
+    rows lo..hi of an output, so its result does not depend on which thread
+    ran it or when, and a reduction in chunk order is the same floats for
+    any thread count.  The caller runs the one work loop, joined by a pool
+    of ``min(n_threads, chunks) - 1`` helper threads when that is positive;
+    every worker takes chunk numbers from one shared counter.
     """
-    todo = chunks(seed, n, rows)
+    seed = check_seed(seed)
     n_chunks = len(range(0, n, rows))
-    workers = min(n_threads, n_chunks)
-    if workers < 2:
-        return [fn(*chunk) for chunk in todo]
-    numbered, lock, results = enumerate(todo), threading.Lock(), [None] * n_chunks
+    numbered, lock, results = iter(range(n_chunks)), threading.Lock(), [None] * n_chunks
 
     def work() -> None:
         while True:
             with lock:
-                k, chunk = next(numbered, (None, None))
-            if chunk is None:
+                k = next(numbered, None)
+            if k is None:
                 return
-            results[k] = fn(*chunk)
+            results[k] = fn(chunk_rng(seed, k), k * rows, min((k + 1) * rows, n))
 
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
+    helpers = min(n_threads, n_chunks) - 1
+    if helpers < 1:
         work()
-        for helper in helpers:
-            helper.result()
+        return results
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
     return results
 
 
 def _chunk_draw(spec: CovSpec, tiles=None):
-    """draw(rng, rows, out): one chunk of X - mu = L Z + noise * W, tile by tile.
+    """draw(rng, rows): one chunk of X - mu = L Z + noise * W, tile by tile.
 
     The one place normals become coordinates.  draw takes rows x
     :func:`draw_width` normals from rng and yields (t0, t1, x) for each listed
-    tile (every tile by default): x = out(t0, t1), a (t1 - t0) x rows array,
-    holds coordinates t0..t1 before mu, one coordinate per row.  Normal
-    columns [0, d) feed L, in one (t1 - t0, d) @ (d, rows) matmul per tile,
-    and column d + j feeds coordinate j's noise, so a tile's values do not
-    depend on the tiles listed.  Each tile multiplies a view of L's rows
-    t0..t1 by a transposed view of the normals, so a draw holds no copy of
-    the factor.
+    tile (every tile by default): x, a (t1 - t0) x rows view of the chunk's
+    one ``TILE`` x rows buffer, holds coordinates t0..t1 before mu, one per
+    row, until the next tile.  Normal columns [0, d) feed L, in one
+    (t1 - t0, d) @ (d, rows) matmul of a view of L's rows t0..t1 (no copy of
+    the factor) per tile, and column d + j feeds coordinate j's noise, so a
+    tile's values do not depend on the tiles listed.
     """
     ell, r = sampling_factor(spec), draw_width(spec)
     d, noise = ell.shape[1], spec.noise
     edges = _tile_edges(spec.p, tiles)
 
-    def draw(rng: np.random.Generator, rows: int, out):
+    def draw(rng: np.random.Generator, rows: int):
         z = rng.standard_normal((rows, r))
+        buf = np.empty((min(TILE, spec.p), rows))
         for t0, t1 in edges:
-            x = np.matmul(ell[t0:t1], z[:, :d].T, out=out(t0, t1))
+            x = np.matmul(ell[t0:t1], z[:, :d].T, out=buf[:t1 - t0])
             if noise is not None:
                 w = z[:, d + t0:d + t1].T
                 w *= noise[t0:t1, None]
@@ -194,11 +180,10 @@ def _chunk_maxima(spec: CovSpec, subsets, modes):
     mu = spec.mu if spec.mu.any() else None
 
     def fold(rng: np.random.Generator, rows: int) -> list[np.ndarray]:
-        buf = np.empty((min(TILE, spec.p), rows))
-        std_buf = np.empty_like(buf) if len(set(modes)) > 1 else buf
+        std_buf = np.empty((min(TILE, spec.p), rows)) if len(set(modes)) > 1 else None
         maxima = [np.full(rows, -np.inf) for _ in sels]
-        for t0, t1, x in draw(rng, rows, lambda t0, t1: buf[:t1 - t0]):
-            t, std = t0 // TILE, std_buf[:t1 - t0]
+        for t0, t1, x in draw(rng, rows):
+            t, std = t0 // TILE, x if std_buf is None else std_buf[:t1 - t0]
             if "abs_std" in needs[t]:  # reads X - mu, so before x gains mu
                 np.divide(np.abs(x, out=std), sds[t0:t1, None], out=std)
             if "signed" in needs[t] and mu is not None:
@@ -214,19 +199,16 @@ def _chunk_maxima(spec: CovSpec, subsets, modes):
 def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> np.ndarray:
     """Draw n_rep independent replicates of X = L Z + noise * W + mu as one batch.
 
-    Returns the read-only n_rep x p matrix.  Deterministic given (spec,
-    n_rep, seed); the thread count only changes who fills which chunk, never
-    the numbers.  Holds all n_rep x p values and, per sampler thread, one
-    ``TILE`` x ``CHUNK`` tile, which it transposes into them;
-    :func:`sample_max_diff` streams them instead.
+    Returns the read-only n_rep x p matrix, the same numbers for any thread
+    count.  Holds all n_rep x p values and, per sampler thread, one ``TILE``
+    x ``CHUNK`` tile; :func:`sample_max_diff` streams them instead.
     """
     check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
     draw = _chunk_draw(spec)
 
     def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
-        buf = np.empty((min(TILE, spec.p), hi - lo))
-        for t0, t1, x in draw(rng, hi - lo, lambda t0, t1: buf[:t1 - t0]):
+        for t0, t1, x in draw(rng, hi - lo):
             np.add(x.T, spec.mu[t0:t1], out=data[lo:hi, t0:t1])
 
     _map_chunks(fill, seed, n_rep, n_threads=n_threads)
@@ -239,21 +221,18 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """Read-only vector of the per-replicate M_B - M_A of n_rep draws, reduced tile by tile.
 
     Equal, bit for bit, to ``max_diff(sample(spec, n_rep, seed, n_threads), part)``
-    but holds, per sampler thread (the calling thread is one of the
-    n_threads), one chunk of normals and one ``TILE`` x ``CHUNK`` tile of
-    draws, one coordinate per row, which it folds into running maxima; the
-    factor is read in place.
+    but holds, per sampler thread, one chunk of normals and one ``TILE`` x
+    ``CHUNK`` tile of draws, which it folds into running maxima.
     """
     part.check_dim(spec.p)
     check_run(n_rep, seed, n_threads)
-    values = np.empty(n_rep)
     fold = _chunk_maxima(spec, (part.a_idx, part.b_idx), ("signed", "signed"))
 
-    def reduce(rng: np.random.Generator, lo: int, hi: int) -> None:
+    def diff(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         m_a, m_b = fold(rng, hi - lo)
-        np.subtract(m_b, m_a, out=values[lo:hi])
+        return m_b - m_a
 
-    _map_chunks(reduce, seed, n_rep, n_threads=n_threads)
+    values = np.concatenate(_map_chunks(diff, seed, n_rep, n_threads=n_threads))
     values.flags.writeable = False
     return values
 

@@ -5,9 +5,16 @@ example counts and the randomness stay at each test's settings.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 from hypothesis import settings
+
+import maxgap
 
 settings.register_profile("blob", print_blob=True)
 settings.load_profile("blob")
@@ -52,3 +59,18 @@ def spy_calls(monkeypatch, module, names) -> list:
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def run_python(script: str, **env) -> str:
+    """stdout of script run by a fresh interpreter on this maxgap, with env added.
+
+    A fresh process is what a BLAS thread count (``OPENBLAS_NUM_THREADS``)
+    takes effect in.
+    """
+    src = str(pathlib.Path(maxgap.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -570,6 +570,23 @@ class TestFactorSpecsFormNoMatrix:
         assert rate > 0.0
         assert peak < 8 * spec.p ** 2 / 2
 
+    def test_conditional_holds_one_residual_law_at_a_time(self):
+        # table1's residuals are full-rank K x K matrices, K = p / 2.  A
+        # residual law is its sigma (the residual itself, not a copy), eigh's
+        # basis, the basis columns kept and the root: four K x K arrays, and
+        # the other residual waits beside the first law.  A 64-row pass adds
+        # little.  With two laws held at once the peak is eight K x K arrays.
+        # tracemalloc does not see eigh's workspace, which LAPACK mallocs.
+        spec, part = gen_design(DesignConfig(kind="table1", p=512, seed=1))
+        tracemalloc.start()
+        try:
+            rate = bound_conditional(spec, part, n_mc=64, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate > 0.0
+        assert peak < 6 * 8 * part.a_idx.size ** 2
+
     def test_design_spec_hashed_once(self, monkeypatch):
         import hashlib
 

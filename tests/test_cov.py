@@ -16,7 +16,7 @@ from maxgap.cov import (TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, ConditionRep
                         _fold, cov_block, min_eigenvalue)
 from maxgap.designs import KINDS, DesignConfig, gen_design
 
-from conftest import footnote_factor, random_psd, spy_calls
+from conftest import footnote_factor, random_psd, run_python, spy_calls
 
 
 class TestCovSpec:
@@ -860,3 +860,50 @@ class TestExplicitSymmetry:
         a, b = part.a_idx, part.b_idx
         assert res_a.tobytes() == _schur_reference(spec.sigma, a, b).tobytes()
         assert res_b.tobytes() == _schur_reference(spec.sigma, b, a).tobytes()
+
+
+class TestOwnership:
+    """A spec keeps a read-only float64 array that owns its data and copies anything else."""
+
+    def test_read_only_owner_kept(self):
+        sig = random_psd(np.random.default_rng(4), 5)
+        sig.flags.writeable = False
+        assert CovSpec.explicit(sig).sigma is sig
+        gamma = np.random.default_rng(5).standard_normal((5, 2))
+        gamma.flags.writeable = False
+        assert CovSpec.factor(gamma).gamma is gamma
+
+    @pytest.mark.parametrize("form", ["writable", "view", "list", "float32"])
+    def test_anything_else_copied(self, form):
+        # A later write to the caller's input leaves the spec unchanged.
+        sig = random_psd(np.random.default_rng(4), 5)
+        base = np.zeros((6, 6))
+        base[:5, :5] = sig
+        given = {"writable": sig, "view": base[:5, :5], "list": sig.tolist(),
+                 "float32": sig.astype(np.float32)}[form]
+        if form in ("view", "float32"):
+            given.flags.writeable = False  # read-only, yet not a float64 array owning its data
+        want = np.array(given, dtype=float)
+        spec = CovSpec.explicit(given)
+        assert spec.sigma is not given and spec.sigma.tobytes() == want.tobytes()
+        if form == "list":
+            given[0][0] += 1.0
+        else:
+            given.flags.writeable = True
+            given[0, 0] += 1.0
+        assert spec.sigma.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_woodbury_residuals_exactly_symmetric(self, threads):
+        # W W^T is a Gram product, which numpy computes exactly symmetric at
+        # either BLAS thread count, so the residual needs no symmetrization.
+        # table1 has noise on every coordinate: both residuals are Woodbury's.
+        out = run_python("""
+            import numpy as np
+            from maxgap import cov
+            from maxgap.designs import DesignConfig, gen_design
+            cov._schur = None
+            spec, part = gen_design(DesignConfig(kind="table1", p=1200, seed=3))
+            print([np.array_equal(m, m.T) for m in cov.residual_cov(spec, part)])
+        """, OPENBLAS_NUM_THREADS=threads)
+        assert out.split("\n")[0] == "[True, True]"

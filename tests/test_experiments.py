@@ -17,6 +17,8 @@ from maxgap.designs import DesignConfig, gen_design
 from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv, write_json
 from maxgap.sampling import CHUNK, RNG_METHOD, draw_width
 
+from conftest import run_python
+
 
 def read_rows(path):
     lines = open(path).read().splitlines()
@@ -505,6 +507,72 @@ class TestBootstrapDemo:
         assert payload["clt_skipped"] == "condition_fails"
         assert payload["clt_skipped_detail"] == (
             "variance conditions fail on the sample covariance")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"b_reps": 0}, "b_reps must be positive"),
+        ({"multiplier": "poisson"}, "multiplier must be one of"),
+        ({"seed": -1}, "seed must be an unsigned 64-bit"),
+    ], ids=["b_reps", "multiplier", "seed"])
+    def test_arguments_checked_before_the_diagnostic(self, kwargs, message, monkeypatch):
+        import maxgap.experiments as experiments
+        monkeypatch.setattr(experiments, "_clt_diagnostic", None)  # calling it would fail
+        with pytest.raises(BadConfig, match=message):
+            run_bootstrap_demo(self.good_data(), Partition.split(6, 3), **kwargs)
+
+    def test_diagnostic_runs_before_the_replicates(self, monkeypatch):
+        # The replicate chunks' freed buffers stay in the heap, so the
+        # diagnostic's eigendecomposition runs first.
+        import maxgap.experiments as experiments
+        ran = []
+        for name in ("_clt_diagnostic", "run_bootstrap"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, _real=real, _name=name, **k:
+                                ran.append(_name) or _real(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSampleWarning)
+            payload = run_bootstrap_demo(self.good_data(), Partition.split(6, 3), b_reps=300)
+        assert ran == ["_clt_diagnostic", "run_bootstrap"]
+        assert list(payload)[-2:] == ["clt_rate", "clt_inputs"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sample_covariance_exactly_symmetric(self, threads):
+        # centered^T centered is a Gram product, which numpy computes exactly
+        # symmetric at either BLAS thread count: Sigma-hat needs no
+        # symmetrization, and its spec stores it as computed.
+        out = run_python("""
+            import warnings
+            import numpy as np
+            from maxgap import DataMatrix, Partition, cov, experiments
+            seen, real = [], cov.sqrt_factor
+            cov.sqrt_factor = lambda sigma: seen.append(sigma) or real(sigma)
+            warnings.simplefilter("ignore")
+            data = DataMatrix(np.random.default_rng(2).standard_normal((300, 800)))
+            experiments._clt_diagnostic(data, Partition.split(800, 400), 1)
+            print([np.array_equal(m, m.T) for m in seen])
+        """, OPENBLAS_NUM_THREADS=threads)
+        assert out.split("\n")[0] == "[True]"
+
+    def test_diagnostic_holds_the_sample_covariance_once(self, monkeypatch):
+        # n < p, so Sigma-hat is p x p of rank r = n - 1.  With a 64-draw pass
+        # the peak is the eigendecomposition: Sigma-hat (handed to its spec,
+        # not copied), eigh's p x p basis, the r basis columns kept and the
+        # p x r root.  The slack, half the n x p centered rows, admits neither
+        # a second Sigma-hat nor the centered rows.  tracemalloc does not see
+        # eigh's workspace, which LAPACK mallocs.
+        import maxgap.experiments as experiments
+        monkeypatch.setattr(experiments, "CLT_MC", 64)
+        n, p = 100, 600
+        data = DataMatrix(np.random.default_rng(0).standard_normal((n, p)))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SmallSampleWarning)
+                out = experiments._clt_diagnostic(data, Partition.split(p, p // 2), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["clt_rate"] > 0.0
+        assert peak < 8 * (2 * p * p + 2 * p * (n - 1)) + 8 * n * p / 2
 
 
 class TestWriteCsv:

@@ -14,7 +14,7 @@ from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, expected_m
 from maxgap import sampling
 from maxgap.cov import (TILE, _clamped_max, _corr, _tile_edges, check_conditions, cov_block,
                         rho_bar)
-from maxgap.sampling import CHUNK, chunk_rng, chunks, emax_chunk_rows, sample_max_diff
+from maxgap.sampling import CHUNK, check_seed, chunk_rng, emax_chunk_rows, sample_max_diff
 
 
 class TestSampleDeterminism:
@@ -91,6 +91,10 @@ class TestSampleDeterminism:
         many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
         assert sizes == [2, 2]
         assert np.array_equal(many, sample(spec, 2 * CHUNK + 1, seed=5))
+        # One worker, by thread count or by chunk count, makes no pool.
+        sampling._map_chunks(lambda rng, lo, hi: None, seed=5, n=2 * CHUNK)
+        sampling._map_chunks(lambda rng, lo, hi: None, seed=5, n=CHUNK, n_threads=4)
+        assert sizes == [2, 2]
 
 
 class TestChunkRunner:
@@ -384,14 +388,20 @@ class TestSampleMoments:
 
 class TestStreamHelpers:
     def test_chunks_match_chunk_rng(self):
-        spans = list(chunks(seed=5, n=2100, rows=1024))
-        assert [(lo, hi) for _, lo, hi in spans] == [(0, 1024), (1024, 2048), (2048, 2100)]
-        for k, (rng, lo, hi) in enumerate(spans):
-            direct = chunk_rng(5, k).standard_normal((hi - lo, 3))
-            assert np.array_equal(rng.standard_normal((hi - lo, 3)), direct)
+        # _map_chunks computes chunk k's span and chunk_rng(seed, k) itself.
+        spans = sampling._map_chunks(
+            lambda rng, lo, hi: (lo, hi, rng.standard_normal((hi - lo, 3))), seed=5, n=2100)
+        assert [(lo, hi) for lo, hi, _ in spans] == [(0, 1024), (1024, 2048), (2048, 2100)]
+        for k, (lo, hi, z) in enumerate(spans):
+            assert np.array_equal(z, chunk_rng(5, k).standard_normal((hi - lo, 3)))
+        calls = []
         for seed in (-1, 2 ** 64):
             with pytest.raises(BadConfig):
-                chunks(seed, 10)  # at the call, before any chunk is iterated
+                check_seed(seed)
+            with pytest.raises(BadConfig):
+                sampling._map_chunks(lambda *chunk: calls.append(chunk), seed, 10)
+        assert calls == []  # rejected before fn is first called
+        assert check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
 
     def test_emax_chunk_rows_bounds(self):
         assert emax_chunk_rows(1) == 4096
