@@ -1,12 +1,8 @@
 import csv
 import json
-import os
 import pathlib
 import re
-import subprocess
-import sys
 import tempfile
-import textwrap
 import warnings
 
 import numpy as np
@@ -20,6 +16,8 @@ from maxgap.bootstrap import DEFAULT_QUANTILES
 from maxgap.sampling import CHUNK
 from maxgap.cli import (EXIT_CONFIG, EXIT_INAPPLICABLE, EXIT_IO, EXIT_OK,
                         EXIT_SELFTEST_FAILED, cmd_gen_design, main, parse_args)
+
+from conftest import run_python
 
 
 def run(capsys, *argv):
@@ -301,7 +299,7 @@ class TestImports:
     def test_monte_carlo_commands_skip_numpy_ma(self, tmp_path):
         # Importing numpy.ma (np.unique does) costs milliseconds on every run;
         # levy and an all-bounds bounds-compare never need it.
-        script = textwrap.dedent(f"""
+        out = run_python(f"""
             import sys
             from maxgap.cli import main
             out = {str(tmp_path)!r}
@@ -311,13 +309,7 @@ class TestImports:
                          "--mc", "200", "--out", out]) == 0
             print("numpy.ma" in sys.modules)
         """)
-        src = str(pathlib.Path(maxgap.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        assert out.splitlines()[-1] == "False"
 
 
 # The studies that read each scaling option, by its flag, and the default its help shows.

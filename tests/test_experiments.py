@@ -17,7 +17,7 @@ from maxgap.designs import DesignConfig, gen_design
 from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv, write_json
 from maxgap.sampling import CHUNK, RNG_METHOD, draw_width
 
-from conftest import run_python
+from conftest import run_python, spy_calls
 
 
 def read_rows(path):
@@ -523,15 +523,11 @@ class TestBootstrapDemo:
         # The replicate chunks' freed buffers stay in the heap, so the
         # diagnostic's eigendecomposition runs first.
         import maxgap.experiments as experiments
-        ran = []
-        for name in ("_clt_diagnostic", "run_bootstrap"):
-            real = getattr(experiments, name)
-            monkeypatch.setattr(experiments, name, lambda *a, _real=real, _name=name, **k:
-                                ran.append(_name) or _real(*a, **k))
+        calls = spy_calls(monkeypatch, experiments, ("_clt_diagnostic", "run_bootstrap"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
             payload = run_bootstrap_demo(self.good_data(), Partition.split(6, 3), b_reps=300)
-        assert ran == ["_clt_diagnostic", "run_bootstrap"]
+        assert [name for name, _ in calls] == ["_clt_diagnostic", "run_bootstrap"]
         assert list(payload)[-2:] == ["clt_rate", "clt_inputs"]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
