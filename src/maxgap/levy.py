@@ -11,9 +11,11 @@ the tests' reference; against the true concentration both overshoot (at
 eps = 0.05 the grid scan by +1.0 to +1.7 se on average, the exact scan more).
 
 Expected maxima stream the sampler's keyed chunks and its chunk draw: each
-chunk is folded tile by tile into per-row maxima of every requested subset,
-of one statistic or both (see :mod:`maxgap.sampling`), and the chunks' sums
-are added in chunk order.  A coordinate's per-replicate values come from the
+chunk of ``emax_chunk_rows`` rows is drawn in the sampler's row blocks and
+folded tile by tile into per-row maxima of every requested subset, of one
+statistic or both (see :mod:`maxgap.sampling`), so a pass holds one block of
+normals and one ``TILE`` x block tile, and the chunks' sums are added in
+chunk order.  A coordinate's per-replicate values come from the
 same operations on the same inputs whichever requests go together, so
 estimates under a common seed are exactly monotone in the subset, and a
 batched request equals, bit for bit, the same requests made one at a time

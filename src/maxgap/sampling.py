@@ -11,25 +11,29 @@ function of its own generator alone and the caller reduces the results in
 chunk order, so any thread count gives bit-identical values, and a run of
 whole chunks is a prefix of any longer run with the same seed.
 Bit-identity holds under a fixed BLAS build and BLAS thread count: each tile
-of a chunk is one matmul, and BLAS libraries may sum in another order when
-their own thread count changes (OpenBLAS does, in the last bits, between
-``OPENBLAS_NUM_THREADS=1`` and ``2``) or when the matmul height changes, so
-the rows of a partial last chunk agree with a longer run only to rounding.
+of a block of a chunk's rows is one matmul, and BLAS libraries may sum in
+another order when their own thread count changes (OpenBLAS does, in the
+last bits, between ``OPENBLAS_NUM_THREADS=1`` and ``2``) or when the matmul
+height changes.  Every block but a partial last chunk's last has the same
+height, so a run's rows equal a longer run's bit for bit on its whole
+blocks; the rows of a short last block agree with it only to rounding.
 The factor of an explicit covariance is an eigendecomposition, which may
 then also return another basis of a repeated eigenvalue's eigenspace, so
 such a spec's draws can differ by more than rounding.
 
-Three paths share one chunk draw, :func:`_chunk_draw`, which computes a
-chunk one coordinate-major ``TILE``-wide tile at a time in one buffer.
+Three paths share one chunk draw, :func:`_chunk_draw`, which draws a chunk
+in blocks of at most ``BLOCK`` rows into one buffer of normals and computes
+each block one coordinate-major ``TILE``-wide tile at a time in one more.
 :func:`sample`, the batch API and the tests' reference, transposes each
 tile into the read-only n_rep x p matrix it returns as it adds mu.
 :func:`sample_max_diff`, which the CLI commands use, and the expected-max
 passes fold each tile into running per-row maxima as soon as it is drawn
-(:func:`_chunk_maxima`), so a chunk holds its normals and O(TILE * rows)
-values, never a rows x p block, nor a copy of the factor; they add mu only
-when it is not all zero.  All three run the same matmuls, and a maximum is
-exact, so :func:`sample_max_diff` equals ``max_diff(sample(...))`` bit for
-bit (adding a zero mean could only flip the sign of an exact zero).
+(:func:`_chunk_maxima`), so a chunk holds a block of normals and
+O(TILE * BLOCK) values, never the chunk's normals, a rows x p block, nor a
+copy of the factor; they add mu only when it is not all zero.  All three
+run the same matmuls, and a maximum is exact, so :func:`sample_max_diff`
+equals ``max_diff(sample(...))`` bit for bit (adding a zero mean could only
+flip the sign of an exact zero).
 
 The normal generation method is numpy's ziggurat, fixed per build and
 recorded as ``RNG_METHOD`` in every CSV sidecar.
@@ -47,6 +51,7 @@ from .cov import TILE, CovSpec, Partition, _by_tile, _selector, _tile_edges
 from .errors import BadConfig
 
 CHUNK = 1024
+BLOCK = 512    # most rows of a chunk drawn and multiplied at once
 RNG_METHOD = "philox4x64-ziggurat"
 _MASK64 = (1 << 64) - 1
 
@@ -132,43 +137,62 @@ def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) ->
 
 
 def _chunk_draw(spec: CovSpec, tiles=None):
-    """draw(rng, rows): one chunk of X - mu = L Z + noise * W, tile by tile.
+    """draw(rng, rows): one chunk of X - mu = L Z + noise * W, block by block, tile by tile.
 
-    The one place normals become coordinates.  draw takes rows x
-    :func:`draw_width` normals from rng and yields (t0, t1, x) for each listed
-    tile (every tile by default): x, a (t1 - t0) x rows view of the chunk's
-    one ``TILE`` x rows buffer, holds coordinates t0..t1 before mu, one per
-    row, until the next tile.  Normal columns [0, d) feed L, in one
-    (t1 - t0, d) @ (d, rows) matmul of a view of L's rows t0..t1 (no copy of
-    the factor) per tile, and column d + j feeds coordinate j's noise, so a
-    tile's values do not depend on the tiles listed.
+    The one place normals become coordinates.  draw takes the chunk's rows x
+    :func:`draw_width` normals from rng in consecutive blocks of
+    :func:`_block_rows` rows, into one block x r buffer, so it consumes them
+    in the order one rows x r draw would.  For each block it yields
+    (r0, r1, t0, t1, x) for each listed tile (every tile by default): x, a
+    (t1 - t0) x (r1 - r0) view of one ``TILE`` x block buffer, holds
+    coordinates t0..t1 of the chunk's rows r0..r1 before mu, one per row,
+    until the next tile.  Normal columns [0, d) feed L, in one
+    (t1 - t0, d) @ (d, r1 - r0) matmul of a view of L's rows t0..t1 (no copy
+    of the factor) per tile, and column d + j feeds coordinate j's noise, so
+    a tile's values do not depend on the tiles listed.  Every block but a
+    chunk's last has the full height, so only a short last block's rows come
+    from a matmul of another shape.
     """
     ell, r = sampling_factor(spec), draw_width(spec)
     d, noise = ell.shape[1], spec.noise
-    edges = _tile_edges(spec.p, tiles)
+    edges, block = _tile_edges(spec.p, tiles), _block_rows(spec)
 
     def draw(rng: np.random.Generator, rows: int):
-        z = rng.standard_normal((rows, r))
-        buf = np.empty((min(TILE, spec.p), rows))
-        for t0, t1 in edges:
-            x = np.matmul(ell[t0:t1], z[:, :d].T, out=buf[:t1 - t0])
-            if noise is not None:
-                w = z[:, d + t0:d + t1].T
-                w *= noise[t0:t1, None]
-                x += w
-            yield t0, t1, x
+        z = np.empty((min(block, rows), r))
+        buf = np.empty((min(TILE, spec.p), len(z)))
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            zb = rng.standard_normal(out=z[:r1 - r0])
+            for t0, t1 in edges:
+                x = np.matmul(ell[t0:t1], zb[:, :d].T, out=buf[:t1 - t0, :r1 - r0])
+                if noise is not None:
+                    w = zb[:, d + t0:d + t1].T
+                    w *= noise[t0:t1, None]
+                    x += w
+                yield r0, r1, t0, t1, x
 
     return draw
 
 
+def _block_rows(spec: CovSpec) -> int:
+    """Rows per block of a chunk draw: ``BLOCK``, or fewer for a wide draw.
+
+    ``min(BLOCK, emax_chunk_rows(draw_width(spec)))``: a power of two no
+    taller than any chunk, so it divides every whole chunk of the sampler
+    and of an expected-max pass.
+    """
+    return min(BLOCK, emax_chunk_rows(draw_width(spec)))
+
+
 def _chunk_maxima(spec: CovSpec, subsets, modes):
-    """fold(rng, rows): a chunk's per-row maxima of each subset, tile by tile.
+    """fold(rng, rows): a chunk's per-row maxima of each subset, block by block, tile by tile.
 
     modes names each subset's statistic: "signed" folds X, "abs_std" folds
     |X - mu| / sd.  fold draws only the tiles holding a subset coordinate and
-    folds their statistics into one running maximum per subset, so it holds
-    the chunk's normals, a ``TILE`` x rows tile (two if the modes mix) and,
-    where a subset's coordinates in a tile are not a range, their copy.  A
+    folds their statistics into rows r0..r1 of one running maximum per
+    subset, so it holds a block of normals, a ``TILE`` x block tile (two if
+    the modes mix) and, where a subset's coordinates in a tile are not a
+    range, their copy.  A
     zero mean is not added: adding 0.0 changes no maximum but the sign of an
     exact zero.
     """
@@ -176,21 +200,22 @@ def _chunk_maxima(spec: CovSpec, subsets, modes):
     sels = [{t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
             for idx in subsets]
     needs = {t: {m for sel, m in zip(sels, modes) if t in sel} for t in set().union(*sels)}
-    draw, sds = _chunk_draw(spec, sorted(needs)), spec.sds
+    draw, sds, block = _chunk_draw(spec, sorted(needs)), spec.sds, _block_rows(spec)
     mu = spec.mu if spec.mu.any() else None
 
     def fold(rng: np.random.Generator, rows: int) -> list[np.ndarray]:
-        std_buf = np.empty((min(TILE, spec.p), rows)) if len(set(modes)) > 1 else None
+        std_buf = np.empty((min(TILE, spec.p), min(block, rows))) if len(set(modes)) > 1 else None
         maxima = [np.full(rows, -np.inf) for _ in sels]
-        for t0, t1, x in draw(rng, rows):
-            t, std = t0 // TILE, x if std_buf is None else std_buf[:t1 - t0]
+        for r0, r1, t0, t1, x in draw(rng, rows):
+            t, std = t0 // TILE, x if std_buf is None else std_buf[:t1 - t0, :r1 - r0]
             if "abs_std" in needs[t]:  # reads X - mu, so before x gains mu
                 np.divide(np.abs(x, out=std), sds[t0:t1, None], out=std)
             if "signed" in needs[t] and mu is not None:
                 x += mu[t0:t1, None]
             for sel, mode, m in zip(sels, modes, maxima):
                 if t in sel:
-                    np.maximum(m, (x if mode == "signed" else std)[sel[t]].max(axis=0), out=m)
+                    row_max = (x if mode == "signed" else std)[sel[t]].max(axis=0)
+                    np.maximum(m[r0:r1], row_max, out=m[r0:r1])
         return maxima
 
     return fold
@@ -200,16 +225,17 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> np.ndarr
     """Draw n_rep independent replicates of X = L Z + noise * W + mu as one batch.
 
     Returns the read-only n_rep x p matrix, the same numbers for any thread
-    count.  Holds all n_rep x p values and, per sampler thread, one ``TILE``
-    x ``CHUNK`` tile; :func:`sample_max_diff` streams them instead.
+    count.  Holds all n_rep x p values and, per sampler thread, a block of
+    normals and one ``TILE`` x block tile; :func:`sample_max_diff` streams
+    them instead.
     """
     check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
     draw = _chunk_draw(spec)
 
     def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
-        for t0, t1, x in draw(rng, hi - lo):
-            np.add(x.T, spec.mu[t0:t1], out=data[lo:hi, t0:t1])
+        for r0, r1, t0, t1, x in draw(rng, hi - lo):
+            np.add(x.T, spec.mu[t0:t1], out=data[lo + r0:lo + r1, t0:t1])
 
     _map_chunks(fill, seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
@@ -221,8 +247,8 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """Read-only vector of the per-replicate M_B - M_A of n_rep draws, reduced tile by tile.
 
     Equal, bit for bit, to ``max_diff(sample(spec, n_rep, seed, n_threads), part)``
-    but holds, per sampler thread, one chunk of normals and one ``TILE`` x
-    ``CHUNK`` tile of draws, which it folds into running maxima.
+    but holds, per sampler thread, one block of normals and one ``TILE`` x
+    block tile of draws, which it folds into running maxima.
     """
     part.check_dim(spec.p)
     check_run(n_rep, seed, n_threads)
@@ -240,10 +266,10 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
 def emax_chunk_rows(r: int) -> int:
     """Chunk height for streaming expected-max passes.
 
-    About 4 MB of draws per chunk, a power of two in [256, 4096].  A pure
-    function of r, so the chunk shapes, and with the fixed ``TILE``-wide
-    column tiles every matmul of a pass, depend on the model alone, never on
-    which subsets are requested.
+    About 4 MB of normals per chunk, a power of two in [256, 4096], drawn in
+    :func:`_block_rows` blocks.  A pure function of r, so the chunk shapes,
+    and with the fixed ``TILE``-wide column tiles every matmul of a pass,
+    depend on the model alone, never on which subsets are requested.
     """
     target = 4_000_000 // (8 * max(r, 1))
     if target < 256:

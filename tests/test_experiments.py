@@ -15,7 +15,7 @@ from maxgap import (BadConfig, CovSpec, DataMatrix, IoError, Partition,
 from maxgap.cov import TILE
 from maxgap.designs import DesignConfig, gen_design
 from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv, write_json
-from maxgap.sampling import CHUNK, RNG_METHOD, draw_width
+from maxgap.sampling import BLOCK, CHUNK, RNG_METHOD, draw_width
 
 from conftest import run_python, spy_calls
 
@@ -124,9 +124,9 @@ class TestStreamingMemory:
                                      DesignConfig(kind="fullrank_equicorr", p=400, rho=0.5)],
                              ids=["lowrank", "fullrank"])
     def test_levy_peak_is_per_chunk(self, cfg, n_threads, tmp_path):
-        # tracemalloc sees numpy's buffers.  Each sampler thread holds the
-        # chunk's normals and one CHUNK x TILE tile (the blocks are ranges, so
-        # no copies); rho_bar holds one |A| x TILE strip of Sigma[A, B] and
+        # tracemalloc sees numpy's buffers.  Each sampler thread holds a
+        # block of normals and one TILE x BLOCK tile (the blocks are ranges,
+        # so no copies); rho_bar holds one |A| x TILE strip of Sigma[A, B] and
         # the tiles it is filled from; besides them the spec's p x r arrays
         # (the factor, its transpose and an explicit spec's Sigma), the
         # n_rep differences and their sorted copy.  The low-rank design spans
@@ -141,7 +141,7 @@ class TestStreamingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = (CHUNK * (r + TILE) * 8 * n_threads + 4 * len(part.a_set) * TILE * 8
+        bound = (BLOCK * (r + TILE) * 8 * n_threads + 4 * len(part.a_set) * TILE * 8
                  + 3 * p * r * 8 + 2 * n_rep * 8)
         assert bound < n_rep * p * 8 / 2
         assert peak < bound
@@ -558,6 +558,22 @@ class TestBootstrapDemo:
         import maxgap.experiments as experiments
         monkeypatch.setattr(experiments, "CLT_MC", 64)
         n, p = 100, 600
+        assert self.diagnostic_peak(n, p) < 8 * (2 * p * p + 2 * p * (n - 1)) + 8 * n * p / 2
+
+    def test_diagnostic_pass_holds_one_block(self):
+        # The full CLT_MC-draw pass on the same 100 x 600 matrix: its draw
+        # width r = n - 1 gives 4096-row chunks, drawn in BLOCK-row blocks.
+        # The bound is Sigma-hat, its eigendecomposition (eigh's p x p basis,
+        # the r columns kept and the p x r root), one TILE x BLOCK tile and
+        # BLOCK x r normals.  A TILE x 4096 tile alone is 8 MiB.
+        n, p = 100, 600
+        r = n - 1
+        assert self.diagnostic_peak(n, p) < 8 * (2 * p * p + 2 * p * r) + 8 * BLOCK * (TILE + r)
+
+    @staticmethod
+    def diagnostic_peak(n: int, p: int) -> int:
+        """tracemalloc's peak over the diagnostic on a seeded n x p matrix, which must rate."""
+        import maxgap.experiments as experiments
         data = DataMatrix(np.random.default_rng(0).standard_normal((n, p)))
         tracemalloc.start()
         try:
@@ -568,7 +584,7 @@ class TestBootstrapDemo:
         finally:
             tracemalloc.stop()
         assert out["clt_rate"] > 0.0
-        assert peak < 8 * (2 * p * p + 2 * p * (n - 1)) + 8 * n * p / 2
+        return peak
 
 
 class TestWriteCsv:

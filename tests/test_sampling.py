@@ -14,7 +14,7 @@ from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, expected_m
 from maxgap import sampling
 from maxgap.cov import (TILE, _clamped_max, _corr, _tile_edges, check_conditions, cov_block,
                         rho_bar)
-from maxgap.sampling import CHUNK, check_seed, chunk_rng, emax_chunk_rows, sample_max_diff
+from maxgap.sampling import BLOCK, CHUNK, check_seed, chunk_rng, emax_chunk_rows, sample_max_diff
 
 
 class TestSampleDeterminism:
@@ -46,6 +46,25 @@ class TestSampleDeterminism:
         short = sample(spec, 2 * CHUNK, seed=7)
         long = sample(spec, 3 * CHUNK, seed=7)
         assert np.array_equal(short, long[: 2 * CHUNK])
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
+    @pytest.mark.parametrize("p, d", [(40, 3), (2 * TILE + 3, 20), (2000, 200)])
+    def test_whole_blocks_of_a_partial_chunk(self, p, d, noise):
+        # A partial last chunk is drawn in the blocks of a whole one, so its
+        # whole blocks are the longer run's matmuls and equal it bit for bit;
+        # only a short last block has another height, and agrees to rounding.
+        # p = 2000 with d = 200 and noise draws 256-row blocks, the others 512.
+        rng = np.random.default_rng(p + d)
+        spec = CovSpec.factor(rng.standard_normal((p, d)), mu=rng.standard_normal(p),
+                              noise=np.abs(rng.standard_normal(p)) if noise else None)
+        block = sampling._block_rows(spec)
+        long = sample(spec, 2 * CHUNK, seed=9)
+        for extra in (257, 600, 1023):
+            n = CHUNK + extra
+            short = sample(spec, n, seed=9)
+            exact = n // block * block
+            assert short[:exact].tobytes() == long[:exact].tobytes(), (n, block)
+            assert np.allclose(short, long[:n], rtol=1e-12, atol=1e-12)
 
     def test_metadata(self):
         spec = CovSpec.explicit(np.eye(2))
@@ -227,14 +246,14 @@ class TestSampleMaxDiff:
            m=st.integers(1, 3 * CHUNK), n_threads=st.integers(1, 3),
            seed=st.integers(0, 2 ** 64 - 1))
     def test_prefix_stable(self, design, n, m, n_threads, seed):
-        # Whole chunks of a shorter run equal the longer run bit for bit.  A
-        # partial last chunk is one matmul of another height, which BLAS may
+        # Whole blocks of a shorter run equal the longer run bit for bit.  A
+        # short last block is one matmul of another height, which BLAS may
         # sum in another order, so its rows agree only to rounding.
         spec, part = design
-        m = min(m, n)
+        m, block = min(m, n), sampling._block_rows(spec)
         long = sample_max_diff(spec, part, n, seed, n_threads=n_threads)
         short = sample_max_diff(spec, part, m, seed)
-        exact = m if m == n else m // CHUNK * CHUNK
+        exact = m if m == n else m // block * block
         assert short[:exact].tobytes() == long[:exact].tobytes()
         assert np.allclose(short, long[:m], rtol=0.0, atol=1e-12)
 
@@ -273,6 +292,8 @@ class TestTiledMemory:
 
     tracemalloc sees numpy's buffers.  The designs are low rank with an
     interleaved partition, so each tile's block columns are index-array copies.
+    A chunk is drawn in blocks of ``BLOCK`` rows (fewer for a wide draw), so
+    the bounds count block rows, not chunk rows.
     """
 
     D = 20
@@ -296,30 +317,49 @@ class TestTiledMemory:
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
     @pytest.mark.parametrize("n_threads", [1, 2])
     def test_sampler_holds_one_tile_per_thread(self, p, n_threads):
-        # Per thread: the chunk's normals, one CHUNK x TILE tile and a copy of
+        # Per thread: a block of normals, one TILE x BLOCK tile and a copy of
         # its block columns; besides them the output and the block selectors.
         spec, part = self.design(p, self.D)
         n_rep = 4 * CHUNK
         peak = self.peak(lambda: sample_max_diff(spec, part, n_rep, seed=5, n_threads=n_threads))
-        bound = 2 * CHUNK * (TILE + self.D) * 8 * n_threads + 2 * p * self.D * 8 + n_rep * 8
+        bound = 2 * BLOCK * (TILE + self.D) * 8 * n_threads + 2 * p * self.D * 8 + n_rep * 8
+        assert peak < bound
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_noise_draw_holds_one_block(self, n_threads):
+        # A one-factor law with noise draws p + 1 normals per row: 256-row
+        # blocks at p = 16 TILE.  Per thread: a block of normals and two
+        # TILE x block tiles (the draw's and a copy of its block columns);
+        # besides them a few length-p vectors and the output.  A whole
+        # chunk's 1024 x (p + 1) normals alone would exceed the bound.
+        p = 16 * TILE
+        rng = np.random.default_rng(p)
+        spec = CovSpec.factor(rng.standard_normal((p, 1)), noise=np.abs(rng.standard_normal(p)))
+        _, part = self.design(p, 1)
+        block, n_rep = sampling._block_rows(spec), 2 * CHUNK
+        assert block == 256
+        peak = self.peak(lambda: sample_max_diff(spec, part, n_rep, seed=5, n_threads=n_threads))
+        bound = block * (p + 1 + 2 * TILE) * 8 * n_threads + 8 * p * 8 + n_rep * 8
+        assert bound < CHUNK * (p + 1) * 8 * n_threads
         assert peak < bound
 
     @pytest.mark.parametrize("halves", [False, True], ids=["full", "halves"])
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
     def test_expected_max_holds_one_tile(self, p, halves):
-        # The chunk's normals, one rows x TILE tile and a copy of a subset's
-        # columns there; besides them the subsets' selectors.
+        # A block of normals, one TILE x BLOCK tile and a copy of a subset's
+        # columns there; besides them the subsets' selectors and the chunk's
+        # per-row maxima.
         spec, part = self.design(p, self.D)
         subsets = [part.a_set, part.b_set] if halves else [range(p)]
         rows = emax_chunk_rows(self.D)
         peak = self.peak(lambda: expected_max_many(spec, subsets, 4096, seed=6))
-        bound = 2 * rows * (TILE + self.D) * 8 + 2 * p * self.D * 8
+        bound = 2 * BLOCK * (TILE + self.D) * 8 + 2 * p * self.D * 8 + len(subsets) * rows * 8
         assert peak < bound
 
     @pytest.mark.parametrize("path", ["sampler", "expected_max"])
     def test_no_copy_of_the_factor(self, path):
         # The 8 MiB factor is made before tracing starts.  A pass on one thread
-        # holds one chunk workspace, its normals and two TILE-wide tiles (the
+        # holds one block of normals and two TILE x BLOCK tiles (the
         # expected-max modes mix), plus slack: no p x d term.
         p, d = 16 * TILE, 256
         spec = CovSpec.factor(np.random.default_rng(1).standard_normal((p, d)))
@@ -328,7 +368,7 @@ class TestTiledMemory:
         runs = {"sampler": lambda: sample_max_diff(spec, part, 2 * rows, seed=1),
                 "expected_max": lambda: expected_max_many(
                     spec, [part.a_set, part.b_set], 2 * rows, seed=1, mode=("abs_std", "signed"))}
-        assert self.peak(runs[path]) < rows * (d + 2 * TILE) * 8 + 2 ** 20
+        assert self.peak(runs[path]) < BLOCK * (d + 2 * TILE) * 8 + 2 ** 20
 
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
     def test_rho_bar_holds_one_strip(self, p):
