@@ -211,21 +211,22 @@ def bound_conditional(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0
 
     Each block's law is conditioned on the other block (Schur complement,
     centered); the sd minimum runs over all coordinates of both residuals.
+    One residual law is held at a time: a block's residual is formed,
+    checked and streamed, and dropped before the other block's is formed.
     """
-    residuals = list(residual_cov(spec, part))
     marg = spec.variances
     mins, e_vals = [], []
-    for idx in (part.a_idx, part.b_idx):
-        res = residuals.pop(0)
+    for block, idx in (("A", part.a_idx), ("B", part.b_idx)):
+        res = residual_cov(spec, part, block)
         diag = np.diag(res)
         bad = diag <= TOL_RESID * marg[idx]
         if bad.any():
             j = int(idx[int(np.argmax(bad))])
             raise ZeroResidualVariance(f"coordinate {j} has no variance left given the other block")
         mins.append(float(np.sqrt(diag.min())))
-        # Handed over uncopied; the residual and its spec go before the next eigh.
-        res.flags.writeable = False
+        res.flags.writeable = False  # the law's sigma, uncopied
         e_vals += _emax(CovSpec.explicit(res), [(range(idx.size), "abs_std")], n_mc=n_mc, seed=seed)
+        del res, diag  # this law goes before the next is formed; diag is a view of res
     return min(e_vals) / min(mins) * 2.0
 
 

@@ -11,15 +11,15 @@ evaluators in :mod:`maxgap.bounds`.
 Every diagnostic reads Sigma in fixed ``TILE`` x ``TILE`` tiles
 (:func:`_tile`), so an entry's bits do not depend on what else a read
 holds, and a factor spec never forms its p x p matrix.  The separation
-geometry is one fold of the tiles into O(p) maxima (:func:`_fold`); the
-residuals read blocks (:func:`cov_block`).  Two quantities of a factor spec
-read no entry of Sigma: the residuals given a block with noise on every
-coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`)
-and the smallest eigenvalue (an inertia count on that core, or the singular
-values of the factor when it has no noise, :func:`min_eigenvalue`).  The
-diagonal of Sigma is :attr:`CovSpec.variances` for every spec, so every
-layer shares one sd per coordinate, and Sigma is stored exactly symmetric,
-so Sigma[B, A] is the transpose of Sigma[A, B].
+geometry is one fold of the tiles into O(p) maxima (:func:`_fold`); one
+block's residual given the other reads blocks (:func:`cov_block`).  Two
+quantities of a factor spec read no entry of Sigma: the residual given a
+block with noise on every coordinate (Woodbury's identity on the d x d
+core, :func:`residual_cov`) and the smallest eigenvalue (an inertia count
+on that core, or the singular values of the factor when it has no noise,
+:func:`min_eigenvalue`).  The diagonal of Sigma is :attr:`CovSpec.variances`
+for every spec, so every layer shares one sd per coordinate, and Sigma is
+stored exactly symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
 
 All functions are pure: they never mutate their inputs and hold no state
 but the memo that a :func:`maxgap.bounds.bound_report` shares.  The
@@ -179,14 +179,14 @@ class CovSpec:
         """Stable hex digest of the model content, computed once per spec.
 
         sha256 over the form, then each array's shape and little-endian
-        float64 bytes (gamma, then noise when present, or sigma; then mu),
-        so equal content hashes equal.
+        float64 bytes, read in place (gamma, then noise when present, or
+        sigma; then mu), so equal content hashes equal.
         """
         h = hashlib.sha256(self.form.encode())
         for arr in (self.gamma, self.noise, self.sigma, self.mu):
             if arr is not None:
                 h.update(repr(arr.shape).encode())
-                h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                h.update(np.ascontiguousarray(arr, dtype="<f8"))
         return h.hexdigest()
 
 
@@ -469,39 +469,38 @@ def check_conditions(spec: CovSpec, part: Partition) -> ConditionReport:
                            perfect, v_a, v_b, nu_a, nu_b, m_a, m_b)
 
 
-def residual_cov(spec: CovSpec, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Schur complements of each block given the other, symmetrized exactly.
+def residual_cov(spec: CovSpec, part: Partition, block: str) -> np.ndarray:
+    """Schur complement of one block ("A" or "B") given the other, symmetrized exactly.
 
-    Returns (residual of A given B, residual of B given A).  A conditioning
-    block C whose rcond floor (:func:`_rcond_floor`) reaches 1e-12, which
-    takes noise on every coordinate of C, goes through Woodbury's identity on
-    the d x d core: with F = gamma and D = diag(noise^2), the residual of the
-    kept block K is D_K + W W^T, W = F_K chol(I + F_C^T D_C^-1 F_C)^-T.  It
-    reads no block of Sigma and solves no |C| x |C| system.  Any other
-    conditioning block is read through :func:`cov_block` and inverted
-    exactly; a relative condition number below 1e-12 raises SingularBlock
-    rather than falling back to a pseudo-inverse.
+    A conditioning block C whose rcond floor (:func:`_rcond_floor`) reaches
+    1e-12, which takes noise on every coordinate of C, goes through
+    Woodbury's identity on the d x d core: with F = gamma and D =
+    diag(noise^2), the residual of the kept block K is D_K + W W^T,
+    W = F_K chol(I + F_C^T D_C^-1 F_C)^-T.  It reads no block of Sigma and
+    solves no |C| x |C| system.  Any other conditioning block is read
+    through :func:`cov_block` and inverted exactly; a relative condition
+    number below 1e-12 raises SingularBlock naming C rather than falling
+    back to a pseudo-inverse.
     """
     part.check_dim(spec.p)
-    a, b = part.a_idx, part.b_idx
-    woodbury = [_rcond_floor(spec, c) >= RCOND_MIN for c in (b, a)]
-    ab = None if all(woodbury) else cov_block(spec, a, b)
-    res_a = _woodbury_residual(spec, a, b) if woodbury[0] else _schur(spec, a, b, ab.T, "B")
-    res_b = _woodbury_residual(spec, b, a) if woodbury[1] else _schur(spec, b, a, ab, "A")
-    return res_a, res_b
+    if block not in ("A", "B"):
+        raise BadConfig(f"block must be 'A' or 'B', got {block!r}")
+    keep, cond_on, other = ((part.a_idx, part.b_idx, "B") if block == "A"
+                            else (part.b_idx, part.a_idx, "A"))
+    if _rcond_floor(spec, cond_on) >= RCOND_MIN:
+        return _woodbury_residual(spec, keep, cond_on)
+    return _schur(spec, keep, cond_on, other)
 
 
-def _schur(spec: CovSpec, keep: np.ndarray, cond_on: np.ndarray, cross: np.ndarray,
-           which: str) -> np.ndarray:
-    # Sigma[K, K] - Sigma[K, C] Sigma[C, C]^-1 Sigma[C, K] for K = keep and
-    # C = cond_on, with cross = Sigma[C, K].
+def _schur(spec: CovSpec, keep: np.ndarray, cond_on: np.ndarray, which: str) -> np.ndarray:
+    # Sigma[K, K] - Sigma[K, C] Sigma[C, C]^-1 Sigma[C, K] for K = keep and C = cond_on.
     block = cov_block(spec, cond_on, cond_on)
     w = np.linalg.eigvalsh(block)
     wmax = float(np.max(np.abs(w)))
     rcond = float(np.min(np.abs(w))) / wmax if wmax > 0 else 0.0
     if rcond < RCOND_MIN:
         raise SingularBlock(which, rcond)
-    cross = np.ascontiguousarray(cross)
+    cross = cov_block(spec, cond_on, keep)
     res = cov_block(spec, keep, keep) - cross.T @ np.linalg.solve(block, cross)
     return (res + res.T) * 0.5
 

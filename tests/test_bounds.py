@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from maxgap import (ALL_BOUNDS, BadConfig, BadGeometry, ConditionFails,
                     CovSpec, DeltaTerm, DimensionMismatch,
-                    HeterogeneousVariances, Inapplicable,
+                    HeterogeneousVariances, Inapplicable, MaxgapError,
                     NoAdmissibleDelta, Partition,
                     PerfectCrossCorrelation, SingularCovariance,
                     ZeroResidualVariance, bound_baseline_min_eig,
@@ -121,6 +121,25 @@ class TestApplicabilityErrors:
             bound_homogeneous(spec, part, **MC)
         with pytest.raises(HeterogeneousVariances):
             bound_corr_threshold(spec, part, **MC)
+
+    @pytest.mark.parametrize("cfg,reason", [
+        (DesignConfig(kind="homog_overlap", p=20, overlap_k=4), "singular_block"),
+        (DesignConfig(kind="exchangeable_overlap", p=14, overlap_k=2, rho=0.3),
+         "zero_residual_variance"),
+        (DesignConfig(kind="heterog_condA", p=20), "singular_block"),
+        (DesignConfig(kind="homog_lowrank", p=20), "singular_block"),
+    ], ids=lambda x: x.design_id() if isinstance(x, DesignConfig) else x)
+    def test_conditional_fails_before_any_pass(self, monkeypatch, cfg, reason):
+        # Block A's residual already fails, so holding one residual law at a
+        # time streams nothing before the bound turns out inapplicable.
+        spec, part = gen_design(cfg)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("an expected-max pass ran")
+        monkeypatch.setattr(bounds, "expected_max_many", no_pass)
+        with pytest.raises(MaxgapError) as err:
+            bound_conditional(spec, part, **MC)
+        assert err.value.code == reason
 
     def test_violation_design_fails_condition(self):
         spec, part = gen_design(
@@ -465,8 +484,7 @@ class TestRequestReuse:
                                      for s in (part.a_set, part.b_set))
         # The report streams the two residual laws, equal in content, once;
         # outside a report each is streamed on its own.
-        res_a, res_b = residual_cov(spec, part)
-        assert np.array_equal(res_a, res_b)
+        assert np.array_equal(residual_cov(spec, part, "A"), residual_cov(spec, part, "B"))
         assert rep.conditional == bound_conditional(spec, part, **self.MC)
 
     def test_explicit_spec_factored_once(self, monkeypatch):
@@ -484,10 +502,10 @@ class TestRequestReuse:
         sample(spec, 100, seed=1)
         bound_report(spec, part, **self.MC)
         # One eigh per explicit spec, at construction: the design, then each
-        # residual law; the two conditioning blocks and the baseline take
-        # their eigenvalues only.
-        assert calls == [("eigh", (40, 40)), ("eigvalsh", (20, 20)), ("eigvalsh", (20, 20)),
-                         ("eigh", (20, 20)), ("eigh", (20, 20)), ("eigvalsh", (40, 40))]
+        # residual law, right after the eigenvalues of its conditioning block;
+        # the baseline takes eigenvalues only.
+        assert calls == [("eigh", (40, 40)), ("eigvalsh", (20, 20)), ("eigh", (20, 20)),
+                         ("eigvalsh", (20, 20)), ("eigh", (20, 20)), ("eigvalsh", (40, 40))]
 
 
 class TestFactorSpecsFormNoMatrix:
@@ -573,9 +591,10 @@ class TestFactorSpecsFormNoMatrix:
     def test_conditional_holds_one_residual_law_at_a_time(self):
         # table1's residuals are full-rank K x K matrices, K = p / 2.  A
         # residual law is its sigma (the residual itself, not a copy), eigh's
-        # basis, the basis columns kept and the root: four K x K arrays, and
-        # the other residual waits beside the first law.  A 64-row pass adds
-        # little.  With two laws held at once the peak is eight K x K arrays.
+        # basis, the basis columns kept and the root: four K x K arrays.  The
+        # first law and its residual go before the second residual is formed,
+        # and a 64-row pass adds little.  Either residual held beside the
+        # other's law makes five K x K arrays, two laws at once eight.
         # tracemalloc does not see eigh's workspace, which LAPACK mallocs.
         spec, part = gen_design(DesignConfig(kind="table1", p=512, seed=1))
         tracemalloc.start()
@@ -585,7 +604,7 @@ class TestFactorSpecsFormNoMatrix:
         finally:
             tracemalloc.stop()
         assert rate > 0.0
-        assert peak < 6 * 8 * part.a_idx.size ** 2
+        assert peak < 5 * 8 * part.a_idx.size ** 2
 
     def test_design_spec_hashed_once(self, monkeypatch):
         import hashlib

@@ -153,6 +153,29 @@ class TestCovSpec:
         assert spec.content_hash != CovSpec.factor(g).content_hash
         assert spec.content_hash != CovSpec.factor(g, noise=[0.5, 0.25]).content_hash
 
+    def test_content_hash_golden(self):
+        # The digest format is pinned: form, then each array's shape and
+        # little-endian float64 bytes, whatever the memory order of the input.
+        gamma = [[1.0, 0.5], [0.0, 2.0], [-1.5, 0.25]]
+        want = "c48d136cc2beb92b0061808762bb8fe79001ece51052eca9aff640bd366b58fa"
+        for g in (np.array(gamma), np.asfortranarray(gamma)):
+            spec = CovSpec.factor(g, mu=[0.0, 1.0, -2.0], noise=[0.5, 0.0, 1.0])
+            assert spec.content_hash == want
+        spec = CovSpec.explicit([[2.0, 0.5], [0.5, 1.0]], mu=[1.0, -1.0])
+        assert spec.content_hash == (
+            "649be024b86077d3dd041cbe0b9d86739153523322a3f0d616c949116e610d5f")
+
+    def test_content_hash_reads_the_arrays_in_place(self):
+        # sha256 reads each array's own buffer: no copy of a 500 x 500 sigma.
+        spec = CovSpec.explicit(np.eye(500))
+        tracemalloc.start()
+        try:
+            spec.content_hash
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 500 * 500 // 10
+
 
 class TestPartition:
     def test_split(self):
@@ -194,7 +217,7 @@ class TestPartition:
                             sample)
         spec, part = CovSpec.explicit(np.eye(4)), Partition.split(6, 3)
         data = np.random.default_rng(0).standard_normal((5, 4))
-        calls = [lambda: rho_bar(spec, part), lambda: residual_cov(spec, part),
+        calls = [lambda: rho_bar(spec, part), lambda: residual_cov(spec, part, "A"),
                  lambda: bound_report(spec, part),
                  lambda: sample_max_diff(spec, part, n_rep=10, seed=0),
                  lambda: max_diff(sample(spec, 10, seed=0), part),
@@ -224,7 +247,7 @@ class TestFootnoteDesign:
         assert rho_bar(self.spec, self.part) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_residuals_vanish(self):
-        res_a, res_b = residual_cov(self.spec, self.part)
+        res_a, res_b = (residual_cov(self.spec, self.part, k) for k in "AB")
         assert np.allclose(res_a, 0.0, atol=1e-12)
         assert np.allclose(res_b, 0.0, atol=1e-12)
 
@@ -320,7 +343,7 @@ class TestResidualCov:
         # leaves variance 1 - 2 rho^2 / (1 + rho).
         rho = 0.5
         spec, part = gen_design(DesignConfig(kind="fullrank_equicorr", p=4, rho=rho))
-        res_a, res_b = residual_cov(spec, part)
+        res_a, res_b = (residual_cov(spec, part, k) for k in "AB")
         expected_var = 1.0 - 2.0 * rho * rho / (1.0 + rho)
         assert np.allclose(np.diag(res_a), expected_var, atol=1e-12)
         assert np.allclose(res_a, res_b, atol=1e-12)
@@ -332,18 +355,25 @@ class TestResidualCov:
             sig = random_psd(rng, p)
             spec = CovSpec.explicit(sig)
             part = Partition.split(p, int(rng.integers(1, p)))
-            res_a, res_b = residual_cov(spec, part)
+            res_a, res_b = (residual_cov(spec, part, k) for k in "AB")
             assert np.all(np.diag(res_a) <= sig.diagonal()[part.a_idx] + 1e-10)
             assert np.all(np.diag(res_b) <= sig.diagonal()[part.b_idx] + 1e-10)
             assert np.all(np.linalg.eigvalsh(res_a) >= -1e-8)
 
     def test_singular_block_raises(self):
-        # Coordinates 2 and 3 are copies, so the B block cannot be inverted.
+        # Coordinates 2 and 3 are copies, so the B block cannot be inverted:
+        # A given B raises, naming B.  A can, and B given A is zero.
         gamma = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         spec = CovSpec.factor(gamma)
         with pytest.raises(SingularBlock) as err:
-            residual_cov(spec, Partition.split(4, 2))
+            residual_cov(spec, Partition.split(4, 2), "A")
         assert err.value.which == "B"
+        assert np.array_equal(residual_cov(spec, Partition.split(4, 2), "B"), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("block", ["C", "a", ""])
+    def test_block_name_checked(self, block):
+        with pytest.raises(BadConfig, match="^block must be 'A' or 'B'"):
+            residual_cov(CovSpec.explicit(np.eye(4)), Partition.split(4, 2), block)
 
     def test_singular_block_with_partial_noise_raises(self):
         # Coordinates 2 and 3 are copies without noise: min noise^2 over B is 0,
@@ -351,7 +381,7 @@ class TestResidualCov:
         gamma = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         spec = CovSpec.factor(gamma, noise=[0.5, 0.5, 0.0, 0.0])
         with pytest.raises(SingularBlock) as err:
-            residual_cov(spec, Partition.split(4, 2))
+            residual_cov(spec, Partition.split(4, 2), "A")
         assert err.value.which == "B"
 
     def test_noise_skips_eigenvalues_and_blocks(self, monkeypatch):
@@ -365,10 +395,10 @@ class TestResidualCov:
         spec = CovSpec.factor(rng.standard_normal((p, 6)),
                               noise=0.1 + np.abs(rng.standard_normal(p)))
         part = Partition(tuple(range(0, p, 2)), tuple(range(1, p, 2)), p)
-        want = residual_cov(CovSpec.explicit(_tiled_cov(spec)), part)
+        want = [residual_cov(CovSpec.explicit(_tiled_cov(spec)), part, k) for k in "AB"]
         linalg = spy_calls(monkeypatch, np.linalg, ("eigvalsh", "solve"))
         blocks = spy_calls(monkeypatch, cov, ("cov_block",))
-        got = residual_cov(spec, part)
+        got = [residual_cov(spec, part, k) for k in "AB"]
         assert linalg == [] and blocks == []
         for g, w in zip(got, want):
             assert np.array_equal(g, g.T)
@@ -376,7 +406,7 @@ class TestResidualCov:
 
     def test_independent_blocks_identity(self):
         spec = CovSpec.explicit(np.eye(4))
-        res_a, res_b = residual_cov(spec, Partition.split(4, 2))
+        res_a, res_b = (residual_cov(spec, Partition.split(4, 2), k) for k in "AB")
         assert np.array_equal(res_a, np.eye(2))
         assert np.array_equal(res_b, np.eye(2))
 
@@ -509,9 +539,9 @@ class TestWoodburyProperty:
         # number over 1e3, the rounding the dense solve carries.
         spec, part = design
         sig = _tiled_cov(spec)
-        got = residual_cov(spec, part)
         a, b = part.a_idx, part.b_idx
-        for res, keep, cond in ((got[0], a, b), (got[1], b, a)):
+        for block, keep, cond in (("A", a, b), ("B", b, a)):
+            res = residual_cov(spec, part, block)
             assert cov._rcond_floor(spec, cond) >= cov.RCOND_MIN
             w = np.linalg.eigvalsh(sig[np.ix_(cond, cond)])
             want = _schur_reference(sig, keep, cond)
@@ -856,7 +886,7 @@ class TestExplicitSymmetry:
         assert _bits(rep.c_a, rep.c_b, rep.c_ab, rep.rho_bar) == _bits(c_a, c_b, c_ab, rbar)
         assert (rep.v_a, rep.v_b) == (side_a[0], side_b[0])
         assert _bits(rep.nu_a, rep.m_a, rep.nu_b, rep.m_b) == _bits(*side_a[1:], *side_b[1:])
-        res_a, res_b = residual_cov(spec, part)
+        res_a, res_b = (residual_cov(spec, part, k) for k in "AB")
         a, b = part.a_idx, part.b_idx
         assert res_a.tobytes() == _schur_reference(spec.sigma, a, b).tobytes()
         assert res_b.tobytes() == _schur_reference(spec.sigma, b, a).tobytes()
@@ -904,6 +934,7 @@ class TestOwnership:
             from maxgap.designs import DesignConfig, gen_design
             cov._schur = None
             spec, part = gen_design(DesignConfig(kind="table1", p=1200, seed=3))
-            print([np.array_equal(m, m.T) for m in cov.residual_cov(spec, part)])
+            res = [cov.residual_cov(spec, part, k) for k in "AB"]
+            print([np.array_equal(m, m.T) for m in res])
         """, OPENBLAS_NUM_THREADS=threads)
         assert out.split("\n")[0] == "[True, True]"
