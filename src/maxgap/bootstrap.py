@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import Partition
+from .cov import Partition, _readonly
 from .errors import (BadConfig, DimensionMismatch, ParseError,
                      SmallSampleWarning)
 from .sampling import _map_chunks, check_seed
@@ -48,13 +48,19 @@ DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """n x p observation rows plus the deterministic shift vector."""
+    """n x p observation rows plus the deterministic shift vector.
+
+    The rows follow :class:`maxgap.cov.CovSpec`'s ownership rule: a
+    read-only float64 array that owns its data is held as given
+    (:func:`load_csv` hands its fresh array over so), anything else is
+    copied.  The shift is always copied.
+    """
 
     xi: np.ndarray
     a: np.ndarray | None = None
 
     def __post_init__(self):
-        xi = np.array(self.xi, dtype=float)
+        xi = _readonly(self.xi)
         if xi.ndim != 2 or xi.shape[0] < 2 or xi.shape[1] < 1:
             raise BadConfig(f"data must be n x p with n >= 2, got shape {xi.shape}")
         if not np.all(np.isfinite(xi)):
@@ -64,11 +70,8 @@ class DataMatrix:
             raise DimensionMismatch(f"shift has length {a.shape[0]}, expected {xi.shape[1]}")
         if not np.all(np.isfinite(a)):
             raise BadConfig("shift has non-finite entries")
-        xi.flags.writeable = False
-        a = np.array(a)
-        a.flags.writeable = False
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _readonly(a))
 
     @property
     def n(self) -> int:
@@ -210,6 +213,7 @@ def load_csv(path: str, shift=None) -> DataMatrix:
             xi = _parse_rows(path)
         except UnicodeDecodeError as err:
             raise ParseError(f"{path} is not UTF-8 text: {err}") from None
+    xi.flags.writeable = False  # fresh, so the DataMatrix holds it uncopied
     return DataMatrix(xi=xi, a=shift)
 
 

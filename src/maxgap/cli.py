@@ -226,10 +226,13 @@ def cmd_scaling(args) -> int:
 def cmd_bootstrap(args) -> int:
     if args.data is None:
         raise BadConfig("a data CSV is required (--data or 'data' in --config)")
+    if args.a is not None and args.split is not None:
+        raise BadConfig("--a and --split both set block A; give one of them")
     data = load_csv(args.data, shift=args.shift)
     if args.a is not None:
         a_set = tuple(sorted(args.a))
-        b_set = tuple(i for i in range(data.p) if i not in set(a_set))
+        in_a = set(a_set)
+        b_set = tuple(i for i in range(data.p) if i not in in_a)
         part = Partition(a_set=a_set, b_set=b_set, p=data.p)
     else:
         part = Partition.split(data.p, data.p // 2 if args.split is None else args.split)

@@ -30,9 +30,11 @@ whose one eigendecomposition both validates and factors the matrix, holds
 the PSD floor, so a matrix that constructs always samples.
 
 Ownership: a spec keeps a read-only float64 ndarray that owns its data as
-it is, so a matrix handed over (a residual, a sample covariance) is held
-once; it copies anything else (a writable array, a view, a list, another
-dtype), so a later write to the caller's input leaves the spec unchanged.
+it is, so a matrix handed over (a residual, a sample covariance, the factor
+a design generator draws and scales in place) is held once; it copies
+anything else (a writable array, a view, a list, another dtype), so a later
+write to the caller's input leaves the spec unchanged.  A caller hands an
+array over by marking its own fresh array read-only before the call.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ the seed, with block A first.  Overlapping blocks are encoded by
 duplication: the shared coordinates appear twice in the covariance
 (perfectly correlated copies), so the partition stays disjoint;
 ``exchangeable_overlap`` samples p + k coordinates for its p distinct ones.
+
+A factor design draws its p x d factor into one array, scales it in place
+(row norms one ``TILE`` of rows at a time) and hands it over read-only, so
+the spec holds that array uncopied (see the Ownership note of
+:mod:`maxgap.cov`) and a build peaks near one factor, not two or three.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .cov import CovSpec, Partition
+from .cov import TILE, CovSpec, Partition
 from .errors import BadConfig
 
 # The options a kind may read besides p and seed, with their design_id formats.
@@ -83,10 +88,26 @@ def _need(cond: bool, msg: str) -> None:
         raise BadConfig(msg)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, ``TILE`` rows at a time.
+
+    Each norm is its own row's sum, so it has the bits of
+    ``np.linalg.norm(rows, axis=1)`` without that call's rows-sized temporary.
+    """
+    return np.concatenate([np.linalg.norm(rows[t0:t0 + TILE], axis=1)
+                           for t0 in range(0, rows.shape[0], TILE)])
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """rows scaled to unit length, in place: the callers pass a fresh array."""
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows /= _row_norms(rows)[:, None]
     return rows
+
+
+def _factor(gamma: np.ndarray, noise: np.ndarray | None = None) -> CovSpec:
+    """The factor spec of gamma, which the caller hands over: read-only, held uncopied."""
+    gamma.flags.writeable = False
+    return CovSpec.factor(gamma, noise=noise)
 
 
 def _check_equicorr(p: int, rho: float) -> None:
@@ -139,7 +160,7 @@ def _normals(cfg: DesignConfig, d: int) -> np.ndarray:
 
 def _homog_lowrank(cfg: DesignConfig):
     half, d = _halves(cfg), _rank(cfg)
-    return lambda: (CovSpec.factor(_unit_rows(_normals(cfg, d))), Partition.split(cfg.p, half))
+    return lambda: (_factor(_unit_rows(_normals(cfg, d))), Partition.split(cfg.p, half))
 
 
 def _homog_overlap(cfg: DesignConfig):
@@ -150,7 +171,7 @@ def _homog_overlap(cfg: DesignConfig):
     def build():
         gamma = _unit_rows(_normals(cfg, d))
         gamma[half:half + k] = gamma[:k]
-        return CovSpec.factor(gamma), Partition.split(cfg.p, half)
+        return _factor(gamma), Partition.split(cfg.p, half)
     return build
 
 
@@ -158,11 +179,11 @@ def _heterog_cond_a(cfg: DesignConfig):
     half, d = _halves(cfg), _rank(cfg, low=2)
 
     def build():
-        rng = np.random.default_rng(cfg.seed)
-        gamma_a = rng.standard_normal((half, d))
-        gamma_b = _unit_rows(rng.standard_normal((half, d)))
-        gamma_a = gamma_a / np.linalg.norm(gamma_a, axis=1).max()
-        return CovSpec.factor(np.vstack([gamma_a, gamma_b])), Partition.split(cfg.p, half)
+        # One draw holds both halves: the stream's first half x d normals are A's.
+        gamma = _normals(cfg, d)
+        gamma[:half] /= _row_norms(gamma[:half]).max()
+        _unit_rows(gamma[half:])
+        return _factor(gamma), Partition.split(cfg.p, half)
     return build
 
 
@@ -199,8 +220,8 @@ def _table1(cfg: DesignConfig):
         scale = np.sqrt(np.einsum("ij,ij->i", gamma, gamma) + 1.0)
         # The rows of [gamma, I] / scale, held as the factor gamma / scale plus
         # noise sds 1 / scale.
-        return (CovSpec.factor(gamma / scale[:, None], noise=1.0 / scale),
-                Partition.split(cfg.p, half))
+        gamma /= scale[:, None]
+        return _factor(gamma, noise=1.0 / scale), Partition.split(cfg.p, half)
     return build
 
 

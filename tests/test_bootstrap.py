@@ -11,6 +11,7 @@ from maxgap import (BadConfig, CovSpec, DataMatrix, DimensionMismatch,
                     ParseError, Partition, SmallSampleWarning, argmax_prob,
                     clt_rate, load_csv, multiplier_replicates, run_bootstrap,
                     run_bootstrap_demo, sample)
+from maxgap import bootstrap
 from maxgap.bootstrap import BETA_MEAN, BETA_VAR, MULTIPLIERS, _parse_rows
 from maxgap.experiments import write_json
 from maxgap.sampling import CHUNK, chunk_rng
@@ -32,6 +33,54 @@ class TestDataMatrix:
             DataMatrix(np.zeros((3, 2)), a=[1.0])
         with pytest.raises(BadConfig):
             DataMatrix(np.zeros((3, 2)), a=[np.inf, 0.0])
+
+
+class TestDataMatrixOwnership:
+    """The rows follow CovSpec's rule: a read-only float64 owner is held, anything else copied."""
+
+    def test_read_only_owner_kept(self):
+        xi = np.random.default_rng(4).standard_normal((5, 3))
+        xi.flags.writeable = False
+        assert DataMatrix(xi).xi is xi
+
+    @pytest.mark.parametrize("form", ["writable", "view", "list", "float32"])
+    def test_anything_else_copied(self, form):
+        # A later write to the caller's input leaves the data unchanged.
+        xi = np.random.default_rng(4).standard_normal((5, 3))
+        base = np.zeros((6, 4))
+        base[:5, :3] = xi
+        given = {"writable": xi, "view": base[:5, :3], "list": xi.tolist(),
+                 "float32": xi.astype(np.float32)}[form]
+        if form in ("view", "float32"):
+            given.flags.writeable = False  # read-only, yet not a float64 array owning its data
+        want = np.array(given, dtype=float)
+        data = DataMatrix(given)
+        assert data.xi is not given and data.xi.tobytes() == want.tobytes()
+        assert not data.xi.flags.writeable
+        if form == "list":
+            given[0][0] += 1.0
+        else:
+            given.flags.writeable = True
+            given[0, 0] += 1.0
+        assert data.xi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, parser", [("1,2\n3,4\n5,6\n", "loadtxt"),
+                                              ("x,y\n1,2\n3,4\n", "_parse_rows")])
+    def test_load_csv_hands_its_array_over(self, tmp_path, monkeypatch, text, parser):
+        # The array the parser returns is the one the DataMatrix holds.
+        module = bootstrap.np if parser == "loadtxt" else bootstrap
+        parsed = []
+        real = getattr(module, parser)
+
+        def spy(*args, **kwargs):
+            parsed.append(real(*args, **kwargs))
+            return parsed[-1]
+        monkeypatch.setattr(module, parser, spy)
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        data = load_csv(str(path))
+        assert data.xi is parsed[-1]
+        assert not data.xi.flags.writeable
 
 
 class TestReplicates:

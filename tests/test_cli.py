@@ -436,6 +436,26 @@ class TestBootstrapCommand:
         assert code == EXIT_OK
         assert json.loads(out)["bootstrap"]["prob"] == 1.0
 
+    @pytest.mark.parametrize("how", ["flags", "config", "mixed"])
+    def test_a_with_split_rejected(self, capsys, tmp_path, how):
+        # Both options set block A: the run exits 2 naming both, before any work.
+        data = self.write_csv(tmp_path)
+        out = tmp_path / "out.json"
+        argv = ["bootstrap", "--data", data, "--breps", "200", "--out", str(out)]
+        config = tmp_path / "config.json"
+        if how == "flags":
+            argv += ["--a", "0,3", "--split", "2"]
+        elif how == "config":
+            config.write_text(json.dumps({"a": [0, 3], "split": 2}))
+            argv += ["--config", str(config)]
+        else:
+            config.write_text(json.dumps({"split": 2}))
+            argv += ["--config", str(config), "--a", "0,3"]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "--a" in err and "--split" in err
+        assert not out.exists()
+
     def test_missing_data_flag(self, capsys):
         code, _, err = run(capsys, "bootstrap", "--breps", "10")
         assert code == EXIT_CONFIG

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,3 +315,84 @@ class TestCheckDesign:
         monkeypatch.setattr(designs, "np", None)
         with pytest.raises(BadConfig):
             check_design(DesignConfig(**kwargs))
+
+
+# content_hash of each kind at small points: the in-place factor builds must
+# keep every bit.  The p = 600 points span three TILE-row norm tiles and, for
+# heterog_condA, a half that is not a whole number of tiles.
+GOLDEN = [
+    (dict(kind="homog_lowrank", p=40, seed=0),
+     "1b8580b14c731b291024b0d99e542eb0194ae3bc21482ffb3a3a8c1e5b60c833"),
+    (dict(kind="homog_lowrank", p=600, d=3, seed=11),
+     "4ac36f7fd17ec21bd3e319c50bcce713c9dbdddc71e7cf9584fdac8298565b26"),
+    (dict(kind="homog_overlap", p=40, d=4, overlap_k=3, seed=1),
+     "abd81533ffe283e563f97df396f629aac455fc5ebe32843788bfa70f8a532712"),
+    (dict(kind="homog_overlap", p=600, d=7, overlap_k=20, seed=2),
+     "d362e064b4a216a26f7f7f58fcfd0df281cb3c96d4cec6836d7c4edffd6611f5"),
+    (dict(kind="heterog_condA", p=40, d=3, seed=0),
+     "fa5c3b72ab3b717818379aa8c39bad20596342ac866599ddaab631b6f300e99b"),
+    (dict(kind="heterog_condA", p=600, d=5, seed=3),
+     "a23b562cbf05fb0ea561def867557b596dc2e93e29140af01ef3f161f4034f89"),
+    (dict(kind="heterog_violation", p=16, seed=0),
+     "f4ba6206ed1a0ebe26aa5b3fdd108177453e56e95e3efd0e50ce98faefd58b71"),
+    (dict(kind="heterog_violation", p=32, variance_profile="v0875", seed=1),
+     "5cc029cbd604e6dd5f24dd75c83ecc65b2c6973d42b370c6074dc78242ecbef8"),
+    (dict(kind="fullrank_equicorr", p=10, rho=0.3, seed=0),
+     "028b95c22fd4853a2419f6f6627d6e791082637bb6ff96e41a76b392e3d5f646"),
+    (dict(kind="fullrank_equicorr", p=12, rho=-0.05, seed=4),
+     "8b3bbe5316aece84b57d97f21578dfadc35dc7710850561fc77569fa43818f08"),
+    (dict(kind="table1", p=40, seed=0),
+     "5330a3c55d4469547c8ebc5aba5d2f9e89d43ad11d6f47b7da7dd0eb606998e1"),
+    (dict(kind="table1", p=600, d=4, seed=5),
+     "7e4d6abf5218468890e05a017717e9f02f614ed141442d5deb82606443766c27"),
+    (dict(kind="exchangeable_overlap", p=10, overlap_k=2, rho=0.2, seed=0),
+     "b9309f2f712b3925f86bd23e339fdb4bc49413923ae4b8572db7c8a220706590"),
+    (dict(kind="exchangeable_overlap", p=9, overlap_k=3, seed=6),
+     "7920d7c208c636180fcfa6d95e44756dbadd06fe86047ae20313fcc6381fd7e4"),
+    (dict(kind="k0_split", p=10, k0=3, rho=0.4, seed=0),
+     "77ad3ea5a41e2cc23c90d73b56370c8098c675ce4ce8bb6babf6e5ed9c08118e"),
+    (dict(kind="k0_split", p=7, k0=2, seed=8),
+     "fc1d50d7e6017b5d059ff47a48eeb1995951db7562c61063677a855727985278"),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("kwargs, digest", GOLDEN,
+                             ids=["-".join(map(str, kw.values())) for kw, _ in GOLDEN])
+    def test_content_hash(self, kwargs, digest):
+        spec, _ = spec_of(**kwargs)
+        assert spec.content_hash == digest
+
+    def test_every_kind_pinned(self):
+        assert {kw["kind"] for kw, _ in GOLDEN} == set(KINDS)
+
+
+class TestFactorBuildMemory:
+    """A factor design draws, scales and hands over one p x d array.
+
+    tracemalloc sees numpy's buffers.  Beside the factor, a build holds one
+    ``TILE`` x d tile of squares for the row norms and ``CovSpec.factor``'s
+    p x d finiteness mask (one byte per entry), about 1.2 factors in all; a
+    second p x d float array (a rows-sized norm temporary, a scaled copy, a
+    stacked copy, or the spec's copy of a writable factor) would reach 2.
+    """
+
+    P, D = 4096, 128
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("homog_lowrank", {}),
+        ("homog_overlap", {"overlap_k": 16}),
+        ("heterog_condA", {}),
+        ("table1", {}),
+    ])
+    def test_peak_near_one_factor(self, kind, extra):
+        cfg = DesignConfig(kind=kind, p=self.P, d=self.D, seed=3, **extra)
+        gen_design(cfg)
+        tracemalloc.start()
+        try:
+            spec, _ = gen_design(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.gamma.shape == (self.P, self.D)
+        assert peak <= 1.5 * spec.gamma.nbytes
