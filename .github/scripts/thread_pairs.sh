@@ -1,0 +1,17 @@
+#!/bin/sh
+# Console-script thread checks that two CI jobs share: each run on the caller
+# plus two helper threads must byte-compare with the same run on one thread.
+# Outputs go under the current directory.
+set -eu
+
+# selftest's table1 (p = 40) draws 512-row blocks: a draw width of 3300
+# takes 256-row blocks, a short last block and noise tiles.
+maxgap levy --kind table1 --p 3000 --reps 2100 --threads 3 --out blocks3
+maxgap levy --kind table1 --p 3000 --reps 2100 --threads 1 --out blocks1
+cmp blocks3/levy_table1-p3000-s0.csv blocks1/levy_table1-p3000-s0.csv
+
+# The only CLI run of two distinct Schur residual laws (blocks of 40 and
+# 560), held one at a time, with a partial last chunk.
+maxgap bounds-compare --kind k0_split --p 600 --k0 40 --rho 0.3 --reps 3001 --mc 2000 --threads 3 --out k0split3
+maxgap bounds-compare --kind k0_split --p 600 --k0 40 --rho 0.3 --reps 3001 --mc 2000 --threads 1 --out k0split1
+cmp k0split3/bounds_k0_split-p600-k0_40-rho0.3-s0.csv k0split1/bounds_k0_split-p600-k0_40-rho0.3-s0.csv

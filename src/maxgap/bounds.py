@@ -103,6 +103,11 @@ class BoundReport:
             return value
         return min(t.rate + 2.0 * t.omega / eps for t in value)
 
+    def inapplicable(self) -> dict[str, Inapplicable]:
+        """Each inapplicable bound's marker by name, in ``ALL_BOUNDS`` order."""
+        return {name: value for name in ALL_BOUNDS
+                if isinstance(value := getattr(self, name), Inapplicable)}
+
 
 def _emax(spec: CovSpec, requests, *, n_mc, seed) -> list[float]:
     """Expected max of each (subset, mode) request; one pass for those not yet served.

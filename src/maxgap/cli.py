@@ -25,12 +25,12 @@ import sys
 import tempfile
 import warnings
 
-from .bounds import ALL_BOUNDS, Inapplicable
+from .bounds import ALL_BOUNDS
 from .cov import Partition
 from .designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
 from .errors import BadConfig, IoError, MaxgapError, ParseError
 from .bootstrap import MULTIPLIERS, load_csv
-from .levy import DEFAULT_GRID, DEFAULT_MC
+from .levy import DEFAULT_MC
 from . import experiments
 
 EXIT_OK = 0
@@ -107,7 +107,6 @@ def _add_run(sub: argparse.ArgumentParser, reps: int, eps) -> None:
     sub.add_argument("--reps", type=_positive_int, default=reps, help="sample replications")
     sub.add_argument("--eps", type=_float_list, default=eps,
                      help="comma-separated epsilon list")
-    sub.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID, help="scan grid points")
     sub.add_argument("--threads", type=_positive_int, default=1, help="sampling threads")
 
 
@@ -162,8 +161,8 @@ def cmd_gen_design(args) -> int:
 
 def cmd_levy(args) -> int:
     path, rows = experiments.run_levy_experiment(
-        _design_from(args), epsilons=args.eps, n_rep=args.reps, grid_points=args.grid,
-        out_dir=args.out, n_threads=args.threads)
+        _design_from(args), epsilons=args.eps, n_rep=args.reps, out_dir=args.out,
+        n_threads=args.threads)
     for row in rows:
         print(f"eps={row['epsilon']:g} levy_hat={row['levy_hat']:.6f} se={row['se']:.6f}")
     print(f"wrote {path}")
@@ -180,30 +179,21 @@ def _bounds_arg(text: str) -> list[str]:
     return names
 
 
-def _inapplicable_detail(report) -> str:
-    # Each inapplicable bound as name:code (message); the CSV keeps name:code.
-    flagged = ((name, getattr(report, name)) for name in ALL_BOUNDS)
-    return "; ".join(f"{name}:{v.reason} ({v.detail})" for name, v in flagged
-                     if isinstance(v, Inapplicable))
-
-
-def _all_inapplicable(report, which) -> bool:
-    return all(isinstance(getattr(report, name), Inapplicable) for name in which)
-
-
 def cmd_bounds_compare(args) -> int:
     path, rows, report = experiments.run_bounds_compare(
         _design_from(args), epsilons=args.eps, n_rep=args.reps, n_mc=args.mc,
-        grid_points=args.grid, out_dir=args.out, which=args.bounds, n_threads=args.threads)
+        out_dir=args.out, which=args.bounds, n_threads=args.threads)
     for row in rows:
         ratios = {c: row[c] for c in experiments.COMPARE_COLUMNS
                   if c.startswith("ratio_") and row[c] is not None}
         pretty = " ".join(f"{k[6:]}={v:.4g}" for k, v in ratios.items())
         print(f"eps={row['epsilon']:g} {pretty}")
-    if rows[0]["inapplicable"]:  # one report serves every row
-        print(f"  inapplicable: {_inapplicable_detail(report)}")
+    flagged = report.inapplicable()  # the CSV column keeps name:code, without the message
+    if flagged:
+        print("  inapplicable: " + "; ".join(f"{name}:{v.reason} ({v.detail})"
+                                             for name, v in flagged.items()))
     print(f"wrote {path}")
-    if _all_inapplicable(report, args.bounds):
+    if flagged.keys() >= set(args.bounds):
         print("error: every requested bound is inapplicable for this design",
               file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -218,7 +208,7 @@ def cmd_scaling(args) -> int:
     options = {k: v for k, v in vars(args).items() if k in experiments.STUDY_OPTIONS}
     path, rows = experiments.run_scaling_study(
         args.study, out_dir=args.out, seed=args.seed, n_rep=args.reps, epsilon=args.eps[0],
-        grid_points=args.grid, n_threads=args.threads, **options)
+        n_threads=args.threads, **options)
     print(f"{len(rows)} rows; wrote {path}")
     return EXIT_OK
 

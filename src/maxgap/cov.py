@@ -71,6 +71,12 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
+def _vector(a) -> np.ndarray:
+    """a flattened to one axis by :func:`_readonly`'s rule: a 1-D owner handed over is kept."""
+    a = np.asarray(a, dtype=float)
+    return _readonly(a if a.ndim == 1 else a.reshape(-1))
+
+
 @dataclass(frozen=True)
 class CovSpec:
     """Immutable Gaussian model: covariance (factor or explicit) plus mean.
@@ -96,7 +102,7 @@ class CovSpec:
             raise BadConfig("factor matrix has non-finite entries")
         p = gamma.shape[0]
         if noise is not None:
-            noise = _readonly(np.asarray(noise, dtype=float).reshape(-1))
+            noise = _vector(noise)
             if noise.shape != (p,):
                 raise DimensionMismatch(f"noise has length {noise.shape[0]}, expected {p}")
             if not np.all(np.isfinite(noise) & (noise >= 0.0)):
@@ -195,7 +201,7 @@ class CovSpec:
 def _check_mu(mu: np.ndarray | None, p: int) -> np.ndarray:
     if mu is None:
         return _readonly(np.zeros(p))
-    mu = _readonly(np.asarray(mu, dtype=float).reshape(-1))
+    mu = _vector(mu)
     if mu.shape != (p,):
         raise DimensionMismatch(f"mean has length {mu.shape[0]}, expected {p}")
     if not np.all(np.isfinite(mu)):
@@ -345,6 +351,11 @@ def _by_tile(idx: np.ndarray) -> dict:
     return out
 
 
+def _tile_selectors(idx: np.ndarray) -> dict:
+    """tile -> :func:`_selector` of idx's offsets within it, in tile order."""
+    return {t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
+
+
 def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
     """Tile (i, j), i <= j, of Sigma: a view of sigma, or gamma_i gamma_j^T of a factor spec.
 
@@ -397,8 +408,7 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
         return memo[part]
     within = within or _REPORT.get() is not None  # a report's fold serves check_conditions too
     sd = spec.sds
-    sels = [{t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
-            for idx in (part.a_idx, part.b_idx)]
+    sels = [_tile_selectors(idx) for idx in (part.a_idx, part.b_idx)]
     cross_cov, cross_corr = np.full(spec.p, -np.inf), np.full(spec.p, -np.inf)
     abs_corr, norms = -np.inf, [-np.inf, -np.inf]
     edges = _tile_edges(spec.p)

@@ -105,8 +105,10 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _factor(gamma: np.ndarray, noise: np.ndarray | None = None) -> CovSpec:
-    """The factor spec of gamma, which the caller hands over: read-only, held uncopied."""
+    """The factor spec of gamma and noise, handed over by the caller: read-only, held uncopied."""
     gamma.flags.writeable = False
+    if noise is not None:
+        noise.flags.writeable = False
     return CovSpec.factor(gamma, noise=noise)
 
 

@@ -1,9 +1,10 @@
 """Batch experiment drivers: CSV/JSON emitters around the estimation core.
 
-The sampling drivers (levy, bounds-compare, scaling) measure through
-:func:`_measure`, in one stage order: check every argument, build the
-design, run its covariance geometry (``rho_bar`` or the bound report), run
-the sampler, then scan the sample once over the caller's epsilons.
+The sampling drivers (levy, bounds-compare, scaling) check every argument
+once, before their first design, then measure each design through
+:func:`_measure`, in one stage order: build the design, run its covariance
+geometry (``rho_bar`` or the bound report), run the sampler, then scan the
+sample once over the caller's epsilons on the fixed ``levy.DEFAULT_GRID``.
 
 Every driver is deterministic given its seed.  CSV payloads carry no
 timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
@@ -29,13 +30,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bootstrap import DataMatrix, check_replicates, clt_rate, run_bootstrap
-from .bounds import (ALL_BOUNDS, BoundReport, Inapplicable, bound_report,
-                     lower_bound_exchangeable)
+from .bounds import ALL_BOUNDS, BoundReport, bound_report, lower_bound_exchangeable
 from .cov import CovSpec, Partition, check_conditions, rho_bar
 from .designs import DesignConfig, check_design, gen_design, plain_option
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
-from .levy import (DEFAULT_GRID, DEFAULT_MC, LevyEstimate, check_epsilon, check_scan,
-                   expected_max_many, levy_curve)
+from .levy import (DEFAULT_MC, LevyEstimate, check_epsilon, check_scan, expected_max_many,
+                   levy_curve)
 from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -125,45 +125,42 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
     return path
 
 
-def _measure(cfg: DesignConfig, epsilons, n_rep: int, seed: int, grid_points: int,
-             n_threads: int, geometry) -> tuple[CovSpec, object, list[LevyEstimate]]:
+def _measure(cfg: DesignConfig, eps: list[float], n_rep: int, seed: int, n_threads: int,
+             geometry) -> tuple[CovSpec, object, list[LevyEstimate]]:
     """The sampling drivers' one measurement: (spec, geometry(spec, part), estimates).
 
-    epsilons is one half-width or a list of them; the estimates follow its
-    order.  Every argument is checked before the design is built.  The
-    geometry runs before the sampler: memory freed by the helper sampler
-    threads stays in their allocator arenas, so work done afterwards would
-    add to the peak.  The calling thread samples too, reusing the heap the
-    design and geometry freed, so a run on n threads adds n - 1 arenas.
+    The driver checks eps, a list of half-widths, and the run once, before
+    its first design; the estimates follow eps's order.  The geometry runs
+    before the sampler: memory freed by the helper sampler threads stays in
+    their allocator arenas, so work done afterwards would add to the peak.
+    The calling thread samples too, reusing the heap the design and geometry
+    freed, so a run on n threads adds n - 1 arenas.
     """
-    eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,), grid_points)
-    check_run(n_rep, seed, n_threads)
     spec, part = gen_design(cfg)
     geo = geometry(spec, part)
     diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    return spec, geo, levy_curve(diffs, eps, grid_points)
+    return spec, geo, levy_curve(diffs, eps)
 
 
-def _run_config(cfg: DesignConfig, epsilons, n_rep: int, grid_points: int, **extra) -> dict:
+def _run_config(cfg: DesignConfig, epsilons, n_rep: int, n_threads: int, **extra) -> dict:
     """The sidecar's config: the design and run options under their CLI names.
 
-    The epsilons are checked and the config serialized here, so a value JSON
+    The epsilons and the run (n_rep, the design's seed, n_threads) are
+    checked and the config serialized here, so a bad value or one JSON
     cannot hold raises BadConfig before the design is built.
     """
-    eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,), grid_points)
-    config = {**cfg.to_json_dict(), "reps": int(n_rep), "grid": int(grid_points), "eps": eps,
-              **extra}
+    eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,))
+    check_run(n_rep, cfg.seed, n_threads)
+    config = {**cfg.to_json_dict(), "reps": int(n_rep), "eps": eps, **extra}
     _meta_text(config)
     return config
 
 
 def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int = 2000,
-                        grid_points: int = DEFAULT_GRID, out_dir: str = ".",
-                        n_threads: int = 1) -> tuple[str, list[dict]]:
+                        out_dir: str = ".", n_threads: int = 1) -> tuple[str, list[dict]]:
     """Concentration-vs-epsilon table for one design, rows in ascending epsilon."""
-    config = _run_config(cfg, epsilons, n_rep, grid_points)
-    spec, rbar, estimates = _measure(cfg, config["eps"], n_rep, cfg.seed, grid_points, n_threads,
-                                     rho_bar)
+    config = _run_config(cfg, epsilons, n_rep, n_threads)
+    spec, rbar, estimates = _measure(cfg, config["eps"], n_rep, cfg.seed, n_threads, rho_bar)
     scale = math.sqrt(math.log(spec.p)) / float(np.mean(spec.sds))
     rows = [{
         "design_id": cfg.design_id(),
@@ -197,30 +194,26 @@ def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
     row = {c: None for c in COMPARE_COLUMNS}
     row.update(design_id=cfg.design_id(), p=p, epsilon=eps, levy_hat=est.value,
                se=est.se_hint, ratio_empirical=est.value / eps)
-    flagged = []
+    flagged = report.inapplicable()
     for name in ALL_BOUNDS:
-        value = report.ratio(name, eps)
-        if isinstance(value, Inapplicable):
-            flagged.append(f"{name}:{value.reason}")
-        elif value is not None:
-            row["ratio_" + name] = value
+        if getattr(report, name) is not None and name not in flagged:
+            row["ratio_" + name] = report.ratio(name, eps)
     if cfg.kind == "exchangeable_overlap":
         row["lower_bound"] = lower_bound_exchangeable(cfg.overlap_k, cfg.p)
-    row["inapplicable"] = ";".join(flagged)
+    row["inapplicable"] = ";".join(f"{name}:{v.reason}" for name, v in flagged.items())
     return row
 
 
 def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
-                       n_mc: int = DEFAULT_MC, grid_points: int = DEFAULT_GRID,
-                       out_dir: str = ".", which=ALL_BOUNDS, n_threads: int = 1,
-                       ) -> tuple[str, list[dict], BoundReport]:
+                       n_mc: int = DEFAULT_MC, out_dir: str = ".", which=ALL_BOUNDS,
+                       n_threads: int = 1) -> tuple[str, list[dict], BoundReport]:
     """Empirical concentration against every requested bound, one row per epsilon.
 
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
-    config = _run_config(cfg, epsilons, n_rep, grid_points, mc=n_mc, bounds=list(which))
+    config = _run_config(cfg, epsilons, n_rep, n_threads, mc=n_mc, bounds=list(which))
     spec, report, estimates = _measure(
-        cfg, config["eps"], n_rep, cfg.seed, grid_points, n_threads,
+        cfg, config["eps"], n_rep, cfg.seed, n_threads,
         lambda spec, part: bound_report(spec, part, n_mc=n_mc, seed=cfg.seed, which=which))
     rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
@@ -266,8 +259,8 @@ STUDIES = {
 
 
 def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: int = 500,
-                      epsilon: float = 0.05, grid_points: int = DEFAULT_GRID,
-                      n_threads: int = 1, **options) -> tuple[str, list[dict]]:
+                      epsilon: float = 0.05, n_threads: int = 1,
+                      **options) -> tuple[str, list[dict]]:
     """Scaling tables: concentration against the correlation gap or block size.
 
     rho_sweep_fullrank walks equicorrelated designs over [rho_min, rho_max];
@@ -298,12 +291,11 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
     if not cfgs:
         size = opts["points"] if "points" in opts else len(opts["p_list"])
         raise BadConfig(f"{kind} needs at least one point, got {size}")
-    config = {"study": kind, **opts, "reps": n_rep, "eps": [epsilon], "grid": grid_points,
-              "seed": seed}
+    config = {"study": kind, **opts, "reps": n_rep, "eps": [epsilon], "seed": seed}
     _meta_text(config)  # a config JSON cannot hold fails before the first point
     for cfg in cfgs:
         check_design(cfg)
-    rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, grid_points, n_threads)
+    rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, n_threads)
             for i, cfg in enumerate(cfgs)]
     path = os.path.join(out_dir, f"scaling_{kind}.csv")
     write_csv(path, rows[0].keys(), rows, command="scaling", seed=seed, config=config)
@@ -311,8 +303,8 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
 
 
 def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
-                 grid_points: int, n_threads: int) -> dict:
-    spec, rbar, (est,) = _measure(cfg, epsilon, n_rep, seed, grid_points, n_threads, rho_bar)
+                 n_threads: int) -> dict:
+    spec, rbar, (est,) = _measure(cfg, [epsilon], n_rep, seed, n_threads, rho_bar)
     return {
         "kind": kind,
         "design_id": cfg.design_id(),

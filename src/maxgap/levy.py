@@ -53,7 +53,7 @@ def check_epsilon(epsilon) -> float:
     return epsilon
 
 
-def check_scan(epsilons, grid_points: int) -> list[float]:
+def check_scan(epsilons, grid_points: int = DEFAULT_GRID) -> list[float]:
     """A scan's half-widths, at least one, each checked; and its grid size."""
     eps = [check_epsilon(e) for e in epsilons]
     if not eps:

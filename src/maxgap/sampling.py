@@ -47,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .cov import TILE, CovSpec, Partition, _by_tile, _selector, _tile_edges
+from .cov import TILE, CovSpec, Partition, _tile_edges, _tile_selectors
 from .errors import BadConfig
 
 CHUNK = 1024
@@ -197,8 +197,7 @@ def _chunk_maxima(spec: CovSpec, subsets, modes):
     exact zero.
     """
     # tile -> row selector, within the tile, of each subset's coordinates there.
-    sels = [{t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
-            for idx in subsets]
+    sels = [_tile_selectors(idx) for idx in subsets]
     needs = {t: {m for sel, m in zip(sels, modes) if t in sel} for t in set().union(*sels)}
     draw, sds, block = _chunk_draw(spec, sorted(needs)), spec.sds, _block_rows(spec)
     mu = spec.mu if spec.mu.any() else None

@@ -361,6 +361,10 @@ class TestBoundReport:
         rep = bound_report(spec, Partition.split(4, 2), **MC)
         assert tuple(vars(rep)) == ALL_BOUNDS
         assert rep.conditional == Inapplicable("zero_residual_variance")
+        # The inapplicable bounds, by name in ALL_BOUNDS order, computed on each call.
+        assert rep.inapplicable() == {"conditional": rep.conditional, "baseline": rep.baseline}
+        assert list(rep.inapplicable()) == ["conditional", "baseline"]
+        assert tuple(vars(rep)) == ALL_BOUNDS
         assert all(isinstance(t, DeltaTerm) for t in rep.corr_threshold)
 
     def test_mc_determinism(self):

@@ -255,25 +255,37 @@ class TestBoundsCompareCommand:
 
 
 class TestSidecarReplay:
-    @pytest.mark.parametrize("argv", [
+    RUNS = pytest.mark.parametrize("argv", [
         ["bounds-compare", "--kind", "fullrank_equicorr", "--p", "6", "--rho", "0.4",
-         "--reps", "300", "--mc", "500", "--eps", "0.2,0.01,0.2", "--grid", "50",
+         "--reps", "300", "--mc", "500", "--eps", "0.2,0.01,0.2",
          "--bounds", "homogeneous,baseline", "--seed", "5"],
         ["levy", "--kind", "homog_lowrank", "--p", "8", "--d", "2", "--reps", "300",
-         "--eps", "0.2,0.05", "--grid", "70", "--seed", "6"],
+         "--eps", "0.2,0.05", "--seed", "6"],
         ["scaling", "--study", "k0_sweep", "--k0", "3", "--p-list", "5,8", "--reps", "300",
-         "--eps", "0.1", "--grid", "60", "--seed", "7"],
+         "--eps", "0.1", "--seed", "7"],
     ], ids=["bounds-compare", "levy", "scaling"])
-    def test_config_replays_run(self, capsys, tmp_path, argv):
-        # The sidecar's config, passed back through --config, replays the
-        # run: the same CSV, byte for byte.
+
+    @staticmethod
+    def replay(capsys, tmp_path, argv, **old_keys) -> None:
+        # The sidecar's config, with old_keys added, passed back through
+        # --config replays the run: the same CSV, byte for byte.
         first, again = tmp_path / "first", tmp_path / "again"
         assert run(capsys, *argv, "--out", str(first))[0] == EXIT_OK
         (path,) = first.glob("*.csv")
         meta = json.loads((first / (path.name + ".meta.json")).read_text())
-        cfg = write_config(tmp_path, meta["config"])
+        cfg = write_config(tmp_path, {**meta["config"], **old_keys})
         assert run(capsys, argv[0], "--config", cfg, "--out", str(again))[0] == EXIT_OK
         assert (again / path.name).read_bytes() == path.read_bytes()
+
+    @RUNS
+    def test_config_replays_run(self, capsys, tmp_path, argv):
+        self.replay(capsys, tmp_path, argv)
+
+    @RUNS
+    def test_older_sidecar_grid_is_ignored(self, capsys, tmp_path, argv):
+        # Sidecars once recorded the scan grid, now fixed at 1000 points: a
+        # config that still holds it replays the same bytes.
+        self.replay(capsys, tmp_path, argv, grid=1000)
 
     @pytest.mark.parametrize("names", ["homogeneous", "homogeneous,baseline"])
     def test_bounds_config_takes_string_or_list(self, capsys, tmp_path, names):
@@ -566,7 +578,7 @@ def one_error_line(err: str) -> bool:
 class TestConfigResolution:
     @pytest.mark.parametrize("command,bad", [
         ("levy", {"reps": "abc"}),
-        ("levy", {"grid": "x"}),
+        ("levy", {"threads": "x"}),
         ("levy", {"eps": "0.05"}),
         ("levy", {"eps": [0.05, "x"]}),
         ("levy", {"p": "6"}),
@@ -610,15 +622,15 @@ class TestConfigResolution:
         assert json.loads(out)["design_id"] == "fullrank_equicorr-p4-rho0.3-s0"
 
     @settings(max_examples=60, deadline=None)
-    @given(reps=st.integers(1, 10 ** 9), grid=st.integers(1, 10 ** 6),
+    @given(reps=st.integers(1, 10 ** 9), threads=st.integers(1, 64),
            eps=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=5),
            seed=st.integers(0, 2 ** 64 - 1))
-    def test_config_parses_like_flags(self, reps, grid, eps, seed):
+    def test_config_parses_like_flags(self, reps, threads, eps, seed):
         flags = ["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3",
-                 "--reps", str(reps), "--grid", str(grid),
+                 "--reps", str(reps), "--threads", str(threads),
                  "--eps", ",".join(map(repr, eps)), "--seed", str(seed)]
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = write_config(pathlib.Path(tmp), {**DESIGN, "reps": reps, "grid": grid,
+            cfg = write_config(pathlib.Path(tmp), {**DESIGN, "reps": reps, "threads": threads,
                                                    "eps": eps, "seed": seed})
             from_config = vars(parse_args(["levy", "--config", cfg]))
         from_flags = vars(parse_args(flags))
@@ -640,7 +652,7 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("value", ["0", "-3", "2.5", "x"])
     @pytest.mark.parametrize("command,flag", [
-        ("levy", "--threads"), ("levy", "--reps"), ("levy", "--grid"),
+        ("levy", "--threads"), ("levy", "--reps"),
         ("bounds-compare", "--mc"), ("scaling", "--points"), ("bootstrap", "--breps"),
         ("selftest", "--threads"),
     ])
@@ -648,6 +660,19 @@ class TestValueChecks:
         code, _, err = run(capsys, command, flag, value)
         assert code == EXIT_CONFIG
         assert one_error_line(err) and "positive integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3"],
+        ["bounds-compare", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3"],
+        ["scaling", "--study", "k0_sweep", "--k0", "3", "--p-list", "5"],
+    ], ids=["levy", "bounds-compare", "scaling"])
+    def test_no_grid_option(self, capsys, tmp_path, argv):
+        # Every run scans the fixed 1000-point grid; --grid is no option.
+        code, _, err = run(capsys, *argv, "--reps", "100", "--grid", "50",
+                           "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and "--grid" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 65)])
     @pytest.mark.parametrize("command", ["gen-design", "levy"])

@@ -903,6 +903,17 @@ class TestOwnership:
         gamma.flags.writeable = False
         assert CovSpec.factor(gamma).gamma is gamma
 
+    def test_read_only_vectors_kept(self):
+        # A factor spec's noise and mean, handed over as 1-D read-only owners,
+        # are held as given, like its factor.
+        rng = np.random.default_rng(5)
+        g, m, n = rng.standard_normal((5, 2)), rng.standard_normal(5), rng.uniform(0.5, 1.0, 5)
+        for a in (g, m, n):
+            a.flags.writeable = False
+        spec = CovSpec.factor(g, mu=m, noise=n)
+        assert spec.gamma is g and spec.mu is m and spec.noise is n
+        assert CovSpec.explicit(random_psd(np.random.default_rng(4), 5), mu=m).mu is m
+
     @pytest.mark.parametrize("form", ["writable", "view", "list", "float32"])
     def test_anything_else_copied(self, form):
         # A later write to the caller's input leaves the spec unchanged.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maxgap import BadConfig, check_conditions, rho_bar
-from maxgap.cov import cov_block
+from maxgap.cov import CovSpec, cov_block
 from maxgap import designs
 from maxgap.designs import (DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, check_design,
                             gen_design)
@@ -396,3 +396,11 @@ class TestFactorBuildMemory:
             tracemalloc.stop()
         assert spec.gamma.shape == (self.P, self.D)
         assert peak <= 1.5 * spec.gamma.nbytes
+
+    def test_table1_noise_held_as_handed_over(self, monkeypatch):
+        # table1's noise sds, 1 / scale, reach the spec read-only and uncopied.
+        handed, factor = [], CovSpec.factor
+        monkeypatch.setattr(CovSpec, "factor", classmethod(
+            lambda cls, gamma, **kw: handed.append(kw["noise"]) or factor(gamma, **kw)))
+        spec, _ = gen_design(DesignConfig(kind="table1", p=40, seed=3))
+        assert spec.noise is handed[0] and not spec.noise.flags.writeable

@@ -170,8 +170,7 @@ class TestArgumentsCheckedFirst:
     """Every driver argument is checked before the design, geometry or sampler run."""
 
     CFG = DesignConfig(kind="fullrank_equicorr", p=4, rho=0.5, seed=3)
-    MESSAGES = {"grid_points": "grid_points must be positive", "n_rep": "n_rep must be positive",
-                "n_threads": "n_threads must be positive",
+    MESSAGES = {"n_rep": "n_rep must be positive", "n_threads": "n_threads must be positive",
                 "seed": "seed must be an unsigned 64-bit", "epsilons": "need at least one epsilon"}
 
     @staticmethod
@@ -185,16 +184,13 @@ class TestArgumentsCheckedFirst:
         return ran
 
     @pytest.mark.parametrize("driver, kwargs", [
-        (run_levy_experiment, {"grid_points": 0}),
         (run_levy_experiment, {"n_rep": 0}),
         (run_levy_experiment, {"n_threads": 0}),
         (run_levy_experiment, {"seed": 2 ** 64}),
         (run_levy_experiment, {"epsilons": ()}),
-        (run_bounds_compare, {"grid_points": 0}),
         (run_bounds_compare, {"n_threads": 0}),
         (run_bounds_compare, {"seed": -1}),
         (run_bounds_compare, {"epsilons": ()}),
-        (run_scaling_study, {"grid_points": 0}),
         (run_scaling_study, {"n_rep": 0}),
         (run_scaling_study, {"n_threads": 0}),
         pytest.param(run_scaling_study, {"seed": -1}, id="run_scaling_study-seed-negative"),
@@ -232,6 +228,23 @@ class TestArgumentsCheckedFirst:
         plain = driver(DesignConfig(kind="homog_lowrank", p=200, d=4, seed=1), n_rep=300,
                        out_dir=str(tmp_path / "plain"), **extra)[0]
         assert open(path, "rb").read() == open(plain, "rb").read()
+
+    def test_each_check_runs_once(self, tmp_path, monkeypatch):
+        # A driver checks its epsilons and its run once, before its first
+        # design; a two-point study checks them once, not once per point.
+        import maxgap.experiments as experiments
+        calls = []
+        for name in ("check_scan", "check_epsilon", "check_run"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        run_levy_experiment(self.CFG, n_rep=200, out_dir=str(tmp_path))
+        run_bounds_compare(self.CFG, n_rep=200, n_mc=200, out_dir=str(tmp_path),
+                           which=("baseline",))
+        assert calls == ["check_scan", "check_run"] * 2
+        calls.clear()
+        run_scaling_study("k0_sweep", k0=3, p_list=(5, 6), n_rep=100, out_dir=str(tmp_path))
+        assert calls == ["check_epsilon", "check_run"]
 
     def test_config_json_cannot_hold_fails_before_any_work(self, tmp_path, monkeypatch):
         # The sidecar config is serialized before the design is built.
@@ -427,10 +440,10 @@ class TestScalingStudy:
     def test_sidecar_config_holds_the_options_read(self, tmp_path, kind):
         options = {name: VALUES[name] for name in READS[kind]}
         path, _ = run_scaling_study(kind, out_dir=str(tmp_path), n_rep=100, epsilon=0.1,
-                                    grid_points=50, seed=4, **options)
+                                    seed=4, **options)
         config = json.load(open(path + ".meta.json"))["config"]
         assert config == {"study": kind, **json.loads(json.dumps(options)), "reps": 100,
-                          "eps": [0.1], "grid": 50, "seed": 4}
+                          "eps": [0.1], "seed": 4}
 
     def test_array_p_list_recorded_as_ints(self, tmp_path):
         # A numpy p_list resolves to Python ints: both files are written, and
