@@ -8,18 +8,19 @@ diagnostics in this module (cross-correlation maximum, separation
 conditions and their violators, Schur-complement residuals) feed the bound
 evaluators in :mod:`maxgap.bounds`.
 
-Every diagnostic reads Sigma in fixed ``TILE`` x ``TILE`` tiles
-(:func:`_tile`), so an entry's bits do not depend on what else a read
-holds, and a factor spec never forms its p x p matrix.  The separation
-geometry is one fold of the tiles into O(p) maxima (:func:`_fold`); one
-block's residual given the other reads blocks (:func:`cov_block`).  Two
-quantities of a factor spec read no entry of Sigma: the residual given a
-block with noise on every coordinate (Woodbury's identity on the d x d
-core, :func:`residual_cov`) and the smallest eigenvalue (an inertia count
-on that core, or the singular values of the factor when it has no noise,
-:func:`min_eigenvalue`).  The diagonal of Sigma is :attr:`CovSpec.variances`
-for every spec, so every layer shares one sd per coordinate, and Sigma is
-stored exactly symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
+Every diagnostic reads Sigma through one walk over fixed ``TILE`` x ``TILE``
+tiles (:func:`_placements`), each tile formed once, read in both placements,
+so an entry's bits do not depend on what else a read holds, and a factor
+spec never forms its p x p matrix.  The separation geometry is one fold of
+the walk into O(p) maxima (:func:`_fold`); the residuals read blocks that
+the walk writes (:func:`cov_block`).  Two quantities of a factor spec read
+no entry of Sigma: the residual given a block with noise on every
+coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`)
+and the smallest eigenvalue (an inertia count on that core, or the
+singular values of the factor when it has no noise, :func:`min_eigenvalue`).
+The diagonal of Sigma is :attr:`CovSpec.variances` for every spec, so
+every layer shares one sd per coordinate, and Sigma is stored exactly
+symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
 
 All functions are pure: they never mutate their inputs and hold no state
 but the memo that a :func:`maxgap.bounds.bound_report` shares.  The
@@ -322,22 +323,16 @@ def _tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
 def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     """New array Sigma[rows][:, cols], the same bits for any rows and cols.
 
-    Each tile (i, j), i <= j, that the block touches is formed once by
-    :func:`_tile`, and tile (j, i) is its transpose, so every entry is read
-    from the same tile whichever block holds it, and a factor spec forms no
-    p x p matrix.
+    Each tile formed once, read in both placements (:func:`_placements`).
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     out = np.empty((rows.size, cols.size))
     row_tiles, col_tiles = _by_tile(rows), _by_tile(cols)
-    for i, j in sorted({(min(i, j), max(i, j)) for i in row_tiles for j in col_tiles}):
-        tile = _tile(spec, i, j)
-        placements = [(i, j, tile)] if i == j else [(i, j, tile), (j, i, tile.T)]
-        for ti, tj, t in placements:
-            if ti in row_tiles and tj in col_tiles:
-                (r_pos, r_off), (c_pos, c_off) = row_tiles[ti], col_tiles[tj]
-                out[np.ix_(r_pos, c_pos)] = t[np.ix_(r_off, c_off)]
+    for i, j, t in _placements(spec, [(row_tiles, col_tiles)]):
+        if i in row_tiles and j in col_tiles:
+            (r_pos, r_off), (c_pos, c_off) = row_tiles[i], col_tiles[j]
+            out[np.ix_(r_pos, c_pos)] = t[np.ix_(r_off, c_off)]
     return out
 
 
@@ -354,6 +349,20 @@ def _by_tile(idx: np.ndarray) -> dict:
 def _tile_selectors(idx: np.ndarray) -> dict:
     """tile -> :func:`_selector` of idx's offsets within it, in tile order."""
     return {t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
+
+
+def _placements(spec: CovSpec, pairs):
+    """(i, j, tile (i, j) of Sigma) for the tiles that (row tiles, column tiles) pairs need.
+
+    Each tile formed once, read in both placements: tile (i, j), i <= j, is
+    formed by :func:`_tile` and gives (i, j, t), then (j, i, t.T) when i != j,
+    as Sigma is stored exactly symmetric.  Tiles come in (i, j) order.
+    """
+    for i, j in sorted({(min(i, j), max(i, j)) for r, c in pairs for i in r for j in c}):
+        t = _tile(spec, i, j)
+        yield i, j, t
+        if i != j:
+            yield j, i, t.T
 
 
 def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
@@ -398,9 +407,11 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
     Returns (cross_cov, cross_corr, abs_corr, norms): per coordinate i, its
     largest sigma_ij and correlation over j in the other block; the largest
     |correlation| across the blocks; with ``within``, the largest
-    sigma_jj' / sd_j^2 over j, j' in A and in B, else None.  A tile holding
-    an entry read is formed once for both placements, (i, j) and (j, i), and
-    its entries are the floats of :func:`cov_block` and :func:`_corr`.
+    sigma_jj' / sd_j^2 over j, j' in A and in B, else None.  It reads the
+    :func:`_placements` of A x B, and of A x A and B x B with ``within``
+    (each tile formed once, read in both placements), each placement one way:
+    A's rows against B's columns, a block's rows over their variances.  Its
+    entries are the floats of :func:`cov_block` and :func:`_corr`.
     """
     part.check_dim(spec.p)
     memo = _report_memo(spec)
@@ -408,32 +419,22 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
         return memo[part]
     within = within or _REPORT.get() is not None  # a report's fold serves check_conditions too
     sd = spec.sds
-    sels = [_tile_selectors(idx) for idx in (part.a_idx, part.b_idx)]
+    a, b = sels = [_tile_selectors(idx) for idx in (part.a_idx, part.b_idx)]
     cross_cov, cross_corr = np.full(spec.p, -np.inf), np.full(spec.p, -np.inf)
     abs_corr, norms = -np.inf, [-np.inf, -np.inf]
     edges = _tile_edges(spec.p)
-    for i, j in [(i, j) for i in range(len(edges)) for j in range(i, len(edges))]:
+    for i, j, t in _placements(spec, [(a, b)] + [(s, s) for s in sels if within]):
         (i0, i1), (j0, j1) = edges[i], edges[j]
-        # A's rows of tile i against B's columns of tile j, and B's against
-        # A's: on a diagonal tile the second is the first transposed.
-        cross = [(r[i], c[j]) for r, c in (sels, sels[::-1]) if i in r and j in c][:2 - (i == j)]
-        blocks = [(k, s[i], s[j]) for k, s in enumerate(sels) if within and i in s and j in s]
-        if not cross and not blocks:
-            continue
-        t = _tile(spec, i, j)
-        for rs, cs in cross:
-            cov = t[rs][:, cs]
-            corr = _corr(cov, sd[i0:i1][rs], sd[j0:j1][cs])
+        if i in a and j in b:
+            cov = t[a[i]][:, b[j]]
+            corr = _corr(cov, sd[i0:i1][a[i]], sd[j0:j1][b[j]])
             for out, x in ((cross_cov, cov), (cross_corr, corr)):
                 rows, cols = out[i0:i1], out[j0:j1]
-                rows[rs] = np.maximum(rows[rs], x.max(axis=1))
-                cols[cs] = np.maximum(cols[cs], x.max(axis=0))
+                rows[a[i]] = np.maximum(rows[a[i]], x.max(axis=1))
+                cols[b[j]] = np.maximum(cols[b[j]], x.max(axis=0))
             abs_corr = max(abs_corr, float(np.max(np.abs(corr))))
-        for k, rs, cs in blocks:
-            # j the row: tile (i, j) divides by its rows' sds, (j, i) by its columns'.
-            cov = t[rs][:, cs]
-            norms[k] = max(norms[k], float(np.max(cov / sd[i0:i1][rs][:, None] ** 2)),
-                           float(np.max(cov / sd[j0:j1][cs] ** 2)))
+        norms = [max(n, float(np.max(t[s[i]][:, s[j]] / sd[i0:i1][s[i]][:, None] ** 2)))
+                 if within and i in s and j in s else n for n, s in zip(norms, sels)]
     memo[part] = (cross_cov, cross_corr, abs_corr, tuple(norms) if within else None)
     return memo[part]
 

@@ -46,8 +46,6 @@ def _fmt(x) -> str:
     """One CSV cell; floats at 17 significant digits so reruns match bitwise."""
     if x is None:
         return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):

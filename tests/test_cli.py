@@ -683,6 +683,20 @@ class TestValueChecks:
         assert one_error_line(err) and "unsigned 64-bit" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        (["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--seed", "abc"],
+         "unsigned 64-bit"),
+        (["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--eps", ","],
+         "empty list"),
+        (["scaling", "--study", "rho_sweep_fullrank", "--rho-min", "0.99", "--rho-max", "0.9"],
+         "rho_min <= rho_max"),
+    ], ids=["seed-text", "eps-empty", "rho-range"])
+    def test_bad_value_exits_2_before_any_file(self, capsys, tmp_path, argv, message):
+        code, _, err = run(capsys, *argv, "--reps", "100", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and message in err
+        assert not list(tmp_path.iterdir())
+
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run(capsys, "gen-design", "--kind", "homog_lowrank", "--p", "4",
                            "--d", "2", "--seed", str(2 ** 64 - 1))

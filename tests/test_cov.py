@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -48,6 +49,16 @@ class TestCovSpec:
         sig = np.array([[1.0, 0.5], [0.3, 1.0]])
         with pytest.raises(BadConfig):
             CovSpec.explicit(sig)
+
+    def test_misshapen_and_non_finite_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            CovSpec.factor(np.ones((2, 2, 2)))
+        with pytest.raises(BadConfig):
+            CovSpec.factor([[1.0], [np.nan]])
+        with pytest.raises(BadConfig):
+            CovSpec.explicit([[1.0, 0.0], [0.0, np.inf]])
+        with pytest.raises(BadConfig):
+            CovSpec.explicit(np.eye(2), mu=[0.0, np.nan])
 
     def test_indefinite_rejected(self):
         sig = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -763,6 +774,86 @@ class TestGeometryProperty:
         assert best[b].tobytes() == corr.T.max(axis=1).tobytes()
         # The within-block maxima themselves, beyond the one bit norm_ok keeps.
         assert _bits(*_fold(spec, part, within=True)[3]) == _bits(*norms)
+
+
+def _golden_design(name: str) -> tuple[CovSpec, Partition]:
+    """The explicit specs of TestGoldenGeometry, by name."""
+    if name == "fullrank_equicorr_even":
+        spec, _ = gen_design(DesignConfig(kind="fullrank_equicorr", p=600, rho=0.5))
+        return spec, Partition(tuple(range(0, 600, 2)), tuple(range(1, 600, 2)), 600)
+    if name == "lattice_thirds":
+        # I plus three outer products of integer lattice vectors: no BLAS, and
+        # every row's maxima sit at different columns, so each placement counts.
+        i = np.arange(600)
+        sig = np.eye(600)
+        for k in range(3):
+            v = (i * (k + 3) * 7919 % 101) / 50.0 - 1.0
+            sig += np.outer(v, v)
+        return CovSpec.explicit(sig), Partition(tuple(i[i % 3 == 0]), tuple(i[i % 3 != 0]), 600)
+    return gen_design({
+        "heterog_violation": DesignConfig(kind="heterog_violation", p=400,
+                                          variance_profile="v0875"),
+        "k0_split": DesignConfig(kind="k0_split", p=600, k0=40, rho=0.3),
+    }[name])
+
+
+def _geometry_digests(name: str) -> dict:
+    """sha256 of _fold's outputs (within False and True) and of check_conditions' fields."""
+    spec, part = _golden_design(name)
+    out = {}
+    for within in (False, True):
+        cross_cov, cross_corr, abs_corr, norms = _fold(spec, part, within)
+        h = hashlib.sha256(cross_cov.tobytes() + cross_corr.tobytes())
+        h.update(_bits(abs_corr, *(norms or ())))
+        out[f"fold_within_{within}"] = h.hexdigest()
+    report = repr(check_conditions(spec, part))
+    out["check_conditions"] = hashlib.sha256(report.encode()).hexdigest()
+    return out
+
+
+class TestGoldenGeometry:
+    """Pinned bytes of the tile walk on explicit specs, independent of the walk itself.
+
+    An explicit spec's tiles are views of sigma and the fold only divides,
+    multiplies and takes maxima, so these digests hold on every BLAS kernel.
+    """
+
+    DIGESTS = {
+        "fullrank_equicorr_even": {
+            "fold_within_False": "8a2dc5de2f87ac5df92663c45b4311971d9a215916e5a7d468727359c73afc6f",
+            "fold_within_True": "7a1ac7b5895583be7cde046be443b32d59413df4c14ba9ea83f6287938017f85",
+            "check_conditions": "22dbfb7fe61084a1adab3bf7b239fa4cdf9291fa7ca477d81453d062e20f2f2f",
+        },
+        "heterog_violation": {
+            "fold_within_False": "22abba38de4b72187dc5ecb7b60e1ec705df1daac776fe65184106af1d3bbb3f",
+            "fold_within_True": "814b316f9f4f813eec78ee5909dddae488fa865aa927292b4a0600fca7578b8c",
+            "check_conditions": "3383b1e507fde9e199f1b531429138516088eca4b9bc51458f4a7b93b7a5fef9",
+        },
+        "k0_split": {
+            "fold_within_False": "43ef8faf3cb252316195a5e91b5b9ef8a77a1f6fdb341a7edfb5de2d333086e2",
+            "fold_within_True": "6f7b2d6f64052da90e518a482de6dc60f34d04a2469bd04212b62e515413742b",
+            "check_conditions": "0ec79038541a8048dfe019c7e02d4c836b31006bda3fa779aca0c2a3a199e5ce",
+        },
+        "lattice_thirds": {
+            "fold_within_False": "3d1566bfd269f15178c4fa97562e375fef4a4ee368c294d12724b03804dd023b",
+            "fold_within_True": "22e57d2f11c39099fefaf792c47afea5043974ced2d4918b623d7dbc7434d1ff",
+            "check_conditions": "33e625634fa47583663b0932fc041b1ee3d336b2a1d349f4c64571ace61080bc",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_fold_and_conditions_digests(self, name):
+        assert _geometry_digests(name) == self.DIGESTS[name]
+
+    def test_cov_block_permuted_digest(self):
+        # A stride permutation crosses every tile edge, in both placements.
+        spec, _ = _golden_design("heterog_violation")
+        rows = np.arange(400) * 173 % 400
+        cols = rows[::-1][:150]
+        block = cov_block(spec, rows, cols)
+        assert block.tobytes() == spec.sigma[np.ix_(rows, cols)].tobytes()
+        assert (hashlib.sha256(block.tobytes()).hexdigest()
+                == "ecb9be9d0d448e2870ea3443074704197a6b768732e62a8631e49a633be130b8")
 
 
 # Small configs of every design kind; "noise" is a factor plus noise with a
