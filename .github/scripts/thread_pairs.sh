@@ -1,6 +1,6 @@
 #!/bin/sh
 # Console-script thread checks that two CI jobs share: each run on the caller
-# plus two helper threads must byte-compare with the same run on one thread.
+# plus helper threads must byte-compare with the same run on one thread.
 # Outputs go under the current directory.
 set -eu
 
@@ -9,6 +9,13 @@ set -eu
 maxgap levy --kind table1 --p 3000 --reps 2100 --threads 3 --out blocks3
 maxgap levy --kind table1 --p 3000 --reps 2100 --threads 1 --out blocks1
 cmp blocks3/levy_table1-p3000-s0.csv blocks1/levy_table1-p3000-s0.csv
+
+# More threads than chunks: 1500 replicates are 2 chunks, so the run clamps
+# to 2 workers, and the second chunk (476 rows) ends on a short 220-row
+# block, so one worker's buffers serve blocks of two heights.
+maxgap levy --kind table1 --p 3000 --reps 1500 --threads 8 --out clamp8
+maxgap levy --kind table1 --p 3000 --reps 1500 --threads 1 --out clamp1
+cmp clamp8/levy_table1-p3000-s0.csv clamp1/levy_table1-p3000-s0.csv
 
 # The only CLI run of two distinct Schur residual laws (blocks of 40 and
 # 560), held one at a time, with a partial last chunk.

@@ -6,9 +6,10 @@ maxima, evaluates the matching theoretical upper and lower bounds, and runs
 the multiplier bootstrap for argmax inference.
 """
 
-from .errors import (BadConfig, BadGeometry, ConditionFails, DimensionMismatch,
-                     EmptySample, EmptySubset, HeterogeneousVariances, IoError,
-                     MaxgapError, NoAdmissibleDelta, NotPSD, ParseError,
+from .errors import (BadConfig, BadGeometry, CoarseGridWarning, ConditionFails,
+                     DimensionMismatch, EmptySample, EmptySubset,
+                     HeterogeneousVariances, IoError, MaxgapError,
+                     NoAdmissibleDelta, NotPSD, ParseError,
                      PerfectCrossCorrelation, SingularBlock, SingularCovariance,
                      SmallSampleWarning, ZeroResidualVariance, ZeroVariance)
 from .cov import (ConditionReport, CovSpec, Partition, check_conditions,
@@ -29,7 +30,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_BOUNDS", "BadConfig", "BadGeometry", "BootstrapResult",
-    "BoundReport", "ConditionFails", "ConditionReport", "CovSpec",
+    "BoundReport", "CoarseGridWarning", "ConditionFails", "ConditionReport", "CovSpec",
     "DataMatrix", "DeltaTerm", "DesignConfig", "DimensionMismatch",
     "EmptySample", "EmptySubset", "HeterogeneousVariances", "Inapplicable",
     "IoError", "KINDS", "LevyEstimate", "MaxgapError", "NoAdmissibleDelta",

@@ -127,7 +127,8 @@ def multiplier_replicates(data: DataMatrix, b_reps: int, seed: int,
     The batch API; :func:`run_bootstrap` reduces the same chunks without
     keeping them.
     """
-    out = np.concatenate(_map_chunks(_replicates(data, b_reps, seed, multiplier), seed, b_reps))
+    rows = _replicates(data, b_reps, seed, multiplier)
+    out = np.concatenate(_map_chunks(lambda: rows, seed, b_reps))
     out.flags.writeable = False
     return out
 
@@ -169,7 +170,7 @@ def run_bootstrap(data: DataMatrix, part: Partition, b_reps: int, seed: int,
         x = rows(rng, lo, hi)
         return x[:, a_sel].max(axis=1) - x[:, b_sel].max(axis=1)
 
-    return _summarize(np.concatenate(_map_chunks(diff, seed, b_reps)))
+    return _summarize(np.concatenate(_map_chunks(lambda: diff, seed, b_reps)))
 
 
 def clt_rate(*, emax_s: float, c_ab: float, b_n: float, n: int, p: int) -> float:

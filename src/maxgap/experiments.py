@@ -128,11 +128,10 @@ def _measure(cfg: DesignConfig, eps: list[float], n_rep: int, seed: int, n_threa
     """The sampling drivers' one measurement: (spec, geometry(spec, part), estimates).
 
     The driver checks eps, a list of half-widths, and the run once, before
-    its first design; the estimates follow eps's order.  The geometry runs
-    before the sampler: memory freed by the helper sampler threads stays in
-    their allocator arenas, so work done afterwards would add to the peak.
-    The calling thread samples too, reusing the heap the design and geometry
-    freed, so a run on n threads adds n - 1 arenas.
+    its first design; the estimates follow eps's order.  The calling thread
+    makes every sampler worker's block of normals and tile before any helper
+    thread starts, so no large buffer lands in a helper's allocator arena: a
+    helper allocates only its chunks' per-row maxima, a few KiB each.
     """
     spec, part = gen_design(cfg)
     geo = geometry(spec, part)

@@ -6,10 +6,14 @@ keyed by (seed, k)).  :func:`_map_chunks` is the one place a seed meets
 Philox and the one loop over chunks, for the sampler, the expected-max
 passes and the bootstrap alike: it checks the seed, makes each chunk's span
 and generator itself, and runs its work loop on the calling thread and
-n_threads - 1 helpers (none on one thread).  Each chunk's result is a
-function of its own generator alone and the caller reduces the results in
-chunk order, so any thread count gives bit-identical values, and a run of
-whole chunks is a prefix of any longer run with the same seed.
+n_threads - 1 helpers (none on one thread, and never more workers than
+chunks).  Each chunk's result is a function of its own generator alone and
+the caller reduces the results in chunk order, so any thread count gives
+bit-identical values, and a run of whole chunks is a prefix of any longer
+run with the same seed.  The worker contract: the calling thread makes
+every worker, and with it the worker's buffers, once, before any helper
+starts; helpers are plain threads, and a worker reuses its buffers for
+each chunk it takes, so no chunk allocates them again.
 Bit-identity holds under a fixed BLAS build and BLAS thread count: each tile
 of a block of a chunk's rows is one matmul, and BLAS libraries may sum in
 another order when their own thread count changes (OpenBLAS does, in the
@@ -28,8 +32,8 @@ each block one coordinate-major ``TILE``-wide tile at a time in one more.
 tile into the read-only n_rep x p matrix it returns as it adds mu.
 :func:`sample_max_diff`, which the CLI commands use, and the expected-max
 passes fold each tile into running per-row maxima as soon as it is drawn
-(:func:`_chunk_maxima`), so a chunk holds a block of normals and
-O(TILE * BLOCK) values, never the chunk's normals, a rows x p block, nor a
+(:func:`_chunk_maxima`), so a worker holds a block of normals and
+O(TILE * BLOCK) values, never a chunk's normals, a rows x p block, nor a
 copy of the factor; they add mu only when it is not all zero.  All three
 run the same matmuls, and a maximum is exact, so :func:`sample_max_diff`
 equals ``max_diff(sample(...))`` bit for bit (adding a zero mean could only
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,50 +104,62 @@ def check_run(n_rep: int, seed: int, n_threads: int) -> None:
     check_seed(seed)
 
 
-def _map_chunks(fn, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) -> list:
+def _map_chunks(worker, seed: int, n: int, rows: int = CHUNK, n_threads: int = 1) -> list:
     """``[fn(chunk_rng(seed, k), lo, hi) for each chunk k]`` in chunk order, the seed checked first.
 
     Chunk k covers rows lo..hi = [k * rows, min((k + 1) * rows, n)).  The
     chunk contract: fn may read only its own chunk's generator and write only
     rows lo..hi of an output, so its result does not depend on which thread
     ran it or when, and a reduction in chunk order is the same floats for
-    any thread count.  The caller runs the one work loop, joined by a pool
-    of ``min(n_threads, chunks) - 1`` helper threads when that is positive;
-    every worker takes chunk numbers from one shared counter.
+    any thread count.  The worker contract: ``worker()`` makes one fn, which
+    may own buffers that it reuses from chunk to chunk; the calling thread
+    makes all ``min(n_threads, chunks)`` of them before any helper starts,
+    then runs the one work loop with the first beside a plain thread per
+    other.  Every worker takes chunk numbers from one shared counter; after
+    a worker's error the others take no new chunk, and once all have
+    stopped the first error is raised.
     """
     seed = check_seed(seed)
     n_chunks = len(range(0, n, rows))
     numbered, lock, results = iter(range(n_chunks)), threading.Lock(), [None] * n_chunks
+    errors = []
 
-    def work() -> None:
-        while True:
-            with lock:
-                k = next(numbered, None)
-            if k is None:
-                return
-            results[k] = fn(chunk_rng(seed, k), k * rows, min((k + 1) * rows, n))
+    def work(fn) -> None:
+        try:
+            while not errors:
+                with lock:
+                    k = next(numbered, None)
+                if k is None:
+                    return
+                results[k] = fn(chunk_rng(seed, k), k * rows, min((k + 1) * rows, n))
+        except BaseException as exc:
+            errors.append(exc)
 
-    helpers = min(n_threads, n_chunks) - 1
-    if helpers < 1:
-        work()
-        return results
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for future in futures:
-            future.result()
+    fns = [worker() for _ in range(min(n_threads, n_chunks))]
+    helpers = [threading.Thread(target=work, args=(fn,)) for fn in fns[1:]]
+    for helper in helpers:
+        helper.start()
+    if fns:
+        work(fns[0])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return results
 
 
-def _chunk_draw(spec: CovSpec, tiles=None):
+def _chunk_draw(spec: CovSpec, height: int, tiles=None):
     """draw(rng, rows): one chunk of X - mu = L Z + noise * W, block by block, tile by tile.
 
-    The one place normals become coordinates.  draw takes the chunk's rows x
-    :func:`draw_width` normals from rng in consecutive blocks of
-    :func:`_block_rows` rows, into one block x r buffer, so it consumes them
-    in the order one rows x r draw would.  For each block it yields
-    (r0, r1, t0, t1, x) for each listed tile (every tile by default): x, a
-    (t1 - t0) x (r1 - r0) view of one ``TILE`` x block buffer, holds
+    The one place normals become coordinates, and one worker's buffers: made
+    for chunks of at most ``height`` rows, it allocates one block x r buffer
+    of normals and one ``TILE`` x block tile once, and every chunk it draws
+    reuses them, so one worker must draw one chunk at a time.  draw takes
+    the chunk's rows x :func:`draw_width` normals from rng in consecutive
+    blocks of :func:`_block_rows` rows (fewer when ``height`` is smaller),
+    so it consumes them in the order one rows x r draw would.  For each
+    block it yields (r0, r1, t0, t1, x) for each listed tile (every tile by
+    default): x, a (t1 - t0) x (r1 - r0) view of the tile buffer, holds
     coordinates t0..t1 of the chunk's rows r0..r1 before mu, one per row,
     until the next tile.  Normal columns [0, d) feed L, in one
     (t1 - t0, d) @ (d, r1 - r0) matmul of a view of L's rows t0..t1 (no copy
@@ -155,11 +170,10 @@ def _chunk_draw(spec: CovSpec, tiles=None):
     """
     ell, r = sampling_factor(spec), draw_width(spec)
     d, noise = ell.shape[1], spec.noise
-    edges, block = _tile_edges(spec.p, tiles), _block_rows(spec)
+    edges, block = _tile_edges(spec.p, tiles), min(_block_rows(spec), height)
+    z, buf = np.empty((block, r)), np.empty((min(TILE, spec.p), block))
 
     def draw(rng: np.random.Generator, rows: int):
-        z = np.empty((min(block, rows), r))
-        buf = np.empty((min(TILE, spec.p), len(z)))
         for r0 in range(0, rows, block):
             r1 = min(r0 + block, rows)
             zb = rng.standard_normal(out=z[:r1 - r0])
@@ -184,26 +198,28 @@ def _block_rows(spec: CovSpec) -> int:
     return min(BLOCK, emax_chunk_rows(draw_width(spec)))
 
 
-def _chunk_maxima(spec: CovSpec, subsets, modes):
+def _chunk_maxima(spec: CovSpec, subsets, modes, height: int):
     """fold(rng, rows): a chunk's per-row maxima of each subset, block by block, tile by tile.
 
     modes names each subset's statistic: "signed" folds X, "abs_std" folds
     |X - mu| / sd.  fold draws only the tiles holding a subset coordinate and
     folds their statistics into rows r0..r1 of one running maximum per
-    subset, so it holds a block of normals, a ``TILE`` x block tile (two if
-    the modes mix) and, where a subset's coordinates in a tile are not a
-    range, their copy.  A
-    zero mean is not added: adding 0.0 changes no maximum but the sign of an
-    exact zero.
+    subset.  Like :func:`_chunk_draw`, whose buffers it uses, it is one
+    worker's, for chunks of at most ``height`` rows: it allocates a second
+    ``TILE`` x block tile once if the modes mix, and per chunk only the
+    maxima it returns and, where a subset's coordinates in a tile are not a
+    range, their copy.  A zero mean is not added: adding 0.0 changes no
+    maximum but the sign of an exact zero.
     """
     # tile -> row selector, within the tile, of each subset's coordinates there.
     sels = [_tile_selectors(idx) for idx in subsets]
     needs = {t: {m for sel, m in zip(sels, modes) if t in sel} for t in set().union(*sels)}
-    draw, sds, block = _chunk_draw(spec, sorted(needs)), spec.sds, _block_rows(spec)
+    draw, sds = _chunk_draw(spec, height, sorted(needs)), spec.sds
     mu = spec.mu if spec.mu.any() else None
+    std_buf = (np.empty((min(TILE, spec.p), min(_block_rows(spec), height)))
+               if len(set(modes)) > 1 else None)
 
     def fold(rng: np.random.Generator, rows: int) -> list[np.ndarray]:
-        std_buf = np.empty((min(TILE, spec.p), min(block, rows))) if len(set(modes)) > 1 else None
         maxima = [np.full(rows, -np.inf) for _ in sels]
         for r0, r1, t0, t1, x in draw(rng, rows):
             t, std = t0 // TILE, x if std_buf is None else std_buf[:t1 - t0, :r1 - r0]
@@ -230,13 +246,17 @@ def sample(spec: CovSpec, n_rep: int, seed: int, n_threads: int = 1) -> np.ndarr
     """
     check_run(n_rep, seed, n_threads)
     data = np.empty((n_rep, spec.p))
-    draw = _chunk_draw(spec)
 
-    def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
-        for r0, r1, t0, t1, x in draw(rng, hi - lo):
-            np.add(x.T, spec.mu[t0:t1], out=data[lo + r0:lo + r1, t0:t1])
+    def worker():
+        draw = _chunk_draw(spec, min(CHUNK, n_rep))
 
-    _map_chunks(fill, seed, n_rep, n_threads=n_threads)
+        def fill(rng: np.random.Generator, lo: int, hi: int) -> None:
+            for r0, r1, t0, t1, x in draw(rng, hi - lo):
+                np.add(x.T, spec.mu[t0:t1], out=data[lo + r0:lo + r1, t0:t1])
+
+        return fill
+
+    _map_chunks(worker, seed, n_rep, n_threads=n_threads)
     data.flags.writeable = False
     return data
 
@@ -251,13 +271,18 @@ def sample_max_diff(spec: CovSpec, part: Partition, n_rep: int, seed: int,
     """
     part.check_dim(spec.p)
     check_run(n_rep, seed, n_threads)
-    fold = _chunk_maxima(spec, (part.a_idx, part.b_idx), ("signed", "signed"))
 
-    def diff(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
-        m_a, m_b = fold(rng, hi - lo)
-        return m_b - m_a
+    def worker():
+        fold = _chunk_maxima(spec, (part.a_idx, part.b_idx), ("signed", "signed"),
+                             min(CHUNK, n_rep))
 
-    values = np.concatenate(_map_chunks(diff, seed, n_rep, n_threads=n_threads))
+        def diff(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+            m_a, m_b = fold(rng, hi - lo)
+            return m_b - m_a
+
+        return diff
+
+    values = np.concatenate(_map_chunks(worker, seed, n_rep, n_threads=n_threads))
     values.flags.writeable = False
     return values
 

@@ -116,6 +116,24 @@ class TestLevyCommand:
         csvs = list(tmp_path.glob("levy_*.csv"))
         assert len(csvs) == 1
 
+    def test_coarse_grid_warning_is_one_line(self, capsys, tmp_path):
+        # exchangeable_overlap's atom at 0 holds mass near k/p = 0.167.  At
+        # eps = 0.001 the grid spacing, about 0.004, exceeds 2 eps, so the
+        # scan can miss the atom: the run says so once.  At eps = 0.01 it
+        # does not, and both runs write the same row for that eps.
+        argv = ("levy", "--kind", "exchangeable_overlap", "--p", "120", "--k", "20",
+                "--rho", "0.3", "--reps", "5000", "--seed", "1")
+        code, _, err = run(capsys, *argv, "--eps", "0.01,0.001", "--out", str(tmp_path / "coarse"))
+        assert code == EXIT_OK
+        assert re.fullmatch(r"warning: scan grid spacing 0\.00[3-5]\d* exceeds 2 eps at "
+                            r"eps = 0\.001: a point mass between two centers can be missed\n", err)
+        code, _, err = run(capsys, *argv, "--eps", "0.01", "--out", str(tmp_path / "fine"))
+        assert code == EXIT_OK
+        assert err == ""
+        rows = [[row for row in csv.DictReader(open(next((tmp_path / d).glob("*.csv"))))
+                 if row["epsilon"] == "0.01"] for d in ("coarse", "fine")]
+        assert rows[0] == rows[1] != []
+
 
 # The kinds that read each design option, by its flag.
 READERS = {

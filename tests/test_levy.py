@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from maxgap import (BadConfig, CovSpec, DimensionMismatch, EmptySample, EmptySubset,
-                    Partition, expected_max_many, levy_curve, levy_hat, max_diff, sample)
+from maxgap import (BadConfig, CoarseGridWarning, CovSpec, DimensionMismatch, EmptySample,
+                    EmptySubset, Partition, expected_max_many, levy_curve, levy_hat, max_diff,
+                    sample)
 from maxgap.cov import TILE
 from maxgap.sampling import CHUNK, chunk_rng, draw_width, emax_chunk_rows
 
@@ -142,6 +144,21 @@ class TestScanInvariants:
         curve = levy_curve(values, eps)
         assert curve == [levy_curve(values, [e])[0] for e in eps]
         assert [est.epsilon for est in curve] == eps
+
+    def test_coarse_grid_warns_once(self):
+        # 1000 centers over [0, 999] lie 1 apart: the windows of neighbouring
+        # centers leave gaps for any eps below 0.5, none at 0.5.
+        values = np.arange(1000.0)
+        with pytest.warns(CoarseGridWarning) as caught:
+            levy_curve(values, [0.45, 0.4, 2.0])
+        assert [str(w.message) for w in caught] == [
+            "scan grid spacing 1 exceeds 2 eps at eps = 0.4: "
+            "a point mass between two centers can be missed"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoarseGridWarning)
+            levy_curve(values, [0.5, 2.0])
+            levy_hat(values, 0.5)
+            levy_hat(values, 0.1, exact=True)
 
     def test_validation(self):
         with pytest.raises(EmptySample):

@@ -17,6 +17,19 @@ from maxgap.cov import (TILE, _clamped_max, _corr, _tile_edges, check_conditions
 from maxgap.sampling import BLOCK, CHUNK, check_seed, chunk_rng, emax_chunk_rows, sample_max_diff
 
 
+def started_threads(monkeypatch) -> list:
+    """The threads the sampler starts from now on, in start order."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(sampling.threading, "Thread", CountingThread)
+    return started
+
+
 class TestSampleDeterminism:
     def test_threads_do_not_change_numbers(self):
         spec = CovSpec.factor(np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.9]]))
@@ -92,28 +105,21 @@ class TestSampleDeterminism:
 
     def test_pool_clamped_to_chunk_count(self, monkeypatch):
         # A huge request must open no more workers than there are chunks: the
-        # caller is one of them, so the pool holds one helper fewer.  The
-        # recording stand-in checks the size before any thread starts.
-        sizes = []
-        real_pool = sampling.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording_pool)
-        spans = sampling._map_chunks(lambda rng, lo, hi: (lo, hi), seed=5, n=2 * CHUNK + 1,
-                                     n_threads=10 ** 9)
-        assert sizes == [2]
+        # caller is one of them, so one helper thread fewer starts.
+        started = started_threads(monkeypatch)
+        spans = sampling._map_chunks(lambda: lambda rng, lo, hi: (lo, hi), seed=5,
+                                     n=2 * CHUNK + 1, n_threads=10 ** 9)
+        assert len(started) == 2
         assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
         spec = CovSpec.explicit(np.eye(2))
         many = sample(spec, 2 * CHUNK + 1, seed=5, n_threads=10 ** 9)
-        assert sizes == [2, 2]
+        assert len(started) == 4
         assert np.array_equal(many, sample(spec, 2 * CHUNK + 1, seed=5))
-        # One worker, by thread count or by chunk count, makes no pool.
-        sampling._map_chunks(lambda rng, lo, hi: None, seed=5, n=2 * CHUNK)
-        sampling._map_chunks(lambda rng, lo, hi: None, seed=5, n=CHUNK, n_threads=4)
-        assert sizes == [2, 2]
+        # One worker, by thread count or by chunk count, starts no thread.
+        sampling._map_chunks(lambda: lambda rng, lo, hi: None, seed=5, n=2 * CHUNK)
+        sampling._map_chunks(lambda: lambda rng, lo, hi: None, seed=5, n=CHUNK, n_threads=4)
+        assert len(started) == 4
+        assert not any(t.is_alive() for t in started)
 
 
 class TestChunkRunner:
@@ -129,7 +135,7 @@ class TestChunkRunner:
                 chunk1_done.set()
             return lo, hi, rng.standard_normal()
 
-        got = sampling._map_chunks(fn, seed=3, n=2 * CHUNK, n_threads=2)
+        got = sampling._map_chunks(lambda: fn, seed=3, n=2 * CHUNK, n_threads=2)
         assert finished == [CHUNK, 0]
         assert got == [(0, CHUNK, chunk_rng(3, 0).standard_normal()),
                        (CHUNK, 2 * CHUNK, chunk_rng(3, 1).standard_normal())]
@@ -150,8 +156,8 @@ class TestChunkRunner:
             return draw(rng, lo, hi)
 
         n = 2 * n_threads * CHUNK + 5
-        got = sampling._map_chunks(fn, seed=4, n=n, n_threads=n_threads)
-        assert got == sampling._map_chunks(draw, seed=4, n=n)
+        got = sampling._map_chunks(lambda: fn, seed=4, n=n, n_threads=n_threads)
+        assert got == sampling._map_chunks(lambda: draw, seed=4, n=n)
         assert len(idents) == len(got)
         assert threading.get_ident() in idents
         assert len(set(idents) - {threading.get_ident()}) <= n_threads - 1
@@ -167,7 +173,7 @@ class TestChunkRunner:
             return lo, hi
 
         def run():
-            got.append(sampling._map_chunks(fn, seed=2, n=2000, rows=1, n_threads=8))
+            got.append(sampling._map_chunks(lambda: fn, seed=2, n=2000, rows=1, n_threads=8))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -180,6 +186,46 @@ class TestChunkRunner:
         assert not runner.is_alive()
         assert got == [[(lo, lo + 1) for lo in range(2000)]]
         assert sorted(calls) == list(range(2000))
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # Three workers: the first helper's chunk raises, and a chunk taken
+        # by the caller or the second helper waits until the first helper's
+        # thread has ended, after it recorded its error.  The error comes
+        # back to the caller once both helpers have stopped, and no worker
+        # takes a chunk after it.
+        taken, made, caught = [], [], []
+
+        class HelperError(Exception):
+            pass
+
+        def worker():
+            index = len(made)
+            made.append(threading.get_ident())
+
+            def fn(rng, lo, hi):
+                taken.append(lo)
+                if index == 1:
+                    raise HelperError(lo)
+                started[0].join(timeout=30)  # the first helper runs worker 1's fn
+                return lo
+
+            return fn
+
+        def run():
+            try:
+                sampling._map_chunks(worker, seed=1, n=50, rows=1, n_threads=3)
+            except HelperError as exc:
+                caught.append((exc, [t.is_alive() for t in started]))
+
+        runner = threading.Thread(target=run)  # made before the count starts
+        started = started_threads(monkeypatch)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert made == [runner.ident] * 3  # every worker made by the calling thread
+        assert len(started) == 2
+        assert len(caught) == 1 and caught[0][1] == [False, False]
+        assert len(taken) == len(set(taken)) <= 3  # one chunk per worker at most
 
 
 N_REPS = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK)
@@ -370,6 +416,32 @@ class TestTiledMemory:
                     spec, [part.a_set, part.b_set], 2 * rows, seed=1, mode=("abs_std", "signed"))}
         assert self.peak(runs[path]) < BLOCK * (d + 2 * TILE) * 8 + 2 ** 20
 
+    @staticmethod
+    def normals_blocks(monkeypatch, spec) -> list:
+        # Records each np.empty call that allocates a block of the spec's normals.
+        shape, made, real = (sampling._block_rows(spec), sampling.draw_width(spec)), [], np.empty
+
+        def empty(*args, **kwargs):
+            if tuple(np.atleast_1d(args[0])) == shape:
+                made.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        return made
+
+    def test_normals_allocated_once_per_worker(self, monkeypatch):
+        # Each worker allocates its block of normals once, on the calling
+        # thread, and reuses it for every chunk it draws: two for a
+        # five-chunk run on two threads, one for a three-chunk expected-max pass.
+        spec, part = self.design(4 * TILE, self.D)
+        made = self.normals_blocks(monkeypatch, spec)
+        values = sample_max_diff(spec, part, 5 * CHUNK, seed=3, n_threads=2)
+        assert made == [threading.get_ident()] * 2
+        assert values.tobytes() == sample_max_diff(spec, part, 5 * CHUNK, seed=3).tobytes()
+        made.clear()
+        expected_max_many(spec, [part.a_set, part.b_set], 3 * emax_chunk_rows(self.D), seed=3)
+        assert made == [threading.get_ident()]
+
     @pytest.mark.parametrize("p", [4 * TILE, 16 * TILE])
     def test_rho_bar_holds_one_strip(self, p):
         # One |A| x TILE strip of Sigma[A, B], its sds' outer product and the
@@ -430,7 +502,8 @@ class TestStreamHelpers:
     def test_chunks_match_chunk_rng(self):
         # _map_chunks computes chunk k's span and chunk_rng(seed, k) itself.
         spans = sampling._map_chunks(
-            lambda rng, lo, hi: (lo, hi, rng.standard_normal((hi - lo, 3))), seed=5, n=2100)
+            lambda: lambda rng, lo, hi: (lo, hi, rng.standard_normal((hi - lo, 3))),
+            seed=5, n=2100)
         assert [(lo, hi) for lo, hi, _ in spans] == [(0, 1024), (1024, 2048), (2048, 2100)]
         for k, (lo, hi, z) in enumerate(spans):
             assert np.array_equal(z, chunk_rng(5, k).standard_normal((hi - lo, 3)))
@@ -439,7 +512,7 @@ class TestStreamHelpers:
             with pytest.raises(BadConfig):
                 check_seed(seed)
             with pytest.raises(BadConfig):
-                sampling._map_chunks(lambda *chunk: calls.append(chunk), seed, 10)
+                sampling._map_chunks(lambda: lambda *chunk: calls.append(chunk), seed, 10)
         assert calls == []  # rejected before fn is first called
         assert check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
 
