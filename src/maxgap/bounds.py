@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import (_REPORT, CovSpec, Partition, _fold, _report_memo,
+from .cov import (_REPORT, CovSpec, Partition, _fold, _indices, _report_memo,
                   check_conditions, min_eigenvalue, residual_cov, rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
@@ -257,7 +257,7 @@ def bound_baseline_min_eig(spec: CovSpec) -> float:
 
 def bound_single_max(spec: CovSpec, subset, *, n_mc=DEFAULT_MC, seed=0) -> float:
     """Concentration rate of a single maximum over the subset."""
-    subset = tuple(int(i) for i in subset)
+    subset = _indices("subset", subset, spec.p)
     e, = _emax(spec, [(subset, "abs_std")], n_mc=n_mc, seed=seed)
     return e / float(spec.sds[list(subset)].min()) * 2.0
 

@@ -11,13 +11,16 @@ evaluators in :mod:`maxgap.bounds`.
 Every diagnostic reads Sigma through one walk over fixed ``TILE`` x ``TILE``
 tiles (:func:`_placements`), each tile formed once, read in both placements,
 so an entry's bits do not depend on what else a read holds, and a factor
-spec never forms its p x p matrix.  The separation geometry is one fold of
-the walk into O(p) maxima (:func:`_fold`); the residuals read blocks that
-the walk writes (:func:`cov_block`).  Two quantities of a factor spec read
-no entry of Sigma: the residual given a block with noise on every
-coordinate (Woodbury's identity on the d x d core, :func:`residual_cov`)
-and the smallest eigenvalue (an inertia count on that core, or the
-singular values of the factor when it has no noise, :func:`min_eigenvalue`).
+spec never forms its p x p matrix.  A walk holds fixed scratch: two tile
+buffers, in which a factor spec's tiles are formed, and one scratch buffer,
+in which the fold divides; a placement is valid until the walk moves on.
+The separation geometry is one fold of the walk into O(p) maxima
+(:func:`_fold`); the residuals read blocks that the walk writes
+(:func:`cov_block`).  Two quantities of a factor spec read no entry of
+Sigma: the residual given a block with noise on every coordinate
+(Woodbury's identity on the d x d core, :func:`residual_cov`) and the
+smallest eigenvalue (an inertia count on that core, or the singular values
+of the factor when it has no noise, :func:`min_eigenvalue`).
 The diagonal of Sigma is :attr:`CovSpec.variances` for every spec, so
 every layer shares one sd per coordinate, and Sigma is stored exactly
 symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -222,6 +226,28 @@ def _selector(idx) -> slice | np.ndarray:
     return slice(lo, hi) if hi - lo == idx.size else idx
 
 
+def plain_option(name: str, value, cast=operator.index):
+    """cast(value), an int by default, or BadConfig naming the option."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        want = "a number" if cast is float else "an integer"
+        raise BadConfig(f"{name} must be {want}, got {value!r}") from None
+
+
+def _indices(name: str, values, p: int) -> tuple[int, ...]:
+    """values as ints in [0, p), or BadConfig naming the first that is not one.
+
+    Each converts by ``operator.index``, so a float, a float array's entry
+    or a string is refused rather than truncated.
+    """
+    out = tuple(plain_option(f"{name} index", i) for i in values)
+    for i in out:
+        if not 0 <= i < p:
+            raise BadConfig(f"{name} index {i} outside [0, {p})")
+    return out
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty index sets a_set, b_set covering range(p).
@@ -235,8 +261,8 @@ class Partition:
     p: int
 
     def __post_init__(self):
-        a = tuple(int(i) for i in self.a_set)
-        b = tuple(int(i) for i in self.b_set)
+        object.__setattr__(self, "p", plain_option("dimension", self.p))
+        a, b = (_indices("partition", s, self.p) for s in (self.a_set, self.b_set))
         object.__setattr__(self, "a_set", a)
         object.__setattr__(self, "b_set", b)
         if not a or not b:
@@ -273,6 +299,7 @@ class Partition:
     @classmethod
     def split(cls, p: int, k: int) -> "Partition":
         """First k coordinates against the rest."""
+        k = plain_option("split point", k)
         if not 0 < k < p:
             raise BadConfig(f"split point {k} not inside (0, {p})")
         return cls(tuple(range(k)), tuple(range(k, p)), p)
@@ -323,7 +350,9 @@ def _tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
 def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     """New array Sigma[rows][:, cols], the same bits for any rows and cols.
 
-    Each tile formed once, read in both placements (:func:`_placements`).
+    Each tile formed once, read in both placements (:func:`_placements`),
+    and copied into place before the walk moves on: slice to slice where a
+    tile's offsets and positions are ranges (:func:`_cross`).
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
@@ -332,8 +361,22 @@ def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     for i, j, t in _placements(spec, [(row_tiles, col_tiles)]):
         if i in row_tiles and j in col_tiles:
             (r_pos, r_off), (c_pos, c_off) = row_tiles[i], col_tiles[j]
-            out[np.ix_(r_pos, c_pos)] = t[np.ix_(r_off, c_off)]
+            out[_cross(r_pos, c_pos)] = t[_cross(r_off, c_off)]
     return out
+
+
+def _cross(rows, cols):
+    """The index of rows x cols, each a slice or indices: a view for two ranges, else one gather.
+
+    Indices that step up by one become a slice; np.ix_ joins two index arrays.
+    """
+    def run(x):
+        if isinstance(x, slice) or x[-1] - x[0] + 1 != x.size or np.any(x[1:] <= x[:-1]):
+            return x
+        return slice(int(x[0]), int(x[-1]) + 1)
+
+    rows, cols = run(rows), run(cols)
+    return (rows, cols) if slice in (type(rows), type(cols)) else np.ix_(rows, cols)
 
 
 def _by_tile(idx: np.ndarray) -> dict:
@@ -351,39 +394,57 @@ def _tile_selectors(idx: np.ndarray) -> dict:
     return {t: _selector(off) for t, (_, off) in _by_tile(idx).items()}
 
 
+def _shaped(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The leading entries of the flat buffer buf as a C-contiguous array of this shape."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
 def _placements(spec: CovSpec, pairs):
     """(i, j, tile (i, j) of Sigma) for the tiles that (row tiles, column tiles) pairs need.
 
     Each tile formed once, read in both placements: tile (i, j), i <= j, is
     formed by :func:`_tile` and gives (i, j, t), then (j, i, t.T) when i != j,
-    as Sigma is stored exactly symmetric.  Tiles come in (i, j) order.
+    as Sigma is stored exactly symmetric.  Tiles come in (i, j) order.  The
+    walk makes two tile buffers once, in which a factor spec's tiles are
+    formed, so a placement is valid until the walk moves on; an explicit
+    spec's tiles are views of sigma.
     """
+    side = min(TILE, spec.p)
+    bufs = None if spec.sigma is not None else (np.empty(side * side), np.empty(side * side))
     for i, j in sorted({(min(i, j), max(i, j)) for r, c in pairs for i in r for j in c}):
-        t = _tile(spec, i, j)
+        t = _tile(spec, i, j, bufs)
         yield i, j, t
         if i != j:
             yield j, i, t.T
 
 
-def _tile(spec: CovSpec, i: int, j: int) -> np.ndarray:
+def _tile(spec: CovSpec, i: int, j: int, bufs) -> np.ndarray:
     """Tile (i, j), i <= j, of Sigma: a view of sigma, or gamma_i gamma_j^T of a factor spec.
 
-    A factor spec's diagonal tile is symmetrized exactly, with spec.variances as its diagonal.
+    A factor spec's tile is formed in the first of the walk's two flat tile
+    buffers bufs: an off-diagonal tile by one matmul; a diagonal tile's
+    product in the second buffer, then its exact symmetrization into the
+    first, with spec.variances as its diagonal.  It is valid until the walk
+    forms its next tile.
     """
     (i0, i1), (j0, j1) = _tile_edges(spec.p, (i, j))
     if spec.sigma is not None:
         return spec.sigma[i0:i1, j0:j1]
+    t, w = (_shaped(buf, (i1 - i0, j1 - j0)) for buf in bufs)
     g_i = spec.gamma[i0:i1]
     if i != j:
-        return g_i @ spec.gamma[j0:j1].T
-    t = g_i @ g_i.T
-    t = (t + t.T) * 0.5
-    t[np.diag_indices_from(t)] = spec.variances[i0:i1]
+        return np.matmul(g_i, spec.gamma[j0:j1].T, out=t)
+    np.matmul(g_i, g_i.T, out=w)
+    np.multiply(np.add(w, w.T, out=t), 0.5, out=t)
+    np.fill_diagonal(t, spec.variances[i0:i1])
     return t
 
 
-def _corr(block: np.ndarray, sd_rows: np.ndarray, sd_cols: np.ndarray) -> np.ndarray:
-    return block / np.outer(sd_rows, sd_cols)
+def _corr(block: np.ndarray, sd_rows: np.ndarray, sd_cols: np.ndarray,
+          buf: np.ndarray | None = None) -> np.ndarray:
+    """block / outer(sd_rows, sd_cols), formed in the flat buffer buf when one is given."""
+    q = np.outer(sd_rows, sd_cols, out=None if buf is None else _shaped(buf, block.shape))
+    return np.divide(block, q, out=q)
 
 
 def _clamped_max(cross: np.ndarray) -> float:
@@ -411,7 +472,10 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
     :func:`_placements` of A x B, and of A x A and B x B with ``within``
     (each tile formed once, read in both placements), each placement one way:
     A's rows against B's columns, a block's rows over their variances.  Its
-    entries are the floats of :func:`cov_block` and :func:`_corr`.
+    entries are the floats of :func:`cov_block` and :func:`_corr`.  Each
+    placement's correlations, or its quotients, are formed in one scratch
+    buffer that the fold makes once, and reduced before the walk moves on;
+    the largest |correlation| is the larger of |max| and |min|.
     """
     part.check_dim(spec.p)
     memo = _report_memo(spec)
@@ -423,18 +487,26 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
     cross_cov, cross_corr = np.full(spec.p, -np.inf), np.full(spec.p, -np.inf)
     abs_corr, norms = -np.inf, [-np.inf, -np.inf]
     edges = _tile_edges(spec.p)
+    # One scratch buffer, as large as the largest block a placement reduces.
+    side = max(x.stop - x.start if isinstance(x, slice) else x.size
+               for sel in sels for x in sel.values())
+    scratch = np.empty(side * side)
     for i, j, t in _placements(spec, [(a, b)] + [(s, s) for s in sels if within]):
         (i0, i1), (j0, j1) = edges[i], edges[j]
         if i in a and j in b:
-            cov = t[a[i]][:, b[j]]
-            corr = _corr(cov, sd[i0:i1][a[i]], sd[j0:j1][b[j]])
+            cov = t[_cross(a[i], b[j])]
+            corr = _corr(cov, sd[i0:i1][a[i]], sd[j0:j1][b[j]], scratch)
             for out, x in ((cross_cov, cov), (cross_corr, corr)):
                 rows, cols = out[i0:i1], out[j0:j1]
                 rows[a[i]] = np.maximum(rows[a[i]], x.max(axis=1))
                 cols[b[j]] = np.maximum(cols[b[j]], x.max(axis=0))
-            abs_corr = max(abs_corr, float(np.max(np.abs(corr))))
-        norms = [max(n, float(np.max(t[s[i]][:, s[j]] / sd[i0:i1][s[i]][:, None] ** 2)))
-                 if within and i in s and j in s else n for n, s in zip(norms, sels)]
+            abs_corr = max(abs_corr, abs(float(corr.max())), abs(float(corr.min())))
+        for k, s in enumerate(sels if within else ()):
+            if i in s and j in s:
+                block = t[_cross(s[i], s[j])]
+                quot = np.divide(block, sd[i0:i1][s[i]][:, None] ** 2,
+                                 out=_shaped(scratch, block.shape))
+                norms[k] = max(norms[k], float(quot.max()))
     memo[part] = (cross_cov, cross_corr, abs_corr, tuple(norms) if within else None)
     return memo[part]
 

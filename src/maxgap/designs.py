@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .cov import TILE, CovSpec, Partition
+from .cov import TILE, CovSpec, Partition, plain_option
 from .errors import BadConfig
 
 # The options a kind may read besides p and seed, with their design_id formats.
@@ -72,15 +72,6 @@ class DesignConfig:
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-def plain_option(name: str, value, cast=operator.index):
-    """cast(value), an int by default, or BadConfig naming the option."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        want = "a number" if cast is float else "an integer"
-        raise BadConfig(f"{name} must be {want}, got {value!r}") from None
 
 
 def _need(cond: bool, msg: str) -> None:

@@ -31,8 +31,8 @@ import numpy as np
 
 from .bootstrap import DataMatrix, check_replicates, clt_rate, run_bootstrap
 from .bounds import ALL_BOUNDS, BoundReport, bound_report, lower_bound_exchangeable
-from .cov import CovSpec, Partition, check_conditions, rho_bar
-from .designs import DesignConfig, check_design, gen_design, plain_option
+from .cov import CovSpec, Partition, check_conditions, plain_option, rho_bar
+from .designs import DesignConfig, check_design, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
 from .levy import (DEFAULT_MC, LevyEstimate, check_epsilon, check_scan, expected_max_many,
                    levy_curve)

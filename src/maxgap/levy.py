@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovSpec
+from .cov import CovSpec, _indices
 from .errors import BadConfig, CoarseGridWarning, DimensionMismatch, EmptySample, EmptySubset
 from .sampling import _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
 
@@ -127,11 +127,9 @@ def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEst
 
 
 def _check_subset(subset, p: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
+    idx = np.asarray(sorted(set(_indices("subset", subset, p))), dtype=np.intp)
     if idx.size == 0:
         raise EmptySubset("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= p:
-        raise BadConfig(f"subset indices must lie in [0, {p})")
     return idx
 
 

@@ -74,6 +74,13 @@ class TestOraclesIidPair:
         got = 0.05 * bound_single_max(spec, subset=[0], **MC)
         assert got == pytest.approx(2.0 * 0.05 * E_ABS_Z, abs=0.001)
 
+    def test_single_max_subset_takes_integers_only(self):
+        spec, _ = iid_pair()
+        for subset, message in (((0, 1.2), "got 1.2"), (("1",), "got '1'"),
+                                ((2,), r"subset index 2 outside \[0, 2\)")):
+            with pytest.raises(BadConfig, match=message):
+                bound_single_max(spec, subset, **MC)
+
     def test_corr_threshold_prefers_largest_delta(self):
         spec, part = iid_pair()
         terms = bound_corr_threshold(spec, part, **MC)
@@ -470,9 +477,9 @@ class TestRequestReuse:
         formed = []
         real_tile = cov._tile
 
-        def tile(spec, i, j):
+        def tile(spec, i, j, bufs):
             formed.append((i, j))
-            return real_tile(spec, i, j)
+            return real_tile(spec, i, j, bufs)
         monkeypatch.setattr(cov, "_tile", tile)
         rep = bound_report(spec, part, n_mc=64, seed=1)
         assert not any(isinstance(getattr(rep, name), Inapplicable) for name in ALL_BOUNDS)

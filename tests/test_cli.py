@@ -15,7 +15,8 @@ from maxgap import SmallSampleWarning, load_csv, multiplier_replicates
 from maxgap.bootstrap import DEFAULT_QUANTILES
 from maxgap.sampling import CHUNK
 from maxgap.cli import (EXIT_CONFIG, EXIT_INAPPLICABLE, EXIT_IO, EXIT_OK,
-                        EXIT_SELFTEST_FAILED, cmd_gen_design, main, parse_args)
+                        EXIT_SELFTEST_FAILED, _warning_printer, cmd_gen_design, main,
+                        parse_args)
 
 from conftest import run_python
 
@@ -486,6 +487,13 @@ class TestBootstrapCommand:
         assert "--a" in err and "--split" in err
         assert not out.exists()
 
+    def test_a_index_outside_data_named(self, capsys, tmp_path):
+        # Once reported as "index sets must cover all 2 coordinates".
+        data = self.write_csv(tmp_path, p=2)
+        code, _, err = run(capsys, "bootstrap", "--data", data, "--breps", "10", "--a", "5")
+        assert code == EXIT_CONFIG
+        assert err == "error: partition index 5 outside [0, 2)\n"
+
     def test_missing_data_flag(self, capsys):
         code, _, err = run(capsys, "bootstrap", "--breps", "10")
         assert code == EXIT_CONFIG
@@ -522,6 +530,17 @@ class TestBootstrapCommand:
         assert lines[0].startswith("warning: b_n^2 log^5(pn) = ")
         assert lines[0].endswith("exceeds n = 200; rate is vacuous at this sample size")
         assert ".py:" not in err
+
+    def test_other_warnings_go_to_python_printer(self, capsys):
+        # Only a maxgap warning becomes one stderr line; any other is handed,
+        # arguments and all, to the printer the CLI replaced.
+        shown = []
+        showwarning = _warning_printer(lambda *args: shown.append(args))
+        showwarning(UserWarning("not ours"), UserWarning, "x.py", 3)
+        showwarning(SmallSampleWarning("ours"), SmallSampleWarning, "y.py", 4)
+        assert [args[1:] for args in shown] == [(UserWarning, "x.py", 3, None, None)]
+        assert str(shown[0][0]) == "not ours"
+        assert capsys.readouterr().err == "warning: ours\n"
 
     def test_json_out_file(self, capsys, tmp_path):
         data = self.write_csv(tmp_path)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -209,6 +210,32 @@ class TestPartition:
     def test_invalid_partitions(self, a, b, p):
         with pytest.raises(BadConfig):
             Partition(a, b, p)
+
+    @pytest.mark.parametrize("a,bad", [
+        ((0, 1.5), 1.5),
+        (np.array([0.0, 1.9]), np.float64(0.0)),
+        (("0", 1), "0"),
+    ], ids=["float", "float_array", "string"])
+    def test_non_integer_index_named(self, a, bad):
+        # operator.index, not int(): each of these was truncated to A = (0, 1).
+        message = f"partition index must be an integer, got {bad!r}"
+        with pytest.raises(BadConfig, match=re.escape(message)):
+            Partition(a, (2, 3), 4)
+
+    def test_integer_arrays_accepted(self):
+        part = Partition(np.array([1, 0]), np.arange(2, 4), np.int64(4))
+        assert part == Partition((1, 0), (2, 3), 4)
+        assert {type(i) for i in part.a_set + part.b_set + (part.p,)} == {int}
+
+    def test_index_outside_range_named(self):
+        with pytest.raises(BadConfig, match=re.escape("partition index 5 outside [0, 4)")):
+            Partition((0, 5), (1, 2, 3), 4)
+        with pytest.raises(BadConfig, match=re.escape("partition index -1 outside [0, 4)")):
+            Partition((0, 1, 2, 3), (-1,), 4)
+
+    def test_split_point_must_be_an_integer(self):
+        with pytest.raises(BadConfig, match="split point must be an integer, got 2.5"):
+            Partition.split(4, 2.5)
 
     def test_blocks_are_views_when_contiguous(self):
         # A = {1, 2, 3} in any order is a range; B = {0, 4, 5} is not.
@@ -512,6 +539,35 @@ class TestMinEigenvalue:
         assert set(calls[1:]) == {("eigh", (2, 2))}
         want = np.linalg.eigvalsh(_tiled_cov(spec))[0]
         assert lam == pytest.approx(want, rel=1e-12)
+
+    # ROADMAP item 9: two factor specs with heterogeneous noise far below
+    # the loadings, on which min_eigenvalue misses lam_min by 1.9e6 and 517
+    # eps lam_max, while eigvalsh of the rounded Sigma is within 0.14 and 0.02.
+    ITEM9_SPECS = {
+        "4x1": ([0.9392272585008475, 2.614348143066993, -0.17077382381121967,
+                 -1.0662656227062781],
+                [1.9588880453166527e-05, 0.0001812763073817112, 0.00015921645444578583,
+                 0.00022516620480168403]),
+        "6x1": ([-0.09146023071307353, 1.0528330970036588, 0.1562700504622523,
+                 -185.74383178642597, -42.76254032283186, -3.3104093927725664],
+                [0.0007723857848132591, 0.0010373007612283264, 0.0005530271301157782,
+                 0.00044360507913737235, 0.00025473808796750173, 0.0010080195043961878]),
+    }
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9: _secular_min stops early")
+    @pytest.mark.parametrize("name", sorted(ITEM9_SPECS))
+    def test_item9_within_100_eps_of_exact(self, name):
+        # Against a 50-digit eigsy of Sigma built from the same floats.
+        mpmath = pytest.importorskip("mpmath")
+        gamma, noise = self.ITEM9_SPECS[name]
+        spec = CovSpec.factor(np.array(gamma)[:, None], noise=noise)
+        with mpmath.workdps(50):
+            g, n = [mpmath.mpf(x) for x in gamma], [mpmath.mpf(x) for x in noise]
+            sig = mpmath.matrix([[g[i] * g[j] + (n[i] ** 2 if i == j else 0)
+                                  for j in range(spec.p)] for i in range(spec.p)])
+            w = sorted(mpmath.eigsy(sig, eigvals_only=True))
+            lam_min, lam_max = float(w[0]), float(w[-1])
+        assert abs(min_eigenvalue(spec) - lam_min) <= 100 * np.finfo(float).eps * lam_max
 
     def test_noise_free_takes_singular_values(self, monkeypatch):
         # An ill-conditioned full-width factor: exactly the square of the
@@ -912,6 +968,63 @@ class TestCovBlock:
         assert np.diag(cov_block(spec, idx, idx)).tobytes() == spec.variances.tobytes()
         assert np.diag(cov_block(spec, rows, rows)).tobytes() == spec.variances[rows].tobytes()
         assert np.sqrt(np.diag(_full_cov(spec))).tobytes() == spec.sds.tobytes()
+
+
+class TestWalkScratch:
+    """A walk holds two tile buffers and the fold one scratch buffer; no placement forms a tile."""
+
+    P = 4 * TILE + 8
+    TILE_BYTES = 8 * TILE * TILE
+
+    def design(self):
+        rng = np.random.default_rng(33)
+        spec = CovSpec.factor(rng.standard_normal((self.P, 3)), noise=np.full(self.P, 0.5))
+        return spec, Partition.split(self.P, self.P // 2)
+
+    def test_check_conditions_peak(self):
+        # Three tile arrays and O(p) vectors; per-placement temporaries would peak near 3.9.
+        spec, part = self.design()
+        tracemalloc.start()
+        try:
+            check_conditions(spec, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 64 * self.P <= 3.5 * self.TILE_BYTES
+
+    @pytest.mark.parametrize("read", ["fold", "cov_block"])
+    def test_no_placement_allocates_a_tile(self, monkeypatch, read):
+        # Each step of the walk, forming a tile and then the reader's work on
+        # its placement, rises above where it ends by under half a tile:
+        # numpy's iterator buffers (8192 floats each) where an operand is a
+        # transpose, and a few TILE vectors.  Forming a tile or a placement's
+        # correlations outside the walk's buffers would take a whole tile.
+        spec, part = self.design()
+        real, rises = cov._placements, []
+
+        def placements(spec, pairs):
+            walk = real(spec, pairs)
+            while True:
+                tracemalloc.reset_peak()
+                try:
+                    item = next(walk)
+                except StopIteration:
+                    return
+                yield item
+                now, peak = tracemalloc.get_traced_memory()
+                rises.append(peak - now)
+        monkeypatch.setattr(cov, "_placements", placements)
+        rows = np.arange(100, self.P)
+        tracemalloc.start()
+        try:
+            if read == "fold":
+                _fold(spec, part, within=True)
+            else:
+                cov_block(spec, rows, rows)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 25
+        assert max(rises) <= self.TILE_BYTES // 2
 
 
 def _schur_reference(sig: np.ndarray, keep: np.ndarray, cond: np.ndarray) -> np.ndarray:

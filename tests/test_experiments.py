@@ -96,6 +96,13 @@ class TestLevyExperiment:
         }
         assert text == json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
+    def test_versions_without_dict_config(self, monkeypatch):
+        # numpy before 1.26 (pyproject allows 1.24) has show_config() with no
+        # mode, so the call raises TypeError and the BLAS build reads None.
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert _versions() == {"maxgap": maxgap.__version__, "numpy": np.__version__,
+                               "blas": None}
+
     def test_sidecar_provenance(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)

@@ -303,6 +303,14 @@ class TestExpectedMax:
             expected_max_many(spec, [[2]], n_mc=10, seed=0)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=0, seed=0)
+
+    def test_non_integer_subset_named(self):
+        # Once truncated in silence: [0, 1.7] streamed the pass of [0, 1].
+        spec = CovSpec.explicit(np.eye(3))
+        with pytest.raises(BadConfig, match="subset index must be an integer, got 1.7"):
+            expected_max_many(spec, [[0, 1.7]], n_mc=64, seed=1)
+        with pytest.raises(BadConfig, match=r"subset index 3 outside \[0, 3\)"):
+            expected_max_many(spec, [[0, 3]], n_mc=64, seed=1)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=10, seed=0, mode="median")
         for modes in (("abs_std",), ("abs_std", "signed", "signed"), ("signed", "median")):
