@@ -17,6 +17,15 @@ maxgap levy --kind table1 --p 3000 --reps 1500 --threads 8 --out clamp8
 maxgap levy --kind table1 --p 3000 --reps 1500 --threads 1 --out clamp1
 cmp clamp8/levy_table1-p3000-s0.csv clamp1/levy_table1-p3000-s0.csv
 
+# The factor designs built in place: both halves of heterog_condA from one
+# draw, and homog_overlap's copied rows, each with row norms over three tiles.
+maxgap levy --kind heterog_condA --p 600 --d 5 --reps 2100 --threads 3 --out condA3
+maxgap levy --kind heterog_condA --p 600 --d 5 --reps 2100 --threads 1 --out condA1
+cmp condA3/levy_heterog_condA-p600-d5-s0.csv condA1/levy_heterog_condA-p600-d5-s0.csv
+maxgap levy --kind homog_overlap --p 600 --d 7 --k 20 --reps 2100 --threads 3 --out overlap3
+maxgap levy --kind homog_overlap --p 600 --d 7 --k 20 --reps 2100 --threads 1 --out overlap1
+cmp overlap3/levy_homog_overlap-p600-d7-k20-s0.csv overlap1/levy_homog_overlap-p600-d7-k20-s0.csv
+
 # The only CLI run of two distinct Schur residual laws (blocks of 40 and
 # 560), held one at a time, with a partial last chunk.
 maxgap bounds-compare --kind k0_split --p 600 --k0 40 --rho 0.3 --reps 3001 --mc 2000 --threads 3 --out k0split3

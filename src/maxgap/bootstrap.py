@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import Partition, _readonly
+from .cov import Partition, _readonly, plain_count
 from .errors import (BadConfig, DimensionMismatch, ParseError,
                      SmallSampleWarning)
 from .sampling import _map_chunks, check_seed
@@ -93,8 +93,7 @@ class BootstrapResult:
 
 def check_replicates(b_reps: int, seed: int, multiplier: str) -> None:
     """Check a bootstrap run's replicate count, seed and multiplier."""
-    if b_reps < 1:
-        raise BadConfig(f"b_reps must be positive, got {b_reps}")
+    plain_count("b_reps", b_reps)
     if multiplier not in MULTIPLIERS:
         raise BadConfig(f"multiplier must be one of {MULTIPLIERS}, got {multiplier!r}")
     check_seed(seed)

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cov import (_REPORT, CovSpec, Partition, _fold, _indices, _report_memo,
-                  check_conditions, min_eigenvalue, residual_cov, rho_bar, TOL_CORR)
+                  check_conditions, min_eigenvalue, plain_count, plain_option, residual_cov,
+                  rho_bar, TOL_CORR)
 from .errors import (BadConfig, BadGeometry, ConditionFails,
                      HeterogeneousVariances, MaxgapError, NoAdmissibleDelta,
                      PerfectCrossCorrelation, SingularCovariance,
@@ -269,7 +270,7 @@ def lower_bound_exchangeable(k: int, p: int) -> float:
     blocks of a common size m sharing k coordinates, i.e. p = 2m - k with
     1 <= k < m.
     """
-    k, p = int(k), int(p)
+    k, p = plain_option("k", k), plain_option("p", p)
     if k < 1 or p <= k or (p + k) % 2 != 0:
         raise BadGeometry(f"no integer m with p = 2m - k and 1 <= k < m for k={k}, p={p}")
     return k / p
@@ -296,8 +297,7 @@ def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
     """
     if not set(which) <= set(ALL_BOUNDS):
         raise BadConfig(f"unknown bound in {which!r}; expected names from {ALL_BOUNDS}")
-    if n_mc < 1:
-        raise BadConfig(f"n_mc must be positive, got {n_mc}")
+    plain_count("n_mc", n_mc)
     check_seed(seed)
     mc = {"n_mc": n_mc, "seed": seed}
     part.check_dim(spec.p)

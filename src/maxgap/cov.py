@@ -11,8 +11,8 @@ evaluators in :mod:`maxgap.bounds`.
 Every diagnostic reads Sigma through one walk over fixed ``TILE`` x ``TILE``
 tiles (:func:`_placements`), each tile formed once, read in both placements,
 so an entry's bits do not depend on what else a read holds, and a factor
-spec never forms its p x p matrix.  A walk holds fixed scratch: two tile
-buffers, in which a factor spec's tiles are formed, and one scratch buffer,
+spec never forms its p x p matrix.  A walk holds fixed scratch: one tile
+buffer, in which a factor spec's tiles are formed, and one scratch buffer,
 in which the fold divides; a placement is valid until the walk moves on.
 The separation geometry is one fold of the walk into O(p) maxima
 (:func:`_fold`); the residuals read blocks that the walk writes
@@ -22,8 +22,14 @@ Sigma: the residual given a block with noise on every coordinate
 smallest eigenvalue (an inertia count on that core, or the singular values
 of the factor when it has no noise, :func:`min_eigenvalue`).
 The diagonal of Sigma is :attr:`CovSpec.variances` for every spec, so
-every layer shares one sd per coordinate, and Sigma is stored exactly
-symmetric, so Sigma[B, A] is the transpose of Sigma[A, B].
+every layer shares one sd per coordinate.  Sigma is exactly symmetric, so
+Sigma[B, A] is the transpose of Sigma[A, B], and one rule keeps every
+covariance so.  A Gram product, a block times its own transpose, is exactly
+symmetric: numpy's matmul computes one triangle and mirrors it, and its
+non-BLAS loop sums both entries in the same order.  So a factor spec's
+diagonal tile, a Woodbury residual and a sample covariance are kept as
+computed.  Any other result is symmetrized as (S + S^T) / 2:
+:func:`_schur`'s residual, and input to :meth:`CovSpec.explicit`.
 
 All functions are pure: they never mutate their inputs and hold no state
 but the memo that a :func:`maxgap.bounds.bound_report` shares.  The
@@ -235,6 +241,14 @@ def plain_option(name: str, value, cast=operator.index):
         raise BadConfig(f"{name} must be {want}, got {value!r}") from None
 
 
+def plain_count(name: str, value) -> int:
+    """value as an int of at least 1 (:func:`plain_option`), or BadConfig naming it."""
+    n = plain_option(name, value)
+    if n < 1:
+        raise BadConfig(f"{name} must be positive, got {n}")
+    return n
+
+
 def _indices(name: str, values, p: int) -> tuple[int, ...]:
     """values as ints in [0, p), or BadConfig naming the first that is not one.
 
@@ -350,9 +364,10 @@ def _tile_edges(p: int, tiles=None) -> list[tuple[int, int]]:
 def cov_block(spec: CovSpec, rows, cols) -> np.ndarray:
     """New array Sigma[rows][:, cols], the same bits for any rows and cols.
 
-    Each tile formed once, read in both placements (:func:`_placements`),
-    and copied into place before the walk moves on: slice to slice where a
-    tile's offsets and positions are ranges (:func:`_cross`).
+    Each tile formed once (:func:`_placements`, in the walk's one tile
+    buffer for a factor spec), read in both placements and copied into place
+    before the walk moves on: slice to slice where a tile's offsets and
+    positions are ranges (:func:`_cross`).
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
@@ -405,46 +420,33 @@ def _placements(spec: CovSpec, pairs):
     Each tile formed once, read in both placements: tile (i, j), i <= j, is
     formed by :func:`_tile` and gives (i, j, t), then (j, i, t.T) when i != j,
     as Sigma is stored exactly symmetric.  Tiles come in (i, j) order.  The
-    walk makes two tile buffers once, in which a factor spec's tiles are
+    walk makes one flat tile buffer once, in which a factor spec's tiles are
     formed, so a placement is valid until the walk moves on; an explicit
-    spec's tiles are views of sigma.
+    spec's tiles are views of sigma and need none.
     """
-    side = min(TILE, spec.p)
-    bufs = None if spec.sigma is not None else (np.empty(side * side), np.empty(side * side))
+    buf = None if spec.sigma is not None else np.empty(min(TILE, spec.p) ** 2)
     for i, j in sorted({(min(i, j), max(i, j)) for r, c in pairs for i in r for j in c}):
-        t = _tile(spec, i, j, bufs)
+        t = _tile(spec, i, j, buf)
         yield i, j, t
         if i != j:
             yield j, i, t.T
 
 
-def _tile(spec: CovSpec, i: int, j: int, bufs) -> np.ndarray:
+def _tile(spec: CovSpec, i: int, j: int, buf) -> np.ndarray:
     """Tile (i, j), i <= j, of Sigma: a view of sigma, or gamma_i gamma_j^T of a factor spec.
 
-    A factor spec's tile is formed in the first of the walk's two flat tile
-    buffers bufs: an off-diagonal tile by one matmul; a diagonal tile's
-    product in the second buffer, then its exact symmetrization into the
-    first, with spec.variances as its diagonal.  It is valid until the walk
-    forms its next tile.
+    A factor spec's tile is one matmul into the walk's flat tile buffer
+    buf; a diagonal tile, a Gram product, is exactly symmetric (the module's
+    symmetry rule) and takes spec.variances as its diagonal.  It is valid
+    until the walk forms its next tile.
     """
     (i0, i1), (j0, j1) = _tile_edges(spec.p, (i, j))
     if spec.sigma is not None:
         return spec.sigma[i0:i1, j0:j1]
-    t, w = (_shaped(buf, (i1 - i0, j1 - j0)) for buf in bufs)
-    g_i = spec.gamma[i0:i1]
-    if i != j:
-        return np.matmul(g_i, spec.gamma[j0:j1].T, out=t)
-    np.matmul(g_i, g_i.T, out=w)
-    np.multiply(np.add(w, w.T, out=t), 0.5, out=t)
-    np.fill_diagonal(t, spec.variances[i0:i1])
+    t = np.matmul(spec.gamma[i0:i1], spec.gamma[j0:j1].T, out=_shaped(buf, (i1 - i0, j1 - j0)))
+    if i == j:
+        np.fill_diagonal(t, spec.variances[i0:i1])
     return t
-
-
-def _corr(block: np.ndarray, sd_rows: np.ndarray, sd_cols: np.ndarray,
-          buf: np.ndarray | None = None) -> np.ndarray:
-    """block / outer(sd_rows, sd_cols), formed in the flat buffer buf when one is given."""
-    q = np.outer(sd_rows, sd_cols, out=None if buf is None else _shaped(buf, block.shape))
-    return np.divide(block, q, out=q)
 
 
 def _clamped_max(cross: np.ndarray) -> float:
@@ -472,10 +474,11 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
     :func:`_placements` of A x B, and of A x A and B x B with ``within``
     (each tile formed once, read in both placements), each placement one way:
     A's rows against B's columns, a block's rows over their variances.  Its
-    entries are the floats of :func:`cov_block` and :func:`_corr`.  Each
-    placement's correlations, or its quotients, are formed in one scratch
-    buffer that the fold makes once, and reduced before the walk moves on;
-    the largest |correlation| is the larger of |max| and |min|.
+    entries are the floats of :func:`cov_block`, its correlations those over
+    ``np.outer`` of the sds.  Beside the walk's one tile buffer,
+    each placement's correlations, or quotients, are formed in one scratch
+    buffer that the fold makes once and reduced before the walk moves on;
+    the largest |correlation| is |max| or |min|.
     """
     part.check_dim(spec.p)
     memo = _report_memo(spec)
@@ -495,7 +498,8 @@ def _fold(spec: CovSpec, part: Partition, within: bool) -> tuple:
         (i0, i1), (j0, j1) = edges[i], edges[j]
         if i in a and j in b:
             cov = t[_cross(a[i], b[j])]
-            corr = _corr(cov, sd[i0:i1][a[i]], sd[j0:j1][b[j]], scratch)
+            corr = np.outer(sd[i0:i1][a[i]], sd[j0:j1][b[j]], out=_shaped(scratch, cov.shape))
+            np.divide(cov, corr, out=corr)
             for out, x in ((cross_cov, cov), (cross_corr, corr)):
                 rows, cols = out[i0:i1], out[j0:j1]
                 rows[a[i]] = np.maximum(rows[a[i]], x.max(axis=1))
@@ -596,7 +600,7 @@ def _woodbury_residual(spec: CovSpec, keep: np.ndarray, cond_on: np.ndarray) -> 
     core = g.T @ g
     core[np.diag_indices_from(core)] += 1.0
     w = spec.gamma[keep] @ np.linalg.inv(np.linalg.cholesky(core)).T
-    res = w @ w.T  # a Gram product, exactly symmetric, as the added diagonal keeps it
+    res = w @ w.T  # exactly symmetric by the module's Gram rule, as the added diagonal keeps it
     res[np.diag_indices_from(res)] += spec.noise[keep] ** 2
     return res
 

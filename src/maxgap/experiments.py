@@ -343,8 +343,8 @@ def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,
 def _clt_diagnostic(data: DataMatrix, part: Partition, seed: int) -> dict:
     centered = data.xi - data.xi.mean(axis=0)
     b_n = max(1.0, float(np.abs(centered).max()))
-    # A Gram product, exactly symmetric, handed over read-only: the spec holds
-    # Sigma-hat uncopied, and no centered rows stay beside its eigendecomposition.
+    # A Gram product, exactly symmetric by maxgap.cov's rule, handed over read-only: the
+    # spec holds Sigma-hat uncopied, and no centered rows stay beside its eigendecomposition.
     sig_hat = centered.T @ centered
     del centered
     sig_hat /= data.n

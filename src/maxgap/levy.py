@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovSpec, _indices
+from .cov import CovSpec, _indices, plain_count
 from .errors import BadConfig, CoarseGridWarning, DimensionMismatch, EmptySample, EmptySubset
 from .sampling import _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
 
@@ -62,8 +62,7 @@ def check_scan(epsilons, grid_points: int = DEFAULT_GRID) -> list[float]:
     eps = [check_epsilon(e) for e in epsilons]
     if not eps:
         raise BadConfig("need at least one epsilon")
-    if grid_points < 1:
-        raise BadConfig(f"grid_points must be positive, got {grid_points}")
+    plain_count("grid_points", grid_points)
     return eps
 
 
@@ -145,8 +144,7 @@ def expected_max_many(spec: CovSpec, subsets, n_mc: int, seed: int,
     tiles that hold a requested coordinate, so subsets sharing coordinates
     share the per-replicate coordinate values bit for bit.
     """
-    if n_mc < 1:
-        raise BadConfig(f"n_mc must be positive, got {n_mc}")
+    plain_count("n_mc", n_mc)
     idx_sets = [_check_subset(s, spec.p) for s in subsets]
     modes = mode if isinstance(mode, tuple) else (mode,) * len(idx_sets)
     if len(modes) != len(idx_sets) or any(m not in ("abs_std", "signed") for m in modes):

@@ -50,7 +50,7 @@ import threading
 
 import numpy as np
 
-from .cov import TILE, CovSpec, Partition, _tile_edges, _tile_selectors
+from .cov import TILE, CovSpec, Partition, _tile_edges, _tile_selectors, plain_count, plain_option
 from .errors import BadConfig
 
 CHUNK = 1024
@@ -88,8 +88,8 @@ def draw_width(spec: CovSpec) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int; BadConfig outside [0, 2^64)."""
-    seed = int(seed)
+    """The seed as an int; BadConfig for a non-integer or outside [0, 2^64)."""
+    seed = plain_option("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise BadConfig(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
@@ -97,10 +97,8 @@ def check_seed(seed: int) -> int:
 
 def check_run(n_rep: int, seed: int, n_threads: int) -> None:
     """Check a sampler run's replicate count, seed and thread count."""
-    if n_rep < 1:
-        raise BadConfig(f"n_rep must be positive, got {n_rep}")
-    if n_threads < 1:
-        raise BadConfig(f"n_threads must be positive, got {n_threads}")
+    plain_count("n_rep", n_rep)
+    plain_count("n_threads", n_threads)
     check_seed(seed)
 
 

@@ -132,6 +132,12 @@ class TestReplicates:
         with pytest.raises(BadConfig):
             multiplier_replicates(data, 10, seed=0, multiplier="poisson")
 
+    def test_non_integer_replicate_count_named(self):
+        # Once a TypeError from deep inside the chunk loop.
+        data = DataMatrix(np.zeros((3, 2)) + np.arange(2))
+        with pytest.raises(BadConfig, match="b_reps must be an integer, got 10.0"):
+            run_bootstrap(data, Partition.split(2, 1), 10.0, 1)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_64_bits_rejected(self, seed):
         # Keyed as seed & (2^64 - 1), -1 would alias 2^64 - 1 and 2^64 alias 0.

@@ -238,6 +238,12 @@ class TestExchangeableLower:
         with pytest.raises(BadGeometry):
             lower_bound_exchangeable(k, p)
 
+    @pytest.mark.parametrize("k", [2.5, "2"])
+    def test_non_integer_overlap_named(self, k):
+        # Once truncated: both returned 2 / 10.
+        with pytest.raises(BadConfig, match=f"k must be an integer, got {k!r}"):
+            lower_bound_exchangeable(k, 10)
+
 
 class TestExactArithmetic:
     """Pure-rate bounds are exactly linear in eps; scaling is exactly stable."""
@@ -385,9 +391,11 @@ class TestBoundReport:
     @pytest.mark.parametrize("case,error", [
         ({"which": ("homogenous",)}, BadConfig),
         ({"n_mc": 0}, BadConfig),
+        ({"n_mc": 64.0}, BadConfig),
         ({"n_mc": 100, "seed": -1}, BadConfig),
+        ({"n_mc": 100, "seed": 1.7}, BadConfig),
         ({"part": Partition.split(10, 5)}, DimensionMismatch),
-    ], ids=["which", "n_mc", "seed", "partition"])
+    ], ids=["which", "n_mc", "n_mc-float", "seed", "seed-float", "partition"])
     def test_caller_errors_raise_before_any_work(self, monkeypatch, case, error):
         # Only a bound's own hypotheses become Inapplicable; a caller error
         # raises before any tile of Sigma is formed or any pass streamed.

@@ -14,7 +14,7 @@ from maxgap import (BadConfig, CovSpec, DimensionMismatch, NotPSD, Partition,
                     SingularBlock, ZeroVariance, check_conditions, residual_cov,
                     rho_bar, sample_max_diff, sqrt_factor)
 from maxgap import cov
-from maxgap.cov import (TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, ConditionReport, _corr,
+from maxgap.cov import (TILE, TOL_COND, TOL_CORR, TOL_PSD, TOL_SYM, ConditionReport,
                         _fold, cov_block, min_eigenvalue)
 from maxgap.designs import KINDS, DesignConfig, gen_design
 
@@ -796,12 +796,13 @@ class TestGeometryProperty:
     @given(design=geometry_designs())
     def test_fold_equals_block_reference_property(self, design):
         # The report, rho_bar and the threshold bound's best correlation of
-        # each coordinate, against blocks read through cov_block and scaled
-        # by _corr: every entry is the same float, and a maximum is exact.
+        # each coordinate, against blocks read through cov_block and divided
+        # by the outer product of the sds: every entry is the same float,
+        # and a maximum is exact.
         spec, part = design
         a, b, sd = part.a_idx, part.b_idx, spec.sds
         ab = cov_block(spec, a, b)
-        corr = _corr(ab, sd[a], sd[b])
+        corr = ab / np.outer(sd[a], sd[b])
         norms = [float(np.max(cov_block(spec, s, s) / sd[s][:, None] ** 2)) for s in (a, b)]
 
         def direction(inner, margin_block):
@@ -971,7 +972,7 @@ class TestCovBlock:
 
 
 class TestWalkScratch:
-    """A walk holds two tile buffers and the fold one scratch buffer; no placement forms a tile."""
+    """A walk holds one tile buffer and the fold one scratch buffer; no placement forms a tile."""
 
     P = 4 * TILE + 8
     TILE_BYTES = 8 * TILE * TILE
@@ -982,7 +983,8 @@ class TestWalkScratch:
         return spec, Partition.split(self.P, self.P // 2)
 
     def test_check_conditions_peak(self):
-        # Three tile arrays and O(p) vectors; per-placement temporaries would peak near 3.9.
+        # The tile buffer, the fold's scratch buffer and O(p) vectors; a
+        # second tile buffer would peak near 3.2 tile arrays.
         spec, part = self.design()
         tracemalloc.start()
         try:
@@ -990,7 +992,20 @@ class TestWalkScratch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 64 * self.P <= 3.5 * self.TILE_BYTES
+        assert peak - 64 * self.P <= 2.5 * self.TILE_BYTES
+
+    def test_cov_block_peak(self):
+        # Beyond its output, the tile buffer and index vectors; a second tile
+        # buffer would peak near 2.2 tile arrays.
+        spec, _ = self.design()
+        rows = np.arange(100, self.P)
+        tracemalloc.start()
+        try:
+            out = cov_block(spec, rows, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.5 * self.TILE_BYTES
 
     @pytest.mark.parametrize("read", ["fold", "cov_block"])
     def test_no_placement_allocates_a_tile(self, monkeypatch, read):
@@ -1153,3 +1168,27 @@ class TestOwnership:
             print([np.array_equal(m, m.T) for m in res])
         """, OPENBLAS_NUM_THREADS=threads)
         assert out.split("\n")[0] == "[True, True]"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_gram_tiles_exactly_symmetric(self, threads):
+        # A factor spec's diagonal tile is one matmul of a row block with its
+        # own transpose into the walk's flat buffer, kept as computed: at the
+        # walk's tile heights (1, 2, a partial 88, 255, a whole tile), at
+        # table1's d = 200 and at row offsets inside and past the first tile.
+        out = run_python("""
+            import numpy as np
+            from maxgap import cov
+            rng = np.random.default_rng(34)
+            buf = np.empty(cov.TILE * cov.TILE)
+            bad = []
+            for d in (1, 3, 200):
+                f = rng.standard_normal((2 * cov.TILE + 8, d))
+                for rows in (1, 2, 88, 255, 256):
+                    for off in (0, 3, 256):
+                        g = f[off:off + rows]
+                        t = np.matmul(g, g.T, out=cov._shaped(buf, (rows, rows)))
+                        if not np.array_equal(t, t.T):
+                            bad.append((d, rows, off))
+            print(bad)
+        """, OPENBLAS_NUM_THREADS=threads)
+        assert out.split("\n")[0] == "[]"

@@ -167,6 +167,8 @@ class TestScanInvariants:
             levy_hat(np.zeros(5), 0.0)
         with pytest.raises(BadConfig):
             levy_hat(np.zeros(5), 0.1, grid_points=0)
+        with pytest.raises(BadConfig, match="grid_points must be an integer, got 10.5"):
+            levy_hat(np.arange(10.0), 0.1, grid_points=10.5)
         with pytest.raises(BadConfig):
             levy_curve(np.zeros(5), [])
         with pytest.raises(BadConfig):
@@ -303,6 +305,16 @@ class TestExpectedMax:
             expected_max_many(spec, [[2]], n_mc=10, seed=0)
         with pytest.raises(BadConfig):
             expected_max_many(spec, [[0]], n_mc=0, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_mc": 64.0}, "n_mc must be an integer, got 64.0"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+    ], ids=["n_mc", "seed"])
+    def test_non_integer_pass_named(self, kwargs, message):
+        # Once: n_mc 64.0 raised a TypeError, and seed 1.9 streamed seed 1's pass.
+        run = {"n_mc": 64, "seed": 1, **kwargs}
+        with pytest.raises(BadConfig, match=message):
+            expected_max_many(CovSpec.explicit(np.eye(2)), [[0, 1]], **run)
 
     def test_non_integer_subset_named(self):
         # Once truncated in silence: [0, 1.7] streamed the pass of [0, 1].

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from maxgap import (BadConfig, CovSpec, DimensionMismatch, Partition, expected_max_many,
                     max_diff, sample)
 from maxgap import sampling
-from maxgap.cov import (TILE, _clamped_max, _corr, _tile_edges, check_conditions, cov_block,
+from maxgap.cov import (TILE, _clamped_max, _tile_edges, check_conditions, cov_block,
                         rho_bar)
 from maxgap.sampling import BLOCK, CHUNK, check_seed, chunk_rng, emax_chunk_rows, sample_max_diff
 
@@ -472,7 +472,7 @@ class TestTiledMemory:
         spec = CovSpec.factor(rng.standard_normal((p, 5)), noise=np.exp(rng.standard_normal(p)))
         part = Partition(tuple(range(0, p, 3)), tuple(i for i in range(p) if i % 3), p)
         a, b, sd = part.a_idx, part.b_idx, spec.sds
-        want = _clamped_max(_corr(cov_block(spec, a, b), sd[a], sd[b]))
+        want = _clamped_max(cov_block(spec, a, b) / np.outer(sd[a], sd[b]))
         assert np.float64(rho_bar(spec, part)).tobytes() == np.float64(want).tobytes()
 
 
@@ -515,6 +515,19 @@ class TestStreamHelpers:
                 sampling._map_chunks(lambda: lambda *chunk: calls.append(chunk), seed, 10)
         assert calls == []  # rejected before fn is first called
         assert check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.7}, "seed must be an integer, got 1.7"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"n_rep": 100.0}, "n_rep must be an integer, got 100.0"),
+        ({"n_threads": 2.0}, "n_threads must be an integer, got 2.0"),
+    ], ids=["seed-float", "seed-str", "n_rep", "n_threads"])
+    def test_non_integer_run_named(self, kwargs, message):
+        # Once truncated: seed 1.7 ran as seed 1 and '3' as 3; n_threads 2.0
+        # passed on this one-chunk run, and n_rep 100.0 raised a TypeError.
+        run = {"n_rep": 100, "seed": 1, "n_threads": 1, **kwargs}
+        with pytest.raises(BadConfig, match=message):
+            sample_max_diff(CovSpec.explicit(np.eye(2)), Partition.split(2, 1), **run)
 
     def test_emax_chunk_rows_bounds(self):
         assert emax_chunk_rows(1) == 4096
