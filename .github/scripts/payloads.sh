@@ -33,6 +33,10 @@ bc --kind heterog_condA --p 600
 bc --kind homog_overlap --p 600 --d 7 --k 20
 
 mg levy --kind homog_lowrank --p 2000 --reps 2000 --eps 0.01,0.05 --out "$dir"
+# eps = 0.001 doubles the scan grid's intervals past its 999, and the eps = 0.01
+# row is read on that refined grid.
+mg levy --kind exchangeable_overlap --p 120 --k 20 --rho 0.3 --reps 5000 --eps 0.001,0.01 \
+    --out "$dir"
 
 mg scaling --study rho_sweep_fullrank --p 30 --points 3 --reps 300 --out "$dir"
 mg scaling --study rho_sweep_lowrank --p 30 --d 3 --points 2 --reps 300 --out "$dir"

@@ -6,7 +6,7 @@ maxima, evaluates the matching theoretical upper and lower bounds, and runs
 the multiplier bootstrap for argmax inference.
 """
 
-from .errors import (BadConfig, BadGeometry, CoarseGridWarning, ConditionFails,
+from .errors import (BadConfig, BadGeometry, ConditionFails,
                      DimensionMismatch, EmptySample, EmptySubset,
                      HeterogeneousVariances, IoError, MaxgapError,
                      NoAdmissibleDelta, NotPSD, ParseError,
@@ -30,7 +30,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_BOUNDS", "BadConfig", "BadGeometry", "BootstrapResult",
-    "BoundReport", "CoarseGridWarning", "ConditionFails", "ConditionReport", "CovSpec",
+    "BoundReport", "ConditionFails", "ConditionReport", "CovSpec",
     "DataMatrix", "DeltaTerm", "DesignConfig", "DimensionMismatch",
     "EmptySample", "EmptySubset", "HeterogeneousVariances", "Inapplicable",
     "IoError", "KINDS", "LevyEstimate", "MaxgapError", "NoAdmissibleDelta",

@@ -121,7 +121,3 @@ class IoError(MaxgapError):
 
 class SmallSampleWarning(UserWarning):
     """Sample size too small for the stated coupling rate to be meaningful."""
-
-
-class CoarseGridWarning(UserWarning):
-    """Scan grid spacing above 2 eps: a point mass between two centers can be missed."""

@@ -4,7 +4,8 @@ The sampling drivers (levy, bounds-compare, scaling) check every argument
 once, before their first design, then measure each design through
 :func:`_measure`, in one stage order: build the design, run its covariance
 geometry (``rho_bar`` or the bound report), run the sampler, then scan the
-sample once over the caller's epsilons on the fixed ``levy.DEFAULT_GRID``.
+sample once over the caller's epsilons on one grid that the smallest eps
+refines (:func:`levy.levy_curve`).
 
 Every driver is deterministic given its seed.  CSV payloads carry no
 timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
@@ -31,7 +32,7 @@ import numpy as np
 
 from .bootstrap import DataMatrix, check_replicates, clt_rate, run_bootstrap
 from .bounds import ALL_BOUNDS, BoundReport, bound_report, lower_bound_exchangeable
-from .cov import CovSpec, Partition, check_conditions, plain_option, rho_bar
+from .cov import CovSpec, Partition, check_conditions, plain_count, plain_option, rho_bar
 from .designs import DesignConfig, check_design, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
 from .levy import (DEFAULT_MC, LevyEstimate, check_epsilon, check_scan, expected_max_many,
@@ -208,6 +209,7 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
 
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
+    n_mc = plain_count("n_mc", n_mc)
     config = _run_config(cfg, epsilons, n_rep, n_threads, mc=n_mc, bounds=list(which))
     spec, report, estimates = _measure(
         cfg, config["eps"], n_rep, cfg.seed, n_threads,

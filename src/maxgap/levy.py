@@ -1,17 +1,16 @@
 """Concentration-function estimation and expected maxima.
 
 The concentration value of a sample at half-width eps is estimated by
-scanning a fixed grid of centers t (grid endpoints are the sample min and
-max, both included) and taking the largest empirical probability of the
-closed interval [t - eps, t + eps].  A sample is a 1-D array-like, such as
-the max-difference vector the sampler returns; a batch or any other shape
-raises ``DimensionMismatch``.  The grid scan never exceeds the in-sample
-supremum, the exact sliding-interval maximizer behind ``exact=True`` and
-the tests' reference; against the true concentration both overshoot (at
-eps = 0.05 the grid scan by +1.0 to +1.7 se on average, the exact scan more).
-When the grid spacing exceeds 2 eps, the windows of two neighbouring
-centers leave a gap where a point mass can hide, and the scan can read far
-below the supremum; :func:`levy_curve` then warns (``CoarseGridWarning``).
+scanning a grid of centers t from the sample min to its max, both included,
+and taking the largest empirical probability of the closed interval
+[t - eps, t + eps].  A sample is a 1-D array-like, such as the
+max-difference vector the sampler returns; a batch or any other shape raises
+``DimensionMismatch``.  The grid's intervals double from ``DEFAULT_GRID - 1``
+until their spacing is at most the smallest eps (``BadConfig`` past
+``MAX_INTERVALS``), so no point mass hides between two windows and
+exact(eps / 2) <= scan(eps) <= exact(eps) for the in-sample supremum exact
+(``exact=True``); both overshoot the true concentration (at eps = 0.05 the
+grid scan by +1.0 to +1.7 se on average, the exact scan more).
 
 Expected maxima stream the sampler's keyed chunks and its chunk draw: each
 chunk of ``emax_chunk_rows`` rows is drawn in the sampler's row blocks and
@@ -28,16 +27,16 @@ batched request equals, bit for bit, the same requests made one at a time
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cov import CovSpec, _indices, plain_count
-from .errors import BadConfig, CoarseGridWarning, DimensionMismatch, EmptySample, EmptySubset
+from .errors import BadConfig, DimensionMismatch, EmptySample, EmptySubset
 from .sampling import _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
 
 DEFAULT_GRID = 1000
+MAX_INTERVALS = 2 ** 17
 DEFAULT_MC = 200_000
 
 
@@ -104,18 +103,20 @@ def levy_curve(diffs, epsilons, grid_points: int = DEFAULT_GRID) -> list[LevyEst
 
     The epsilons come in any order, repeats included, and the estimates
     follow it.  Sharing the grid makes the curve nondecreasing in eps by
-    construction.  Warns once, at the smallest eps, when the grid spacing
-    exceeds 2 eps.
+    construction.  Refining the grid for the smallest eps keeps every
+    coarser center, so an estimate never reads below its own one-eps scan,
+    and equals it when no smaller eps in the call refines the grid.
     """
     v = _sorted_sample(diffs)
     eps = check_scan(epsilons, grid_points)
     n = v.shape[0]
+    span, intervals = float(v[-1]) - float(v[0]), max(grid_points - 1, 1)
+    while span / intervals > min(eps):
+        intervals, grid_points = 2 * intervals, 2 * intervals + 1
+        if intervals > MAX_INTERVALS:
+            raise BadConfig(f"eps = {min(eps):g} needs over {MAX_INTERVALS} scan intervals "
+                            f"on the sample's range {span:.4g}")
     grid = np.linspace(v[0], v[-1], grid_points)
-    spacing = (v[-1] - v[0]) / max(grid_points - 1, 1)
-    if spacing > 2.0 * min(eps):
-        warnings.warn(f"scan grid spacing {spacing:.4g} exceeds 2 eps at eps = {min(eps):g}: "
-                      "a point mass between two centers can be missed", CoarseGridWarning,
-                      stacklevel=2)
     out = []
     for e in eps:
         counts = (np.searchsorted(v, grid + e, side="right")

@@ -117,23 +117,40 @@ class TestLevyCommand:
         csvs = list(tmp_path.glob("levy_*.csv"))
         assert len(csvs) == 1
 
-    def test_coarse_grid_warning_is_one_line(self, capsys, tmp_path):
-        # exchangeable_overlap's atom at 0 holds mass near k/p = 0.167.  At
-        # eps = 0.001 the grid spacing, about 0.004, exceeds 2 eps, so the
-        # scan can miss the atom: the run says so once.  At eps = 0.01 it
-        # does not, and both runs write the same row for that eps.
-        argv = ("levy", "--kind", "exchangeable_overlap", "--p", "120", "--k", "20",
-                "--rho", "0.3", "--reps", "5000", "--seed", "1")
-        code, _, err = run(capsys, *argv, "--eps", "0.01,0.001", "--out", str(tmp_path / "coarse"))
-        assert code == EXIT_OK
-        assert re.fullmatch(r"warning: scan grid spacing 0\.00[3-5]\d* exceeds 2 eps at "
-                            r"eps = 0\.001: a point mass between two centers can be missed\n", err)
-        code, _, err = run(capsys, *argv, "--eps", "0.01", "--out", str(tmp_path / "fine"))
-        assert code == EXIT_OK
-        assert err == ""
+    def test_scan_sees_the_atom(self, capsys, tmp_path):
+        # exchangeable_overlap's gap has an atom at 0 of mass k/p = 1/6, the
+        # lower bound its rows write.  At eps = 0.001 the 1000-point grid's
+        # spacing, about 0.004, exceeds eps, so the scan doubles its
+        # intervals until a center falls within eps of the atom, on every
+        # seed, and says nothing on stderr.
+        argv = ("--kind", "exchangeable_overlap", "--p", "120", "--k", "20", "--rho", "0.3")
+        for seed in range(1, 6):
+            out = tmp_path / f"s{seed}"
+            code, _, err = run(capsys, "bounds-compare", *argv, "--reps", "20000", "--mc", "200",
+                               "--eps", "0.001", "--bounds", "single_max", "--seed", str(seed),
+                               "--out", str(out))
+            assert code == EXIT_OK
+            assert "warning:" not in err
+            row, = csv.DictReader(open(next(out.glob("*.csv"))))
+            assert float(row["levy_hat"]) >= float(row["lower_bound"]) - 4.0 * float(row["se"])
+        # A smaller eps in the same run refines the grid, which never lowers
+        # the row of a larger eps.
+        argv += ("--reps", "5000", "--seed", "1")
+        for d, eps in (("both", "0.01,0.001"), ("one", "0.01")):
+            assert run(capsys, "levy", *argv, "--eps", eps, "--out", str(tmp_path / d))[0] == EXIT_OK
         rows = [[row for row in csv.DictReader(open(next((tmp_path / d).glob("*.csv"))))
-                 if row["epsilon"] == "0.01"] for d in ("coarse", "fine")]
-        assert rows[0] == rows[1] != []
+                 if row["epsilon"] == "0.01"] for d in ("both", "one")]
+        assert len(rows[0]) == len(rows[1]) == 1
+        assert float(rows[0][0]["levy_hat"]) >= float(rows[1][0]["levy_hat"])
+
+    def test_scan_grid_cap_exits_2(self, capsys, tmp_path):
+        # A range of about 5 over eps = 1e-6 needs more than 2^17 intervals.
+        code, _, err = run(capsys, "levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho",
+                           "0.3", "--reps", "200", "--eps", "1e-6,0.1", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert re.fullmatch(r"error: eps = 1e-06 needs over 131072 scan intervals on the "
+                            r"sample's range \d\.\d+\n", err)
+        assert not list(tmp_path.iterdir())
 
 
 # The kinds that read each design option, by its flag.
@@ -704,7 +721,7 @@ class TestValueChecks:
         ["scaling", "--study", "k0_sweep", "--k0", "3", "--p-list", "5"],
     ], ids=["levy", "bounds-compare", "scaling"])
     def test_no_grid_option(self, capsys, tmp_path, argv):
-        # Every run scans the fixed 1000-point grid; --grid is no option.
+        # The scan's grid follows eps; --grid is no option.
         code, _, err = run(capsys, *argv, "--reps", "100", "--grid", "50",
                            "--out", str(tmp_path))
         assert code == EXIT_CONFIG

@@ -257,9 +257,28 @@ class TestArgumentsCheckedFirst:
         # The sidecar config is serialized before the design is built.
         ran = self.spy(monkeypatch)
         with pytest.raises(BadConfig, match="^run config is not JSON"):
-            run_bounds_compare(self.CFG, n_mc=np.int64(200), n_rep=300, out_dir=str(tmp_path))
+            run_bounds_compare(self.CFG, n_mc=200, n_rep=300, out_dir=str(tmp_path),
+                               which=(b"baseline",))
         assert ran == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_mc, message", [(0, "^n_mc must be positive, got 0$"),
+                                                (2.5, "^n_mc must be an integer, got 2.5$")],
+                             ids=["zero", "float"])
+    def test_n_mc_checked_before_the_design(self, n_mc, message, tmp_path, monkeypatch):
+        ran = self.spy(monkeypatch)
+        with pytest.raises(BadConfig, match=message):
+            run_bounds_compare(self.CFG, n_mc=n_mc, n_rep=100, out_dir=str(tmp_path))
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_n_mc_runs_as_int(self, tmp_path, monkeypatch):
+        ran = self.spy(monkeypatch)
+        path, *_ = run_bounds_compare(self.CFG, n_mc=np.int64(300), n_rep=100,
+                                      out_dir=str(tmp_path), which=("single_max",))
+        assert ran.count("gen_design") == 1
+        mc = json.load(open(path + ".meta.json"))["config"]["mc"]
+        assert mc == 300 and type(mc) is int
 
     @pytest.mark.parametrize("driver, extra", [(run_levy_experiment, {}),
                                                (run_bounds_compare, {"n_mc": 500})],

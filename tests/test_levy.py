@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from maxgap import (BadConfig, CoarseGridWarning, CovSpec, DimensionMismatch, EmptySample,
-                    EmptySubset, Partition, expected_max_many, levy_curve, levy_hat, max_diff,
-                    sample)
+from maxgap import (BadConfig, CovSpec, DimensionMismatch, EmptySample, EmptySubset, Partition,
+                    expected_max_many, levy_curve, levy_hat, max_diff, sample)
 from maxgap.cov import TILE
+from maxgap.levy import MAX_INTERVALS
 from maxgap.sampling import CHUNK, chunk_rng, draw_width, emax_chunk_rows
 
 from conftest import dyadic, phi
@@ -103,24 +102,26 @@ class TestScanInvariants:
     def test_shift_equivariance_exact(self):
         # On a dyadic lattice with a power-of-two grid-step divisor every
         # intermediate is exact, so the estimate is bit-identical and the
-        # window center shifts by exactly the added constant.
+        # window center shifts by exactly the added constant.  At eps = 2^-10
+        # the 1024 intervals of the range of about 7 double to 8192.
         rng = np.random.default_rng(14)
         values = dyadic(rng.standard_normal(4000))
         shift = 0.8125
-        eps = 0.0625
-        a = levy_hat(values, eps, grid_points=1025)
-        b = levy_hat(values + shift, eps, grid_points=1025)
-        assert a.value == b.value
-        assert b.argmax_t == a.argmax_t + shift
+        for eps in (0.0625, 2.0 ** -10):
+            a = levy_hat(values, eps, grid_points=1025)
+            b = levy_hat(values + shift, eps, grid_points=1025)
+            assert a.value == b.value
+            assert b.argmax_t == a.argmax_t + shift
 
     @settings(max_examples=60, deadline=None)
     @given(ints=st.lists(st.integers(-2 ** 24, 2 ** 24), min_size=1, max_size=300),
-           shift=st.integers(-2 ** 26, 2 ** 26), eps=st.integers(1, 2 ** 24),
+           shift=st.integers(-2 ** 26, 2 ** 26), eps=st.integers(2 ** 8, 2 ** 24),
            grid_points=st.sampled_from([1] + [2 ** j + 1 for j in range(11)]),
            exact=st.booleans())
     def test_shift_equivariance_property(self, ints, shift, eps, grid_points, exact):
         # Samples, shift and eps on the 2^-20 lattice, below 2^6 in size, and a
         # grid step of (max - min) / 2^j: every sum the scan forms is exact.
+        # eps >= 2^-12 keeps a range below 2^5 within MAX_INTERVALS = 2^17.
         values = np.array(ints) * 2.0 ** -20
         shift, eps = shift * 2.0 ** -20, eps * 2.0 ** -20
         a = levy_hat(values, eps, grid_points=grid_points, exact=exact)
@@ -137,28 +138,57 @@ class TestScanInvariants:
         assert curve.argmax_t == single.argmax_t
 
     def test_epsilons_in_any_order(self):
-        # Repeats and descending runs are scanned as given, each estimate
-        # equal to its own one-epsilon scan.
+        # Repeats and descending runs are scanned as given.  The grid's
+        # spacing, about 0.007, is below the smallest eps, so no eps refines
+        # it and each estimate equals its own one-epsilon scan.
         values = np.random.default_rng(17).standard_normal(800)
         eps = [0.2, 0.01, 0.2]
         curve = levy_curve(values, eps)
         assert curve == [levy_curve(values, [e])[0] for e in eps]
         assert [est.epsilon for est in curve] == eps
 
-    def test_coarse_grid_warns_once(self):
-        # 1000 centers over [0, 999] lie 1 apart: the windows of neighbouring
-        # centers leave gaps for any eps below 0.5, none at 0.5.
-        values = np.arange(1000.0)
-        with pytest.warns(CoarseGridWarning) as caught:
-            levy_curve(values, [0.45, 0.4, 2.0])
-        assert [str(w.message) for w in caught] == [
-            "scan grid spacing 1 exceeds 2 eps at eps = 0.4: "
-            "a point mass between two centers can be missed"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CoarseGridWarning)
-            levy_curve(values, [0.5, 2.0])
-            levy_hat(values, 0.5)
-            levy_hat(values, 0.1, exact=True)
+    @settings(max_examples=100, deadline=None)
+    @given(atoms=st.lists(st.integers(-2 ** 12, 2 ** 12), min_size=1, max_size=6),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=300),
+           eps=st.integers(1, 2 ** 12),
+           grid_points=st.sampled_from([1] + [2 ** j + 1 for j in range(11)]))
+    def test_grid_scan_sandwich_property(self, atoms, picks, eps, grid_points):
+        # Samples of a few repeated values (atoms), eps and every center on
+        # the 2^-10 lattice, where the scan's sums are exact: the grid's
+        # spacing is at most eps, so each width-eps window holds a center.
+        values = np.array([atoms[i % len(atoms)] for i in picks]) * 2.0 ** -10
+        eps *= 2.0 ** -10
+        est = levy_hat(values, eps, grid_points=grid_points).value
+        assert levy_hat(values, eps / 2, exact=True).value <= est
+        assert est <= levy_hat(values, eps, exact=True).value
+
+    def test_refined_grid_never_reads_lower(self):
+        # A smaller eps in the call doubles the grid's intervals, which keeps
+        # every center of eps's own grid.  Atoms on a coarse lattice and small
+        # base grids make this bite: a refined grid of ceil(range / eps) + 1
+        # centers instead reads lower in about 1 case in 80 here.
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            atoms = rng.integers(-64, 64, int(rng.integers(2, 6))) / 8
+            values = np.repeat(atoms, rng.integers(1, 5, atoms.size))
+            small, eps = rng.integers(1, 64) / 64, rng.integers(1, 64) / 8
+            grid_points = int(rng.choice([1, 3, 5, 9, 17, 1000]))
+            assert (levy_curve(values, [small, eps], grid_points)[1].value
+                    >= levy_curve(values, [eps], grid_points)[0].value)
+
+    def test_grid_cap(self):
+        # 999 intervals double at most seven times: 127 872 <= 2^17 < 255 744.
+        values = np.array([0.0, 1.0, 1.0])
+        assert levy_hat(values, 1.0 / 127872).value == 2.0 / 3.0
+        with pytest.raises(BadConfig, match=f"^eps = 7.8e-06 needs over {MAX_INTERVALS} scan "
+                                            "intervals on the sample's range 1$"):
+            levy_curve(values, [0.1, 7.8e-6])
+
+    def test_overflowing_range_refused(self):
+        # max - min overflows to inf: no grid reaches any eps, so the cap
+        # refuses the scan before linspace could form its centers.
+        with pytest.raises(BadConfig, match="on the sample's range inf$"):
+            levy_hat(np.array([-1e308, 1e308]), 1e300)
 
     def test_validation(self):
         with pytest.raises(EmptySample):
@@ -189,10 +219,12 @@ class TestScanInvariants:
             levy_curve(values, [0.1])
 
     @settings(max_examples=60, deadline=None)
-    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
-           eps=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200),
+           eps=st.lists(st.floats(0.04, 1e6), min_size=1, max_size=8),
            grid_points=st.integers(1, 300))
     def test_curve_nondecreasing_property(self, values, eps, grid_points):
+        # Any base grid of at most 300 centers doubles past 2^16 intervals
+        # within MAX_INTERVALS, so a range of 2000 over eps >= 0.04 fits.
         ests = levy_curve(np.array(values), sorted(eps), grid_points=grid_points)
         vals = [e.value for e in ests]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
