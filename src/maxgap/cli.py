@@ -203,11 +203,9 @@ def cmd_bounds_compare(args) -> int:
 def cmd_scaling(args) -> int:
     if args.study is None:
         raise BadConfig("a study kind is required (--study or 'study' in --config)")
-    if len(args.eps) != 1:
-        raise BadConfig(f"scaling takes a single epsilon, got {args.eps}")
     options = {k: v for k, v in vars(args).items() if k in experiments.STUDY_OPTIONS}
     path, rows = experiments.run_scaling_study(
-        args.study, out_dir=args.out, seed=args.seed, n_rep=args.reps, epsilon=args.eps[0],
+        args.study, out_dir=args.out, seed=args.seed, n_rep=args.reps, epsilons=args.eps,
         n_threads=args.threads, **options)
     print(f"{len(rows)} rows; wrote {path}")
     return EXIT_OK

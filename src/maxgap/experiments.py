@@ -1,11 +1,13 @@
 """Batch experiment drivers: CSV/JSON emitters around the estimation core.
 
 The sampling drivers (levy, bounds-compare, scaling) check every argument
-once, before their first design, then measure each design through
-:func:`_measure`, in one stage order: build the design, run its covariance
-geometry (``rho_bar`` or the bound report), run the sampler, then scan the
-sample once over the caller's epsilons on one grid that the smallest eps
-refines (:func:`levy.levy_curve`).
+once, through :func:`_run_config`, before their first design, then measure
+each design through :func:`_design_rows`, in one stage order: build the
+design, run its covariance geometry (``rho_bar`` or the bound report), run
+the sampler, then scan the sample once over the caller's epsilons on one
+grid that the smallest eps refines (:func:`levy.levy_curve`).  Each row
+holds every command's columns; a command writes its fixed tuple of them
+(``LEVY_COLUMNS``, ``COMPARE_COLUMNS``, ``SCALING_COLUMNS``).
 
 Every driver is deterministic given its seed.  CSV payloads carry no
 timestamps; wall-clock metadata lives only in the .meta.json sidecar, so a
@@ -35,8 +37,7 @@ from .bounds import ALL_BOUNDS, BoundReport, bound_report, lower_bound_exchangea
 from .cov import CovSpec, Partition, check_conditions, plain_count, plain_option, rho_bar
 from .designs import DesignConfig, check_design, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
-from .levy import (DEFAULT_MC, LevyEstimate, check_epsilon, check_scan, expected_max_many,
-                   levy_curve)
+from .levy import DEFAULT_MC, check_scan, expected_max_many, levy_curve
 from .sampling import RNG_METHOD, check_run, sample_max_diff
 
 DEFAULT_EPSILONS = (0.01, 0.02, 0.05, 0.1, 0.2)
@@ -124,82 +125,79 @@ def write_csv(path: str, columns, rows, *, command: str, seed: int, config: dict
     return path
 
 
-def _measure(cfg: DesignConfig, eps: list[float], n_rep: int, seed: int, n_threads: int,
-             geometry) -> tuple[CovSpec, object, list[LevyEstimate]]:
-    """The sampling drivers' one measurement: (spec, geometry(spec, part), estimates).
+def _run_config(head: dict, epsilons, n_rep: int, seed: int, n_threads: int,
+                **extra) -> dict:
+    """The sidecar's config: ``head`` (the design or the study) and the run options.
 
-    The driver checks eps, a list of half-widths, and the run once, before
-    its first design; the estimates follow eps's order.  The calling thread
-    makes every sampler worker's block of normals and tile before any helper
-    thread starts, so no large buffer lands in a helper's allocator arena: a
-    helper allocates only its chunks' per-row maxima, a few KiB each.
-    """
-    spec, part = gen_design(cfg)
-    geo = geometry(spec, part)
-    diffs = sample_max_diff(spec, part, n_rep, seed, n_threads=n_threads)
-    return spec, geo, levy_curve(diffs, eps)
-
-
-def _run_config(cfg: DesignConfig, epsilons, n_rep: int, n_threads: int, **extra) -> dict:
-    """The sidecar's config: the design and run options under their CLI names.
-
-    The epsilons and the run (n_rep, the design's seed, n_threads) are
-    checked and the config serialized here, so a bad value or one JSON
-    cannot hold raises BadConfig before the design is built.
+    The epsilons and the run (n_rep, seed, n_threads) are checked, reps and
+    seed recorded as plain ints and the config serialized here, so a bad
+    value or one JSON cannot hold raises BadConfig before any design is built.
     """
     eps = check_scan(epsilons if np.iterable(epsilons) else (epsilons,))
-    check_run(n_rep, cfg.seed, n_threads)
-    config = {**cfg.to_json_dict(), "reps": int(n_rep), "eps": eps, **extra}
+    check_run(n_rep, seed, n_threads)
+    config = {**head, "reps": operator.index(n_rep), "seed": operator.index(seed), "eps": eps,
+              **extra}
     _meta_text(config)
     return config
+
+
+LEVY_COLUMNS = ("design_id", "p", "epsilon", "norm_eps", "levy_hat", "se", "n_rep", "rho_bar")
+COMPARE_COLUMNS = ("design_id", "p", "epsilon", "levy_hat", "se", "ratio_empirical",
+                   *("ratio_" + name for name in ALL_BOUNDS), "lower_bound", "inapplicable")
+SCALING_COLUMNS = ("kind", "design_id", "p", "k0", "rho", "rho_bar", "epsilon", "levy_hat",
+                   "se", "n_rep", "inv_sqrt_gap", "inv_gap")
+
+
+def _design_rows(cfg: DesignConfig, config: dict, seed: int, n_threads: int, *,
+                 study: str | None = None) -> tuple[CovSpec, BoundReport | None, list[dict]]:
+    """The sampling drivers' one measurement: (spec, report, one row per eps).
+
+    It builds cfg's design, runs its geometry (the bound report when config
+    names ``bounds``, else ``rho_bar``), samples n_rep replicates with seed
+    and scans them once over config's eps (:func:`levy.levy_curve`).  Each
+    row holds every column of the three commands, in eps's order: bounds
+    as per-unit-eps ratios (the corr_threshold omega term folded in), and
+    ``kind`` the scaling study.  The calling thread makes every sampler
+    worker's block of normals and tile before any helper thread starts, so
+    no large buffer lands in a helper's allocator arena: a helper allocates
+    only its chunks' per-row maxima, a few KiB each.
+    """
+    spec, part = gen_design(cfg)
+    report = rbar = None
+    if "bounds" in config:
+        report = bound_report(spec, part, n_mc=config["mc"], seed=seed, which=config["bounds"])
+    else:
+        rbar = rho_bar(spec, part)
+    diffs = sample_max_diff(spec, part, config["reps"], seed, n_threads=n_threads)
+    flagged = {} if report is None else report.inapplicable()
+    gap = 1.0 - rbar if rbar is not None and rbar < 1.0 else None
+    design = {
+        "kind": study, "design_id": cfg.design_id(), "p": spec.p, "k0": cfg.k0, "rho": cfg.rho,
+        "rho_bar": rbar, "n_rep": config["reps"],
+        "inv_sqrt_gap": None if gap is None else 1.0 / math.sqrt(gap),
+        "inv_gap": None if gap is None else 1.0 / gap,
+        "lower_bound": (lower_bound_exchangeable(cfg.overlap_k, cfg.p)
+                        if cfg.kind == "exchangeable_overlap" else None),
+        "inapplicable": ";".join(f"{name}:{v.reason}" for name, v in flagged.items())}
+    scale = math.sqrt(math.log(spec.p)) / float(np.mean(spec.sds))
+    rows = [{**design, "epsilon": est.epsilon, "norm_eps": est.epsilon * scale,
+             "levy_hat": est.value, "se": est.se_hint, "ratio_empirical": est.value / est.epsilon,
+             **{"ratio_" + name: None if report is None or name in flagged
+                else report.ratio(name, est.epsilon) for name in ALL_BOUNDS}}
+            for est in levy_curve(diffs, config["eps"])]
+    return spec, report, rows
 
 
 def run_levy_experiment(cfg: DesignConfig, epsilons=DEFAULT_EPSILONS, n_rep: int = 2000,
                         out_dir: str = ".", n_threads: int = 1) -> tuple[str, list[dict]]:
     """Concentration-vs-epsilon table for one design, rows in ascending epsilon."""
-    config = _run_config(cfg, epsilons, n_rep, n_threads)
-    spec, rbar, estimates = _measure(cfg, config["eps"], n_rep, cfg.seed, n_threads, rho_bar)
-    scale = math.sqrt(math.log(spec.p)) / float(np.mean(spec.sds))
-    rows = [{
-        "design_id": cfg.design_id(),
-        "p": spec.p,
-        "epsilon": est.epsilon,
-        "norm_eps": est.epsilon * scale,
-        "levy_hat": est.value,
-        "se": est.se_hint,
-        "n_rep": n_rep,
-        "rho_bar": rbar,
-    } for est in sorted(estimates, key=lambda est: est.epsilon)]
+    config = _run_config(cfg.to_json_dict(), epsilons, n_rep, cfg.seed, n_threads)
+    spec, _, rows = _design_rows(cfg, config, config["seed"], n_threads)
+    rows.sort(key=operator.itemgetter("epsilon"))
     path = os.path.join(out_dir, f"levy_{cfg.design_id()}.csv")
-    write_csv(path, rows[0].keys(), rows, command="levy", seed=cfg.seed, config=config,
+    write_csv(path, LEVY_COLUMNS, rows, command="levy", seed=config["seed"], config=config,
               spec_hash=spec.content_hash)
     return path, rows
-
-
-COMPARE_COLUMNS = ("design_id", "p", "epsilon", "levy_hat", "se", "ratio_empirical",
-                   *("ratio_" + name for name in ALL_BOUNDS), "lower_bound", "inapplicable")
-
-
-def compare_row(cfg: DesignConfig, est: LevyEstimate, report: BoundReport,
-                p: int) -> dict:
-    """Flatten one bound report next to the matching empirical estimate.
-
-    Bounds are reported as per-unit-epsilon ratios so rows at different
-    epsilons are comparable; the additive omega term of the correlation
-    threshold bound is folded into its ratio.
-    """
-    eps = est.epsilon
-    row = {c: None for c in COMPARE_COLUMNS}
-    row.update(design_id=cfg.design_id(), p=p, epsilon=eps, levy_hat=est.value,
-               se=est.se_hint, ratio_empirical=est.value / eps)
-    flagged = report.inapplicable()
-    for name in ALL_BOUNDS:
-        if getattr(report, name) is not None and name not in flagged:
-            row["ratio_" + name] = report.ratio(name, eps)
-    if cfg.kind == "exchangeable_overlap":
-        row["lower_bound"] = lower_bound_exchangeable(cfg.overlap_k, cfg.p)
-    row["inapplicable"] = ";".join(f"{name}:{v.reason}" for name, v in flagged.items())
-    return row
 
 
 def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
@@ -210,13 +208,11 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     The bounds are evaluated once, as rates; each row applies its epsilon.
     """
     n_mc = plain_count("n_mc", n_mc)
-    config = _run_config(cfg, epsilons, n_rep, n_threads, mc=n_mc, bounds=list(which))
-    spec, report, estimates = _measure(
-        cfg, config["eps"], n_rep, cfg.seed, n_threads,
-        lambda spec, part: bound_report(spec, part, n_mc=n_mc, seed=cfg.seed, which=which))
-    rows = [compare_row(cfg, est, report, spec.p) for est in estimates]
+    config = _run_config(cfg.to_json_dict(), epsilons, n_rep, cfg.seed, n_threads, mc=n_mc,
+                         bounds=list(which))
+    spec, report, rows = _design_rows(cfg, config, config["seed"], n_threads)
     path = os.path.join(out_dir, f"bounds_{cfg.design_id()}.csv")
-    write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=cfg.seed,
+    write_csv(path, COMPARE_COLUMNS, rows, command="bounds-compare", seed=config["seed"],
               config=config, spec_hash=spec.content_hash)
     return path, rows, report
 
@@ -258,7 +254,7 @@ STUDIES = {
 
 
 def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: int = 500,
-                      epsilon: float = 0.05, n_threads: int = 1,
+                      epsilons=(0.05,), n_threads: int = 1,
                       **options) -> tuple[str, list[dict]]:
     """Scaling tables: concentration against the correlation gap or block size.
 
@@ -266,14 +262,16 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
     rho_sweep_lowrank redraws a low-rank factor per point so rho_bar moves on
     its own; k0_sweep grows the ambient dimension at a fixed split size.
     The rho tables carry the 1/sqrt(1-rho_bar) and 1/(1-rho_bar) regressors.
-    A set option (not None) the study does not read raises BadConfig.  Before
-    the first point, the options read become plain values (:func:`_plain`)
-    and the sidecar config is serialized, and every point's design is checked
+    One row per point and eps, point-major, each point's rows in the
+    caller's eps order.  A set option (not None) the study does not read
+    raises BadConfig.  Before the first point, the options read become plain
+    values (:func:`_plain`), the run is checked and the sidecar config
+    serialized (:func:`_run_config`), and every point's design is checked
     (:func:`check_design`, which builds nothing), so a non-integer dimension,
     a config JSON cannot hold or an option one point cannot build raises
-    BadConfig before any sampling.  The seed
-    must lie in [0, 2^64); point i samples (and for rho_sweep_lowrank draws
-    its design) with seed seed + i, wrapped mod 2^64.
+    BadConfig before any sampling.  The seed must lie in [0, 2^64); point i
+    samples (and for rho_sweep_lowrank draws its design) with seed seed + i,
+    wrapped mod 2^64.
     """
     if kind not in STUDIES:
         raise BadConfig(f"unknown scaling kind {kind!r}; expected one of {tuple(STUDIES)}")
@@ -284,40 +282,19 @@ def run_scaling_study(kind: str, out_dir: str = ".", *, seed: int = 0, n_rep: in
         raise BadConfig(f"{kind} does not read {', '.join(unread)}")
     opts = {k: STUDY_OPTIONS[k] if options.get(k) is None else _plain(k, options[k])
             for k in reads}
-    epsilon = check_epsilon(epsilon)
-    check_run(n_rep, seed, n_threads)
+    config = _run_config({"study": kind, **opts}, epsilons, n_rep, seed, n_threads)
+    seed = config["seed"]
     cfgs = points(opts, seed)
     if not cfgs:
         size = opts["points"] if "points" in opts else len(opts["p_list"])
         raise BadConfig(f"{kind} needs at least one point, got {size}")
-    config = {"study": kind, **opts, "reps": n_rep, "eps": [epsilon], "seed": seed}
-    _meta_text(config)  # a config JSON cannot hold fails before the first point
     for cfg in cfgs:
         check_design(cfg)
-    rows = [_scaling_row(kind, cfg, epsilon, n_rep, (seed + i) % 2 ** 64, n_threads)
-            for i, cfg in enumerate(cfgs)]
+    rows = [row for i, cfg in enumerate(cfgs)
+            for row in _design_rows(cfg, config, (seed + i) % 2 ** 64, n_threads, study=kind)[2]]
     path = os.path.join(out_dir, f"scaling_{kind}.csv")
-    write_csv(path, rows[0].keys(), rows, command="scaling", seed=seed, config=config)
+    write_csv(path, SCALING_COLUMNS, rows, command="scaling", seed=seed, config=config)
     return path, rows
-
-
-def _scaling_row(kind: str, cfg: DesignConfig, epsilon: float, n_rep: int, seed: int,
-                 n_threads: int) -> dict:
-    spec, rbar, (est,) = _measure(cfg, [epsilon], n_rep, seed, n_threads, rho_bar)
-    return {
-        "kind": kind,
-        "design_id": cfg.design_id(),
-        "p": spec.p,
-        "k0": cfg.k0,
-        "rho": cfg.rho,
-        "rho_bar": rbar,
-        "epsilon": epsilon,
-        "levy_hat": est.value,
-        "se": est.se_hint,
-        "n_rep": n_rep,
-        "inv_sqrt_gap": 1.0 / math.sqrt(1.0 - rbar) if rbar < 1.0 else None,
-        "inv_gap": 1.0 / (1.0 - rbar) if rbar < 1.0 else None,
-    }
 
 
 def run_bootstrap_demo(data: DataMatrix, part: Partition, b_reps: int = 2000,

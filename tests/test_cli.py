@@ -298,7 +298,7 @@ class TestSidecarReplay:
         ["levy", "--kind", "homog_lowrank", "--p", "8", "--d", "2", "--reps", "300",
          "--eps", "0.2,0.05", "--seed", "6"],
         ["scaling", "--study", "k0_sweep", "--k0", "3", "--p-list", "5,8", "--reps", "300",
-         "--eps", "0.1", "--seed", "7"],
+         "--eps", "0.2,0.05", "--seed", "7"],
     ], ids=["bounds-compare", "levy", "scaling"])
 
     @staticmethod
@@ -412,11 +412,23 @@ class TestScalingCommand:
         assert code == EXIT_OK, err
         assert "2 rows" in out
 
-    def test_multiple_epsilons_rejected(self, capsys, tmp_path):
-        code, _, err = run(capsys, "scaling", "--study", "k0_sweep",
-                           "--eps", "0.05,0.1", "--out", str(tmp_path))
-        assert code == EXIT_CONFIG
-        assert "single epsilon" in err
+    def test_two_eps_rows_equal_the_one_eps_runs(self, capsys, tmp_path):
+        # One row per point and eps, point-major, each point's rows in the
+        # given eps order.  Both eps exceed the scan grid's spacing (the
+        # sample's range over 999), so neither refines the grid and each
+        # row equals its own one-eps run's.
+        tables = {}
+        for eps in ("0.2,0.05", "0.2", "0.05"):
+            out = tmp_path / eps
+            code, text, _ = run(capsys, "scaling", "--study", "k0_sweep", "--k0", "3",
+                                "--p-list", "5,8", "--reps", "300", "--eps", eps,
+                                "--out", str(out))
+            assert code == EXIT_OK
+            assert f"{2 * len(eps.split(','))} rows" in text
+            tables[eps] = (out / "scaling_k0_sweep.csv").read_text().splitlines()
+        both, wide, narrow = tables.values()
+        assert both[0] == wide[0] == narrow[0]
+        assert both[1::2] == wide[1:] and both[2::2] == narrow[1:]
 
     def test_study_required(self, capsys, tmp_path):
         code, _, err = run(capsys, "scaling", "--out", str(tmp_path))

@@ -14,7 +14,8 @@ from maxgap import (BadConfig, CovSpec, DataMatrix, IoError, Partition,
                     run_scaling_study, sample, sample_max_diff)
 from maxgap.cov import TILE
 from maxgap.designs import DesignConfig, gen_design
-from maxgap.experiments import COMPARE_COLUMNS, _versions, write_csv, write_json
+from maxgap.experiments import (COMPARE_COLUMNS, LEVY_COLUMNS, SCALING_COLUMNS, _versions,
+                                write_csv, write_json)
 from maxgap.sampling import BLOCK, CHUNK, RNG_METHOD, draw_width
 
 from conftest import run_python, spy_calls
@@ -241,17 +242,15 @@ class TestArgumentsCheckedFirst:
         # design; a two-point study checks them once, not once per point.
         import maxgap.experiments as experiments
         calls = []
-        for name in ("check_scan", "check_epsilon", "check_run"):
+        for name in ("check_scan", "check_run"):
             real = getattr(experiments, name)
             monkeypatch.setattr(experiments, name, lambda *a, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*a, **k))
         run_levy_experiment(self.CFG, n_rep=200, out_dir=str(tmp_path))
         run_bounds_compare(self.CFG, n_rep=200, n_mc=200, out_dir=str(tmp_path),
                            which=("baseline",))
-        assert calls == ["check_scan", "check_run"] * 2
-        calls.clear()
         run_scaling_study("k0_sweep", k0=3, p_list=(5, 6), n_rep=100, out_dir=str(tmp_path))
-        assert calls == ["check_epsilon", "check_run"]
+        assert calls == ["check_scan", "check_run"] * 3
 
     def test_config_json_cannot_hold_fails_before_any_work(self, tmp_path, monkeypatch):
         # The sidecar config is serialized before the design is built.
@@ -465,7 +464,7 @@ class TestScalingStudy:
     @pytest.mark.parametrize("kind", sorted(READS))
     def test_sidecar_config_holds_the_options_read(self, tmp_path, kind):
         options = {name: VALUES[name] for name in READS[kind]}
-        path, _ = run_scaling_study(kind, out_dir=str(tmp_path), n_rep=100, epsilon=0.1,
+        path, _ = run_scaling_study(kind, out_dir=str(tmp_path), n_rep=100, epsilons=(0.1,),
                                     seed=4, **options)
         config = json.load(open(path + ".meta.json"))["config"]
         assert config == {"study": kind, **json.loads(json.dumps(options)), "reps": 100,
@@ -493,9 +492,8 @@ class TestScalingStudy:
         ({"k0": 3, "p_list": [5.7, 6]}, r"^p_list must be a list of integers, got \[5.7, 6\]$"),
         ({"k0": 3.0, "p_list": (5,)}, "^k0 must be an integer, got 3.0$"),
         ({"k0": 3, "p_list": 5}, "^p_list must be a list of integers, got 5$"),
-        ({"k0": 3, "p_list": (5,), "n_rep": np.int64(100)}, "^run config is not JSON"),
         ({"k0": 3, "p_list": [4, 3]}, r"^k0_split needs 1 <= k0 < p, got k0=3, p=3$"),
-    ], ids=["fractional-p", "float-k0", "scalar-p_list", "numpy-reps", "unbuildable-point"])
+    ], ids=["fractional-p", "float-k0", "scalar-p_list", "unbuildable-point"])
     def test_bad_option_rejected_before_any_point(self, tmp_path, monkeypatch, options,
                                                   message):
         import maxgap.experiments as experiments
@@ -508,6 +506,31 @@ class TestScalingStudy:
         with pytest.raises(BadConfig, match=message):
             run_scaling_study("k0_sweep", out_dir=str(tmp_path), **options)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("run", [{"n_rep": np.int64(100)}, {"seed": np.uint64(3)}],
+                             ids=["numpy-reps", "numpy-seed"])
+    def test_numpy_run_options_run_as_ints(self, tmp_path, run):
+        # As in levy and bounds-compare, a numpy n_rep or seed becomes the
+        # Python int it holds: the study runs, its sidecar records plain
+        # ints, and its CSV matches the run given plain ints.
+        base = {"k0": 3, "p_list": (5, 6), "n_rep": 100}
+        plain = {**base, **{k: int(v) for k, v in run.items()}}
+        path, _ = run_scaling_study("k0_sweep", out_dir=str(tmp_path / "np"), **{**base, **run})
+        want, _ = run_scaling_study("k0_sweep", out_dir=str(tmp_path / "int"), **plain)
+        meta = json.load(open(path + ".meta.json"))
+        assert type(meta["config"]["reps"]) is int and type(meta["config"]["seed"]) is int
+        assert meta["seed"] == meta["config"]["seed"] == plain.get("seed", 0)
+        assert meta["config"] == json.load(open(want + ".meta.json"))["config"]
+        assert open(path, "rb").read() == open(want, "rb").read()
+
+    @pytest.mark.parametrize("kind, options", [("k0_sweep", {"k0": 3, "p_list": (5, 9)}),
+                                               ("rho_sweep_lowrank", {"p": 8, "points": 2})])
+    def test_csv_bytes_equal_at_one_and_two_threads(self, tmp_path, kind, options):
+        # Each point samples three chunks, so two threads split every point's work.
+        paths = [run_scaling_study(kind, out_dir=str(tmp_path / str(n)), n_rep=3 * CHUNK,
+                                   epsilons=(0.2, 0.05), n_threads=n, seed=11, **options)[0]
+                 for n in (1, 2)]
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
     @pytest.mark.parametrize("kind, empty", [("k0_sweep", {"p_list": ()}),
                                              ("rho_sweep_fullrank", {"points": 0}),
@@ -654,6 +677,34 @@ class TestWriteCsv:
             "ratio_homogeneous", "ratio_corr_threshold", "ratio_heterogeneous",
             "ratio_conditional", "ratio_baseline", "ratio_single_max",
             "lower_bound", "inapplicable")
+
+    def test_levy_and_scaling_columns_frozen(self):
+        assert LEVY_COLUMNS == ("design_id", "p", "epsilon", "norm_eps", "levy_hat", "se",
+                                "n_rep", "rho_bar")
+        assert SCALING_COLUMNS == ("kind", "design_id", "p", "k0", "rho", "rho_bar", "epsilon",
+                                   "levy_hat", "se", "n_rep", "inv_sqrt_gap", "inv_gap")
+
+
+def test_drivers_share_one_row_builder(tmp_path):
+    # k0_sweep's one point is this design, sampled with the study's seed, so
+    # the three drivers measure one design: every row holds the same columns,
+    # and rows at one eps agree on the measurement's columns.
+    cfg = DesignConfig(kind="k0_split", p=6, k0=3, seed=2)
+    run = {"epsilons": (0.2, 0.05), "n_rep": 300}
+    _, levy = run_levy_experiment(cfg, out_dir=str(tmp_path / "l"), **run)
+    _, compare, _ = run_bounds_compare(cfg, n_mc=200, which=("baseline",),
+                                       out_dir=str(tmp_path / "b"), **run)
+    _, scaling = run_scaling_study("k0_sweep", out_dir=str(tmp_path / "s"), k0=3, p_list=(6,),
+                                   seed=2, **run)
+    assert [r["epsilon"] for r in levy] == [0.05, 0.2]
+    assert [r["epsilon"] for r in compare] == [r["epsilon"] for r in scaling] == [0.2, 0.05]
+    assert {frozenset(r) for r in levy + compare + scaling} == {
+        frozenset(LEVY_COLUMNS + COMPARE_COLUMNS + SCALING_COLUMNS)}
+    for row in compare + scaling:
+        same = next(r for r in levy if r["epsilon"] == row["epsilon"])
+        for col in ("design_id", "p", "norm_eps", "levy_hat", "se", "n_rep"):
+            assert row[col] == same[col], col
+    assert [r["rho_bar"] for r in scaling] == [levy[0]["rho_bar"]] * 2
 
 
 def test_levy_on_factor_spec_forms_no_matrix(tmp_path, monkeypatch):

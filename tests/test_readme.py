@@ -7,6 +7,7 @@ import re
 import shlex
 
 import maxgap
+from maxgap import experiments
 from maxgap.cli import parse_args
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -42,3 +43,13 @@ def test_module_references_resolve():
         for name in path.split("."):
             assert hasattr(obj, name), f"README names `{mod}.{path}`, which does not resolve"
             obj = getattr(obj, name)
+
+
+def test_csv_column_table():
+    # The README's table of each command's CSV columns is the drivers' tuples.
+    rows = re.findall(r"^\| `([a-z-]+)` \| (`.*`) \|$", README.read_text(), re.M)
+    table = {command: tuple(re.findall(r"`(\w+)`", cells)) for command, cells in rows
+             if command in ("levy", "bounds-compare", "scaling")}
+    assert table == {"levy": experiments.LEVY_COLUMNS,
+                     "bounds-compare": experiments.COMPARE_COLUMNS,
+                     "scaling": experiments.SCALING_COLUMNS}
