@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import Partition, _readonly, plain_count
+from .cov import Partition, _readonly, _vector, plain_count
 from .errors import (BadConfig, DimensionMismatch, ParseError,
                      SmallSampleWarning)
 from .sampling import _map_chunks, check_seed
@@ -53,25 +53,25 @@ class DataMatrix:
     The rows follow :class:`maxgap.cov.CovSpec`'s ownership rule: a
     read-only float64 array that owns its data is held as given
     (:func:`load_csv` hands its fresh array over so), anything else is
-    copied.  The shift is always copied.
+    copied; the shift follows the same rule.
     """
 
     xi: np.ndarray
     a: np.ndarray | None = None
 
     def __post_init__(self):
-        xi = _readonly(self.xi)
+        xi = _readonly(self.xi, "data")
         if xi.ndim != 2 or xi.shape[0] < 2 or xi.shape[1] < 1:
             raise BadConfig(f"data must be n x p with n >= 2, got shape {xi.shape}")
         if not np.all(np.isfinite(xi)):
             raise BadConfig("data has non-finite entries")
-        a = np.zeros(xi.shape[1]) if self.a is None else np.asarray(self.a, dtype=float).reshape(-1)
+        a = _vector(np.zeros(xi.shape[1]) if self.a is None else self.a, "shift")
         if a.shape != (xi.shape[1],):
             raise DimensionMismatch(f"shift has length {a.shape[0]}, expected {xi.shape[1]}")
         if not np.all(np.isfinite(a)):
             raise BadConfig("shift has non-finite entries")
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "a", _readonly(a))
+        object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:

@@ -50,6 +50,17 @@ DELTA_GRID = np.geomspace(1e-3, 1.0 - 1e-3, 50)  # thresholds of the correlation
 DELTA_GRID.flags.writeable = False
 
 
+def check_bounds(which) -> tuple[str, ...]:
+    """The requested bound names, at least one, each in ``ALL_BOUNDS``; else BadConfig."""
+    names = tuple(which)
+    for name in names:
+        if name not in ALL_BOUNDS:
+            raise BadConfig(f"unknown bound {name!r}; expected one of {ALL_BOUNDS}")
+    if not names:
+        raise BadConfig(f"need at least one bound; expected names from {ALL_BOUNDS}")
+    return names
+
+
 @dataclass(frozen=True)
 class Inapplicable:
     """Marker for a bound whose hypotheses fail.
@@ -97,8 +108,7 @@ class BoundReport:
         terms add 2 * omega / eps before the minimum over thresholds.
         """
         eps = check_epsilon(eps)
-        if name not in ALL_BOUNDS:
-            raise BadConfig(f"unknown bound {name!r}; expected one of {ALL_BOUNDS}")
+        check_bounds((name,))
         value = getattr(self, name)
         if not isinstance(value, tuple):
             return value
@@ -287,16 +297,16 @@ def bound_report(spec: CovSpec, part: Partition, *, n_mc=DEFAULT_MC, seed=0,
                  which=ALL_BOUNDS) -> BoundReport:
     """Evaluate the requested bounds once, downgrading failed hypotheses to Inapplicable.
 
-    Caller errors raise before any fold or pass: BadConfig for a name outside
-    ``ALL_BOUNDS``, n_mc below 1 or a seed outside [0, 2^64), DimensionMismatch
-    for a partition of another dimension.  The
-    bounds share one memo per spec content, so no tile of Sigma is formed
-    and no expected-max request streamed twice.  Order: the threshold
-    profile, whose pass covers both full blocks; ``single_max``, one request
-    for both blocks, so each spec content is streamed once; then the rest.
+    Caller errors raise before any fold or pass: BadConfig for no name or a
+    name outside ``ALL_BOUNDS`` (:func:`check_bounds`), n_mc below 1 or a
+    seed outside [0, 2^64), DimensionMismatch for a partition of another
+    dimension.  The bounds share one memo per spec content, so no tile of
+    Sigma is formed and no expected-max request streamed twice.  Order: the
+    threshold profile, whose pass covers both full blocks; ``single_max``,
+    one request for both blocks, so each spec content is streamed once; then
+    the rest.
     """
-    if not set(which) <= set(ALL_BOUNDS):
-        raise BadConfig(f"unknown bound in {which!r}; expected names from {ALL_BOUNDS}")
+    which = check_bounds(which)
     plain_count("n_mc", n_mc)
     check_seed(seed)
     mc = {"n_mc": n_mc, "seed": seed}

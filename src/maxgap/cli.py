@@ -9,7 +9,9 @@ lists.  Config keys are the option names (``a``, ``overlap_k``, ``rho_min``,
 ``null`` leaves an option unset; a set design or study option that the kind
 or study does not read exits 2.  Config values go through the flags'
 converters: numbers or lists (comma-joined) for numeric options, strings
-for names and paths, a list or a comma-joined string for ``bounds``.  Exit
+for names and paths, a list or a comma-joined string for ``bounds``.  A
+converter reads only a value's type; the library's own rules check the value
+(counts, seeds, bound names), for the CLI as for a Python caller.  Exit
 codes: 0 success, 1 a selftest check failed, 2 bad configuration (including
 a malformed flag or config value), 3 every requested bound inapplicable, 4
 I/O failure (including a malformed or non-finite data cell).
@@ -29,8 +31,9 @@ from .bounds import ALL_BOUNDS
 from .cov import Partition
 from .designs import DESIGNS, KINDS, VARIANCE_PROFILES, DesignConfig, gen_design
 from .errors import BadConfig, IoError, MaxgapError, ParseError
-from .bootstrap import MULTIPLIERS, load_csv
+from .bootstrap import MULTIPLIERS, check_replicates, load_csv
 from .levy import DEFAULT_MC
+from .sampling import check_run
 from . import experiments
 
 EXIT_OK = 0
@@ -40,26 +43,6 @@ EXIT_INAPPLICABLE = 3
 EXIT_IO = 4
 
 _DESIGN_KEYS = tuple(DesignConfig.__dataclass_fields__)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"expected an unsigned 64-bit integer, got {text!r}")
-    return value
 
 
 def _list_of(convert, name: str):
@@ -76,11 +59,12 @@ def _list_of(convert, name: str):
 
 
 _float_list, _int_list = _list_of(float, "floats"), _list_of(int, "integers")
+_name_list = _list_of(str.strip, "names")
 
 
 def _add_common(sub: argparse.ArgumentParser, out: str | None = None) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON file of option values")
-    sub.add_argument("--seed", type=_seed, default=0, help="master seed (unsigned 64-bit)")
+    sub.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
     sub.add_argument("--out", default=out, help="output directory or file")
 
 
@@ -104,10 +88,10 @@ def _add_design(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_run(sub: argparse.ArgumentParser, reps: int, eps) -> None:
-    sub.add_argument("--reps", type=_positive_int, default=reps, help="sample replications")
+    sub.add_argument("--reps", type=int, default=reps, help="sample replications")
     sub.add_argument("--eps", type=_float_list, default=eps,
                      help="comma-separated epsilon list")
-    sub.add_argument("--threads", type=_positive_int, default=1, help="sampling threads")
+    sub.add_argument("--threads", type=int, default=1, help="sampling threads")
 
 
 def _load_config(path: str) -> dict:
@@ -130,7 +114,7 @@ def _config_defaults(sub: argparse.ArgumentParser, cfg: dict) -> dict:
         value = cfg.get(action.dest)
         if value is None or action.dest in ("help", "config"):
             continue
-        if isinstance(value, str) != (action.type is None) and action.type is not _bounds_arg:
+        if isinstance(value, str) != (action.type is None) and action.type is not _name_list:
             expected = "a string" if action.type is None else "a number or a list"
             raise BadConfig(f"config key {action.dest!r} must be {expected}, got {value!r}")
         defaults[action.dest] = (",".join(map(str, value)) if isinstance(value, list)
@@ -169,16 +153,6 @@ def cmd_levy(args) -> int:
     return EXIT_OK
 
 
-def _bounds_arg(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    bad = [n for n in names if n not in ALL_BOUNDS]
-    if bad:
-        raise argparse.ArgumentTypeError(f"unknown bounds {bad}; choose from {ALL_BOUNDS}")
-    if not names:
-        raise argparse.ArgumentTypeError("empty list")
-    return names
-
-
 def cmd_bounds_compare(args) -> int:
     path, rows, report = experiments.run_bounds_compare(
         _design_from(args), epsilons=args.eps, n_rep=args.reps, n_mc=args.mc,
@@ -212,6 +186,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    check_replicates(args.breps, args.seed, args.multiplier)
     if args.data is None:
         raise BadConfig("a data CSV is required (--data or 'data' in --config)")
     if args.a is not None and args.split is not None:
@@ -235,6 +210,7 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_selftest(args) -> int:
     seed, threads, reps = args.seed, args.threads, args.reps
+    check_run(reps, seed, threads)
     rho, sd, eps_check = 0.3, 1.0, 0.05
     cfg = DesignConfig(kind="fullrank_equicorr", p=2, rho=rho, seed=seed)
     epsilons = (0.01, eps_check, 0.2)
@@ -298,9 +274,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(sp, out=".")
     _add_design(sp)
     _add_run(sp, reps=2000, eps=(0.05,))
-    sp.add_argument("--bounds", type=_bounds_arg, default=ALL_BOUNDS,
+    sp.add_argument("--bounds", type=_name_list, default=ALL_BOUNDS,
                     help="comma-separated subset of bounds to evaluate")
-    sp.add_argument("--mc", type=_positive_int, default=DEFAULT_MC,
+    sp.add_argument("--mc", type=int, default=DEFAULT_MC,
                     help="Monte Carlo size for expected maxima")
 
     sp = add("scaling", cmd_scaling, "scaling studies over rho or block size")
@@ -310,7 +286,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     study_options = (
         sp.add_argument("--p", type=int, help="dimension"),
         sp.add_argument("--d", type=int, help="factor rank"),
-        sp.add_argument("--points", type=_positive_int, help="sweep points"),
+        sp.add_argument("--points", type=int, help="sweep points"),
         sp.add_argument("--rho-min", type=float, dest="rho_min", help="first rho"),
         sp.add_argument("--rho-max", type=float, dest="rho_max", help="last rho"),
         sp.add_argument("--k0", type=int, help="size of block A"),
@@ -327,7 +303,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--split", type=int,
                     help="block A is the first SPLIT coordinates (half when unset)")
     sp.add_argument("--a", type=_int_list, help="explicit comma-separated indices of block A")
-    sp.add_argument("--breps", type=_positive_int, default=2000, help="bootstrap draws")
+    sp.add_argument("--breps", type=int, default=2000, help="bootstrap draws")
     sp.add_argument("--multiplier", choices=MULTIPLIERS, default="gaussian",
                     help="multiplier weight law")
     sp.add_argument("--shift", type=_float_list,
@@ -335,8 +311,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = add("selftest", cmd_selftest, "determinism and analytic sanity checks")
     _add_common(sp)
-    sp.add_argument("--reps", type=_positive_int, default=20000, help="sample replications")
-    sp.add_argument("--threads", type=_positive_int, default=8,
+    sp.add_argument("--reps", type=int, default=20000, help="sample replications")
+    sp.add_argument("--threads", type=int, default=8,
                     help="threads compared against one")
 
     return parser, subs

@@ -74,18 +74,21 @@ _EPS = float(np.finfo(float).eps)
 _NEAR = math.sqrt(_EPS)  # a pole within _NEAR * var_i of lam stays explicit in the count
 
 
-def _readonly(a) -> np.ndarray:
-    """a if it is a read-only float64 ndarray owning its data, else a read-only copy."""
+def _readonly(a, name: str = "array") -> np.ndarray:
+    """a if it is a read-only float64 ndarray owning its data, else a read-only copy of numbers."""
     if not (type(a) is np.ndarray and a.dtype == float and a.flags.owndata) or a.flags.writeable:
-        a = np.array(a, dtype=float)
+        try:
+            a = np.array(a, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise BadConfig(f"{name} is not an array of numbers: {err}") from None
         a.flags.writeable = False
     return a
 
 
-def _vector(a) -> np.ndarray:
+def _vector(a, name: str) -> np.ndarray:
     """a flattened to one axis by :func:`_readonly`'s rule: a 1-D owner handed over is kept."""
-    a = np.asarray(a, dtype=float)
-    return _readonly(a if a.ndim == 1 else a.reshape(-1))
+    a = _readonly(a, name)
+    return a if a.ndim == 1 else _readonly(a.reshape(-1), name)
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,14 @@ class CovSpec:
     def factor(cls, gamma: np.ndarray, mu: np.ndarray | None = None,
                noise: np.ndarray | None = None) -> "CovSpec":
         """Model X = gamma @ Z + noise * W + mu, Z and W standard normal of lengths d and p."""
-        gamma = _readonly(np.atleast_2d(gamma))
+        gamma = np.atleast_2d(_readonly(gamma, "factor matrix"))
         if gamma.ndim != 2 or gamma.shape[0] < 1 or gamma.shape[1] < 1:
             raise DimensionMismatch(f"factor matrix must be p x d, got {gamma.shape}")
         if not np.all(np.isfinite(gamma)):
             raise BadConfig("factor matrix has non-finite entries")
         p = gamma.shape[0]
         if noise is not None:
-            noise = _vector(noise)
+            noise = _vector(noise, "noise")
             if noise.shape != (p,):
                 raise DimensionMismatch(f"noise has length {noise.shape[0]}, expected {p}")
             if not np.all(np.isfinite(noise) & (noise >= 0.0)):
@@ -132,7 +135,7 @@ class CovSpec:
         (sigma + sigma^T) / 2.  Factored here: :func:`sqrt_factor` raises
         NotPSD for an indefinite matrix.
         """
-        sigma = _readonly(np.atleast_2d(sigma))
+        sigma = np.atleast_2d(_readonly(sigma, "covariance"))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
             raise DimensionMismatch(f"covariance must be square, got {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
@@ -212,7 +215,7 @@ class CovSpec:
 def _check_mu(mu: np.ndarray | None, p: int) -> np.ndarray:
     if mu is None:
         return _readonly(np.zeros(p))
-    mu = _vector(mu)
+    mu = _vector(mu, "mean")
     if mu.shape != (p,):
         raise DimensionMismatch(f"mean has length {mu.shape[0]}, expected {p}")
     if not np.all(np.isfinite(mu)):
@@ -313,7 +316,7 @@ class Partition:
     @classmethod
     def split(cls, p: int, k: int) -> "Partition":
         """First k coordinates against the rest."""
-        k = plain_option("split point", k)
+        p, k = plain_option("dimension", p), plain_option("split point", k)
         if not 0 < k < p:
             raise BadConfig(f"split point {k} not inside (0, {p})")
         return cls(tuple(range(k)), tuple(range(k, p)), p)

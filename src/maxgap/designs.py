@@ -26,6 +26,7 @@ import numpy as np
 
 from .cov import TILE, CovSpec, Partition, plain_option
 from .errors import BadConfig
+from .sampling import check_seed
 
 # The options a kind may read besides p and seed, with their design_id formats.
 _OPTIONS = {"d": "d{}", "overlap_k": "k{}", "k0": "k0_{}", "rho": "rho{:g}",
@@ -45,8 +46,8 @@ class DesignConfig:
     """Parameters of one simulation design, held as plain Python values.
 
     p, seed and each integer option set become ints and rho a float, so a
-    numpy scalar is recorded as the number it holds; any other value raises
-    BadConfig.
+    numpy scalar is recorded as the number it holds; any other value, or a
+    seed outside [0, 2^64), raises BadConfig.
     """
 
     kind: str
@@ -59,11 +60,12 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("p", "d", "overlap_k", "k0", "rho", "seed"):
+        for name in ("p", "d", "overlap_k", "k0", "rho"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, plain_option(
                     name, value, float if name == "rho" else operator.index))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def design_id(self) -> str:
         bits = [fmt.format(getattr(self, name)) for name, fmt in _OPTIONS.items()

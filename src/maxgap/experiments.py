@@ -33,7 +33,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bootstrap import DataMatrix, check_replicates, clt_rate, run_bootstrap
-from .bounds import ALL_BOUNDS, BoundReport, bound_report, lower_bound_exchangeable
+from .bounds import (ALL_BOUNDS, BoundReport, bound_report, check_bounds,
+                     lower_bound_exchangeable)
 from .cov import CovSpec, Partition, check_conditions, plain_count, plain_option, rho_bar
 from .designs import DesignConfig, check_design, gen_design
 from .errors import BadConfig, ConditionFails, IoError, MaxgapError
@@ -206,8 +207,10 @@ def run_bounds_compare(cfg: DesignConfig, epsilons=(0.05,), n_rep: int = 2000,
     """Empirical concentration against every requested bound, one row per epsilon.
 
     The bounds are evaluated once, as rates; each row applies its epsilon.
+    The bound names are checked (:func:`maxgap.bounds.check_bounds`) with
+    the other arguments, before the design is built.
     """
-    n_mc = plain_count("n_mc", n_mc)
+    n_mc, which = plain_count("n_mc", n_mc), check_bounds(which)
     config = _run_config(cfg.to_json_dict(), epsilons, n_rep, cfg.seed, n_threads, mc=n_mc,
                          bounds=list(which))
     spec, report, rows = _design_rows(cfg, config, config["seed"], n_threads)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovSpec, _indices, plain_count
+from .cov import CovSpec, _indices, plain_count, plain_option
 from .errors import BadConfig, DimensionMismatch, EmptySample, EmptySubset
 from .sampling import _chunk_maxima, _map_chunks, draw_width, emax_chunk_rows
 
@@ -50,7 +50,7 @@ class LevyEstimate:
 
 def check_epsilon(epsilon) -> float:
     """A half-width as a float; it must be finite and strictly positive."""
-    epsilon = float(epsilon)
+    epsilon = plain_option("epsilon", epsilon, float)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise BadConfig(f"epsilon must be finite and positive, got {epsilon}")
     return epsilon

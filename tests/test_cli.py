@@ -261,33 +261,39 @@ class TestBoundsCompareCommand:
                          "--mc", "2000", "--out", str(tmp_path))
         assert code == EXIT_OK
 
+    UNKNOWN = "error: unknown bound 'sharpest'; expected one of"
+
     def test_unknown_bound_flag(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "bounds-compare", "--kind", "fullrank_equicorr",
-                         "--p", "4", "--rho", "0.3", "--bounds", "sharpest",
-                         "--out", str(tmp_path))
-        assert code == 2
+        code, _, err = run(capsys, "bounds-compare", "--kind", "fullrank_equicorr",
+                           "--p", "4", "--rho", "0.3", "--bounds", "sharpest",
+                           "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert one_error_line(err) and err.startswith(self.UNKNOWN)
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_bound_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "fullrank_equicorr", "p": 4,
                                    "rho": 0.3, "bounds": ["sharpest"]}))
-        code, _, err = run(capsys, "bounds-compare", "--config", str(cfg),
-                           "--out", str(tmp_path))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "bounds-compare", "--config", str(cfg), "--out", str(out))
         assert code == EXIT_CONFIG
-        assert "unknown bounds" in err
+        assert one_error_line(err) and err.startswith(self.UNKNOWN)
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_bound_list(self, capsys, tmp_path, source):
         # An empty request is a usage error, not "every bound inapplicable".
-        argv = ["bounds-compare", "--out", str(tmp_path)]
+        out = tmp_path / "out"
+        argv = ["bounds-compare", "--out", str(out)]
         if source == "flag":
-            argv += ["--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--bounds", ""]
+            argv += ["--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--bounds", " , "]
         else:
             argv += ["--config", write_config(tmp_path, {**DESIGN, "bounds": []})]
         code, _, err = run(capsys, *argv)
         assert code == EXIT_CONFIG
-        assert "empty list" in err
-        assert not list(tmp_path.glob("*.csv"))
+        assert one_error_line(err) and "argument --bounds: empty list" in err
+        assert not out.exists()
 
 
 class TestSidecarReplay:
@@ -706,6 +712,20 @@ class TestConfigResolution:
 
 
 class TestValueChecks:
+    # Each command with the other options it needs to reach the value checks.
+    # bootstrap names a missing file and selftest a missing directory: a
+    # check made after reading or making either would exit 4, not 2.
+    ARGV = {"gen-design": ["--kind", "homog_lowrank", "--p", "4", "--d", "2"],
+            "levy": ["--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3"],
+            "bounds-compare": ["--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3"],
+            "scaling": ["--study", "rho_sweep_fullrank"],
+            "bootstrap": ["--data", "missing.csv"],
+            "selftest": []}
+    # The library's message for a count below one, by flag.
+    COUNTS = {"--reps": "n_rep must be positive", "--threads": "n_threads must be positive",
+              "--mc": "n_mc must be positive", "--breps": "b_reps must be positive",
+              "--points": "rho_sweep_fullrank needs at least one point"}
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0.0"])
     @pytest.mark.parametrize("command", ["levy", "bounds-compare"])
     def test_non_finite_eps(self, capsys, tmp_path, command, eps):
@@ -720,12 +740,17 @@ class TestValueChecks:
     @pytest.mark.parametrize("command,flag", [
         ("levy", "--threads"), ("levy", "--reps"),
         ("bounds-compare", "--mc"), ("scaling", "--points"), ("bootstrap", "--breps"),
-        ("selftest", "--threads"),
+        ("selftest", "--threads"), ("selftest", "--reps"),
     ])
-    def test_counts_must_be_positive(self, capsys, command, flag, value):
-        code, _, err = run(capsys, command, flag, value)
+    def test_counts_must_be_positive(self, capsys, tmp_path, command, flag, value):
+        # argparse reads an int; the library's rule rejects one below 1.
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, *self.ARGV[command], flag, value, "--out", str(out))
         assert code == EXIT_CONFIG
-        assert one_error_line(err) and "positive integer" in err
+        message = (f"{self.COUNTS[flag]}, got {value}" if value in ("0", "-3")
+                   else f"argument {flag}: invalid int value: '{value}'")
+        assert one_error_line(err) and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3"],
@@ -740,23 +765,26 @@ class TestValueChecks:
         assert one_error_line(err) and "--grid" in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 65)])
-    @pytest.mark.parametrize("command", ["gen-design", "levy"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 65), "abc"])
+    @pytest.mark.parametrize("command", ["gen-design", "levy", "bounds-compare", "scaling",
+                                         "bootstrap", "selftest"])
     def test_seed_out_of_range(self, capsys, tmp_path, command, seed):
-        code, _, err = run(capsys, command, "--kind", "homog_lowrank", "--p", "4", "--d", "2",
-                           f"--seed={seed}", "--out", str(tmp_path))
+        # argparse reads an int; the library's rule rejects one outside [0, 2^64).
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, *self.ARGV[command], f"--seed={seed}",
+                           "--out", str(out))
         assert code == EXIT_CONFIG
-        assert one_error_line(err) and "unsigned 64-bit" in err
-        assert not list(tmp_path.iterdir())
+        message = ("argument --seed: invalid int value: 'abc'" if seed == "abc"
+                   else f"seed must be an unsigned 64-bit integer, got {seed}")
+        assert one_error_line(err) and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--seed", "abc"],
-         "unsigned 64-bit"),
         (["levy", "--kind", "fullrank_equicorr", "--p", "4", "--rho", "0.3", "--eps", ","],
          "empty list"),
         (["scaling", "--study", "rho_sweep_fullrank", "--rho-min", "0.99", "--rho-max", "0.9"],
          "rho_min <= rho_max"),
-    ], ids=["seed-text", "eps-empty", "rho-range"])
+    ], ids=["eps-empty", "rho-range"])
     def test_bad_value_exits_2_before_any_file(self, capsys, tmp_path, argv, message):
         code, _, err = run(capsys, *argv, "--reps", "100", "--out", str(tmp_path))
         assert code == EXIT_CONFIG

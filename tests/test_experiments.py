@@ -210,10 +210,12 @@ class TestArgumentsCheckedFirst:
         if driver is run_scaling_study:
             call = lambda: driver("k0_sweep", p_list=(25,), out_dir=str(tmp_path), **kwargs)
         else:
+            # The config checks its seed when it is built, so it is built in the call.
             extra = {"n_mc": 200} if driver is run_bounds_compare else {}
-            cfg = dataclasses.replace(self.CFG, seed=kwargs.get("seed", self.CFG.seed))
+            seed = kwargs.get("seed", self.CFG.seed)
             kwargs = {k: v for k, v in kwargs.items() if k != "seed"}
-            call = lambda: driver(cfg, out_dir=str(tmp_path), **extra, **kwargs)
+            call = lambda: driver(dataclasses.replace(self.CFG, seed=seed),
+                                  out_dir=str(tmp_path), **extra, **kwargs)
         with pytest.raises(BadConfig, match=message):
             call()
         assert ran == []
@@ -255,9 +257,10 @@ class TestArgumentsCheckedFirst:
     def test_config_json_cannot_hold_fails_before_any_work(self, tmp_path, monkeypatch):
         # The sidecar config is serialized before the design is built.
         ran = self.spy(monkeypatch)
+        cfg = dataclasses.replace(self.CFG, variance_profile=b"v075")
         with pytest.raises(BadConfig, match="^run config is not JSON"):
-            run_bounds_compare(self.CFG, n_mc=200, n_rep=300, out_dir=str(tmp_path),
-                               which=(b"baseline",))
+            run_bounds_compare(cfg, n_mc=200, n_rep=300, out_dir=str(tmp_path),
+                               which=("baseline",))
         assert ran == []
         assert list(tmp_path.iterdir()) == []
 
